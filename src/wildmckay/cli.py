@@ -53,10 +53,6 @@ EXIT_INPUT_ERROR = 2
 DEFAULT_PRECISION = Fraction(1, 10**12)
 
 
-class InputError(ValueError):
-    """Bad command-line input; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Value rendering
 # ---------------------------------------------------------------------------
@@ -598,7 +594,6 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     except (
-        InputError,
         BudgetExceededError,
         PartialEnumerationError,
         MalformedSubsetError,

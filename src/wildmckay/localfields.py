@@ -162,10 +162,6 @@ class EtaleAlgebra:
         canonical = tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0])))
         object.__setattr__(self, "factors", canonical)
 
-    @staticmethod
-    def from_fields(fields: Iterable[TameFieldClass]) -> "EtaleAlgebra":
-        return EtaleAlgebra([(cls, 1) for cls in fields])
-
     @property
     def p(self) -> int:
         return self.factors[0][0].p

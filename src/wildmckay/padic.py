@@ -152,14 +152,6 @@ class ResidueCount:
     def normalized(self) -> Fraction:
         return Fraction(self.count, self.p ** (self.modulus_exponent * self.dim))
 
-    def to_json(self) -> dict:
-        norm = self.normalized
-        return {
-            "m": self.modulus_exponent,
-            "count": self.count,
-            "normalized": [norm.numerator, norm.denominator],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Exact counting engines
@@ -325,15 +317,6 @@ class SmoothMeasureReport:
     @property
     def residue_point_count(self) -> int:
         return self.counts[0]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.dim,
-            "m_max": self.m_max,
-            "counts": list(self.counts),
-            "measure": [self.measure.numerator, self.measure.denominator],
-        }
 
 
 def smooth_measure_check(system: PolySystem, m_max: int, budget: int | None = None) -> SmoothMeasureReport:

@@ -29,7 +29,6 @@ __all__ = [
     "PoleError",
     "is_infinite",
     "monomial",
-    "evaluate",
     "nth_root_approx",
 ]
 
@@ -428,12 +427,6 @@ class QFrac:
     def is_zero(self) -> bool:
         return self._num.is_zero
 
-    def as_qexpr(self) -> QExpr:
-        """Return the numerator if the denominator is 1, else raise."""
-        if self._den == QExpr.one():
-            return self._num
-        raise ValueError(f"{self} is not a Laurent expression")
-
     def as_laurent(self) -> "QExpr | None":
         """The value as a Laurent expression when the denominator is a
         monomial, else None."""
@@ -656,8 +649,3 @@ def nth_root_approx(x: Rational, k: int, tol: Rational) -> Fraction:
         scale <<= 1
     radicand = (x.numerator * scale**k) // x.denominator
     return Fraction(_int_nth_root(radicand, k), scale)
-
-
-def evaluate(expr: QExpr | QFrac, q0: Rational, precision: Rational | float | None = None) -> Fraction:
-    """Evaluate a QExpr or QFrac at q = q0; see the methods of each type."""
-    return expr.evaluate(q0, precision)

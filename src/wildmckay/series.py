@@ -9,7 +9,7 @@ recurrences (no factorial blowup, O(N^2) coefficient multiplications).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .qexpr import QExpr, QFrac
 
@@ -63,10 +63,6 @@ class TruncatedSeries:
     def x(truncation: int = DEFAULT_TRUNCATION) -> "TruncatedSeries":
         return TruncatedSeries([0, 1], truncation)
 
-    @staticmethod
-    def from_coefficients(coeffs: Sequence[object]) -> "TruncatedSeries":
-        return TruncatedSeries(coeffs)
-
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -81,11 +77,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self._coeffs[n]
-
-    def truncate(self, truncation: int) -> "TruncatedSeries":
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self._coeffs, truncation)
 
     # -- arithmetic --------------------------------------------------------------
 
