@@ -8,7 +8,7 @@ by the wild McKay correspondence for symmetric groups.
 
 from .qexpr import INFINITE, InfiniteType, PoleError, QExpr, QFrac, is_infinite, monomial
 from .series import ConstantTermError, TruncatedSeries
-from .partitions import PartitionTable, hilb_point_count, partition_count, partitions_into_parts
+from .partitions import hilb_point_count, partition_count, partitions_into_parts
 from .localfields import (
     EtaleAlgebra,
     FieldFixture,
@@ -22,15 +22,8 @@ from .localfields import (
     skipped_wild_strata,
     tame_enumeration_is_complete,
 )
-from .massformulas import (
-    MassTable,
-    bhargava_mass,
-    mass_series_via_exp,
-    recover_N_assuming_serre_tail,
-    recover_N_from_M,
-    serre_mass,
-)
-from .mckay import McKayWeights, mckay_mass_side, verify_wild_mckay, weights_for_algebra
+from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
+from .mckay import McKayWeights, verify_wild_mckay, weights_for_algebra
 from .padic import (
     BudgetExceededError,
     HenselMismatchError,
@@ -38,7 +31,7 @@ from .padic import (
     ResidueCount,
     SmoothnessError,
     count_points_mod,
-    default_budget,
+    DEFAULT_BUDGET,
     largest_affordable_m,
     monomial_integral,
     null_set_fraction,
@@ -64,7 +57,6 @@ __all__ = [
     "monomial",
     "ConstantTermError",
     "TruncatedSeries",
-    "PartitionTable",
     "hilb_point_count",
     "partition_count",
     "partitions_into_parts",
@@ -79,14 +71,11 @@ __all__ = [
     "load_fixtures",
     "skipped_wild_strata",
     "tame_enumeration_is_complete",
-    "MassTable",
     "bhargava_mass",
     "mass_series_via_exp",
-    "recover_N_assuming_serre_tail",
     "recover_N_from_M",
     "serre_mass",
     "McKayWeights",
-    "mckay_mass_side",
     "verify_wild_mckay",
     "weights_for_algebra",
     "BudgetExceededError",
@@ -95,7 +84,7 @@ __all__ = [
     "ResidueCount",
     "SmoothnessError",
     "count_points_mod",
-    "default_budget",
+    "DEFAULT_BUDGET",
     "largest_affordable_m",
     "monomial_integral",
     "null_set_fraction",

@@ -32,6 +32,7 @@ from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, 
 from .mckay import verify_wild_mckay
 from .numutil import format_rational, is_prime, parse_rational
 from .padic import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
     PolySystem,
@@ -322,18 +323,6 @@ def _cmd_etale_crossvalidate(args):
 
 def _cmd_mckay_verify(args):
     result = verify_wild_mckay(args.p, args.n)
-    rows = [
-        {
-            "factors": row["factors"],
-            "d": row["d"],
-            "v": row["v"],
-            "w": row["w"],
-            "aut": row["aut"],
-            "term_num": row["term_num"],
-            "term_den": row["term_den"],
-        }
-        for row in result.rows
-    ]
     report = {
         "command": "mckay verify",
         "p": args.p,
@@ -347,7 +336,7 @@ def _cmd_mckay_verify(args):
             json.dump(result.to_json(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         report["table"] = args.table
-    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, rows
+    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, result.rows
 
 
 def _cmd_stringy_eval(args):
@@ -550,13 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = padic.add_parser("count", help="count solutions in (Z/p^m)^n")
     p.add_argument("--input", required=True, help="PolySystem JSON file")
     p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=None)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(handler=_cmd_padic_count)
     p = padic.add_parser("measure", help="smooth measure check via lift counting")
     p.add_argument("--input", required=True)
     p.add_argument("--mmax", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=None)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(handler=_cmd_padic_measure)
     p = padic.add_parser("integral", help="monomial integral: truncation vs closed form")
@@ -569,12 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = padic.add_parser("nullset", help="box fraction of a null set")
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=None)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(handler=_cmd_padic_nullset)
 
     p = groups.add_parser("selftest", help="run every acceptance criterion")
-    p.add_argument("--budget", type=_positive, default=None)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     _add_format(p)
     p.set_defaults(handler=_cmd_selftest)
 

@@ -40,6 +40,7 @@ __all__ = [
     "enumerate_tame_field_classes",
     "skipped_wild_strata",
     "enumerate_tame_etale_algebras",
+    "complete_etale_algebras",
     "tame_enumeration_is_complete",
     "algebra_mass_sum",
     "load_fixtures",
@@ -230,14 +231,20 @@ def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     return sorted(results)
 
 
-def algebra_mass_sum(p: int, n: int) -> Fraction:
-    """sum over degree-n etale algebras of p^(-d) / #Aut, exactly."""
+def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
+    """All degree-n etale algebras over Q_p; PartialEnumerationError when
+    wild algebras exist (p <= n), since the tame sector then misses them."""
     if not tame_enumeration_is_complete(p, n):
         raise PartialEnumerationError(
             f"p={p} <= n={n}: wild algebras exist in degree <= {n}, tame sector is incomplete"
         )
+    return enumerate_tame_etale_algebras(p, n)
+
+
+def algebra_mass_sum(p: int, n: int) -> Fraction:
+    """sum over degree-n etale algebras of p^(-d) / #Aut, exactly."""
     total = Fraction(0)
-    for algebra in enumerate_tame_etale_algebras(p, n):
+    for algebra in complete_etale_algebras(p, n):
         total += Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
     return total
 

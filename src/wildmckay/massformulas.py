@@ -22,7 +22,6 @@ independently enumerated algebra masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -36,8 +35,6 @@ __all__ = [
     "bhargava_mass",
     "mass_series_via_exp",
     "recover_N_from_M",
-    "recover_N_assuming_serre_tail",
-    "MassTable",
 ]
 
 
@@ -108,31 +105,3 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QFrac]:
                     value = value - N[(f * j, m // j)] * Fraction(1, j)
             N[(f, m)] = value
     return N
-
-
-def recover_N_assuming_serre_tail(M_series: TruncatedSeries) -> dict[int, QFrac]:
-    """Consistency mode: plug Serre's values for every f > 1 and solve only
-    for the base-field masses N(K, n) = S_n - sum_{f|n, f>1} q^(f-n) / f."""
-    S = M_series.log()
-    out: dict[int, QFrac] = {}
-    for n in range(1, M_series.truncation + 1):
-        value = S.coefficient(n)
-        for f in divisors(n):
-            if f > 1:
-                value = value - QFrac(serre_mass(n // f, f)) * Fraction(1, f)
-        out[n] = value
-    return out
-
-
-@dataclass(frozen=True)
-class MassTable:
-    """Bundled masses up to degree n_max: M(K, n) and N(K_f, m)."""
-
-    n_max: int
-    M: tuple[QFrac, ...]
-    N: dict[tuple[int, int], QFrac]
-
-    @staticmethod
-    def build(n_max: int = DEFAULT_TRUNCATION) -> "MassTable":
-        series = mass_series_via_exp(n_max)
-        return MassTable(n_max=n_max, M=series.coefficients, N=recover_N_from_M(series))

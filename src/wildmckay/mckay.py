@@ -25,15 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .localfields import (
-    EtaleAlgebra,
-    PartialEnumerationError,
-    enumerate_tame_etale_algebras,
-    tame_enumeration_is_complete,
-)
+from .localfields import EtaleAlgebra, complete_etale_algebras
 from .partitions import hilb_point_count
 
-__all__ = ["McKayWeights", "weights_for_algebra", "mckay_mass_side", "verify_wild_mckay", "McKayReport"]
+__all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,6 @@ class McKayWeights:
     v: int
     w: int
     centralizer_order: int
-    ambient_dim: int
 
 
 def weights_for_algebra(algebra: EtaleAlgebra) -> McKayWeights:
@@ -55,21 +49,7 @@ def weights_for_algebra(algebra: EtaleAlgebra) -> McKayWeights:
         v=v,
         w=fixed_codim - v,
         centralizer_order=algebra.aut_order,
-        ambient_dim=2 * n,
     )
-
-
-def mckay_mass_side(p: int, n: int) -> Fraction:
-    """sum over degree-n etale algebras of p^(2n - v) / #centralizer."""
-    if not tame_enumeration_is_complete(p, n):
-        raise PartialEnumerationError(
-            f"p={p} <= n={n}: wild algebras exist in degree <= {n}, tame sector is incomplete"
-        )
-    total = Fraction(0)
-    for algebra in enumerate_tame_etale_algebras(p, n):
-        weights = weights_for_algebra(algebra)
-        total += Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
-    return total
 
 
 @dataclass
@@ -101,13 +81,9 @@ def verify_wild_mckay(p: int, n: int) -> McKayReport:
     The report carries the per-algebra breakdown (factors, d, v, w, aut,
     term) so a failure localizes to an algebra.
     """
-    if not tame_enumeration_is_complete(p, n):
-        raise PartialEnumerationError(
-            f"p={p} <= n={n}: wild algebras exist in degree <= {n}, tame sector is incomplete"
-        )
     rows = []
     mass_side = Fraction(0)
-    for algebra in enumerate_tame_etale_algebras(p, n):
+    for algebra in complete_etale_algebras(p, n):
         weights = weights_for_algebra(algebra)
         term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
         mass_side += term

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .numutil import is_prime
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
@@ -35,7 +34,7 @@ __all__ = [
     "BudgetExceededError",
     "SmoothnessError",
     "HenselMismatchError",
-    "default_budget",
+    "DEFAULT_BUDGET",
     "count_points_mod",
     "largest_affordable_m",
     "null_set_fraction",
@@ -43,18 +42,7 @@ __all__ = [
     "monomial_integral",
 ]
 
-BUDGET_ENV_VAR = "WILDMCKAY_BUDGET"
 DEFAULT_BUDGET = 5_000_000
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    value = int(raw)
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
 
 
 class BudgetExceededError(RuntimeError):
@@ -183,30 +171,17 @@ def _is_solution(compiled, point, modulus) -> bool:
     return True
 
 
-def _solve_box(system: PolySystem, m: int, budget: int) -> list[tuple[int, ...]]:
+def _box_solutions(system: PolySystem, m: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Solutions in the full box (Z/p^m)^n; the box size is checked against
+    the budget before the first point is tested."""
     box = system.p ** (m * system.num_vars)
     if box > budget:
         raise BudgetExceededError(required=box, budget=budget)
     modulus = system.p**m
     compiled = _compiled(system, modulus)
-    return [
-        point
-        for point in itertools.product(range(modulus), repeat=system.num_vars)
-        if _is_solution(compiled, point, modulus)
-    ]
-
-
-def _count_box(system: PolySystem, m: int, budget: int) -> int:
-    box = system.p ** (m * system.num_vars)
-    if box > budget:
-        raise BudgetExceededError(required=box, budget=budget)
-    modulus = system.p**m
-    compiled = _compiled(system, modulus)
-    count = 0
     for point in itertools.product(range(modulus), repeat=system.num_vars):
         if _is_solution(compiled, point, modulus):
-            count += 1
-    return count
+            yield point
 
 
 def _lift_level(
@@ -233,25 +208,23 @@ def _lift_level(
     return lifted
 
 
-def count_points_mod(system: PolySystem, m: int, budget: int | None = None) -> ResidueCount:
+def count_points_mod(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> ResidueCount:
     """Exact number of simultaneous roots in (Z/p^m)^n, by full enumeration."""
     if m < 1:
         raise ValueError("need m >= 1")
-    budget = default_budget() if budget is None else budget
-    count = _count_box(system, m, budget)
+    count = sum(1 for _ in _box_solutions(system, m, budget))
     return ResidueCount(p=system.p, dim=system.dim, modulus_exponent=m, count=count)
 
 
-def largest_affordable_m(system: PolySystem, budget: int | None = None) -> int:
+def largest_affordable_m(system: PolySystem, budget: int = DEFAULT_BUDGET) -> int:
     """Largest m whose full box p^(m n) fits the budget (0 if none does)."""
-    budget = default_budget() if budget is None else budget
     m = 0
     while system.p ** ((m + 1) * system.num_vars) <= budget:
         m += 1
     return m
 
 
-def null_set_fraction(system: PolySystem, m: int, budget: int | None = None) -> Fraction:
+def null_set_fraction(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """count / p^(m n): the box fraction cut out by the system.
 
     Normalization is by the full ambient dimension n, not d; for a proper
@@ -259,8 +232,7 @@ def null_set_fraction(system: PolySystem, m: int, budget: int | None = None) -> 
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    budget = default_budget() if budget is None else budget
-    count = _count_box(system, m, budget)
+    count = sum(1 for _ in _box_solutions(system, m, budget))
     return Fraction(count, system.p ** (m * system.num_vars))
 
 
@@ -319,7 +291,7 @@ class SmoothMeasureReport:
         return self.counts[0]
 
 
-def smooth_measure_check(system: PolySystem, m_max: int, budget: int | None = None) -> SmoothMeasureReport:
+def smooth_measure_check(system: PolySystem, m_max: int, budget: int = DEFAULT_BUDGET) -> SmoothMeasureReport:
     """Verify count(m+1) = p^d count(m) for 1 <= m < m_max and report the
     stabilized measure #X(F_p)/p^d.
 
@@ -329,9 +301,8 @@ def smooth_measure_check(system: PolySystem, m_max: int, budget: int | None = No
     """
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    budget = default_budget() if budget is None else budget
     p, n, d = system.p, system.num_vars, system.dim
-    solutions = _solve_box(system, 1, budget)
+    solutions = list(_box_solutions(system, 1, budget))
     expected_rank = n - d
     for point in solutions:
         rank = _jacobian_rank_mod_p(system, point)

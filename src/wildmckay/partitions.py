@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .qexpr import QExpr
 
-__all__ = ["partition_count", "partitions_into_parts", "PartitionTable", "hilb_point_count"]
+__all__ = ["partition_count", "partitions_into_parts", "hilb_point_count"]
 
 
 @lru_cache(maxsize=None)
@@ -47,26 +47,6 @@ def partitions_into_parts(n: int, k: int, _cap: int | None = None) -> Iterator[t
     for largest in range(min(cap, n - k + 1), 0, -1):
         for rest in partitions_into_parts(n - largest, k - 1, largest):
             yield (largest,) + rest
-
-
-class PartitionTable:
-    """Triangular table of P(n, k) for 0 <= k <= n <= max_n, built once."""
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError("max_n must be non-negative")
-        self.max_n = max_n
-        rows: list[list[int]] = []
-        for n in range(max_n + 1):
-            rows.append([partition_count(n, k) for k in range(n + 1)])
-        self._rows = rows
-
-    def count(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.max_n:
-            raise IndexError(f"n={n} outside table (max_n={self.max_n})")
-        if not 0 <= k <= n:
-            return 0
-        return self._rows[n][k]
 
 
 def hilb_point_count(n: int) -> QExpr:

@@ -22,7 +22,7 @@ from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, 
 from .mckay import verify_wild_mckay, weights_for_algebra
 from .padic import (
     PolySystem,
-    default_budget,
+    DEFAULT_BUDGET,
     largest_affordable_m,
     monomial_integral,
     null_set_fraction,
@@ -52,7 +52,7 @@ class CriterionResult:
 
 def _criterion(number: int, name: str):
     def wrap(fn: Callable[..., tuple[bool, str]]):
-        def runner(budget: int | None = None) -> CriterionResult:
+        def runner(budget: int = DEFAULT_BUDGET) -> CriterionResult:
             passed, detail = fn(budget)
             return CriterionResult(number=number, name=name, passed=passed, detail=detail)
 
@@ -248,6 +248,5 @@ CRITERIA = [
 ]
 
 
-def run_all(budget: int | None = None) -> list[CriterionResult]:
-    budget = default_budget() if budget is None else budget
+def run_all(budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
     return [criterion(budget) for criterion in CRITERIA]

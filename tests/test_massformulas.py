@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wildmckay.localfields import algebra_mass_sum
-from wildmckay.massformulas import (
-    MassTable,
-    bhargava_mass,
-    mass_series_via_exp,
-    recover_N_assuming_serre_tail,
-    recover_N_from_M,
-    serre_mass,
-)
+from wildmckay.massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from wildmckay.qexpr import QExpr, QFrac
 from wildmckay.series import TruncatedSeries
 
@@ -99,12 +92,6 @@ class TestRecovery:
             assert value == QFrac(serre_mass(m, f)), f"(f,m)=({f},{m})"
             assert N[(f, 1)] == QFrac(1)
 
-    def test_serre_tail_consistency_mode(self):
-        series = mass_series_via_exp(10)
-        out = recover_N_assuming_serre_tail(series)
-        for n in range(1, 11):
-            assert out[n] == QFrac(serre_mass(n))
-
     def test_round_trip(self):
         series = mass_series_via_exp(8)
         N = recover_N_from_M(series)
@@ -122,15 +109,6 @@ class TestNumericConsistency:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bhargava_equals_enumeration(self, p, n):
         assert bhargava_mass(n).evaluate(p) == algebra_mass_sum(p, n)
-
-
-class TestMassTable:
-    def test_build(self):
-        table = MassTable.build(6)
-        assert table.M[0] == QFrac(1)
-        assert table.M[2] == QFrac(bhargava_mass(2))
-        assert table.N[(2, 1)] == QFrac(1)
-        assert table.N[(1, 6)] == QFrac(serre_mass(6))
 
 
 class TestPartitionHilbertLink:

@@ -164,18 +164,6 @@ class TestMonomialIntegral:
             assert p20 < target + Fraction(1, 10**9)
 
 
-class TestBudgetEnv:
-    def test_env_var_overrides_default(self, monkeypatch):
-        from wildmckay.padic import DEFAULT_BUDGET, default_budget
-
-        assert default_budget() == DEFAULT_BUDGET
-        monkeypatch.setenv("WILDMCKAY_BUDGET", "1234")
-        assert default_budget() == 1234
-        monkeypatch.setenv("WILDMCKAY_BUDGET", "0")
-        with pytest.raises(ValueError):
-            default_budget()
-
-
 class TestSerialization:
     def test_round_trip(self):
         system = circle(13)

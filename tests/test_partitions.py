@@ -2,12 +2,7 @@
 
 import pytest
 
-from wildmckay.partitions import (
-    PartitionTable,
-    hilb_point_count,
-    partition_count,
-    partitions_into_parts,
-)
+from wildmckay.partitions import hilb_point_count, partition_count, partitions_into_parts
 from wildmckay.qexpr import QExpr
 
 
@@ -45,20 +40,6 @@ class TestPartitionCount:
             assert sum(part) == 12
             assert len(part) == 4
             assert all(part[i] >= part[i + 1] for i in range(3))
-
-
-class TestPartitionTable:
-    def test_matches_function(self):
-        table = PartitionTable(15)
-        for n in range(16):
-            for k in range(n + 1):
-                assert table.count(n, k) == partition_count(n, k)
-
-    def test_row_ends(self):
-        table = PartitionTable(10)
-        for n in range(1, 11):
-            assert table.count(n, 1) == 1
-            assert table.count(n, n) == 1
 
 
 class TestHilbPointCount:
