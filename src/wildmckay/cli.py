@@ -450,15 +450,56 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+_P = ("--p", {"type": _prime, "required": True})
+_N = ("--n", {"type": _positive, "required": True})
+_NMAX = ("--nmax", {"type": _positive, "required": True})
+_M = ("--m", {"type": _positive, "required": True})
+_INPUT = ("--input", {"required": True})
+_BUDGET = ("--budget", {"type": _positive, "default": DEFAULT_BUDGET})
+_AT_Q = ("--at-q", {"type": _rational, "default": None, "metavar": "Q",
+                    "help": "also evaluate at q = Q (rational, > 0)"})
+_EVAL_PRECISION = ("--precision", {"type": _precision, "default": DEFAULT_PRECISION,
+                                   "help": "absolute precision for real evaluation (default 1e-12)"})
 
+_GROUP_HELP = {
+    "mass": "symbolic mass formulas",
+    "etale": "tame local-field enumeration",
+    "mckay": "wild McKay identity for S_n",
+    "stringy": "stringy point counts of SNC data",
+    "padic": "exact residue-ring measures",
+}
 
-def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--at-q", type=_rational, default=None, metavar="Q",
-                        help="also evaluate at q = Q (rational, > 0)")
-    parser.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
-                        help="absolute precision for real evaluation (default 1e-12)")
+# One row per subcommand: (group, action or None, help, handler, flags).
+# Rows are registered in order; --format is added to every command.
+_COMMANDS = [
+    ("mass", "serre", "totally ramified mass q^(f(1-n))", _cmd_mass_serre,
+     [_N, ("--f", {"type": _positive, "default": 1})]),
+    ("mass", "bhargava", "etale algebra mass by partitions", _cmd_mass_bhargava, [_N]),
+    ("mass", "expcheck", "exponential identity vs partition formula", _cmd_mass_expcheck, [_NMAX]),
+    ("mass", "invert", "recover totally ramified masses from the series", _cmd_mass_invert, [_NMAX]),
+    ("etale", "enumerate", "field classes of degree n over Q_p", _cmd_etale_enumerate,
+     [_P, _N, ("--fixtures", {"default": None, "help": "JSON fixture file to cross-validate"})]),
+    ("etale", "mass", "enumerated mass vs partition formula at q=p", _cmd_etale_mass, [_P, _N]),
+    ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
+     [("--fixtures", {"required": True})]),
+    ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify,
+     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"})]),
+    ("stringy", "eval", "evaluate the stratum formula from a JSON file", _cmd_stringy_eval,
+     [_INPUT, _AT_Q, _EVAL_PRECISION]),
+    ("stringy", "point", "single-point weight q^a prod (q-1)/(q^(1-c)-1)", _cmd_stringy_point,
+     [("--a", {"type": _rational, "default": Fraction(0)}),
+      ("--c", {"type": _rational_list, "default": (), "help": "comma-separated coefficients"}),
+      _AT_Q, _EVAL_PRECISION]),
+    ("padic", "count", "count solutions in (Z/p^m)^n", _cmd_padic_count,
+     [("--input", {"required": True, "help": "PolySystem JSON file"}), _M, _BUDGET]),
+    ("padic", "measure", "smooth measure check via lift counting", _cmd_padic_measure,
+     [_INPUT, ("--mmax", {"type": _positive, "required": True}), _BUDGET]),
+    ("padic", "integral", "monomial integral: truncation vs closed form", _cmd_padic_integral,
+     [("--c", {"type": _rational, "required": True}), _P, ("--terms", {"type": _positive, "default": 60}),
+      ("--precision", {"type": _precision, "default": DEFAULT_PRECISION})]),
+    ("padic", "nullset", "box fraction of a null set", _cmd_padic_nullset, [_INPUT, _M, _BUDGET]),
+    ("selftest", None, "run every acceptance criterion", _cmd_selftest, [_BUDGET]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,106 +508,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact mass formulas, stringy counts and p-adic measures",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    mass = groups.add_parser("mass", help="symbolic mass formulas").add_subparsers(
-        dest="action", required=True
-    )
-    p = mass.add_parser("serre", help="totally ramified mass q^(f(1-n))")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--f", type=_positive, default=1)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mass_serre)
-    p = mass.add_parser("bhargava", help="etale algebra mass by partitions")
-    p.add_argument("--n", type=_positive, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mass_bhargava)
-    p = mass.add_parser("expcheck", help="exponential identity vs partition formula")
-    p.add_argument("--nmax", type=_positive, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mass_expcheck)
-    p = mass.add_parser("invert", help="recover totally ramified masses from the series")
-    p.add_argument("--nmax", type=_positive, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mass_invert)
-
-    etale = groups.add_parser("etale", help="tame local-field enumeration").add_subparsers(
-        dest="action", required=True
-    )
-    p = etale.add_parser("enumerate", help="field classes of degree n over Q_p")
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--fixtures", default=None, help="JSON fixture file to cross-validate")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_etale_enumerate)
-    p = etale.add_parser("mass", help="enumerated mass vs partition formula at q=p")
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_etale_mass)
-    p = etale.add_parser("crossvalidate", help="check database fixtures against the enumeration")
-    p.add_argument("--fixtures", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_etale_crossvalidate)
-
-    mckay = groups.add_parser("mckay", help="wild McKay identity for S_n").add_subparsers(
-        dest="action", required=True
-    )
-    p = mckay.add_parser("verify", help="mass side vs Hilbert-scheme count at q=p")
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--table", default=None, help="write the per-algebra breakdown JSON here")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mckay_verify)
-
-    stringy = groups.add_parser("stringy", help="stringy point counts of SNC data").add_subparsers(
-        dest="action", required=True
-    )
-    p = stringy.add_parser("eval", help="evaluate the stratum formula from a JSON file")
-    p.add_argument("--input", required=True)
-    _add_eval_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_stringy_eval)
-    p = stringy.add_parser("point", help="single-point weight q^a prod (q-1)/(q^(1-c)-1)")
-    p.add_argument("--a", type=_rational, default=Fraction(0))
-    p.add_argument("--c", type=_rational_list, default=[], help="comma-separated coefficients")
-    _add_eval_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_stringy_point)
-
-    padic = groups.add_parser("padic", help="exact residue-ring measures").add_subparsers(
-        dest="action", required=True
-    )
-    p = padic.add_parser("count", help="count solutions in (Z/p^m)^n")
-    p.add_argument("--input", required=True, help="PolySystem JSON file")
-    p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_padic_count)
-    p = padic.add_parser("measure", help="smooth measure check via lift counting")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mmax", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_padic_measure)
-    p = padic.add_parser("integral", help="monomial integral: truncation vs closed form")
-    p.add_argument("--c", type=_rational, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--terms", type=_positive, default=60)
-    p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_padic_integral)
-    p = padic.add_parser("nullset", help="box fraction of a null set")
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_padic_nullset)
-
-    p = groups.add_parser("selftest", help="run every acceptance criterion")
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_selftest)
-
+    actions = {}
+    for group, action, help_text, handler, flags in _COMMANDS:
+        if action is None:
+            command = groups.add_parser(group, help=help_text)
+        else:
+            if group not in actions:
+                actions[group] = groups.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                    dest="action", required=True
+                )
+            command = actions[group].add_parser(action, help=help_text)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
+        command.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        command.set_defaults(handler=handler)
     return parser
 
 
