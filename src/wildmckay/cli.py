@@ -161,12 +161,12 @@ def _positive(value: str) -> int:
 def _rational(value: str) -> Fraction:
     try:
         return parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _precision(value: str) -> Fraction:
-    prec = Fraction(value)
+    prec = _rational(value)
     if prec <= 0:
         raise argparse.ArgumentTypeError("precision must be positive")
     return prec
@@ -176,7 +176,7 @@ def _rational_list(value: str) -> list[Fraction]:
     value = value.strip()
     if not value:
         return []
-    return [parse_rational(part) for part in value.split(",")]
+    return [_rational(part) for part in value.split(",")]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import factorial, gcd
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import divisors, is_prime
+from .numutil import divisors, exact_int, is_prime
 
 __all__ = [
     "TameFieldClass",
@@ -268,13 +268,15 @@ class FieldFixture:
 
     @staticmethod
     def from_json(record: Mapping) -> "FieldFixture":
+        if not isinstance(record, Mapping):
+            raise ValueError(f"fixture record {record!r} must be an object")
         return FieldFixture(
-            p=int(record["p"]),
-            n=int(record["n"]),
-            e=int(record["e"]),
-            f=int(record["f"]),
-            disc_exponent=int(record["c"]),
-            aut_order=int(record["aut"]),
+            p=exact_int(record["p"], "p"),
+            n=exact_int(record["n"], "n"),
+            e=exact_int(record["e"], "e"),
+            f=exact_int(record["f"], "f"),
+            disc_exponent=exact_int(record["c"], "c"),
+            aut_order=exact_int(record["aut"], "aut"),
             label=str(record["label"]),
         )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["is_prime", "divisors", "parse_rational", "format_rational"]
+__all__ = ["is_prime", "divisors", "exact_int", "parse_rational", "format_rational"]
 
 
 def is_prime(n: int) -> bool:
@@ -36,16 +36,30 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def exact_int(value, what: str) -> int:
+    """value itself if it is an int; bool, float and anything else are a
+    ValueError, so that no input is silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_rational(value) -> Fraction:
-    """Accept an int, an "a/b" string, or a two-element [num, den] array."""
+    """Accept an int, an "a/b" string, or a two-element [num, den] array.
+
+    Every malformed value, a zero denominator included, is a ValueError.
+    """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
+    try:
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        if isinstance(value, str):
+            return Fraction(value.strip())
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return Fraction(exact_int(value[0], "numerator"), exact_int(value[1], "denominator"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import is_prime
+from .numutil import exact_int, is_prime
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -84,12 +84,19 @@ class PolySystem:
             raise ValueError("need at least one variable")
         if not 0 <= dim <= num_vars:
             raise ValueError(f"expected dimension {dim} outside [0, {num_vars}]")
+        if not isinstance(polys, (list, tuple)):
+            raise ValueError(f"polys must be a list of polynomials, got {polys!r}")
         clean_polys = []
         for poly in polys:
+            if not isinstance(poly, (list, tuple)):
+                raise ValueError(f"polynomial {poly!r} must be a list of terms")
             terms = []
-            for exps, coeff in poly:
-                exps = tuple(int(e) for e in exps)
-                coeff = int(coeff)
+            for term in poly:
+                is_pair = isinstance(term, (list, tuple)) and len(term) == 2
+                if not (is_pair and isinstance(term[0], (list, tuple))):
+                    raise ValueError(f"term {term!r} must be [exponents, coefficient]")
+                exps = tuple(exact_int(e, "exponent") for e in term[0])
+                coeff = exact_int(term[1], "coefficient")
                 if len(exps) != num_vars:
                     raise ValueError(f"exponent vector {exps} has wrong length")
                 if any(e < 0 for e in exps):
@@ -117,10 +124,10 @@ class PolySystem:
     @staticmethod
     def from_json(data: Mapping) -> "PolySystem":
         return PolySystem(
-            p=int(data["p"]),
-            num_vars=int(data["n"]),
-            polys=[[(term[0], term[1]) for term in poly] for poly in data["polys"]],
-            dim=int(data["d"]),
+            p=exact_int(data["p"], "p"),
+            num_vars=exact_int(data["n"], "n"),
+            polys=data["polys"],
+            dim=exact_int(data["d"], "d"),
         )
 
     @staticmethod

@@ -43,11 +43,31 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_malformed_input_is_two(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _ = run(["padic", "count", "--input", str(bad), "--m", "1"])
-        assert code == 2
+    def test_malformed_input_is_two(self, tmp_path, capsys):
+        def write(name, payload):
+            path = tmp_path / name
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            return str(path)
+
+        circle = {"p": 5, "n": 2, "d": 1}
+        snc = str(DATA / "sample_snc_pair.json")
+        cases = [
+            ["padic", "count", "--input", write("bad.json", "{not json"), "--m", "1"],
+            # zero denominators, on the command line and in SNC data
+            ["stringy", "point", "--c", "1/0"],
+            ["stringy", "eval", "--input", snc, "--at-q", "9", "--precision", "1/0"],
+            ["stringy", "eval", "--input", write("snc.json", {"horizontal": ["1/0"], "vertical": []})],
+            # inexact or ill-shaped integers in input files
+            ["padic", "count", "--input", write("float.json", {**circle, "polys": [[[[2, 0], 1.5]]]}), "--m", "1"],
+            ["padic", "count", "--input", write("polys.json", {**circle, "polys": 5}), "--m", "1"],
+            ["etale", "crossvalidate", "--fixtures", write("fixtures.json", [5])],
+        ]
+        for argv in cases:
+            code, _ = run(argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+            assert "Traceback" not in err
 
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])

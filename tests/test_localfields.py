@@ -185,3 +185,10 @@ class TestFixtures:
         # only two ramified quadratic classes exist
         assert len(report.matched) == 2
         assert len(report.mismatches) == 1
+
+    def test_malformed_records_rejected(self):
+        record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1"}
+        assert FieldFixture.from_json(record).disc_exponent == 1
+        for bad in (5, [record], {**record, "aut": 2.0}, {**record, "p": "5"}):
+            with pytest.raises(ValueError):
+                FieldFixture.from_json(bad)

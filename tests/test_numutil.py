@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wildmckay.numutil import divisors, format_rational, is_prime, parse_rational
+from wildmckay.numutil import divisors, exact_int, format_rational, is_prime, parse_rational
 
 
 def test_is_prime_small_range():
@@ -29,6 +29,18 @@ def test_parse_rational_forms():
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational({"num": 1})
+    for zero_den in ("1/0", [1, 0]):
+        with pytest.raises(ValueError):
+            parse_rational(zero_den)
+    with pytest.raises(ValueError):
+        parse_rational([1.5, 2])
+
+
+def test_exact_int():
+    assert exact_int(-3, "n") == -3
+    for value in (True, 1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            exact_int(value, "n")
 
 
 def test_format_rational():

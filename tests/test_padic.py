@@ -182,3 +182,7 @@ class TestSerialization:
             PolySystem(5, 2, [[((1, 0), 0)]], dim=1)
         with pytest.raises(ValueError):
             PolySystem(5, 2, [], dim=3)
+        # inexact coefficients and ill-shaped polynomials are rejected, not truncated
+        for polys in ([[((2, 0), 1.5)]], 5, [5], [[5]], [[((2, 0),)]], [[((2.0, 0), 1)]]):
+            with pytest.raises(ValueError):
+                PolySystem(5, 2, polys, dim=1)
