@@ -29,7 +29,7 @@ from math import factorial, gcd
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import divisors, exact_int, is_prime
+from .numutil import divisors, exact_int, is_prime, json_array, json_object
 
 __all__ = [
     "TameFieldClass",
@@ -268,8 +268,7 @@ class FieldFixture:
 
     @staticmethod
     def from_json(record: Mapping) -> "FieldFixture":
-        if not isinstance(record, Mapping):
-            raise ValueError(f"fixture record {record!r} must be an object")
+        json_object(record, "fixture record")
         return FieldFixture(
             p=exact_int(record["p"], "p"),
             n=exact_int(record["n"], "n"),
@@ -306,9 +305,7 @@ class FixtureReport:
 
 def load_fixtures(path: str | Path) -> list[FieldFixture]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError("fixture file must contain a JSON array")
+        data = json_array(json.load(fh), "fixture file")
     return [FieldFixture.from_json(record) for record in data]
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
-__all__ = ["is_prime", "divisors", "exact_int", "parse_rational", "format_rational"]
+__all__ = [
+    "is_prime", "divisors", "exact_int", "json_object", "json_array", "parse_rational", "format_rational",
+]
 
 
 def is_prime(n: int) -> bool:
@@ -41,6 +44,20 @@ def exact_int(value, what: str) -> int:
     ValueError, so that no input is silently truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> Mapping:
+    """value itself if it is a JSON object; anything else is a ValueError."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def json_array(value, what: str) -> list:
+    """value itself if it is a JSON array; anything else is a ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
     return value
 
 

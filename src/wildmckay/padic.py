@@ -8,23 +8,24 @@ ambient box decay to zero), and the one-variable monomial integral
 int_{m_K} |x|^(-c) dx sums to q^(-1)(q-1)/(q^(1-c)-1) for c < 1 and
 diverges for c >= 1.
 
-All counting is exact integer arithmetic.  Two engines exist: plain
-enumeration of the full box (Z/p^m)^n, and level-by-level lifting that
-enumerates the p^n candidate lifts of each solution; both are exhaustive,
-the second just skips non-solutions' lifts, which makes deep levels
-reachable for small solution sets.
+All counting is exact integer arithmetic in one engine, first-order
+Hensel lifting: only the box (Z/p)^n is enumerated, and the lifts of a
+solution x mod p^k are the solutions of one linear system over F_p, because
+f(x + p^k delta) = f(x) + p^k J(x) delta mod p^(k+1) for integer
+polynomials and k >= 1, whether or not x is a singular point.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import exact_int, is_prime
+from .numutil import exact_int, is_prime, json_object
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -46,8 +47,13 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration budget exceeded: need {required}, budget {budget}")
+    """A count would evaluate more points than the budget allows; the engine
+    is "box" for the level-1 box and "lifting" for a listed frontier."""
+
+    def __init__(self, required: int, budget: int, engine: str, level: int):
+        super().__init__(
+            f"{engine} budget exceeded at level {level}: need {required} points evaluated, budget {budget}"
+        )
         self.required = required
         self.budget = budget
 
@@ -123,6 +129,7 @@ class PolySystem:
 
     @staticmethod
     def from_json(data: Mapping) -> "PolySystem":
+        json_object(data, "polynomial system")
         return PolySystem(
             p=exact_int(data["p"], "p"),
             num_vars=exact_int(data["n"], "n"),
@@ -149,77 +156,156 @@ class ResidueCount:
 
 
 # ---------------------------------------------------------------------------
-# Exact counting engines
+# Exact counting engine
 # ---------------------------------------------------------------------------
 
 
-def _compiled(system: PolySystem, modulus: int):
+def _compiled(polys) -> list:
     """Per-polynomial term lists with zero exponents dropped."""
-    compiled = []
-    for poly in system.polys:
-        terms = []
-        for exps, coeff in poly:
-            factors = tuple((idx, e) for idx, e in enumerate(exps) if e > 0)
-            terms.append((coeff % modulus, factors))
-        compiled.append(terms)
-    return compiled
+    return [
+        [(coeff, tuple((idx, e) for idx, e in enumerate(exps) if e)) for exps, coeff in poly]
+        for poly in polys
+    ]
 
 
-def _is_solution(compiled, point, modulus) -> bool:
+def _values(compiled, point) -> list[int]:
+    """Exact integer values of the compiled polynomials at point."""
+    values = []
     for terms in compiled:
         acc = 0
         for coeff, factors in terms:
-            value = coeff
             for idx, e in factors:
-                value = value * pow(point[idx], e, modulus) % modulus
-            acc = (acc + value) % modulus
-        if acc:
-            return False
-    return True
+                coeff *= point[idx] ** e
+            acc += coeff
+        values.append(acc)
+    return values
 
 
-def _box_solutions(system: PolySystem, m: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Solutions in the full box (Z/p^m)^n; the box size is checked against
-    the budget before the first point is tested."""
-    box = system.p ** (m * system.num_vars)
-    if box > budget:
-        raise BudgetExceededError(required=box, budget=budget)
-    modulus = system.p**m
-    compiled = _compiled(system, modulus)
-    for point in itertools.product(range(modulus), repeat=system.num_vars):
-        if _is_solution(compiled, point, modulus):
-            yield point
+def _jacobian_polys(system: PolySystem) -> list:
+    """Row i, column v: the compiled partial derivative of poly i in variable v."""
+    return [
+        _compiled(
+            [(exps[:v] + (exps[v] - 1,) + exps[v + 1 :], coeff * exps[v]) for exps, coeff in poly if exps[v]]
+            for v in range(system.num_vars)
+        )
+        for poly in system.polys
+    ]
 
 
-def _lift_level(
-    system: PolySystem, solutions: list[tuple[int, ...]], m: int, budget: int
-) -> list[tuple[int, ...]]:
-    """All solutions mod p^(m+1) lying over the given solutions mod p^m.
+def _row_reduce(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p of a copy of rows, and its pivot columns."""
+    rows = [[v % p for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [(v - row[col] * w) % p for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
 
-    Exhaustive: every solution mod p^(m+1) reduces to one mod p^m, so
-    checking the p^n translates x + p^m * delta of each x misses nothing.
+
+def _linear_solver(matrix, p: int, n: int):
+    """Everything needed to solve matrix @ delta = b over F_p for any b.
+
+    Row reducing [matrix | I] yields T with T @ matrix in reduced echelon
+    form.  Returns (pivots, constraints, basis): b is solvable iff t . b = 0
+    for every constraint row t of T; a solution then has delta[col] = t . b
+    for each pivot (col, t) and zeros elsewhere; basis spans the kernel.
+    """
+    identity = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    rows, cols = _row_reduce([list(row) + unit for row, unit in zip(matrix, identity)], p)
+    pivots = [(col, row[n:]) for row, col in zip(rows, cols) if col < n]
+    constraints = [row[n:] for row, col in zip(rows, cols) if col >= n]
+    basis = []
+    for free in (c for c in range(n) if c not in cols):
+        vector = [0] * n
+        vector[free] = 1
+        for col, row in zip(cols, rows):
+            if col < n:
+                vector[col] = -row[free] % p
+        basis.append(vector)
+    return pivots, constraints, basis
+
+
+def _affine_points(particular, basis, p: int) -> list[list[int]]:
+    """Every point particular + sum t_i basis_i with t in F_p^len(basis)."""
+    points = [particular]
+    for vector in basis:
+        points = [[(a + t * b) % p for a, b in zip(point, vector)] for point in points for t in range(p)]
+    return points
+
+
+def _level_counts(system: PolySystem, m: int, budget: int, rank: int | None = None) -> Iterator[int]:
+    """Yield #X(Z/p^k) for k = 1..m, one level at a time.
+
+    A solution x mod p^k lifts to x + p^k delta mod p^(k+1) iff
+    J(x mod p) delta = -f(x)/p^k over F_p: no lifts, or p^(n - rank J).
+    The last level is counted, not listed.  The budget bounds the points
+    evaluated: the box plus every listed frontier, checked before each one
+    is listed.  If rank is given, every mod-p solution must have it.
     """
     p, n = system.p, system.num_vars
-    work = len(solutions) * p**n
-    if work > budget:
-        raise BudgetExceededError(required=work, budget=budget)
-    modulus = p ** (m + 1)
-    step = p**m
-    compiled = _compiled(system, modulus)
-    lifted = []
-    for base in solutions:
-        for delta in itertools.product(range(p), repeat=n):
-            candidate = tuple(b + step * d for b, d in zip(base, delta))
-            if _is_solution(compiled, candidate, modulus):
-                lifted.append(candidate)
-    return lifted
+    evaluated = p**n
+    if evaluated > budget:
+        raise BudgetExceededError(evaluated, budget, "box", 1)
+    polys = _compiled(system.polys)
+    derivatives = _jacobian_polys(system)
+    solvers: dict[tuple[int, ...], tuple] = {}
+
+    def solver(point):
+        residue = tuple(x % p for x in point)
+        if residue not in solvers:
+            jacobian = [[v % p for v in _values(row, residue)] for row in derivatives]
+            solvers[residue] = _linear_solver(jacobian, p, n)
+        return solvers[residue]
+
+    box = itertools.product(range(p), repeat=n)
+    frontier = [point for point in box if not any(v % p for v in _values(polys, point))]
+    if rank is not None:
+        for point in frontier:
+            found = len(solver(point)[0])
+            if found != rank:
+                raise SmoothnessError(f"Jacobian rank {found} != {rank} at mod-{p} point {point}")
+    yield len(frontier)
+    for k in range(1, m):
+        step = p**k
+        spaces = []
+        for point in frontier:
+            pivots, constraints, basis = solver(point)
+            rhs = [-(v // step) for v in _values(polys, point)]
+            if any(sum(map(operator.mul, t, rhs)) % p for t in constraints):
+                continue
+            particular = [0] * n
+            for col, t in pivots:
+                particular[col] = sum(map(operator.mul, t, rhs)) % p
+            spaces.append((point, particular, basis))
+        size = sum(p ** len(basis) for _, _, basis in spaces)
+        if k + 1 == m:
+            yield size
+            return
+        evaluated += size
+        if evaluated > budget:
+            raise BudgetExceededError(evaluated, budget, "lifting", k + 1)
+        frontier = [
+            tuple(x + step * d for x, d in zip(point, delta))
+            for point, particular, basis in spaces
+            for delta in _affine_points(particular, basis, p)
+        ]
+        yield len(frontier)
 
 
 def count_points_mod(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> ResidueCount:
-    """Exact number of simultaneous roots in (Z/p^m)^n, by full enumeration."""
+    """Exact number of simultaneous roots in (Z/p^m)^n."""
     if m < 1:
         raise ValueError("need m >= 1")
-    count = sum(1 for _ in _box_solutions(system, m, budget))
+    *_, count = _level_counts(system, m, budget)
     return ResidueCount(p=system.p, dim=system.dim, modulus_exponent=m, count=count)
 
 
@@ -239,50 +325,13 @@ def null_set_fraction(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) 
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    count = sum(1 for _ in _box_solutions(system, m, budget))
+    *_, count = _level_counts(system, m, budget)
     return Fraction(count, system.p ** (m * system.num_vars))
 
 
 # ---------------------------------------------------------------------------
 # Smooth measure check
 # ---------------------------------------------------------------------------
-
-
-def _jacobian_rank_mod_p(system: PolySystem, point: tuple[int, ...]) -> int:
-    p = system.p
-    rows = []
-    for poly in system.polys:
-        row = []
-        for var in range(system.num_vars):
-            acc = 0
-            for exps, coeff in poly:
-                e = exps[var]
-                if e == 0:
-                    continue
-                value = coeff * e % p
-                for idx, exp in enumerate(exps):
-                    exp_here = exp - 1 if idx == var else exp
-                    if exp_here:
-                        value = value * pow(point[idx], exp_here, p) % p
-                acc = (acc + value) % p
-            row.append(acc)
-        rows.append(row)
-    # Gaussian elimination over F_p
-    rank = 0
-    cols = system.num_vars
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(v - factor * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass
@@ -303,29 +352,18 @@ def smooth_measure_check(system: PolySystem, m_max: int, budget: int = DEFAULT_B
     stabilized measure #X(F_p)/p^d.
 
     The Jacobian must have rank n - d at every mod-p solution (checked, not
-    assumed); counting then proceeds by exhaustive lift enumeration, which
-    stays exact whether or not the lifting relation holds.
+    assumed); the counts themselves are exact whether or not the lifting
+    relation holds.
     """
     if m_max < 1:
         raise ValueError("need m_max >= 1")
     p, n, d = system.p, system.num_vars, system.dim
-    solutions = list(_box_solutions(system, 1, budget))
-    expected_rank = n - d
-    for point in solutions:
-        rank = _jacobian_rank_mod_p(system, point)
-        if rank != expected_rank:
-            raise SmoothnessError(
-                f"Jacobian rank {rank} != {expected_rank} at mod-{p} point {point}"
-            )
-    counts = [len(solutions)]
-    frontier = solutions
-    for m in range(1, m_max):
-        frontier = _lift_level(system, frontier, m, budget)
-        counts.append(len(frontier))
-        if counts[-1] != p**d * counts[-2]:
-            raise HenselMismatchError(
-                f"count({m + 1}) = {counts[-1]} != p^d * count({m}) = {p**d * counts[-2]}"
-            )
+    counts: list[int] = []
+    for count in _level_counts(system, m_max, budget, rank=n - d):
+        if counts and count != p**d * counts[-1]:
+            m = len(counts)
+            raise HenselMismatchError(f"count({m + 1}) = {count} != p^d * count({m}) = {p**d * counts[-1]}")
+        counts.append(count)
     return SmoothMeasureReport(
         p=p, dim=d, m_max=m_max, counts=counts, measure=Fraction(counts[0], p**d)
     )

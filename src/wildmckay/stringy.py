@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import parse_rational
+from .numutil import exact_int, json_array, json_object, parse_rational
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac
 
 __all__ = [
@@ -56,7 +56,8 @@ class VerticalComponent:
 
     def __init__(self, a, strata: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]]):
         items = strata.items() if isinstance(strata, Mapping) else strata
-        canonical = tuple(sorted(((frozenset(k), int(v)) for k, v in items), key=lambda kv: sorted(kv[0])))
+        counts = ((frozenset(k), exact_int(v, "stratum count")) for k, v in items)
+        canonical = tuple(sorted(counts, key=lambda kv: sorted(kv[0])))
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "strata", canonical)
 
@@ -82,7 +83,7 @@ class SncLogPairData:
                             f"subset {sorted(subset)} not within horizontal indices 1..{n_div}"
                         )
                 total += count
-        if declared_total is not None and total != declared_total:
+        if declared_total is not None and total != exact_int(declared_total, "total"):
             raise ValueError(f"stratum counts sum to {total}, declared total is {declared_total}")
         object.__setattr__(self, "horizontal", horizontal)
         object.__setattr__(self, "vertical", vertical)
@@ -92,12 +93,13 @@ class SncLogPairData:
 
     @staticmethod
     def from_json(data: Mapping) -> "SncLogPairData":
-        horizontal = [parse_rational(c) for c in data.get("horizontal", [])]
+        json_object(data, "SNC pair data")
+        horizontal = [parse_rational(c) for c in json_array(data.get("horizontal", []), "horizontal")]
         vertical = []
-        for entry in data.get("vertical", []):
+        for entry in json_array(data.get("vertical", []), "vertical"):
             strata: dict[frozenset[int], int] = {}
-            for stratum in entry.get("strata", []):
-                raw = stratum["subset"]
+            for stratum in json_array(json_object(entry, "vertical component").get("strata", []), "strata"):
+                raw = json_object(stratum, "stratum")["subset"]
                 if not isinstance(raw, list) or any(not isinstance(j, int) for j in raw):
                     raise MalformedSubsetError(f"subset {raw!r} must be an array of integers")
                 subset = frozenset(raw)
@@ -105,10 +107,9 @@ class SncLogPairData:
                     raise MalformedSubsetError(f"subset {raw!r} has repeated indices")
                 if subset in strata:
                     raise MalformedSubsetError(f"subset {sorted(subset)} listed twice")
-                strata[subset] = int(stratum["count"])
+                strata[subset] = stratum["count"]
             vertical.append(VerticalComponent(parse_rational(entry.get("a", 0)), strata))
-        total = data.get("total")
-        return SncLogPairData(horizontal, vertical, None if total is None else int(total))
+        return SncLogPairData(horizontal, vertical, data.get("total"))
 
     @staticmethod
     def load(path: str | Path) -> "SncLogPairData":

@@ -50,6 +50,9 @@ class TestExitCodes:
             return str(path)
 
         circle = {"p": 5, "n": 2, "d": 1}
+
+        def stratum(count):
+            return {"vertical": [{"strata": [{"subset": [], "count": count}]}]}
         snc = str(DATA / "sample_snc_pair.json")
         cases = [
             ["padic", "count", "--input", write("bad.json", "{not json"), "--m", "1"],
@@ -61,6 +64,13 @@ class TestExitCodes:
             ["padic", "count", "--input", write("float.json", {**circle, "polys": [[[[2, 0], 1.5]]]}), "--m", "1"],
             ["padic", "count", "--input", write("polys.json", {**circle, "polys": 5}), "--m", "1"],
             ["etale", "crossvalidate", "--fixtures", write("fixtures.json", [5])],
+            # top-level JSON that is not an object
+            ["padic", "count", "--input", write("list.json", [1]), "--m", "1"],
+            ["stringy", "eval", "--input", write("snc-list.json", [1])],
+            # inexact stratum counts and totals, and ill-shaped SNC entries
+            ["stringy", "eval", "--input", write("count.json", stratum(1.5))],
+            ["stringy", "eval", "--input", write("total.json", {**stratum(1), "total": 1.0})],
+            ["stringy", "eval", "--input", write("entry.json", {"vertical": [5]})],
         ]
         for argv in cases:
             code, _ = run(argv)

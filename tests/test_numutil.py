@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wildmckay.numutil import divisors, exact_int, format_rational, is_prime, parse_rational
+from wildmckay.numutil import (
+    divisors, exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
+)
 
 
 def test_is_prime_small_range():
@@ -41,6 +43,17 @@ def test_exact_int():
     for value in (True, 1.0, 1.5, "1", None):
         with pytest.raises(ValueError, match="n must be an integer"):
             exact_int(value, "n")
+
+
+def test_json_shapes():
+    assert json_object({"p": 5}, "system") == {"p": 5}
+    assert json_array([1], "polys") == [1]
+    for value in ([1], 1, "x", None):
+        with pytest.raises(ValueError, match="system must be a JSON object"):
+            json_object(value, "system")
+    for value in ({"p": 5}, (1,), 1, None):
+        with pytest.raises(ValueError, match="polys must be a JSON array"):
+            json_array(value, "polys")
 
 
 def test_format_rational():

@@ -1,6 +1,8 @@
 """Tests for exact residue-ring counting and the monomial integral."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,48 @@ def brute_force_plane_count(p, residual):
     return sum(1 for x in range(p) for y in range(p) if residual(x, y) % p == 0)
 
 
+def box_count(system, m):
+    """Independent oracle: test every point of the full box (Z/p^m)^n."""
+    modulus = system.p**m
+
+    def value(poly, point):
+        total = 0
+        for exps, coeff in poly:
+            for x, e in zip(point, exps):
+                coeff *= x**e
+            total += coeff
+        return total
+
+    return sum(
+        1
+        for point in itertools.product(range(modulus), repeat=system.num_vars)
+        if all(value(poly, point) % modulus == 0 for poly in system.polys)
+    )
+
+
+def squares_table_cusp_count(p, m):
+    """Independent oracle for x^2 = y^3 mod p^m: for each y, the number of
+    x whose square is y^3, read from a table of squares."""
+    modulus = p**m
+    squares = [0] * modulus
+    for x in range(modulus):
+        squares[x * x % modulus] += 1
+    return sum(squares[pow(y, 3, modulus)] for y in range(modulus))
+
+
+def random_system(rng):
+    """A small integer system: p in {2, 3, 5, 7}, 1-3 variables, 1-2
+    equations, coefficients that may be divisible by p."""
+    p = rng.choice([2, 3, 5, 7])
+    n = rng.randint(1, 3)
+    coeffs = [1, -1, 2, 3, p, -p, p * p]
+    polys = [
+        [(tuple(rng.randint(0, 3) for _ in range(n)), rng.choice(coeffs)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 2))
+    ]
+    return PolySystem(p, n, polys, dim=0)
+
+
 class TestCountPointsMod:
     def test_circle_mod_5(self):
         oracle = brute_force_plane_count(5, lambda x, y: x * x + y * y - 1)
@@ -56,9 +100,18 @@ class TestCountPointsMod:
         assert rc.normalized == 1
 
     def test_budget_guard(self):
+        # points evaluated: the 25-point box, then the listed frontiers of
+        # 20 and 100 points; level 4 (500 points) is counted, not listed
         with pytest.raises(BudgetExceededError) as err:
-            count_points_mod(circle(5), 4, budget=1000)
-        assert err.value.required == 5**8
+            count_points_mod(circle(5), 4, budget=100)
+        assert err.value.required == 145
+        assert err.value.budget == 100
+        assert str(err.value) == "lifting budget exceeded at level 3: need 145 points evaluated, budget 100"
+        assert count_points_mod(circle(5), 4, budget=145).count == 500
+        with pytest.raises(BudgetExceededError) as err:
+            null_set_fraction(circle(5), 1, budget=24)
+        assert str(err.value) == "box budget exceeded at level 1: need 25 points evaluated, budget 24"
+        assert err.value.required == 25
 
     def test_largest_affordable_m(self):
         assert largest_affordable_m(circle(5), budget=5_000_000) == 4
@@ -102,10 +155,12 @@ class TestSmoothMeasure:
             smooth_measure_check(degenerate, m_max=2)
 
     def test_lifting_agrees_with_box_enumeration(self):
-        # dual route: exhaustive box counts vs lift enumeration
         report = smooth_measure_check(circle(7), m_max=3)
-        for m in (1, 2, 3):
-            assert count_points_mod(circle(7), m).count == report.counts[m - 1]
+        assert report.counts == [box_count(circle(7), m) for m in (1, 2, 3)]
+
+    def test_circle_p13_deep(self):
+        report = smooth_measure_check(circle(13), m_max=5)
+        assert report.counts == [12, 156, 2028, 26364, 342732]
 
 
 class TestNullSet:
@@ -126,6 +181,47 @@ class TestNullSet:
     def test_no_solutions(self):
         one = PolySystem(5, 2, [[((0, 0), 1)]], dim=1)
         assert null_set_fraction(one, 2) == 0
+
+    def test_cusp_deep_levels_match_squares_table(self):
+        expected = [5, 45, 225, 1125, 5625, 90625, 453125]
+        assert [squares_table_cusp_count(5, m) for m in range(1, 8)] == expected
+        assert [count_points_mod(cusp(5), m).count for m in range(1, 8)] == expected
+        assert null_set_fraction(cusp(5), 5) == Fraction(expected[4], 5**10)
+
+
+class TestEngineAgainstBox:
+    """The lifting engine against full-box enumeration on small systems."""
+
+    SINGULAR = {
+        "cusp-p2": cusp(2),
+        "cusp-p3": cusp(3),
+        "node-p5": NODE5,
+        "xy-and-x2+y2-p2": PolySystem(2, 2, [[((1, 1), 1)], [((2, 0), 1), ((0, 2), 1)]], dim=0),
+        "x2-p3": PolySystem(3, 1, [[((2,), 1)]], dim=0),
+        "cone-p2": PolySystem(2, 3, [[((2, 0, 0), 1), ((0, 2, 0), 1), ((0, 0, 2), 1)]], dim=2),
+        "5x-p5": PolySystem(5, 2, [[((1, 0), 5)]], dim=1),
+        "x3+7-p7": PolySystem(7, 1, [[((3,), 1), ((0,), 7)]], dim=0),
+    }
+
+    @staticmethod
+    def deepest_small_box(system):
+        m = 1
+        while system.p ** ((m + 1) * system.num_vars) <= 2500:
+            m += 1
+        return m
+
+    def check(self, system):
+        for m in range(1, self.deepest_small_box(system) + 1):
+            assert count_points_mod(system, m).count == box_count(system, m), (system, m)
+
+    @pytest.mark.parametrize("system", SINGULAR.values(), ids=list(SINGULAR))
+    def test_singular_systems(self, system):
+        self.check(system)
+
+    def test_seeded_random_systems(self):
+        rng = random.Random(20140)
+        for _ in range(400):
+            self.check(random_system(rng))
 
 
 class TestMonomialIntegral:
