@@ -203,17 +203,9 @@ def _cmd_mass_expcheck(args):
     for n in range(1, args.nmax + 1):
         lhs = series.coefficient(n)
         rhs = bhargava_mass(n)
-        match = lhs == QFrac(rhs)
+        match = lhs == rhs
         all_match &= match
-        laurent = lhs.as_laurent()
-        rows.append(
-            {
-                "n": n,
-                "exponential": str(lhs if laurent is None else laurent),
-                "partition_formula": str(rhs),
-                "match": match,
-            }
-        )
+        rows.append({"n": n, "exponential": str(lhs), "partition_formula": str(rhs), "match": match})
     report = {"command": "mass expcheck", "nmax": args.nmax, "all_match": all_match}
     return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
 
@@ -224,18 +216,9 @@ def _cmd_mass_invert(args):
     all_match = True
     for (f, m), value in sorted(recovered.items()):
         expected = serre_mass(m, f)
-        match = value == QFrac(expected)
+        match = value == expected
         all_match &= match
-        laurent = value.as_laurent()
-        rows.append(
-            {
-                "f": f,
-                "m": m,
-                "recovered": str(value if laurent is None else laurent),
-                "expected": str(expected),
-                "match": match,
-            }
-        )
+        rows.append({"f": f, "m": m, "recovered": str(value), "expected": str(expected), "match": match})
     report = {"command": "mass invert", "nmax": args.nmax, "all_match": all_match}
     return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
 

@@ -55,11 +55,11 @@ def bhargava_mass(n: int) -> QExpr:
 
 def _inner_exponent_series(n_max: int, N: Callable[[int, int], object]) -> TruncatedSeries:
     """sum_{n>=1} x^n sum_{f|n} N(f, n/f) / f, truncated at n_max."""
-    coeffs: list[QFrac] = [QFrac(0)]
+    coeffs: list[QExpr | QFrac] = [QExpr()]
     for n in range(1, n_max + 1):
-        total = QFrac(0)
+        total = QExpr()
         for f in divisors(n):
-            total = total + QFrac(N(f, n // f)) * Fraction(1, f)
+            total = total + N(f, n // f) * Fraction(1, f)
         coeffs.append(total)
     return TruncatedSeries(coeffs)
 
@@ -81,13 +81,14 @@ def serre_mass_over_unramified(f: int, m: int) -> QExpr:
     return serre_mass(m, f)
 
 
-def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QFrac]:
+def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr | QFrac]:
     """Solve the exponential identity for the totally ramified masses.
 
     The mass series over K_f is the input series with q replaced by q^f.
     Taking logarithms, S(f)_m = sum_{j|m} N(f*j, m/j) / j, which is
     triangular in m: N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.
-    Returns N on all pairs with f * m <= truncation degree.
+    Returns N on all pairs with f * m <= truncation degree, each a QExpr
+    when the input series is Laurent.
     """
     n_max = M_series.truncation
     logs: dict[int, TruncatedSeries] = {}
@@ -96,7 +97,7 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QFrac]:
             [c.scale_exponents(f) for c in M_series.coefficients[: n_max // f + 1]]
         )
         logs[f] = substituted.log()
-    N: dict[tuple[int, int], QFrac] = {}
+    N: dict[tuple[int, int], QExpr | QFrac] = {}
     for m in range(1, n_max + 1):
         for f in range(1, n_max // m + 1):
             value = logs[f].coefficient(m)

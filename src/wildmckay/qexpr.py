@@ -8,9 +8,9 @@ q^(1-n) or q^(n-v).  A ``QFrac`` is a quotient of two such expressions,
 kept in a canonical reduced form so that equality is plain structural
 equality.
 
-Coefficients are ``fractions.Fraction`` throughout; there is no floating
-point anywhere in this module except on explicit request via ``evaluate``
-with a stated precision.
+Coefficients are ``fractions.Fraction`` and exponents are ints when
+integral; there is no floating point anywhere in this module except on
+explicit request via ``evaluate`` with a stated precision.
 """
 
 from __future__ import annotations
@@ -124,30 +124,34 @@ def _as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _make(acc: Mapping[Rational, Fraction]) -> "QExpr":
+    """QExpr in canonical form from a map of int or Fraction exponents to
+    Fraction coefficients, without the checks of the public constructor."""
+    obj = object.__new__(QExpr)
+    object.__setattr__(obj, "_terms", tuple(sorted(
+        (e if type(e) is int or e.denominator != 1 else e.numerator, c) for e, c in acc.items() if c
+    )))
+    return obj
+
+
 class QExpr:
     """Exact Laurent expression in q with rational exponents.
 
-    Canonical form: no zero coefficients, exponents stored as reduced
-    Fractions, terms sorted by ascending exponent.  Instances are immutable
-    and hashable; two expressions are equal iff their term maps are equal.
+    Canonical form: no zero coefficients, integral exponents stored as
+    ints and the others as reduced Fractions (so Laurent polynomials do no
+    Fraction exponent arithmetic), terms sorted by ascending exponent.
+    Instances are immutable and hashable; two expressions are equal iff
+    their term maps are equal.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Rational, Rational] | Iterable[tuple[Rational, Rational]] = ()):
-        acc: dict[Fraction, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exponent, coeff in items:
-            e = _as_fraction(exponent)
-            c = _as_fraction(coeff)
-            if c == 0:
-                continue
-            c = acc.get(e, Fraction(0)) + c
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+        acc: dict[Rational, Fraction] = {}
+        for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            e = exponent if type(exponent) is int else _as_fraction(exponent)
+            acc[e] = acc.get(e, 0) + _as_fraction(coeff)
+        object.__setattr__(self, "_terms", _make(acc)._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpr is immutable")
@@ -173,7 +177,7 @@ class QExpr:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Rational, Fraction], ...]:
         """Term pairs (exponent, coefficient), ascending in exponent."""
         return self._terms
 
@@ -200,11 +204,12 @@ class QExpr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other: object) -> "QExpr | None":
+    @staticmethod
+    def _coerce(other: object) -> "QExpr | None":
         if isinstance(other, QExpr):
             return other
         if isinstance(other, (int, Fraction)):
-            return QExpr.const(other)
+            return _make({0: _as_fraction(other)})
         return None
 
     def __add__(self, other: object) -> "QExpr":
@@ -213,13 +218,13 @@ class QExpr:
             return NotImplemented
         acc = dict(self._terms)
         for e, c in rhs._terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return QExpr(acc)
+            acc[e] = acc.get(e, 0) + c
+        return _make(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QExpr":
-        return QExpr({e: -c for e, c in self._terms})
+        return _make({e: -c for e, c in self._terms})
 
     def __sub__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
@@ -234,15 +239,17 @@ class QExpr:
         return lhs - self
 
     def __mul__(self, other: object) -> "QExpr":
+        if isinstance(other, (int, Fraction)):
+            return _make({e: c * other for e, c in self._terms})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Fraction, Fraction] = {}
+        acc: dict[Rational, Fraction] = {}
         for e1, c1 in self._terms:
             for e2, c2 in rhs._terms:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return QExpr(acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return _make(acc)
 
     __rmul__ = __mul__
 
@@ -286,6 +293,9 @@ class QExpr:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its rational, so it must hash like it.
+        if not self._terms or (len(self._terms) == 1 and self._terms[0][0] == 0):
+            return hash(self.coefficient(0))
         return hash(("QExpr", self._terms))
 
     # -- evaluation ----------------------------------------------------------
@@ -373,14 +383,6 @@ def monomial(coeff: Rational, exponent: Rational) -> QExpr:
 # ---------------------------------------------------------------------------
 
 
-def _to_qexpr(x: object) -> QExpr:
-    if isinstance(x, QExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QExpr.const(x)
-    raise TypeError(f"cannot build a q-expression from {type(x).__name__}")
-
-
 class QFrac:
     """Quotient of two QExpr in canonical reduced form.
 
@@ -398,8 +400,9 @@ class QFrac:
             top = num if isinstance(num, QFrac) else QFrac(num)
             bottom = den if isinstance(den, QFrac) else QFrac(den)
             num, den = top._num * bottom._den, top._den * bottom._num
-        num_e = _to_qexpr(num)
-        den_e = _to_qexpr(den)
+        num_e, den_e = QExpr._coerce(num), QExpr._coerce(den)
+        if num_e is None or den_e is None:
+            raise TypeError(f"cannot build a q-expression from {type(num if num_e is None else den).__name__}")
         if den_e.is_zero:
             raise ZeroDivisionError("zero denominator in q-fraction")
         if num_e.is_zero:
@@ -433,7 +436,7 @@ class QFrac:
         if len(self._den.terms) != 1:
             return None
         (e0, c0), = self._den.terms
-        return QExpr({e - e0: c / c0 for e, c in self._num.terms})
+        return _make({e - e0: c / c0 for e, c in self._num.terms})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -519,7 +522,9 @@ class QFrac:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QFrac", self._num, self._den))
+        # A Laurent value equals its QExpr, so it must hash like it.
+        laurent = self.as_laurent()
+        return hash(("QFrac", self._num, self._den) if laurent is None else laurent)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -578,11 +583,11 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     if len(den.terms) == 1:
         # Monomial denominator: no gcd needed, only an exponent shift.
         (e0, c0), = den.terms
-        shifted = QExpr({e - e0: c / c0 for e, c in num.terms})
+        shifted = _make({e - e0: c / c0 for e, c in num.terms})
         low = shifted.terms[0][0]
         if low >= 0:
             return shifted, QExpr.one()
-        return QExpr({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
+        return _make({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
     r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
     num_i = {int(e * r): c for e, c in num.terms}
     den_i = {int(e * r): c for e, c in den.terms}
@@ -604,7 +609,7 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     lead = b[-1]
     a = [c / lead for c in a]
     b = [c / lead for c in b]
-    to_expr = lambda cs: QExpr({Fraction(i, r): c for i, c in enumerate(cs) if c != 0})
+    to_expr = lambda cs: _make({(i if r == 1 else Fraction(i, r)): c for i, c in enumerate(cs)})
     return to_expr(a), to_expr(b)
 
 

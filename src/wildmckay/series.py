@@ -1,9 +1,12 @@
 """Truncated formal power series in x over the q-fraction field.
 
 Carrier of the exponential formula relating masses of field extensions to
-masses of etale algebras: coefficients are exact ``QFrac`` values, exp and
-log are computed coefficient-by-coefficient from the differential-equation
-recurrences (no factorial blowup, O(N^2) coefficient multiplications).
+masses of etale algebras.  A coefficient is a ``QExpr`` when its value is
+Laurent in q and a ``QFrac`` only when it is not, so each value has one
+representation.  exp and log are computed coefficient-by-coefficient from
+the differential-equation recurrences (no factorial blowup, O(N^2)
+coefficient multiplications) and divide only by integers, so Laurent input
+stays in ``QExpr``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,18 @@ class ConstantTermError(ValueError):
     """Constant coefficient violates the precondition of exp or log."""
 
 
-def _as_qfrac(value: object) -> QFrac:
-    if isinstance(value, QFrac):
+_ZERO = QExpr()
+
+
+def _coefficient(value: object) -> QExpr | QFrac:
+    """The canonical coefficient: a QExpr for a Laurent value, else the QFrac."""
+    if isinstance(value, QExpr):
         return value
-    if isinstance(value, (int, Fraction, QExpr)):
-        return QFrac(value)
+    if isinstance(value, (int, Fraction)):
+        return QExpr.const(value)
+    if isinstance(value, QFrac):
+        laurent = value.as_laurent()
+        return value if laurent is None else laurent
     raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
 
 
@@ -36,12 +46,12 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[object], truncation: int | None = None):
-        cs = [_as_qfrac(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         if truncation is not None:
             if truncation < 0:
                 raise ValueError("truncation degree must be non-negative")
             cs = cs[: truncation + 1]
-            cs.extend(QFrac(0) for _ in range(truncation + 1 - len(cs)))
+            cs.extend(_ZERO for _ in range(truncation + 1 - len(cs)))
         if not cs:
             raise ValueError("a series needs at least the degree-0 coefficient")
         object.__setattr__(self, "_coeffs", tuple(cs))
@@ -70,10 +80,10 @@ class TruncatedSeries:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[QFrac, ...]:
+    def coefficients(self) -> tuple[QExpr | QFrac, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> QFrac:
+    def coefficient(self, n: int) -> QExpr | QFrac:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self._coeffs[n]
@@ -91,7 +101,7 @@ class TruncatedSeries:
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.truncation, other.truncation)
-            out = [QFrac(0)] * (n + 1)
+            out = [_ZERO] * (n + 1)
             for i in range(n + 1):
                 a = self._coeffs[i]
                 if a.is_zero:
@@ -101,7 +111,7 @@ class TruncatedSeries:
                     if not b.is_zero:
                         out[i + j] = out[i + j] + a * b
             return TruncatedSeries(out)
-        scalar = _as_qfrac(other)
+        scalar = _coefficient(other)
         return TruncatedSeries([c * scalar for c in self._coeffs])
 
     __rmul__ = __mul__
@@ -114,28 +124,28 @@ class TruncatedSeries:
             raise ConstantTermError("exp needs a series with zero constant term")
         n = self.truncation
         s = self._coeffs
-        e = [QFrac(1)] + [QFrac(0)] * n
+        e = [QExpr.one()] + [_ZERO] * n
         for m in range(1, n + 1):
-            acc = QFrac(0)
+            acc = _ZERO
             for k in range(1, m + 1):
                 if not s[k].is_zero:
                     acc = acc + s[k] * e[m - k] * k
-            e[m] = acc * Fraction(1, m)
+            e[m] = _coefficient(acc * Fraction(1, m))
         return TruncatedSeries(e)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient 1."""
-        if self._coeffs[0] != QFrac(1):
+        if self._coeffs[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
         n = self.truncation
         s = self._coeffs
-        l = [QFrac(0)] * (n + 1)
+        l = [_ZERO] * (n + 1)
         for m in range(1, n + 1):
-            acc = QFrac(0)
+            acc = _ZERO
             for k in range(1, m):
                 if not l[k].is_zero and not s[m - k].is_zero:
                     acc = acc + l[k] * s[m - k] * k
-            l[m] = s[m] - acc * Fraction(1, m)
+            l[m] = _coefficient(s[m] - acc * Fraction(1, m))
         return TruncatedSeries(l)
 
     # -- comparison / serialization ----------------------------------------------------
@@ -149,7 +159,8 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self._coeffs]
+        """One {"num", "den"} object per coefficient, Laurent ones included."""
+        return [QFrac(c).to_json() for c in self._coeffs]
 
     @staticmethod
     def from_json(data: Iterable) -> "TruncatedSeries":

@@ -119,3 +119,33 @@ class TestPartitionHilbertLink:
             lhs = QFrac(hilb_point_count(n))
             rhs = QFrac(QExpr.q(2 * n)) * QFrac(bhargava_mass(n))
             assert lhs == rhs
+
+
+class TestLaurentPipeline:
+    def test_series_and_recovered_masses_are_qexpr(self):
+        series = mass_series_via_exp(12)
+        assert all(type(c) is QExpr for c in series.coefficients)
+        recovered = recover_N_from_M(series)
+        assert recovered and all(type(v) is QExpr for v in recovered.values())
+
+    def test_mass_pipeline_never_canonicalizes_a_fraction(self, monkeypatch):
+        # A deterministic stand-in for the mass pipeline's speed: Laurent
+        # values must never reach the QFrac canonical form.
+        import io
+
+        from wildmckay import cli, qexpr
+
+        calls = []
+        canonical = qexpr._canonical_pair
+
+        def counted(num, den):
+            calls.append((num, den))
+            return canonical(num, den)
+
+        monkeypatch.setattr(qexpr, "_canonical_pair", counted)
+        recover_N_from_M(mass_series_via_exp(12))
+        for command in ("expcheck", "invert"):
+            assert cli.main(["mass", command, "--nmax", "8"], stdout=io.StringIO()) == 0
+        assert calls == []
+        QFrac(1, QExpr.q() + 1)
+        assert len(calls) == 1

@@ -190,3 +190,82 @@ class TestNthRoot:
         tol = Fraction(1, 10**9)
         approx = nth_root_approx(27, 3, tol)
         assert abs(approx - 3) <= tol
+
+
+class TestCanonicalExponents:
+    def test_integral_exponents_are_ints(self):
+        half = QExpr.q(Fraction(1, 2))
+        # (q^(5/2) + q^(1/2)) / (q^(3/2) + q^(1/2)) = (q^2 + 1) / (q + 1), via t = q^(1/2)
+        reduced = QFrac(QExpr.q(Fraction(5, 2)) + half, QExpr.q(Fraction(3, 2)) + half)
+        for expr in (QExpr.q(Fraction(4, 2)), half * half, QExpr.from_json([[6, 3, 1, 1]]),
+                     (QExpr.q(3) * half).scale_exponents(2), reduced.num, reduced.den):
+            assert expr.terms and all(type(e) is int for e, _ in expr.terms), expr
+
+    def test_fractional_exponents_stay_reduced_fractions(self):
+        (exponent, _), = (QExpr.q(Fraction(1, 3)) * QExpr.q(Fraction(1, 6))).terms
+        assert exponent == Fraction(1, 2) and isinstance(exponent, Fraction)
+
+
+class TestHashAgreesWithEquality:
+    CASES = [
+        (QExpr.q(-1), QFrac(QExpr.q(-1))),
+        (QExpr.const(3), 3),
+        (QFrac(3), 3),
+        (QExpr.const(Fraction(-2, 3)), Fraction(-2, 3)),
+        (QExpr.zero(), 0),
+        (QFrac(0), QExpr.zero()),
+        (QFrac(1, QExpr.q(2)), QExpr.q(-2)),
+        (QFrac(QExpr.q(Fraction(1, 2)) + 1, QExpr.q(Fraction(3, 2))), QExpr({-1: 1, Fraction(-3, 2): 1})),
+    ]
+
+    @pytest.mark.parametrize("a, b", CASES)
+    def test_equal_values_hash_alike(self, a, b):
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_non_laurent_fraction_differs_from_its_numerator(self):
+        frac = QFrac(QExpr.q(), QExpr.q() + 1)
+        assert frac != QExpr.q()
+        assert len({frac, QFrac(QExpr.q(), QExpr.q() + 1), QExpr.q()}) == 2
+
+
+class TestSympyOracle:
+    """Kernel results against sympy.cancel, with q = t^6 (every random
+    exponent is a multiple of 1/2 or 1/3).  A canonical QFrac is the
+    coprime pair of polynomials in t with a monic denominator, so it must
+    match sympy's reduced fraction exactly once that is made monic."""
+
+    R = 6
+
+    @staticmethod
+    def random_expr(rng: random.Random) -> QExpr:
+        r = rng.choice((1, 1, 2, 3))
+        return QExpr({Fraction(rng.randint(-3, 4), r): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+    def test_random_sums_products_quotients(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+
+        def laurent(expr):
+            return sum(sympy.Rational(c.numerator, c.denominator) * t ** int(e * self.R) for e, c in expr.terms)
+
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 20:
+            a, b, c, d = (self.random_expr(rng) for _ in range(4))
+            if b.is_zero or c.is_zero or d.is_zero:
+                continue
+            checked += 1
+            x, y = a / b, c / d
+            sa, sb, sc, sd = (laurent(v) for v in (a, b, c, d))
+            cases = [
+                (a + b, sa + sb), (a * b, sa * sb), (x + y, sa / sb + sc / sd),
+                (x * y, sa * sc / (sb * sd)), (x / y, sa * sd / (sb * sc)), (QFrac(a * c, b * c), sa / sb),
+            ]
+            for result, want in cases:
+                num, den = sympy.fraction(sympy.cancel(want))
+                lead = sympy.Poly(den, t).LC()
+                frac = QFrac(result)
+                assert sympy.expand(laurent(frac.num) - num / lead) == 0, (result, want)
+                assert sympy.expand(laurent(frac.den) - den / lead) == 0, (result, want)

@@ -98,3 +98,42 @@ class TestSerialization:
     def test_roundtrip(self):
         s = series(1, QFrac(QExpr.q(), QExpr.q() + 1), Fraction(2, 3))
         assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+class TestCoefficientRing:
+    def test_laurent_values_become_qexpr(self):
+        s = series(3, Fraction(1, 2), QFrac(1, QExpr.q(2)), QFrac(QExpr.q() + 1, QExpr.q(Fraction(1, 2))))
+        assert all(type(c) is QExpr for c in s.coefficients)
+        assert s.coefficient(3) == QExpr({Fraction(1, 2): 1, Fraction(-1, 2): 1})
+
+    def test_non_laurent_value_stays_qfrac(self):
+        frac = QFrac(QExpr.q(), QExpr.q() + 1)
+        s = series(0, frac, truncation=3)
+        assert type(s.coefficient(1)) is QFrac and s.coefficient(1) == frac
+        assert type((s * s).coefficient(2)) is QFrac
+
+    def test_one_representation_per_value(self):
+        from_frac = series(1, QFrac(1, QExpr.q(2)), truncation=3)
+        from_laurent = series(1, QExpr.q(-2), truncation=3)
+        assert from_frac == from_laurent
+        assert hash(from_frac) == hash(from_laurent)
+        assert len({from_frac, from_laurent}) == 1
+
+    def test_exp_log_roundtrip_on_mixed_series(self):
+        rng = random.Random(1018)
+        for _ in range(4):
+            s = random_zero_constant_series(rng, 5)
+            den = QExpr({rng.randint(0, 2): rng.randint(1, 3)}) + QExpr.q(3)
+            mixed = s + series(0, 0, QFrac(QExpr.q(), den), truncation=5)
+            assert type(mixed.coefficient(2)) is QFrac
+            assert mixed.exp().log() == mixed
+            m = mixed.exp()
+            assert m.log().exp() == m
+
+    def test_json_keeps_num_den_shape(self):
+        s = series(QExpr.q(-2), QFrac(QExpr.q(), QExpr.q() + 1), Fraction(2, 3), 0)
+        data = s.to_json()
+        assert all(set(entry) == {"num", "den"} for entry in data)
+        assert data[0] == {"num": [[0, 1, 1, 1]], "den": [[2, 1, 1, 1]]}
+        assert data[3] == {"num": [], "den": [[0, 1, 1, 1]]}
+        assert TruncatedSeries.from_json(data) == s
