@@ -28,7 +28,7 @@ from typing import Callable
 from .numutil import divisors
 from .partitions import partition_count
 from .qexpr import QExpr, QFrac
-from .series import DEFAULT_TRUNCATION, TruncatedSeries
+from .series import DEFAULT_TRUNCATION, TruncatedSeries, _coefficient
 
 __all__ = [
     "serre_mass",
@@ -88,7 +88,7 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr |
     Taking logarithms, S(f)_m = sum_{j|m} N(f*j, m/j) / j, which is
     triangular in m: N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.
     Returns N on all pairs with f * m <= truncation degree, each a QExpr
-    when the input series is Laurent.
+    whenever its value is Laurent, like a series coefficient.
     """
     n_max = M_series.truncation
     logs: dict[int, TruncatedSeries] = {}
@@ -104,5 +104,5 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr |
             for j in divisors(m):
                 if j > 1:
                     value = value - N[(f * j, m // j)] * Fraction(1, j)
-            N[(f, m)] = value
+            N[(f, m)] = _coefficient(value)
     return N

@@ -265,7 +265,9 @@ class QExpr:
             n >>= 1
         return result
 
-    def __truediv__(self, other: object) -> "QFrac":
+    def __truediv__(self, other: object) -> "QExpr | QFrac":
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
         if isinstance(other, QFrac):
             return NotImplemented
         return QFrac(self, other)
@@ -288,8 +290,6 @@ class QExpr:
             other = QExpr.const(other)
         if isinstance(other, QExpr):
             return self._terms == other._terms
-        if isinstance(other, QFrac):
-            return QFrac(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -396,6 +396,10 @@ class QFrac:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: object, den: object = 1):
+        if isinstance(num, QFrac) and type(den) is int and den == 1:
+            object.__setattr__(self, "_num", num._num)
+            object.__setattr__(self, "_den", num._den)
+            return
         if isinstance(num, QFrac) or isinstance(den, QFrac):
             top = num if isinstance(num, QFrac) else QFrac(num)
             bottom = den if isinstance(den, QFrac) else QFrac(den)
@@ -515,8 +519,11 @@ class QFrac:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, QExpr)):
-            other = QFrac(other)
+        if isinstance(other, (int, Fraction)):
+            other = QExpr.const(other)
+        if isinstance(other, QExpr):
+            # A non-Laurent value never equals a Laurent one.
+            return self.as_laurent() == other
         if isinstance(other, QFrac):
             return self._num == other._num and self._den == other._den
         return NotImplemented

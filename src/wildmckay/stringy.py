@@ -9,8 +9,12 @@ is then
 
     sum_h q^(a_h) sum_J #stratum(h, J) prod_{j in J} (q - 1)/(q^(1-c_j) - 1),
 
-finite precisely when every c_j >= 1 sits on empty strata only.  Components
-supported in the special fiber where the model is singular carry no integer
+finite precisely when every c_j >= 1 sits on empty strata only.  The sum
+is taken over one common denominator D = prod_j (q^(1-c_j) - 1), the
+product over the c_j < 1: the term for (h, J) is the Laurent expression
+#stratum(h, J) q^(a_h) (q - 1)^|J| prod_{j not in J} (q^(1-c_j) - 1).  The
+numerator is summed in the Laurent ring and the quotient is reduced once,
+by a single gcd.  Components supported in the special fiber where the model is singular carry no integer
 points and are deliberately absent from the data model.
 
 Whether the divisor data actually comes from an SNC pair (irreducible
@@ -21,6 +25,7 @@ side; nothing here can check it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -136,28 +141,36 @@ class SncLogPairData:
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:
     """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point,
     Infinite as soon as one c_j >= 1."""
-    a = Fraction(a)
-    factors = QFrac(QExpr.q(a))
+    num, den = QExpr.q(Fraction(a)), QExpr.one()
     for c in cs:
         c = Fraction(c)
         if c >= 1:
             return INFINITE
-        factors = factors * QFrac(QExpr.q() - 1, QExpr.q(1 - c) - 1)
-    return factors
+        num, den = num * (QExpr.q() - 1), den * (QExpr.q(1 - c) - 1)
+    return QFrac(num, den)
 
 
 def stringy_count_snc(data: SncLogPairData) -> QFrac | InfiniteType:
     """Evaluate the stratum formula; Infinite iff a coefficient >= 1 occurs
     in a subset with a nonzero stratum count."""
-    total = QFrac(0)
+    # Only c_j < 1 enters the common denominator: at c_j = 1 the factor
+    # q^0 - 1 is zero, and such a divisor may still sit on empty strata.
+    factors = {j: QExpr.q(1 - c) - 1 for j, c in enumerate(data.horizontal, 1) if c < 1}
+    q_minus_1 = QExpr.q() - 1
+    sums: dict[frozenset[int], QExpr] = {}
     for component in data.vertical:
         for subset, count in component.strata:
             if count == 0:
                 continue
-            contribution = stringy_point_contribution(
-                component.a, (data.horizontal[j - 1] for j in sorted(subset))
-            )
-            if isinstance(contribution, InfiniteType):
+            if not subset.issubset(factors):
                 return INFINITE
-            total = total + contribution * count
-    return total
+            sums[subset] = sums.get(subset, QExpr()) + QExpr.q(component.a) * count
+    # Fold in one divisor at a time; strata that agree off the divisors
+    # folded so far share every later product.
+    for j, factor in factors.items():
+        folded: dict[frozenset[int], QExpr] = {}
+        for subset, value in sums.items():
+            rest = subset - {j}
+            folded[rest] = folded.get(rest, QExpr()) + value * (q_minus_1 if j in subset else factor)
+        sums = folded
+    return QFrac(sums.get(frozenset(), QExpr()), math.prod(factors.values(), start=QExpr.one()))

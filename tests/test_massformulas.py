@@ -128,6 +128,13 @@ class TestLaurentPipeline:
         recovered = recover_N_from_M(series)
         assert recovered and all(type(v) is QExpr for v in recovered.values())
 
+    def test_recovered_laurent_value_is_qexpr_on_a_mixed_series(self):
+        q = QExpr.q()
+        a = QFrac(q, q + 1)
+        recovered = recover_N_from_M(TruncatedSeries([1, a, a * a / 2 + a.scale_exponents(2) / 2 + QExpr.q(-1)]))
+        assert recovered[(1, 1)] == a and type(recovered[(1, 1)]) is QFrac
+        assert recovered[(1, 2)] == QExpr.q(-1) and type(recovered[(1, 2)]) is QExpr
+
     def test_mass_pipeline_never_canonicalizes_a_fraction(self, monkeypatch):
         # A deterministic stand-in for the mass pipeline's speed: Laurent
         # values must never reach the QFrac canonical form.

@@ -230,6 +230,63 @@ class TestHashAgreesWithEquality:
         assert len({frac, QFrac(QExpr.q(), QExpr.q() + 1), QExpr.q()}) == 2
 
 
+class TestScalarDivision:
+    def test_scalar_quotient_stays_laurent(self):
+        x = QExpr({Fraction(3, 2): 2, -1: 5})
+        for scalar in (2, -3, Fraction(2, 3)):
+            quotient = x / scalar
+            assert type(quotient) is QExpr
+            assert quotient == x * Fraction(1, scalar)
+            assert quotient * scalar == x
+
+    def test_division_by_zero_scalar(self):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                QExpr.q() / zero
+
+    def test_expression_quotient_stays_fraction(self):
+        q = QExpr.q()
+        assert type(q / (q + 1)) is QFrac
+        assert type(q / q) is QFrac
+
+
+class TestNoRepeatedCanonicalization:
+    @staticmethod
+    def count_calls(monkeypatch):
+        from wildmckay import qexpr
+
+        calls = []
+        canonical = qexpr._canonical_pair
+
+        def counted(num, den):
+            calls.append((num, den))
+            return canonical(num, den)
+
+        monkeypatch.setattr(qexpr, "_canonical_pair", counted)
+        return calls
+
+    def test_comparison_with_laurent_values(self, monkeypatch):
+        q = QExpr.q()
+        frac, laurent = QFrac(q, q + 1), QFrac(q + 1, QExpr.q(2))
+        one, three_halves = QFrac(QExpr.q(2), QExpr.q(2)), QFrac(6, 4)
+        calls = self.count_calls(monkeypatch)
+        for _ in range(10):
+            assert not frac == 7
+        assert frac != q and q != frac and frac != Fraction(1, 2)
+        assert laurent == QExpr({-1: 1, -2: 1}) and QExpr({-1: 1, -2: 1}) == laurent
+        assert laurent != QExpr.q(-1) and laurent != 0
+        assert one == 1 and three_halves == Fraction(3, 2) and three_halves != 1
+        assert calls == []
+
+    def test_copy_of_a_fraction(self, monkeypatch):
+        q = QExpr.q()
+        frac = QFrac(q, q + 1)
+        calls = self.count_calls(monkeypatch)
+        copy = QFrac(frac)
+        assert calls == []
+        assert (copy.num, copy.den) == (frac.num, frac.den) and copy == frac
+
+
 class TestSympyOracle:
     """Kernel results against sympy.cancel, with q = t^6 (every random
     exponent is a multiple of 1/2 or 1/3).  A canonical QFrac is the
