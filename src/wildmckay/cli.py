@@ -16,13 +16,14 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 
 from .localfields import (
     PartialEnumerationError,
     algebra_mass_sum,
+    count_tame_etale_algebras,
     crossvalidate_fixtures,
-    enumerate_tame_etale_algebras,
     enumerate_tame_field_classes,
     load_fixtures,
     skipped_wild_strata,
@@ -86,6 +87,8 @@ def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
 
 
 def _cell(value) -> str:
+    if type(value) is int:
+        return str(value)
     if isinstance(value, dict):
         if "pretty" in value:
             return value["pretty"]
@@ -115,12 +118,30 @@ def _write_text(report: dict, rows: list[dict] | None, stream) -> None:
             stream.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for string-keyed reports, without the
+    pure-Python encoder json uses whenever an indent is given; int leaves are written inline."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            items = [encode_basestring_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner))
+                     for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)  # int, bool, None and float; a TypeError for anything else
+
+
 def _write_json(report: dict, rows: list[dict] | None, stream) -> None:
     payload = {k: v for k, v in report.items() if k != "_lines"}
     if rows is not None:
         payload["rows"] = rows
-    json.dump(payload, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+    stream.write(_json_text(payload) + "\n")
 
 
 def _write_csv(report: dict, rows: list[dict] | None, stream) -> None:
@@ -236,13 +257,12 @@ def _cmd_etale_enumerate(args):
         }
         for cls in classes
     ]
-    algebras = enumerate_tame_etale_algebras(args.p, args.n)
     report = {
         "command": "etale enumerate",
         "p": args.p,
         "n": args.n,
         "field_classes": len(classes),
-        "etale_algebras": len(algebras),
+        "etale_algebras": count_tame_etale_algebras(args.p, args.n),
         "wild_strata_skipped": [list(stratum) for stratum in skipped_wild_strata(args.p, args.n)],
         "complete": tame_enumeration_is_complete(args.p, args.n),
     }
@@ -305,7 +325,7 @@ def _cmd_etale_crossvalidate(args):
 
 
 def _cmd_mckay_verify(args):
-    result = verify_wild_mckay(args.p, args.n)
+    result = verify_wild_mckay(args.p, args.n, args.budget)
     report = {
         "command": "mckay verify",
         "p": args.p,
@@ -316,8 +336,7 @@ def _cmd_mckay_verify(args):
     }
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(result.to_json()) + "\n")
         report["table"] = args.table
     return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, result.rows
 
@@ -466,7 +485,8 @@ _COMMANDS = [
     ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
      [("--fixtures", {"required": True})]),
     ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify,
-     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"})]),
+     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"}),
+      _BUDGET]),
     ("stringy", "eval", "evaluate the stratum formula from a JSON file", _cmd_stringy_eval,
      [_INPUT, _AT_Q, _EVAL_PRECISION]),
     ("stringy", "point", "single-point weight q^a prod (q-1)/(q^(1-c)-1)", _cmd_stringy_point,

@@ -16,6 +16,15 @@ trusted blindly here.  Two independent checks keep it honest: the stratum
 mass identity  sum_{classes with fixed (f,e)} q^(-f(e-1)) / #Aut =
 q^(f(1-e)) / f, and cross-validation against external database fixtures.
 
+An etale algebra is a multiset of classes, with #Aut(prod L_i^m_i) =
+prod m_i! #Aut(L_i)^m_i, so counts and masses need no listing.  With
+w_c = p^(-d_c) / #Aut_c and W_k its sum over classes of degree k, the number
+of degree-n algebras and their mass sum p^(-d) / #Aut are the coefficients of
+x^n in prod_c 1/(1 - x^deg c) and prod_c exp(w_c x^deg c) = exp(sum_k W_k x^k).
+This regroups a sum over multisets; it does not assume the Serre/Bhargava
+mass formula that `etale mass` checks, whose content is the per-class d and
+#Aut above.  Algebras are listed only where per-algebra rows are needed.
+
 Wild strata (p dividing e) are never computed, only imported as fixtures;
 the enumerators skip and report them.
 """
@@ -29,7 +38,7 @@ from math import factorial, gcd
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import divisors, exact_int, is_prime, json_array, json_object
+from .numutil import DEFAULT_BUDGET, BudgetExceededError, divisors, exact_int, is_prime, json_array, json_object
 
 __all__ = [
     "TameFieldClass",
@@ -40,6 +49,7 @@ __all__ = [
     "enumerate_tame_field_classes",
     "skipped_wild_strata",
     "enumerate_tame_etale_algebras",
+    "count_tame_etale_algebras",
     "complete_etale_algebras",
     "tame_enumeration_is_complete",
     "algebra_mass_sum",
@@ -79,33 +89,10 @@ class TameFieldClass:
             raise ValueError("empty Frobenius orbit")
         if set(orbit) != {c * p % g for c in orbit}:
             raise ValueError(f"orbit {orbit} not closed under multiplication by {p} mod {g}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "neg_f", -f)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "orbit", orbit)
-
-    @property
-    def f(self) -> int:
-        return -self.neg_f
-
-    @property
-    def g(self) -> int:
-        return gcd(self.e, self.p**self.f - 1)
-
-    @property
-    def degree(self) -> int:
-        return self.e * self.f
-
-    @property
-    def disc_exponent(self) -> int:
-        return self.f * (self.e - 1)
-
-    @property
-    def aut_order(self) -> int:
-        g = self.g
-        c = self.orbit[0]
-        frobenius_fixed = sum(1 for i in range(self.f) if c * (pow(self.p, i, g) - 1) % g == 0)
-        return g * frobenius_fixed
+        # The invariants are computed once; only the four fields compare and hash.
+        fixed = sum(1 for i in range(f) if orbit[0] * (pow(p, i, g) - 1) % g == 0)
+        self.__dict__.update(p=p, neg_f=-f, e=e, orbit=orbit, f=f, g=g, degree=e * f,
+                             disc_exponent=f * (e - 1), aut_order=g * fixed)
 
     def describe(self) -> str:
         return f"f={self.f},e={self.e},c~{self.orbit}"
@@ -147,7 +134,11 @@ def skipped_wild_strata(p: int, n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, order=True)
 class EtaleAlgebra:
-    """Multiset of tame field classes, i.e. a tame etale algebra over Q_p."""
+    """Multiset of tame field classes, i.e. a tame etale algebra over Q_p.
+
+    Its invariants are computed once, when it is built; after unramified base
+    change a factor of residue degree f splits into f geometric components.
+    """
 
     factors: tuple[tuple[TameFieldClass, int], ...]
 
@@ -160,33 +151,29 @@ class EtaleAlgebra:
         ps = {cls.p for cls in counted}
         if len(ps) > 1:
             raise ValueError("all factors must live over the same Q_p")
-        canonical = tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0])))
-        object.__setattr__(self, "factors", canonical)
+        self._set_factors(tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0]))))
+
+    @classmethod
+    def _canonical(cls, factors: tuple[tuple[TameFieldClass, int], ...]) -> "EtaleAlgebra":
+        """An algebra from factors already merged and in (degree, class) order."""
+        algebra = object.__new__(cls)
+        algebra._set_factors(factors)
+        return algebra
+
+    def _set_factors(self, factors: tuple[tuple[TameFieldClass, int], ...]) -> None:
+        degree = disc_exponent = components = 0
+        aut = 1
+        for cls, m in factors:
+            degree += cls.degree * m
+            disc_exponent += cls.disc_exponent * m
+            components += cls.f * m
+            aut *= factorial(m) * cls.aut_order**m
+        self.__dict__.update(factors=factors, degree=degree, disc_exponent=disc_exponent, aut_order=aut,
+                             geometric_component_count=components)
 
     @property
     def p(self) -> int:
         return self.factors[0][0].p
-
-    @property
-    def degree(self) -> int:
-        return sum(cls.degree * m for cls, m in self.factors)
-
-    @property
-    def disc_exponent(self) -> int:
-        return sum(cls.disc_exponent * m for cls, m in self.factors)
-
-    @property
-    def aut_order(self) -> int:
-        out = 1
-        for cls, m in self.factors:
-            out *= factorial(m) * cls.aut_order**m
-        return out
-
-    @property
-    def geometric_component_count(self) -> int:
-        """Components after unramified base change: each field factor of
-        residue degree f splits into f totally ramified pieces."""
-        return sum(cls.f * m for cls, m in self.factors)
 
     def describe(self) -> str:
         return " x ".join(
@@ -199,54 +186,80 @@ def tame_enumeration_is_complete(p: int, n: int) -> bool:
     return p > n
 
 
+def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
+    """Entry k holds the tame classes of degree k, for k = 0..n (none of degree 0)."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return [[]] + [enumerate_tame_field_classes(p, k) for k in range(1, n + 1)]
+
+
 def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
-    """All multisets of tame field classes with total degree n.
+    """All multisets of tame field classes with total degree n, in sorted order.
 
     This is the full list of degree-n etale algebras when p > n; otherwise
     it is only the tame sector (check tame_enumeration_is_complete).
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    pool: list[TameFieldClass] = []
-    for m in range(1, n + 1):
-        pool.extend(enumerate_tame_field_classes(p, m))
-    pool.sort(key=lambda cls: (cls.degree, cls))
+    pool = [cls for classes in _tame_classes_by_degree(p, n) for cls in classes]
+    # Factors are listed by (degree, class); algebras sort by (class, mult)
+    # pairs, which (rank, mult) integer pairs reproduce.
+    rank = {cls: r for r, cls in enumerate(sorted(pool))}
+    ranks = [rank[cls] for cls in pool]
+    found: list[tuple[tuple[int, ...], tuple]] = []
 
-    results: list[EtaleAlgebra] = []
-
-    def extend(start: int, remaining: int, chosen: list[tuple[TameFieldClass, int]]):
+    def extend(start: int, remaining: int, key: tuple[int, ...], chosen: tuple):
         if remaining == 0:
-            results.append(EtaleAlgebra(chosen))
+            found.append((key, chosen))
             return
         for idx in range(start, len(pool)):
             cls = pool[idx]
             if cls.degree > remaining:
                 break
             for mult in range(1, remaining // cls.degree + 1):
-                chosen.append((cls, mult))
-                extend(idx + 1, remaining - mult * cls.degree, chosen)
-                chosen.pop()
+                extend(idx + 1, remaining - mult * cls.degree, key + (ranks[idx], mult), chosen + ((cls, mult),))
 
-    extend(0, n, [])
-    return sorted(results)
+    extend(0, n, (), ())
+    found.sort(key=lambda item: item[0])
+    return [EtaleAlgebra._canonical(factors) for _, factors in found]
 
 
-def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
-    """All degree-n etale algebras over Q_p; PartialEnumerationError when
-    wild algebras exist (p <= n), since the tame sector then misses them."""
+def count_tame_etale_algebras(p: int, n: int) -> int:
+    """len(enumerate_tame_etale_algebras(p, n)) without listing: the
+    coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c."""
+    counts = [1] + [0] * n
+    for k, classes in enumerate(_tame_classes_by_degree(p, n)):
+        for _ in classes:
+            for j in range(k, n + 1):
+                counts[j] += counts[j - k]
+    return counts[n]
+
+
+def _require_complete(p: int, n: int) -> None:
     if not tame_enumeration_is_complete(p, n):
         raise PartialEnumerationError(
             f"p={p} <= n={n}: wild algebras exist in degree <= {n}, tame sector is incomplete"
         )
+
+
+def complete_etale_algebras(p: int, n: int, budget: int = DEFAULT_BUDGET) -> list[EtaleAlgebra]:
+    """All degree-n etale algebras over Q_p; PartialEnumerationError when
+    wild algebras exist (p <= n), since the tame sector then misses them, and
+    BudgetExceededError before any listing when there are more than budget."""
+    _require_complete(p, n)
+    if (count := count_tame_etale_algebras(p, n)) > budget:
+        raise BudgetExceededError(count, budget, "algebras", unit="algebras listed")
     return enumerate_tame_etale_algebras(p, n)
 
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:
-    """sum over degree-n etale algebras of p^(-d) / #Aut, exactly."""
-    total = Fraction(0)
-    for algebra in complete_etale_algebras(p, n):
-        total += Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
-    return total
+    """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
+    listing: M_n of exp(sum_k W_k x^k), by j M_j = sum_k k W_k M_(j-k)."""
+    _require_complete(p, n)
+    weights = [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order) for cls in classes)
+               for classes in _tame_classes_by_degree(p, n)]
+    mass = [Fraction(1)]
+    for j in range(1, n + 1):
+        mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
+    return mass[n]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .localfields import EtaleAlgebra, complete_etale_algebras
+from .numutil import DEFAULT_BUDGET
 from .partitions import hilb_point_count
 
 __all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport"]
@@ -75,28 +77,31 @@ class McKayReport:
         }
 
 
-def verify_wild_mckay(p: int, n: int) -> McKayReport:
+def verify_wild_mckay(p: int, n: int, budget: int = DEFAULT_BUDGET) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.
 
     The report carries the per-algebra breakdown (factors, d, v, w, aut,
-    term) so a failure localizes to an algebra.
+    term) so a failure localizes to an algebra.  BudgetExceededError, before
+    any listing, when there are more than budget algebras.
     """
     rows = []
-    mass_side = Fraction(0)
-    for algebra in complete_etale_algebras(p, n):
-        weights = weights_for_algebra(algebra)
-        term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
-        mass_side += term
+    for algebra in complete_etale_algebras(p, n, budget):
+        v, aut = algebra.disc_exponent, algebra.aut_order
+        power = p ** (2 * n - v)
+        common = gcd(power, aut)
         rows.append(
             {
                 "factors": [[cls.f, cls.e, list(cls.orbit), m] for cls, m in algebra.factors],
-                "d": algebra.disc_exponent,
-                "v": weights.v,
-                "w": weights.w,
-                "aut": weights.centralizer_order,
-                "term_num": term.numerator,
-                "term_den": term.denominator,
+                "d": v,
+                "v": v,
+                "w": 2 * (n - algebra.geometric_component_count) - v,
+                "aut": aut,
+                "term_num": power // common,
+                "term_den": aut // common,
             }
         )
+    # One Fraction for the whole sum: the terms over the lcm of their denominators.
+    den = lcm(*(row["term_den"] for row in rows))
+    mass_side = Fraction(sum(row["term_num"] * (den // row["term_den"]) for row in rows), den)
     hilb_side = hilb_point_count(n).evaluate(p)
     return McKayReport(p=p, n=n, mass_side=mass_side, hilb_side=hilb_side, rows=rows)

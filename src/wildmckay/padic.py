@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import exact_int, is_prime, json_object
+from .numutil import DEFAULT_BUDGET, BudgetExceededError, exact_int, is_prime, json_object
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -42,21 +42,6 @@ __all__ = [
     "smooth_measure_check",
     "monomial_integral",
 ]
-
-DEFAULT_BUDGET = 5_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A count would evaluate more points than the budget allows; the engine
-    is "box" for the level-1 box and "lifting" for a listed frontier."""
-
-    def __init__(self, required: int, budget: int, engine: str, level: int):
-        super().__init__(
-            f"{engine} budget exceeded at level {level}: need {required} points evaluated, budget {budget}"
-        )
-        self.required = required
-        self.budget = budget
-
 
 class SmoothnessError(ValueError):
     """The Jacobian drops rank at a mod-p solution."""

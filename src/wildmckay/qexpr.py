@@ -448,7 +448,13 @@ class QFrac:
     def _coerce(other: object) -> "QFrac | None":
         if isinstance(other, QFrac):
             return other
-        if isinstance(other, (int, Fraction, QExpr)):
+        if isinstance(other, (int, Fraction)):
+            # A constant over 1 is already canonical.
+            scalar = object.__new__(QFrac)
+            object.__setattr__(scalar, "_num", QExpr.const(other))
+            object.__setattr__(scalar, "_den", QExpr.one())
+            return scalar
+        if isinstance(other, QExpr):
             return QFrac(other)
         return None
 
@@ -482,12 +488,7 @@ class QFrac:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self._num.is_zero or rhs._num.is_zero:
-            return QFrac(0)
-        # Cross-cancel before multiplying to keep gcd inputs small.
-        left = QFrac(self._num, rhs._den)
-        right = QFrac(rhs._num, self._den)
-        return QFrac(left._num * right._num, left._den * right._den)
+        return QFrac(self._num * rhs._num, self._den * rhs._den)
 
     __rmul__ = __mul__
 

@@ -3,9 +3,12 @@ determinism of machine-readable output."""
 
 import io
 import json
+import time
 from pathlib import Path
 
-from wildmckay.cli import main, run_to_string
+import pytest
+
+from wildmckay.cli import _json_text, main, run_to_string
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -42,6 +45,21 @@ class TestExitCodes:
             ["padic", "count", "--input", str(DATA / "sample_circle.json"), "--m", "4", "--budget", "100"]
         )
         assert code == 2
+
+    def test_algebra_budget_is_checked_before_listing(self, capsys):
+        start = time.perf_counter()
+        code, out = run(["mckay", "verify", "--p", "101", "--n", "40"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: algebras budget exceeded: need 634306319 algebras listed, budget 5000000\n"
+        assert elapsed < 5  # counted in well under a second; listing would take hours
+
+    def test_algebra_budget_equal_to_the_count_passes(self, capsys):
+        # 19 etale algebras of degree 4 over Q_5
+        assert run(["mckay", "verify", "--p", "5", "--n", "4", "--budget", "19"])[0] == 0
+        assert run(["mckay", "verify", "--p", "5", "--n", "4", "--budget", "18"])[0] == 2
+        assert "need 19 algebras listed, budget 18" in capsys.readouterr().err
 
     def test_malformed_input_is_two(self, tmp_path, capsys):
         def write(name, payload):
@@ -227,6 +245,41 @@ class TestReports:
         )
         assert code == 0
         assert json.loads(out)["fraction"] == "4/25"
+
+
+class TestJsonWriter:
+    """The report writer against json.dumps(..., sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", 0, -7, 10**200, -(10**80), True, False, None, 1.5,
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        [[1, [2, [3, []]]], [[], {}], [[[[]]]]],
+        {"z": True, "y": False, "x": None, "B": 1, "a": 2, "é": 3, "_": [None, True, 0]},
+        ["\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\u2028", "tab\tnew\nline", 'q"uote\\slash', "\x00\x1f\x7f"],
+        {"rows": [{"factors": [[1, 2, [0, 1], 3]], "term_num": 3**40, "term_den": 2}], "mass": "1/2"},
+        (1, (2, "three"), [4.25]),
+    ])
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_unsupported_values_raise_like_json(self):
+        with pytest.raises(TypeError):
+            _json_text({"x": object()})
+
+    def test_table_file_bytes(self, tmp_path):
+        from wildmckay.mckay import verify_wild_mckay
+
+        table = tmp_path / "table.json"
+        assert run(["mckay", "verify", "--p", "13", "--n", "7", "--table", str(table)])[0] == 0
+        expected = json.dumps(verify_wild_mckay(13, 7).to_json(), sort_keys=True, indent=2) + "\n"
+        assert table.read_bytes() == expected.encode("ascii")
+
+    def test_reports_match_json_dumps(self):
+        for argv in (["mckay", "verify", "--p", "7", "--n", "5"], ["etale", "enumerate", "--p", "5", "--n", "6"],
+                     ["mass", "expcheck", "--nmax", "5"], ["stringy", "point", "--a", "1/2", "--c=-1/3,1/2"]):
+            code, out = run(argv + ["--format", "json"])
+            assert code == 0
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Tests for the tame local-field enumeration and its exact invariants."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -12,6 +13,7 @@ from wildmckay.localfields import (
     PartialEnumerationError,
     TameFieldClass,
     algebra_mass_sum,
+    count_tame_etale_algebras,
     crossvalidate_fixtures,
     enumerate_tame_etale_algebras,
     enumerate_tame_field_classes,
@@ -152,6 +154,74 @@ class TestEtaleAlgebras:
         assert not tame_enumeration_is_complete(3, 4)
         with pytest.raises(PartialEnumerationError):
             algebra_mass_sum(3, 4)
+
+
+def listed_mass(p, n):
+    """Test-only oracle: the mass by listing every algebra, as the package
+    computed it before the generating-function recurrence."""
+    total = Fraction(0)
+    for algebra in enumerate_tame_etale_algebras(p, n):
+        total += Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
+    return total
+
+
+def seeded_pairs(count, complete):
+    """Seeded (p, n) with n <= 14 and p < 60 prime: p > n when complete,
+    else p <= n (only the tame sector is listed then)."""
+    rng = random.Random(1412)
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(1 if complete else 2, 14)
+        pair = (rng.choice([p for p in primes if (p > n) == complete]), n)
+        if pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
+class TestCountingWithoutListing:
+    """Count and mass come from prod_c 1/(1 - x^deg c) and prod_c exp(w_c x^deg c);
+    the listing is their oracle."""
+
+    @pytest.mark.parametrize("p, n", seeded_pairs(12, complete=True))
+    def test_count_and_mass_match_the_listing(self, p, n):
+        assert count_tame_etale_algebras(p, n) == len(enumerate_tame_etale_algebras(p, n))
+        assert algebra_mass_sum(p, n) == listed_mass(p, n)
+
+    @pytest.mark.parametrize("p, n", seeded_pairs(6, complete=False))
+    def test_tame_sector_count_when_wild_algebras_exist(self, p, n):
+        assert p <= n
+        assert count_tame_etale_algebras(p, n) == len(enumerate_tame_etale_algebras(p, n))
+
+    def test_known_counts(self):
+        assert count_tame_etale_algebras(13, 12) == len(enumerate_tame_etale_algebras(13, 12)) == 3485
+        assert count_tame_etale_algebras(17, 14) == len(enumerate_tame_etale_algebras(17, 14)) == 6013
+        assert algebra_mass_sum(17, 14) == listed_mass(17, 14)
+
+    def test_counts_far_beyond_listing(self):
+        assert count_tame_etale_algebras(101, 40) == 634306319
+        assert count_tame_etale_algebras(29, 22) == 296646
+
+    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (3, 6), (2, 5)])
+    def test_listing_is_sorted_and_canonical(self, p, n):
+        listed = enumerate_tame_etale_algebras(p, n)
+        rebuilt = sorted(EtaleAlgebra(list(reversed(algebra.factors))) for algebra in listed)
+        assert [a.factors for a in listed] == [b.factors for b in rebuilt]
+        assert len(set(listed)) == len(listed)
+
+    def test_class_invariants_are_computed_once(self):
+        for p, n in [(5, 4), (7, 6), (13, 12), (3, 8)]:
+            for cls in enumerate_tame_field_classes(p, n):
+                g = gcd(cls.e, p**cls.f - 1)
+                fixed = sum(1 for i in range(cls.f) if cls.orbit[0] * (p**i - 1) % g == 0)
+                invariants = (cls.g, cls.degree, cls.disc_exponent, cls.aut_order)
+                assert invariants == (g, cls.e * cls.f, cls.f * (cls.e - 1), g * fixed)
+                assert {"g", "degree", "disc_exponent", "aut_order"} <= set(vars(cls))
+
+    def test_invalid_degree(self):
+        for fn in (count_tame_etale_algebras, enumerate_tame_etale_algebras):
+            with pytest.raises(ValueError):
+                fn(5, 0)
 
 
 class TestFixtures:

@@ -12,6 +12,7 @@ from wildmckay.localfields import (
 )
 from wildmckay.massformulas import bhargava_mass
 from wildmckay.mckay import verify_wild_mckay, weights_for_algebra
+from wildmckay.numutil import BudgetExceededError
 from wildmckay.partitions import hilb_point_count
 
 
@@ -90,6 +91,28 @@ class TestVerify:
     def test_guard(self):
         with pytest.raises(PartialEnumerationError):
             verify_wild_mckay(3, 4)
+
+    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (11, 10)])
+    def test_rows_match_the_per_algebra_weights(self, p, n):
+        report = verify_wild_mckay(p, n)
+        algebras = enumerate_tame_etale_algebras(p, n)
+        assert len(report.rows) == len(algebras)
+        for row, algebra in zip(report.rows, algebras):
+            weights = weights_for_algebra(algebra)
+            term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
+            assert row["factors"] == [[cls.f, cls.e, list(cls.orbit), m] for cls, m in algebra.factors]
+            assert (row["d"], row["v"], row["w"], row["aut"]) == (
+                algebra.disc_exponent, weights.v, weights.w, weights.centralizer_order
+            )
+            assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
+        assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in report.rows)
+
+    def test_budget_counts_algebras_before_listing(self):
+        assert verify_wild_mckay(13, 12, budget=3485).passed
+        with pytest.raises(BudgetExceededError) as err:
+            verify_wild_mckay(13, 12, budget=3484)
+        assert (err.value.required, err.value.budget) == (3485, 3484)
+        assert str(err.value) == "algebras budget exceeded: need 3485 algebras listed, budget 3484"
 
     def test_breakdown_rows_match_algebras(self):
         report = verify_wild_mckay(5, 3)

@@ -286,6 +286,22 @@ class TestNoRepeatedCanonicalization:
         assert calls == []
         assert (copy.num, copy.den) == (frac.num, frac.den) and copy == frac
 
+    def test_arithmetic_canonicalizes_once(self, monkeypatch):
+        q = QExpr.q()
+        a, b = QFrac(q, q + 1), QFrac(q - 1, q * q + 1)
+        calls = self.count_calls(monkeypatch)
+        product = a * b
+        assert len(calls) == 1
+        assert product == QFrac(q * q - q, (q + 1) * (q * q + 1))
+        calls.clear()
+        half = a / 2
+        assert len(calls) == 1 and half == QFrac(q, 2 * q + 2)
+        calls.clear()
+        inverse = 1 / a
+        assert len(calls) == 1 and inverse == QFrac(q + 1, q)
+        calls.clear()
+        assert a * 0 == 0 and QFrac(0) * a == 0 and calls == []
+
 
 class TestSympyOracle:
     """Kernel results against sympy.cancel, with q = t^6 (every random
