@@ -157,8 +157,7 @@ class TestEtaleAlgebras:
 
 
 def listed_mass(p, n):
-    """Test-only oracle: the mass by listing every algebra, as the package
-    computed it before the generating-function recurrence."""
+    """Test-only oracle: the mass summed over the listing of every algebra."""
     total = Fraction(0)
     for algebra in enumerate_tame_etale_algebras(p, n):
         total += Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
