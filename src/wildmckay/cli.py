@@ -325,7 +325,7 @@ def _cmd_etale_crossvalidate(args):
 
 
 def _cmd_mckay_verify(args):
-    result = verify_wild_mckay(args.p, args.n, args.budget)
+    result = verify_wild_mckay(args.p, args.n)
     report = {
         "command": "mckay verify",
         "p": args.p,
@@ -485,8 +485,7 @@ _COMMANDS = [
     ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
      [("--fixtures", {"required": True})]),
     ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify,
-     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"}),
-      _BUDGET]),
+     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"})]),
     ("stringy", "eval", "evaluate the stratum formula from a JSON file", _cmd_stringy_eval,
      [_INPUT, _AT_Q, _EVAL_PRECISION]),
     ("stringy", "point", "single-point weight q^a prod (q-1)/(q^(1-c)-1)", _cmd_stringy_point,

@@ -38,7 +38,7 @@ from math import factorial, gcd
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import DEFAULT_BUDGET, BudgetExceededError, divisors, exact_int, is_prime, json_array, json_object
+from .numutil import BudgetExceededError, divisors, exact_int, is_prime, json_array, json_object
 
 __all__ = [
     "TameFieldClass",
@@ -55,7 +55,12 @@ __all__ = [
     "algebra_mass_sum",
     "load_fixtures",
     "crossvalidate_fixtures",
+    "ALGEBRAS_BUDGET",
 ]
+
+# Most algebras complete_etale_algebras lists: a `mckay verify` JSON report peaks at about
+# 4 KB per algebra (415 MB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
+ALGEBRAS_BUDGET = 100_000
 
 
 class PartialEnumerationError(ValueError):
@@ -134,11 +139,9 @@ def skipped_wild_strata(p: int, n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, order=True)
 class EtaleAlgebra:
-    """Multiset of tame field classes, i.e. a tame etale algebra over Q_p.
-
-    Its invariants are computed once, when it is built; after unramified base
-    change a factor of residue degree f splits into f geometric components.
-    """
+    """Multiset of tame field classes, i.e. a tame etale algebra over Q_p; its
+    invariants are computed once.  After unramified base change a factor of
+    residue degree f splits into f geometric components."""
 
     factors: tuple[tuple[TameFieldClass, int], ...]
 
@@ -240,13 +243,13 @@ def _require_complete(p: int, n: int) -> None:
         )
 
 
-def complete_etale_algebras(p: int, n: int, budget: int = DEFAULT_BUDGET) -> list[EtaleAlgebra]:
-    """All degree-n etale algebras over Q_p; PartialEnumerationError when
-    wild algebras exist (p <= n), since the tame sector then misses them, and
-    BudgetExceededError before any listing when there are more than budget."""
+def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
+    """All degree-n etale algebras over Q_p; PartialEnumerationError when wild algebras
+    exist (p <= n), since the tame sector then misses them, and BudgetExceededError
+    before any listing when there are more than ALGEBRAS_BUDGET."""
     _require_complete(p, n)
-    if (count := count_tame_etale_algebras(p, n)) > budget:
-        raise BudgetExceededError(count, budget, "algebras", unit="algebras listed")
+    if (count := count_tame_etale_algebras(p, n)) > ALGEBRAS_BUDGET:
+        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
     return enumerate_tame_etale_algebras(p, n)
 
 

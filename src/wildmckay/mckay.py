@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .localfields import EtaleAlgebra, complete_etale_algebras
-from .numutil import DEFAULT_BUDGET
 from .partitions import hilb_point_count
 
 __all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport"]
@@ -77,27 +76,26 @@ class McKayReport:
         }
 
 
-def verify_wild_mckay(p: int, n: int, budget: int = DEFAULT_BUDGET) -> McKayReport:
+def verify_wild_mckay(p: int, n: int) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.
 
     The report carries the per-algebra breakdown (factors, d, v, w, aut,
-    term) so a failure localizes to an algebra.  BudgetExceededError, before
-    any listing, when there are more than budget algebras.
-    """
+    term) so a failure localizes to an algebra.  More than ALGEBRAS_BUDGET
+    algebras raise BudgetExceededError before any listing."""
     rows = []
-    for algebra in complete_etale_algebras(p, n, budget):
-        v, aut = algebra.disc_exponent, algebra.aut_order
-        power = p ** (2 * n - v)
-        common = gcd(power, aut)
+    for algebra in complete_etale_algebras(p, n):
+        weights = weights_for_algebra(algebra)
+        power = p ** (2 * n - weights.v)
+        common = gcd(power, weights.centralizer_order)
         rows.append(
             {
                 "factors": [[cls.f, cls.e, list(cls.orbit), m] for cls, m in algebra.factors],
-                "d": v,
-                "v": v,
-                "w": 2 * (n - algebra.geometric_component_count) - v,
-                "aut": aut,
+                "d": algebra.disc_exponent,
+                "v": weights.v,
+                "w": weights.w,
+                "aut": weights.centralizer_order,
                 "term_num": power // common,
-                "term_den": aut // common,
+                "term_den": weights.centralizer_order // common,
             }
         )
     # One Fraction for the whole sum: the terms over the lcm of their denominators.

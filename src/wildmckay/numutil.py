@@ -6,17 +6,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "DEFAULT_BUDGET", "BudgetExceededError", "is_prime", "divisors", "exact_int", "json_object", "json_array",
-    "parse_rational", "format_rational",
+    "BudgetExceededError", "is_prime", "divisors", "exact_int", "json_object", "json_array", "parse_rational",
+    "format_rational",
 ]
-
-DEFAULT_BUDGET = 5_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A command would do more work than its budget allows.  The padic
-    engines "box" (the level-1 box) and "lifting" (a listed frontier) count
-    points evaluated; the engine "algebras" counts etale algebras listed."""
+    """A command would do more work than its budget allows: points evaluated for the padic engines
+    "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import DEFAULT_BUDGET, BudgetExceededError, exact_int, is_prime, json_object
+from .numutil import BudgetExceededError, exact_int, is_prime, json_object
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
     "smooth_measure_check",
     "monomial_integral",
 ]
+
+DEFAULT_BUDGET = 5_000_000
+
 
 class SmoothnessError(ValueError):
     """The Jacobian drops rank at a mod-p solution."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wildmckay import localfields
 from wildmckay.cli import _json_text, main, run_to_string
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -52,14 +53,16 @@ class TestExitCodes:
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2 and out == ""
-        assert err == "error: algebras budget exceeded: need 634306319 algebras listed, budget 5000000\n"
+        assert err == "error: algebras budget exceeded: need 634306319 algebras listed, budget 100000\n"
         assert elapsed < 5  # counted in well under a second; listing would take hours
 
-    def test_algebra_budget_equal_to_the_count_passes(self, capsys):
+    def test_algebra_budget_equal_to_the_count_passes(self, monkeypatch, capsys):
         # 19 etale algebras of degree 4 over Q_5
-        assert run(["mckay", "verify", "--p", "5", "--n", "4", "--budget", "19"])[0] == 0
-        assert run(["mckay", "verify", "--p", "5", "--n", "4", "--budget", "18"])[0] == 2
-        assert "need 19 algebras listed, budget 18" in capsys.readouterr().err
+        monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 19)
+        assert run(["mckay", "verify", "--p", "5", "--n", "4"])[0] == 0
+        monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 18)
+        assert run(["mckay", "verify", "--p", "5", "--n", "4"])[0] == 2
+        assert capsys.readouterr().err == "error: algebras budget exceeded: need 19 algebras listed, budget 18\n"
 
     def test_malformed_input_is_two(self, tmp_path, capsys):
         def write(name, payload):

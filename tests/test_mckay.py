@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildmckay import localfields
 from wildmckay.localfields import (
     EtaleAlgebra,
     PartialEnumerationError,
@@ -107,12 +108,29 @@ class TestVerify:
             assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
         assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in report.rows)
 
-    def test_budget_counts_algebras_before_listing(self):
-        assert verify_wild_mckay(13, 12, budget=3485).passed
+    def test_budget_counts_algebras_before_listing(self, monkeypatch):
+        monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3485)
+        assert verify_wild_mckay(13, 12).passed
+        monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3484)
+
+        def no_listing(p, n):
+            raise AssertionError("listed although over budget")
+
+        monkeypatch.setattr(localfields, "enumerate_tame_etale_algebras", no_listing)
         with pytest.raises(BudgetExceededError) as err:
-            verify_wild_mckay(13, 12, budget=3484)
+            verify_wild_mckay(13, 12)
         assert (err.value.required, err.value.budget) == (3485, 3484)
         assert str(err.value) == "algebras budget exceeded: need 3485 algebras listed, budget 3484"
+
+    def test_default_budget_refuses_the_first_count_above_it(self, monkeypatch):
+        # Over Q_23, degree 21 is the last within the cap and degree 22 the first above it.
+        cap = localfields.ALGEBRAS_BUDGET
+        assert localfields.count_tame_etale_algebras(23, 21) <= cap < localfields.count_tame_etale_algebras(23, 22)
+        monkeypatch.setattr(localfields, "enumerate_tame_etale_algebras", lambda p, n: ["listed"])
+        assert localfields.complete_etale_algebras(23, 21) == ["listed"]
+        with pytest.raises(BudgetExceededError) as err:
+            localfields.complete_etale_algebras(23, 22)
+        assert (err.value.required, err.value.budget) == (152131, cap)
 
     def test_breakdown_rows_match_algebras(self):
         report = verify_wild_mckay(5, 3)
