@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -245,6 +246,7 @@ def _cmd_mass_invert(args):
 
 
 def _cmd_etale_enumerate(args):
+    algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
     classes = enumerate_tame_field_classes(args.p, args.n)
     rows = [
         {
@@ -262,7 +264,7 @@ def _cmd_etale_enumerate(args):
         "p": args.p,
         "n": args.n,
         "field_classes": len(classes),
-        "etale_algebras": count_tame_etale_algebras(args.p, args.n),
+        "etale_algebras": algebras,
         "wild_strata_skipped": [list(stratum) for stratum in skipped_wild_strata(args.p, args.n)],
         "complete": tame_enumeration_is_complete(args.p, args.n),
     }
@@ -527,10 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args keeps no state
+
+
 def main(argv: list[str] | None = None, stdout=None) -> int:
     stream = sys.stdout if stdout is None else stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR

@@ -56,11 +56,20 @@ __all__ = [
     "load_fixtures",
     "crossvalidate_fixtures",
     "ALGEBRAS_BUDGET",
+    "COUNT_DEGREE_BUDGET",
+    "MASS_DEGREE_BUDGET",
 ]
 
 # Most algebras complete_etale_algebras lists: a `mckay verify` JSON report peaks at about
 # 4 KB per algebra (415 MB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
 ALGEBRAS_BUDGET = 100_000
+# Largest degree count_tame_etale_algebras accepts (`etale enumerate`, and `mckay verify` before
+# its algebra count), in degrees: it steps through every tame class of degree <= n for each of
+# the n + 1 counts; `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
+COUNT_DEGREE_BUDGET = 400
+# Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its recurrence adds n^2 / 2
+# Fraction products of about n log2(p) bits; 0.55-1.8 s at n = 200 for p from 211 to 999983.
+MASS_DEGREE_BUDGET = 200
 
 
 class PartialEnumerationError(ValueError):
@@ -227,7 +236,10 @@ def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
     """len(enumerate_tame_etale_algebras(p, n)) without listing: the
-    coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c."""
+    coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c.  BudgetExceededError
+    before any work past COUNT_DEGREE_BUDGET."""
+    if n > COUNT_DEGREE_BUDGET:
+        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
     counts = [1] + [0] * n
     for k, classes in enumerate(_tame_classes_by_degree(p, n)):
         for _ in classes:
@@ -255,8 +267,11 @@ def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
-    listing: M_n of exp(sum_k W_k x^k), by j M_j = sum_k k W_k M_(j-k)."""
+    listing: M_n of exp(sum_k W_k x^k), by j M_j = sum_k k W_k M_(j-k).  BudgetExceededError
+    before any work past MASS_DEGREE_BUDGET."""
     _require_complete(p, n)
+    if n > MASS_DEGREE_BUDGET:
+        raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
     weights = [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order) for cls in classes)
                for classes in _tame_classes_by_degree(p, n)]
     mass = [Fraction(1)]

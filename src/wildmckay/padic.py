@@ -36,6 +36,7 @@ __all__ = [
     "SmoothnessError",
     "HenselMismatchError",
     "DEFAULT_BUDGET",
+    "INTEGRAL_BUDGET",
     "count_points_mod",
     "largest_affordable_m",
     "null_set_fraction",
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 5_000_000
+# Most work monomial_integral does, in shell bits: the bit sizes of the exact shell powers
+# p^(i(c-1)) summed over i = 1..terms, terms (terms + 1) / 2 * max(1, |numerator of c - 1|) *
+# bit_length(p).  0.3-0.9 s at the cap (c = -3, -100 or 2/3 at p = 5, c = 1/2 at p = 999983).
+INTEGRAL_BUDGET = 50_000_000
 
 
 class SmoothnessError(ValueError):
@@ -380,6 +385,9 @@ def monomial_integral(
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     c = Fraction(c)
+    shell_bits = terms * (terms + 1) // 2 * max(1, abs((c - 1).numerator)) * p.bit_length()
+    if shell_bits > INTEGRAL_BUDGET:
+        raise BudgetExceededError(shell_bits, INTEGRAL_BUDGET, "integral", unit="shell bits")
     partial = Fraction(0)
     unit_shell = 1 - Fraction(1, p)
     for i in range(1, terms + 1):

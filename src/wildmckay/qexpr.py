@@ -8,9 +8,14 @@ q^(1-n) or q^(n-v).  A ``QFrac`` is a quotient of two such expressions,
 kept in a canonical reduced form so that equality is plain structural
 equality.
 
-Coefficients are ``fractions.Fraction`` and exponents are ints when
-integral; there is no floating point anywhere in this module except on
-explicit request via ``evaluate`` with a stated precision.
+A ``QExpr`` stores integer numerators over one positive common
+denominator, as FLINT's fmpq_poly does, so a sum or product is integer
+multiply-adds and one gcd; ``terms`` builds ``fractions.Fraction``
+coefficients on demand.  Exponents are ints when integral and reduced
+Fractions otherwise.  ``QFrac`` canonicalization takes polynomial gcds over
+Z by primitive remainder sequences.  There is no floating point anywhere in
+this module except on explicit request via ``evaluate`` with a stated
+precision.
 """
 
 from __future__ import annotations
@@ -63,52 +68,45 @@ def is_infinite(value: object) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q[t] (lists of Fraction, index = degree).
-# Only what the fraction-field canonicalization needs: gcd and exact division.
+# Dense polynomials over Z[t] (int lists, index = degree, nonzero leading entry)
 # ---------------------------------------------------------------------------
 
 
-def _poly_strip(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return a if c == 1 else [x // c for x in a]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        factor = rem[-1] / lead
-        shift = len(rem) - len(b)
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quo, rem) with c * a == quo * b + rem for an integer c > 0, by
+    fraction-free division of a by b (lead(b) > 0) that scales only by
+    lead(b) / gcd(lead(rem), lead(b)); c == 1 when b divides a in Z[t]."""
+    rem, lead, k = list(a), b[-1], len(b)
+    quo = [0] * max(0, len(a) - k + 1)
+    while len(rem) >= k:
+        g = math.gcd(rem[-1], lead)
+        scale, factor, shift = lead // g, rem[-1] // g, len(rem) - k
+        if scale != 1:
+            rem, quo = [x * scale for x in rem], [x * scale for x in quo]
         quo[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] -= factor * bc
-        _poly_strip(rem)
-        if not rem:
-            break
-    return _poly_strip(quo), rem
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd in Q[t] by the Euclidean algorithm."""
-    a, b = list(a), list(b)
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] of two nonzero polynomials by the primitive
+    polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    quo, rem = _poly_divmod(a, b)
-    if rem:
-        raise ArithmeticError("inexact polynomial division during canonicalization")
-    return quo
+        a, b = b, _pseudo_divmod(a, b)[1]
+        if b:
+            b = _primitive(b)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -124,34 +122,45 @@ def _as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _make(acc: Mapping[Rational, Fraction]) -> "QExpr":
+def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
     """QExpr in canonical form from a map of int or Fraction exponents to
-    Fraction coefficients, without the checks of the public constructor."""
+    integer numerators over den > 0, without the checks of the public
+    constructor."""
+    nums = [(e if type(e) is int or e.denominator != 1 else e.numerator, n) for e, n in acc.items() if n]
+    if den != 1:
+        g = math.gcd(den, *[n for _, n in nums])
+        if g != 1:
+            den //= g
+            nums = [(e, n // g) for e, n in nums]
+    nums.sort()
     obj = object.__new__(QExpr)
-    object.__setattr__(obj, "_terms", tuple(sorted(
-        (e if type(e) is int or e.denominator != 1 else e.numerator, c) for e, c in acc.items() if c
-    )))
+    object.__setattr__(obj, "_nums", tuple(nums))
+    object.__setattr__(obj, "_den", den)
     return obj
 
 
 class QExpr:
     """Exact Laurent expression in q with rational exponents.
 
-    Canonical form: no zero coefficients, integral exponents stored as
-    ints and the others as reduced Fractions (so Laurent polynomials do no
-    Fraction exponent arithmetic), terms sorted by ascending exponent.
+    Canonical form: integer numerators over one positive common
+    denominator with gcd(den, *numerators) == 1 (FLINT's fmpq_poly
+    layout), no zero numerators, integral exponents stored as ints and the
+    others as reduced Fractions, terms sorted by ascending exponent.
     Instances are immutable and hashable; two expressions are equal iff
-    their term maps are equal.
+    their canonical forms are equal.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Rational, Rational] | Iterable[tuple[Rational, Rational]] = ()):
         acc: dict[Rational, Fraction] = {}
         for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             e = exponent if type(exponent) is int else _as_fraction(exponent)
             acc[e] = acc.get(e, 0) + _as_fraction(coeff)
-        object.__setattr__(self, "_terms", _make(acc)._terms)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        made = _make({e: c.numerator * (den // c.denominator) for e, c in acc.items()}, den)
+        object.__setattr__(self, "_nums", made._nums)
+        object.__setattr__(self, "_den", made._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpr is immutable")
@@ -179,28 +188,21 @@ class QExpr:
     @property
     def terms(self) -> tuple[tuple[Rational, Fraction], ...]:
         """Term pairs (exponent, coefficient), ascending in exponent."""
-        return self._terms
+        return tuple((e, Fraction(n, self._den)) for e, n in self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        e = _as_fraction(exponent)
-        for exp, coeff in self._terms:
-            if exp == e:
-                return coeff
-        return Fraction(0)
+        return Fraction(dict(self._nums).get(_as_fraction(exponent), 0), self._den)
 
     def exponent_denominator(self) -> int:
         """Least r such that every exponent is a multiple of 1/r."""
-        r = 1
-        for exp, _ in self._terms:
-            r = math.lcm(r, exp.denominator)
-        return r
+        return math.lcm(*(exp.denominator for exp, _ in self._nums))
 
     def has_integer_exponents(self) -> bool:
-        return all(exp.denominator == 1 for exp, _ in self._terms)
+        return all(type(exp) is int for exp, _ in self._nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -209,65 +211,66 @@ class QExpr:
         if isinstance(other, QExpr):
             return other
         if isinstance(other, (int, Fraction)):
-            return _make({0: _as_fraction(other)})
+            return _make({0: other.numerator}, other.denominator)
         return None
+
+    def _scaled(self, a: int, b: int) -> "QExpr":
+        """self * a / b for integers a and b > 0."""
+        return _make({e: n * a for e, n in self._nums}, self._den * b)
+
+    def _plus(self, rhs: "QExpr", sign: int) -> "QExpr":
+        """self + sign * rhs over the lcm of the two denominators."""
+        da, db = self._den, rhs._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        acc = dict(self._nums) if fa == 1 else {e: n * fa for e, n in self._nums}
+        for e, n in rhs._nums:
+            acc[e] = acc.get(e, 0) + n * fb
+        return _make(acc, den)
 
     def __add__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for e, c in rhs._terms:
-            acc[e] = acc.get(e, 0) + c
-        return _make(acc)
+        return NotImplemented if rhs is None else self._plus(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QExpr":
-        return _make({e: -c for e, c in self._terms})
+        return self._scaled(-1, 1)
 
     def __sub__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return NotImplemented if rhs is None else self._plus(rhs, -1)
 
     def __rsub__(self, other: object) -> "QExpr":
         lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
+        return NotImplemented if lhs is None else lhs._plus(self, -1)
 
     def __mul__(self, other: object) -> "QExpr":
         if isinstance(other, (int, Fraction)):
-            return _make({e: c * other for e, c in self._terms})
+            return self._scaled(other.numerator, other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Rational, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in rhs._terms:
+        acc: dict[Rational, int] = {}
+        for e1, n1 in self._nums:
+            for e2, n2 in rhs._nums:
                 e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return _make(acc)
+                acc[e] = acc.get(e, 0) + n1 * n2
+        return _make(acc, self._den * rhs._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QExpr":
         if not isinstance(n, int) or n < 0:
             raise ValueError("QExpr powers must be non-negative integers")
-        result = QExpr.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return math.prod([self] * n, start=QExpr.one())
 
     def __truediv__(self, other: object) -> "QExpr | QFrac":
         if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, other)
+            if not other:
+                raise ZeroDivisionError("division of a q-expression by zero")
+            a, b = other.denominator, other.numerator
+            return self._scaled(a, b) if b > 0 else self._scaled(-a, -b)
         if isinstance(other, QFrac):
             return NotImplemented
         return QFrac(self, other)
@@ -281,22 +284,22 @@ class QExpr:
         """Substitute q -> q^k (k a positive integer)."""
         if k < 1:
             raise ValueError("exponent scale must be a positive integer")
-        return QExpr({e * k: c for e, c in self._terms})
+        return _make({e * k: n for e, n in self._nums}, self._den)
 
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QExpr.const(other)
+            other = self._coerce(other)
         if isinstance(other, QExpr):
-            return self._terms == other._terms
+            return self._nums == other._nums and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
         # A constant equals its rational, so it must hash like it.
-        if not self._terms or (len(self._terms) == 1 and self._terms[0][0] == 0):
+        if not self._nums or (len(self._nums) == 1 and self._nums[0][0] == 0):
             return hash(self.coefficient(0))
-        return hash(("QExpr", self._terms))
+        return hash(("QExpr", self._nums, self._den))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -306,28 +309,24 @@ class QExpr:
         Exact when every exponent is an integer.  Otherwise a precision must
         be supplied and the result is a rational approximation within it.
         """
-        value, _exact = self._approximate(q0, precision)
-        return value
+        return self._approximate(q0, precision)[0]
 
     def _approximate(self, q0: Rational, precision) -> tuple[Fraction, bool]:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
         if self.has_integer_exponents():
-            total = Fraction(0)
-            for e, c in self._terms:
-                total += c * q0 ** int(e)
-            return total, True
+            return Fraction(sum(n * q0**e for e, n in self._nums), self._den), True
         if precision is None:
             raise ValueError("fractional exponents require an explicit precision")
         tol = Fraction(precision)
         if tol <= 0:
             raise ValueError("precision must be positive")
-        n_terms = max(1, len(self._terms))
+        n_terms = max(1, len(self._nums))
         total = Fraction(0)
-        for e, c in self._terms:
-            if e.denominator == 1:
-                total += c * q0 ** int(e)
+        for e, c in self.terms:
+            if type(e) is int:
+                total += c * q0**e
                 continue
             term_tol = tol / n_terms / max(Fraction(1), abs(c))
             root = nth_root_approx(q0 ** e.numerator, e.denominator, term_tol)
@@ -338,24 +337,20 @@ class QExpr:
 
     def to_json(self) -> list[list[int]]:
         """Term quadruples [exp_num, exp_den, coeff_num, coeff_den], ascending."""
-        return [[e.numerator, e.denominator, c.numerator, c.denominator] for e, c in self._terms]
+        return [[e.numerator, e.denominator, c.numerator, c.denominator] for e, c in self.terms]
 
     @staticmethod
     def from_json(data: Iterable[Iterable[int]]) -> "QExpr":
-        terms = []
-        for quad in data:
-            en, ed, cn, cd = (int(v) for v in quad)
-            terms.append((Fraction(en, ed), Fraction(cn, cd)))
-        return QExpr(terms)
+        return QExpr((Fraction(int(en), int(ed)), Fraction(int(cn), int(cd))) for en, ed, cn, cd in data)
 
     def __repr__(self) -> str:
         return f"QExpr({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
-        for e, c in reversed(self._terms):
+        for e, c in reversed(self.terms):
             if e == 0:
                 body = str(c)
             else:
@@ -409,11 +404,7 @@ class QFrac:
             raise TypeError(f"cannot build a q-expression from {type(num if num_e is None else den).__name__}")
         if den_e.is_zero:
             raise ZeroDivisionError("zero denominator in q-fraction")
-        if num_e.is_zero:
-            object.__setattr__(self, "_num", QExpr.zero())
-            object.__setattr__(self, "_den", QExpr.one())
-            return
-        n, d = _canonical_pair(num_e, den_e)
+        n, d = (num_e, QExpr.one()) if num_e.is_zero else _canonical_pair(num_e, den_e)
         object.__setattr__(self, "_num", n)
         object.__setattr__(self, "_den", d)
 
@@ -437,10 +428,9 @@ class QFrac:
     def as_laurent(self) -> "QExpr | None":
         """The value as a Laurent expression when the denominator is a
         monomial, else None."""
-        if len(self._den.terms) != 1:
+        if len(self._den._nums) != 1:
             return None
-        (e0, c0), = self._den.terms
-        return _make({e - e0: c / c0 for e, c in self._num.terms})
+        return _over_monomial(self._num, self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -580,45 +570,47 @@ class QFrac:
             return str(self._num)
         num = str(self._num)
         den = str(self._den)
-        if len(self._num.terms) > 1:
+        if len(self._num._nums) > 1:
             num = f"({num})"
-        if len(self._den.terms) > 1:
+        if len(self._den._nums) > 1:
             den = f"({den})"
         return f"{num} / {den}"
 
 
-def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
-    if len(den.terms) == 1:
-        # Monomial denominator: no gcd needed, only an exponent shift.
-        (e0, c0), = den.terms
-        shifted = _make({e - e0: c / c0 for e, c in num.terms})
-        low = shifted.terms[0][0]
-        if low >= 0:
-            return shifted, QExpr.one()
-        return _make({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
-    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
-    num_i = {int(e * r): c for e, c in num.terms}
-    den_i = {int(e * r): c for e, c in den.terms}
-    shift = min(min(num_i), min(den_i))
-    num_i = {e - shift: c for e, c in num_i.items()}
-    den_i = {e - shift: c for e, c in den_i.items()}
+def _over_monomial(num: QExpr, den: QExpr) -> QExpr:
+    """num / den for a monomial den."""
+    (e0, n0), = den._nums
+    sign = 1 if n0 > 0 else -1
+    return _make({e - e0: n * den._den * sign for e, n in num._nums}, num._den * n0 * sign)
 
-    def dense(d: dict[int, Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (max(d) + 1)
-        for e, c in d.items():
-            out[e] = c
+
+def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
+    if len(den._nums) == 1:
+        # Monomial denominator: no gcd needed, only an exponent shift.
+        shifted = _over_monomial(num, den)
+        low = min(shifted._nums[0][0], 0)
+        return _over_monomial(shifted, QExpr.q(low)), QExpr.q(-low)
+    # Over t = q^(1/r), shifted by the smaller valuation, both parts are integer
+    # polynomials over their denominators: num / den = (a / num._den) / (b / den._den).
+    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
+    shift = min(num._nums[0][0], den._nums[0][0])
+
+    def dense(expr: QExpr) -> list[int]:
+        out = [0] * (int((expr._nums[-1][0] - shift) * r) + 1)
+        for e, n in expr._nums:
+            out[int((e - shift) * r)] = n
         return out
 
-    a, b = dense(num_i), dense(den_i)
-    g = _poly_gcd(a, b)
+    a, b = dense(num), dense(den)
+    g = _primitive_gcd(a, b)
     if len(g) > 1:
-        a = _poly_div_exact(a, g)
-        b = _poly_div_exact(b, g)
+        a, b = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
+    # Divide both parts by lead(b) * num._den so the denominator is monic.
     lead = b[-1]
-    a = [c / lead for c in a]
-    b = [c / lead for c in b]
-    to_expr = lambda cs: _make({(i if r == 1 else Fraction(i, r)): c for i, c in enumerate(cs)})
-    return to_expr(a), to_expr(b)
+    sign = 1 if lead > 0 else -1
+    to_expr = lambda cs, scale, den: _make(
+        {(i if r == 1 else Fraction(i, r)): c * scale for i, c in enumerate(cs)}, den)
+    return to_expr(a, den._den * sign, num._den * lead * sign), to_expr(b, sign, lead * sign)
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,14 @@ class TruncatedSeries:
             raise ConstantTermError("exp needs a series with zero constant term")
         n = self.truncation
         s = self._coeffs
+        ks = [c * k for k, c in enumerate(s)]
         e = [QExpr.one()] + [_ZERO] * n
         for m in range(1, n + 1):
             acc = _ZERO
             for k in range(1, m + 1):
-                if not s[k].is_zero:
-                    acc = acc + s[k] * e[m - k] * k
-            e[m] = _coefficient(acc * Fraction(1, m))
+                if not ks[k].is_zero:
+                    acc = acc + ks[k] * e[m - k]
+            e[m] = _coefficient(acc / m)
         return TruncatedSeries(e)
 
     def log(self) -> "TruncatedSeries":
@@ -140,12 +141,14 @@ class TruncatedSeries:
         n = self.truncation
         s = self._coeffs
         l = [_ZERO] * (n + 1)
+        kl = [_ZERO] * (n + 1)
         for m in range(1, n + 1):
             acc = _ZERO
             for k in range(1, m):
-                if not l[k].is_zero and not s[m - k].is_zero:
-                    acc = acc + l[k] * s[m - k] * k
-            l[m] = _coefficient(s[m] - acc * Fraction(1, m))
+                if not kl[k].is_zero and not s[m - k].is_zero:
+                    acc = acc + kl[k] * s[m - k]
+            l[m] = _coefficient(s[m] - acc / m)
+            kl[m] = l[m] * m
         return TruncatedSeries(l)
 
     # -- comparison / serialization ----------------------------------------------------

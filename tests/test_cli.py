@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from wildmckay import localfields
+from wildmckay import localfields, massformulas, padic
 from wildmckay.cli import _json_text, main, run_to_string
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(argv):
@@ -109,6 +110,53 @@ class TestExitCodes:
         node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))
         code, _ = run(["padic", "measure", "--input", str(node), "--mmax", "2"])
         assert code == 1
+
+
+class TestBudgets:
+    """Each capped command exits 2 with one line past its cap, before any work."""
+
+    @staticmethod
+    def refused(argv, capsys, message):
+        assert run(argv) + (capsys.readouterr().err,) == (2, "", f"error: {message}\n")
+
+    def test_mass_nmax_cap(self, monkeypatch, capsys):
+        cap = massformulas.NMAX_BUDGET
+        assert run(["mass", "expcheck", "--nmax", str(cap)])[0] == 0
+        monkeypatch.setattr(massformulas.TruncatedSeries, "exp", None)  # any work would fail
+        for command in ("expcheck", "invert"):
+            self.refused(["mass", command, "--nmax", str(cap + 1)], capsys,
+                         f"series budget exceeded: need {cap + 1} degrees, budget {cap}")
+
+    def test_etale_degree_caps(self, monkeypatch, capsys):
+        count_cap, mass_cap = localfields.COUNT_DEGREE_BUDGET, localfields.MASS_DEGREE_BUDGET
+        assert run(["etale", "mass", "--p", "211", "--n", "20"])[0] == 0
+        monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
+        monkeypatch.setattr(localfields, "enumerate_tame_field_classes", None)
+        self.refused(["etale", "mass", "--p", "1009", "--n", str(mass_cap + 1)], capsys,
+                     f"mass budget exceeded: need {mass_cap + 1} degrees, budget {mass_cap}")
+        for argv in (["etale", "enumerate", "--p", "1009"], ["mckay", "verify", "--p", "1009"]):
+            self.refused(argv + ["--n", str(count_cap + 1)], capsys,
+                         f"count budget exceeded: need {count_cap + 1} degrees, budget {count_cap}")
+
+    def test_integral_shell_bits_cap(self, monkeypatch, capsys):
+        # c = 1/2 at p = 999983: shell i costs 1 * 20 bits, so terms T cost 10 T (T + 1) shell bits.
+        cap = padic.INTEGRAL_BUDGET
+        terms = max(t for t in range(1, 10**4) if 10 * t * (t + 1) <= cap)
+        argv = ["padic", "integral", "--c", "1/2", "--p", "999983", "--terms"]
+        assert run(argv + [str(terms)])[0] == 0
+        monkeypatch.setattr(padic, "nth_root_approx", None)
+        self.refused(argv + [str(terms + 1)], capsys,
+                     f"integral budget exceeded: need {10 * (terms + 1) * (terms + 2)} shell bits, budget {cap}")
+
+
+class TestParser:
+    def test_cached_parser_recovers_after_a_malformed_call(self, capsys):
+        golden = {case["id"]: case for case in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())}
+        case = golden["mass-invert-nmax20-csv"]
+        assert run(["mass", "invert", "--nmax", "zero", "--format", "csv"]) == (2, "")
+        assert run(["mass", "frobnicate"]) == (2, "")
+        assert run(case["argv"]) == (case["exit"], case["stdout"])
+        assert capsys.readouterr().err.count("error:") == 2
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """Tests for the exact q-arithmetic kernel."""
 
+import math
 import random
 from fractions import Fraction
 from math import isqrt
@@ -342,3 +343,143 @@ class TestSympyOracle:
                 frac = QFrac(result)
                 assert sympy.expand(laurent(frac.num) - num / lead) == 0, (result, want)
                 assert sympy.expand(laurent(frac.den) - den / lead) == 0, (result, want)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles for the integer-numerator kernel: the Fraction-Euclid
+# canonicalization it replaced, and a {exponent: Fraction} dict model.
+# ---------------------------------------------------------------------------
+
+
+def _poly_strip(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _poly_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = factor
+        for i, bc in enumerate(b):
+            rem[shift + i] -= factor * bc
+        if not _poly_strip(rem):
+            break
+    return _poly_strip(quo), rem
+
+
+def _poly_gcd(a, b):
+    """Monic gcd in Q[t] by the Euclidean algorithm."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def reference_canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
+    """QFrac canonical form by Euclid over Fraction coefficients: over t = q^(1/r),
+    shifted to valuation 0, divided by the monic gcd, denominator made monic."""
+    if len(den.terms) == 1:
+        (e0, c0), = den.terms
+        shifted = QExpr({e - e0: c / c0 for e, c in num.terms})
+        low = min(shifted.terms[0][0], 0)
+        return QExpr({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
+    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
+    shift = min(num.terms[0][0], den.terms[0][0])
+
+    def dense(expr):
+        out = [Fraction(0)] * (int((expr.terms[-1][0] - shift) * r) + 1)
+        for e, c in expr.terms:
+            out[int((e - shift) * r)] = c
+        return out
+
+    a, b = dense(num), dense(den)
+    g = _poly_gcd(a, b)
+    if len(g) > 1:
+        (a, rem_a), (b, rem_b) = _poly_divmod(a, g), _poly_divmod(b, g)
+        assert not rem_a and not rem_b
+    return tuple(QExpr({Fraction(i, r): c / b[-1] for i, c in enumerate(cs)}) for cs in (a, b))
+
+
+def random_terms(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
+    """Term pairs with fractional exponents, negative, zero and non-integer
+    coefficients, and pairs that cancel."""
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        e = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        c = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 9)))
+        terms.append((e, c))
+        if rng.random() < 0.2:
+            terms.append((e, -c))
+    return terms
+
+
+def model(terms) -> dict:
+    """The dict reference: exponent -> nonzero Fraction coefficient."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def model_of(expr: QExpr) -> dict:
+    """The expression's value as a dict, with its canonical-form invariants checked."""
+    exponents = [e for e, _ in expr.terms]
+    assert exponents == sorted(exponents)
+    assert all(type(e) is int if e.denominator == 1 else type(e) is Fraction for e in exponents)
+    assert expr._den > 0 and math.gcd(expr._den, *(n for _, n in expr._nums)) == 1
+    assert all(c for _, c in expr.terms)
+    return dict(expr.terms)
+
+
+class TestIntegerKernelOracles:
+    N_CASES = 400
+    N_FRACTIONS = 100  # the Fraction-Euclid oracle is about 30x slower than the kernel
+
+    def test_arithmetic_against_the_dict_model(self):
+        rng = random.Random(20261019)
+        for _ in range(self.N_CASES):
+            ta, tb = random_terms(rng), random_terms(rng)
+            a, b, ma, mb = QExpr(ta), QExpr(tb), model(ta), model(tb)
+            assert model_of(a) == ma and model_of(b) == mb
+            product = {}
+            for ea, ca in ma.items():
+                for eb, cb in mb.items():
+                    product[ea + eb] = product.get(ea + eb, 0) + ca * cb
+            assert model_of(a + b) == model(list(ma.items()) + list(mb.items()))
+            assert model_of(a - b) == model(list(ma.items()) + [(e, -c) for e, c in mb.items()])
+            assert model_of(a * b) == model(product.items())
+            assert (a - a).is_zero and a + (-a) == QExpr.zero() == a * 0
+            scalar = rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)))
+            assert model_of(a * scalar) == model((e, c * scalar) for e, c in ma.items())
+            assert model_of(scalar * a) == model_of(a * scalar)
+            if scalar:
+                assert model_of(a / scalar) == model((e, c / scalar) for e, c in ma.items())
+            assert model_of(a + scalar) == model(list(ma.items()) + [(0, scalar)])
+            assert model_of(scalar - a) == model([(0, scalar)] + [(e, -c) for e, c in ma.items()])
+
+    def test_constants_hash_like_their_rationals(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            x = rng.choice((rng.randint(-10**30, 10**30), Fraction(rng.randint(-99, 99), rng.randint(1, 99))))
+            assert QExpr.const(x) == x and hash(QExpr.const(x)) == hash(x)
+            assert hash(QExpr.const(x) + QExpr.q(Fraction(1, 3)) - QExpr.q(Fraction(1, 3))) == hash(x)
+
+    def test_qfrac_build_against_the_fraction_euclid_oracle(self):
+        rng = random.Random(1412)
+        checked = gcds = 0
+        while checked < self.N_FRACTIONS:
+            num, den, common = (QExpr(random_terms(rng)) for _ in range(3))
+            if num.is_zero or den.is_zero or common.is_zero:
+                continue
+            checked += 1
+            for top, bottom in ((num, den), (num * common, den * common)):
+                frac = QFrac(top, bottom)
+                want = reference_canonical_pair(top, bottom)
+                assert (frac.num, frac.den) == want, (top, bottom)
+                assert model_of(frac.num) == model(want[0].terms) and model_of(frac.den) == model(want[1].terms)
+                gcds += len(bottom.terms) > 1
+        assert gcds > self.N_FRACTIONS  # most builds take the polynomial gcd path
