@@ -122,6 +122,11 @@ def _as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+# Tuples and star-arguments here are built from lists, never generators: a tuple
+# built from a generator is resized, and that grows CPython's tuple free lists
+# by a block per call, up to several MB of peak memory over a long run.
+
+
 def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
     """QExpr in canonical form from a map of int or Fraction exponents to
     integer numerators over den > 0, without the checks of the public
@@ -157,7 +162,7 @@ class QExpr:
         for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             e = exponent if type(exponent) is int else _as_fraction(exponent)
             acc[e] = acc.get(e, 0) + _as_fraction(coeff)
-        den = math.lcm(*(c.denominator for c in acc.values()))
+        den = math.lcm(*[c.denominator for c in acc.values()])
         made = _make({e: c.numerator * (den // c.denominator) for e, c in acc.items()}, den)
         object.__setattr__(self, "_nums", made._nums)
         object.__setattr__(self, "_den", made._den)
@@ -188,7 +193,7 @@ class QExpr:
     @property
     def terms(self) -> tuple[tuple[Rational, Fraction], ...]:
         """Term pairs (exponent, coefficient), ascending in exponent."""
-        return tuple((e, Fraction(n, self._den)) for e, n in self._nums)
+        return tuple([(e, Fraction(n, self._den)) for e, n in self._nums])
 
     @property
     def is_zero(self) -> bool:
@@ -199,7 +204,7 @@ class QExpr:
 
     def exponent_denominator(self) -> int:
         """Least r such that every exponent is a multiple of 1/r."""
-        return math.lcm(*(exp.denominator for exp, _ in self._nums))
+        return math.lcm(*[exp.denominator for exp, _ in self._nums])
 
     def has_integer_exponents(self) -> bool:
         return all(type(exp) is int for exp, _ in self._nums)
