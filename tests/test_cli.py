@@ -139,7 +139,7 @@ class TestBudgets:
                          f"count budget exceeded: need {count_cap + 1} degrees, budget {count_cap}")
 
     def test_integral_shell_bits_cap(self, monkeypatch, capsys):
-        # c = 1/2 at p = 999983: shell i costs 1 * 20 bits, so terms T cost 10 T (T + 1) shell bits.
+        # c = 1/2 at p = 999983: shell i costs 20 i bits, so T terms cost 10 T (T + 1) shell bits.
         cap = padic.INTEGRAL_BUDGET
         terms = max(t for t in range(1, 10**4) if 10 * t * (t + 1) <= cap)
         argv = ["padic", "integral", "--c", "1/2", "--p", "999983", "--terms"]
