@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import sys
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 
@@ -82,9 +84,24 @@ def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
     approx = frac.evaluate(q0, precision=precision)
     return {
         "q": format_rational(q0),
-        "approx": f"{float(approx):.15g}",
+        "approx": _decimal_text(approx),
         "precision": format_rational(precision),
     }
+
+
+def _decimal_text(value: Fraction) -> str:
+    """f"{float(value):.15g}", also past the float range: there the 15 digits come from a
+    200-bit binary approximation of value times a power of two taken in Decimal."""
+    try:
+        return f"{float(value):.15g}"
+    except OverflowError:
+        pass
+    shift = value.numerator.bit_length() - value.denominator.bit_length() - 200
+    mantissa = Decimal((value.numerator >> shift) // value.denominator)
+    with localcontext(Context(prec=60, Emax=MAX_EMAX)):
+        scaled = mantissa * Decimal(2) ** shift
+    with localcontext(Context(prec=15, Emax=MAX_EMAX)):
+        return f"{scaled.normalize():.15g}"
 
 
 def _cell(value) -> str:
@@ -119,22 +136,33 @@ def _write_text(report: dict, rows: list[dict] | None, stream) -> None:
             stream.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value, indent: str = "\n", memo: dict | None = None) -> str:
     """json.dumps(value, sort_keys=True, indent=2) for string-keyed reports, without the
-    pure-Python encoder json uses whenever an indent is given; int leaves are written inline."""
+    pure-Python encoder json uses whenever an indent is given; int leaves are written inline.
+
+    A tuple object met again at the same depth is written once per call (reports share their
+    immutable entries, such as `mckay verify` factors).  The memo is keyed by (id, indent),
+    which holds because value outlives the call; lists are not memoised, to keep it small."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict or kind is list or kind is tuple:
         if not value:
             return "{}" if kind is dict else "[]"
+        if memo is None:
+            memo = {}
+        if kind is tuple and (text := memo.get(key := (id(value), indent))) is not None:
+            return text
         inner = indent + "  "
         if kind is dict:
-            items = [encode_basestring_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner))
+            items = [encode_basestring_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner, memo))
                      for k, v in sorted(value.items())]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
-        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        items = [repr(v) if type(v) is int else _json_text(v, inner, memo) for v in value]
+        text = "[" + inner + ("," + inner).join(items) + indent + "]"
+        if kind is tuple:
+            memo[key] = text
+        return text
     return json.dumps(value)  # int, bool, None and float; a TypeError for anything else
 
 
@@ -168,7 +196,11 @@ _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
 
 def _prime(value: str) -> int:
     p = int(value)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 
@@ -408,7 +440,7 @@ def _cmd_padic_integral(args):
         "c": format_rational(args.c),
         "p": args.p,
         "terms": args.terms,
-        "partial": f"{float(partial):.15g}",
+        "partial": _decimal_text(partial),
         "exact": _expr_payload(exact),
     }
     if not is_infinite(exact):
@@ -533,7 +565,19 @@ _parser = functools.cache(build_parser)  # one parser per process; parse_args ke
 
 
 def main(argv: list[str] | None = None, stdout=None) -> int:
-    stream = sys.stdout if stdout is None else stdout
+    # Pause the cyclic collector for the command (as Mercurial's util.nogc does while it builds
+    # large containers): reports are acyclic and alive until written, so its passes would free
+    # nothing; reference counting still frees every acyclic temporary.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv, sys.stdout if stdout is None else stdout)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None, stream) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

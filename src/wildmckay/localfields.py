@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # Most algebras complete_etale_algebras lists: a `mckay verify` JSON report peaks at about
-# 4 KB per algebra (415 MB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
+# 3.8 KiB per algebra (359 MiB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
 ALGEBRAS_BUDGET = 100_000
 # Largest degree count_tame_etale_algebras accepts (`etale enumerate`, and `mckay verify` before
 # its algebra count), in degrees: it steps through every tame class of degree <= n for each of
@@ -103,10 +103,13 @@ class TameFieldClass:
             raise ValueError("empty Frobenius orbit")
         if set(orbit) != {c * p % g for c in orbit}:
             raise ValueError(f"orbit {orbit} not closed under multiplication by {p} mod {g}")
-        # The invariants are computed once; only the four fields compare and hash.
+        # The invariants and the hash are computed once; only the four fields compare and hash.
         fixed = sum(1 for i in range(f) if orbit[0] * (pow(p, i, g) - 1) % g == 0)
         self.__dict__.update(p=p, neg_f=-f, e=e, orbit=orbit, f=f, g=g, degree=e * f,
-                             disc_exponent=f * (e - 1), aut_order=g * fixed)
+                             disc_exponent=f * (e - 1), aut_order=g * fixed, _hash=hash((p, -f, e, orbit)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def describe(self) -> str:
         return f"f={self.f},e={self.e},c~{self.orbit}"

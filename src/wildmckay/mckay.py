@@ -76,12 +76,23 @@ class McKayReport:
         }
 
 
+class _FactorEntries(dict):
+    """(class, multiplicity) -> the row entry (f, e, orbit, multiplicity), built on first use."""
+
+    def __missing__(self, factor):
+        cls, m = factor
+        entry = self[factor] = (cls.f, cls.e, cls.orbit, m)
+        return entry
+
+
 def verify_wild_mckay(p: int, n: int) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.
 
     The report carries the per-algebra breakdown (factors, d, v, w, aut,
     term) so a failure localizes to an algebra.  More than ALGEBRAS_BUDGET
-    algebras raise BudgetExceededError before any listing."""
+    algebras raise BudgetExceededError before any listing.  Each row's factors are
+    (f, e, orbit, multiplicity) tuples, one object per distinct factor, shared by the rows."""
+    entries = _FactorEntries()
     rows = []
     for algebra in complete_etale_algebras(p, n):
         weights = weights_for_algebra(algebra)
@@ -89,7 +100,7 @@ def verify_wild_mckay(p: int, n: int) -> McKayReport:
         common = gcd(power, weights.centralizer_order)
         rows.append(
             {
-                "factors": [[cls.f, cls.e, list(cls.orbit), m] for cls, m in algebra.factors],
+                "factors": [entries[factor] for factor in algebra.factors],
                 "d": algebra.disc_exponent,
                 "v": weights.v,
                 "w": weights.w,

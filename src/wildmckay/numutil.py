@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "is_prime", "divisors", "exact_int", "json_object", "json_array", "parse_rational",
-    "format_rational",
+    "BudgetExceededError", "PRIME_TEST_LIMIT", "is_prime", "divisors", "exact_int", "json_object", "json_array",
+    "parse_rational", "format_rational",
 ]
 
 
@@ -23,17 +24,38 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIME_TEST_LIMIT, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).  The first
+# 12 bases are not enough there: 318665857834031151167461 is a strong pseudoprime to 2, ..., 37.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are desk-scale primes."""
+    """Deterministic Miller-Rabin; a ValueError at or above PRIME_TEST_LIMIT, where no fixed
+    set of bases is proven, so that no probable prime is ever accepted."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact only below {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

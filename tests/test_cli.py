@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, schemas,
 determinism of machine-readable output."""
 
+import gc
 import io
 import json
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wildmckay import localfields, massformulas, padic
+from wildmckay import cli, localfields, massformulas, padic
 from wildmckay.cli import _json_text, main, run_to_string
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +111,65 @@ class TestExitCodes:
         node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))
         code, _ = run(["padic", "measure", "--input", str(node), "--mmax", "2"])
         assert code == 1
+
+    def test_partial_sums_past_the_float_range_are_reported(self, capsys):
+        code, out = run(["padic", "integral", "--c", "101", "--p", "5", "--format", "json"])
+        assert code == 0 and capsys.readouterr().err == ""
+        report = json.loads(out)
+        assert (report["partial"], report["exact"]) == ("5.28586422064452e+4193", "Infinite")
+        code, out = run(["stringy", "point", "--a", "1001/2", "--at-q", "10", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["evaluated"]["approx"] == "3.16227766016838e+500"
+
+    def test_primes_past_the_exact_test_are_two(self, capsys):
+        code, out = run(["etale", "mass", "--p", "2305843009213693951", "--n", "2", "--format", "json"])
+        assert code == 0 and json.loads(out)["match"] is True
+        code, out = run(["etale", "mass", "--p", "3317044064679887385961981", "--n", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "wildmckay etale mass: error: argument --p: cannot decide whether 3317044064679887385961981 is prime: "
+            "the test is exact only below 3317044064679887385961981"
+        ]
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for one command and restores its state on every path."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, enabled, tmp_path, monkeypatch, capsys):
+        node = tmp_path / "node.json"
+        node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))
+        seen = []
+
+        def serre_mass(n, f):
+            seen.append(gc.isenabled())
+            if n == 3:
+                raise RuntimeError("escapes main")
+            return massformulas.serre_mass(n, f)
+
+        monkeypatch.setattr(cli, "serre_mass", serre_mass)
+        cases = [
+            (["mckay", "verify", "--p", "7", "--n", "4", "--format", "json"], 0),
+            (["padic", "measure", "--input", str(node), "--mmax", "2"], 1),
+            (["mckay", "verify", "--p", "3", "--n", "4"], 2),
+            (["mckay", "verify", "--p", "7"], 2),  # argparse error
+            (["mckay", "verify", "--help"], 0),  # argparse exit
+            (["mass", "serre", "--n", "2"], 0),
+        ]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, expected in cases:
+                assert run(argv)[0] == expected, argv
+                assert gc.isenabled() is enabled, argv
+            with pytest.raises(RuntimeError):
+                run(["mass", "serre", "--n", "3"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+        capsys.readouterr()
 
 
 class TestBudgets:
@@ -298,6 +358,11 @@ class TestReports:
         assert json.loads(out)["fraction"] == "4/25"
 
 
+# One tuple object twice at the same depth and once at another, as `mckay verify` rows share entries.
+_ENTRY = (1, 12, (0, 5), "x", [2])
+SHARED_TUPLES = {"rows": [{"factors": [_ENTRY]}, {"factors": [_ENTRY, (1, 12, (0, 5), "x", [2])]}], "top": _ENTRY}
+
+
 class TestJsonWriter:
     """The report writer against json.dumps(..., sort_keys=True, indent=2)."""
 
@@ -309,6 +374,7 @@ class TestJsonWriter:
         ["\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "\u2028", "tab\tnew\nline", 'q"uote\\slash', "\x00\x1f\x7f"],
         {"rows": [{"factors": [[1, 2, [0, 1], 3]], "term_num": 3**40, "term_den": 2}], "mass": "1/2"},
         (1, (2, "three"), [4.25]),
+        SHARED_TUPLES,
     ])
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -101,12 +101,21 @@ class TestVerify:
         for row, algebra in zip(report.rows, algebras):
             weights = weights_for_algebra(algebra)
             term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
-            assert row["factors"] == [[cls.f, cls.e, list(cls.orbit), m] for cls, m in algebra.factors]
+            assert row["factors"] == [(cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors]
             assert (row["d"], row["v"], row["w"], row["aut"]) == (
                 algebra.disc_exponent, weights.v, weights.w, weights.centralizer_order
             )
             assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
         assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in report.rows)
+
+    def test_rows_share_one_entry_per_distinct_factor(self):
+        report = verify_wild_mckay(13, 8)
+        entries = {}
+        for row, algebra in zip(report.rows, enumerate_tame_etale_algebras(13, 8)):
+            for entry, factor in zip(row["factors"], algebra.factors):
+                assert entries.setdefault(factor, entry) is entry
+        assert len({id(entry) for row in report.rows for entry in row["factors"]}) == len(entries)
+        assert len(entries) < sum(len(row["factors"]) for row in report.rows)
 
     def test_budget_counts_algebras_before_listing(self, monkeypatch):
         monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3485)

@@ -5,13 +5,47 @@ from fractions import Fraction
 import pytest
 
 from wildmckay.numutil import (
-    divisors, exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
+    PRIME_TEST_LIMIT, divisors, exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
 )
 
 
 def test_is_prime_small_range():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_10_to_the_5():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [n for n in range(-3, 10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801,  # Carmichael numbers
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37, caught by 41
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_on_large_primes_and_the_limit():
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+    assert is_prime(3317044064679887385961813)  # the largest prime below the limit
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="cannot decide whether"):
+            is_prime(n)
 
 
 def test_divisors():
