@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; a ValueError at or above PRIME_TEST_LIMIT, where no fixed
     set of bases is proven, so that no probable prime is ever accepted."""
