@@ -12,7 +12,6 @@ from fractions import Fraction
 from wildmckay import (
     PolySystem,
     count_points_mod,
-    largest_affordable_m,
     monomial_integral,
     null_set_fraction,
     smooth_measure_check,
@@ -30,8 +29,7 @@ cusp = PolySystem(5, 2, [[((2, 0), 1), ((0, 3), -1)]], dim=1)
 node = PolySystem(5, 2, [[((1, 1), 1)]], dim=1)
 print("\nNull sets: box fraction of solutions of f = 0 in (Z/5^m)^2")
 for name, system in (("x^2 = y^3", cusp), ("xy = 0", node)):
-    top = largest_affordable_m(system)
-    fractions = [null_set_fraction(system, m) for m in range(1, top + 1)]
+    fractions = [null_set_fraction(system, m) for m in range(1, 5)]
     shown = ", ".join(f"m={m}: {float(v):.5f}" for m, v in enumerate(fractions, start=1))
     print(f"  {name}:  {shown}")
 

@@ -31,8 +31,6 @@ from .padic import (
     ResidueCount,
     SmoothnessError,
     count_points_mod,
-    DEFAULT_BUDGET,
-    largest_affordable_m,
     monomial_integral,
     null_set_fraction,
     smooth_measure_check,
@@ -84,8 +82,6 @@ __all__ = [
     "ResidueCount",
     "SmoothnessError",
     "count_points_mod",
-    "DEFAULT_BUDGET",
-    "largest_affordable_m",
     "monomial_integral",
     "null_set_fraction",
     "smooth_measure_check",

@@ -34,9 +34,8 @@ from .localfields import (
 )
 from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from .mckay import verify_wild_mckay
-from .numutil import format_rational, is_prime, parse_rational
+from .numutil import DEFAULT_PRECISION, format_rational, is_prime, parse_rational
 from .padic import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
     PolySystem,
@@ -54,8 +53,6 @@ __all__ = ["main", "run_to_string"]
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-DEFAULT_PRECISION = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +237,13 @@ def _rational_list(value: str) -> list[Fraction]:
 
 def _cmd_mass_serre(args):
     mass = serre_mass(args.n, args.f)
-    report = {"command": "mass serre", "n": args.n, "f": args.f, "mass": _expr_payload(mass)}
+    report = {"n": args.n, "f": args.f, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
 def _cmd_mass_bhargava(args):
     mass = bhargava_mass(args.n)
-    report = {"command": "mass bhargava", "n": args.n, "mass": _expr_payload(mass)}
+    report = {"n": args.n, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
@@ -260,7 +257,7 @@ def _cmd_mass_expcheck(args):
         match = lhs == rhs
         all_match &= match
         rows.append({"n": n, "exponential": str(lhs), "partition_formula": str(rhs), "match": match})
-    report = {"command": "mass expcheck", "nmax": args.nmax, "all_match": all_match}
+    report = {"nmax": args.nmax, "all_match": all_match}
     return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
 
 
@@ -273,7 +270,7 @@ def _cmd_mass_invert(args):
         match = value == expected
         all_match &= match
         rows.append({"f": f, "m": m, "recovered": str(value), "expected": str(expected), "match": match})
-    report = {"command": "mass invert", "nmax": args.nmax, "all_match": all_match}
+    report = {"nmax": args.nmax, "all_match": all_match}
     return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
 
 
@@ -292,7 +289,6 @@ def _cmd_etale_enumerate(args):
         for cls in classes
     ]
     report = {
-        "command": "etale enumerate",
         "p": args.p,
         "n": args.n,
         "field_classes": len(classes),
@@ -315,7 +311,6 @@ def _cmd_etale_mass(args):
     expected = bhargava_mass(args.n).evaluate(args.p)
     match = mass == expected
     report = {
-        "command": "etale mass",
         "p": args.p,
         "n": args.n,
         "mass": format_rational(mass),
@@ -348,7 +343,6 @@ def _cmd_etale_crossvalidate(args):
             }
         )
     report = {
-        "command": "etale crossvalidate",
         "fixtures": len(fixtures),
         "matched": len(result.matched),
         "uncheckable": len(result.uncheckable),
@@ -361,7 +355,6 @@ def _cmd_etale_crossvalidate(args):
 def _cmd_mckay_verify(args):
     result = verify_wild_mckay(args.p, args.n)
     report = {
-        "command": "mckay verify",
         "p": args.p,
         "n": args.n,
         "mass_side": format_rational(result.mass_side),
@@ -378,11 +371,7 @@ def _cmd_mckay_verify(args):
 def _cmd_stringy_eval(args):
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
-    report = {
-        "command": "stringy eval",
-        "input": args.input,
-        "value": _expr_payload(value),
-    }
+    report = {"input": args.input, "value": _expr_payload(value)}
     if args.at_q is not None:
         report["evaluated"] = _eval_payload(value, args.at_q, args.precision)
     return EXIT_OK, report, None
@@ -391,7 +380,6 @@ def _cmd_stringy_eval(args):
 def _cmd_stringy_point(args):
     value = stringy_point_contribution(args.a, args.c)
     report = {
-        "command": "stringy point",
         "a": format_rational(args.a),
         "c": [format_rational(c) for c in args.c],
         "value": _expr_payload(value),
@@ -403,9 +391,8 @@ def _cmd_stringy_point(args):
 
 def _cmd_padic_count(args):
     system = PolySystem.load(args.input)
-    result = count_points_mod(system, args.m, args.budget)
+    result = count_points_mod(system, args.m)
     report = {
-        "command": "padic count",
         "input": args.input,
         "p": system.p,
         "n": system.num_vars,
@@ -419,9 +406,8 @@ def _cmd_padic_count(args):
 
 def _cmd_padic_measure(args):
     system = PolySystem.load(args.input)
-    result = smooth_measure_check(system, args.mmax, args.budget)
+    result = smooth_measure_check(system, args.mmax)
     report = {
-        "command": "padic measure",
         "input": args.input,
         "p": system.p,
         "d": system.dim,
@@ -436,7 +422,6 @@ def _cmd_padic_measure(args):
 def _cmd_padic_integral(args):
     partial, exact = monomial_integral(args.c, args.p, args.terms)
     report = {
-        "command": "padic integral",
         "c": format_rational(args.c),
         "p": args.p,
         "terms": args.terms,
@@ -450,9 +435,8 @@ def _cmd_padic_integral(args):
 
 def _cmd_padic_nullset(args):
     system = PolySystem.load(args.input)
-    fraction = null_set_fraction(system, args.m, args.budget)
+    fraction = null_set_fraction(system, args.m)
     report = {
-        "command": "padic nullset",
         "input": args.input,
         "p": system.p,
         "n": system.num_vars,
@@ -466,7 +450,7 @@ def _cmd_padic_nullset(args):
 def _cmd_selftest(args):
     from . import selftest
 
-    results = selftest.run_all(args.budget)
+    results = selftest.run_all()
     rows = [
         {"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
         for r in results
@@ -474,7 +458,6 @@ def _cmd_selftest(args):
     all_passed = all(r.passed for r in results)
     report = {
         "_lines": [r.line() for r in results],
-        "command": "selftest",
         "criteria": len(results),
         "all_passed": all_passed,
     }
@@ -491,7 +474,6 @@ _N = ("--n", {"type": _positive, "required": True})
 _NMAX = ("--nmax", {"type": _positive, "required": True})
 _M = ("--m", {"type": _positive, "required": True})
 _INPUT = ("--input", {"required": True})
-_BUDGET = ("--budget", {"type": _positive, "default": DEFAULT_BUDGET})
 _AT_Q = ("--at-q", {"type": _rational, "default": None, "metavar": "Q",
                     "help": "also evaluate at q = Q (rational, > 0)"})
 _EVAL_PRECISION = ("--precision", {"type": _precision, "default": DEFAULT_PRECISION,
@@ -527,14 +509,14 @@ _COMMANDS = [
       ("--c", {"type": _rational_list, "default": (), "help": "comma-separated coefficients"}),
       _AT_Q, _EVAL_PRECISION]),
     ("padic", "count", "count solutions in (Z/p^m)^n", _cmd_padic_count,
-     [("--input", {"required": True, "help": "PolySystem JSON file"}), _M, _BUDGET]),
+     [("--input", {"required": True, "help": "PolySystem JSON file"}), _M]),
     ("padic", "measure", "smooth measure check via lift counting", _cmd_padic_measure,
-     [_INPUT, ("--mmax", {"type": _positive, "required": True}), _BUDGET]),
+     [_INPUT, ("--mmax", {"type": _positive, "required": True})]),
     ("padic", "integral", "monomial integral: truncation vs closed form", _cmd_padic_integral,
      [("--c", {"type": _rational, "required": True}), _P, ("--terms", {"type": _positive, "default": 60}),
       ("--precision", {"type": _precision, "default": DEFAULT_PRECISION})]),
-    ("padic", "nullset", "box fraction of a null set", _cmd_padic_nullset, [_INPUT, _M, _BUDGET]),
-    ("selftest", None, "run every acceptance criterion", _cmd_selftest, [_BUDGET]),
+    ("padic", "nullset", "box fraction of a null set", _cmd_padic_nullset, [_INPUT, _M]),
+    ("selftest", None, "run every acceptance criterion", _cmd_selftest, []),
 ]
 
 
@@ -600,7 +582,8 @@ def _run(argv: list[str] | None, stream) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _WRITERS[args.format](report, rows, stream)
+    command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action
+    _WRITERS[args.format]({"command": command, **report}, rows, stream)
     return code
 
 

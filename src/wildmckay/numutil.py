@@ -6,14 +6,19 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "PRIME_TEST_LIMIT", "is_prime", "divisors", "exact_int", "json_object", "json_array",
-    "parse_rational", "format_rational",
+    "BudgetExceededError", "DEFAULT_PRECISION", "PRIME_TEST_LIMIT", "is_prime", "divisors", "exact_int",
+    "json_object", "json_array", "parse_rational", "format_rational",
 ]
+
+# Absolute precision of a rational approximation when none is requested (1e-12).
+DEFAULT_PRECISION = Fraction(1, 10**12)
 
 
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
-    "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras"."""
+    "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras",
+    degrees for "count", "mass" and "series", and shell bits (in all, and in the largest shell) for
+    "integral"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import BudgetExceededError, exact_int, is_prime, json_object
+from .numutil import DEFAULT_PRECISION, BudgetExceededError, exact_int, is_prime, json_object
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -35,20 +35,28 @@ __all__ = [
     "BudgetExceededError",
     "SmoothnessError",
     "HenselMismatchError",
-    "DEFAULT_BUDGET",
+    "POINTS_BUDGET",
     "INTEGRAL_BUDGET",
+    "LARGEST_SHELL_BUDGET",
     "count_points_mod",
-    "largest_affordable_m",
     "null_set_fraction",
     "smooth_measure_check",
     "monomial_integral",
 ]
 
-DEFAULT_BUDGET = 5_000_000
+# Most points _level_counts evaluates: the box plus every listed frontier.
+POINTS_BUDGET = 5_000_000
 # Most work monomial_integral does, in shell bits: the bit sizes of the exact shell powers
 # p^(i(c-1)) summed over i = 1..terms, terms (terms + 1) / 2 * max(1, |numerator of c - 1|) *
 # bit_length(p).  0.3-0.9 s at the cap (c = -3, -100 or 2/3 at p = 5, c = 1/2 at p = 999983).
 INTEGRAL_BUDGET = 50_000_000
+# Largest shell power monomial_integral computes, in bits: terms * max(1, |numerator of c - 1|) *
+# bit_length(p).  One power costs more than its size (0.05 s at 1M bits, 2.3 s at 11.6M), so a
+# few large shells are refused although their sum fits INTEGRAL_BUDGET.  At both caps an integer
+# c or c < 1 takes 0.14-0.87 s over 100-399 terms at p = 5, and c = -30 takes 1.4 s over 399
+# terms at p = 999983 (Python 3.11, 2-vCPU Intel Xeon).  Not bounded yet: a fractional c > 1,
+# whose shells are k-th roots, and the closed form of a c far below 0.
+LARGEST_SHELL_BUDGET = 250_000
 
 
 class SmoothnessError(ValueError):
@@ -235,19 +243,19 @@ def _affine_points(particular, basis, p: int) -> list[list[int]]:
     return points
 
 
-def _level_counts(system: PolySystem, m: int, budget: int, rank: int | None = None) -> Iterator[int]:
+def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterator[int]:
     """Yield #X(Z/p^k) for k = 1..m, one level at a time.
 
     A solution x mod p^k lifts to x + p^k delta mod p^(k+1) iff
     J(x mod p) delta = -f(x)/p^k over F_p: no lifts, or p^(n - rank J).
-    The last level is counted, not listed.  The budget bounds the points
+    The last level is counted, not listed.  POINTS_BUDGET bounds the points
     evaluated: the box plus every listed frontier, checked before each one
     is listed.  If rank is given, every mod-p solution must have it.
     """
     p, n = system.p, system.num_vars
     evaluated = p**n
-    if evaluated > budget:
-        raise BudgetExceededError(evaluated, budget, "box", 1)
+    if evaluated > POINTS_BUDGET:
+        raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
     polys = _compiled(system.polys)
     derivatives = _jacobian_polys(system)
     solvers: dict[tuple[int, ...], tuple] = {}
@@ -284,8 +292,8 @@ def _level_counts(system: PolySystem, m: int, budget: int, rank: int | None = No
             yield size
             return
         evaluated += size
-        if evaluated > budget:
-            raise BudgetExceededError(evaluated, budget, "lifting", k + 1)
+        if evaluated > POINTS_BUDGET:
+            raise BudgetExceededError(evaluated, POINTS_BUDGET, "lifting", k + 1)
         frontier = [
             tuple(x + step * d for x, d in zip(point, delta))
             for point, particular, basis in spaces
@@ -294,23 +302,15 @@ def _level_counts(system: PolySystem, m: int, budget: int, rank: int | None = No
         yield len(frontier)
 
 
-def count_points_mod(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> ResidueCount:
+def count_points_mod(system: PolySystem, m: int) -> ResidueCount:
     """Exact number of simultaneous roots in (Z/p^m)^n."""
     if m < 1:
         raise ValueError("need m >= 1")
-    *_, count = _level_counts(system, m, budget)
+    *_, count = _level_counts(system, m)
     return ResidueCount(p=system.p, dim=system.dim, modulus_exponent=m, count=count)
 
 
-def largest_affordable_m(system: PolySystem, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest m whose full box p^(m n) fits the budget (0 if none does)."""
-    m = 0
-    while system.p ** ((m + 1) * system.num_vars) <= budget:
-        m += 1
-    return m
-
-
-def null_set_fraction(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> Fraction:
+def null_set_fraction(system: PolySystem, m: int) -> Fraction:
     """count / p^(m n): the box fraction cut out by the system.
 
     Normalization is by the full ambient dimension n, not d; for a proper
@@ -318,7 +318,7 @@ def null_set_fraction(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) 
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    *_, count = _level_counts(system, m, budget)
+    *_, count = _level_counts(system, m)
     return Fraction(count, system.p ** (m * system.num_vars))
 
 
@@ -340,7 +340,7 @@ class SmoothMeasureReport:
         return self.counts[0]
 
 
-def smooth_measure_check(system: PolySystem, m_max: int, budget: int = DEFAULT_BUDGET) -> SmoothMeasureReport:
+def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:
     """Verify count(m+1) = p^d count(m) for 1 <= m < m_max and report the
     stabilized measure #X(F_p)/p^d.
 
@@ -352,7 +352,7 @@ def smooth_measure_check(system: PolySystem, m_max: int, budget: int = DEFAULT_B
         raise ValueError("need m_max >= 1")
     p, n, d = system.p, system.num_vars, system.dim
     counts: list[int] = []
-    for count in _level_counts(system, m_max, budget, rank=n - d):
+    for count in _level_counts(system, m_max, rank=n - d):
         if counts and count != p**d * counts[-1]:
             m = len(counts)
             raise HenselMismatchError(f"count({m + 1}) = {count} != p^d * count({m}) = {p**d * counts[-1]}")
@@ -367,27 +367,25 @@ def smooth_measure_check(system: PolySystem, m_max: int, budget: int = DEFAULT_B
 # ---------------------------------------------------------------------------
 
 
-def monomial_integral(
-    c: Fraction | int,
-    p: int,
-    terms: int,
-    precision: Fraction = Fraction(1, 10**12),
-) -> tuple[Fraction, QFrac | InfiniteType]:
+def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, QFrac | InfiniteType]:
     """Truncation and closed form of the integral of |x|^(-c) over m_K.
 
     partial = sum_{i=1}^{terms} p^(ic) (p^(-i) - p^(-i-1)), the measures of
     the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1) when c < 1 and
     the Infinite value otherwise.  The partial sum is exact for integer c
-    and a rational approximation within `precision` for fractional c.
+    and a rational approximation within DEFAULT_PRECISION for fractional c.
     """
     if terms < 1:
         raise ValueError("need at least one term")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     c = Fraction(c)
-    shell_bits = terms * (terms + 1) // 2 * max(1, abs((c - 1).numerator)) * p.bit_length()
+    first_shell = max(1, abs((c - 1).numerator)) * p.bit_length()
+    shell_bits, largest = terms * (terms + 1) // 2 * first_shell, terms * first_shell
     if shell_bits > INTEGRAL_BUDGET:
         raise BudgetExceededError(shell_bits, INTEGRAL_BUDGET, "integral", unit="shell bits")
+    if largest > LARGEST_SHELL_BUDGET:
+        raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
     partial = Fraction(0)
     unit_shell = 1 - Fraction(1, p)
     for i in range(1, terms + 1):
@@ -395,11 +393,7 @@ def monomial_integral(
         if exponent.denominator == 1:
             power = Fraction(p) ** int(exponent)
         else:
-            power = nth_root_approx(
-                Fraction(p) ** exponent.numerator,
-                exponent.denominator,
-                precision / terms,
-            )
+            power = nth_root_approx(Fraction(p) ** exponent.numerator, exponent.denominator, DEFAULT_PRECISION / terms)
         partial += power * unit_shell
     if c >= 1:
         return partial, INFINITE

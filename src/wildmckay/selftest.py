@@ -20,14 +20,7 @@ from .localfields import (
 )
 from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from .mckay import verify_wild_mckay, weights_for_algebra
-from .padic import (
-    PolySystem,
-    DEFAULT_BUDGET,
-    largest_affordable_m,
-    monomial_integral,
-    null_set_fraction,
-    smooth_measure_check,
-)
+from .padic import PolySystem, monomial_integral, null_set_fraction, smooth_measure_check
 from .partitions import partition_count, partitions_into_parts
 from .qexpr import QExpr, QFrac, is_infinite
 from .series import TruncatedSeries
@@ -51,20 +44,19 @@ class CriterionResult:
 
 
 def _criterion(number: int, name: str):
-    def wrap(fn: Callable[..., tuple[bool, str]]):
-        def runner(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-            passed, detail = fn(budget)
+    def wrap(fn: Callable[[], tuple[bool, str]]):
+        def runner() -> CriterionResult:
+            passed, detail = fn()
             return CriterionResult(number=number, name=name, passed=passed, detail=detail)
 
         runner.number = number
-        runner.criterion_name = name
         return runner
 
     return wrap
 
 
 @_criterion(1, "etale-algebra masses via the exponential identity, n <= 12")
-def criterion_bhargava_via_exp(budget) -> tuple[bool, str]:
+def criterion_bhargava_via_exp() -> tuple[bool, str]:
     series = mass_series_via_exp(12)
     bad = [n for n in range(1, 13) if series.coefficient(n) != bhargava_mass(n)]
     if bad:
@@ -73,7 +65,7 @@ def criterion_bhargava_via_exp(budget) -> tuple[bool, str]:
 
 
 @_criterion(2, "totally ramified masses recovered from the algebra series, n <= 12")
-def criterion_serre_recovery(budget) -> tuple[bool, str]:
+def criterion_serre_recovery() -> tuple[bool, str]:
     N = recover_N_from_M(mass_series_via_exp(12))
     bad = [n for n in range(1, 13) if N[(1, n)] != serre_mass(n)]
     if bad:
@@ -82,7 +74,7 @@ def criterion_serre_recovery(budget) -> tuple[bool, str]:
 
 
 @_criterion(3, "tame enumeration mass equals the partition formula at q=p")
-def criterion_enumeration_vs_bhargava(budget) -> tuple[bool, str]:
+def criterion_enumeration_vs_bhargava() -> tuple[bool, str]:
     bad = []
     for p, n in MASS_PAIRS:
         if algebra_mass_sum(p, n) != bhargava_mass(n).evaluate(p):
@@ -93,7 +85,7 @@ def criterion_enumeration_vs_bhargava(budget) -> tuple[bool, str]:
 
 
 @_criterion(4, "wild McKay identity: mass side equals Hilbert-scheme count")
-def criterion_wild_mckay(budget) -> tuple[bool, str]:
+def criterion_wild_mckay() -> tuple[bool, str]:
     bad = []
     for p, n in MASS_PAIRS:
         report = verify_wild_mckay(p, n)
@@ -105,7 +97,7 @@ def criterion_wild_mckay(budget) -> tuple[bool, str]:
 
 
 @_criterion(5, "stratum mass identity for every tame (f,e) with ef <= 6")
-def criterion_stratum_mass(budget) -> tuple[bool, str]:
+def criterion_stratum_mass() -> tuple[bool, str]:
     checked = 0
     for p in (5, 7, 11):
         for n in range(1, 7):
@@ -121,12 +113,12 @@ def criterion_stratum_mass(budget) -> tuple[bool, str]:
 
 
 @_criterion(6, "smooth measure: lifted counts multiply by p^d and stabilize")
-def criterion_smooth_measure(budget) -> tuple[bool, str]:
+def criterion_smooth_measure() -> tuple[bool, str]:
     circle = lambda p: PolySystem(p, 2, [[((2, 0), 1), ((0, 2), 1), ((0, 0), -1)]], dim=1)
     cubic = PolySystem(5, 2, [[((0, 2), 1), ((3, 0), -1), ((1, 0), -1), ((0, 0), -1)]], dim=1)
     cases = [(circle(5), 4, Fraction(4, 5)), (circle(13), 4, Fraction(12, 13)), (cubic, 4, Fraction(8, 5))]
     for system, m_max, expected in cases:
-        report = smooth_measure_check(system, m_max, budget)
+        report = smooth_measure_check(system, m_max)
         if report.measure != expected:
             return False, f"measure {report.measure} != {expected} for p={system.p}"
         for m in range(1, m_max):
@@ -136,7 +128,7 @@ def criterion_smooth_measure(budget) -> tuple[bool, str]:
 
 
 @_criterion(7, "monomial integral: 60-term truncation vs closed form, 1e-9")
-def criterion_monomial_integral(budget) -> tuple[bool, str]:
+def criterion_monomial_integral() -> tuple[bool, str]:
     tol = Fraction(1, 10**9)
     for c in (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3)):
         partial, exact = monomial_integral(c, 5, terms=60)
@@ -150,24 +142,21 @@ def criterion_monomial_integral(budget) -> tuple[bool, str]:
 
 
 @_criterion(8, "null-set decay for singular curves over Q_5")
-def criterion_null_set(budget) -> tuple[bool, str]:
+def criterion_null_set() -> tuple[bool, str]:
     cusp = PolySystem(5, 2, [[((2, 0), 1), ((0, 3), -1)]], dim=1)
     node = PolySystem(5, 2, [[((1, 1), 1)]], dim=1)
     details = []
     for name, system in (("x^2-y^3", cusp), ("xy", node)):
-        m_top = largest_affordable_m(system, budget)
-        if m_top < 2:
-            return False, f"budget too small to test {name}"
-        first = null_set_fraction(system, 1, budget)
-        last = null_set_fraction(system, m_top, budget)
+        first = null_set_fraction(system, 1)
+        last = null_set_fraction(system, 4)
         if not (last < first and last < Fraction(1, 10)):
-            return False, f"{name}: fraction {last} at m={m_top} vs {first} at m=1"
-        details.append(f"{name}: {first} -> {last} at m={m_top}")
+            return False, f"{name}: fraction {last} at m=4 vs {first} at m=1"
+        details.append(f"{name}: {first} -> {last} at m=4")
     return True, "; ".join(details)
 
 
 @_criterion(9, "stringy evaluator on smooth, single-divisor and divergent data")
-def criterion_stringy(budget) -> tuple[bool, str]:
+def criterion_stringy() -> tuple[bool, str]:
     smooth = SncLogPairData([], [VerticalComponent(0, {frozenset(): 7})])
     if stringy_count_snc(smooth) != QFrac(7):
         return False, "smooth pair does not reproduce its residue point count"
@@ -193,7 +182,7 @@ def _random_qexpr(rng: random.Random) -> QExpr:
 
 
 @_criterion(10, "property suites: ring axioms, exp/log, partitions, w=v, CLI determinism")
-def criterion_properties(budget) -> tuple[bool, str]:
+def criterion_properties() -> tuple[bool, str]:
     rng = random.Random(987654321)
     for _ in range(1000):
         a, b, c = (_random_qexpr(rng) for _ in range(3))
@@ -248,5 +237,5 @@ CRITERIA = [
 ]
 
 
-def run_all(budget: int = DEFAULT_BUDGET) -> list[CriterionResult]:
-    return [criterion(budget) for criterion in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [criterion() for criterion in CRITERIA]

@@ -43,11 +43,21 @@ class TestExitCodes:
         code, _ = run(["etale", "mass", "--p", "6", "--n", "2"])
         assert code == 2
 
-    def test_budget_exceeded_is_two(self):
-        code, _ = run(
-            ["padic", "count", "--input", str(DATA / "sample_circle.json"), "--m", "4", "--budget", "100"]
-        )
+    def test_budget_exceeded_is_two(self, monkeypatch):
+        monkeypatch.setattr(padic, "POINTS_BUDGET", 100)
+        code, _ = run(["padic", "count", "--input", str(DATA / "sample_circle.json"), "--m", "4"])
         assert code == 2
+
+    def test_budget_flag_is_a_usage_error(self, capsys):
+        circle = str(DATA / "sample_circle.json")
+        for argv in (
+            ["padic", "count", "--input", circle, "--m", "2"],
+            ["padic", "measure", "--input", circle, "--mmax", "2"],
+            ["padic", "nullset", "--input", circle, "--m", "2"],
+            ["selftest"],
+        ):
+            assert run(argv + ["--budget", "100"]) == (2, "")
+            assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
 
     def test_algebra_budget_is_checked_before_listing(self, capsys):
         start = time.perf_counter()
@@ -207,6 +217,20 @@ class TestBudgets:
         monkeypatch.setattr(padic, "nth_root_approx", None)
         self.refused(argv + [str(terms + 1)], capsys,
                      f"integral budget exceeded: need {10 * (terms + 1) * (terms + 2)} shell bits, budget {cap}")
+
+    def test_integral_largest_shell_cap(self, capsys):
+        # Under INTEGRAL_BUDGET, but one exact power of 5^16666666 or 5^5000000 took 15.5 s or 4.8 s.
+        cap = padic.LARGEST_SHELL_BUDGET
+        for c, terms, largest in (("16666667", 1, 49_999_998), ("1000001", 5, 15_000_000)):
+            start = time.perf_counter()
+            self.refused(["padic", "integral", "--c", c, "--p", "5", "--terms", str(terms)], capsys,
+                         f"integral budget exceeded: need {largest} bits in the largest shell, budget {cap}")
+            assert time.perf_counter() - start < 1
+        top = cap // 3 + 1  # one term at p = 5 costs 3 (c - 1) bits
+        argv = ["padic", "integral", "--p", "5", "--terms", "1", "--c"]
+        assert run(argv + [str(top)])[0] == 0
+        self.refused(argv + [str(top + 1)], capsys,
+                     f"integral budget exceeded: need {3 * top} bits in the largest shell, budget {cap}")
 
 
 class TestParser:

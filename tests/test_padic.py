@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from wildmckay import padic
 from wildmckay.padic import (
     BudgetExceededError,
     HenselMismatchError,
     PolySystem,
     SmoothnessError,
     count_points_mod,
-    largest_affordable_m,
     monomial_integral,
     null_set_fraction,
     smooth_measure_check,
@@ -99,23 +99,22 @@ class TestCountPointsMod:
         assert rc.count == 25
         assert rc.normalized == 1
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         # points evaluated: the 25-point box, then the listed frontiers of
         # 20 and 100 points; level 4 (500 points) is counted, not listed
+        monkeypatch.setattr(padic, "POINTS_BUDGET", 100)
         with pytest.raises(BudgetExceededError) as err:
-            count_points_mod(circle(5), 4, budget=100)
+            count_points_mod(circle(5), 4)
         assert err.value.required == 145
         assert err.value.budget == 100
         assert str(err.value) == "lifting budget exceeded at level 3: need 145 points evaluated, budget 100"
-        assert count_points_mod(circle(5), 4, budget=145).count == 500
+        monkeypatch.setattr(padic, "POINTS_BUDGET", 145)
+        assert count_points_mod(circle(5), 4).count == 500
+        monkeypatch.setattr(padic, "POINTS_BUDGET", 24)
         with pytest.raises(BudgetExceededError) as err:
-            null_set_fraction(circle(5), 1, budget=24)
+            null_set_fraction(circle(5), 1)
         assert str(err.value) == "box budget exceeded at level 1: need 25 points evaluated, budget 24"
         assert err.value.required == 25
-
-    def test_largest_affordable_m(self):
-        assert largest_affordable_m(circle(5), budget=5_000_000) == 4
-        assert largest_affordable_m(circle(5), budget=10) == 0
 
 
 class TestSmoothMeasure:
