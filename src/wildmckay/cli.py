@@ -101,7 +101,9 @@ def _decimal_text(value: Fraction) -> str:
         return f"{scaled.normalize():.15g}"
 
 
-def _cell(value) -> str:
+def _cell(value, texts: dict | None = None) -> str:
+    """One table cell.  texts keeps the json.dumps text of each tuple in a list cell by id, so a
+    tuple shared by the cells of one table is encoded once; the caller keeps those tuples alive."""
     if type(value) is int:
         return str(value)
     if isinstance(value, dict):
@@ -111,7 +113,9 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
-        return json.dumps(value)
+        texts = {} if texts is None else texts
+        return "[" + ", ".join([texts.get(id(v)) or texts.setdefault(id(v), json.dumps(v)) if type(v) is tuple
+                                else json.dumps(v) for v in value]) + "]"
     return str(value)
 
 
@@ -126,7 +130,8 @@ def _write_text(report: dict, rows: list[dict] | None, stream) -> None:
         return
     if rows:
         header = list(rows[0].keys())
-        table = [header] + [[_cell(row.get(k)) for k in header] for row in rows]
+        texts: dict[int, str] = {}  # rows outlive the call
+        table = [header] + [[_cell(row.get(k), texts) for k in header] for row in rows]
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]
         stream.write("\n")
         for r in table:
@@ -137,9 +142,11 @@ def _json_text(value, indent: str = "\n", memo: dict | None = None) -> str:
     """json.dumps(value, sort_keys=True, indent=2) for string-keyed reports, without the
     pure-Python encoder json uses whenever an indent is given; int leaves are written inline.
 
-    A tuple object met again at the same depth is written once per call (reports share their
-    immutable entries, such as `mckay verify` factors).  The memo is keyed by (id, indent),
-    which holds because value outlives the call; lists are not memoised, to keep it small."""
+    Per call, each dict key shape (its keys in insertion order) at each depth gets one
+    %-template of its sorted, encoded keys, and a tuple object met again at the same depth
+    is written once (reports share their immutable entries, such as `mckay verify`
+    factors).  The memo is keyed by ((keys), indent) and (id, indent), which holds because
+    value outlives the call; lists are not memoised, to keep it small."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -148,17 +155,21 @@ def _json_text(value, indent: str = "\n", memo: dict | None = None) -> str:
             return "{}" if kind is dict else "[]"
         if memo is None:
             memo = {}
-        if kind is tuple and (text := memo.get(key := (id(value), indent))) is not None:
+        if kind is tuple and (text := memo.get((id(value), indent))) is not None:
             return text
         inner = indent + "  "
         if kind is dict:
-            items = [encode_basestring_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner, memo))
-                     for k, v in sorted(value.items())]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        items = [repr(v) if type(v) is int else _json_text(v, inner, memo) for v in value]
+            if (shape := memo.get(key := (tuple(value), indent))) is None:
+                keys = sorted(value)
+                shape = memo[key] = keys, "{" + ",".join(
+                    inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
+            keys, template = shape
+            return template % tuple([v if type(v) is int else _json_text(v, inner, memo)
+                                     for v in map(value.__getitem__, keys)])
+        items = [repr(v) if type(v) is int else memo.get((id(v), inner)) or _json_text(v, inner, memo) for v in value]
         text = "[" + inner + ("," + inner).join(items) + indent + "]"
         if kind is tuple:
-            memo[key] = text
+            memo[id(value), indent] = text
         return text
     return json.dumps(value)  # int, bool, None and float; a TypeError for anything else
 
@@ -175,8 +186,8 @@ def _write_csv(report: dict, rows: list[dict] | None, stream) -> None:
     if rows:
         header = list(rows[0].keys())
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row.get(k)) for k in header])
+        texts: dict[int, str] = {}  # rows outlive the call; the writer writes an int as str(v), as _cell does
+        writer.writerows([v if type(v) is int else _cell(v, texts) for v in map(row.get, header)] for row in rows)
     else:
         scalars = [(k, v) for k, v in report.items() if k != "_lines"]
         writer.writerow([k for k, _ in scalars])

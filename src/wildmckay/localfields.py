@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .numutil import BudgetExceededError, divisors, exact_int, is_prime, json_array, json_object
 
@@ -51,6 +51,7 @@ __all__ = [
     "enumerate_tame_etale_algebras",
     "count_tame_etale_algebras",
     "complete_etale_algebras",
+    "complete_algebra_invariants",
     "tame_enumeration_is_complete",
     "algebra_mass_sum",
     "load_fixtures",
@@ -61,14 +62,15 @@ __all__ = [
 ]
 
 # Most algebras complete_etale_algebras lists: a `mckay verify` JSON report peaks at about
-# 3.8 KiB per algebra (359 MiB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
+# 2.8 KiB per algebra (263 MiB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
 ALGEBRAS_BUDGET = 100_000
 # Largest degree count_tame_etale_algebras accepts (`etale enumerate`, and `mckay verify` before
 # its algebra count), in degrees: it steps through every tame class of degree <= n for each of
 # the n + 1 counts; `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
 COUNT_DEGREE_BUDGET = 400
 # Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its recurrence adds n^2 / 2
-# Fraction products of about n log2(p) bits; 0.55-1.8 s at n = 200 for p from 211 to 999983.
+# Fraction products whose denominators carry #Aut factors, not powers of p; 0.23-0.28 s at n = 200
+# for p from 211 to 999983 (0.70-1.33 s on the unscaled masses; Python 3.11, 2-vCPU Intel Xeon).
 MASS_DEGREE_BUDGET = 200
 
 
@@ -166,25 +168,20 @@ class EtaleAlgebra:
         ps = {cls.p for cls in counted}
         if len(ps) > 1:
             raise ValueError("all factors must live over the same Q_p")
-        self._set_factors(tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0]))))
+        factors = tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0])))
+        self.__dict__.update(factors=factors, degree=sum(c.degree * m for c, m in factors),
+                             disc_exponent=sum(c.disc_exponent * m for c, m in factors),
+                             aut_order=prod(factorial(m) * c.aut_order**m for c, m in factors),
+                             geometric_component_count=sum(c.f * m for c, m in factors))
 
     @classmethod
-    def _canonical(cls, factors: tuple[tuple[TameFieldClass, int], ...]) -> "EtaleAlgebra":
-        """An algebra from factors already merged and in (degree, class) order."""
+    def _canonical(cls, factors: tuple[tuple[TameFieldClass, int], ...], degree: int, disc_exponent: int,
+                   components: int, aut: int) -> "EtaleAlgebra":
+        """An algebra from factors already merged and in (degree, class) order, and its invariants."""
         algebra = object.__new__(cls)
-        algebra._set_factors(factors)
+        algebra.__dict__.update(factors=factors, degree=degree, disc_exponent=disc_exponent, aut_order=aut,
+                                geometric_component_count=components)
         return algebra
-
-    def _set_factors(self, factors: tuple[tuple[TameFieldClass, int], ...]) -> None:
-        degree = disc_exponent = components = 0
-        aut = 1
-        for cls, m in factors:
-            degree += cls.degree * m
-            disc_exponent += cls.disc_exponent * m
-            components += cls.f * m
-            aut *= factorial(m) * cls.aut_order**m
-        self.__dict__.update(factors=factors, degree=degree, disc_exponent=disc_exponent, aut_order=aut,
-                             geometric_component_count=components)
 
     @property
     def p(self) -> int:
@@ -208,33 +205,49 @@ def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
     return [[]] + [enumerate_tame_field_classes(p, k) for k in range(1, n + 1)]
 
 
+def _tame_algebras(p: int, n: int, label: Callable[[TameFieldClass, int], object]
+                   ) -> list[tuple[tuple, int, int, int]]:
+    """Every multiset of tame classes with total degree n, in sorted order, as (factors,
+    disc exponent, geometric component count, #Aut); factors are label(class, multiplicity),
+    one object per distinct pair, in (degree, class) order.  The one algebra listing.
+
+    Algebras compare by their (class, multiplicity) pairs, so a DFS that tries each factor's
+    classes in class order lists them sorted.  It appends to a list: a recursive generator
+    would resume every level of the path once per algebra."""
+    pool = [cls for classes in _tame_classes_by_degree(p, n) for cls in classes]  # (degree, class) order
+    rank = {cls: r for r, cls in enumerate(sorted(pool))}
+    ranks = [rank[cls] for cls in pool]  # class order
+    degrees = [cls.degree for cls in pool]
+    fits = [sum(1 for d in degrees if d <= r) for r in range(n + 1)]  # pool[:fits[r]] has degree <= r
+    steps = [[(label(cls, m), cls.disc_exponent * m, cls.f * m, factorial(m) * cls.aut_order**m)
+              for m in range(n // cls.degree + 1)] for cls in pool]
+    choices: dict[tuple[int, int], list[int]] = {}
+    found: list[tuple[tuple, int, int, int]] = []
+
+    def extend(start: int, remaining: int, chosen: tuple, disc: int, components: int, aut: int) -> None:
+        if (order := choices.get((start, remaining))) is None:
+            order = choices[start, remaining] = sorted(range(start, fits[remaining]), key=ranks.__getitem__)
+        for idx in order:
+            degree, step = degrees[idx], steps[idx]
+            for mult in range(1, remaining // degree + 1):
+                factor, d, k, a = step[mult]
+                if rest := remaining - mult * degree:
+                    extend(idx + 1, rest, chosen + (factor,), disc + d, components + k, aut * a)
+                else:  # a leaf, appended here to save a call per algebra
+                    found.append((chosen + (factor,), disc + d, components + k, aut * a))
+
+    extend(0, n, (), 0, 0, 1)
+    return found
+
+
 def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     """All multisets of tame field classes with total degree n, in sorted order.
 
     This is the full list of degree-n etale algebras when p > n; otherwise
     it is only the tame sector (check tame_enumeration_is_complete).
     """
-    pool = [cls for classes in _tame_classes_by_degree(p, n) for cls in classes]
-    # Factors are listed by (degree, class); algebras sort by (class, mult)
-    # pairs, which (rank, mult) integer pairs reproduce.
-    rank = {cls: r for r, cls in enumerate(sorted(pool))}
-    ranks = [rank[cls] for cls in pool]
-    found: list[tuple[tuple[int, ...], tuple]] = []
-
-    def extend(start: int, remaining: int, key: tuple[int, ...], chosen: tuple):
-        if remaining == 0:
-            found.append((key, chosen))
-            return
-        for idx in range(start, len(pool)):
-            cls = pool[idx]
-            if cls.degree > remaining:
-                break
-            for mult in range(1, remaining // cls.degree + 1):
-                extend(idx + 1, remaining - mult * cls.degree, key + (ranks[idx], mult), chosen + ((cls, mult),))
-
-    extend(0, n, (), ())
-    found.sort(key=lambda item: item[0])
-    return [EtaleAlgebra._canonical(factors) for _, factors in found]
+    return [EtaleAlgebra._canonical(factors, n, disc_exponent, components, aut)
+            for factors, disc_exponent, components, aut in _tame_algebras(p, n, lambda cls, m: (cls, m))]
 
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
@@ -258,29 +271,43 @@ def _require_complete(p: int, n: int) -> None:
         )
 
 
+def _check_listing(p: int, n: int) -> None:
+    _require_complete(p, n)
+    if (count := count_tame_etale_algebras(p, n)) > ALGEBRAS_BUDGET:
+        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
+
+
 def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     """All degree-n etale algebras over Q_p; PartialEnumerationError when wild algebras
     exist (p <= n), since the tame sector then misses them, and BudgetExceededError
     before any listing when there are more than ALGEBRAS_BUDGET."""
-    _require_complete(p, n)
-    if (count := count_tame_etale_algebras(p, n)) > ALGEBRAS_BUDGET:
-        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
+    _check_listing(p, n)
     return enumerate_tame_etale_algebras(p, n)
+
+
+def complete_algebra_invariants(p: int, n: int, label: Callable[[TameFieldClass, int], object]
+                                ) -> list[tuple[tuple, int, int, int]]:
+    """complete_etale_algebras(p, n) as (factors, disc exponent, geometric component count,
+    #Aut) tuples, with the same guards and order, and each factor label(class, multiplicity),
+    one object per distinct pair."""
+    _check_listing(p, n)
+    return _tame_algebras(p, n, label)
 
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
-    listing: M_n of exp(sum_k W_k x^k), by j M_j = sum_k k W_k M_(j-k).  BudgetExceededError
-    before any work past MASS_DEGREE_BUDGET."""
+    listing: M_n of exp(sum_k W_k x^k).  The recurrence j M_j = sum_k k W_k M_(j-k) runs on
+    N_j = p^j M_j, as j N_j = sum_k k (p^k W_k) N_(j-k): p^k W_k = sum p^(k-d) / #Aut has only
+    #Aut in its denominators (d < k).  BudgetExceededError before any work past MASS_DEGREE_BUDGET."""
     _require_complete(p, n)
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
-    weights = [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order) for cls in classes)
-               for classes in _tame_classes_by_degree(p, n)]
+    weights = [sum(Fraction(p ** (k - cls.disc_exponent), cls.aut_order) for cls in classes)
+               for k, classes in enumerate(_tame_classes_by_degree(p, n))]
     mass = [Fraction(1)]
     for j in range(1, n + 1):
         mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
-    return mass[n]
+    return mass[n] / p**n
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .localfields import EtaleAlgebra, complete_etale_algebras
+from .localfields import EtaleAlgebra, complete_algebra_invariants
 from .partitions import hilb_point_count
 
 __all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport"]
@@ -40,17 +40,16 @@ class McKayWeights:
     centralizer_order: int
 
 
+def _weights(n: int, disc_exponent: int, components: int) -> tuple[int, int]:
+    """(v, w) of a degree-n algebra with that many geometric components: v = d, and w is
+    the codimension 2 (n - components) of the fixed locus minus v."""
+    return disc_exponent, 2 * (n - components) - disc_exponent
+
+
 def weights_for_algebra(algebra: EtaleAlgebra) -> McKayWeights:
     """Weights of an etale algebra under the double permutation action."""
-    n = algebra.degree
-    v = algebra.disc_exponent
-    fixed_codim = 2 * (n - algebra.geometric_component_count)
-    return McKayWeights(
-        algebra=algebra,
-        v=v,
-        w=fixed_codim - v,
-        centralizer_order=algebra.aut_order,
-    )
+    v, w = _weights(algebra.degree, algebra.disc_exponent, algebra.geometric_component_count)
+    return McKayWeights(algebra=algebra, v=v, w=w, centralizer_order=algebra.aut_order)
 
 
 @dataclass
@@ -76,39 +75,23 @@ class McKayReport:
         }
 
 
-class _FactorEntries(dict):
-    """(class, multiplicity) -> the row entry (f, e, orbit, multiplicity), built on first use."""
-
-    def __missing__(self, factor):
-        cls, m = factor
-        entry = self[factor] = (cls.f, cls.e, cls.orbit, m)
-        return entry
-
-
 def verify_wild_mckay(p: int, n: int) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.
 
     The report carries the per-algebra breakdown (factors, d, v, w, aut,
     term) so a failure localizes to an algebra.  More than ALGEBRAS_BUDGET
     algebras raise BudgetExceededError before any listing.  Each row's factors are
-    (f, e, orbit, multiplicity) tuples, one object per distinct factor, shared by the rows."""
-    entries = _FactorEntries()
+    (f, e, orbit, multiplicity) tuples, one object per distinct factor, shared by the rows;
+    no EtaleAlgebra is built."""
+    powers: dict[int, int] = {}  # p^(2n - v) per distinct v
     rows = []
-    for algebra in complete_etale_algebras(p, n):
-        weights = weights_for_algebra(algebra)
-        power = p ** (2 * n - weights.v)
-        common = gcd(power, weights.centralizer_order)
-        rows.append(
-            {
-                "factors": [entries[factor] for factor in algebra.factors],
-                "d": algebra.disc_exponent,
-                "v": weights.v,
-                "w": weights.w,
-                "aut": weights.centralizer_order,
-                "term_num": power // common,
-                "term_den": weights.centralizer_order // common,
-            }
-        )
+    for factors, d, components, aut in complete_algebra_invariants(p, n, lambda cls, m: (cls.f, cls.e, cls.orbit, m)):
+        v, w = _weights(n, d, components)
+        if (power := powers.get(v)) is None:
+            power = powers[v] = p ** (2 * n - v)
+        common = gcd(power, aut)
+        rows.append({"factors": list(factors), "d": d, "v": v, "w": w, "aut": aut,
+                     "term_num": power // common, "term_den": aut // common})
     # One Fraction for the whole sum: the terms over the lcm of their denominators.
     den = lcm(*(row["term_den"] for row in rows))
     mass_side = Fraction(sum(row["term_num"] * (den // row["term_den"]) for row in rows), den)

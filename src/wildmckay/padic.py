@@ -38,6 +38,7 @@ __all__ = [
     "POINTS_BUDGET",
     "INTEGRAL_BUDGET",
     "LARGEST_SHELL_BUDGET",
+    "EXACT_DIGITS_BUDGET",
     "count_points_mod",
     "null_set_fraction",
     "smooth_measure_check",
@@ -55,8 +56,11 @@ INTEGRAL_BUDGET = 50_000_000
 # few large shells are refused although their sum fits INTEGRAL_BUDGET.  At both caps an integer
 # c or c < 1 takes 0.14-0.87 s over 100-399 terms at p = 5, and c = -30 takes 1.4 s over 399
 # terms at p = 999983 (Python 3.11, 2-vCPU Intel Xeon).  Not bounded yet: a fractional c > 1,
-# whose shells are k-th roots, and the closed form of a c far below 0.
+# whose shells are k-th roots (c = 280/3 takes 5.5 s over 300 terms at p = 5).
 LARGEST_SHELL_BUDGET = 250_000
+# Most decimal digits in the closed form at q = p for an integer c < 1, 1 / (p + p^2 + ... + p^(1-c)):
+# Python's default limit for int-to-str conversion, past which it could not be printed.
+EXACT_DIGITS_BUDGET = 4300
 
 
 class SmoothnessError(ValueError):
@@ -386,6 +390,13 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
         raise BudgetExceededError(shell_bits, INTEGRAL_BUDGET, "integral", unit="shell bits")
     if largest > LARGEST_SHELL_BUDGET:
         raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
+    if c < 1 and c.denominator == 1:  # the shell caps keep (1 - c) * bit_length(p) within 250,000 bits
+        value_den = (p ** (2 - c.numerator) - p) // (p - 1)
+        digits = (value_den.bit_length() - 1) * 30102 // 100000  # below its digit count: 0.30102 < log10(2)
+        while value_den >= 10**digits:
+            digits += 1
+        if digits > EXACT_DIGITS_BUDGET:
+            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "integral", unit="digits in the exact value at p")
     partial = Fraction(0)
     unit_shell = 1 - Fraction(1, p)
     for i in range(1, terms + 1):

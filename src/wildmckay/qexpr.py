@@ -624,12 +624,16 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
 
 
 def _int_nth_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, k >= 1, by integer Newton iteration."""
+    """floor(n^(1/k)) for n >= 0, k >= 1: math.isqrt for k = 2, else integer Newton from above,
+    started from the root of the top bits (found the same way), so a few full-size steps do."""
     if n < 0:
         raise ValueError("negative radicand")
     if k == 1 or n in (0, 1):
         return n
-    x = 1 << (-(-n.bit_length() // k) + 1)
+    if k == 2:
+        return math.isqrt(n)
+    shift = n.bit_length() // (2 * k) * k  # drop a multiple of k low bits, about half of them
+    x = (_int_nth_root(n >> shift, k) + 1) << (shift // k) if shift else 1 << (-(-n.bit_length() // k) + 1)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

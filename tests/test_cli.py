@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, schemas,
 determinism of machine-readable output."""
 
+import csv
 import gc
 import io
 import json
@@ -232,6 +233,24 @@ class TestBudgets:
         self.refused(argv + [str(top + 1)], capsys,
                      f"integral budget exceeded: need {3 * top} bits in the largest shell, budget {cap}")
 
+    def test_integral_exact_digits_cap(self, capsys):
+        # An integer c < 1 has the value 1 / (p + p^2 + ... + p^(1-c)) at q = p, printed in full.
+        cap = padic.EXACT_DIGITS_BUDGET
+        for c, p in (("-6000", "5"), ("-4000", "11")):
+            code, out = run(["padic", "integral", "--c", c, "--p", p, "--terms", "1", "--format", "json"])
+            assert code == 0 and json.loads(out)["exact_at_p"]["exact"].startswith("1/")
+        for c, digits in (("-20000", 13981), ("-6200", 4335)):
+            start = time.perf_counter()
+            self.refused(["padic", "integral", "--c", c, "--p", "5", "--terms", "1"], capsys,
+                         f"integral budget exceeded: need {digits} digits in the exact value at p, budget {cap}")
+            assert time.perf_counter() - start < 1
+        # The lowest c whose value at p = 5 has at most cap digits, and the next one.
+        top = min(c for c in range(-6200, -6000) if (5 ** (2 - c) - 5) // 4 < 10**cap)
+        argv = ["padic", "integral", "--p", "5", "--terms", "1", "--c"]
+        assert run(argv + [str(top)])[0] == 0
+        self.refused(argv + [str(top - 1)], capsys,
+                     f"integral budget exceeded: need {cap + 1} digits in the exact value at p, budget {cap}")
+
 
 class TestParser:
     def test_cached_parser_recovers_after_a_malformed_call(self, capsys):
@@ -385,6 +404,11 @@ class TestReports:
 # One tuple object twice at the same depth and once at another, as `mckay verify` rows share entries.
 _ENTRY = (1, 12, (0, 5), "x", [2])
 SHARED_TUPLES = {"rows": [{"factors": [_ENTRY]}, {"factors": [_ENTRY, (1, 12, (0, 5), "x", [2])]}], "top": _ENTRY}
+# Dicts of one key shape in two insertion orders, at two depths, with keys a %-template or
+# str.format would misread, and non-ASCII keys.
+ODD_KEYS = {"%s": 1, "{0}": [2], "100%": "%d", "{}": {"%%": None}, "\u00e9": 3, "\u65e5\u672c": 4}
+SHAPES = {"a": {"x": 1, "y": [{"x": 2, "y": 3}, {"y": 4, "x": 5}]}, "b": {"y": 6, "x": {"x": 7, "y": 8}},
+          "x": 9, "y": 10}
 
 
 class TestJsonWriter:
@@ -399,6 +423,10 @@ class TestJsonWriter:
         {"rows": [{"factors": [[1, 2, [0, 1], 3]], "term_num": 3**40, "term_den": 2}], "mass": "1/2"},
         (1, (2, "three"), [4.25]),
         SHARED_TUPLES,
+        ODD_KEYS,
+        [ODD_KEYS, {"n": ODD_KEYS}, dict(reversed(ODD_KEYS.items()))],
+        SHAPES,
+        [{"d": 1, "c": 2, "b": 3}, {"b": 4, "c": 5, "d": 6}, {"c": 7, "b": 8, "d": 9}],
     ])
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
@@ -421,6 +449,20 @@ class TestJsonWriter:
             code, out = run(argv + ["--format", "json"])
             assert code == 0
             assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("p, n", [(13, 8), (31, 12)])
+    def test_mckay_rows_match_csv_writer_and_json_dumps(self, p, n):
+        from wildmckay.mckay import verify_wild_mckay
+
+        rows = verify_wild_mckay(p, n).rows
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(list(rows[0]))
+        for row in rows:
+            writer.writerow([json.dumps(value) if key == "factors" else str(value) for key, value in row.items()])
+        assert run(["mckay", "verify", "--p", str(p), "--n", str(n), "--format", "csv"]) == (0, expected.getvalue())
 
 
 class TestDeterminism:

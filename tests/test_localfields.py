@@ -164,6 +164,17 @@ def listed_mass(p, n):
     return total
 
 
+def unscaled_masses(p, n):
+    """Test-only oracle: M_0..M_n by j M_j = sum_k k W_k M_(j-k) on the masses themselves,
+    W_k = sum p^(-d) / #Aut over the tame classes of degree k."""
+    weights = [0] + [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order)
+                         for cls in enumerate_tame_field_classes(p, k)) for k in range(1, n + 1)]
+    mass = [Fraction(1)]
+    for j in range(1, n + 1):
+        mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
+    return mass
+
+
 def seeded_pairs(count, complete):
     """Seeded (p, n) with n <= 14 and p < 60 prime: p > n when complete,
     else p <= n (only the tame sector is listed then)."""
@@ -197,11 +208,19 @@ class TestCountingWithoutListing:
         assert count_tame_etale_algebras(17, 14) == len(enumerate_tame_etale_algebras(17, 14)) == 6013
         assert algebra_mass_sum(17, 14) == listed_mass(17, 14)
 
+    @pytest.mark.parametrize("p", [61, 211, 999983])
+    def test_mass_matches_the_unscaled_recurrence(self, p):
+        masses = unscaled_masses(p, 60)
+        assert [algebra_mass_sum(p, n) for n in range(1, 61)] == masses[1:]
+
+    def test_mass_at_the_degree_cap_matches_the_unscaled_recurrence(self):
+        assert algebra_mass_sum(211, 200) == unscaled_masses(211, 200)[200]
+
     def test_counts_far_beyond_listing(self):
         assert count_tame_etale_algebras(101, 40) == 634306319
         assert count_tame_etale_algebras(29, 22) == 296646
 
-    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (3, 6), (2, 5)])
+    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (3, 6), (2, 5), (31, 10)])
     def test_listing_is_sorted_and_canonical(self, p, n):
         listed = enumerate_tame_etale_algebras(p, n)
         rebuilt = sorted(EtaleAlgebra(list(reversed(algebra.factors))) for algebra in listed)

@@ -93,7 +93,7 @@ class TestVerify:
         with pytest.raises(PartialEnumerationError):
             verify_wild_mckay(3, 4)
 
-    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (11, 10)])
+    @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (11, 10), (13, 12), (31, 11)])
     def test_rows_match_the_per_algebra_weights(self, p, n):
         report = verify_wild_mckay(p, n)
         algebras = enumerate_tame_etale_algebras(p, n)

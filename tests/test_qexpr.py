@@ -12,6 +12,7 @@ from wildmckay.qexpr import (
     PoleError,
     QExpr,
     QFrac,
+    _int_nth_root,
     is_infinite,
     monomial,
     nth_root_approx,
@@ -191,6 +192,40 @@ class TestNthRoot:
         tol = Fraction(1, 10**9)
         approx = nth_root_approx(27, 3, tol)
         assert abs(approx - 3) <= tol
+
+
+def newton_root_from_a_power_of_two(n, k):
+    """Test-only oracle: floor(n^(1/k)) by integer Newton from a power of two above the root."""
+    if k == 1 or n in (0, 1):
+        return n
+    x = 1 << (-(-n.bit_length() // k) + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x**k > n:
+        x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
+    return x
+
+
+class TestIntegerRoot:
+    def test_matches_newton_from_a_power_of_two(self):
+        rng = random.Random(5260)
+        for _ in range(3000):
+            k = rng.randint(1, 7)
+            n = rng.getrandbits(rng.randint(1, 3000))
+            base = rng.getrandbits(rng.randint(1, 3000 // k))
+            for radicand in (n, base**k - 1, base**k, base**k + 1):
+                if radicand >= 0:
+                    assert _int_nth_root(radicand, k) == newton_root_from_a_power_of_two(radicand, k), (radicand, k)
+
+    def test_small_and_invalid_radicands(self):
+        assert [_int_nth_root(n, 3) for n in range(30)] == [newton_root_from_a_power_of_two(n, 3) for n in range(30)]
+        with pytest.raises(ValueError):
+            _int_nth_root(-1, 3)
 
 
 class TestCanonicalExponents:
