@@ -50,7 +50,6 @@ __all__ = [
     "skipped_wild_strata",
     "enumerate_tame_etale_algebras",
     "count_tame_etale_algebras",
-    "complete_etale_algebras",
     "complete_algebra_invariants",
     "tame_enumeration_is_complete",
     "algebra_mass_sum",
@@ -61,12 +60,12 @@ __all__ = [
     "MASS_DEGREE_BUDGET",
 ]
 
-# Most algebras complete_etale_algebras lists: a `mckay verify` JSON report peaks at about
+# Most algebras complete_algebra_invariants lists: a `mckay verify` JSON report peaks at about
 # 2.8 KiB per algebra (263 MiB at p = 23, n = 21, the highest degree admitted), under 0.5 GB.
 ALGEBRAS_BUDGET = 100_000
-# Largest degree count_tame_etale_algebras accepts (`etale enumerate`, and `mckay verify` before
-# its algebra count), in degrees: it steps through every tame class of degree <= n for each of
-# the n + 1 counts; `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
+# Largest degree of the tame classes listed by degree (`etale enumerate`, `mckay verify`): the
+# algebra count steps through every tame class of degree <= n for each of the n + 1 counts;
+# `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
 COUNT_DEGREE_BUDGET = 400
 # Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its recurrence adds n^2 / 2
 # Fraction products whose denominators carry #Aut factors, not powers of p; 0.23-0.28 s at n = 200
@@ -199,22 +198,27 @@ def tame_enumeration_is_complete(p: int, n: int) -> bool:
 
 
 def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
-    """Entry k holds the tame classes of degree k, for k = 0..n (none of degree 0)."""
+    """Entry k holds the tame classes of degree k, for k = 0..n (none of degree 0).
+    BudgetExceededError before any work past COUNT_DEGREE_BUDGET."""
     if n < 1:
         raise ValueError("degree must be >= 1")
+    if n > COUNT_DEGREE_BUDGET:
+        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
     return [[]] + [enumerate_tame_field_classes(p, k) for k in range(1, n + 1)]
 
 
-def _tame_algebras(p: int, n: int, label: Callable[[TameFieldClass, int], object]
+def _tame_algebras(by_degree: list[list[TameFieldClass]], label: Callable[[TameFieldClass, int], object]
                    ) -> list[tuple[tuple, int, int, int]]:
-    """Every multiset of tame classes with total degree n, in sorted order, as (factors,
-    disc exponent, geometric component count, #Aut); factors are label(class, multiplicity),
-    one object per distinct pair, in (degree, class) order.  The one algebra listing.
+    """Every multiset of the classes by_degree[1:] of total degree n = len(by_degree) - 1, in
+    sorted order, as (factors, disc exponent, geometric component count, #Aut); factors are
+    label(class, multiplicity), one object per distinct pair, in (degree, class) order.  The one
+    algebra listing.
 
     Algebras compare by their (class, multiplicity) pairs, so a DFS that tries each factor's
     classes in class order lists them sorted.  It appends to a list: a recursive generator
     would resume every level of the path once per algebra."""
-    pool = [cls for classes in _tame_classes_by_degree(p, n) for cls in classes]  # (degree, class) order
+    n = len(by_degree) - 1
+    pool = [cls for classes in by_degree for cls in classes]  # (degree, class) order
     rank = {cls: r for r, cls in enumerate(sorted(pool))}
     ranks = [rank[cls] for cls in pool]  # class order
     degrees = [cls.degree for cls in pool]
@@ -247,17 +251,21 @@ def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     it is only the tame sector (check tame_enumeration_is_complete).
     """
     return [EtaleAlgebra._canonical(factors, n, disc_exponent, components, aut)
-            for factors, disc_exponent, components, aut in _tame_algebras(p, n, lambda cls, m: (cls, m))]
+            for factors, disc_exponent, components, aut
+            in _tame_algebras(_tame_classes_by_degree(p, n), lambda cls, m: (cls, m))]
 
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
     """len(enumerate_tame_etale_algebras(p, n)) without listing: the
     coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c.  BudgetExceededError
     before any work past COUNT_DEGREE_BUDGET."""
-    if n > COUNT_DEGREE_BUDGET:
-        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
+    return _algebra_count(_tame_classes_by_degree(p, n))
+
+
+def _algebra_count(by_degree: list[list[TameFieldClass]]) -> int:
+    n = len(by_degree) - 1
     counts = [1] + [0] * n
-    for k, classes in enumerate(_tame_classes_by_degree(p, n)):
+    for k, classes in enumerate(by_degree):
         for _ in classes:
             for j in range(k, n + 1):
                 counts[j] += counts[j - k]
@@ -271,27 +279,18 @@ def _require_complete(p: int, n: int) -> None:
         )
 
 
-def _check_listing(p: int, n: int) -> None:
-    _require_complete(p, n)
-    if (count := count_tame_etale_algebras(p, n)) > ALGEBRAS_BUDGET:
-        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
-
-
-def complete_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
-    """All degree-n etale algebras over Q_p; PartialEnumerationError when wild algebras
-    exist (p <= n), since the tame sector then misses them, and BudgetExceededError
-    before any listing when there are more than ALGEBRAS_BUDGET."""
-    _check_listing(p, n)
-    return enumerate_tame_etale_algebras(p, n)
-
-
 def complete_algebra_invariants(p: int, n: int, label: Callable[[TameFieldClass, int], object]
                                 ) -> list[tuple[tuple, int, int, int]]:
-    """complete_etale_algebras(p, n) as (factors, disc exponent, geometric component count,
-    #Aut) tuples, with the same guards and order, and each factor label(class, multiplicity),
-    one object per distinct pair."""
-    _check_listing(p, n)
-    return _tame_algebras(p, n, label)
+    """All degree-n etale algebras over Q_p, in sorted order, as (factors, disc exponent,
+    geometric component count, #Aut) tuples, each factor label(class, multiplicity), one object
+    per distinct pair.  PartialEnumerationError when wild algebras exist (p <= n), since the tame
+    sector then misses them, and BudgetExceededError before any listing when there are more than
+    ALGEBRAS_BUDGET.  The tame classes are built once, for the count and the listing."""
+    _require_complete(p, n)
+    by_degree = _tame_classes_by_degree(p, n)
+    if (count := _algebra_count(by_degree)) > ALGEBRAS_BUDGET:
+        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
+    return _tame_algebras(by_degree, label)
 
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:

@@ -17,8 +17,9 @@ DEFAULT_PRECISION = Fraction(1, 10**12)
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
     "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras",
-    degrees for "count", "mass" and "series", and shell bits (in all, and in the largest shell) and
-    digits of the exact value at p for "integral"."""
+    degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
+    "fraction", and shell bits (in all, and in the largest shell) and digits of the exact value at
+    p for "integral"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):

@@ -8,29 +8,33 @@ sum_{i=0}^{n-1} P(n, n-i) q^(2n-i).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .qexpr import QExpr
 
-__all__ = ["partition_count", "partitions_into_parts", "hilb_point_count"]
+__all__ = ["partition_count", "partition_row", "partitions_into_parts", "hilb_point_count"]
 
 
-@lru_cache(maxsize=None)
+def partition_row(n: int) -> list[int]:
+    """[P(n, 0), ..., P(n, n)] from one table filled in a loop, with no state kept between calls.
+    P(n, k) counts the partitions of n - k into parts of size at most k (take 1 from each part and
+    conjugate): the entry at n - k once the part sizes 1..k are counted in."""
+    if n < 0:
+        raise ValueError("partition_row needs a non-negative argument")
+    row = [int(n == 0)] + [0] * n
+    counts = [1] + [0] * n  # partitions of m into the part sizes counted so far
+    for k in range(1, n + 1):
+        for m in range(k, n - k + 1):
+            counts[m] += counts[m - k]
+        row[k] = counts[n - k]
+    return row
+
+
 def partition_count(n: int, k: int) -> int:
-    """Number of partitions of n into exactly k parts.
-
-    Recurrence: P(n, k) = P(n-1, k-1) + P(n-k, k); either the partition
-    contains a part 1 (remove it) or every part is >= 2 (subtract 1 from
-    each part).
-    """
+    """Number of partitions of n into exactly k parts."""
     if n < 0 or k < 0:
         raise ValueError("partition_count needs non-negative arguments")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return partition_count(n - 1, k - 1) + partition_count(n - k, k)
+    return partition_row(n)[k] if k <= n else 0
 
 
 def partitions_into_parts(n: int, k: int, _cap: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -53,4 +57,5 @@ def hilb_point_count(n: int) -> QExpr:
     """Point count of the Hilbert scheme of n points on the plane, in q."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return QExpr({2 * n - i: partition_count(n, n - i) for i in range(n)})
+    row = partition_row(n)
+    return QExpr({2 * n - i: row[n - i] for i in range(n)})

@@ -1,21 +1,22 @@
-"""Exact arithmetic in q with rational exponents, and its fraction field.
+"""Exact arithmetic in q with rational exponents, and q-fractions as values.
 
 A ``QExpr`` is a finite Q-linear combination of powers q^e with e rational,
-i.e. an element of Z[q^(1/r) : r >= 1] tensored with Q.  All symbolic point
-counts and masses produced by this package live here: q stands for the
-residue cardinality of the local field, so typical values look like
-q^(1-n) or q^(n-v).  A ``QFrac`` is a quotient of two such expressions,
-kept in a canonical reduced form so that equality is plain structural
-equality.
+i.e. an element of Z[q^(1/r) : r >= 1] tensored with Q: the one ring every
+symbolic point count, mass and series coefficient lives in.  q stands for
+the residue cardinality of the local field, so typical values look like
+q^(1-n) or q^(n-v).  A ``QFrac`` is the value of a quotient of two such
+expressions, built once from a numerator and a denominator computed in that
+ring; it does no arithmetic, and its canonical reduced form makes equality
+structural.
 
 A ``QExpr`` stores integer numerators over one positive common
 denominator, as FLINT's fmpq_poly does, so a sum or product is integer
 multiply-adds and one gcd; ``terms`` builds ``fractions.Fraction``
 coefficients on demand.  Exponents are ints when integral and reduced
 Fractions otherwise.  ``QFrac`` canonicalization takes polynomial gcds over
-Z by primitive remainder sequences.  There is no floating point anywhere in
-this module except on explicit request via ``evaluate`` with a stated
-precision.
+Z by primitive remainder sequences, on dense forms of at most
+DENSE_DEGREE_BUDGET terms.  There is no floating point anywhere in this
+module except on explicit request via ``evaluate`` with a stated precision.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .numutil import BudgetExceededError
 
 Rational = Union[int, Fraction]
 
@@ -35,7 +38,13 @@ __all__ = [
     "is_infinite",
     "monomial",
     "nth_root_approx",
+    "DENSE_DEGREE_BUDGET",
 ]
+
+# Largest dense form a q-fraction is reduced on, in t-degrees (r times the exponent span, t =
+# q^(1/r)): at 50,000, `stringy point --c=-49997/3` (50,000 terms) takes 0.37-0.65 s in-process,
+# most of it printing, and `--a 24999 --c 1/2` 0.09-0.11 s (Python 3.11, 2-vCPU Intel Xeon).
+DENSE_DEGREE_BUDGET = 50_000
 
 
 class PoleError(ArithmeticError):
@@ -161,7 +170,7 @@ class QExpr:
         acc: dict[Rational, Fraction] = {}
         for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             e = exponent if type(exponent) is int else _as_fraction(exponent)
-            acc[e] = acc.get(e, 0) + _as_fraction(coeff)
+            acc[e] = acc.get(e, 0) + (coeff if type(coeff) is int else _as_fraction(coeff))
         den = math.lcm(*[c.denominator for c in acc.values()])
         made = _make({e: c.numerator * (den // c.denominator) for e, c in acc.items()}, den)
         object.__setattr__(self, "_nums", made._nums)
@@ -265,24 +274,15 @@ class QExpr:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QExpr":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("QExpr powers must be non-negative integers")
-        return math.prod([self] * n, start=QExpr.one())
-
     def __truediv__(self, other: object) -> "QExpr | QFrac":
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of a q-expression by zero")
             a, b = other.denominator, other.numerator
             return self._scaled(a, b) if b > 0 else self._scaled(-a, -b)
-        if isinstance(other, QFrac):
-            return NotImplemented
         return QFrac(self, other)
 
     def __rtruediv__(self, other: object) -> "QFrac":
-        if isinstance(other, QFrac):
-            return NotImplemented
         return QFrac(other, self)
 
     def scale_exponents(self, k: int) -> "QExpr":
@@ -384,7 +384,10 @@ def monomial(coeff: Rational, exponent: Rational) -> QExpr:
 
 
 class QFrac:
-    """Quotient of two QExpr in canonical reduced form.
+    """Value of a quotient of two QExpr, in canonical reduced form.
+
+    A value type: built, compared, hashed, evaluated, printed and serialised,
+    never added or multiplied (sums and products are taken in QExpr first).
 
     Canonicalization: scale exponents to a common denominator r, so both
     parts become Laurent polynomials in t = q^(1/r); shift by the smaller
@@ -400,10 +403,6 @@ class QFrac:
             object.__setattr__(self, "_num", num._num)
             object.__setattr__(self, "_den", num._den)
             return
-        if isinstance(num, QFrac) or isinstance(den, QFrac):
-            top = num if isinstance(num, QFrac) else QFrac(num)
-            bottom = den if isinstance(den, QFrac) else QFrac(den)
-            num, den = top._num * bottom._den, top._den * bottom._num
         num_e, den_e = QExpr._coerce(num), QExpr._coerce(den)
         if num_e is None or den_e is None:
             raise TypeError(f"cannot build a q-expression from {type(num if num_e is None else den).__name__}")
@@ -436,81 +435,6 @@ class QFrac:
         if len(self._den._nums) != 1:
             return None
         return _over_monomial(self._num, self._den)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other: object) -> "QFrac | None":
-        if isinstance(other, QFrac):
-            return other
-        if isinstance(other, (int, Fraction)):
-            # A constant over 1 is already canonical.
-            scalar = object.__new__(QFrac)
-            object.__setattr__(scalar, "_num", QExpr.const(other))
-            object.__setattr__(scalar, "_den", QExpr.one())
-            return scalar
-        if isinstance(other, QExpr):
-            return QFrac(other)
-        return None
-
-    def __add__(self, other: object) -> "QFrac":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if self._num.is_zero:
-            return rhs
-        if rhs._num.is_zero:
-            return self
-        if self._den == rhs._den:
-            return QFrac(self._num + rhs._num, self._den)
-        return QFrac(self._num * rhs._den + rhs._num * self._den, self._den * rhs._den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QFrac":
-        return QFrac(-self._num, self._den)
-
-    def __sub__(self, other: object) -> "QFrac":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "QFrac":
-        return (-self) + other
-
-    def __mul__(self, other: object) -> "QFrac":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return QFrac(self._num * rhs._num, self._den * rhs._den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "QFrac":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs._num.is_zero:
-            raise ZeroDivisionError("division by zero q-fraction")
-        return QFrac(self._num * rhs._den, self._den * rhs._num)
-
-    def __rtruediv__(self, other: object) -> "QFrac":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
-
-    def __pow__(self, n: int) -> "QFrac":
-        if not isinstance(n, int):
-            raise ValueError("QFrac powers must be integers")
-        if n < 0:
-            return QFrac(self._den ** (-n), self._num ** (-n))
-        return QFrac(self._num**n, self._den**n)
-
-    def scale_exponents(self, k: int) -> "QFrac":
-        """Substitute q -> q^k (k a positive integer)."""
-        return QFrac(self._num.scale_exponents(k), self._den.scale_exponents(k))
 
     # -- comparison / hashing -------------------------------------------------
 
@@ -599,6 +523,8 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     # polynomials over their denominators: num / den = (a / num._den) / (b / den._den).
     r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
     shift = min(num._nums[0][0], den._nums[0][0])
+    if (size := int((max(num._nums[-1][0], den._nums[-1][0]) - shift) * r)) > DENSE_DEGREE_BUDGET:
+        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, "fraction", unit="t-degrees")
 
     def dense(expr: QExpr) -> list[int]:
         out = [0] * (int((expr._nums[-1][0] - shift) * r) + 1)

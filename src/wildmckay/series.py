@@ -1,20 +1,20 @@
-"""Truncated formal power series in x over the q-fraction field.
+"""Truncated formal power series in x with Laurent coefficients in q.
 
 Carrier of the exponential formula relating masses of field extensions to
-masses of etale algebras.  A coefficient is a ``QExpr`` when its value is
-Laurent in q and a ``QFrac`` only when it is not, so each value has one
-representation.  exp and log are computed coefficient-by-coefficient from
-the differential-equation recurrences (no factorial blowup, O(N^2)
-coefficient multiplications) and divide only by integers, so Laurent input
-stays in ``QExpr``.
+masses of etale algebras.  Every coefficient is a ``QExpr``, the one
+coefficient ring: the masses and their logarithms are Laurent in q, and exp
+and log, computed coefficient-by-coefficient from the
+differential-equation recurrences (no factorial blowup, O(N^2) coefficient
+multiplications), divide only by integers.  An int or Fraction coefficient
+becomes a constant ``QExpr``; anything else, a ``QFrac`` included, is a
+TypeError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .qexpr import QExpr, QFrac
+from .qexpr import QExpr
 
 __all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
 
@@ -28,16 +28,11 @@ class ConstantTermError(ValueError):
 _ZERO = QExpr()
 
 
-def _coefficient(value: object) -> QExpr | QFrac:
-    """The canonical coefficient: a QExpr for a Laurent value, else the QFrac."""
-    if isinstance(value, QExpr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QExpr.const(value)
-    if isinstance(value, QFrac):
-        laurent = value.as_laurent()
-        return value if laurent is None else laurent
-    raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
+def _coefficient(value: object) -> QExpr:
+    """value as a coefficient: a QExpr as it is, an int or Fraction as a constant."""
+    if (coeff := QExpr._coerce(value)) is None:
+        raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
+    return coeff
 
 
 class TruncatedSeries:
@@ -80,10 +75,10 @@ class TruncatedSeries:
         return len(self._coeffs) - 1
 
     @property
-    def coefficients(self) -> tuple[QExpr | QFrac, ...]:
+    def coefficients(self) -> tuple[QExpr, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> QExpr | QFrac:
+    def coefficient(self, n: int) -> QExpr:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self._coeffs[n]
@@ -93,10 +88,6 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.truncation, other.truncation)
         return TruncatedSeries([self._coeffs[i] + other._coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries([self._coeffs[i] - other._coeffs[i] for i in range(n + 1)])
 
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -131,7 +122,7 @@ class TruncatedSeries:
             for k in range(1, m + 1):
                 if not ks[k].is_zero:
                     acc = acc + ks[k] * e[m - k]
-            e[m] = _coefficient(acc / m)
+            e[m] = acc / m
         return TruncatedSeries(e)
 
     def log(self) -> "TruncatedSeries":
@@ -147,11 +138,11 @@ class TruncatedSeries:
             for k in range(1, m):
                 if not kl[k].is_zero and not s[m - k].is_zero:
                     acc = acc + kl[k] * s[m - k]
-            l[m] = _coefficient(s[m] - acc / m)
+            l[m] = s[m] - acc / m
             kl[m] = l[m] * m
         return TruncatedSeries(l)
 
-    # -- comparison / serialization ----------------------------------------------------
+    # -- comparison / display --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -160,14 +151,6 @@ class TruncatedSeries:
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def to_json(self) -> list:
-        """One {"num", "den"} object per coefficient, Laurent ones included."""
-        return [QFrac(c).to_json() for c in self._coeffs]
-
-    @staticmethod
-    def from_json(data: Iterable) -> "TruncatedSeries":
-        return TruncatedSeries([QFrac.from_json(entry) for entry in data])
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:5])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wildmckay import cli, localfields, massformulas, padic
+from wildmckay import cli, localfields, massformulas, padic, qexpr
 from wildmckay.cli import _json_text, main, run_to_string
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,13 +201,37 @@ class TestBudgets:
     def test_etale_degree_caps(self, monkeypatch, capsys):
         count_cap, mass_cap = localfields.COUNT_DEGREE_BUDGET, localfields.MASS_DEGREE_BUDGET
         assert run(["etale", "mass", "--p", "211", "--n", "20"])[0] == 0
-        monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
         monkeypatch.setattr(localfields, "enumerate_tame_field_classes", None)
         self.refused(["etale", "mass", "--p", "1009", "--n", str(mass_cap + 1)], capsys,
                      f"mass budget exceeded: need {mass_cap + 1} degrees, budget {mass_cap}")
         for argv in (["etale", "enumerate", "--p", "1009"], ["mckay", "verify", "--p", "1009"]):
             self.refused(argv + ["--n", str(count_cap + 1)], capsys,
                          f"count budget exceeded: need {count_cap + 1} degrees, budget {count_cap}")
+
+    def test_bhargava_degree_cap(self, monkeypatch, capsys):
+        cap = massformulas.BHARGAVA_DEGREE_BUDGET
+        code, out = run(["mass", "bhargava", "--n", "500", "--format", "json"])  # a RecursionError once
+        assert code == 0 and json.loads(out)["mass"]["terms"][0] == [-499, 1, 1, 1]
+        monkeypatch.setattr(massformulas, "partition_row", None)
+        for n in (cap + 1, 10**9):
+            start = time.perf_counter()
+            self.refused(["mass", "bhargava", "--n", str(n)], capsys,
+                         f"partition budget exceeded: need {n} degrees, budget {cap}")
+            assert time.perf_counter() - start < 1
+
+    def test_fraction_dense_degree_cap(self, monkeypatch, capsys):
+        # r * (exponent span) t-degrees: 2 * (10^9 + 1) for q^a (q - 1) / (q^(1/2) - 1) at a = 10^9,
+        # and 3 * (10^8 + 3) / 3 for (q - 1) / (q^(1 - c) - 1) at c = -10^8 / 3.
+        cap = qexpr.DENSE_DEGREE_BUDGET
+        top = cap // 2 - 1
+        assert run(["stringy", "point", "--a", str(top), "--c", "1/2"])[0] == 0
+        monkeypatch.setattr(qexpr, "_primitive_gcd", None)
+        for argv, size in (([f"--a={top + 1}", "--c=1/2"], cap + 2), (["--a=1000000000", "--c=1/2"], 2_000_000_002),
+                           (["--c=-100000000/3"], 100_000_003)):
+            start = time.perf_counter()
+            self.refused(["stringy", "point", *argv], capsys,
+                         f"fraction budget exceeded: need {size} t-degrees, budget {cap}")
+            assert time.perf_counter() - start < 1
 
     def test_integral_shell_bits_cap(self, monkeypatch, capsys):
         # c = 1/2 at p = 999983: shell i costs 20 i bits, so T terms cost 10 T (T + 1) shell bits.

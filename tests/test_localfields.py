@@ -1,12 +1,15 @@
 """Tests for the tame local-field enumeration and its exact invariants."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
+from wildmckay import localfields
 from wildmckay.localfields import (
     EtaleAlgebra,
     FieldFixture,
@@ -21,6 +24,7 @@ from wildmckay.localfields import (
     skipped_wild_strata,
     tame_enumeration_is_complete,
 )
+from wildmckay.mckay import verify_wild_mckay
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "sample_fixtures.json"
 
@@ -280,3 +284,82 @@ class TestFixtures:
         for bad in (5, [record], {**record, "aut": 2.0}, {**record, "p": "5"}):
             with pytest.raises(ValueError):
                 FieldFixture.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# An oracle for the tame sector from S_n alone.  The tame quotient of Gal(Q_p)
+# is topologically generated by sigma and tau with sigma tau sigma^-1 = tau^p
+# (Iwasawa), so for p > n the degree-n etale algebras are the S_n-classes of
+# pairs (s, t) with s t s^-1 = t^p, the homomorphism count behind Kedlaya's
+# mass formula (Kedlaya, "Mass formulas for local Galois representations",
+# IMRN 2007).  Under it #Aut = |C(s) & C(t)|, the geometric components are the
+# cycles of t and d = n - cycles(t).  Nothing here uses the (f, e, orbit)
+# parametrization of localfields.
+# ---------------------------------------------------------------------------
+
+
+def compose(a, b):
+    """(a b)(i) = a(b(i)) for permutations as tuples of images."""
+    return tuple(a[i] for i in b)
+
+
+def inverse(a):
+    out = [0] * len(a)
+    for i, image in enumerate(a):
+        out[image] = i
+    return tuple(out)
+
+
+def orbit_sizes(perm):
+    sizes, seen = [], set()
+    for start in range(len(perm)):
+        size, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            size, i = size + 1, perm[i]
+        if size:
+            sizes.append(size)
+    return sizes
+
+
+def s_n_tame_classes(p, n):
+    """Counter of (d, #Aut, components, w), one entry per S_n-class of pairs (s, t).
+
+    A class has a representative whose t is one fixed permutation per cycle type, and the
+    classes with that t are the orbits of C(t), by conjugation, on {s : s t s^-1 = t^p}; the
+    stabilizer of s is C(s) & C(t).  w is the codimension of the fixed locus of t on two copies
+    of the permutation representation minus v = d."""
+    perms = list(itertools.permutations(range(n)))
+    by_type = {}
+    for t in perms:
+        by_type.setdefault(tuple(sorted(orbit_sizes(t))), t)
+    classes = Counter()
+    for t in by_type.values():
+        t_p = tuple(range(n))
+        for _ in range(p):
+            t_p = compose(t, t_p)
+        centralizer = [g for g in perms if compose(g, t) == compose(t, g)]
+        solutions = {s for s in perms if compose(compose(s, t), inverse(s)) == t_p}
+        assert solutions  # t^p is conjugate to t, since p is prime to the order of t
+        doubled = t + tuple(n + i for i in t)  # t on the 2n coordinates of two copies
+        components = len(orbit_sizes(t))
+        d = n - components
+        w = (2 * n - len(orbit_sizes(doubled))) - d
+        while solutions:
+            s = min(solutions)
+            orbit = {compose(compose(g, s), inverse(g)) for g in centralizer}
+            solutions -= orbit
+            classes[d, len(centralizer) // len(orbit), components, w] += 1
+    return classes
+
+
+class TestSymmetricGroupOracle:
+    @pytest.mark.parametrize("p, n", [(p, n) for p in (7, 11, 13, 29, 31) for n in range(1, 6)] + [(7, 6)])
+    def test_invariants_match_pairs_in_s_n(self, p, n):
+        oracle = s_n_tame_classes(p, n)
+        listed = localfields._tame_algebras(localfields._tame_classes_by_degree(p, n), lambda cls, m: None)
+        assert Counter((d, aut, components) for _, d, components, aut in listed) == Counter(
+            {(d, aut, components): count for (d, aut, components, _), count in oracle.items()})
+        rows = verify_wild_mckay(p, n).rows
+        assert Counter((row["d"], row["aut"], row["w"]) for row in rows) == Counter(
+            {(d, aut, w): count for (d, aut, _, w), count in oracle.items()})

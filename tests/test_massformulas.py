@@ -74,7 +74,7 @@ class TestRecovery:
         # S_2 = N(K,2)/1 + N(K_2,1)/2 = q^-1 + 1/2
         series = mass_series_via_exp(6)
         S = series.log()
-        assert S.coefficient(2) == QFrac(QExpr({-1: 1})) + Fraction(1, 2)
+        assert S.coefficient(2) == QExpr({-1: 1, 0: Fraction(1, 2)})
 
     def test_recover_base_masses(self):
         series = mass_series_via_exp(12)
@@ -116,9 +116,7 @@ class TestPartitionHilbertLink:
         from wildmckay.partitions import hilb_point_count
 
         for n in range(1, 13):
-            lhs = QFrac(hilb_point_count(n))
-            rhs = QFrac(QExpr.q(2 * n)) * QFrac(bhargava_mass(n))
-            assert lhs == rhs
+            assert QFrac(hilb_point_count(n), QExpr.q(2 * n)) == bhargava_mass(n)
 
 
 class TestLaurentPipeline:
@@ -127,13 +125,6 @@ class TestLaurentPipeline:
         assert all(type(c) is QExpr for c in series.coefficients)
         recovered = recover_N_from_M(series)
         assert recovered and all(type(v) is QExpr for v in recovered.values())
-
-    def test_recovered_laurent_value_is_qexpr_on_a_mixed_series(self):
-        q = QExpr.q()
-        a = QFrac(q, q + 1)
-        recovered = recover_N_from_M(TruncatedSeries([1, a, a * a / 2 + a.scale_exponents(2) / 2 + QExpr.q(-1)]))
-        assert recovered[(1, 1)] == a and type(recovered[(1, 1)]) is QFrac
-        assert recovered[(1, 2)] == QExpr.q(-1) and type(recovered[(1, 2)]) is QExpr
 
     def test_mass_pipeline_never_canonicalizes_a_fraction(self, monkeypatch):
         # A deterministic stand-in for the mass pipeline's speed: Laurent

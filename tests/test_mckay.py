@@ -122,10 +122,10 @@ class TestVerify:
         assert verify_wild_mckay(13, 12).passed
         monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3484)
 
-        def no_listing(p, n):
+        def no_listing(by_degree, label):
             raise AssertionError("listed although over budget")
 
-        monkeypatch.setattr(localfields, "enumerate_tame_etale_algebras", no_listing)
+        monkeypatch.setattr(localfields, "_tame_algebras", no_listing)
         with pytest.raises(BudgetExceededError) as err:
             verify_wild_mckay(13, 12)
         assert (err.value.required, err.value.budget) == (3485, 3484)
@@ -135,11 +135,23 @@ class TestVerify:
         # Over Q_23, degree 21 is the last within the cap and degree 22 the first above it.
         cap = localfields.ALGEBRAS_BUDGET
         assert localfields.count_tame_etale_algebras(23, 21) <= cap < localfields.count_tame_etale_algebras(23, 22)
-        monkeypatch.setattr(localfields, "enumerate_tame_etale_algebras", lambda p, n: ["listed"])
-        assert localfields.complete_etale_algebras(23, 21) == ["listed"]
+        monkeypatch.setattr(localfields, "_tame_algebras", lambda by_degree, label: ["listed"])
+        assert localfields.complete_algebra_invariants(23, 21, None) == ["listed"]
         with pytest.raises(BudgetExceededError) as err:
-            localfields.complete_etale_algebras(23, 22)
+            localfields.complete_algebra_invariants(23, 22, None)
         assert (err.value.required, err.value.budget) == (152131, cap)
+
+    def test_tame_classes_built_once_per_degree(self, monkeypatch):
+        calls = []
+        enumerate_classes = localfields.enumerate_tame_field_classes
+
+        def counted(p, n):
+            calls.append((p, n))
+            return enumerate_classes(p, n)
+
+        monkeypatch.setattr(localfields, "enumerate_tame_field_classes", counted)
+        assert verify_wild_mckay(13, 8).passed
+        assert sorted(calls) == [(13, k) for k in range(1, 9)]
 
     def test_breakdown_rows_match_algebras(self):
         report = verify_wild_mckay(5, 3)

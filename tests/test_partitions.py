@@ -2,7 +2,7 @@
 
 import pytest
 
-from wildmckay.partitions import hilb_point_count, partition_count, partitions_into_parts
+from wildmckay.partitions import hilb_point_count, partition_count, partition_row, partitions_into_parts
 from wildmckay.qexpr import QExpr
 
 
@@ -40,6 +40,40 @@ class TestPartitionCount:
             assert sum(part) == 12
             assert len(part) == 4
             assert all(part[i] >= part[i + 1] for i in range(3))
+
+
+def euler_partition_numbers(n_max):
+    """p(0..n_max) by Euler's pentagonal number recurrence, an oracle independent of P(n, k)."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while (pentagonal := k * (3 * k - 1) // 2) <= n:
+            sign = 1 if k % 2 else -1
+            p[n] += sign * p[n - pentagonal]
+            if pentagonal + k <= n:
+                p[n] += sign * p[n - pentagonal - k]
+            k += 1
+    return p
+
+
+class TestPartitionRow:
+    def test_rows_sum_to_euler_partition_numbers(self):
+        euler = euler_partition_numbers(1200)
+        for n in (0, 1, 2, 7, 40, 499, 500, 1200):
+            row = partition_row(n)
+            assert len(row) == n + 1 and sum(row) == euler[n]
+            assert row[n] == 1 and (n < 1 or row[1] == 1) and (n < 2 or row[2] == n // 2)
+
+    def test_large_degree_does_not_depend_on_earlier_calls(self):
+        # Filled iteratively: degree 2000 answers cold, at a depth where recursion would overflow.
+        assert sum(partition_row(2000)) == euler_partition_numbers(2000)[2000]
+        assert partition_count(2000, 1000) == euler_partition_numbers(1000)[1000]
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            partition_row(-1)
+        with pytest.raises(ValueError):
+            partition_count(-1, 0)
 
 
 class TestHilbPointCount:

@@ -75,13 +75,16 @@ class TestCountSnc:
                 VerticalComponent(2, {frozenset({2}): 3}),
             ],
         )
-        expected = (
-            stringy_point_contribution(0, []) * 2
-            + stringy_point_contribution(0, [HALF]) * 1
-            + stringy_point_contribution(0, [HALF, Fraction(1, 3)]) * 4
-            + stringy_point_contribution(2, [Fraction(-1)]) * 3
-        )
-        assert stringy_count_snc(data) == expected
+        points = [
+            (2, stringy_point_contribution(0, [])),
+            (1, stringy_point_contribution(0, [HALF])),
+            (4, stringy_point_contribution(0, [HALF, Fraction(1, 3)])),
+            (3, stringy_point_contribution(2, [Fraction(-1)])),
+        ]
+        num, den = QExpr(), QExpr.one()
+        for count, value in points:
+            num, den = num * value.den + value.num * count * den, den * value.den
+        assert stringy_count_snc(data) == QFrac(num, den)
 
     def test_zero_coefficients_give_plain_count(self):
         data = SncLogPairData(
@@ -144,18 +147,18 @@ class TestValidationAndJson:
 
 
 # ---------------------------------------------------------------------------
-# The evaluator sums over one common denominator; the per-stratum QFrac sum
-# below is the reference it is checked against.
+# The evaluator sums over one common denominator; the per-stratum sum below,
+# each partial sum one fraction cross-multiplied in QExpr, is the reference.
 # ---------------------------------------------------------------------------
 
 
 def oracle_point(a, cs):
-    factors = QFrac(QExpr.q(Fraction(a)))
+    num, den = QExpr.q(Fraction(a)), QExpr.one()
     for c in cs:
         if c >= 1:
             return INFINITE
-        factors = factors * QFrac(QExpr.q() - 1, QExpr.q(1 - c) - 1)
-    return factors
+        num, den = num * (QExpr.q() - 1), den * (QExpr.q(1 - c) - 1)
+    return QFrac(num, den)
 
 
 def oracle_count(data):
@@ -167,7 +170,8 @@ def oracle_count(data):
             contribution = oracle_point(component.a, [data.horizontal[j - 1] for j in sorted(subset)])
             if is_infinite(contribution):
                 return INFINITE
-            total = total + contribution * count
+            total = QFrac(total.num * contribution.den + contribution.num * count * total.den,
+                          total.den * contribution.den)
     return total
 
 
