@@ -17,6 +17,7 @@ import functools
 import gc
 import io
 import json
+import math
 import sys
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
@@ -34,7 +35,14 @@ from .localfields import (
 )
 from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from .mckay import verify_wild_mckay
-from .numutil import DEFAULT_PRECISION, format_rational, is_prime, parse_rational
+from .numutil import (
+    DEFAULT_PRECISION,
+    EXACT_DIGITS_BUDGET,
+    check_exact_digits,
+    format_rational,
+    is_prime,
+    parse_rational,
+)
 from .padic import (
     BudgetExceededError,
     HenselMismatchError,
@@ -77,13 +85,48 @@ def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
         return "Infinite"
     frac = QFrac(value)
     if frac.num.has_integer_exponents() and frac.den.has_integer_exponents():
-        return {"q": format_rational(q0), "exact": format_rational(frac.evaluate(q0))}
+        unit = "digits in the exact value at q"
+        if (digits := _exact_digits_floor(frac, q0)) > EXACT_DIGITS_BUDGET:
+            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit=unit)
+        exact = frac.evaluate(q0)
+        check_exact_digits(exact, "evaluation", unit)
+        return {"q": format_rational(q0), "exact": format_rational(exact)}
     approx = frac.evaluate(q0, precision=precision)
     return {
         "q": format_rational(q0),
         "approx": _decimal_text(approx),
         "precision": format_rational(precision),
     }
+
+
+def _exact_digits_floor(frac: QFrac, q0: Fraction) -> int:
+    """A lower bound, found without any power, on the decimal digits of the numerator or the
+    denominator of frac at q0 = a/b > 0 in lowest terms.
+
+    A part X = sum x_i q^e_i / D_X (integers x_i) is a^low b^(-high) A_X / D_X at q0, where A_X
+    is an integer with |A_X| <= sum |x_i| * max(a, b)^(high - low).  So frac(q0) is
+    a^s b^t (A_num D_den) / (A_den D_num) with s = low_num - low_den and t = high_den - high_num;
+    a and b are coprime, so only A_den D_num can cancel a^max(s, 0) b^max(t, 0) from the
+    numerator, and only A_num D_den can cancel a^max(-s, 0) b^max(-t, 0) from the denominator."""
+    if frac.is_zero:
+        return 1
+    log_a, log_b = math.log10(q0.numerator), math.log10(q0.denominator)
+    log_m = max(log_a, log_b)
+    shape = []  # (low, high, log10 sum |x_i|, log10 D_X) per part
+    for part in (frac.num, frac.den):
+        terms = part.terms
+        den = math.lcm(*[c.denominator for _, c in terms])
+        size = sum(abs(c.numerator) * (den // c.denominator) for _, c in terms)
+        shape.append((terms[0][0], terms[-1][0], math.log10(size), math.log10(den)))
+    (low_n, high_n, size_n, den_n), (low_d, high_d, size_d, den_d) = shape
+    s, t = low_n - low_d, high_d - high_n
+    # Clamped so that the floats stay finite; each clamp leaves the bound a lower bound.
+    kept = lambda k: min(max(k, 0), 10**12)
+    spread = lambda k: min(k, 10**15) * log_m
+    top = kept(s) * log_a + kept(t) * log_b - spread(high_d - low_d) - size_d - den_n
+    bottom = kept(-s) * log_a + kept(-t) * log_b - spread(high_n - low_n) - size_n - den_d
+    bound = max(top, bottom)
+    return math.floor(bound - 1e-9 * (1 + abs(bound))) + 1
 
 
 def _decimal_text(value: Fraction) -> str:

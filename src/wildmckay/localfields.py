@@ -38,7 +38,7 @@ from math import factorial, gcd, prod
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .numutil import BudgetExceededError, divisors, exact_int, is_prime, json_array, json_object
+from .numutil import BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object
 
 __all__ = [
     "TameFieldClass",
@@ -297,16 +297,22 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
     listing: M_n of exp(sum_k W_k x^k).  The recurrence j M_j = sum_k k W_k M_(j-k) runs on
     N_j = p^j M_j, as j N_j = sum_k k (p^k W_k) N_(j-k): p^k W_k = sum p^(k-d) / #Aut has only
-    #Aut in its denominators (d < k).  BudgetExceededError before any work past MASS_DEGREE_BUDGET."""
+    #Aut in its denominators (d < k).  BudgetExceededError before any work past MASS_DEGREE_BUDGET,
+    or when the mass could not be printed (more than EXACT_DIGITS_BUDGET digits): first on p^(n-1),
+    the denominator of Bhargava's sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p
+    and larger), then on the mass."""
     _require_complete(p, n)
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
+    check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
     weights = [sum(Fraction(p ** (k - cls.disc_exponent), cls.aut_order) for cls in classes)
                for k, classes in enumerate(_tame_classes_by_degree(p, n))]
     mass = [Fraction(1)]
     for j in range(1, n + 1):
         mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
-    return mass[n] / p**n
+    value = mass[n] / p**n
+    check_exact_digits(value, "mass", "digits in the mass at p")
+    return value
 
 
 # ---------------------------------------------------------------------------

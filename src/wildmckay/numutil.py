@@ -6,20 +6,25 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "DEFAULT_PRECISION", "PRIME_TEST_LIMIT", "is_prime", "divisors", "exact_int",
+    "BudgetExceededError", "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
+    "exact_int", "decimal_digits", "check_exact_digits",
     "json_object", "json_array", "parse_rational", "format_rational",
 ]
 
 # Absolute precision of a rational approximation when none is requested (1e-12).
 DEFAULT_PRECISION = Fraction(1, 10**12)
+# Most decimal digits in the numerator or denominator of a printed exact value: Python's default
+# limit for int-to-str conversion, past which it could not be printed.
+EXACT_DIGITS_BUDGET = 4300
 
 
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
     "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
-    "fraction", and shell bits (in all, and in the largest shell) and digits of the exact value at
-    p for "integral"."""
+    "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
+    shell) and digits of the exact value at p for "integral", and digits of an exact value for
+    "mass" (at p) and "evaluation" (at q)."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):
@@ -61,6 +66,24 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, counted exactly without converting n to a string."""
+    n = abs(n)
+    digits = max(1, (n.bit_length() - 1) * 30102 // 100000)  # at most the count: 0.30102 < log10(2)
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def check_exact_digits(value: int | Fraction, engine: str, unit: str) -> None:
+    """BudgetExceededError when the numerator or the denominator of value has more than
+    EXACT_DIGITS_BUDGET decimal digits, so that it could not be printed."""
+    value = Fraction(value)
+    digits = max(decimal_digits(value.numerator), decimal_digits(value.denominator))
+    if digits > EXACT_DIGITS_BUDGET:
+        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, engine, unit=unit)
 
 
 def divisors(n: int) -> list[int]:

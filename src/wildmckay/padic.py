@@ -25,7 +25,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .numutil import DEFAULT_PRECISION, BudgetExceededError, exact_int, is_prime, json_object
+from .numutil import (
+    DEFAULT_PRECISION,
+    EXACT_DIGITS_BUDGET,
+    BudgetExceededError,
+    check_exact_digits,
+    exact_int,
+    is_prime,
+    json_object,
+)
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
 
 __all__ = [
@@ -58,9 +66,6 @@ INTEGRAL_BUDGET = 50_000_000
 # terms at p = 999983 (Python 3.11, 2-vCPU Intel Xeon).  Not bounded yet: a fractional c > 1,
 # whose shells are k-th roots (c = 280/3 takes 5.5 s over 300 terms at p = 5).
 LARGEST_SHELL_BUDGET = 250_000
-# Most decimal digits in the closed form at q = p for an integer c < 1, 1 / (p + p^2 + ... + p^(1-c)):
-# Python's default limit for int-to-str conversion, past which it could not be printed.
-EXACT_DIGITS_BUDGET = 4300
 
 
 class SmoothnessError(ValueError):
@@ -391,12 +396,8 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     if largest > LARGEST_SHELL_BUDGET:
         raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
     if c < 1 and c.denominator == 1:  # the shell caps keep (1 - c) * bit_length(p) within 250,000 bits
-        value_den = (p ** (2 - c.numerator) - p) // (p - 1)
-        digits = (value_den.bit_length() - 1) * 30102 // 100000  # below its digit count: 0.30102 < log10(2)
-        while value_den >= 10**digits:
-            digits += 1
-        if digits > EXACT_DIGITS_BUDGET:
-            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "integral", unit="digits in the exact value at p")
+        # the closed form at q = p is 1 / (p + p^2 + ... + p^(1-c)), refused when it cannot print
+        check_exact_digits((p ** (2 - c.numerator) - p) // (p - 1), "integral", "digits in the exact value at p")
     partial = Fraction(0)
     unit_shell = 1 - Fraction(1, p)
     for i in range(1, terms + 1):

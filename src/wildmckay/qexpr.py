@@ -147,10 +147,26 @@ def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
             den //= g
             nums = [(e, n // g) for e, n in nums]
     nums.sort()
+    return _raw(tuple(nums), den)
+
+
+def _raw(nums: tuple[tuple[Rational, int], ...], den: int) -> "QExpr":
+    """QExpr of nums and den already in canonical form."""
     obj = object.__new__(QExpr)
-    object.__setattr__(obj, "_nums", tuple(nums))
+    object.__setattr__(obj, "_nums", nums)
     object.__setattr__(obj, "_den", den)
     return obj
+
+
+def _sum_over(parts: list[tuple["QExpr", int]]) -> "QExpr":
+    """sum of value / k over (value, k) pairs (k a nonzero int) over the lcm of the denominators."""
+    den = math.lcm(*[v._den * abs(k) for v, k in parts])
+    acc: dict[Rational, int] = {}
+    for v, k in parts:
+        scale = den // (v._den * k)
+        for e, n in v._nums:
+            acc[e] = acc.get(e, 0) + n * scale
+    return _make(acc, den)
 
 
 class QExpr:
@@ -191,7 +207,7 @@ class QExpr:
 
     @staticmethod
     def q(exponent: Rational = 1) -> "QExpr":
-        return QExpr({exponent: 1})
+        return _make({exponent: 1}) if type(exponent) is int else QExpr({exponent: 1})
 
     @staticmethod
     def const(value: Rational) -> "QExpr":
@@ -233,14 +249,8 @@ class QExpr:
         return _make({e: n * a for e, n in self._nums}, self._den * b)
 
     def _plus(self, rhs: "QExpr", sign: int) -> "QExpr":
-        """self + sign * rhs over the lcm of the two denominators."""
-        da, db = self._den, rhs._den
-        den = da if da == db else math.lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        acc = dict(self._nums) if fa == 1 else {e: n * fa for e, n in self._nums}
-        for e, n in rhs._nums:
-            acc[e] = acc.get(e, 0) + n * fb
-        return _make(acc, den)
+        """self + sign * rhs."""
+        return _sum_over([(self, 1), (rhs, sign)])
 
     def __add__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
@@ -354,23 +364,16 @@ class QExpr:
     def __str__(self) -> str:
         if not self._nums:
             return "0"
-        parts = []
-        for e, c in reversed(self.terms):
+        den, parts = self._den, []
+        for e, n in reversed(self._nums):
+            c = n if den == 1 else Fraction(n, den)
             if e == 0:
                 body = str(c)
             else:
-                power = "q" if e == 1 else f"q^({e})" if (e.denominator != 1 or e < 0) else f"q^{e}"
-                if c == 1:
-                    body = power
-                elif c == -1:
-                    body = f"-{power}"
-                else:
-                    body = f"{c}*{power}"
-            parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+                power = "q" if e == 1 else f"q^({e})" if (type(e) is not int or e < 0) else f"q^{e}"
+                body = power if c == 1 else f"-{power}" if c == -1 else f"{c}*{power}"
+            parts.append(body if not parts else f" - {body[1:]}" if body[0] == "-" else f" + {body}")
+        return "".join(parts)
 
 
 def monomial(coeff: Rational, exponent: Rational) -> QExpr:

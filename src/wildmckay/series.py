@@ -1,20 +1,28 @@
 """Truncated formal power series in x with Laurent coefficients in q.
 
 Carrier of the exponential formula relating masses of field extensions to
-masses of etale algebras.  Every coefficient is a ``QExpr``, the one
-coefficient ring: the masses and their logarithms are Laurent in q, and exp
-and log, computed coefficient-by-coefficient from the
-differential-equation recurrences (no factorial blowup, O(N^2) coefficient
-multiplications), divide only by integers.  An int or Fraction coefficient
-becomes a constant ``QExpr``; anything else, a ``QFrac`` included, is a
-TypeError.
+masses of etale algebras.  Every coefficient is a ``QExpr``; an int or
+Fraction becomes a constant one, anything else (a ``QFrac`` included) is a
+TypeError.  Products, exp and log run on dense integer rows over t = q^s, s
+the largest step dividing every exponent: each coefficient is the numerators
+of t^low, t^(low+1), ... over one denominator, packed into one integer of
+signed w-bit slots, so a product of two coefficients is one big-integer
+multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J.
+Symbolic Comput. 44 (2009)).  exp and log run the recurrences
+m e_m = sum_k k s_k e_(m-k) and m l_m = m s_m - sum_k k l_k s_(m-k); each
+step sums its products over one denominator in the packed domain and
+unpacks once, with w from the bits of that step's products, rounded up to
+32, and each row keeps its packing per width.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable
 
-from .qexpr import QExpr
+from .numutil import BudgetExceededError
+from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _raw
 
 __all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
 
@@ -33,6 +41,99 @@ def _coefficient(value: object) -> QExpr:
     if (coeff := QExpr._coerce(value)) is None:
         raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
     return coeff
+
+
+class _Row:
+    """A nonzero coefficient: numerators of t^low, ..., t^high over den > 0, the first and last
+    nonzero, with its packings by slot width in bytes."""
+
+    __slots__ = ("low", "high", "nums", "den", "bits", "packed")
+
+    def __init__(self, low: int, nums: list[int], den: int):
+        self.low, self.high, self.nums, self.den = low, low + len(nums) - 1, nums, den
+        self.bits = max(max(nums), -min(nums)).bit_length()
+        self.packed: dict[int, int] = {}
+
+    def pack(self, size: int) -> int:
+        """Keeps and returns sum of nums[i] * 2^(8 size i), read from the slots biased to unsigned."""
+        half = 1 << (8 * size - 1)
+        biased = b"".join([(n + half).to_bytes(size, "little") for n in self.nums])
+        packed = self.packed[size] = int.from_bytes(biased, "little") - _bias(half, size, len(self.nums))
+        return packed
+
+
+def _bias(half: int, size: int, count: int) -> int:
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+def _dot(terms: list[tuple[int, _Row, _Row]]) -> _Row | None:
+    """sum of c * a * b over terms in lowest terms, None when zero."""
+    if not terms:
+        return None
+    den = math.lcm(*[a.den * b.den for _, a, b in terms])
+    terms = [(c * (den // (a.den * b.den)), a, b) for c, a, b in terms]
+    low = min([a.low + b.low for _, a, b in terms])
+    count = max([a.high + b.high for _, a, b in terms]) + 1 - low
+    # |slot of the sum| < sum over terms of |c| * min(len a, len b) * 2^(a.bits + b.bits), min <= count
+    bits = max([c.bit_length() + a.bits + b.bits for c, a, b in terms]) + count.bit_length() + len(terms).bit_length()
+    size = (bits + 32) // 32 * 4  # slot bytes: bits + 1 sign bit, rounded up to 32 bits
+    total = 0
+    for c, a, b in terms:
+        total += c * (a.packed.get(size) or a.pack(size)) * (b.packed.get(size) or b.pack(size)) << (
+            8 * size * (a.low + b.low - low))
+    half = 1 << (8 * size - 1)
+    raw = memoryview((total + _bias(half, size, count)).to_bytes(size * count, "little"))
+    nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, size * count, size)]
+    if not (nonzero := [i for i, n in enumerate(nums) if n]):
+        return None
+    nums = nums[nonzero[0]:nonzero[-1] + 1]
+    if (g := math.gcd(den, *nums)) != 1:
+        nums, den = [n // g for n in nums], den // g
+    return _Row(low + nonzero[0], nums, den)
+
+
+def _scaled(row: _Row | None, a: int, b: int) -> _Row | None:
+    """row * a / b in lowest terms, for coprime a, b > 0."""
+    if row is None:
+        return None
+    g, h = math.gcd(a, row.den), math.gcd(b, *row.nums)
+    return _Row(row.low, [n // h * (a // g) for n in row.nums], row.den // g * (b // h))
+
+
+def _step(*series: tuple[QExpr, ...]) -> tuple[int, int]:
+    """(g, r) with g / r the largest step of which every exponent of the series is a multiple."""
+    r = math.lcm(*[c.exponent_denominator() for cs in series for c in cs])
+    return math.gcd(*[e.numerator * (r // e.denominator) for cs in series for c in cs for e, _ in c._nums]) or 1, r
+
+
+def _rows(coeffs: Iterable[QExpr], step: tuple[int, int], degree: int) -> list[_Row | None]:
+    """Rows over t = q^(g/r) of coefficients whose products reach `degree` factors; a
+    BudgetExceededError when such a product could span more than DENSE_DEGREE_BUDGET t-degrees."""
+    g, r = step
+    rows: list[_Row | None] = []
+    for c in coeffs:
+        if not c._nums:
+            rows.append(None)
+            continue
+        ts = [(e.numerator * (r // e.denominator) // g, n) for e, n in c._nums]
+        low, span = ts[0][0], ts[-1][0] - ts[0][0]
+        if span * degree > DENSE_DEGREE_BUDGET:
+            raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
+        nums = [0] * (span + 1)
+        for t, n in ts:
+            nums[t - low] = n
+        rows.append(_Row(low, nums, c._den))
+    return rows
+
+
+def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
+    if row is None:
+        return _ZERO
+    g, r = step
+    exps = range(row.low * g, (row.low + len(row.nums)) * g, g)
+    if r != 1:
+        exps = [v // r if v % r == 0 else Fraction(v, r) for v in exps]
+    return _raw(tuple([(e, n) for e, n in zip(exps, row.nums) if n]), row.den)
 
 
 class TruncatedSeries:
@@ -92,16 +193,10 @@ class TruncatedSeries:
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.truncation, other.truncation)
-            out = [_ZERO] * (n + 1)
-            for i in range(n + 1):
-                a = self._coeffs[i]
-                if a.is_zero:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(out)
+            step = _step(self._coeffs[: n + 1], other._coeffs[: n + 1])
+            a, b = _rows(self._coeffs[: n + 1], step, 2), _rows(other._coeffs[: n + 1], step, 2)
+            return TruncatedSeries([_expr(_dot([(1, a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]]), step)
+                                    for m in range(n + 1)])
         scalar = _coefficient(other)
         return TruncatedSeries([c * scalar for c in self._coeffs])
 
@@ -113,34 +208,27 @@ class TruncatedSeries:
         """Formal exponential; requires constant coefficient 0."""
         if not self._coeffs[0].is_zero:
             raise ConstantTermError("exp needs a series with zero constant term")
-        n = self.truncation
-        s = self._coeffs
-        ks = [c * k for k, c in enumerate(s)]
-        e = [QExpr.one()] + [_ZERO] * n
+        n, step = self.truncation, _step(self._coeffs)
+        s = _rows(self._coeffs, step, n)
+        ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
+        e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                if not ks[k].is_zero:
-                    acc = acc + ks[k] * e[m - k]
-            e[m] = acc / m
-        return TruncatedSeries(e)
+            e[m] = _scaled(_dot([(1, ks[k], e[m - k]) for k in range(1, m + 1) if ks[k] and e[m - k]]), 1, m)
+        return TruncatedSeries([_expr(row, step) for row in e])
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient 1."""
         if self._coeffs[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
-        n = self.truncation
-        s = self._coeffs
-        l = [_ZERO] * (n + 1)
-        kl = [_ZERO] * (n + 1)
+        n, step = self.truncation, _step(self._coeffs)
+        s = _rows(self._coeffs, step, n)
+        kl: list[_Row | None] = [None] * (n + 1)  # k l_k
         for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m):
-                if not kl[k].is_zero and not s[m - k].is_zero:
-                    acc = acc + kl[k] * s[m - k]
-            l[m] = s[m] - acc / m
-            kl[m] = l[m] * m
-        return TruncatedSeries(l)
+            terms = [(-1, kl[k], s[m - k]) for k in range(1, m) if kl[k] and s[m - k]]
+            if s[m]:
+                terms.append((m, s[m], s[0]))
+            kl[m] = _dot(terms)
+        return TruncatedSeries([_expr(_scaled(row, 1, k), step) for k, row in enumerate(kl)])
 
     # -- comparison / display --------------------------------------------------------
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wildmckay import cli, localfields, massformulas, padic, qexpr
+from wildmckay import cli, localfields, massformulas, numutil, padic, qexpr
 from wildmckay.cli import _json_text, main, run_to_string
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,6 +274,36 @@ class TestBudgets:
         assert run(argv + [str(top)])[0] == 0
         self.refused(argv + [str(top - 1)], capsys,
                      f"integral budget exceeded: need {cap + 1} digits in the exact value at p, budget {cap}")
+
+    def test_exact_value_digits_cap(self, monkeypatch, capsys):
+        # One cap for every printed exact value, checked before any power or mass work.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        assert padic.EXACT_DIGITS_BUDGET is cap
+        code, out = run(["stringy", "point", "--a", "5000", "--at-q", "5", "--format", "json"])
+        assert code == 0 and json.loads(out)["evaluated"] == {"exact": str(5**5000), "q": "5"}  # 3,495 digits
+        # 5^6151 has 4,300 digits and prints; 5^6152 has 4,301.
+        assert run(["stringy", "point", "--a", "6151", "--at-q", "1/5"])[0] == 0
+        # Past the cap the exact value is counted before it is computed: its digits are at least
+        # a * log10(q0) for q^a at q0 and n - 1 digits of p for the degree-n mass at p.
+        monkeypatch.setattr(qexpr.QFrac, "evaluate", None)
+        monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
+        for argv, message in (
+            (["stringy", "point", "--a", "10000000", "--at-q", "5"], "evaluation budget exceeded: need 6989701"),
+            (["stringy", "point", "--a", "40000", "--c", "0", "--at-q", "5"], "evaluation budget exceeded: need 27959"),
+            (["stringy", "point", "--a", "6152", "--at-q", "1/5"], "evaluation budget exceeded: need 4301"),
+            (["etale", "mass", "--p", "2999999999999999999999957", "--n", "200"], "mass budget exceeded: need 4871"),
+        ):
+            unit = "mass at p" if argv[0] == "etale" else "exact value at q"
+            start = time.perf_counter()
+            self.refused(argv, capsys, f"{message} digits in the {unit}, budget {cap}")
+            assert time.perf_counter() - start < 1
+
+    def test_exact_value_digits_counted_after_evaluation(self, capsys):
+        # (q - 1) / (q^7001 - 1) has no power of q to count first; at q = 5 its denominator
+        # (5^7001 - 1) / 4 has 4,893 digits, found once the value is computed.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        self.refused(["stringy", "point", "--a", "0", "--c=-7000", "--at-q", "5"], capsys,
+                     f"evaluation budget exceeded: need 4893 digits in the exact value at q, budget {cap}")
 
 
 class TestParser:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wildmckay.numutil import (
-    PRIME_TEST_LIMIT, divisors, exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
+    EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_exact_digits, decimal_digits, divisors,
+    exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
 )
 
 
@@ -93,3 +94,18 @@ def test_json_shapes():
 def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-3, 7)) == "-3/7"
+
+
+def test_decimal_digits_match_the_printed_length():
+    values = [0, 1, 9, 10, 11, 99, 100, 2**64, 10**4299, 10**4300 - 1]
+    values += [10**k + d for k in range(1, 60) for d in (-1, 0, 1)] + [7**k for k in range(200)]
+    for n in values:
+        assert decimal_digits(n) == decimal_digits(-n) == len(str(n))
+
+
+def test_check_exact_digits_admits_what_prints():
+    check_exact_digits(Fraction(10**4300 - 1, 7), "evaluation", "digits")
+    check_exact_digits(-(10**4300 - 1), "evaluation", "digits")
+    for value in (10**4300, Fraction(3, 10**4300), Fraction(-(10**4300), 7)):
+        with pytest.raises(BudgetExceededError, match=f"need 4301 digits, budget {EXACT_DIGITS_BUDGET}"):
+            check_exact_digits(value, "evaluation", "digits")

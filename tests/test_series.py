@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wildmckay.qexpr import QExpr, QFrac
+from wildmckay import massformulas
+from wildmckay.numutil import BudgetExceededError
+from wildmckay.qexpr import DENSE_DEGREE_BUDGET, QExpr, QFrac
 from wildmckay.series import ConstantTermError, TruncatedSeries
 
 
@@ -127,3 +129,113 @@ class TestCoefficientRing:
             assert mixed.exp().log() == mixed
             m = mixed.exp()
             assert m.log().exp() == m
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the coefficient-by-coefficient recurrences on QExpr values, with no packed rows
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    n = min(a.truncation, b.truncation)
+    out = [QExpr()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a.coefficient(i) * b.coefficient(j)
+    return TruncatedSeries(out)
+
+
+def oracle_exp(series: TruncatedSeries) -> TruncatedSeries:
+    """m e_m = sum_k k s_k e_(m-k)."""
+    n, s = series.truncation, series.coefficients
+    assert s[0].is_zero
+    ks = [c * k for k, c in enumerate(s)]
+    e = [QExpr.one()] + [QExpr()] * n
+    for m in range(1, n + 1):
+        acc = QExpr()
+        for k in range(1, m + 1):
+            if not ks[k].is_zero:
+                acc = acc + ks[k] * e[m - k]
+        e[m] = acc / m
+    return TruncatedSeries(e)
+
+
+def oracle_log(series: TruncatedSeries) -> TruncatedSeries:
+    """l_m = s_m - (sum_k k l_k s_(m-k)) / m."""
+    n, s = series.truncation, series.coefficients
+    assert s[0] == 1
+    l = [QExpr()] * (n + 1)
+    kl = [QExpr()] * (n + 1)
+    for m in range(1, n + 1):
+        acc = QExpr()
+        for k in range(1, m):
+            if not kl[k].is_zero and not s[m - k].is_zero:
+                acc = acc + kl[k] * s[m - k]
+        l[m] = s[m] - acc / m
+        kl[m] = l[m] * m
+    return TruncatedSeries(l)
+
+
+def seeded_coefficient(rng: random.Random, bits: int) -> QExpr:
+    """Zero about one time in four; else up to 4 terms with exponents in (1/6)Z from -3 to 3 and
+    rational coefficients of either sign, numerators up to 2^bits."""
+    if rng.random() < 0.25:
+        return QExpr()
+    return QExpr({Fraction(rng.randint(-18, 18), rng.choice((1, 2, 3, 6))):
+                  Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))})
+
+
+def seeded_series(rng: random.Random, truncation: int, bits: int, constant: int) -> TruncatedSeries:
+    return TruncatedSeries([constant] + [seeded_coefficient(rng, bits) for _ in range(truncation)], truncation)
+
+
+class TestAgainstTheRecurrences:
+    """The packed-row kernel against the QExpr recurrences it replaced."""
+
+    @pytest.mark.parametrize("truncation", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("bits", [4, 40, 240])
+    def test_exp_log_and_mul_match(self, truncation, bits):
+        rng = random.Random(1000 * truncation + bits)
+        for _ in range(6):
+            s = seeded_series(rng, truncation, bits, 0)
+            assert s.exp() == oracle_exp(s)
+            one_plus = seeded_series(rng, truncation, bits, 1)
+            assert one_plus.log() == oracle_log(one_plus)
+            assert s * one_plus == oracle_mul(s, one_plus)
+
+    def test_integer_exponents_and_huge_coefficients(self):
+        # Coefficients above 2^200 at every degree force slot widths of several hundred bits.
+        rng = random.Random(31337)
+        for truncation in (6, 14):
+            coeffs = [QExpr({rng.randint(-5, 5): rng.randint(2**200, 2**260) * rng.choice((1, -1))
+                             for _ in range(3)}) for _ in range(truncation)]
+            s = TruncatedSeries([0] + coeffs)
+            assert s.exp() == oracle_exp(s)
+            assert (s.exp()).log() == oracle_log(s.exp())
+
+    def test_cancellation_to_zero_rows(self):
+        # exp(x) * exp(-x) = 1: every coefficient past the constant cancels in the packed sum.
+        x = TruncatedSeries.x(8) * QExpr({Fraction(1, 3): 5, -2: Fraction(-7, 4)})
+        product = x.exp() * (x * -1).exp()
+        assert product == TruncatedSeries.one(8) == oracle_mul(x.exp(), (x * -1).exp())
+        assert TruncatedSeries.one(8).log() == TruncatedSeries.zero(8)
+
+    @pytest.mark.parametrize("nmax", [60, 100])
+    def test_mass_series_and_recovery_match(self, nmax, monkeypatch):
+        series = massformulas.mass_series_via_exp(nmax)
+        recovered = massformulas.recover_N_from_M(series)
+        monkeypatch.setattr(TruncatedSeries, "exp", oracle_exp)
+        monkeypatch.setattr(TruncatedSeries, "log", oracle_log)
+        assert series == massformulas.mass_series_via_exp(nmax)
+        assert recovered == massformulas.recover_N_from_M(series)
+
+    def test_dense_span_cap(self):
+        # Rows are dense in t = q^(g/r): products of 50 factors of 1 + q + q^1001 span 50,050.
+        wide = QExpr({0: 1, 1: 1, 1001: 1})
+        message = f"series budget exceeded: need 50050 t-degrees, budget {DENSE_DEGREE_BUDGET}"
+        with pytest.raises(BudgetExceededError, match=message):
+            TruncatedSeries([0, wide], 50).exp()
+        assert TruncatedSeries([0, wide], 3).exp() == oracle_exp(TruncatedSeries([0, wide], 3))
+        # A common step of the exponents is no span: t = q^1000 makes 1 + q^1000 one t-degree wide.
+        sparse = TruncatedSeries([1, QExpr({0: 1, 1000: 1})], 60)
+        assert sparse.log() == oracle_log(sparse)
