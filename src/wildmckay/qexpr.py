@@ -147,13 +147,8 @@ def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
             den //= g
             nums = [(e, n // g) for e, n in nums]
     nums.sort()
-    return _raw(tuple(nums), den)
-
-
-def _raw(nums: tuple[tuple[Rational, int], ...], den: int) -> "QExpr":
-    """QExpr of nums and den already in canonical form."""
     obj = object.__new__(QExpr)
-    object.__setattr__(obj, "_nums", nums)
+    object.__setattr__(obj, "_nums", tuple(nums))
     object.__setattr__(obj, "_den", den)
     return obj
 
@@ -249,8 +244,14 @@ class QExpr:
         return _make({e: n * a for e, n in self._nums}, self._den * b)
 
     def _plus(self, rhs: "QExpr", sign: int) -> "QExpr":
-        """self + sign * rhs."""
-        return _sum_over([(self, 1), (rhs, sign)])
+        """self + sign * rhs over the lcm of the two denominators."""
+        da, db = self._den, rhs._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        acc = dict(self._nums) if fa == 1 else {e: n * fa for e, n in self._nums}
+        for e, n in rhs._nums:
+            acc[e] = acc.get(e, 0) + n * fb
+        return _make(acc, den)
 
     def __add__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .numutil import BudgetExceededError
-from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _raw
+from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make
 
 __all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
 
@@ -130,10 +130,8 @@ def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
     if row is None:
         return _ZERO
     g, r = step
-    exps = range(row.low * g, (row.low + len(row.nums)) * g, g)
-    if r != 1:
-        exps = [v // r if v % r == 0 else Fraction(v, r) for v in exps]
-    return _raw(tuple([(e, n) for e, n in zip(exps, row.nums) if n]), row.den)
+    exps = range(row.low * g, (row.high + 1) * g, g)
+    return _make({v if r == 1 else Fraction(v, r): n for v, n in zip(exps, row.nums)}, row.den)
 
 
 class TruncatedSeries:
