@@ -107,17 +107,21 @@ def _exact_digits_floor(frac: QFrac, q0: Fraction) -> int:
     is an integer with |A_X| <= sum |x_i| * max(a, b)^(high - low).  So frac(q0) is
     a^s b^t (A_num D_den) / (A_den D_num) with s = low_num - low_den and t = high_den - high_num;
     a and b are coprime, so only A_den D_num can cancel a^max(s, 0) b^max(t, 0) from the
-    numerator, and only A_num D_den can cancel a^max(-s, 0) b^max(-t, 0) from the denominator."""
+    numerator, and only A_num D_den can cancel a^max(-s, 0) b^max(-t, 0) from the denominator.
+    This needs A_num and A_den nonzero; by the rational root test a part can vanish at q0 only
+    if a divides its lowest and b its highest numerator, and then no bound (0) is given."""
     if frac.is_zero:
         return 1
-    log_a, log_b = math.log10(q0.numerator), math.log10(q0.denominator)
-    log_m = max(log_a, log_b)
+    a, b = q0.numerator, q0.denominator
+    log_a, log_b, log_m = math.log10(a), math.log10(b), math.log10(max(a, b))
     shape = []  # (low, high, log10 sum |x_i|, log10 D_X) per part
     for part in (frac.num, frac.den):
         terms = part.terms
         den = math.lcm(*[c.denominator for _, c in terms])
-        size = sum(abs(c.numerator) * (den // c.denominator) for _, c in terms)
-        shape.append((terms[0][0], terms[-1][0], math.log10(size), math.log10(den)))
+        nums = [c.numerator * (den // c.denominator) for _, c in terms]
+        if len(nums) > 1 and nums[0] % a == 0 and nums[-1] % b == 0:
+            return 0
+        shape.append((terms[0][0], terms[-1][0], math.log10(sum(map(abs, nums))), math.log10(den)))
     (low_n, high_n, size_n, den_n), (low_d, high_d, size_d, den_d) = shape
     s, t = low_n - low_d, high_d - high_n
     # Clamped so that the floats stay finite; each clamp leaves the bound a lower bound.

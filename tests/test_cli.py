@@ -6,12 +6,14 @@ import gc
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from wildmckay import cli, localfields, massformulas, numutil, padic, qexpr
 from wildmckay.cli import _json_text, main, run_to_string
+from wildmckay.qexpr import QExpr, QFrac
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -297,6 +299,15 @@ class TestBudgets:
             start = time.perf_counter()
             self.refused(argv, capsys, f"{message} digits in the {unit}, budget {cap}")
             assert time.perf_counter() - start < 1
+
+    def test_exact_value_digits_bound_skips_possible_roots(self):
+        # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound
+        # from the power q^10000 would refuse what prints today.
+        q0, precision = Fraction(5), numutil.DEFAULT_PRECISION
+        assert cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), q0, precision) == {"exact": "0", "q": "5"}
+        with pytest.raises(qexpr.PoleError):
+            cli._eval_payload(QFrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0, precision)
+        assert cli._exact_digits_floor(QFrac(QExpr({10001: 1, 10000: -6})), q0) == 6990  # 5^10000
 
     def test_exact_value_digits_counted_after_evaluation(self, capsys):
         # (q - 1) / (q^7001 - 1) has no power of q to count first; at q = 5 its denominator
