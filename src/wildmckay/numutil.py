@@ -7,7 +7,7 @@ from fractions import Fraction
 
 __all__ = [
     "BudgetExceededError", "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
-    "exact_int", "decimal_digits", "check_exact_digits",
+    "exact_int", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
     "json_object", "json_array", "parse_rational", "format_rational",
 ]
 
@@ -84,6 +84,18 @@ def check_exact_digits(value: int | Fraction, engine: str, unit: str) -> None:
     digits = max(decimal_digits(value.numerator), decimal_digits(value.denominator))
     if digits > EXACT_DIGITS_BUDGET:
         raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, engine, unit=unit)
+
+
+def slot_bias(half: int, size: int, count: int) -> int:
+    """half in each of count slots of size bytes, least significant first."""
+    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+def unpack_slots(packed: int, size: int, count: int) -> list[int]:
+    """[n_0, ..., n_(count-1)] from packed = sum n_i 2^(8 size i), each |n_i| < 2^(8 size - 1)."""
+    half = 1 << (8 * size - 1)
+    raw = memoryview((packed + slot_bias(half, size, count)).to_bytes(size * count, "little"))
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, size * count, size)]
 
 
 def divisors(n: int) -> list[int]:

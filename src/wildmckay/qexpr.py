@@ -13,19 +13,23 @@ A ``QExpr`` stores integer numerators over one positive common
 denominator, as FLINT's fmpq_poly does, so a sum or product is integer
 multiply-adds and one gcd; ``terms`` builds ``fractions.Fraction``
 coefficients on demand.  Exponents are ints when integral and reduced
-Fractions otherwise.  ``QFrac`` canonicalization takes polynomial gcds over
-Z by primitive remainder sequences, on dense forms of at most
-DENSE_DEGREE_BUDGET terms.  There is no floating point anywhere in this
-module except on explicit request via ``evaluate`` with a stated precision.
+Fractions otherwise.  ``QFrac`` canonicalization works on dense integer
+rows over t = q^(1/r), of at most DENSE_DEGREE_BUDGET terms: a general
+quotient takes its gcd over Z by primitive remainder sequences, and a
+quotient by a product of binomials t^k - 1 by trial division with the
+cyclotomic polynomials that divide them.  There is no floating point here
+except on explicit request via ``evaluate`` with a stated precision.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, combinations
+from operator import sub
 from typing import Iterable, Mapping, Union
 
-from .numutil import BudgetExceededError
+from .numutil import BudgetExceededError, divisors
 
 Rational = Union[int, Fraction]
 
@@ -118,6 +122,25 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _times_binomial(a: list[int], e: int) -> list[int]:
+    """a * (1 - t^e)."""
+    return list(map(sub, a + [0] * e, [0] * e + a))
+
+
+def _over_binomial(a: list[int], e: int) -> list[int] | None:
+    """a / (1 - t^e), or None when 1 - t^e does not divide a: the quotient is the running sums
+    of a along each residue class mod e, and the full class sums are the remainder."""
+    sums, top = a[:], max(0, len(a) - e)
+    for s in range(min(e, len(a))):
+        sums[s::e] = accumulate(a[s::e])
+    return None if any(sums[top:]) else sums[:top]
+
+
+def _check_span(size: int) -> None:
+    if size > DENSE_DEGREE_BUDGET:
+        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, "fraction", unit="t-degrees")
+
+
 # ---------------------------------------------------------------------------
 # QExpr
 # ---------------------------------------------------------------------------
@@ -141,12 +164,18 @@ def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
     integer numerators over den > 0, without the checks of the public
     constructor."""
     nums = [(e if type(e) is int or e.denominator != 1 else e.numerator, n) for e, n in acc.items() if n]
+    nums.sort()
+    return _from_sorted(nums, den)
+
+
+def _from_sorted(nums: list[tuple[Rational, int]], den: int) -> "QExpr":
+    """QExpr from nonzero (exponent, numerator) pairs, exponents canonical and ascending, over
+    den > 0."""
     if den != 1:
         g = math.gcd(den, *[n for _, n in nums])
         if g != 1:
             den //= g
             nums = [(e, n // g) for e, n in nums]
-    nums.sort()
     obj = object.__new__(QExpr)
     object.__setattr__(obj, "_nums", tuple(nums))
     object.__setattr__(obj, "_den", den)
@@ -332,7 +361,16 @@ class QExpr:
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
         if self.has_integer_exponents():
-            return Fraction(sum(n * q0**e for e, n in self._nums), self._den), True
+            # One homogeneous Horner pass on ints, from the top term down: at q0 = a/b the value
+            # is a^low b^-high acc / den with acc = sum n a^(e - low) b^(high - e).
+            a, b = q0.numerator, q0.denominator
+            (high, acc), b_power = self._nums[-1] if self._nums else (0, 0), 1
+            low = high
+            for e, n in reversed(self._nums[:-1]):
+                b_power *= b ** (low - e)
+                acc, low = acc * a ** (low - e) + n * b_power, e
+            top, bottom = acc * a ** max(low, 0) * b ** max(-high, 0), a ** max(-low, 0) * b ** max(high, 0)
+            return Fraction(top, self._den * bottom), True
         if precision is None:
             raise ValueError("fractional exponents require an explicit precision")
         tol = Fraction(precision)
@@ -527,8 +565,7 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     # polynomials over their denominators: num / den = (a / num._den) / (b / den._den).
     r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
     shift = min(num._nums[0][0], den._nums[0][0])
-    if (size := int((max(num._nums[-1][0], den._nums[-1][0]) - shift) * r)) > DENSE_DEGREE_BUDGET:
-        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, "fraction", unit="t-degrees")
+    _check_span(int((max(num._nums[-1][0], den._nums[-1][0]) - shift) * r))
 
     def dense(expr: QExpr) -> list[int]:
         out = [0] * (int((expr._nums[-1][0] - shift) * r) + 1)
@@ -540,12 +577,51 @@ def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     g = _primitive_gcd(a, b)
     if len(g) > 1:
         a, b = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
-    # Divide both parts by lead(b) * num._den so the denominator is monic.
+    return _rows_pair(a, b, r, den._den, num._den)
+
+
+def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:
+    """The QFrac t^shift a(t) / prod_k (t^k - 1) over t = q^(1/r), for a(0) != 0.
+
+    As t^k - 1 = prod_{d | k} Phi_d(t), the gcd is prod_d Phi_d^m_d, m_d the smaller of the
+    multiplicity of Phi_d in a and the number of k that d divides, found by trial division; the
+    product of the t^k - 1 is divided by the same Phi_d.  Both parts are taken over binomials
+    1 - t^e, which changes their signs alike, and the denominator is made monic at the end."""
+
+    def over_phi(a: list[int]) -> list[int] | None:
+        # +-a / Phi_d, or None; the multiplications come first, so the divisions are exact iff Phi_d | a.
+        for e, m in phi:
+            if (a := _times_binomial(a, e) if m < 0 else _over_binomial(a, e)) is None:
+                return None
+        return a
+
+    b = [(-1) ** len(ks)]
+    for k in ks:
+        b = _times_binomial(b, k)
+    for d in sorted({d for k in ks for d in divisors(k)}):
+        # Phi_d = +-prod_{e | d} (1 - t^e)^mu(d/e), and mu(d/e) != 0 only for e = d / (distinct primes).
+        primes = [p for p in divisors(d)[1:] if all(p % f for f in range(2, math.isqrt(p) + 1))]
+        phi = sorted([(d // math.prod(s), (-1) ** n) for n in range(len(primes) + 1) for s in combinations(primes, n)],
+                     key=lambda em: em[1])
+        for _ in range(sum(k % d == 0 for k in ks)):
+            if (quo := over_phi(a)) is None:
+                break
+            a, b = quo, over_phi(b)
+    num, den = _rows_pair(*(([0] * shift + a, b) if shift >= 0 else (a, [0] * -shift + b)), r)
+    value = object.__new__(QFrac)
+    object.__setattr__(value, "_num", num)
+    object.__setattr__(value, "_den", den)
+    return value
+
+
+def _rows_pair(a: list[int], b: list[int], r: int, scale: int = 1, den: int = 1) -> tuple[QExpr, QExpr]:
+    """The canonical pair of (scale * a / den) / b for coprime integer rows over t = q^(1/r)
+    (index = degree, nonzero last entries): exponents i/r, denominator made monic."""
     lead = b[-1]
     sign = 1 if lead > 0 else -1
-    to_expr = lambda cs, scale, den: _make(
-        {(i if r == 1 else Fraction(i, r)): c * scale for i, c in enumerate(cs)}, den)
-    return to_expr(a, den._den * sign, num._den * lead * sign), to_expr(b, sign, lead * sign)
+    to_expr = lambda cs, scale, den: _from_sorted(
+        [(i // r if i % r == 0 else Fraction(i, r), c * scale) for i, c in enumerate(cs) if c], den)
+    return to_expr(a, scale * sign, den * lead * sign), to_expr(b, sign, lead * sign)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .numutil import BudgetExceededError
+from .numutil import BudgetExceededError, slot_bias, unpack_slots
 from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make
 
 __all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
@@ -58,12 +58,8 @@ class _Row:
         """Keeps and returns sum of nums[i] * 2^(8 size i), read from the slots biased to unsigned."""
         half = 1 << (8 * size - 1)
         biased = b"".join([(n + half).to_bytes(size, "little") for n in self.nums])
-        packed = self.packed[size] = int.from_bytes(biased, "little") - _bias(half, size, len(self.nums))
+        packed = self.packed[size] = int.from_bytes(biased, "little") - slot_bias(half, size, len(self.nums))
         return packed
-
-
-def _bias(half: int, size: int, count: int) -> int:
-    return int.from_bytes(half.to_bytes(size, "little") * count, "little")
 
 
 def _dot(terms: list[tuple[int, _Row, _Row]]) -> _Row | None:
@@ -81,9 +77,7 @@ def _dot(terms: list[tuple[int, _Row, _Row]]) -> _Row | None:
     for c, a, b in terms:
         total += c * (a.packed.get(size) or a.pack(size)) * (b.packed.get(size) or b.pack(size)) << (
             8 * size * (a.low + b.low - low))
-    half = 1 << (8 * size - 1)
-    raw = memoryview((total + _bias(half, size, count)).to_bytes(size * count, "little"))
-    nums = [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, size * count, size)]
+    nums = unpack_slots(total, size, count)
     if not (nonzero := [i for i, n in enumerate(nums) if n]):
         return None
     nums = nums[nonzero[0]:nonzero[-1] + 1]

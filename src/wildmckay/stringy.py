@@ -11,11 +11,14 @@ is then
 
 finite precisely when every c_j >= 1 sits on empty strata only.  The sum
 is taken over one common denominator D = prod_j (q^(1-c_j) - 1), the
-product over the c_j < 1: the term for (h, J) is the Laurent expression
-#stratum(h, J) q^(a_h) (q - 1)^|J| prod_{j not in J} (q^(1-c_j) - 1).  The
-numerator is summed in the Laurent ring and the quotient is reduced once,
-by a single gcd.  Components supported in the special fiber where the model is singular carry no integer
-points and are deliberately absent from the data model.
+product over the c_j < 1, on integer rows over t = q^(1/r), one r for every
+exponent: the term for (h, J) is #stratum(h, J) q^(a_h) (q - 1)^|J|
+prod_{j not in J} (q^(1-c_j) - 1), folded in one divisor at a time as a shift
+and a subtraction.  D is the product of the t^k_j - 1, k_j = r(1 - c_j), so
+its gcd with the numerator is a product of cyclotomic polynomials Phi_d(t),
+d | k_j, found by trial division.  Components supported in the special
+fiber where the model is singular carry no integer points and are
+deliberately absent from the data model.
 
 Whether the divisor data actually comes from an SNC pair (irreducible
 completions, parameter products) is a geometric hypothesis on the caller's
@@ -31,8 +34,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import exact_int, json_array, json_object, parse_rational
-from .qexpr import INFINITE, InfiniteType, QExpr, QFrac
+from .numutil import exact_int, json_array, json_object, parse_rational, unpack_slots
+from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, _check_span, _cyclotomic_qfrac
 
 __all__ = [
     "SncLogPairData",
@@ -140,37 +143,45 @@ class SncLogPairData:
 
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:
     """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point,
-    Infinite as soon as one c_j >= 1."""
-    num, den = QExpr.q(Fraction(a)), QExpr.one()
-    for c in cs:
-        c = Fraction(c)
-        if c >= 1:
-            return INFINITE
-        num, den = num * (QExpr.q() - 1), den * (QExpr.q(1 - c) - 1)
-    return QFrac(num, den)
+    Infinite as soon as one c_j >= 1: the stratum sum of one point on every C_j."""
+    cs = [Fraction(c) for c in cs]
+    return _stratum_sum(cs, [(Fraction(a), frozenset(range(1, len(cs) + 1)), 1)])
 
 
 def stringy_count_snc(data: SncLogPairData) -> QFrac | InfiniteType:
     """Evaluate the stratum formula; Infinite iff a coefficient >= 1 occurs
     in a subset with a nonzero stratum count."""
+    return _stratum_sum(data.horizontal, [(v.a, subset, count) for v in data.vertical for subset, count in v.strata])
+
+
+def _stratum_sum(cs: Sequence[Fraction], strata: list[tuple[Fraction, frozenset[int], int]]) -> QFrac | InfiniteType:
+    """The stratum formula over (a_h, J, #stratum(h, J)) triples."""
     # Only c_j < 1 enters the common denominator: at c_j = 1 the factor
     # q^0 - 1 is zero, and such a divisor may still sit on empty strata.
-    factors = {j: QExpr.q(1 - c) - 1 for j, c in enumerate(data.horizontal, 1) if c < 1}
-    q_minus_1 = QExpr.q() - 1
-    sums: dict[frozenset[int], QExpr] = {}
-    for component in data.vertical:
-        for subset, count in component.strata:
-            if count == 0:
-                continue
-            if not subset.issubset(factors):
-                return INFINITE
-            sums[subset] = sums.get(subset, QExpr()) + QExpr.q(component.a) * count
-    # Fold in one divisor at a time; strata that agree off the divisors
-    # folded so far share every later product.
-    for j, factor in factors.items():
-        folded: dict[frozenset[int], QExpr] = {}
-        for subset, value in sums.items():
+    strata = [(a, subset, count) for a, subset, count in strata if count]
+    live = {j for j, c in enumerate(cs, 1) if c < 1}
+    if any(not subset <= live for _, subset, _ in strata):
+        return INFINITE
+    if not live or not strata:
+        return QFrac(QExpr([(a, count) for a, _, count in strata]))  # no divisor: a Laurent value
+    r = math.lcm(*[cs[j - 1].denominator for j in live], *[a.denominator for a, _, _ in strata])
+    ks = {j: r - cs[j - 1].numerator * (r // cs[j - 1].denominator) for j in sorted(live)}  # r (1 - c_j)
+    # Over t, the term of (a, J) is #stratum t^(r a) (t^r - 1)^|J| prod_{j not in J} (t^k_j - 1):
+    # row index r a - base and up, with its positive count at the top, so no top entry cancels.
+    base, wide = min([a.numerator * (r // a.denominator) for a, _, _ in strata]), sum(ks.values())
+    placed = [(a.numerator * (r // a.denominator) - base, subset, count) for a, subset, count in strata]
+    size = max([i + sum([r - ks[j] for j in subset]) for i, subset, _ in placed]) + wide
+    _check_span(max(base + size, wide) - min(base, 0))
+    # Rows are ints with a slot of width bytes per t-degree; a fold step at most doubles the sum of
+    # the |coefficients|.  Strata that agree off the divisors folded so far share later products.
+    width = ((sum([count for _, _, count in placed]) << len(ks)).bit_length() + 8) // 8
+    rows: dict[frozenset[int], int] = {}
+    for i, subset, count in placed:
+        rows[subset] = rows.get(subset, 0) + (count << (8 * width * i))
+    for j, k in ks.items():
+        folded: dict[frozenset[int], int] = {}
+        for subset, row in rows.items():
             rest = subset - {j}
-            folded[rest] = folded.get(rest, QExpr()) + value * (q_minus_1 if j in subset else factor)
-        sums = folded
-    return QFrac(sums.get(frozenset(), QExpr()), math.prod(factors.values(), start=QExpr.one()))
+            folded[rest] = folded.get(rest, 0) + (row << (8 * width * (r if j in subset else k))) - row
+        rows = folded
+    return _cyclotomic_qfrac(unpack_slots(rows[frozenset()], width, size + 1), list(ks.values()), base, r)

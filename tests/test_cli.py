@@ -309,6 +309,16 @@ class TestBudgets:
             cli._eval_payload(QFrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0, precision)
         assert cli._exact_digits_floor(QFrac(QExpr({10001: 1, 10000: -6})), q0) == 6990  # 5^10000
 
+    def test_exact_value_of_many_terms_in_one_pass(self, capsys):
+        # (q - 1) / (q^(1 - c) - 1) = 1 / (1 + q + ... + q^(-c)) has no power of q to count
+        # first; its value at q = 5 is one integer Horner pass over the 1 - c terms.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        for c, digits, seconds in (("-20000", 13980, 1), ("-49997", 34947, 2)):
+            start = time.perf_counter()
+            self.refused(["stringy", "point", "--a", "0", f"--c={c}", "--at-q", "5"], capsys,
+                         f"evaluation budget exceeded: need {digits} digits in the exact value at q, budget {cap}")
+            assert time.perf_counter() - start < seconds
+
     def test_exact_value_digits_counted_after_evaluation(self, capsys):
         # (q - 1) / (q^7001 - 1) has no power of q to count first; at q = 5 its denominator
         # (5^7001 - 1) / 4 has 4,893 digits, found once the value is computed.

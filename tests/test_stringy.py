@@ -1,6 +1,8 @@
 """Tests for the stringy point-count evaluator."""
 
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -253,14 +255,16 @@ class TestCommonDenominator:
             assert at(value.num, t) / at(value.den, t) == direct
 
     def test_one_canonicalization_per_call(self, monkeypatch):
+        # Both ways to build a reduced value, the general gcd and the cyclotomic row path,
+        # end in the one rows-to-canonical-pair helper.
         calls = []
-        canonical = qexpr._canonical_pair
+        canonical = qexpr._rows_pair
 
-        def counted(num, den):
-            calls.append((num, den))
-            return canonical(num, den)
+        def counted(*args):
+            calls.append(args)
+            return canonical(*args)
 
-        monkeypatch.setattr(qexpr, "_canonical_pair", counted)
+        monkeypatch.setattr(qexpr, "_rows_pair", counted)
         rng = random.Random(3)
         for _ in range(30):
             data = random_pair(rng)
@@ -272,3 +276,201 @@ class TestCommonDenominator:
             stringy_point_contribution(HALF, cs)
             assert len(calls) - before <= 1
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# The evaluator folds on integer rows and reduces by cyclotomic trial division.
+# The oracle is the general QFrac build: the unreduced numerator and D summed
+# term by term in QExpr, reduced by one primitive-PRS gcd.
+# ---------------------------------------------------------------------------
+
+
+def unreduced_pair(data):
+    """(numerator, D) of the stratum sum in QExpr, D over the c_j < 1; INFINITE for a populated
+    stratum on a c_j >= 1."""
+    factors = {j: QExpr.q(1 - c) - 1 for j, c in enumerate(data.horizontal, 1) if c < 1}
+    num = QExpr()
+    for component in data.vertical:
+        for subset, count in component.strata:
+            if count == 0:
+                continue
+            if not subset <= factors.keys():
+                return INFINITE
+            term = QExpr.q(component.a) * count
+            for j, factor in factors.items():
+                term = term * (QExpr.q() - 1 if j in subset else factor)
+            num = num + term
+    return num, math.prod(factors.values(), start=QExpr.one())
+
+
+def prs_oracle(data):
+    pair = unreduced_pair(data)
+    return pair if is_infinite(pair) else QFrac(*pair)
+
+
+def row_path(monkeypatch, build, *args):
+    """build(*args) with the general gcd switched off, so the value comes from the row path."""
+    with monkeypatch.context() as patched:
+        patched.setattr(qexpr, "_primitive_gcd", None)
+        return build(*args)
+
+
+def assert_same(value, want):
+    if is_infinite(want):
+        assert is_infinite(value)
+    else:
+        assert (value.num, value.den, str(value)) == (want.num, want.den, str(want))
+
+
+def cyclotomic_case(rng, index):
+    """0-5 divisors with c denominators dividing one m <= 6 (so r <= 6 and the oracle's gcd
+    stays cheap), or up to 2 with any two denominators up to 6; c >= 1 on empty strata half
+    the time it occurs, negative and fractional a, zero counts, and every 25th input with
+    all counts zero."""
+    m = rng.randint(1, 6)
+    if rng.random() < 0.2:
+        dens = [rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
+    else:
+        dens = [rng.choice([d for d in range(1, m + 1) if m % d == 0]) for _ in range(rng.randint(0, 5))]
+    cs = [Fraction(rng.randint(-2 * d, d - 1), d) for d in dens]
+    if cs and rng.random() < 0.3:
+        cs[rng.randrange(len(cs))] = rng.choice((Fraction(1), Fraction(7, 6), Fraction(2)))
+    bad = {j for j, c in enumerate(cs, 1) if c >= 1}
+    keep_bad_empty = rng.random() < 0.5
+    vertical = []
+    for _ in range(rng.randint(1, 3)):
+        strata = {}
+        for subset in all_subsets(len(cs)):
+            if rng.random() < 0.6:
+                empty = index % 25 == 0 or (keep_bad_empty and subset & bad) or rng.random() < 0.2
+                strata[subset] = 0 if empty else rng.randint(1, 9)
+        a = Fraction(rng.randint(-4, 4), rng.choice([d for d in range(1, m + 1) if m % d == 0]))
+        vertical.append(VerticalComponent(a, strata))
+    return SncLogPairData(cs, vertical)
+
+
+def to_rows(value):
+    """Integer rows of the numerator and the denominator over t = q^(1/r), scaled to integers."""
+    r = lcm(value.num.exponent_denominator(), value.den.exponent_denominator())
+    rows = []
+    for part in (value.num, value.den):
+        scale = lcm(*(c.denominator for _, c in part.terms))
+        row = [0] * (int(part.terms[-1][0] * r) + 1)
+        for e, c in part.terms:
+            row[int(e * r)] = int(c * scale)
+        rows.append(row)
+    return rows
+
+
+def gcd_degree_mod(a, b, p=2**61 - 1):
+    """Degree of gcd(a, b) over F_p (Euclid)."""
+    def trim(row):
+        row = [x % p for x in row]
+        while row and not row[-1]:
+            row.pop()
+        return row
+
+    a, b = trim(a), trim(b)
+    while b:
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            factor, shift = a[-1] * inverse % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * y) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def assert_canonical(value, num, den, common_degree=None):
+    """value is the canonical form of num / den, checked without a gcd over Q: the same rational
+    function, a monic denominator and exponents from 0 in one part.  The two parts are coprime
+    when the denominator has the t-degree of den less common_degree, the known degree of
+    gcd(num, den); without it, when they are coprime modulo a prime (a common factor divides the
+    monic denominator, so it keeps its degree mod p)."""
+    r = lcm(num.exponent_denominator(), den.exponent_denominator(), value.num.exponent_denominator(),
+            value.den.exponent_denominator())
+    over_t = [x.scale_exponents(r) for x in (value.num, value.den, num, den)]
+    assert over_t[0] * over_t[3] == over_t[1] * over_t[2]
+    assert value.den.terms[-1][1] == 1
+    assert min(value.num.terms[0][0], value.den.terms[0][0]) == 0
+    if common_degree is None:
+        assert gcd_degree_mod(*to_rows(value)) == 0
+    else:
+        assert (value.den.terms[-1][0] - den.terms[-1][0]) * r == -common_degree
+
+
+def totient(n):
+    return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+
+
+class TestCyclotomicReduction:
+    def test_seeded_inputs_against_the_prs_oracle(self, monkeypatch):
+        rng = random.Random(20261018)
+        seen = dict.fromkeys(("zero", "no divisor", "bad on empty", "infinite", "five divisors",
+                              "negative fractional a", "c denominator 5 or 6"), 0)
+        for index in range(240):
+            data = cyclotomic_case(rng, index)
+            value, want = row_path(monkeypatch, stringy_count_snc, data), prs_oracle(data)
+            assert_same(value, want)
+            counts = [count for v in data.vertical for _, count in v.strata]
+            bad = {j for j, c in enumerate(data.horizontal, 1) if c >= 1}
+            seen["zero"] += not is_infinite(want) and want.is_zero and bool(data.horizontal)
+            seen["no divisor"] += not data.horizontal and any(counts)
+            seen["bad on empty"] += bool(bad) and not is_infinite(want) and any(counts)
+            seen["infinite"] += is_infinite(want)
+            seen["five divisors"] += len(data.horizontal) == 5 and not is_infinite(want)
+            seen["negative fractional a"] += any(v.a.denominator > 1 and v.a < 0 for v in data.vertical)
+            seen["c denominator 5 or 6"] += any(c.denominator >= 5 for c in data.horizontal)
+        assert all(n >= 5 for n in seen.values()), seen
+
+    def test_seeded_points_against_the_prs_oracle(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(100):
+            cs = [Fraction(rng.randint(-12, 5), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+            a = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            assert_same(row_path(monkeypatch, stringy_point_contribution, a, cs), oracle_point(a, cs))
+
+    def test_six_divisors_of_the_benchmark_shape(self, monkeypatch):
+        # The shape of the benchmark's eval inputs (every subset, counts 1-9) at 6 divisors:
+        # summing per-stratum fractions took about 113 s on such an input.
+        counts = random.Random("six-divisors")
+        for cs, a_values in (("1/2", "-1/3", "2/3", "-1/2", "1/3", "-2/3"), ("0",)), \
+                            (("1/2", "-1/3", "2/3", "-1/2", "1/3", "-4/3"), ("0", "1/2")):
+            vertical = [VerticalComponent(Fraction(a), {s: counts.randint(1, 9) for s in all_subsets(6)})
+                        for a in a_values]
+            data = SncLogPairData([Fraction(c) for c in cs], vertical)
+            assert_same(row_path(monkeypatch, stringy_count_snc, data), prs_oracle(data))
+
+    def test_coprime_denominators(self, monkeypatch):
+        # Too slow for the PRS oracle (15 s and past 60 s there), so the canonical form is
+        # checked directly; each is timed on the row path alone.
+        cs = [Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)]
+        data = SncLogPairData(cs, [VerticalComponent(0, {s: 1 for s in all_subsets(3)})])
+        start = time.perf_counter()
+        value = row_path(monkeypatch, stringy_count_snc, data)
+        assert time.perf_counter() - start < 0.5
+        assert_canonical(value, *unreduced_pair(data))
+        cs = [Fraction(1, p) for p in (2, 3, 5, 7, 11)]
+        start = time.perf_counter()
+        value = row_path(monkeypatch, stringy_point_contribution, 0, cs)
+        assert time.perf_counter() - start < 2
+        # Over t = q^(1/2310) the point is (t^2310 - 1)^5 / prod_j (t^k_j - 1), so Phi_d divides
+        # the gcd min(5 [d | 2310], #{j : d | k_j}) times.
+        ks = [2310 - 2310 // p for p in (2, 3, 5, 7, 11)]
+        common = sum(totient(d) * min(5 * (2310 % d == 0), sum(k % d == 0 for k in ks))
+                     for d in range(1, max(ks) + 1) if any(k % d == 0 for k in ks))
+        pair = unreduced_pair(SncLogPairData(cs, [VerticalComponent(0, {frozenset(range(1, 6)): 1})]))
+        assert_canonical(value, *pair, common_degree=common)
+
+    def test_canonical_check_rejects_a_reducible_pair(self):
+        q = QExpr.q()
+        num, den = q * (q - 1), (q + 1) * (q - 1)
+        value, unreduced = QFrac(q, q + 1), object.__new__(QFrac)
+        object.__setattr__(unreduced, "_num", num)
+        object.__setattr__(unreduced, "_den", den)
+        for common in (None, 1):
+            assert_canonical(value, num, den, common)
+            with pytest.raises(AssertionError):
+                assert_canonical(unreduced, num, den, common)
