@@ -444,7 +444,7 @@ class TestCyclotomicReduction:
             assert_same(row_path(monkeypatch, stringy_count_snc, data), prs_oracle(data))
 
     def test_coprime_denominators(self, monkeypatch):
-        # Too slow for the PRS oracle (15 s and past 60 s there), so the canonical form is
+        # Too slow for the PRS oracle (about 9 s and past 60 s there), so the canonical form is
         # checked directly; each is timed on the row path alone.
         cs = [Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)]
         data = SncLogPairData(cs, [VerticalComponent(0, {s: 1 for s in all_subsets(3)})])
