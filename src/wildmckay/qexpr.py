@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 # Largest dense form a q-fraction is reduced on, in t-degrees (r times the exponent span, t =
-# q^(1/r)): at 50,000, `stringy point --c=-49997/3` (50,000 terms) takes 0.37-0.65 s in-process,
-# most of it printing, and `--a 24999 --c 1/2` 0.09-0.11 s (Python 3.11, 2-vCPU Intel Xeon).
+# q^(1/r)): at 50,000, `stringy point --c=-49997/3` takes 0.25 s in-process, most of it printing,
+# and the gcd of q^-1 (q - 1) / (q^(1 - c) - 1) at c = -49994/3 0.13 s (Python 3.11, 2-vCPU Xeon).
 DENSE_DEGREE_BUDGET = 50_000
 
 
