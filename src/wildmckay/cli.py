@@ -116,12 +116,11 @@ def _exact_digits_floor(frac: QFrac, q0: Fraction) -> int:
     log_a, log_b, log_m = math.log10(a), math.log10(b), math.log10(max(a, b))
     shape = []  # (low, high, log10 sum |x_i|, log10 D_X) per part
     for part in (frac.num, frac.den):
-        terms = part.terms
-        den = math.lcm(*[c.denominator for _, c in terms])
-        nums = [c.numerator * (den // c.denominator) for _, c in terms]
+        # the stored numerators over the stored denominator: gcd(den, *nums) == 1, so den is D_X
+        nums, den = [n for _, n in part._nums], part._den
         if len(nums) > 1 and nums[0] % a == 0 and nums[-1] % b == 0:
             return 0
-        shape.append((terms[0][0], terms[-1][0], math.log10(sum(map(abs, nums))), math.log10(den)))
+        shape.append((part._nums[0][0], part._nums[-1][0], math.log10(sum(map(abs, nums))), math.log10(den)))
     (low_n, high_n, size_n, den_n), (low_d, high_d, size_d, den_d) = shape
     s, t = low_n - low_d, high_d - high_n
     # Clamped so that the floats stay finite; each clamp leaves the bound a lower bound.
@@ -429,27 +428,31 @@ def _cmd_mckay_verify(args):
 def _cmd_stringy_eval(args):
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
+    # evaluated (or refused) before the value is rendered
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q, args.precision)
     report = {"input": args.input, "value": _expr_payload(value)}
-    if args.at_q is not None:
-        report["evaluated"] = _eval_payload(value, args.at_q, args.precision)
+    if evaluated is not None:
+        report["evaluated"] = evaluated
     return EXIT_OK, report, None
 
 
 def _cmd_stringy_point(args):
     value = stringy_point_contribution(args.a, args.c)
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q, args.precision)
     report = {
         "a": format_rational(args.a),
         "c": [format_rational(c) for c in args.c],
         "value": _expr_payload(value),
     }
-    if args.at_q is not None:
-        report["evaluated"] = _eval_payload(value, args.at_q, args.precision)
+    if evaluated is not None:
+        report["evaluated"] = evaluated
     return EXIT_OK, report, None
 
 
 def _cmd_padic_count(args):
     system = PolySystem.load(args.input)
     result = count_points_mod(system, args.m)
+    check_exact_digits(result.normalized, "lifting", "digits in the normalized count")
     report = {
         "input": args.input,
         "p": system.p,
@@ -494,6 +497,7 @@ def _cmd_padic_integral(args):
 def _cmd_padic_nullset(args):
     system = PolySystem.load(args.input)
     fraction = null_set_fraction(system, args.m)
+    check_exact_digits(fraction, "lifting", "digits in the box fraction")
     report = {
         "input": args.input,
         "p": system.p,

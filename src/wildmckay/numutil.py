@@ -20,7 +20,8 @@ EXACT_DIGITS_BUDGET = 4300
 
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
-    "box" (the level-1 box) and "lifting" (a listed frontier), algebras listed for "algebras",
+    "box" (the level-1 box) and "lifting" (a listed frontier), and digits of p^m and of a printed
+    normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
     shell) and digits of the exact value at p for "integral", and digits of an exact value for

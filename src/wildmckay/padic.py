@@ -12,16 +12,22 @@ All counting is exact integer arithmetic in one engine, first-order
 Hensel lifting: only the box (Z/p)^n is enumerated, and the lifts of a
 solution x mod p^k are the solutions of one linear system over F_p, because
 f(x + p^k delta) = f(x) + p^k J(x) delta mod p^(k+1) for integer
-polynomials and k >= 1, whether or not x is a singular point.
+polynomials and k >= 1, whether or not x is a singular point.  That system
+depends on x only through J(x mod p) and f(x)/p^k mod p, so the frontier is
+held in groups of points with one Jacobian mod p, solved once in the box scan,
+each as coordinate columns: polynomials are evaluated exactly on whole columns
+by lazy map chains, and a group's lifts are offset copies of its columns.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, compress, product, repeat
+from operator import add, floordiv, mod, mul, not_, or_
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -178,19 +184,6 @@ def _compiled(polys) -> list:
     ]
 
 
-def _values(compiled, point) -> list[int]:
-    """Exact integer values of the compiled polynomials at point."""
-    values = []
-    for terms in compiled:
-        acc = 0
-        for coeff, factors in terms:
-            for idx, e in factors:
-                coeff *= point[idx] ** e
-            acc += coeff
-        values.append(acc)
-    return values
-
-
 def _jacobian_polys(system: PolySystem) -> list:
     """Row i, column v: the compiled partial derivative of poly i in variable v."""
     return [
@@ -244,12 +237,29 @@ def _linear_solver(matrix, p: int, n: int):
     return pivots, constraints, basis
 
 
-def _affine_points(particular, basis, p: int) -> list[list[int]]:
-    """Every point particular + sum t_i basis_i with t in F_p^len(basis)."""
-    points = [particular]
-    for vector in basis:
-        points = [[(a + t * b) % p for a, b in zip(point, vector)] for point in points for t in range(p)]
-    return points
+def _column_values(compiled, column, size: int) -> list:
+    """Lazy exact values of the compiled polynomials at size points whose coordinate i is read
+    from a new iterable column(i) for each factor it appears in."""
+
+    def term(coeff, factors):
+        chained = [column(i) if e == 1 else map(pow, column(i), repeat(e)) for i, e in factors]
+        return reduce(partial(map, mul), chained + [repeat(coeff, size)] if coeff != 1 or not chained else chained)
+
+    return [reduce(partial(map, add), [term(*t) for t in terms] or [repeat(0, size)]) for terms in compiled]
+
+
+def _dot(row, columns):
+    """Lazy column of row . x over the points, for a nonzero row and columns x."""
+    return reduce(partial(map, add), [x if c == 1 else map(mul, x, repeat(c)) for c, x in zip(row, columns) if c])
+
+
+def _box_slabs(p: int, n: int) -> Iterator[tuple[list, int]]:
+    """(columns, size) slabs of the box (Z/p)^n in product order: the last s coordinates run
+    through (Z/p)^s in each slab and the others are constant, with s >= 1 and p^s <= 4096 if s > 1."""
+    s = max([1] + [s for s in range(2, n + 1) if p**s <= 4096])
+    inner = list(zip(*product(range(p), repeat=s))) if s > 1 else [range(p)]
+    for prefix in product(range(p), repeat=n - s):
+        yield [[x] * p**s for x in prefix] + inner, p**s
 
 
 def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterator[int]:
@@ -257,58 +267,88 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
 
     A solution x mod p^k lifts to x + p^k delta mod p^(k+1) iff
     J(x mod p) delta = -f(x)/p^k over F_p: no lifts, or p^(n - rank J).
-    The last level is counted, not listed.  POINTS_BUDGET bounds the points
-    evaluated: the box plus every listed frontier, checked before each one
-    is listed.  If rank is given, every mod-p solution must have it.
+    Per group of one J mod p, f/p^k mod p is listed from one lazy evaluation
+    of the whole frontier, the constraints and the particular solution are
+    column dot products of it, and the children are p^(n - rank J) offset
+    copies of the surviving columns.  The last level is counted, not listed.
+    POINTS_BUDGET bounds the points evaluated: the box plus every listed
+    frontier, checked before each one is listed; p^m may have at most
+    EXACT_DIGITS_BUDGET digits.  If rank is given, every mod-p solution must
+    have it, checked in box order.
     """
     p, n = system.p, system.num_vars
+    if (digits := math.floor(m * math.log10(p)) + 1) > EXACT_DIGITS_BUDGET:
+        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "lifting", unit="digits in p^m")
     evaluated = p**n
     if evaluated > POINTS_BUDGET:
         raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
     polys = _compiled(system.polys)
-    derivatives = _jacobian_polys(system)
-    solvers: dict[tuple[int, ...], tuple] = {}
-
-    def solver(point):
-        residue = tuple(x % p for x in point)
-        if residue not in solvers:
-            jacobian = [[v % p for v in _values(row, residue)] for row in derivatives]
-            solvers[residue] = _linear_solver(jacobian, p, n)
-        return solvers[residue]
-
-    box = itertools.product(range(p), repeat=n)
-    frontier = [point for point in box if not any(v % p for v in _values(polys, point))]
-    if rank is not None:
-        for point in frontier:
-            found = len(solver(point)[0])
-            if found != rank:
-                raise SmoothnessError(f"Jacobian rank {found} != {rank} at mod-{p} point {point}")
-    yield len(frontier)
+    derivatives = sum(_jacobian_polys(system), [])
+    found, groups = 0, {}  # J mod p, row by row -> (columns, constraints, negated pivot rows, kernel basis)
+    for columns, size in _box_slabs(p, n):
+        residues = [map(mod, v, repeat(p)) for v in _column_values(polys, columns.__getitem__, size)]
+        keep = list(map(not_, reduce(partial(map, or_), residues, repeat(0, size))))
+        found += sum(keep)
+        if m == 1 and rank is None:
+            continue
+        columns = [list(compress(x, keep)) for x in columns]
+        jacobians = [map(mod, v, repeat(p)) for v in _column_values(derivatives, columns.__getitem__, sum(keep))]
+        for entry in zip(*columns, *jacobians):
+            point, jacobian = entry[:n], entry[n:]
+            if jacobian not in groups:
+                pivots, constraints, basis = _linear_solver(list(zip(*[iter(jacobian)] * n)), p, n)
+                groups[jacobian] = ([[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis)
+            group = groups[jacobian]
+            if rank is not None and len(group[2]) != rank:
+                raise SmoothnessError(f"Jacobian rank {len(group[2])} != {rank} at mod-{p} point {point}")
+            for column, x in zip(group[0], point):
+                column.append(x)
+    yield found
+    groups, step = list(groups.values()), 1
     for k in range(1, m):
-        step = p**k
-        spaces = []
-        for point in frontier:
-            pivots, constraints, basis = solver(point)
-            rhs = [-(v // step) for v in _values(polys, point)]
-            if any(sum(map(operator.mul, t, rhs)) % p for t in constraints):
-                continue
-            particular = [0] * n
-            for col, t in pivots:
-                particular[col] = sum(map(operator.mul, t, rhs)) % p
-            spaces.append((point, particular, basis))
-        size = sum(p ** len(basis) for _, _, basis in spaces)
+        if not groups:
+            yield from repeat(0, m - k)
+            return
+        step *= p
+        frontier = lambda i: chain.from_iterable([group[0][i] for group in groups])
+        values = _column_values(polys, frontier, sum(len(group[0][0]) for group in groups))
+        residues = [list(map(mod, map(floordiv, v, repeat(step)), repeat(p))) for v in values]
+        size, lifts, end = 0, [], 0
+        for columns, constraints, pivots, basis in groups:
+            start, end = end, end + len(columns[0])
+            rhs, survivors = [r[start:end] for r in residues], end - start
+            if constraints:
+                checks = [map(mod, _dot(t, rhs), repeat(p)) for t in constraints]
+                keep = list(map(not_, reduce(partial(map, or_), checks)))
+                survivors = sum(keep)
+                if k + 1 < m:
+                    columns, rhs = ([list(compress(x, keep)) for x in xs] for xs in (columns, rhs))
+            size += survivors * p ** len(basis)
+            if survivors:
+                lifts.append((columns, rhs, constraints, pivots, basis))
         if k + 1 == m:
             yield size
             return
         evaluated += size
         if evaluated > POINTS_BUDGET:
             raise BudgetExceededError(evaluated, POINTS_BUDGET, "lifting", k + 1)
-        frontier = [
-            tuple(x + step * d for x, d in zip(point, delta))
-            for point, particular, basis in spaces
-            for delta in _affine_points(particular, basis, p)
-        ]
-        yield len(frontier)
+        groups = []
+        while lifts:  # popped, so that each parent group is freed once its children are listed
+            columns, rhs, constraints, pivots, basis = lifts.pop()
+            kernel = [[0]] * n  # offsets by coordinate, over F_p^len(basis) in product order
+            for v in basis:
+                kernel = [[(o + t * v[j]) % p for o in offsets for t in range(p)] for j, offsets in enumerate(kernel)]
+            children = []
+            for j, (x, offsets) in enumerate(zip(columns, kernel)):
+                if j in pivots:
+                    particular = list(map(mod, _dot(pivots[j], rhs), repeat(p)))
+                    lifted = (map(mul, map(mod, map(add, particular, repeat(o)), repeat(p)), repeat(step))
+                              for o in offsets)
+                else:
+                    lifted = map(repeat, [step * o for o in offsets], repeat(len(x)))
+                children.append(list(map(add, chain.from_iterable(repeat(x, len(offsets))), chain.from_iterable(lifted))))
+            groups.append((children, constraints, pivots, basis))
+        yield size
 
 
 def count_points_mod(system: PolySystem, m: int) -> ResidueCount:

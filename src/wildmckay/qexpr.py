@@ -361,14 +361,17 @@ class QExpr:
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
         if self.has_integer_exponents():
-            # One homogeneous Horner pass on ints, from the top term down: at q0 = a/b the value
-            # is a^low b^-high acc / den with acc = sum n a^(e - low) b^(high - e).
+            # At q0 = a/b the value is a^low b^-high acc / den with acc = sum n a^(e - low)
+            # b^(high - e), a homogeneous sum on ints.  Adjacent runs (low, high, acc) merge as
+            # (lo, hi, v) + (lo2, hi2, w) -> (lo, hi2, v b^(hi2 - hi) + w a^(lo2 - lo)), pairwise,
+            # so a long sum costs a few big multiplies per halving instead of one per term.
             a, b = q0.numerator, q0.denominator
-            (high, acc), b_power = self._nums[-1] if self._nums else (0, 0), 1
-            low = high
-            for e, n in reversed(self._nums[:-1]):
-                b_power *= b ** (low - e)
-                acc, low = acc * a ** (low - e) + n * b_power, e
+            runs = [(e, e, n) for e, n in self._nums] or [(0, 0, 0)]
+            while len(runs) > 1:
+                merged = [(lo, hi2, v * b ** (hi2 - hi) + w * a ** (lo2 - lo))
+                          for (lo, hi, v), (lo2, hi2, w) in zip(runs[::2], runs[1::2])]
+                runs = merged + runs[2 * len(merged):]
+            (low, high, acc), = runs
             top, bottom = acc * a ** max(low, 0) * b ** max(-high, 0), a ** max(-low, 0) * b ** max(high, 0)
             return Fraction(top, self._den * bottom), True
         if precision is None:

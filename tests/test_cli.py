@@ -319,6 +319,50 @@ class TestBudgets:
                          f"evaluation budget exceeded: need {digits} digits in the exact value at q, budget {cap}")
             assert time.perf_counter() - start < seconds
 
+    @pytest.mark.parametrize("poly, command, m, digits", [
+        ("x-3", "nullset", 10000, 6990),
+        ("x-3", "count", 30000, 20970),
+        ("x-3", "measure", 30000, 20970),
+        ("x2-2", "count", 20000, 13980),  # no root mod 5: the frontier is empty from level 1
+    ])
+    def test_padic_depth_cap(self, poly, command, m, digits, monkeypatch, tmp_path, capsys):
+        # p^m may have at most EXACT_DIGITS_BUDGET digits, counted as m log10 p before any lifting.
+        terms = {"x-3": [[[1], 1], [[0], -3]], "x2-2": [[[2], 1], [[0], -2]]}[poly]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"p": 5, "n": 1, "d": 0, "polys": [terms]}))
+        monkeypatch.setattr(padic, "_compiled", None)  # any lifting work would fail
+        flag = "--mmax" if command == "measure" else "--m"
+        start = time.perf_counter()
+        self.refused(["padic", command, "--input", str(path), flag, str(m)], capsys,
+                     f"lifting budget exceeded: need {digits} digits in p^m, budget {numutil.EXACT_DIGITS_BUDGET}")
+        assert time.perf_counter() - start < 1
+
+    def test_padic_printed_fraction_digits(self, tmp_path, capsys):
+        # 5^6151 has 4,300 digits and 5^6152 4,301.  The point (3, 3), declared of dimension 2,
+        # counts 1 at every level, so its normalized count and its box fraction are 1/5^(2m).
+        cap = numutil.EXACT_DIGITS_BUDGET
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"p": 5, "n": 2, "d": 2, "polys": [[[[1, 0], 1], [[0, 0], -3]],
+                                                                      [[[0, 1], 1], [[0, 0], -3]]]}))
+        code, out = run(["padic", "count", "--input", str(path), "--m", "3075", "--format", "json"])
+        assert code == 0 and json.loads(out)["normalized"] == f"1/{5**6150}"
+        for command, unit in (("count", "normalized count"), ("nullset", "box fraction")):
+            self.refused(["padic", command, "--input", str(path), "--m", "3076"], capsys,
+                         f"lifting budget exceeded: need 4301 digits in the {unit}, budget {cap}")
+        self.refused(["padic", "count", "--input", str(path), "--m", "6152"], capsys,
+                     f"lifting budget exceeded: need 4301 digits in p^m, budget {cap}")
+        assert run(["padic", "count", "--input", str(path), "--m", "6151"])[0] == 2  # p^m fits, 1/p^(2m) does not
+
+    @pytest.mark.parametrize("argv", [["stringy", "point", "--a", "0", "--c=-49997"],
+                                      ["stringy", "eval", "--input", str(DATA / "sample_snc_pair.json")]])
+    def test_evaluation_refused_before_the_value_renders(self, argv, monkeypatch, capsys):
+        def refuse(value, q0, precision):
+            raise numutil.BudgetExceededError(1, 0, "evaluation")
+
+        monkeypatch.setattr(cli, "_eval_payload", refuse)
+        monkeypatch.setattr(cli, "_expr_payload", None)  # rendering the value would fail
+        self.refused(argv + ["--at-q", "5"], capsys, "evaluation budget exceeded: need 1 points evaluated, budget 0")
+
     def test_exact_value_digits_counted_after_evaluation(self, capsys):
         # (q - 1) / (q^7001 - 1) has no power of q to count first; at q = 5 its denominator
         # (5^7001 - 1) / 4 has 4,893 digits, found once the value is computed.

@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -13,6 +15,9 @@ from wildmckay.padic import (
     HenselMismatchError,
     PolySystem,
     SmoothnessError,
+    _compiled,
+    _jacobian_polys,
+    _linear_solver,
     count_points_mod,
     monomial_integral,
     null_set_fraction,
@@ -115,6 +120,16 @@ class TestCountPointsMod:
             null_set_fraction(circle(5), 1)
         assert str(err.value) == "box budget exceeded at level 1: need 25 points evaluated, budget 24"
         assert err.value.required == 25
+
+
+    def test_empty_frontier_stops_lifting(self, monkeypatch):
+        # x^2 - 2 has no root mod 5, so no level after the box evaluates anything.
+        calls = []
+        evaluate = padic._column_values
+        monkeypatch.setattr(padic, "_column_values", lambda *args: calls.append(args) or evaluate(*args))
+        no_root = PolySystem(5, 1, [[((2,), 1), ((0,), -2)]], dim=0)
+        assert list(padic._level_counts(no_root, 6000)) == [0] * 6000
+        assert len(calls) == 2  # the polynomials and their Jacobian on the box
 
 
 class TestSmoothMeasure:
@@ -221,6 +236,130 @@ class TestEngineAgainstBox:
         rng = random.Random(20140)
         for _ in range(400):
             self.check(random_system(rng))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-point lifting engine the column engine replaced
+# ---------------------------------------------------------------------------
+
+
+def _values(compiled, point) -> list[int]:
+    """Exact integer values of the compiled polynomials at point."""
+    values = []
+    for terms in compiled:
+        acc = 0
+        for coeff, factors in terms:
+            for idx, e in factors:
+                coeff *= point[idx] ** e
+            acc += coeff
+        values.append(acc)
+    return values
+
+
+def _affine_points(particular, basis, p: int) -> list[list[int]]:
+    """Every point particular + sum t_i basis_i with t in F_p^len(basis)."""
+    points = [particular]
+    for vector in basis:
+        points = [[(a + t * b) % p for a, b in zip(point, vector)] for point in points for t in range(p)]
+    return points
+
+
+def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterator[int]:
+    """Yield #X(Z/p^k) for k = 1..m, one level at a time.
+
+    A solution x mod p^k lifts to x + p^k delta mod p^(k+1) iff
+    J(x mod p) delta = -f(x)/p^k over F_p: no lifts, or p^(n - rank J).
+    The last level is counted, not listed.  padic.POINTS_BUDGET bounds the points
+    evaluated: the box plus every listed frontier, checked before each one
+    is listed.  If rank is given, every mod-p solution must have it.
+    """
+    p, n = system.p, system.num_vars
+    evaluated = p**n
+    if evaluated > padic.POINTS_BUDGET:
+        raise BudgetExceededError(evaluated, padic.POINTS_BUDGET, "box", 1)
+    polys = _compiled(system.polys)
+    derivatives = _jacobian_polys(system)
+    solvers: dict[tuple[int, ...], tuple] = {}
+
+    def solver(point):
+        residue = tuple(x % p for x in point)
+        if residue not in solvers:
+            jacobian = [[v % p for v in _values(row, residue)] for row in derivatives]
+            solvers[residue] = _linear_solver(jacobian, p, n)
+        return solvers[residue]
+
+    box = itertools.product(range(p), repeat=n)
+    frontier = [point for point in box if not any(v % p for v in _values(polys, point))]
+    if rank is not None:
+        for point in frontier:
+            found = len(solver(point)[0])
+            if found != rank:
+                raise SmoothnessError(f"Jacobian rank {found} != {rank} at mod-{p} point {point}")
+    yield len(frontier)
+    for k in range(1, m):
+        step = p**k
+        spaces = []
+        for point in frontier:
+            pivots, constraints, basis = solver(point)
+            rhs = [-(v // step) for v in _values(polys, point)]
+            if any(sum(map(operator.mul, t, rhs)) % p for t in constraints):
+                continue
+            particular = [0] * n
+            for col, t in pivots:
+                particular[col] = sum(map(operator.mul, t, rhs)) % p
+            spaces.append((point, particular, basis))
+        size = sum(p ** len(basis) for _, _, basis in spaces)
+        if k + 1 == m:
+            yield size
+            return
+        evaluated += size
+        if evaluated > padic.POINTS_BUDGET:
+            raise BudgetExceededError(evaluated, padic.POINTS_BUDGET, "lifting", k + 1)
+        frontier = [
+            tuple(x + step * d for x, d in zip(point, delta))
+            for point, particular, basis in spaces
+            for delta in _affine_points(particular, basis, p)
+        ]
+        yield len(frontier)
+
+
+def outcome(engine, system, m, rank=None):
+    """The counts an engine yields, ending in (error type, message) if it refuses or fails."""
+    counts = []
+    try:
+        counts.extend(engine(system, m, rank))
+    except (BudgetExceededError, SmoothnessError) as exc:
+        counts.append((type(exc).__name__, str(exc)))
+    return counts
+
+
+class TestAgainstPerPointEngine:
+    """The column engine against the per-point engine: the same counts, budget refusals
+    and smoothness failures."""
+
+    def test_seeded_random_systems(self, monkeypatch):
+        # At the lower budget some draws are refused at the box and some while lifting.
+        rng = random.Random(31415)
+        errors = []
+        for budget in (300, 20_000):
+            monkeypatch.setattr(padic, "POINTS_BUDGET", budget)
+            for _ in range(300):
+                system, m, rank = random_system(rng), rng.randint(1, 4), rng.choice([None, None, 0, 1, 2])
+                expected = outcome(_level_counts, system, m, rank)
+                assert outcome(padic._level_counts, system, m, rank) == expected, (system, m, rank)
+                if isinstance(expected[-1], tuple):
+                    errors.append(expected[-1][1].split()[0])
+        assert min(errors.count("box"), errors.count("lifting"), errors.count("Jacobian")) >= 10
+
+    @pytest.mark.parametrize("system", TestEngineAgainstBox.SINGULAR.values(), ids=list(TestEngineAgainstBox.SINGULAR))
+    def test_singular_systems_with_rank(self, system):
+        for m in range(1, 6):
+            for rank in (None, 0, 1, 2):
+                assert outcome(padic._level_counts, system, m, rank) == outcome(_level_counts, system, m, rank)
+
+    def test_deep_circle(self):
+        counts = smooth_measure_check(circle(5), 9).counts
+        assert counts == list(_level_counts(circle(5), 9, rank=1)) == [4 * 5**k for k in range(9)]
 
 
 class TestMonomialIntegral:

@@ -107,15 +107,20 @@ class TestEvaluate:
             frac.evaluate(1)
 
     def test_exact_value_against_term_by_term_powers(self):
-        # The exact branch is one homogeneous Horner pass on ints; the oracle sums Fraction powers.
+        # The exact branch merges a homogeneous sum on ints pairwise, with an odd run left over at
+        # most levels; the oracle sums Fraction powers.
         rng = random.Random(5)
         for _ in range(300):
-            terms = [(rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                     for _ in range(rng.randint(0, 6))]
+            terms = [(rng.randint(-30, 30), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                     for _ in range(rng.randint(0, 40))]
             q0 = Fraction(rng.randint(1, 12), rng.randint(1, 12))
             want = sum((c * q0**e for e, c in terms), Fraction(0))
             assert QExpr(terms).evaluate(q0) == want
         assert QExpr().evaluate(Fraction(2, 3)) == 0 and QExpr.const(Fraction(5, 7)).evaluate(9) == Fraction(5, 7)
+        # 1 + q + ... + q^2999 = (q^3000 - 1) / (q - 1), at q = 5 and at q = 2/3
+        geometric = QExpr({e: 1 for e in range(3000)})
+        assert geometric.evaluate(5) == (5**3000 - 1) // 4
+        assert geometric.evaluate(Fraction(2, 3)) == (1 - Fraction(2, 3) ** 3000) * 3
 
     def test_fraction_evaluate_fractional_exponents(self):
         # (q - 1)/(q^(1/2) - 1) = q^(1/2) + 1 at q = 5
