@@ -337,19 +337,32 @@ class TestAgainstPerPointEngine:
     """The column engine against the per-point engine: the same counts, budget refusals
     and smoothness failures."""
 
+    @staticmethod
+    def compare(monkeypatch, budget, system, m, rank):
+        monkeypatch.setattr(padic, "POINTS_BUDGET", budget)
+        expected = outcome(_level_counts, system, m, rank)
+        assert outcome(padic._level_counts, system, m, rank) == expected, (system, m, rank, budget)
+        return expected[-1] if isinstance(expected[-1], tuple) else None
+
     def test_seeded_random_systems(self, monkeypatch):
-        # At the lower budget some draws are refused at the box and some while lifting.
+        # At the lower budget some draws are refused at the box and some while lifting; a draw
+        # refused for needing at most 5,000 points runs again with the budget one below and at
+        # exactly what it needed.
         rng = random.Random(31415)
-        errors = []
+        errors, boundaries = [], 0
         for budget in (300, 20_000):
-            monkeypatch.setattr(padic, "POINTS_BUDGET", budget)
             for _ in range(300):
                 system, m, rank = random_system(rng), rng.randint(1, 4), rng.choice([None, None, 0, 1, 2])
-                expected = outcome(_level_counts, system, m, rank)
-                assert outcome(padic._level_counts, system, m, rank) == expected, (system, m, rank)
-                if isinstance(expected[-1], tuple):
-                    errors.append(expected[-1][1].split()[0])
-        assert min(errors.count("box"), errors.count("lifting"), errors.count("Jacobian")) >= 10
+                error = self.compare(monkeypatch, budget, system, m, rank)
+                if error:
+                    errors.append(error[1].split()[0])
+                if error and error[0] == "BudgetExceededError":
+                    needed = int(error[1].split("need ")[1].split()[0])
+                    if needed <= 5_000:
+                        boundaries += 1
+                        self.compare(monkeypatch, needed - 1, system, m, rank)
+                        self.compare(monkeypatch, needed, system, m, rank)
+        assert min(errors.count("box"), errors.count("lifting"), errors.count("Jacobian"), boundaries) >= 10
 
     @pytest.mark.parametrize("system", TestEngineAgainstBox.SINGULAR.values(), ids=list(TestEngineAgainstBox.SINGULAR))
     def test_singular_systems_with_rank(self, system):
