@@ -22,6 +22,7 @@ import sys
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .localfields import (
     PartialEnumerationError,
@@ -34,7 +35,7 @@ from .localfields import (
     tame_enumeration_is_complete,
 )
 from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
-from .mckay import verify_wild_mckay
+from .mckay import ROW_COLUMNS, verify_wild_mckay
 from .numutil import (
     DEFAULT_PRECISION,
     EXACT_DIGITS_BUDGET,
@@ -91,6 +92,12 @@ def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
         exact = frac.evaluate(q0)
         check_exact_digits(exact, "evaluation", unit)
         return {"q": format_rational(q0), "exact": format_rational(exact)}
+    # The approximation takes q0^e.numerator for every exponent e: refused before any power that
+    # would have more than EXACT_DIGITS_BUDGET digits, counted as |e.numerator| log10 max(a, b)
+    # (the numerator clamped so that the float stays finite, which keeps it a lower bound).
+    top = min(10**15, max((abs(e.numerator) for part in (frac.num, frac.den) for e, _ in part._nums), default=0))
+    if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
+        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
     approx = frac.evaluate(q0, precision=precision)
     return {
         "q": format_rational(q0),
@@ -147,97 +154,111 @@ def _decimal_text(value: Fraction) -> str:
         return f"{scaled.normalize():.15g}"
 
 
-def _cell(value, texts: dict | None = None) -> str:
-    """One table cell.  texts keeps the json.dumps text of each tuple in a list cell by id, so a
-    tuple shared by the cells of one table is encoded once; the caller keeps those tuples alive."""
-    if type(value) is int:
-        return str(value)
+def _cell(value) -> str:
+    """The text and CSV form of one value."""
     if isinstance(value, dict):
-        if "pretty" in value:
-            return value["pretty"]
-        return json.dumps(value, sort_keys=True)
+        return value["pretty"] if "pretty" in value else json.dumps(value, sort_keys=True)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, (list, tuple)):
-        texts = {} if texts is None else texts
-        return "[" + ", ".join([texts.get(id(v)) or texts.setdefault(id(v), json.dumps(v)) if type(v) is tuple
-                                else json.dumps(v) for v in value]) + "]"
+        return json.dumps(value)
     return str(value)
 
 
-def _write_text(report: dict, rows: list[dict] | None, stream) -> None:
-    for line in report.get("_lines", ()):
-        stream.write(line + "\n")
-    for key, value in report.items():
-        if key == "_lines":
-            continue
-        stream.write(f"{key}: {_cell(value)}\n")
-    if "_lines" in report:
-        return
-    if rows:
-        header = list(rows[0].keys())
-        texts: dict[int, str] = {}  # rows outlive the call
-        table = [header] + [[_cell(row.get(k), texts) for k in header] for row in rows]
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+# Rows rendered and written at a time, so that the text of a large table is never held at once.
+_ROWS_PER_WRITE = 1024
+
+
+def _text_chunks(table: tuple, cell, member, brackets: tuple):
+    """The cell texts of table = (column names, row tuples), one list per column, _ROWS_PER_WRITE
+    rows at a time: cell(value) each; an all-int column as it is, since the JSON template and
+    csv.writer both write str(value); and in a column of lists or tuples the member texts
+    joined in brackets = (start, separator, end), each distinct member object rendered once as
+    member(object): the table holds the members, so their ids stay unique while it is written."""
+    start, separator, end = brackets
+    memo: dict[int, str] = {}
+    get, put = memo.get, memo.setdefault
+    rows = table[1]
+    for first in range(0, len(rows), _ROWS_PER_WRITE):
+        texts = []
+        for column in zip(*rows[first:first + _ROWS_PER_WRITE]):
+            kinds = set(map(type, column))
+            if kinds <= {int}:
+                texts.append(column)
+            elif kinds <= {list, tuple}:
+                texts.append([start + separator.join([get(id(obj)) or put(id(obj), member(obj)) for obj in value])
+                              + end if value else "[]" for value in column])
+            else:
+                texts.append(list(map(cell, column)))
+        yield texts
+
+
+_CSV_CELLS = _cell, json.dumps, ("[", ", ", "]")
+
+
+def _write_text(report: dict, table: tuple | None, stream) -> None:
+    stream.writelines(line + "\n" for line in report.get("_lines", ()))
+    stream.writelines(f"{key}: {_cell(value)}\n" for key, value in report.items() if key != "_lines")
+    if table and table[1] and "_lines" not in report:  # selftest prints its lines instead
+        texts = [[name, *map(str, chain.from_iterable(parts))]
+                 for name, parts in zip(table[0], zip(*_text_chunks(table, *_CSV_CELLS)))]
+        padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in texts]
         stream.write("\n")
-        for r in table:
-            stream.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
+        stream.writelines(line.rstrip() + "\n" for line in map("  ".join, zip(*padded)))
 
 
-def _json_text(value, indent: str = "\n", memo: dict | None = None) -> str:
+def _json_text(value, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for string-keyed reports, without the
-    pure-Python encoder json uses whenever an indent is given; int leaves are written inline.
-
-    Per call, each dict key shape (its keys in insertion order) at each depth gets one
-    %-template of its sorted, encoded keys, and a tuple object met again at the same depth
-    is written once (reports share their immutable entries, such as `mckay verify`
-    factors).  The memo is keyed by ((keys), indent) and (id, indent), which holds because
-    value outlives the call; lists are not memoised, to keep it small."""
+    pure-Python encoder json uses whenever an indent is given; int leaves are written inline."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict or kind is list or kind is tuple:
         if not value:
             return "{}" if kind is dict else "[]"
-        if memo is None:
-            memo = {}
-        if kind is tuple and (text := memo.get((id(value), indent))) is not None:
-            return text
         inner = indent + "  "
         if kind is dict:
-            if (shape := memo.get(key := (tuple(value), indent))) is None:
-                keys = sorted(value)
-                shape = memo[key] = keys, "{" + ",".join(
-                    inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
-            keys, template = shape
-            return template % tuple([v if type(v) is int else _json_text(v, inner, memo)
-                                     for v in map(value.__getitem__, keys)])
-        items = [repr(v) if type(v) is int else memo.get((id(v), inner)) or _json_text(v, inner, memo) for v in value]
-        text = "[" + inner + ("," + inner).join(items) + indent + "]"
-        if kind is tuple:
-            memo[id(value), indent] = text
-        return text
+            return "{" + ",".join([inner + encode_basestring_ascii(k) + ": " + (
+                repr(v) if type(v) is int else _json_text(v, inner)) for k, v in sorted(value.items())]) + indent + "}"
+        return "[" + inner + ("," + inner).join([repr(v) if type(v) is int else _json_text(v, inner)
+                                                 for v in value]) + indent + "]"
     return json.dumps(value)  # int, bool, None and float; a TypeError for anything else
 
 
-def _write_json(report: dict, rows: list[dict] | None, stream) -> None:
+def _write_json(report: dict, table: tuple | None, stream) -> None:
+    """_json_text of the report with the table's rows as dicts under "rows", the rows from one
+    %-template of the sorted column names filled from the cell texts, _ROWS_PER_WRITE at a time."""
     payload = {k: v for k, v in report.items() if k != "_lines"}
-    if rows is not None:
-        payload["rows"] = rows
-    stream.write(_json_text(payload) + "\n")
+    if table is not None:
+        payload["rows"] = table
+    for i, key in enumerate(sorted(payload)):
+        stream.write(("," if i else "{") + "\n  " + encode_basestring_ascii(key) + ": ")
+        if (value := payload[key]) is not table:
+            stream.write(_json_text(value, "\n  "))
+            continue
+        columns, rows = table
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        template = "{" + ",".join(["\n      " + encode_basestring_ascii(columns[j]).replace("%", "%%") + ": %s"
+                                   for j in order]) + "\n    }"
+        cells = (functools.partial(_json_text, indent="\n      "), functools.partial(_json_text, indent="\n        "),
+                 ("[\n        ", ",\n        ", "\n      ]"))  # the cells of a row, and their members
+        separator = "[\n    "
+        for texts in _text_chunks(table, *cells):
+            stream.write(separator + ",\n    ".join(map(template.__mod__, zip(*[texts[j] for j in order]))))
+            separator = ",\n    "
+        stream.write("\n  ]" if rows else "[]")
+    stream.write("\n}\n")
 
 
-def _write_csv(report: dict, rows: list[dict] | None, stream) -> None:
+def _write_csv(report: dict, table: tuple | None, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        texts: dict[int, str] = {}  # rows outlive the call; the writer writes an int as str(v), as _cell does
-        writer.writerows([v if type(v) is int else _cell(v, texts) for v in map(row.get, header)] for row in rows)
-    else:
-        scalars = [(k, v) for k, v in report.items() if k != "_lines"]
-        writer.writerow([k for k, _ in scalars])
-        writer.writerow([_cell(v) for _, v in scalars])
+    if table is None:
+        scalars = {k: v for k, v in report.items() if k != "_lines"}
+        writer.writerows([list(scalars), map(_cell, scalars.values())])
+        return
+    writer.writerow(table[0])
+    for texts in _text_chunks(table, *_CSV_CELLS):
+        writer.writerows(zip(*texts))
 
 
 _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
@@ -288,7 +309,7 @@ def _rational_list(value: str) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (exit_code, report, rows)
+# Handlers: each returns (exit_code, report, table), the table (column names, row tuples) or None
 # ---------------------------------------------------------------------------
 
 
@@ -306,45 +327,28 @@ def _cmd_mass_bhargava(args):
 
 def _cmd_mass_expcheck(args):
     series = mass_series_via_exp(args.nmax)
-    rows = []
-    all_match = True
-    for n in range(1, args.nmax + 1):
-        lhs = series.coefficient(n)
-        rhs = bhargava_mass(n)
-        match = lhs == rhs
-        all_match &= match
-        rows.append({"n": n, "exponential": str(lhs), "partition_formula": str(rhs), "match": match})
+    pairs = [(n, series.coefficient(n), bhargava_mass(n)) for n in range(1, args.nmax + 1)]
+    rows = [(n, str(lhs), str(rhs), lhs == rhs) for n, lhs, rhs in pairs]
+    all_match = all(row[-1] for row in rows)
     report = {"nmax": args.nmax, "all_match": all_match}
-    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
+    table = ("n", "exponential", "partition_formula", "match"), rows
+    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, table
 
 
 def _cmd_mass_invert(args):
     recovered = recover_N_from_M(mass_series_via_exp(args.nmax))
-    rows = []
-    all_match = True
-    for (f, m), value in sorted(recovered.items()):
-        expected = serre_mass(m, f)
-        match = value == expected
-        all_match &= match
-        rows.append({"f": f, "m": m, "recovered": str(value), "expected": str(expected), "match": match})
+    pairs = [(f, m, value, serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
+    rows = [(f, m, str(value), str(expected), value == expected) for f, m, value, expected in pairs]
+    all_match = all(row[-1] for row in rows)
     report = {"nmax": args.nmax, "all_match": all_match}
-    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, rows
+    table = ("f", "m", "recovered", "expected", "match"), rows
+    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, table
 
 
 def _cmd_etale_enumerate(args):
     algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
     classes = enumerate_tame_field_classes(args.p, args.n)
-    rows = [
-        {
-            "f": cls.f,
-            "e": cls.e,
-            "orbit": list(cls.orbit),
-            "degree": cls.degree,
-            "d": cls.disc_exponent,
-            "aut": cls.aut_order,
-        }
-        for cls in classes
-    ]
+    rows = [(cls.f, cls.e, cls.orbit, cls.degree, cls.disc_exponent, cls.aut_order) for cls in classes]
     report = {
         "p": args.p,
         "n": args.n,
@@ -360,7 +364,7 @@ def _cmd_etale_enumerate(args):
         report["fixtures"] = fixture_report.to_json()
         if not fixture_report.ok:
             code = EXIT_VERIFICATION_FAILED
-    return code, report, rows
+    return code, report, (("f", "e", "orbit", "degree", "d", "aut"), rows)
 
 
 def _cmd_etale_mass(args):
@@ -383,22 +387,8 @@ def _cmd_etale_crossvalidate(args):
     status = {label: "matched" for label in result.matched}
     status.update({label: "uncheckable (wild)" for label in result.uncheckable})
     reasons = dict(result.mismatches)
-    rows = []
-    for fixture in sorted(fixtures, key=lambda fx: (fx.p, fx.n, fx.label)):
-        label = fixture.label
-        rows.append(
-            {
-                "label": label,
-                "p": fixture.p,
-                "n": fixture.n,
-                "e": fixture.e,
-                "f": fixture.f,
-                "d": fixture.disc_exponent,
-                "aut": fixture.aut_order,
-                "status": status.get(label, "mismatch"),
-                "reason": reasons.get(label, ""),
-            }
-        )
+    rows = [(fx.label, fx.p, fx.n, fx.e, fx.f, fx.disc_exponent, fx.aut_order, status.get(fx.label, "mismatch"),
+             reasons.get(fx.label, "")) for fx in sorted(fixtures, key=lambda fx: (fx.p, fx.n, fx.label))]
     report = {
         "fixtures": len(fixtures),
         "matched": len(result.matched),
@@ -406,7 +396,8 @@ def _cmd_etale_crossvalidate(args):
         "mismatches": len(result.mismatches),
         "ok": result.ok,
     }
-    return (EXIT_OK if result.ok else EXIT_VERIFICATION_FAILED), report, rows
+    table = ("label", "p", "n", "e", "f", "d", "aut", "status", "reason"), rows
+    return (EXIT_OK if result.ok else EXIT_VERIFICATION_FAILED), report, table
 
 
 def _cmd_mckay_verify(args):
@@ -420,9 +411,9 @@ def _cmd_mckay_verify(args):
     }
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(result.to_json()) + "\n")
+            _write_json(result.to_json(rows=False), (ROW_COLUMNS, result.rows), fh)
         report["table"] = args.table
-    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, result.rows
+    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (ROW_COLUMNS, result.rows)
 
 
 def _cmd_stringy_eval(args):
@@ -482,15 +473,16 @@ def _cmd_padic_measure(args):
 
 def _cmd_padic_integral(args):
     partial, exact = monomial_integral(args.c, args.p, args.terms)
+    # evaluated (or refused) before the closed form is rendered
+    at_p = {} if is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p), args.precision)}
     report = {
         "c": format_rational(args.c),
         "p": args.p,
         "terms": args.terms,
         "partial": _decimal_text(partial),
         "exact": _expr_payload(exact),
+        **at_p,
     }
-    if not is_infinite(exact):
-        report["exact_at_p"] = _eval_payload(exact, Fraction(args.p), args.precision)
     return EXIT_OK, report, None
 
 
@@ -513,17 +505,15 @@ def _cmd_selftest(args):
     from . import selftest
 
     results = selftest.run_all()
-    rows = [
-        {"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-        for r in results
-    ]
+    rows = [(r.number, r.name, r.passed, r.detail) for r in results]
     all_passed = all(r.passed for r in results)
     report = {
         "_lines": [r.line() for r in results],
         "criteria": len(results),
         "all_passed": all_passed,
     }
-    return (EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED), report, rows
+    table = ("criterion", "name", "passed", "detail"), rows
+    return (EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED), report, table
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +618,7 @@ def _run(argv: list[str] | None, stream) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR
     try:
-        code, report, rows = args.handler(args)
+        code, report, table = args.handler(args)
     except (SmoothnessError, HenselMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
@@ -645,7 +635,7 @@ def _run(argv: list[str] | None, stream) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action
-    _WRITERS[args.format]({"command": command, **report}, rows, stream)
+    _WRITERS[args.format]({"command": command, **report}, table, stream)
     return code
 
 

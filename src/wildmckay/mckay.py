@@ -29,7 +29,10 @@ from math import gcd, lcm
 from .localfields import EtaleAlgebra, complete_algebra_invariants
 from .partitions import hilb_point_count
 
-__all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport"]
+__all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport", "ROW_COLUMNS"]
+
+# The fields of a `verify_wild_mckay` row, in row order.
+ROW_COLUMNS = ("factors", "d", "v", "w", "aut", "term_num", "term_den")
 
 
 @dataclass(frozen=True)
@@ -58,42 +61,46 @@ class McKayReport:
     n: int
     mass_side: Fraction
     hilb_side: Fraction
-    rows: list[dict]
+    rows: list[tuple]  # in ROW_COLUMNS order
 
     @property
     def passed(self) -> bool:
         return self.mass_side == self.hilb_side
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, rows: bool = True) -> dict:
+        """The report with one dict per row; with rows=False, without the rows."""
+        report = {
             "p": self.p,
             "n": self.n,
             "mass_side": [self.mass_side.numerator, self.mass_side.denominator],
             "hilb_side": [self.hilb_side.numerator, self.hilb_side.denominator],
             "passed": self.passed,
-            "rows": self.rows,
         }
+        if rows:
+            report["rows"] = [dict(zip(ROW_COLUMNS, row)) for row in self.rows]
+        return report
 
 
 def verify_wild_mckay(p: int, n: int) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.
 
-    The report carries the per-algebra breakdown (factors, d, v, w, aut,
-    term) so a failure localizes to an algebra.  More than ALGEBRAS_BUDGET
-    algebras raise BudgetExceededError before any listing.  Each row's factors are
-    (f, e, orbit, multiplicity) tuples, one object per distinct factor, shared by the rows;
-    no EtaleAlgebra is built."""
-    powers: dict[int, int] = {}  # p^(2n - v) per distinct v
+    The report carries one ROW_COLUMNS tuple per algebra, so a failure localizes to an
+    algebra.  More than ALGEBRAS_BUDGET algebras raise BudgetExceededError before any listing.
+    Each row's factors are (f, e, orbit, multiplicity) tuples, one object per distinct factor,
+    shared by the rows; no EtaleAlgebra is built.  The weights and the term are computed once
+    per distinct (d, components, #Aut), and the mass side adds each distinct term once."""
+    terms: dict[tuple[int, int, int], list] = {}  # (d, components, #Aut) -> [row tail, algebras]
     rows = []
     for factors, d, components, aut in complete_algebra_invariants(p, n, lambda cls, m: (cls.f, cls.e, cls.orbit, m)):
-        v, w = _weights(n, d, components)
-        if (power := powers.get(v)) is None:
-            power = powers[v] = p ** (2 * n - v)
-        common = gcd(power, aut)
-        rows.append({"factors": list(factors), "d": d, "v": v, "w": w, "aut": aut,
-                     "term_num": power // common, "term_den": aut // common})
-    # One Fraction for the whole sum: the terms over the lcm of their denominators.
-    den = lcm(*(row["term_den"] for row in rows))
-    mass_side = Fraction(sum(row["term_num"] * (den // row["term_den"]) for row in rows), den)
+        if (term := terms.get((d, components, aut))) is None:
+            v, w = _weights(n, d, components)
+            power = p ** (2 * n - v)
+            common = gcd(power, aut)
+            term = terms[d, components, aut] = [(d, v, w, aut, power // common, aut // common), 0]
+        term[1] += 1
+        rows.append((factors,) + term[0])
+    # One Fraction for the whole sum: the distinct terms over the lcm of their denominators.
+    den = lcm(*(tail[5] for tail, _ in terms.values()))
+    mass_side = Fraction(sum(count * tail[4] * (den // tail[5]) for tail, count in terms.values()), den)
     hilb_side = hilb_point_count(n).evaluate(p)
     return McKayReport(p=p, n=n, mass_side=mass_side, hilb_side=hilb_side, rows=rows)

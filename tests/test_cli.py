@@ -300,6 +300,28 @@ class TestBudgets:
             self.refused(argv, capsys, f"{message} digits in the {unit}, budget {cap}")
             assert time.perf_counter() - start < 1
 
+    def test_approximate_power_digits_cap(self, monkeypatch, capsys):
+        # A fractional exponent e is approximated from q0^e.numerator, whose digits are counted
+        # as |e.numerator| log10 max(a, b) at q0 = a/b before any power: 5^6151 has 4,300 digits
+        # and is taken, 5^6153 has 4,301.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        code, out = run(["stringy", "point", "--a", "6151/2", "--at-q", "5", "--format", "json"])
+        assert code == 0 and "approx" in json.loads(out)["evaluated"]
+        code, out = run(["padic", "integral", "--c=-2001/2", "--p", "5", "--terms", "1", "--format", "json"])
+        assert code == 0 and "approx" in json.loads(out)["exact_at_p"]
+        monkeypatch.setattr(qexpr.QFrac, "evaluate", None)  # any evaluation would fail
+        monkeypatch.setattr(cli, "_expr_payload", None)  # as would rendering the value
+        for argv, digits in (
+            (["stringy", "point", "--a", "6153/2", "--at-q", "5"], 4301),
+            (["stringy", "point", "--a", "1000001/2", "--at-q", "5"], 698971),
+            (["stringy", "point", "--a", f"{10**400}/3", "--at-q", "5"], 698970004336019),  # counted up to 10^15
+            (["padic", "integral", "--c=-20001/2", "--p", "5", "--terms", "1"], 13982),
+        ):
+            start = time.perf_counter()
+            self.refused(argv, capsys,
+                         f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
+            assert time.perf_counter() - start < 1
+
     def test_exact_value_digits_bound_skips_possible_roots(self):
         # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound
         # from the power q^10000 would refuse what prints today.
@@ -530,6 +552,24 @@ SHAPES = {"a": {"x": 1, "y": [{"x": 2, "y": 3}, {"y": 4, "x": 5}]}, "b": {"y": 6
           "x": 9, "y": 10}
 
 
+# The table commands besides `mckay verify`, each with rows of every cell kind they print.
+TABLE_COMMANDS = [
+    ["mass", "expcheck", "--nmax", "5"],
+    ["mass", "invert", "--nmax", "6"],
+    ["etale", "enumerate", "--p", "5", "--n", "6"],
+    ["etale", "crossvalidate", "--fixtures", str(DATA / "sample_fixtures.json")],
+    ["selftest"],
+]
+
+# A table of every cell kind over three write chunks: odd column names, a column of ints and
+# bools, lists and tuples (empty or sharing one tuple), strings to escape, None and dicts.
+_MEMBER = (3, (0, 1), "x")
+ODD_TABLE = (("%s", "\u00e9", "{0}", "mixed", "members", "value"), [
+    (i, f'q"{i}\n,', i % 2 == 0, i if i % 3 else i % 2 == 1, [[], [_MEMBER], (_MEMBER, [i, None], "s")][i % 3],
+     [None, {"pretty": f"q^{i}", "terms": [i]}, {"b": i, "a": [1.5]}, 10**30 + i][i % 4])
+    for i in range(2 * cli._ROWS_PER_WRITE + 5)])
+
+
 class TestJsonWriter:
     """The report writer against json.dumps(..., sort_keys=True, indent=2)."""
 
@@ -562,26 +602,67 @@ class TestJsonWriter:
         expected = json.dumps(verify_wild_mckay(13, 7).to_json(), sort_keys=True, indent=2) + "\n"
         assert table.read_bytes() == expected.encode("ascii")
 
+    @pytest.mark.parametrize("rows", [ODD_TABLE[1], ODD_TABLE[1][:1], []], ids=["chunks", "one", "empty"])
+    def test_tables_match_json_dumps_of_row_dicts(self, rows):
+        report = {"command": "t", "a": 1, "zeta": [True], "_lines": ["not written"]}
+        out = io.StringIO()
+        cli._write_json(report, (ODD_TABLE[0], rows), out)
+        payload = {"command": "t", "a": 1, "zeta": [True], "rows": [dict(zip(ODD_TABLE[0], row)) for row in rows]}
+        assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
     def test_reports_match_json_dumps(self):
-        for argv in (["mckay", "verify", "--p", "7", "--n", "5"], ["etale", "enumerate", "--p", "5", "--n", "6"],
-                     ["mass", "expcheck", "--nmax", "5"], ["stringy", "point", "--a", "1/2", "--c=-1/3,1/2"]):
+        for argv in (["mckay", "verify", "--p", "7", "--n", "5"], ["stringy", "point", "--a", "1/2", "--c=-1/3,1/2"],
+                     *TABLE_COMMANDS):
             code, out = run(argv + ["--format", "json"])
             assert code == 0
             assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+def csv_cell(_, value):
+    """The CSV text of one cell: a pretty form, yes/no, or JSON for lists and other dicts."""
+    if isinstance(value, dict):
+        return value["pretty"] if "pretty" in value else json.dumps(value, sort_keys=True)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return json.dumps(value) if isinstance(value, (list, tuple)) else str(value)
+
+
+def csv_text(columns, rows, cell):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(column, value) for column, value in zip(columns, row)])
+    return expected.getvalue()
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("p, n", [(13, 8), (31, 12)])
     def test_mckay_rows_match_csv_writer_and_json_dumps(self, p, n):
-        from wildmckay.mckay import verify_wild_mckay
+        from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
 
         rows = verify_wild_mckay(p, n).rows
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(list(rows[0]))
-        for row in rows:
-            writer.writerow([json.dumps(value) if key == "factors" else str(value) for key, value in row.items()])
-        assert run(["mckay", "verify", "--p", str(p), "--n", str(n), "--format", "csv"]) == (0, expected.getvalue())
+        expected = csv_text(ROW_COLUMNS, rows, lambda key, value: json.dumps(value) if key == "factors" else str(value))
+        assert run(["mckay", "verify", "--p", str(p), "--n", str(n), "--format", "csv"]) == (0, expected)
+
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+    def test_tables_match_csv_writer_and_json_dumps(self, argv):
+        args = cli._parser().parse_args(argv)
+        code, _, (columns, rows) = args.handler(args)
+        assert run(argv + ["--format", "csv"]) == (code, csv_text(columns, rows, csv_cell))
+
+    def test_every_cell_kind_matches_csv_writer(self):
+        out = io.StringIO()
+        cli._write_csv({"command": "t"}, ODD_TABLE, out)
+        assert out.getvalue() == csv_text(*ODD_TABLE, csv_cell)
+
+    def test_empty_table_prints_its_header(self, tmp_path):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text("[]")
+        code, out = run(["etale", "crossvalidate", "--fixtures", str(fixtures), "--format", "csv"])
+        assert (code, out) == (0, "label,p,n,e,f,d,aut,status,reason\n")
+        code, out = run(["etale", "crossvalidate", "--fixtures", str(fixtures), "--format", "json"])
+        assert (code, json.loads(out)["rows"]) == (0, [])
 
 
 class TestDeterminism:

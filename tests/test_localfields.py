@@ -24,7 +24,7 @@ from wildmckay.localfields import (
     skipped_wild_strata,
     tame_enumeration_is_complete,
 )
-from wildmckay.mckay import verify_wild_mckay
+from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "sample_fixtures.json"
 
@@ -360,6 +360,6 @@ class TestSymmetricGroupOracle:
         listed = localfields._tame_algebras(localfields._tame_classes_by_degree(p, n), lambda cls, m: None)
         assert Counter((d, aut, components) for _, d, components, aut in listed) == Counter(
             {(d, aut, components): count for (d, aut, components, _), count in oracle.items()})
-        rows = verify_wild_mckay(p, n).rows
+        rows = [dict(zip(ROW_COLUMNS, row)) for row in verify_wild_mckay(p, n).rows]
         assert Counter((row["d"], row["aut"], row["w"]) for row in rows) == Counter(
             {(d, aut, w): count for (d, aut, _, w), count in oracle.items()})

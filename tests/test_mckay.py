@@ -12,9 +12,14 @@ from wildmckay.localfields import (
     enumerate_tame_field_classes,
 )
 from wildmckay.massformulas import bhargava_mass
-from wildmckay.mckay import verify_wild_mckay, weights_for_algebra
+from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay, weights_for_algebra
 from wildmckay.numutil import BudgetExceededError
 from wildmckay.partitions import hilb_point_count
+
+
+def named_rows(report):
+    """The report's row tuples as dicts keyed by ROW_COLUMNS."""
+    return [dict(zip(ROW_COLUMNS, row)) for row in report.rows]
 
 
 def field_class(p, f, e, which=0):
@@ -83,7 +88,7 @@ class TestVerify:
         report = verify_wild_mckay(p, n)
         assert report.passed
         assert report.mass_side == hilb_point_count(n).evaluate(p)
-        assert sum(Fraction(r["term_num"], r["term_den"]) for r in report.rows) == report.mass_side
+        assert sum(Fraction(r["term_num"], r["term_den"]) for r in named_rows(report)) == report.mass_side
 
     def test_p5_n4_value(self):
         report = verify_wild_mckay(5, 4)
@@ -98,24 +103,24 @@ class TestVerify:
         report = verify_wild_mckay(p, n)
         algebras = enumerate_tame_etale_algebras(p, n)
         assert len(report.rows) == len(algebras)
-        for row, algebra in zip(report.rows, algebras):
+        for row, algebra in zip(named_rows(report), algebras):
             weights = weights_for_algebra(algebra)
             term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
-            assert row["factors"] == [(cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors]
+            assert row["factors"] == tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
             assert (row["d"], row["v"], row["w"], row["aut"]) == (
                 algebra.disc_exponent, weights.v, weights.w, weights.centralizer_order
             )
             assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
-        assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in report.rows)
+        assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in named_rows(report))
 
     def test_rows_share_one_entry_per_distinct_factor(self):
-        report = verify_wild_mckay(13, 8)
+        rows = named_rows(verify_wild_mckay(13, 8))
         entries = {}
-        for row, algebra in zip(report.rows, enumerate_tame_etale_algebras(13, 8)):
+        for row, algebra in zip(rows, enumerate_tame_etale_algebras(13, 8)):
             for entry, factor in zip(row["factors"], algebra.factors):
                 assert entries.setdefault(factor, entry) is entry
-        assert len({id(entry) for row in report.rows for entry in row["factors"]}) == len(entries)
-        assert len(entries) < sum(len(row["factors"]) for row in report.rows)
+        assert len({id(entry) for row in rows for entry in row["factors"]}) == len(entries)
+        assert len(entries) < sum(len(row["factors"]) for row in rows)
 
     def test_budget_counts_algebras_before_listing(self, monkeypatch):
         monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3485)
@@ -156,5 +161,5 @@ class TestVerify:
     def test_breakdown_rows_match_algebras(self):
         report = verify_wild_mckay(5, 3)
         assert len(report.rows) == len(enumerate_tame_etale_algebras(5, 3))
-        for row in report.rows:
+        for row in named_rows(report):
             assert row["w"] == row["v"] == row["d"]
