@@ -9,16 +9,18 @@ expressions, built once from a numerator and a denominator computed in that
 ring; it does no arithmetic, and its canonical reduced form makes equality
 structural.
 
-A ``QExpr`` stores integer numerators over one positive common
-denominator, as FLINT's fmpq_poly does, so a sum or product is integer
-multiply-adds and one gcd; ``terms`` builds ``fractions.Fraction``
-coefficients on demand.  Exponents are ints when integral and reduced
-Fractions otherwise.  ``QFrac`` canonicalization works on dense integer
-rows over t = q^(1/r), of at most DENSE_DEGREE_BUDGET terms: a general
-quotient takes its gcd over Z by primitive remainder sequences, and a
-quotient by a product of binomials t^k - 1 by trial division with the
-cyclotomic polynomials that divide them.  There is no floating point here
-except on explicit request via ``evaluate`` with a stated precision.
+A ``QExpr`` stores integer exponents over t = q^(1/r), one least r per
+value, and integer numerators over one positive common denominator, as
+FLINT's fmpq_poly does, so a sum or product is integer multiply-adds and
+one gcd, and two values are rescaled to a common r only when theirs
+differ; ``terms`` builds ``fractions.Fraction`` exponents and coefficients
+on demand.  ``QFrac`` canonicalization works on dense integer rows over t,
+of at most DENSE_DEGREE_BUDGET terms: a general quotient takes its gcd over
+Z by primitive remainder sequences, and a quotient by a product of
+binomials t^k - 1 by trial division with the cyclotomic polynomials that
+divide them.  There is no floating point here; ``evaluate`` is exact for
+r == 1 and otherwise a rational within a stated precision, from one root
+of q0 and exact powers.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import sub
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .numutil import BudgetExceededError, divisors
 
@@ -136,6 +138,14 @@ def _over_binomial(a: list[int], e: int) -> list[int] | None:
     return None if any(sums[top:]) else sums[:top]
 
 
+def _row(pairs: Sequence[tuple[int, int]], low: int) -> list[int]:
+    """The dense row, from degree low up, of (degree, coefficient) pairs ascending in degree."""
+    out = [0] * (pairs[-1][0] - low + 1)
+    for e, n in pairs:
+        out[e - low] = n
+    return out
+
+
 def _check_span(size: int) -> None:
     if size > DENSE_DEGREE_BUDGET:
         raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, "fraction", unit="t-degrees")
@@ -159,62 +169,77 @@ def _as_fraction(x: Rational) -> Fraction:
 # by a block per call, up to several MB of peak memory over a long run.
 
 
-def _make(acc: Mapping[Rational, int], den: int = 1) -> "QExpr":
-    """QExpr in canonical form from a map of int or Fraction exponents to
-    integer numerators over den > 0, without the checks of the public
-    constructor."""
-    nums = [(e if type(e) is int or e.denominator != 1 else e.numerator, n) for e, n in acc.items() if n]
+def _make(pairs: Iterable[tuple[int, int]], den: int = 1, r: int = 1) -> "QExpr":
+    """QExpr in canonical form from (exponent over t = q^(1/r), integer numerator) pairs with
+    distinct exponents, over den > 0: zero numerators dropped, the pairs sorted, and den and the
+    numerators, and r and the exponents, divided by their gcds."""
+    nums = [p for p in pairs if p[1]]
     nums.sort()
-    return _from_sorted(nums, den)
-
-
-def _from_sorted(nums: list[tuple[Rational, int]], den: int) -> "QExpr":
-    """QExpr from nonzero (exponent, numerator) pairs, exponents canonical and ascending, over
-    den > 0."""
-    if den != 1:
-        g = math.gcd(den, *[n for _, n in nums])
-        if g != 1:
-            den //= g
-            nums = [(e, n // g) for e, n in nums]
+    if den != 1 and (g := math.gcd(den, *[n for _, n in nums])) != 1:
+        den //= g
+        nums = [(e, n // g) for e, n in nums]
+    if r != 1 and (g := math.gcd(r, *[e for e, _ in nums])) != 1:
+        r //= g
+        nums = [(e // g, n) for e, n in nums]
     obj = object.__new__(QExpr)
+    object.__setattr__(obj, "_r", r)
     object.__setattr__(obj, "_nums", tuple(nums))
     object.__setattr__(obj, "_den", den)
     return obj
 
 
+def _pairs_over(x: "QExpr", r: int) -> Sequence[tuple[int, int]]:
+    """The (exponent, numerator) pairs of x with its exponents over t = q^(1/r), r a multiple of x._r."""
+    return x._nums if r == x._r else [(e * (r // x._r), n) for e, n in x._nums]
+
+
 def _sum_over(parts: list[tuple["QExpr", int]]) -> "QExpr":
-    """sum of value / k over (value, k) pairs (k a nonzero int) over the lcm of the denominators."""
-    den = math.lcm(*[v._den * abs(k) for v, k in parts])
-    acc: dict[Rational, int] = {}
+    """sum of value / k over (value, k) pairs (k a nonzero int) over the lcms of the denominators
+    and of the exponent denominators."""
+    den, r = math.lcm(*[v._den * abs(k) for v, k in parts]), math.lcm(*[v._r for v, _ in parts])
+    acc: dict[int, int] = {}
     for v, k in parts:
         scale = den // (v._den * k)
-        for e, n in v._nums:
+        for e, n in _pairs_over(v, r):
             acc[e] = acc.get(e, 0) + n * scale
-    return _make(acc, den)
+    return _make(acc.items(), den, r)
+
+
+def _horner(runs: list[tuple[int, int, int]], a: int, b: int) -> int:
+    """acc with sum_i n_i (a/b)^i = a^low b^(-high) acc, for runs (i, i, n_i) ascending in i from
+    (low, low, 0) to (high, high, 0), a homogeneous sum on ints.  Adjacent runs (low, high, acc)
+    merge as (lo, hi, v) + (lo2, hi2, w) -> (lo, hi2, v b^(hi2 - hi) + w a^(lo2 - lo)), pairwise,
+    so a long sum costs a few big multiplies per halving instead of one per term."""
+    while len(runs) > 1:
+        merged = [(lo, hi2, v * b ** (hi2 - hi) + w * a ** (lo2 - lo))
+                  for (lo, hi, v), (lo2, hi2, w) in zip(runs[::2], runs[1::2])]
+        runs = merged + runs[2 * len(merged):]
+    return runs[0][2]
 
 
 class QExpr:
     """Exact Laurent expression in q with rational exponents.
 
-    Canonical form: integer numerators over one positive common
-    denominator with gcd(den, *numerators) == 1 (FLINT's fmpq_poly
-    layout), no zero numerators, integral exponents stored as ints and the
-    others as reduced Fractions, terms sorted by ascending exponent.
-    Instances are immutable and hashable; two expressions are equal iff
-    their canonical forms are equal.
+    Canonical form: r >= 1 and integer exponents over t = q^(1/r) with gcd(r, *exponents) == 1,
+    so r is the least common denominator of the exponents; integer numerators over one positive
+    common denominator with gcd(den, *numerators) == 1 (FLINT's fmpq_poly layout); no zero
+    numerators; terms sorted by ascending exponent.  Instances are immutable and hashable; two
+    expressions are equal iff their canonical forms are equal.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_r", "_nums", "_den")
 
     def __init__(self, terms: Mapping[Rational, Rational] | Iterable[tuple[Rational, Rational]] = ()):
-        acc: dict[Rational, Fraction] = {}
-        for exponent, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            e = exponent if type(exponent) is int else _as_fraction(exponent)
-            acc[e] = acc.get(e, 0) + (coeff if type(coeff) is int else _as_fraction(coeff))
-        den = math.lcm(*[c.denominator for c in acc.values()])
-        made = _make({e: c.numerator * (den // c.denominator) for e, c in acc.items()}, den)
-        object.__setattr__(self, "_nums", made._nums)
-        object.__setattr__(self, "_den", made._den)
+        pairs = [(e if type(e) is int else _as_fraction(e), c if type(c) is int else _as_fraction(c))
+                 for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
+        r, den = math.lcm(*[e.denominator for e, _ in pairs]), math.lcm(*[c.denominator for _, c in pairs])
+        acc: dict[int, int] = {}
+        for e, c in pairs:
+            e = e.numerator * (r // e.denominator)
+            acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
+        made = _make(acc.items(), den, r)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(made, name))
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpr is immutable")
@@ -231,7 +256,7 @@ class QExpr:
 
     @staticmethod
     def q(exponent: Rational = 1) -> "QExpr":
-        return _make({exponent: 1}) if type(exponent) is int else QExpr({exponent: 1})
+        return _make([(exponent, 1)]) if type(exponent) is int else QExpr({exponent: 1})
 
     @staticmethod
     def const(value: Rational) -> "QExpr":
@@ -241,22 +266,24 @@ class QExpr:
 
     @property
     def terms(self) -> tuple[tuple[Rational, Fraction], ...]:
-        """Term pairs (exponent, coefficient), ascending in exponent."""
-        return tuple([(e, Fraction(n, self._den)) for e, n in self._nums])
+        """Term pairs (exponent, coefficient), ascending in exponent; an integral exponent is an
+        int, the others reduced Fractions."""
+        r, den = self._r, self._den
+        return tuple([(e // r if e % r == 0 else Fraction(e, r), Fraction(n, den)) for e, n in self._nums])
 
     @property
     def is_zero(self) -> bool:
         return not self._nums
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        return Fraction(dict(self._nums).get(_as_fraction(exponent), 0), self._den)
+        return Fraction(dict(self._nums).get(_as_fraction(exponent) * self._r, 0), self._den)
 
     def exponent_denominator(self) -> int:
         """Least r such that every exponent is a multiple of 1/r."""
-        return math.lcm(*[exp.denominator for exp, _ in self._nums])
+        return self._r
 
     def has_integer_exponents(self) -> bool:
-        return all(type(exp) is int for exp, _ in self._nums)
+        return self._r == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -265,52 +292,40 @@ class QExpr:
         if isinstance(other, QExpr):
             return other
         if isinstance(other, (int, Fraction)):
-            return _make({0: other.numerator}, other.denominator)
+            return _make([(0, other.numerator)], other.denominator)
         return None
-
-    def _scaled(self, a: int, b: int) -> "QExpr":
-        """self * a / b for integers a and b > 0."""
-        return _make({e: n * a for e, n in self._nums}, self._den * b)
-
-    def _plus(self, rhs: "QExpr", sign: int) -> "QExpr":
-        """self + sign * rhs over the lcm of the two denominators."""
-        da, db = self._den, rhs._den
-        den = da if da == db else math.lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        acc = dict(self._nums) if fa == 1 else {e: n * fa for e, n in self._nums}
-        for e, n in rhs._nums:
-            acc[e] = acc.get(e, 0) + n * fb
-        return _make(acc, den)
 
     def __add__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self._plus(rhs, 1)
+        return NotImplemented if rhs is None else _sum_over([(self, 1), (rhs, 1)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QExpr":
-        return self._scaled(-1, 1)
+        return self * -1
 
     def __sub__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self._plus(rhs, -1)
+        return NotImplemented if rhs is None else _sum_over([(self, 1), (rhs, -1)])
 
     def __rsub__(self, other: object) -> "QExpr":
         lhs = self._coerce(other)
-        return NotImplemented if lhs is None else lhs._plus(self, -1)
+        return NotImplemented if lhs is None else _sum_over([(lhs, 1), (self, -1)])
 
     def __mul__(self, other: object) -> "QExpr":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+            return _make([(e, n * other.numerator) for e, n in self._nums], self._den * other.denominator, self._r)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Rational, int] = {}
-        for e1, n1 in self._nums:
-            for e2, n2 in rhs._nums:
+        r = math.lcm(self._r, rhs._r)
+        acc: dict[int, int] = {}
+        ys = _pairs_over(rhs, r)
+        for e1, n1 in _pairs_over(self, r):
+            for e2, n2 in ys:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + n1 * n2
-        return _make(acc, self._den * rhs._den)
+        return _make(acc.items(), self._den * rhs._den, r)
 
     __rmul__ = __mul__
 
@@ -318,18 +333,19 @@ class QExpr:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of a q-expression by zero")
-            a, b = other.denominator, other.numerator
-            return self._scaled(a, b) if b > 0 else self._scaled(-a, -b)
+            return self * Fraction(other.denominator, other.numerator)
         return QFrac(self, other)
 
     def __rtruediv__(self, other: object) -> "QFrac":
         return QFrac(other, self)
 
     def scale_exponents(self, k: int) -> "QExpr":
-        """Substitute q -> q^k (k a positive integer)."""
+        """Substitute q -> q^k (k a positive int)."""
+        if type(k) is not int:
+            raise TypeError(f"exponent scale must be an int, got {type(k).__name__}")
         if k < 1:
             raise ValueError("exponent scale must be a positive integer")
-        return _make({e * k: n for e, n in self._nums}, self._den)
+        return _make([(e * k, n) for e, n in self._nums], self._den, self._r)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -337,64 +353,65 @@ class QExpr:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         if isinstance(other, QExpr):
-            return self._nums == other._nums and self._den == other._den
+            return self._nums == other._nums and self._den == other._den and self._r == other._r
         return NotImplemented
 
     def __hash__(self) -> int:
         # A constant equals its rational, so it must hash like it.
         if not self._nums or (len(self._nums) == 1 and self._nums[0][0] == 0):
             return hash(self.coefficient(0))
-        return hash(("QExpr", self._nums, self._den))
+        return hash(("QExpr", self._r, self._nums, self._den))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q0: Rational, precision: Rational | float | None = None) -> Fraction:
-        """Substitute q := q0 (> 0).
+        """Substitute q := q0 > 0: sum_j E_j x^j with x = q0^(1/r), where E_j = sum n q0^i / den
+        over the exponents i r + j of residue class j, each exact by one integer Horner pass.
 
-        Exact when every exponent is an integer.  Otherwise a precision must
-        be supplied and the result is a rational approximation within it.
+        Exact for r == 1.  Otherwise a precision must be supplied: x is taken as T / 2^s with
+        T = floor(x 2^s), its powers as P_0 = 2^s and P_(j+1) = floor(P_j T / 2^s), so
+        0 <= x^j - P_j / 2^s <= 2 j M^(j-1) 2^-s with M = max(1, x) <= 2^(k/r), max(1, q0) <= 2^k,
+        and the result is within 2 sum_j j |E_j| 2^(k (j-1) / r) 2^-s of the value, which s keeps
+        within the precision.
         """
-        return self._approximate(q0, precision)[0]
-
-    def _approximate(self, q0: Rational, precision) -> tuple[Fraction, bool]:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
-        if self.has_integer_exponents():
-            # At q0 = a/b the value is a^low b^-high acc / den with acc = sum n a^(e - low)
-            # b^(high - e), a homogeneous sum on ints.  Adjacent runs (low, high, acc) merge as
-            # (lo, hi, v) + (lo2, hi2, w) -> (lo, hi2, v b^(hi2 - hi) + w a^(lo2 - lo)), pairwise,
-            # so a long sum costs a few big multiplies per halving instead of one per term.
-            a, b = q0.numerator, q0.denominator
-            runs = [(e, e, n) for e, n in self._nums] or [(0, 0, 0)]
-            while len(runs) > 1:
-                merged = [(lo, hi2, v * b ** (hi2 - hi) + w * a ** (lo2 - lo))
-                          for (lo, hi, v), (lo2, hi2, w) in zip(runs[::2], runs[1::2])]
-                runs = merged + runs[2 * len(merged):]
-            (low, high, acc), = runs
-            top, bottom = acc * a ** max(low, 0) * b ** max(-high, 0), a ** max(-low, 0) * b ** max(high, 0)
-            return Fraction(top, self._den * bottom), True
-        if precision is None:
-            raise ValueError("fractional exponents require an explicit precision")
-        tol = Fraction(precision)
-        if tol <= 0:
-            raise ValueError("precision must be positive")
-        n_terms = max(1, len(self._nums))
-        total = Fraction(0)
-        for e, c in self.terms:
-            if type(e) is int:
-                total += c * q0**e
-                continue
-            term_tol = tol / n_terms / max(Fraction(1), abs(c))
-            root = nth_root_approx(q0 ** e.numerator, e.denominator, term_tol)
-            total += c * root
-        return total, False
+        r, a, b = self._r, q0.numerator, q0.denominator
+        if r != 1:
+            if precision is None:
+                raise ValueError("fractional exponents require an explicit precision")
+            tol = Fraction(precision)
+            if tol <= 0:
+                raise ValueError("precision must be positive")
+            _check_span(r)  # r residue classes, and a root of degree r
+        nums = self._nums or ((0, 0),)
+        low, high = nums[0][0] // r, nums[-1][0] // r
+        classes = [[(low, low, 0)] for _ in range(r)]
+        for e, n in nums:
+            i, j = divmod(e, r)
+            classes[j].append((i, i, n))
+        # value = top / bottom * sum_j sums[j] x^j
+        sums = [_horner(runs + [(high, high, 0)], a, b) for runs in classes]
+        top, bottom = a ** max(low, 0) * b ** max(-high, 0), self._den * a ** max(-low, 0) * b ** max(high, 0)
+        if r == 1:
+            return Fraction(sums[0] * top, bottom)
+        k = a.bit_length() - b.bit_length() + 1 if a > b else 0
+        weight = sum([j * abs(v) << -(-k * (j - 1) // r) for j, v in enumerate(sums) if j and v])
+        bound = Fraction(2 * weight * top, bottom * tol)  # times 2^-s
+        s = max(1, bound.numerator.bit_length() - bound.denominator.bit_length() + 1)
+        root, power, total = _int_nth_root((a << (s * r)) // b, r), 1 << s, 0
+        for v in sums:
+            total += v * power
+            power = power * root >> s
+        return Fraction(total * top, bottom << s)
 
     # -- serialization / display ----------------------------------------------
 
     def to_json(self) -> list[list[int]]:
         """Term quadruples [exp_num, exp_den, coeff_num, coeff_den], ascending."""
-        return [[e.numerator, e.denominator, c.numerator, c.denominator] for e, c in self.terms]
+        r, den = self._r, self._den
+        return [[e // (g := math.gcd(e, r)), r // g, n // (h := math.gcd(n, den)), den // h] for e, n in self._nums]
 
     @staticmethod
     def from_json(data: Iterable[Iterable[int]]) -> "QExpr":
@@ -406,13 +423,15 @@ class QExpr:
     def __str__(self) -> str:
         if not self._nums:
             return "0"
-        den, parts = self._den, []
+        r, den, parts = self._r, self._den, []
         for e, n in reversed(self._nums):
             c = n if den == 1 else Fraction(n, den)
             if e == 0:
                 body = str(c)
             else:
-                power = "q" if e == 1 else f"q^({e})" if (type(e) is not int or e < 0) else f"q^{e}"
+                g = r if r == 1 else math.gcd(e, r)
+                power = ("q" if e == r else f"q^({e // g}/{r // g})" if g < r
+                         else f"q^({e // r})" if e < 0 else f"q^{e // r}")
                 body = power if c == 1 else f"-{power}" if c == -1 else f"{c}*{power}"
             parts.append(body if not parts else f" - {body[1:]}" if body[0] == "-" else f" + {body}")
         return "".join(parts)
@@ -501,29 +520,22 @@ class QFrac:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, q0: Rational, precision: Rational | float | None = None) -> Fraction:
-        """Substitute q := q0 (> 0); PoleError at a zero of the denominator."""
-        q0 = Fraction(q0)
-        if self._num.has_integer_exponents() and self._den.has_integer_exponents():
-            den_v = self._den.evaluate(q0)
-            if den_v == 0:
-                raise PoleError(f"denominator {self._den} vanishes at q={q0}")
-            return self._num.evaluate(q0) / den_v
-        if precision is None:
-            raise ValueError("fractional exponents require an explicit precision")
-        tol = Fraction(precision)
-        inner = tol / 4
+        """Substitute q := q0 (> 0); PoleError at a zero of the denominator.  Exact when both parts
+        have integer exponents; otherwise each part is evaluated within an inner precision that
+        shrinks until the quotient is known within precision."""
+        q0, tol = Fraction(q0), None if precision is None else Fraction(precision)
+        inner = None if tol is None else tol / 4
         for _ in range(64):
-            num_v, num_exact = self._num._approximate(q0, inner)
-            den_v, den_exact = self._den._approximate(q0, inner)
-            num_err = Fraction(0) if num_exact else inner
-            den_err = Fraction(0) if den_exact else inner
-            if den_exact and den_v == 0:
+            num_v, den_v = self._num.evaluate(q0, inner), self._den.evaluate(q0, inner)
+            num_err, den_err = [0 if part._r == 1 else inner for part in (self._num, self._den)]
+            if not den_err and den_v == 0:
                 raise PoleError(f"denominator {self._den} vanishes at q={q0}")
             if abs(den_v) > 2 * den_err:
                 quotient = num_v / den_v
-                bound = (num_err + abs(quotient) * den_err) / (abs(den_v) - den_err)
-                if bound <= tol:
+                if not (num_err or den_err) or (num_err + abs(quotient) * den_err) / (abs(den_v) - den_err) <= tol:
                     return quotient
+                # that bound is near inner (1 + |quotient|) / |den_v|, so a large quotient needs more at once
+                inner = min(inner, tol * (abs(den_v) - den_err) / (2 + 2 * abs(quotient)))
             inner /= 16
         raise PoleError(f"denominator {self._den} vanishes (or nearly) at q={q0}")
 
@@ -553,30 +565,25 @@ class QFrac:
 
 def _over_monomial(num: QExpr, den: QExpr) -> QExpr:
     """num / den for a monomial den."""
-    (e0, n0), = den._nums
+    r = math.lcm(num._r, den._r)
+    (e0, n0), = _pairs_over(den, r)
     sign = 1 if n0 > 0 else -1
-    return _make({e - e0: n * den._den * sign for e, n in num._nums}, num._den * n0 * sign)
+    return _make([(e - e0, n * den._den * sign) for e, n in _pairs_over(num, r)], num._den * n0 * sign, r)
 
 
 def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
     if len(den._nums) == 1:
         # Monomial denominator: no gcd needed, only an exponent shift.
         shifted = _over_monomial(num, den)
-        low = min(shifted._nums[0][0], 0)
-        return _over_monomial(shifted, QExpr.q(low)), QExpr.q(-low)
+        r, low = shifted._r, min(shifted._nums[0][0], 0)
+        return _make([(e - low, n) for e, n in shifted._nums], shifted._den, r), _make([(-low, 1)], 1, r)
     # Over t = q^(1/r), shifted by the smaller valuation, both parts are integer
     # polynomials over their denominators: num / den = (a / num._den) / (b / den._den).
-    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
-    shift = min(num._nums[0][0], den._nums[0][0])
-    _check_span(int((max(num._nums[-1][0], den._nums[-1][0]) - shift) * r))
-
-    def dense(expr: QExpr) -> list[int]:
-        out = [0] * (int((expr._nums[-1][0] - shift) * r) + 1)
-        for e, n in expr._nums:
-            out[int((e - shift) * r)] = n
-        return out
-
-    a, b = dense(num), dense(den)
+    r = math.lcm(num._r, den._r)
+    xs, ys = _pairs_over(num, r), _pairs_over(den, r)
+    shift = min(xs[0][0], ys[0][0])
+    _check_span(max(xs[-1][0], ys[-1][0]) - shift)
+    a, b = _row(xs, shift), _row(ys, shift)
     g = _primitive_gcd(a, b)
     if len(g) > 1:
         a, b = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
@@ -622,8 +629,7 @@ def _rows_pair(a: list[int], b: list[int], r: int, scale: int = 1, den: int = 1)
     (index = degree, nonzero last entries): exponents i/r, denominator made monic."""
     lead = b[-1]
     sign = 1 if lead > 0 else -1
-    to_expr = lambda cs, scale, den: _from_sorted(
-        [(i // r if i % r == 0 else Fraction(i, r), c * scale) for i, c in enumerate(cs) if c], den)
+    to_expr = lambda cs, scale, den: _make([(i, c * scale) for i, c in enumerate(cs)], den, r)
     return to_expr(a, scale * sign, den * lead * sign), to_expr(b, sign, lead * sign)
 
 

@@ -3,9 +3,11 @@
 Carrier of the exponential formula relating masses of field extensions to
 masses of etale algebras.  Every coefficient is a ``QExpr``; an int or
 Fraction becomes a constant one, anything else (a ``QFrac`` included) is a
-TypeError.  Products, exp and log run on dense integer rows over t = q^s, s
-the largest step dividing every exponent: each coefficient is the numerators
-of t^low, t^(low+1), ... over one denominator, packed into one integer of
+TypeError.  Products, exp and log run on dense integer rows over t = q^(g/r),
+r the lcm of the coefficients' exponent denominators and g the gcd of their
+integer exponents over q^(1/r), so t is the largest step dividing every
+exponent: each coefficient is the numerators of t^low, t^(low+1), ... over
+one denominator, packed into one integer of
 signed w-bit slots, so a product of two coefficients is one big-integer
 multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J.
 Symbolic Comput. 44 (2009)).  exp and log run the recurrences
@@ -18,11 +20,10 @@ unpacks once, with w from the bits of that step's products, rounded up to
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
 from .numutil import BudgetExceededError, slot_bias, unpack_slots
-from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make
+from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make, _pairs_over, _row
 
 __all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
 
@@ -94,38 +95,28 @@ def _scaled(row: _Row | None, a: int, b: int) -> _Row | None:
     return _Row(row.low, [n // h * (a // g) for n in row.nums], row.den // g * (b // h))
 
 
-def _step(*series: tuple[QExpr, ...]) -> tuple[int, int]:
-    """(g, r) with g / r the largest step of which every exponent of the series is a multiple."""
-    r = math.lcm(*[c.exponent_denominator() for cs in series for c in cs])
-    return math.gcd(*[e.numerator * (r // e.denominator) for cs in series for c in cs for e, _ in c._nums]) or 1, r
-
-
-def _rows(coeffs: Iterable[QExpr], step: tuple[int, int], degree: int) -> list[_Row | None]:
-    """Rows over t = q^(g/r) of coefficients whose products reach `degree` factors; a
+def _rows(series: list[tuple[QExpr, ...]], degree: int) -> tuple[tuple[int, int], list[list[_Row | None]]]:
+    """((g, r), rows of each series over t = q^(g/r)), g / r the largest step of which every
+    exponent is a multiple, for coefficients whose products reach `degree` factors; a
     BudgetExceededError when such a product could span more than DENSE_DEGREE_BUDGET t-degrees."""
-    g, r = step
-    rows: list[_Row | None] = []
-    for c in coeffs:
-        if not c._nums:
-            rows.append(None)
-            continue
-        ts = [(e.numerator * (r // e.denominator) // g, n) for e, n in c._nums]
-        low, span = ts[0][0], ts[-1][0] - ts[0][0]
-        if span * degree > DENSE_DEGREE_BUDGET:
-            raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
-        nums = [0] * (span + 1)
-        for t, n in ts:
-            nums[t - low] = n
-        rows.append(_Row(low, nums, c._den))
-    return rows
+    r = math.lcm(*[c._r for cs in series for c in cs])
+    g = math.gcd(*[e * (r // c._r) for cs in series for c in cs for e, _ in c._nums]) or 1
+    rows: list[list[_Row | None]] = []
+    for cs in series:
+        rows.append([])
+        for c in cs:
+            ts = [(e // g, n) for e, n in _pairs_over(c, r)]
+            if ts and (span := ts[-1][0] - ts[0][0]) * degree > DENSE_DEGREE_BUDGET:
+                raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
+            rows[-1].append(_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None)
+    return (g, r), rows
 
 
 def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
     if row is None:
         return _ZERO
     g, r = step
-    exps = range(row.low * g, (row.high + 1) * g, g)
-    return _make({v if r == 1 else Fraction(v, r): n for v, n in zip(exps, row.nums)}, row.den)
+    return _make([(i * g, n) for i, n in enumerate(row.nums, row.low)], row.den, r)
 
 
 class TruncatedSeries:
@@ -185,8 +176,7 @@ class TruncatedSeries:
     def __mul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.truncation, other.truncation)
-            step = _step(self._coeffs[: n + 1], other._coeffs[: n + 1])
-            a, b = _rows(self._coeffs[: n + 1], step, 2), _rows(other._coeffs[: n + 1], step, 2)
+            step, (a, b) = _rows([self._coeffs[: n + 1], other._coeffs[: n + 1]], 2)
             return TruncatedSeries([_expr(_dot([(1, a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]]), step)
                                     for m in range(n + 1)])
         scalar = _coefficient(other)
@@ -200,8 +190,8 @@ class TruncatedSeries:
         """Formal exponential; requires constant coefficient 0."""
         if not self._coeffs[0].is_zero:
             raise ConstantTermError("exp needs a series with zero constant term")
-        n, step = self.truncation, _step(self._coeffs)
-        s = _rows(self._coeffs, step, n)
+        n = self.truncation
+        step, (s,) = _rows([self._coeffs], n)
         ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
         e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
@@ -212,8 +202,8 @@ class TruncatedSeries:
         """Formal logarithm; requires constant coefficient 1."""
         if self._coeffs[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
-        n, step = self.truncation, _step(self._coeffs)
-        s = _rows(self._coeffs, step, n)
+        n = self.truncation
+        step, (s,) = _rows([self._coeffs], n)
         kl: list[_Row | None] = [None] * (n + 1)  # k l_k
         for m in range(1, n + 1):
             terms = [(-1, kl[k], s[m - k]) for k in range(1, m) if kl[k] and s[m - k]]

@@ -33,3 +33,22 @@ def test_cli_output_matches_golden(case, monkeypatch, tmp_path):
     assert buffer.getvalue().replace(str(table), TABLE_NAME) == case["stdout"]
     if "table" in case:
         assert table.read_bytes() == case["table"].encode("utf-8")
+
+
+def test_approx_goldens_print_the_digits_of_the_value():
+    # An `approx` is printed with 15 significant digits of a value known within `precision`; the
+    # goldens' digits must be those of the exact value, computed here at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    checked = set()
+    with mpmath.workdps(50):
+        for case in CASES:
+            if case["argv"][-1] != "json" or '"approx"' not in case["stdout"]:
+                continue
+            report = json.loads(case["stdout"])
+            value, evaluated = report.get("value") or report["exact"], report.get("evaluated") or report["exact_at_p"]
+            q = mpmath.mpf(evaluated["q"])
+            part = lambda terms: mpmath.fsum(mpmath.mpf(cn) / cd * q ** (mpmath.mpf(en) / ed)
+                                             for en, ed, cn, cd in terms)
+            assert mpmath.nstr(part(value["num"]) / part(value["den"]), 15) == evaluated["approx"], case["id"]
+            checked.add(evaluated["approx"])
+    assert checked == {"16.2", "10.4721359549996", "3.59987732505643", "1.12679873697791"}

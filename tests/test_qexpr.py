@@ -122,6 +122,19 @@ class TestEvaluate:
         assert geometric.evaluate(5) == (5**3000 - 1) // 4
         assert geometric.evaluate(Fraction(2, 3)) == (1 - Fraction(2, 3) ** 3000) * 3
 
+    def test_one_root_against_the_per_term_oracle(self):
+        # Exponents over r <= 12 at integral and fractional q0, precisions from coarse to fine; the
+        # oracle is computed far inside the precision, so the two must agree within it.
+        rng = random.Random(1612)
+        for _ in range(300):
+            r = rng.randint(1, 12)
+            expr = QExpr({Fraction(rng.randint(-3 * r, 3 * r), r): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(rng.randint(0, 8))})
+            q0 = rng.choice((2, 5, 9, Fraction(2, 3), Fraction(1, 7)))
+            tol = Fraction(1, 10 ** rng.choice((3, 12, 30)))
+            assert expr.exponent_denominator() <= 12
+            assert abs(expr.evaluate(q0, tol) - per_term_value(expr, q0, tol / 10**6)) <= tol * (1 + Fraction(1, 10**6))
+
     def test_fraction_evaluate_fractional_exponents(self):
         # (q - 1)/(q^(1/2) - 1) = q^(1/2) + 1 at q = 5
         frac = QFrac(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)
@@ -129,6 +142,18 @@ class TestEvaluate:
         value = frac.evaluate(5, precision=tol)
         target = sqrt_oracle(5, 15) + 1
         assert abs(value - target) <= 2 * tol
+
+
+def per_term_value(expr: QExpr, q0, tol) -> Fraction:
+    """Test-only oracle: the value at q0 within tol, one nth_root_approx of q0^numerator per
+    fractional exponent, each within its share of tol."""
+    q0, total = Fraction(q0), Fraction(0)
+    for e, c in expr.terms:
+        if type(e) is int:
+            total += c * q0**e
+        else:
+            total += c * nth_root_approx(q0**e.numerator, e.denominator, tol / len(expr.terms) / max(1, abs(c)))
+    return total
 
 
 def random_qexpr(rng: random.Random, max_terms: int = 4) -> QExpr:
@@ -253,6 +278,10 @@ class TestCanonicalExponents:
         for expr in (QExpr.q(Fraction(4, 2)), half * half, QExpr.from_json([[6, 3, 1, 1]]),
                      (QExpr.q(3) * half).scale_exponents(2), reduced.num, reduced.den):
             assert expr.terms and all(type(e) is int for e, _ in expr.terms), expr
+        # q -> q^k only for an int k >= 1
+        for k, error in ((Fraction(3, 2), TypeError), (2.5, TypeError), (0, ValueError), (-1, ValueError)):
+            with pytest.raises(error):
+                QExpr.q().scale_exponents(k)
 
     def test_fractional_exponents_stay_reduced_fractions(self):
         (exponent, _), = (QExpr.q(Fraction(1, 3)) * QExpr.q(Fraction(1, 6))).terms
@@ -491,6 +520,7 @@ def model_of(expr: QExpr) -> dict:
     exponents = [e for e, _ in expr.terms]
     assert exponents == sorted(exponents)
     assert all(type(e) is int if e.denominator == 1 else type(e) is Fraction for e in exponents)
+    assert expr.exponent_denominator() == math.lcm(*[e.denominator for e in exponents])
     assert expr._den > 0 and math.gcd(expr._den, *(n for _, n in expr._nums)) == 1
     assert all(c for _, c in expr.terms)
     return dict(expr.terms)
@@ -528,6 +558,9 @@ class TestIntegerKernelOracles:
             x = rng.choice((rng.randint(-10**30, 10**30), Fraction(rng.randint(-99, 99), rng.randint(1, 99))))
             assert QExpr.const(x) == x and hash(QExpr.const(x)) == hash(x)
             assert hash(QExpr.const(x) + QExpr.q(Fraction(1, 3)) - QExpr.q(Fraction(1, 3))) == hash(x)
+        # A fractional exponent that cancels leaves r == 1 behind, as for the constants above.
+        q = QExpr.q(Fraction(1, 2)) + QExpr.q() - QExpr.q(Fraction(1, 2))
+        assert q == QExpr.q() and hash(q) == hash(QExpr.q()) and q.exponent_denominator() == 1
 
     def test_qfrac_build_against_the_fraction_euclid_oracle(self):
         rng = random.Random(1412)
