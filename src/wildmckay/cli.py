@@ -92,16 +92,8 @@ def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
         exact = frac.evaluate(q0)
         check_exact_digits(exact, "evaluation", unit)
         return {"q": format_rational(q0), "exact": format_rational(exact)}
-    # The approximation takes q0^i exactly for each exponent i r + j (0 <= j < r) over q^(1/r): refused
-    # before any power with more than EXACT_DIGITS_BUDGET digits, counted as max |i| log10 max(a, b)
-    # (max |i| clamped so that the float stays finite, which keeps it a lower bound).
-    top = min(10**15, max((abs(e // part._r) for part in (frac.num, frac.den) for e, _ in part._nums), default=0))
-    if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
+    frac.check_approximation(q0)
     approx = frac.evaluate(q0, precision=precision)
-    # 15 significant digits are printed: evaluated again past them when the precision falls short.
-    if approx and (finer := abs(approx) / 10**20) < precision:
-        approx = frac.evaluate(q0, precision=finer)
     return {
         "q": format_rational(q0),
         "approx": _decimal_text(approx),

@@ -31,7 +31,7 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import BudgetExceededError, divisors
+from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, divisors
 
 Rational = Union[int, Fraction]
 
@@ -400,7 +400,7 @@ class QExpr:
         weight = sum([j * abs(v) << -(-k * (j - 1) // r) for j, v in enumerate(sums) if j and v])
         bound = Fraction(2 * weight * top, bottom * tol)  # times 2^-s
         s = max(1, bound.numerator.bit_length() - bound.denominator.bit_length() + 1)
-        root, power, total = _int_nth_root((a << (s * r)) // b, r), 1 << s, 0
+        root, power, total = _int_nth_root(a, r, b, s), 1 << s, 0
         for v in sums:
             total += v * power
             power = power * root >> s
@@ -519,12 +519,24 @@ class QFrac:
 
     # -- evaluation -----------------------------------------------------------
 
+    def check_approximation(self, q0: Rational) -> None:
+        """BudgetExceededError, before any power, when approximating at q0 = a/b takes a power of q0
+        of more than EXACT_DIGITS_BUDGET digits, counted as max(r, |i|) log10 max(a, b) (clamped at
+        10^15, which keeps it a lower bound) over each part's exponents i r + j (0 <= j < r): the
+        powers q0^i, and q0^r for the r powers of the root q0^(1/r), each of at least log2 q0 bits."""
+        q0 = Fraction(q0)
+        top = min(10**15, max(max(part._r, max((abs(e // part._r) for e, _ in part._nums), default=0))
+                              for part in (self._num, self._den)))
+        if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
+            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
+
     def evaluate(self, q0: Rational, precision: Rational | float | None = None) -> Fraction:
         """Substitute q := q0 (> 0); PoleError at a zero of the denominator.  Exact when both parts
         have integer exponents; otherwise each part is evaluated within an inner precision that
-        shrinks until the quotient is known within precision."""
+        shrinks until the quotient is known within precision, and within 10^-20 of the first
+        estimate's size, so that 15 significant digits of it are the value's."""
         q0, tol = Fraction(q0), None if precision is None else Fraction(precision)
-        inner = None if tol is None else tol / 4
+        inner, aim = None if tol is None else tol / 4, None
         for _ in range(64):
             num_v, den_v = self._num.evaluate(q0, inner), self._den.evaluate(q0, inner)
             num_err, den_err = [0 if part._r == 1 else inner for part in (self._num, self._den)]
@@ -532,10 +544,13 @@ class QFrac:
                 raise PoleError(f"denominator {self._den} vanishes at q={q0}")
             if abs(den_v) > 2 * den_err:
                 quotient = num_v / den_v
-                if not (num_err or den_err) or (num_err + abs(quotient) * den_err) / (abs(den_v) - den_err) <= tol:
+                if not (num_err or den_err):
+                    return quotient
+                aim = aim or min(tol, abs(quotient) / 10**20) or tol
+                if (num_err + abs(quotient) * den_err) / (abs(den_v) - den_err) <= aim:
                     return quotient
                 # that bound is near inner (1 + |quotient|) / |den_v|, so a large quotient needs more at once
-                inner = min(inner, tol * (abs(den_v) - den_err) / (2 + 2 * abs(quotient)))
+                inner = min(inner, aim * (abs(den_v) - den_err) / (2 + 2 * abs(quotient)))
             inner /= 16
         raise PoleError(f"denominator {self._den} vanishes (or nearly) at q={q0}")
 
@@ -638,26 +653,51 @@ def _rows_pair(a: list[int], b: list[int], r: int, scale: int = 1, den: int = 1)
 # ---------------------------------------------------------------------------
 
 
-def _int_nth_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, k >= 1: math.isqrt for k = 2, else integer Newton from above,
-    started from the root of the top bits (found the same way), so a few full-size steps do."""
+def _int_nth_root(n: int, k: int, den: int = 1, shift: int = 0) -> int:
+    """floor(2^shift (n / den)^(1/k)) for n >= 0, den >= 1, k >= 1 and any integer shift: the
+    largest x with x^k den <= n 2^(shift k), with no number of the radicand's size formed.
+
+    Integer Newton steps x -> ((k - 1) x + floor(n 2^(shift k) / (den x^(k-1)))) // k, from just
+    above the root's top half (found the same way) or a float estimate, take x^(k-1) rounded down
+    to p bits, a word past the root's size.  That only raises a step, so each stays at or above
+    the floor, as exact ones do, and they stop within a unit or two of it.  x^k rounded down and
+    up then places x, exactly only where they leave it open (a perfect power, or nearly one)."""
     if n < 0:
         raise ValueError("negative radicand")
-    if k == 1 or n in (0, 1):
-        return n
+    top = shift * k
+
+    def over(m: int, e: int = 0) -> int:  # floor(n 2^top / (den m 2^e))
+        return (n << (top - e) if top >= e else n >> (e - top)) // (den * m)
+
+    if k == 1 or n == 0:
+        return over(1)
     if k == 2:
-        return math.isqrt(n)
-    shift = n.bit_length() // (2 * k) * k  # drop a multiple of k low bits, about half of them
-    x = (_int_nth_root(n >> shift, k) + 1) << (shift // k) if shift else 1 << (-(-n.bit_length() // k) + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
+        return math.isqrt(over(1))
+    log = shift + (math.log2(n) - math.log2(den)) / k
+    w = math.floor(log)
+    p = max(w, 0) + k.bit_length() + 64
+
+    def power(x: int, j: int, up: bool) -> tuple[int, int]:  # (m, e): m 2^e <= x^j, >= when up
+        m, e = 1, 0
+        for bit in bin(j)[2:]:
+            m, e = m * m * (x if bit == "1" else 1), 2 * e
+            drop = max(m.bit_length() - p, 0)
+            m, e = -(-m >> drop) if up else m >> drop, e + drop
+        return m, e
+
+    def step(x: int) -> int:
+        return ((k - 1) * x + over(*power(x, k - 1, False))) // k
+
+    if w > 2 * k.bit_length() + 64:
+        x = (_int_nth_root(n, k, den, shift - w // 2) + 1) << (w // 2)
+    else:  # from below, a step would land near (root / x)^(k-1) root / k
+        x = int(2 ** (log - w + 52))
+        x = x << (w - 52) if w >= 52 else x >> (52 - w)
+        x = step(x + (x >> 20) + 2)
+    while x and (y := step(x)) < x:
         x = y
-    while x**k > n:
+    while x and not (over(*power(x, k, True)) or over(*power(x, k, False)) and over(x**k)):
         x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
     return x
 
 
@@ -673,8 +713,5 @@ def nth_root_approx(x: Rational, k: int, tol: Rational) -> Fraction:
         raise ValueError("root index must be >= 1")
     if k == 1 or x in (0, 1):
         return x
-    scale = 1
-    while Fraction(2, scale) > tol:
-        scale <<= 1
-    radicand = (x.numerator * scale**k) // x.denominator
-    return Fraction(_int_nth_root(radicand, k), scale)
+    bits = (-(-2 // tol) - 1).bit_length()  # the least 2^bits >= 2 / tol
+    return Fraction(_int_nth_root(x.numerator, k, x.denominator, bits), 1 << bits)

@@ -224,13 +224,13 @@ class TestBudgets:
     def test_fraction_dense_degree_cap(self, monkeypatch, capsys):
         # r * (exponent span) t-degrees: 2 * (10^9 + 1) for q^a (q - 1) / (q^(1/2) - 1) at a = 10^9,
         # and 3 * (10^8 + 3) / 3 for (q - 1) / (q^(1 - c) - 1) at c = -10^8 / 3; an evaluation at q0
-        # takes r residue classes, 50,001 for q^(1/50001).
+        # takes r residue classes, 50,001 for q^(1/50001) (at q0 = 1, where no power of q0 is counted).
         cap = qexpr.DENSE_DEGREE_BUDGET
         top = cap // 2 - 1
         assert run(["stringy", "point", "--a", str(top), "--c", "1/2"])[0] == 0
         monkeypatch.setattr(qexpr, "_primitive_gcd", None)
         for argv, size in (([f"--a={top + 1}", "--c=1/2"], cap + 2), (["--a=1000000000", "--c=1/2"], 2_000_000_002),
-                           (["--c=-100000000/3"], 100_000_003), (["--a=1/50001", "--at-q=2"], 50_001)):
+                           (["--c=-100000000/3"], 100_000_003), (["--a=1/50001", "--at-q=1"], 50_001)):
             start = time.perf_counter()
             self.refused(["stringy", "point", *argv], capsys,
                          f"fraction budget exceeded: need {size} t-degrees, budget {cap}")
@@ -303,9 +303,10 @@ class TestBudgets:
 
     def test_approximate_power_digits_cap(self, monkeypatch, capsys):
         # An exponent i r + j over t = q^(1/r) (0 <= j < r) is evaluated from the exact power q0^i
-        # and one root q0^(1/r); the digits of q0^i are counted as |i| log10 max(a, b) at q0 = a/b
-        # before any power: q^(12303/2) needs 5^6151, 4,300 digits, and is taken, q^(12307/2)
-        # needs 5^6153, 4,301.  Many residue classes cost one root: q^(1/997) - 1 has 997 of them.
+        # and r powers of one root q0^(1/r); both are counted, before any power, as the digits of
+        # q0^max(r, |i|) at q0 = a/b, max(r, |i|) log10 max(a, b): q^(12303/2) needs 5^6151, 4,300
+        # digits, and is taken, q^(12307/2) needs 5^6153, 4,301.  Many residue classes cost one
+        # root: q^(1/997) - 1 has 997 of them, 5^997 has 697 digits, (10^1000)^997 997,001.
         cap = numutil.EXACT_DIGITS_BUDGET
         for argv, key, approx in (
             (["stringy", "point", "--a", "12303/2", "--at-q", "5"], "evaluated", "5.17584989697289e+4299"),
@@ -325,6 +326,7 @@ class TestBudgets:
             (["stringy", "point", "--a", "10000001/2", "--at-q", "5"], 3494851),
             (["stringy", "point", "--a", f"{10**400}/3", "--at-q", "5"], 698970004336019),  # counted up to 10^15
             (["padic", "integral", "--c=-20001/2", "--p", "5", "--terms", "1"], 6992),
+            (["stringy", "point", "--a", "0", "--c=1/997", "--at-q", str(10**1000)], 997001),
         ):
             start = time.perf_counter()
             self.refused(argv, capsys,

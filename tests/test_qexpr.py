@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -135,6 +136,12 @@ class TestEvaluate:
             assert expr.exponent_denominator() <= 12
             assert abs(expr.evaluate(q0, tol) - per_term_value(expr, q0, tol / 10**6)) <= tol * (1 + Fraction(1, 10**6))
 
+    def test_fraction_evaluate_past_a_coarse_precision(self):
+        # QFrac.evaluate also takes the value within 10^-20 of its size, for the 15 printed digits.
+        frac = QFrac(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)  # q^(1/2) + 1
+        value = frac.evaluate(5, precision=Fraction(1, 10**3))
+        assert abs(value - sqrt_oracle(5, 40) - 1) <= value / 10**20 + Fraction(1, 10**40)
+
     def test_fraction_evaluate_fractional_exponents(self):
         # (q - 1)/(q^(1/2) - 1) = q^(1/2) + 1 at q = 5
         frac = QFrac(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)
@@ -263,6 +270,28 @@ class TestIntegerRoot:
             for radicand in (n, base**k - 1, base**k, base**k + 1):
                 if radicand >= 0:
                     assert _int_nth_root(radicand, k) == newton_root_from_a_power_of_two(radicand, k), (radicand, k)
+
+    def test_scaled_quotients_and_large_degrees(self):
+        # floor(2^shift (n / den)^(1/k)), as evaluate and nth_root_approx take it, against the
+        # oracle on the radicand (n 2^(shift k)) // den, for degrees up to the residue counts of
+        # stringy values; the Newton start sits just above the float estimate, so roots below 1
+        # and perfect powers (where the rounded powers leave the comparison open) are included.
+        rng = random.Random(1613)
+        for _ in range(1500):
+            k = rng.choice((3, 4, 7, 12, 31, 97, 200, 997))
+            shift = rng.choice((0, rng.randint(0, 6000 // k)))
+            den = rng.choice((1, 3, rng.getrandbits(rng.randint(1, 200)) | 1, (rng.getrandbits(4) + 1) ** k))
+            base = rng.getrandbits(rng.randint(1, 60 if k < 100 else 8)) | 1
+            for n in (rng.getrandbits(rng.randint(1, 400)), base**k - 1, base**k, base**k + 1):
+                want = newton_root_from_a_power_of_two((n << (shift * k)) // den, k)
+                assert _int_nth_root(n, k, den, shift) == want, (n, k, den, shift)
+
+    def test_work_follows_the_root_not_the_radicand(self):
+        # 2^14060 2^(1/9973) has 14,061 bits; its radicand 2^(14060 * 9973 + 1) has 140 million.
+        start = time.perf_counter()
+        root = _int_nth_root(2, 9973, 1, 14060)
+        assert time.perf_counter() - start < 1
+        assert root.bit_length() == 14061 and root >> 14000 == _int_nth_root(2, 9973, 1, 60)
 
     def test_small_and_invalid_radicands(self):
         assert [_int_nth_root(n, 3) for n in range(30)] == [newton_root_from_a_power_of_two(n, 3) for n in range(30)]
