@@ -10,19 +10,13 @@ exactly at every good prime.
 
 from fractions import Fraction
 
-from wildmckay import (
-    enumerate_tame_etale_algebras,
-    hilb_point_count,
-    verify_wild_mckay,
-    weights_for_algebra,
-)
+from wildmckay import enumerate_tame_etale_algebras, hilb_point_count, verify_wild_mckay
 
 p, n = 5, 3
 print(f"Weights for the degree-{n} algebras over Q_{p} (ambient dim {2 * n}):")
-for algebra in enumerate_tame_etale_algebras(p, n):
-    w = weights_for_algebra(algebra)
-    term = Fraction(p ** (2 * n - w.v), w.centralizer_order)
-    print(f"  {algebra.describe():40} v={w.v} w={w.w} #C(H)={w.centralizer_order:2}  term={term}")
+# verify_wild_mckay lists one row per algebra, in the order of the algebra listing
+for algebra, (_, _, v, w, aut, num, den) in zip(enumerate_tame_etale_algebras(p, n), verify_wild_mckay(p, n).rows):
+    print(f"  {algebra.describe():40} v={v} w={w} #C(H)={aut:2}  term={Fraction(num, den)}")
 
 print(f"\nHilbert scheme count polynomial: {hilb_point_count(n)}")
 

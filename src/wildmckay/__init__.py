@@ -4,91 +4,65 @@ An exact-arithmetic toolkit around one circle of ideas: brute-force p-adic
 measures over residue rings, stringy point counts of SNC log pairs, tame
 local-field enumeration, and the Serre/Bhargava mass formulas tied together
 by the wild McKay correspondence for symmetric groups.
+
+Importing the package loads none of its modules: each public name is
+imported from its module when it is first used (PEP 562), so a command pays
+only for the modules it runs.
 """
 
-from .qexpr import INFINITE, InfiniteType, PoleError, QExpr, QFrac, is_infinite, monomial
-from .series import ConstantTermError, TruncatedSeries
-from .partitions import hilb_point_count, partition_count, partitions_into_parts
-from .localfields import (
-    EtaleAlgebra,
-    FieldFixture,
-    PartialEnumerationError,
-    TameFieldClass,
-    algebra_mass_sum,
-    crossvalidate_fixtures,
-    enumerate_tame_etale_algebras,
-    enumerate_tame_field_classes,
-    load_fixtures,
-    skipped_wild_strata,
-    tame_enumeration_is_complete,
-)
-from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
-from .mckay import McKayWeights, verify_wild_mckay, weights_for_algebra
-from .padic import (
-    BudgetExceededError,
-    HenselMismatchError,
-    PolySystem,
-    ResidueCount,
-    SmoothnessError,
-    count_points_mod,
-    monomial_integral,
-    null_set_fraction,
-    smooth_measure_check,
-)
-from .stringy import (
-    MalformedSubsetError,
-    SncLogPairData,
-    VerticalComponent,
-    stringy_count_snc,
-    stringy_point_contribution,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITE",
-    "InfiniteType",
-    "PoleError",
-    "QExpr",
-    "QFrac",
-    "is_infinite",
-    "monomial",
-    "ConstantTermError",
-    "TruncatedSeries",
-    "hilb_point_count",
-    "partition_count",
-    "partitions_into_parts",
-    "EtaleAlgebra",
-    "FieldFixture",
-    "PartialEnumerationError",
-    "TameFieldClass",
-    "algebra_mass_sum",
-    "crossvalidate_fixtures",
-    "enumerate_tame_etale_algebras",
-    "enumerate_tame_field_classes",
-    "load_fixtures",
-    "skipped_wild_strata",
-    "tame_enumeration_is_complete",
-    "bhargava_mass",
-    "mass_series_via_exp",
-    "recover_N_from_M",
-    "serre_mass",
-    "McKayWeights",
-    "verify_wild_mckay",
-    "weights_for_algebra",
-    "BudgetExceededError",
-    "HenselMismatchError",
-    "PolySystem",
-    "ResidueCount",
-    "SmoothnessError",
-    "count_points_mod",
-    "monomial_integral",
-    "null_set_fraction",
-    "smooth_measure_check",
-    "MalformedSubsetError",
-    "SncLogPairData",
-    "VerticalComponent",
-    "stringy_count_snc",
-    "stringy_point_contribution",
-    "__version__",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "qexpr": ["INFINITE", "InfiniteType", "PoleError", "QExpr", "QFrac", "is_infinite", "monomial"],
+    "series": ["ConstantTermError", "TruncatedSeries"],
+    "partitions": ["hilb_point_count", "partition_count", "partitions_into_parts"],
+    "localfields": [
+        "EtaleAlgebra",
+        "FieldFixture",
+        "PartialEnumerationError",
+        "TameFieldClass",
+        "algebra_mass_sum",
+        "crossvalidate_fixtures",
+        "enumerate_tame_etale_algebras",
+        "enumerate_tame_field_classes",
+        "load_fixtures",
+        "skipped_wild_strata",
+        "tame_enumeration_is_complete",
+    ],
+    "massformulas": ["bhargava_mass", "mass_series_via_exp", "recover_N_from_M", "serre_mass"],
+    "mckay": ["verify_wild_mckay"],
+    "numutil": ["BudgetExceededError", "HenselMismatchError", "SmoothnessError"],
+    "padic": [
+        "PolySystem",
+        "ResidueCount",
+        "count_points_mod",
+        "monomial_integral",
+        "null_set_fraction",
+        "smooth_measure_check",
+    ],
+    "stringy": [
+        "MalformedSubsetError",
+        "SncLogPairData",
+        "VerticalComponent",
+        "stringy_count_snc",
+        "stringy_point_contribution",
+    ],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """The public name from its home module, read there on every access (nothing is cached
+    here, so that a name rebound in its module is seen through the package too)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

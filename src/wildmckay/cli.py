@@ -12,50 +12,30 @@ precision used.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import io
 import json
 import math
+import re
 import sys
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .localfields import (
-    PartialEnumerationError,
-    algebra_mass_sum,
-    count_tame_etale_algebras,
-    crossvalidate_fixtures,
-    enumerate_tame_field_classes,
-    load_fixtures,
-    skipped_wild_strata,
-    tame_enumeration_is_complete,
-)
-from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
-from .mckay import ROW_COLUMNS, verify_wild_mckay
 from .numutil import (
     DEFAULT_PRECISION,
     EXACT_DIGITS_BUDGET,
+    BudgetExceededError,
+    HenselMismatchError,
+    SmoothnessError,
     check_exact_digits,
     format_rational,
     is_prime,
     parse_rational,
 )
-from .padic import (
-    BudgetExceededError,
-    HenselMismatchError,
-    PolySystem,
-    SmoothnessError,
-    count_points_mod,
-    monomial_integral,
-    null_set_fraction,
-    smooth_measure_check,
-)
 from .qexpr import PoleError, QExpr, QFrac, is_infinite
-from .stringy import MalformedSubsetError, SncLogPairData, stringy_count_snc, stringy_point_contribution
 
 __all__ = ["main", "run_to_string"]
 
@@ -167,7 +147,7 @@ _ROWS_PER_WRITE = 1024
 def _text_chunks(table: tuple, cell, member, brackets: tuple):
     """The cell texts of table = (column names, row tuples), one list per column, _ROWS_PER_WRITE
     rows at a time: cell(value) each; an all-int column as it is, since the JSON template and
-    csv.writer both write str(value); and in a column of lists or tuples the member texts
+    the CSV writer both write str(value); and in a column of lists or tuples the member texts
     joined in brackets = (start, separator, end), each distinct member object rendered once as
     member(object): the table holds the members, so their ids stay unique while it is written."""
     start, separator, end = brackets
@@ -245,15 +225,34 @@ def _write_json(report: dict, table: tuple | None, stream) -> None:
     stream.write("\n}\n")
 
 
+# A CSV cell is quoted, with its quotes doubled, when it holds one of these: csv.writer's minimal
+# quoting, and a lone \r, which csv.reader would read as a line end.
+_csv_special = re.compile('[,"\r\n]').search
+
+
+def _csv_column(texts: list[str]) -> list[str]:
+    """A column of cell texts as CSV fields; its cells are scanned one by one only if the
+    column holds a special character at all."""
+    if not _csv_special(whole := "".join(texts)):
+        return texts
+    if '"' in whole:
+        texts = [t.replace('"', '""') for t in texts]
+    return ['"' + t + '"' if _csv_special(t) else t for t in texts]
+
+
+def _csv_rows(columns: list) -> str:
+    """The CSV lines of columns of cell texts; an all-int column may stay a tuple of ints."""
+    return "".join(map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*columns)))
+
+
 def _write_csv(report: dict, table: tuple | None, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
     if table is None:
         scalars = {k: v for k, v in report.items() if k != "_lines"}
-        writer.writerows([list(scalars), map(_cell, scalars.values())])
+        stream.write(_csv_rows([_csv_column([key, _cell(value)]) for key, value in scalars.items()]))
         return
-    writer.writerow(table[0])
-    for texts in _text_chunks(table, *_CSV_CELLS):
-        writer.writerows(zip(*texts))
+    stream.write(_csv_rows([_csv_column([name]) for name in table[0]]))
+    for texts in _text_chunks(table, *_CSV_CELLS):  # an all-int column comes as its tuple of ints
+        stream.write(_csv_rows([column if type(column) is tuple else _csv_column(column) for column in texts]))
 
 
 _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
@@ -293,6 +292,9 @@ def _precision(value: str) -> Fraction:
     prec = _rational(value)
     if prec <= 0:
         raise argparse.ArgumentTypeError("precision must be positive")
+    # Refused as it is parsed, before any work: the evaluation's roots grow with its digits, and it
+    # is printed with the value.
+    check_exact_digits(prec, "precision", "digits in the precision")
     return prec
 
 
@@ -304,23 +306,31 @@ def _rational_list(value: str) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (exit_code, report, table), the table (column names, row tuples) or None
+# Handlers: each returns (exit_code, report, table), the table (column names, row tuples) or None.
+# Each imports the library functions it calls when it runs, so that a command loads only its own
+# modules, and reads them from their home module at call time.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_mass_serre(args):
+    from .massformulas import serre_mass
+
     mass = serre_mass(args.n, args.f)
     report = {"n": args.n, "f": args.f, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
 def _cmd_mass_bhargava(args):
+    from .massformulas import bhargava_mass
+
     mass = bhargava_mass(args.n)
     report = {"n": args.n, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
 def _cmd_mass_expcheck(args):
+    from .massformulas import bhargava_mass, mass_series_via_exp
+
     series = mass_series_via_exp(args.nmax)
     pairs = [(n, series.coefficient(n), bhargava_mass(n)) for n in range(1, args.nmax + 1)]
     rows = [(n, str(lhs), str(rhs), lhs == rhs) for n, lhs, rhs in pairs]
@@ -331,6 +341,8 @@ def _cmd_mass_expcheck(args):
 
 
 def _cmd_mass_invert(args):
+    from .massformulas import mass_series_via_exp, recover_N_from_M, serre_mass
+
     recovered = recover_N_from_M(mass_series_via_exp(args.nmax))
     pairs = [(f, m, value, serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
     rows = [(f, m, str(value), str(expected), value == expected) for f, m, value, expected in pairs]
@@ -341,6 +353,15 @@ def _cmd_mass_invert(args):
 
 
 def _cmd_etale_enumerate(args):
+    from .localfields import (
+        count_tame_etale_algebras,
+        crossvalidate_fixtures,
+        enumerate_tame_field_classes,
+        load_fixtures,
+        skipped_wild_strata,
+        tame_enumeration_is_complete,
+    )
+
     algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
     classes = enumerate_tame_field_classes(args.p, args.n)
     rows = [(cls.f, cls.e, cls.orbit, cls.degree, cls.disc_exponent, cls.aut_order) for cls in classes]
@@ -363,6 +384,9 @@ def _cmd_etale_enumerate(args):
 
 
 def _cmd_etale_mass(args):
+    from .localfields import algebra_mass_sum
+    from .massformulas import bhargava_mass
+
     mass = algebra_mass_sum(args.p, args.n)
     expected = bhargava_mass(args.n).evaluate(args.p)
     match = mass == expected
@@ -377,6 +401,8 @@ def _cmd_etale_mass(args):
 
 
 def _cmd_etale_crossvalidate(args):
+    from .localfields import crossvalidate_fixtures, load_fixtures
+
     fixtures = load_fixtures(args.fixtures)
     result = crossvalidate_fixtures(fixtures)
     status = {label: "matched" for label in result.matched}
@@ -396,6 +422,8 @@ def _cmd_etale_crossvalidate(args):
 
 
 def _cmd_mckay_verify(args):
+    from .mckay import ROW_COLUMNS, verify_wild_mckay
+
     result = verify_wild_mckay(args.p, args.n)
     report = {
         "p": args.p,
@@ -412,6 +440,8 @@ def _cmd_mckay_verify(args):
 
 
 def _cmd_stringy_eval(args):
+    from .stringy import SncLogPairData, stringy_count_snc
+
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
     # evaluated (or refused) before the value is rendered
@@ -423,6 +453,8 @@ def _cmd_stringy_eval(args):
 
 
 def _cmd_stringy_point(args):
+    from .stringy import stringy_point_contribution
+
     value = stringy_point_contribution(args.a, args.c)
     evaluated = None if args.at_q is None else _eval_payload(value, args.at_q, args.precision)
     report = {
@@ -436,6 +468,8 @@ def _cmd_stringy_point(args):
 
 
 def _cmd_padic_count(args):
+    from .padic import PolySystem, count_points_mod
+
     system = PolySystem.load(args.input)
     result = count_points_mod(system, args.m)
     check_exact_digits(result.normalized, "lifting", "digits in the normalized count")
@@ -452,6 +486,8 @@ def _cmd_padic_count(args):
 
 
 def _cmd_padic_measure(args):
+    from .padic import PolySystem, smooth_measure_check
+
     system = PolySystem.load(args.input)
     result = smooth_measure_check(system, args.mmax)
     report = {
@@ -467,6 +503,8 @@ def _cmd_padic_measure(args):
 
 
 def _cmd_padic_integral(args):
+    from .padic import monomial_integral
+
     partial, exact = monomial_integral(args.c, args.p, args.terms)
     # evaluated (or refused) before the closed form is rendered
     at_p = {} if is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p), args.precision)}
@@ -482,6 +520,8 @@ def _cmd_padic_integral(args):
 
 
 def _cmd_padic_nullset(args):
+    from .padic import PolySystem, null_set_fraction
+
     system = PolySystem.load(args.input)
     fraction = null_set_fraction(system, args.m)
     check_exact_digits(fraction, "lifting", "digits in the box fraction")
@@ -608,25 +648,15 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
 
 def _run(argv: list[str] | None, stream) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        args = _parser().parse_args(argv)  # a BudgetExceededError on a --precision past its cap
+        code, report, table = args.handler(args)
+    except SystemExit as exc:  # from argparse: --help, or a usage error
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR
-    try:
-        code, report, table = args.handler(args)
     except (SmoothnessError, HenselMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (
-        BudgetExceededError,
-        PartialEnumerationError,
-        MalformedSubsetError,
-        PoleError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (BudgetExceededError, PoleError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action

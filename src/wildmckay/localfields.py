@@ -32,7 +32,7 @@ the enumerators skip and report them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, prod
 from pathlib import Path
@@ -78,21 +78,17 @@ class PartialEnumerationError(ValueError):
     """The tame sector does not exhaust the requested degree (p <= n)."""
 
 
-@dataclass(frozen=True, order=True)
-class TameFieldClass:
-    """Isomorphism class of a tame extension of Q_p.
+class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree disc_exponent aut_order")):
+    """Isomorphism class of a tame extension of Q_p, with its invariants.
 
     Sort order (f descending, e ascending, minimal orbit element ascending)
-    is the canonical enumeration order; the dataclass ordering on
-    (p, -f, e, orbit) implements it.
+    is the canonical enumeration order: the tuple order on (p, -f, e, orbit)
+    implements it, and the invariants after orbit are functions of those four.
     """
 
-    p: int
-    neg_f: int
-    e: int
-    orbit: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, p: int, f: int, e: int, orbit: Sequence[int]):
+    def __new__(cls, p: int, f: int, e: int, orbit: Sequence[int]):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if f < 1 or e < 1:
@@ -105,13 +101,11 @@ class TameFieldClass:
             raise ValueError("empty Frobenius orbit")
         if set(orbit) != {c * p % g for c in orbit}:
             raise ValueError(f"orbit {orbit} not closed under multiplication by {p} mod {g}")
-        # The invariants and the hash are computed once; only the four fields compare and hash.
         fixed = sum(1 for i in range(f) if orbit[0] * (pow(p, i, g) - 1) % g == 0)
-        self.__dict__.update(p=p, neg_f=-f, e=e, orbit=orbit, f=f, g=g, degree=e * f,
-                             disc_exponent=f * (e - 1), aut_order=g * fixed, _hash=hash((p, -f, e, orbit)))
+        return super().__new__(cls, p, -f, e, orbit, f, g, e * f, f * (e - 1), g * fixed)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return self.p, self.f, self.e, self.orbit
 
     def describe(self) -> str:
         return f"f={self.f},e={self.e},c~{self.orbit}"
@@ -151,37 +145,27 @@ def skipped_wild_strata(p: int, n: int) -> list[tuple[int, int]]:
     return [(f, n // f) for f in divisors(n) if (n // f) % p == 0]
 
 
-@dataclass(frozen=True, order=True)
-class EtaleAlgebra:
-    """Multiset of tame field classes, i.e. a tame etale algebra over Q_p; its
-    invariants are computed once.  After unramified base change a factor of
-    residue degree f splits into f geometric components."""
+class EtaleAlgebra(namedtuple("EtaleAlgebra", "factors disc_exponent geometric_component_count aut_order degree")):
+    """Multiset of distinct tame field classes with multiplicities, i.e. a tame etale algebra
+    over Q_p, in (degree, class) order; the invariants after factors are functions of them.
+    After unramified base change a factor of residue degree f splits into f geometric
+    components."""
 
-    factors: tuple[tuple[TameFieldClass, int], ...]
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[tuple[TameFieldClass, int]]):
-        counted: dict[TameFieldClass, int] = {}
-        for cls, mult in factors:
-            if mult < 1:
-                raise ValueError("factor multiplicities must be >= 1")
-            counted[cls] = counted.get(cls, 0) + mult
-        ps = {cls.p for cls in counted}
-        if len(ps) > 1:
+    def __new__(cls, factors: Iterable[tuple[TameFieldClass, int]]):
+        factors = tuple(sorted(factors, key=lambda item: (item[0].degree, item[0])))
+        if any(m < 1 for _, m in factors) or len(dict(factors)) < len(factors):
+            raise ValueError("factors must be distinct classes with multiplicities >= 1")
+        if len({c.p for c, _ in factors}) > 1:
             raise ValueError("all factors must live over the same Q_p")
-        factors = tuple(sorted(counted.items(), key=lambda item: (item[0].degree, item[0])))
-        self.__dict__.update(factors=factors, degree=sum(c.degree * m for c, m in factors),
-                             disc_exponent=sum(c.disc_exponent * m for c, m in factors),
-                             aut_order=prod(factorial(m) * c.aut_order**m for c, m in factors),
-                             geometric_component_count=sum(c.f * m for c, m in factors))
+        return super().__new__(cls, factors, sum(c.disc_exponent * m for c, m in factors),
+                               sum(c.f * m for c, m in factors),
+                               prod(factorial(m) * c.aut_order**m for c, m in factors),
+                               sum(c.degree * m for c, m in factors))
 
-    @classmethod
-    def _canonical(cls, factors: tuple[tuple[TameFieldClass, int], ...], degree: int, disc_exponent: int,
-                   components: int, aut: int) -> "EtaleAlgebra":
-        """An algebra from factors already merged and in (degree, class) order, and its invariants."""
-        algebra = object.__new__(cls)
-        algebra.__dict__.update(factors=factors, degree=degree, disc_exponent=disc_exponent, aut_order=aut,
-                                geometric_component_count=components)
-        return algebra
+    def __getnewargs__(self):
+        return (self.factors,)
 
     @property
     def p(self) -> int:
@@ -251,9 +235,8 @@ def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     This is the full list of degree-n etale algebras when p > n; otherwise
     it is only the tame sector (check tame_enumeration_is_complete).
     """
-    return [EtaleAlgebra._canonical(factors, n, disc_exponent, components, aut)
-            for factors, disc_exponent, components, aut
-            in _tame_algebras(_tame_classes_by_degree(p, n), lambda cls, m: (cls, m))]
+    return [EtaleAlgebra._make(listed + (n,))
+            for listed in _tame_algebras(_tame_classes_by_degree(p, n), lambda cls, m: (cls, m))]
 
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
@@ -321,17 +304,10 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldFixture:
+class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order label")):
     """One record of an external local-fields database export."""
 
-    p: int
-    n: int
-    e: int
-    f: int
-    disc_exponent: int
-    aut_order: int
-    label: str
+    __slots__ = ()
 
     @staticmethod
     def from_json(record: Mapping) -> "FieldFixture":
@@ -351,11 +327,8 @@ class FieldFixture:
         return self.e % self.p == 0
 
 
-@dataclass
-class FixtureReport:
-    matched: list[str]
-    uncheckable: list[str]
-    mismatches: list[tuple[str, str]]
+class FixtureReport(namedtuple("FixtureReport", "matched uncheckable mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -22,25 +22,17 @@ quotient), which the hilb_point_count polynomial provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .localfields import EtaleAlgebra, complete_algebra_invariants
+from .localfields import complete_algebra_invariants
 from .partitions import hilb_point_count
 
-__all__ = ["McKayWeights", "weights_for_algebra", "verify_wild_mckay", "McKayReport", "ROW_COLUMNS"]
+__all__ = ["verify_wild_mckay", "McKayReport", "ROW_COLUMNS"]
 
 # The fields of a `verify_wild_mckay` row, in row order.
 ROW_COLUMNS = ("factors", "d", "v", "w", "aut", "term_num", "term_den")
-
-
-@dataclass(frozen=True)
-class McKayWeights:
-    algebra: EtaleAlgebra
-    v: int
-    w: int
-    centralizer_order: int
 
 
 def _weights(n: int, disc_exponent: int, components: int) -> tuple[int, int]:
@@ -49,19 +41,10 @@ def _weights(n: int, disc_exponent: int, components: int) -> tuple[int, int]:
     return disc_exponent, 2 * (n - components) - disc_exponent
 
 
-def weights_for_algebra(algebra: EtaleAlgebra) -> McKayWeights:
-    """Weights of an etale algebra under the double permutation action."""
-    v, w = _weights(algebra.degree, algebra.disc_exponent, algebra.geometric_component_count)
-    return McKayWeights(algebra=algebra, v=v, w=w, centralizer_order=algebra.aut_order)
+class McKayReport(namedtuple("McKayReport", "p n mass_side hilb_side rows")):
+    """Both sides as Fractions, and the rows as tuples in ROW_COLUMNS order."""
 
-
-@dataclass
-class McKayReport:
-    p: int
-    n: int
-    mass_side: Fraction
-    hilb_side: Fraction
-    rows: list[tuple]  # in ROW_COLUMNS order
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
+    "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
     "exact_int", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
     "json_object", "json_array", "parse_rational", "format_rational",
 ]
@@ -24,8 +24,8 @@ class BudgetExceededError(RuntimeError):
     normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
-    shell) and digits of the exact value at p for "integral", and digits of an exact value for
-    "mass" (at p) and "evaluation" (at q)."""
+    shell) and digits of the exact value at p for "integral", digits of an exact value for
+    "mass" (at p) and "evaluation" (at q), and digits of the requested "precision"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):
@@ -33,6 +33,14 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{engine} budget exceeded{where}: need {required} {unit}, budget {budget}")
         self.required = required
         self.budget = budget
+
+
+class SmoothnessError(ValueError):
+    """The Jacobian drops rank at a mod-p solution."""
+
+
+class HenselMismatchError(ArithmeticError):
+    """Solution counts fail the smooth lifting relation count(m+1) = p^d count(m)."""
 
 
 # Miller-Rabin to the first 13 prime bases is exact below PRIME_TEST_LIMIT, the least strong

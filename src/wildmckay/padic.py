@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, product, repeat
@@ -35,6 +35,8 @@ from .numutil import (
     DEFAULT_PRECISION,
     EXACT_DIGITS_BUDGET,
     BudgetExceededError,
+    HenselMismatchError,
+    SmoothnessError,
     check_exact_digits,
     exact_int,
     is_prime,
@@ -74,32 +76,17 @@ INTEGRAL_BUDGET = 50_000_000
 LARGEST_SHELL_BUDGET = 250_000
 
 
-class SmoothnessError(ValueError):
-    """The Jacobian drops rank at a mod-p solution."""
-
-
-class HenselMismatchError(ArithmeticError):
-    """Solution counts fail the smooth lifting relation count(m+1) = p^d count(m)."""
-
-
-Term = tuple[tuple[int, ...], int]
-Poly = tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class PolySystem:
-    """Integer polynomial system over (Z/p^m)^n with an expected dimension.
+class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
+    """Integer polynomial system over (Z/p^m)^n with an expected dimension; polys holds each
+    polynomial as a tuple of (exponent tuple, nonzero coefficient) terms.
 
     The dimension d is caller-supplied knowledge about the variety; it only
     enters normalizations, never the counting itself.
     """
 
-    p: int
-    num_vars: int
-    polys: tuple[Poly, ...]
-    dim: int
+    __slots__ = ()
 
-    def __init__(self, p: int, num_vars: int, polys: Sequence[Sequence[Sequence]], dim: int):
+    def __new__(cls, p: int, num_vars: int, polys: Sequence[Sequence[Sequence]], dim: int):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if num_vars < 1:
@@ -128,10 +115,7 @@ class PolySystem:
             if not terms:
                 raise ValueError("each polynomial needs at least one nonzero term")
             clean_polys.append(tuple(terms))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "polys", tuple(clean_polys))
-        object.__setattr__(self, "dim", dim)
+        return super().__new__(cls, p, num_vars, tuple(clean_polys), dim)
 
     # -- serialization ------------------------------------------------------
 
@@ -159,12 +143,8 @@ class PolySystem:
             return PolySystem.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ResidueCount:
-    p: int
-    dim: int
-    modulus_exponent: int
-    count: int
+class ResidueCount(namedtuple("ResidueCount", "p dim modulus_exponent count")):
+    __slots__ = ()
 
     @property
     def normalized(self) -> Fraction:
@@ -376,13 +356,8 @@ def null_set_fraction(system: PolySystem, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SmoothMeasureReport:
-    p: int
-    dim: int
-    m_max: int
-    counts: list[int]
-    measure: Fraction
+class SmoothMeasureReport(namedtuple("SmoothMeasureReport", "p dim m_max counts measure")):
+    __slots__ = ()
 
     @property
     def residue_point_count(self) -> int:

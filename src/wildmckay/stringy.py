@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -50,33 +50,30 @@ class MalformedSubsetError(ValueError):
     """A stratum key is not a valid subset of the horizontal divisor indices."""
 
 
-@dataclass(frozen=True)
-class VerticalComponent:
-    """One vertical coefficient a with its stratum point counts.
+class VerticalComponent(namedtuple("VerticalComponent", "a strata")):
+    """One vertical coefficient a (a Fraction) with its stratum point counts.
 
     Keys of ``strata`` are frozensets of 1-based horizontal indices; the
     entry for frozenset() counts points on no horizontal divisor.  Use an
-    a = 0 component for points lying on no vertical divisor at all.
+    a = 0 component for points lying on no vertical divisor at all.  They are
+    kept as a tuple of (subset, count) pairs, ordered by sorted subset.
     """
 
-    a: Fraction
-    strata: tuple[tuple[frozenset[int], int], ...]
+    __slots__ = ()
 
-    def __init__(self, a, strata: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]]):
+    def __new__(cls, a, strata: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]]):
         items = strata.items() if isinstance(strata, Mapping) else strata
         counts = ((frozenset(k), exact_int(v, "stratum count")) for k, v in items)
-        canonical = tuple(sorted(counts, key=lambda kv: sorted(kv[0])))
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "strata", canonical)
+        return super().__new__(cls, Fraction(a), tuple(sorted(counts, key=lambda kv: sorted(kv[0]))))
 
 
-@dataclass(frozen=True)
-class SncLogPairData:
-    horizontal: tuple[Fraction, ...]
-    vertical: tuple[VerticalComponent, ...]
-    declared_total: int | None = None
+class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_total")):
+    """Horizontal coefficients (a tuple of Fractions), vertical components (a tuple), and the
+    total point count the input declared, or None."""
 
-    def __init__(self, horizontal: Sequence, vertical: Sequence[VerticalComponent], declared_total: int | None = None):
+    __slots__ = ()
+
+    def __new__(cls, horizontal: Sequence, vertical: Sequence[VerticalComponent], declared_total: int | None = None):
         horizontal = tuple(Fraction(c) for c in horizontal)
         vertical = tuple(vertical)
         n_div = len(horizontal)
@@ -93,9 +90,7 @@ class SncLogPairData:
                 total += count
         if declared_total is not None and total != exact_int(declared_total, "total"):
             raise ValueError(f"stratum counts sum to {total}, declared total is {declared_total}")
-        object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "declared_total", declared_total)
+        return super().__new__(cls, horizontal, vertical, declared_total)
 
     # -- JSON ----------------------------------------------------------------
 

@@ -5,6 +5,9 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -154,14 +157,15 @@ class TestCollectorPause:
         node = tmp_path / "node.json"
         node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))
         seen = []
+        original = massformulas.serre_mass
 
         def serre_mass(n, f):
             seen.append(gc.isenabled())
             if n == 3:
                 raise RuntimeError("escapes main")
-            return massformulas.serre_mass(n, f)
+            return original(n, f)
 
-        monkeypatch.setattr(cli, "serre_mass", serre_mass)
+        monkeypatch.setattr(massformulas, "serre_mass", serre_mass)
         cases = [
             (["mckay", "verify", "--p", "7", "--n", "4", "--format", "json"], 0),
             (["padic", "measure", "--input", str(node), "--mmax", "2"], 1),
@@ -332,6 +336,23 @@ class TestBudgets:
             self.refused(argv, capsys,
                          f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
             assert time.perf_counter() - start < 1
+
+    def test_precision_digits_cap(self, capsys):
+        # A precision is counted as it is parsed, before any work: at 1e-100000 the evaluation ran
+        # 0.6 s and then failed to print at c = 1/2, and ran past 20 s at c = 1/997.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        message = f"precision budget exceeded: need 100001 digits in the precision, budget {cap}"
+        for c in ("1/2", "1/997"):
+            argv = ["stringy", "point", "--a", "0", f"--c={c}", "--at-q", "5", "--precision", "1e-100000"]
+            start = time.perf_counter()
+            done = subprocess.run([sys.executable, "-m", "wildmckay.cli", *argv], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+            assert time.perf_counter() - start < 1, argv
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n"), argv
+        self.refused(["padic", "integral", "--c", "1/2", "--p", "5", "--precision", "1e-100000"], capsys, message)
+        code, out = run(["stringy", "point", "--a", "0", "--c=1/2", "--at-q", "5", "--precision", "1e-1000",
+                         "--format", "json"])
+        assert code == 0 and json.loads(out)["evaluated"]["precision"] == "1/1" + "0" * 1000
 
     def test_exact_value_digits_bound_skips_possible_roots(self):
         # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound

@@ -1,0 +1,55 @@
+"""Imports: `import wildmckay` loads none of its modules, each CLI command loads only the
+modules its code calls, and every public name resolves to its home module's object.  Each
+case runs in a fresh interpreter, since this one has imported every module already."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = {"numutil", "qexpr", "series", "partitions", "localfields", "massformulas", "mckay", "padic", "stringy"}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The wildmckay modules in sys.modules after a fresh interpreter runs code."""
+    script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('wildmckay.')]))"
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {name.split(".", 1)[1] for name in json.loads(done.stdout.splitlines()[-1])}
+
+
+def test_import_loads_no_module():
+    assert loaded_after("import wildmckay") == set()
+
+
+def test_public_names_resolve_to_their_home_module():
+    code = """import importlib, wildmckay
+for name in wildmckay.__all__[:-1]:  # all but __version__
+    value = getattr(wildmckay, name)
+    assert vars(importlib.import_module(value.__module__))[name] is value, name
+assert wildmckay.__all__[-1] == "__version__" and "weights_for_algebra" not in dir(wildmckay)"""
+    assert loaded_after(code) == LIBRARY
+
+
+MASS = {"massformulas", "partitions", "series"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["padic", "count", "--input", "data/sample_circle.json", "--m", "2"], {"padic"}),
+    (["padic", "integral", "--c", "1/2", "--p", "5"], {"padic"}),
+    (["mass", "serre", "--n", "3"], MASS),
+    (["mass", "invert", "--nmax", "4"], MASS),
+    (["etale", "enumerate", "--p", "5", "--n", "3"], {"localfields"}),
+    (["etale", "mass", "--p", "5", "--n", "3"], {"localfields"} | MASS),
+    (["mckay", "verify", "--p", "5", "--n", "3", "--format", "csv"], {"localfields", "mckay", "partitions"}),
+    (["stringy", "point", "--a", "0", "--c", "1/2", "--at-q", "5"], {"stringy"}),
+    (["stringy", "eval", "--input", "data/sample_snc_pair.json"], {"stringy"}),
+], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
+def test_command_loads_only_its_modules(argv, modules):
+    code = f"import io\nfrom wildmckay import cli\nassert cli.main({argv!r}, stdout=io.StringIO()) == 0"
+    assert loaded_after(code) == {"cli", "numutil", "qexpr"} | modules

@@ -147,6 +147,12 @@ class TestEtaleAlgebras:
         assert algebra.degree == 6
         assert algebra.geometric_component_count == 6
 
+    def test_factors_are_distinct_classes(self):
+        base = enumerate_tame_field_classes(7, 1)[0]
+        for factors in ([(base, 1), (base, 2)], [(base, 0)]):
+            with pytest.raises(ValueError):
+                EtaleAlgebra(factors)
+
     def test_mass_sums(self):
         assert algebra_mass_sum(5, 1) == 1
         assert algebra_mass_sum(5, 2) == Fraction(6, 5)
@@ -238,7 +244,7 @@ class TestCountingWithoutListing:
                 fixed = sum(1 for i in range(cls.f) if cls.orbit[0] * (p**i - 1) % g == 0)
                 invariants = (cls.g, cls.degree, cls.disc_exponent, cls.aut_order)
                 assert invariants == (g, cls.e * cls.f, cls.f * (cls.e - 1), g * fixed)
-                assert {"g", "degree", "disc_exponent", "aut_order"} <= set(vars(cls))
+                assert {"g", "degree", "disc_exponent", "aut_order"} <= set(cls._fields)  # stored, not properties
 
     def test_invalid_degree(self):
         for fn in (count_tame_etale_algebras, enumerate_tame_etale_algebras):

@@ -12,7 +12,7 @@ from wildmckay.localfields import (
     enumerate_tame_field_classes,
 )
 from wildmckay.massformulas import bhargava_mass
-from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay, weights_for_algebra
+from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
 from wildmckay.numutil import BudgetExceededError
 from wildmckay.partitions import hilb_point_count
 
@@ -27,42 +27,48 @@ def field_class(p, f, e, which=0):
     return matches[which]
 
 
+def weights(p, algebra):
+    """(v, w, centralizer order) of algebra, from its `verify_wild_mckay` row."""
+    factors = tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
+    row = next(row for row in named_rows(verify_wild_mckay(p, algebra.degree)) if row["factors"] == factors)
+    return row["v"], row["w"], row["aut"]
+
+
 class TestWeights:
     def test_split_algebra(self):
         base = field_class(5, 1, 1)
         for n in (2, 3, 4):
-            algebra = EtaleAlgebra([(base, n)])
-            weights = weights_for_algebra(algebra)
-            assert (weights.v, weights.w) == (0, 0)
+            v, w, centralizer_order = weights(5, EtaleAlgebra([(base, n)]))
+            assert (v, w) == (0, 0)
             expected = 1
             for i in range(2, n + 1):
                 expected *= i
-            assert weights.centralizer_order == expected
+            assert centralizer_order == expected
 
     def test_ramified_quadratic(self):
         algebra = EtaleAlgebra([(field_class(5, 1, 2), 1)])
-        weights = weights_for_algebra(algebra)
-        assert (weights.v, weights.w, weights.centralizer_order) == (1, 1, 2)
+        assert weights(5, algebra) == (1, 1, 2)
 
     def test_unramified_quadratic(self):
         algebra = EtaleAlgebra([(field_class(5, 2, 1), 1)])
-        weights = weights_for_algebra(algebra)
-        assert (weights.v, weights.w, weights.centralizer_order) == (0, 0, 2)
+        assert weights(5, algebra) == (0, 0, 2)
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_w_equals_v_for_all_algebras_up_to_degree_6(self, p):
         for n in range(1, 7):
-            for algebra in enumerate_tame_etale_algebras(p, n):
-                weights = weights_for_algebra(algebra)
-                assert weights.w == weights.v, algebra.describe()
-                assert weights.v == algebra.disc_exponent
+            rows = named_rows(verify_wild_mckay(p, n))
+            algebras = enumerate_tame_etale_algebras(p, n)
+            assert len(rows) == len(algebras)
+            for row, algebra in zip(rows, algebras):
+                assert row["factors"] == tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
+                assert row["w"] == row["v"], algebra.describe()
+                assert row["v"] == algebra.disc_exponent
 
     def test_term_bounds(self):
         # each term is positive and at most q^(2n)
         p, n = 7, 4
-        for algebra in enumerate_tame_etale_algebras(p, n):
-            weights = weights_for_algebra(algebra)
-            term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
+        for row in named_rows(verify_wild_mckay(p, n)):
+            term = Fraction(p ** (2 * n - row["v"]), row["aut"])
             assert 0 < term <= p ** (2 * n)
 
 
@@ -104,12 +110,12 @@ class TestVerify:
         algebras = enumerate_tame_etale_algebras(p, n)
         assert len(report.rows) == len(algebras)
         for row, algebra in zip(named_rows(report), algebras):
-            weights = weights_for_algebra(algebra)
-            term = Fraction(p ** (2 * n - weights.v), weights.centralizer_order)
+            # v = d, and w = the fixed locus's codimension 2 (n - geometric components) minus v
+            v = algebra.disc_exponent
+            w = 2 * (n - algebra.geometric_component_count) - v
+            term = Fraction(p ** (2 * n - v), algebra.aut_order)
             assert row["factors"] == tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
-            assert (row["d"], row["v"], row["w"], row["aut"]) == (
-                algebra.disc_exponent, weights.v, weights.w, weights.centralizer_order
-            )
+            assert (row["d"], row["v"], row["w"], row["aut"]) == (algebra.disc_exponent, v, w, algebra.aut_order)
             assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
         assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in named_rows(report))
 
