@@ -1,6 +1,8 @@
 """Tests for the tame local-field enumeration and its exact invariants."""
 
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -152,6 +154,12 @@ class TestEtaleAlgebras:
         for factors in ([(base, 1), (base, 2)], [(base, 0)]):
             with pytest.raises(ValueError):
                 EtaleAlgebra(factors)
+
+    def test_copies_and_pickles_rebuild_equal_values(self):
+        cls = enumerate_tame_field_classes(7, 2)[1]
+        algebra = EtaleAlgebra([(cls, 2), (enumerate_tame_field_classes(7, 1)[0], 1)])
+        for value in (cls, algebra):
+            assert copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
 
     def test_mass_sums(self):
         assert algebra_mass_sum(5, 1) == 1
