@@ -16,7 +16,6 @@ import functools
 import gc
 import io
 import json
-import math
 import re
 import sys
 from decimal import MAX_EMAX, Context, Decimal, localcontext
@@ -26,7 +25,6 @@ from itertools import chain, repeat
 
 from .numutil import (
     DEFAULT_PRECISION,
-    EXACT_DIGITS_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
     SmoothnessError,
@@ -61,57 +59,22 @@ def _expr_payload(value) -> object:
     return value
 
 
-def _eval_payload(value, q0: Fraction, precision: Fraction) -> object:
+def _eval_payload(value, q0: Fraction) -> object:
     if is_infinite(value):
         return "Infinite"
     frac = QFrac(value)
     if frac.num.has_integer_exponents() and frac.den.has_integer_exponents():
-        unit = "digits in the exact value at q"
-        if (digits := _exact_digits_floor(frac, q0)) > EXACT_DIGITS_BUDGET:
-            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit=unit)
+        frac.check_exact(q0)
         exact = frac.evaluate(q0)
-        check_exact_digits(exact, "evaluation", unit)
+        check_exact_digits(exact, "evaluation", "digits in the exact value at q")
         return {"q": format_rational(q0), "exact": format_rational(exact)}
     frac.check_approximation(q0)
-    approx = frac.evaluate(q0, precision=precision)
+    approx = frac.evaluate(q0, DEFAULT_PRECISION)
     return {
         "q": format_rational(q0),
         "approx": _decimal_text(approx),
-        "precision": format_rational(precision),
+        "precision": format_rational(DEFAULT_PRECISION),
     }
-
-
-def _exact_digits_floor(frac: QFrac, q0: Fraction) -> int:
-    """A lower bound, found without any power, on the decimal digits of the numerator or the
-    denominator of frac at q0 = a/b > 0 in lowest terms.
-
-    A part X = sum x_i q^e_i / D_X (integers x_i) is a^low b^(-high) A_X / D_X at q0, where A_X
-    is an integer with |A_X| <= sum |x_i| * max(a, b)^(high - low).  So frac(q0) is
-    a^s b^t (A_num D_den) / (A_den D_num) with s = low_num - low_den and t = high_den - high_num;
-    a and b are coprime, so only A_den D_num can cancel a^max(s, 0) b^max(t, 0) from the
-    numerator, and only A_num D_den can cancel a^max(-s, 0) b^max(-t, 0) from the denominator.
-    This needs A_num and A_den nonzero; by the rational root test a part can vanish at q0 only
-    if a divides its lowest and b its highest numerator, and then no bound (0) is given."""
-    if frac.is_zero:
-        return 1
-    a, b = q0.numerator, q0.denominator
-    log_a, log_b, log_m = math.log10(a), math.log10(b), math.log10(max(a, b))
-    shape = []  # (low, high, log10 sum |x_i|, log10 D_X) per part
-    for part in (frac.num, frac.den):
-        # the stored numerators over the stored denominator: gcd(den, *nums) == 1, so den is D_X
-        nums, den = [n for _, n in part._nums], part._den
-        if len(nums) > 1 and nums[0] % a == 0 and nums[-1] % b == 0:
-            return 0
-        shape.append((part._nums[0][0], part._nums[-1][0], math.log10(sum(map(abs, nums))), math.log10(den)))
-    (low_n, high_n, size_n, den_n), (low_d, high_d, size_d, den_d) = shape
-    s, t = low_n - low_d, high_d - high_n
-    # Clamped so that the floats stay finite; each clamp leaves the bound a lower bound.
-    kept = lambda k: min(max(k, 0), 10**12)
-    spread = lambda k: min(k, 10**15) * log_m
-    top = kept(s) * log_a + kept(t) * log_b - spread(high_d - low_d) - size_d - den_n
-    bottom = kept(-s) * log_a + kept(-t) * log_b - spread(high_n - low_n) - size_n - den_d
-    bound = max(top, bottom)
-    return math.floor(bound - 1e-9 * (1 + abs(bound))) + 1
 
 
 def _decimal_text(value: Fraction) -> str:
@@ -283,19 +246,12 @@ def _positive(value: str) -> int:
 
 def _rational(value: str) -> Fraction:
     try:
-        return parse_rational(value)
+        rational = parse_rational(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _precision(value: str) -> Fraction:
-    prec = _rational(value)
-    if prec <= 0:
-        raise argparse.ArgumentTypeError("precision must be positive")
-    # Refused as it is parsed, before any work: the evaluation's roots grow with its digits, and it
-    # is printed with the value.
-    check_exact_digits(prec, "precision", "digits in the precision")
-    return prec
+    # Refused as it is parsed, before any work: every rational option is printed in the report.
+    check_exact_digits(rational, "input", "digits in a rational option")
+    return rational
 
 
 def _rational_list(value: str) -> list[Fraction]:
@@ -445,7 +401,7 @@ def _cmd_stringy_eval(args):
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
     # evaluated (or refused) before the value is rendered
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q, args.precision)
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {"input": args.input, "value": _expr_payload(value)}
     if evaluated is not None:
         report["evaluated"] = evaluated
@@ -456,7 +412,7 @@ def _cmd_stringy_point(args):
     from .stringy import stringy_point_contribution
 
     value = stringy_point_contribution(args.a, args.c)
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q, args.precision)
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {
         "a": format_rational(args.a),
         "c": [format_rational(c) for c in args.c],
@@ -507,7 +463,7 @@ def _cmd_padic_integral(args):
 
     partial, exact = monomial_integral(args.c, args.p, args.terms)
     # evaluated (or refused) before the closed form is rendered
-    at_p = {} if is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p), args.precision)}
+    at_p = {} if is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p))}
     report = {
         "c": format_rational(args.c),
         "p": args.p,
@@ -563,8 +519,6 @@ _M = ("--m", {"type": _positive, "required": True})
 _INPUT = ("--input", {"required": True})
 _AT_Q = ("--at-q", {"type": _rational, "default": None, "metavar": "Q",
                     "help": "also evaluate at q = Q (rational, > 0)"})
-_EVAL_PRECISION = ("--precision", {"type": _precision, "default": DEFAULT_PRECISION,
-                                   "help": "absolute precision for real evaluation (default 1e-12)"})
 
 _GROUP_HELP = {
     "mass": "symbolic mass formulas",
@@ -590,18 +544,17 @@ _COMMANDS = [
     ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify,
      [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"})]),
     ("stringy", "eval", "evaluate the stratum formula from a JSON file", _cmd_stringy_eval,
-     [_INPUT, _AT_Q, _EVAL_PRECISION]),
+     [_INPUT, _AT_Q]),
     ("stringy", "point", "single-point weight q^a prod (q-1)/(q^(1-c)-1)", _cmd_stringy_point,
      [("--a", {"type": _rational, "default": Fraction(0)}),
       ("--c", {"type": _rational_list, "default": (), "help": "comma-separated coefficients"}),
-      _AT_Q, _EVAL_PRECISION]),
+      _AT_Q]),
     ("padic", "count", "count solutions in (Z/p^m)^n", _cmd_padic_count,
      [("--input", {"required": True, "help": "PolySystem JSON file"}), _M]),
     ("padic", "measure", "smooth measure check via lift counting", _cmd_padic_measure,
      [_INPUT, ("--mmax", {"type": _positive, "required": True})]),
     ("padic", "integral", "monomial integral: truncation vs closed form", _cmd_padic_integral,
-     [("--c", {"type": _rational, "required": True}), _P, ("--terms", {"type": _positive, "default": 60}),
-      ("--precision", {"type": _precision, "default": DEFAULT_PRECISION})]),
+     [("--c", {"type": _rational, "required": True}), _P, ("--terms", {"type": _positive, "default": 60})]),
     ("padic", "nullset", "box fraction of a null set", _cmd_padic_nullset, [_INPUT, _M]),
     ("selftest", None, "run every acceptance criterion", _cmd_selftest, []),
 ]
@@ -648,7 +601,7 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
 
 def _run(argv: list[str] | None, stream) -> int:
     try:
-        args = _parser().parse_args(argv)  # a BudgetExceededError on a --precision past its cap
+        args = _parser().parse_args(argv)  # a BudgetExceededError on a rational past its cap
         code, report, table = args.handler(args)
     except SystemExit as exc:  # from argparse: --help, or a usage error
         code = exc.code

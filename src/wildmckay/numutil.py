@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ __all__ = [
     "json_object", "json_array", "parse_rational", "format_rational",
 ]
 
-# Absolute precision of a rational approximation when none is requested (1e-12).
+# Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
 DEFAULT_PRECISION = Fraction(1, 10**12)
 # Most decimal digits in the numerator or denominator of a printed exact value: Python's default
 # limit for int-to-str conversion, past which it could not be printed.
@@ -24,8 +25,8 @@ class BudgetExceededError(RuntimeError):
     normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
-    shell) and digits of the exact value at p for "integral", digits of an exact value for
-    "mass" (at p) and "evaluation" (at q), and digits of the requested "precision"."""
+    shell) for "integral", digits of an exact value for "mass" (at p) and "evaluation" (at q),
+    and digits of a rational option for "input"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):
@@ -78,11 +79,13 @@ def is_prime(n: int) -> bool:
 
 
 def decimal_digits(n: int) -> int:
-    """Decimal digits of |n|, counted exactly without converting n to a string."""
+    """Decimal digits of |n|, counted exactly without converting n to a string: from a float
+    estimate below the count, one power of 10 and a few multiplications by 10."""
     n = abs(n)
-    digits = max(1, (n.bit_length() - 1) * 30102 // 100000)  # at most the count: 0.30102 < log10(2)
-    while n >= 10**digits:
-        digits += 1
+    digits = max(1, int(math.log10(n)) - 1) if n else 1  # the float is off by far less than 1
+    power = 10**digits
+    while n >= power:
+        digits, power = digits + 1, power * 10
     return digits
 
 

@@ -37,12 +37,11 @@ from .numutil import (
     BudgetExceededError,
     HenselMismatchError,
     SmoothnessError,
-    check_exact_digits,
     exact_int,
     is_prime,
     json_object,
 )
-from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, nth_root_approx
+from .qexpr import INFINITE, InfiniteType, QExpr, QFrac
 
 __all__ = [
     "PolySystem",
@@ -63,16 +62,18 @@ __all__ = [
 
 # Most points _level_counts evaluates: the box plus every listed frontier.
 POINTS_BUDGET = 5_000_000
-# Most work monomial_integral does, in shell bits: the bit sizes of the exact shell powers
-# p^(i(c-1)) summed over i = 1..terms, terms (terms + 1) / 2 * max(1, |numerator of c - 1|) *
-# bit_length(p).  0.3-0.9 s at the cap (c = -3, -100 or 2/3 at p = 5, c = 1/2 at p = 999983).
+# Most work monomial_integral does, in shell bits: the bit sizes of the shells p^(i(c-1)) summed
+# over i = 1..terms, terms (terms + 1) / 2 * max(1, |numerator of c - 1|) * bit_length(p).  The
+# shells are summed as one q-expression and evaluated once, exactly or from one root of p:
+# 0.02-0.04 s at the cap (c = -3, -100 or 2/3 at p = 5, c = 1/2 or 3/2 at p = 999983), where
+# 12,500 terms of c = 3/2 at p = 999983 would take 1.6 s.
 INTEGRAL_BUDGET = 50_000_000
-# Largest shell power monomial_integral computes, in bits: terms * max(1, |numerator of c - 1|) *
-# bit_length(p).  One power costs more than its size (0.05 s at 1M bits, 2.3 s at 11.6M), so a
-# few large shells are refused although their sum fits INTEGRAL_BUDGET.  At both caps an integer
-# c or c < 1 takes 0.14-0.87 s over 100-399 terms at p = 5, and c = -30 takes 1.4 s over 399
-# terms at p = 999983 (Python 3.11, 2-vCPU Intel Xeon).  Not bounded yet: a fractional c > 1,
-# whose shells are k-th roots (c = 280/3 takes 5.5 s over 300 terms at p = 5).
+# Largest shell monomial_integral sums, in bits: terms * max(1, |numerator of c - 1|) *
+# bit_length(p).  One power costs more than its size (6.8 s for the shells of c = 1000001 at
+# p = 5 over 5 terms, 15,000,000 bits), so a few large shells are refused although their sum fits
+# INTEGRAL_BUDGET.  At both caps c = -100, 101 or 280/3 at p = 5 and c = -30 at p = 999983 take
+# 0.01-0.07 s, and c = 1 + 1/49999 at p = 2 0.5 s: one root and 49,999 residue classes; a
+# denominator of c - 1 past DENSE_DEGREE_BUDGET is refused (Python 3.11, 2-vCPU Intel Xeon).
 LARGEST_SHELL_BUDGET = 250_000
 
 
@@ -394,10 +395,11 @@ def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:
 def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, QFrac | InfiniteType]:
     """Truncation and closed form of the integral of |x|^(-c) over m_K.
 
-    partial = sum_{i=1}^{terms} p^(ic) (p^(-i) - p^(-i-1)), the measures of
+    partial = sum_{i=1}^{terms} q^(i(c-1)) (1 - q^(-1)) at q = p, the measures of
     the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1) when c < 1 and
-    the Infinite value otherwise.  The partial sum is exact for integer c
-    and a rational approximation within DEFAULT_PRECISION for fractional c.
+    the Infinite value otherwise.  The partial sum is exact for integer c;
+    for fractional c it is QFrac.evaluate's approximation, within
+    DEFAULT_PRECISION and within 10^-20 of its size.
     """
     if terms < 1:
         raise ValueError("need at least one term")
@@ -410,18 +412,9 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
         raise BudgetExceededError(shell_bits, INTEGRAL_BUDGET, "integral", unit="shell bits")
     if largest > LARGEST_SHELL_BUDGET:
         raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
-    if c < 1 and c.denominator == 1:  # the shell caps keep (1 - c) * bit_length(p) within 250,000 bits
-        # the closed form at q = p is 1 / (p + p^2 + ... + p^(1-c)), refused when it cannot print
-        check_exact_digits((p ** (2 - c.numerator) - p) // (p - 1), "integral", "digits in the exact value at p")
-    partial = Fraction(0)
-    unit_shell = 1 - Fraction(1, p)
-    for i in range(1, terms + 1):
-        exponent = i * (c - 1)
-        if exponent.denominator == 1:
-            power = Fraction(p) ** int(exponent)
-        else:
-            power = nth_root_approx(Fraction(p) ** exponent.numerator, exponent.denominator, DEFAULT_PRECISION / terms)
-        partial += power * unit_shell
+    # one q-expression, so that a fractional c takes one root of p for all its shells
+    shells = QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - QExpr.q(-1))
+    partial = QFrac(shells).evaluate(p, DEFAULT_PRECISION)
     if c >= 1:
         return partial, INFINITE
     exact = QFrac(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)

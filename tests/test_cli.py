@@ -5,9 +5,6 @@ import csv
 import gc
 import io
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +62,15 @@ class TestExitCodes:
             assert run(argv + ["--budget", "100"]) == (2, "")
             assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
 
+    def test_precision_flag_is_a_usage_error(self, capsys):
+        # Gone: QFrac.evaluate takes every approximation within 10^-20 of its size as well, so no
+        # precision changed a printed digit.
+        for argv in (["stringy", "point", "--at-q", "5"], ["stringy", "eval", "--input", str(DATA / "sample_snc_pair.json")],
+                     ["padic", "integral", "--c", "1/2", "--p", "5"]):
+            assert run(argv + ["--precision", "1e-3"]) == (2, "")
+            assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+                "wildmckay: error: unrecognized arguments: --precision 1e-3"], argv
+
     def test_algebra_budget_is_checked_before_listing(self, capsys):
         start = time.perf_counter()
         code, out = run(["mckay", "verify", "--p", "101", "--n", "40"])
@@ -97,7 +103,7 @@ class TestExitCodes:
             ["padic", "count", "--input", write("bad.json", "{not json"), "--m", "1"],
             # zero denominators, on the command line and in SNC data
             ["stringy", "point", "--c", "1/0"],
-            ["stringy", "eval", "--input", snc, "--at-q", "9", "--precision", "1/0"],
+            ["stringy", "eval", "--input", snc, "--at-q", "1/0"],
             ["stringy", "eval", "--input", write("snc.json", {"horizontal": ["1/0"], "vertical": []})],
             # inexact or ill-shaped integers in input files
             ["padic", "count", "--input", write("float.json", {**circle, "polys": [[[[2, 0], 1.5]]]}), "--m", "1"],
@@ -246,7 +252,7 @@ class TestBudgets:
         terms = max(t for t in range(1, 10**4) if 10 * t * (t + 1) <= cap)
         argv = ["padic", "integral", "--c", "1/2", "--p", "999983", "--terms"]
         assert run(argv + [str(terms)])[0] == 0
-        monkeypatch.setattr(padic, "nth_root_approx", None)
+        monkeypatch.setattr(padic, "QExpr", None)  # any work would fail
         self.refused(argv + [str(terms + 1)], capsys,
                      f"integral budget exceeded: need {10 * (terms + 1) * (terms + 2)} shell bits, budget {cap}")
 
@@ -264,6 +270,17 @@ class TestBudgets:
         self.refused(argv + [str(top + 1)], capsys,
                      f"integral budget exceeded: need {3 * top} bits in the largest shell, budget {cap}")
 
+    def test_integral_root_degree_cap(self, capsys):
+        # The shells of c = 1 + 1/r lie in r residue classes of one root p^(1/r), bounded as a dense
+        # form's t-degrees are; with one root per shell, r = 10^12 ran past 100 s over 10 terms.
+        cap = qexpr.DENSE_DEGREE_BUDGET
+        argv = ["padic", "integral", "--p", "5", "--terms", "10"]
+        assert run(argv + [f"--c={cap + 1}/{cap}"])[0] == 0
+        for r in (cap + 1, 10**12):
+            start = time.perf_counter()
+            self.refused(argv + [f"--c={r + 1}/{r}"], capsys, f"fraction budget exceeded: need {r} t-degrees, budget {cap}")
+            assert time.perf_counter() - start < 1
+
     def test_integral_exact_digits_cap(self, capsys):
         # An integer c < 1 has the value 1 / (p + p^2 + ... + p^(1-c)) at q = p, printed in full.
         cap = padic.EXACT_DIGITS_BUDGET
@@ -273,14 +290,14 @@ class TestBudgets:
         for c, digits in (("-20000", 13981), ("-6200", 4335)):
             start = time.perf_counter()
             self.refused(["padic", "integral", "--c", c, "--p", "5", "--terms", "1"], capsys,
-                         f"integral budget exceeded: need {digits} digits in the exact value at p, budget {cap}")
+                         f"evaluation budget exceeded: need {digits} digits in the exact value at q, budget {cap}")
             assert time.perf_counter() - start < 1
         # The lowest c whose value at p = 5 has at most cap digits, and the next one.
         top = min(c for c in range(-6200, -6000) if (5 ** (2 - c) - 5) // 4 < 10**cap)
         argv = ["padic", "integral", "--p", "5", "--terms", "1", "--c"]
         assert run(argv + [str(top)])[0] == 0
         self.refused(argv + [str(top - 1)], capsys,
-                     f"integral budget exceeded: need {cap + 1} digits in the exact value at p, budget {cap}")
+                     f"evaluation budget exceeded: need {cap + 1} digits in the exact value at q, budget {cap}")
 
     def test_exact_value_digits_cap(self, monkeypatch, capsys):
         # One cap for every printed exact value, checked before any power or mass work.
@@ -322,8 +339,13 @@ class TestBudgets:
             code, out = run(argv + ["--format", "json"])
             assert time.perf_counter() - start < 1, argv
             assert code == 0 and approx in (None, json.loads(out)[key]["approx"]), argv
-        monkeypatch.setattr(qexpr.QFrac, "evaluate", None)  # any evaluation would fail
-        monkeypatch.setattr(cli, "_expr_payload", None)  # as would rendering the value
+        evaluate = qexpr.QFrac.evaluate
+
+        def laurent_only(frac, q0, precision=None):
+            assert frac.as_laurent() is not None, f"{frac} was evaluated"
+            return evaluate(frac, q0, precision)
+
+        monkeypatch.setattr(cli, "_expr_payload", None)  # rendering the value would fail
         for argv, digits in (
             (["stringy", "point", "--a", "12307/2", "--at-q", "5"], 4301),
             (["stringy", "point", "--a", "1000001/2", "--at-q", "5"], 349486),
@@ -332,36 +354,38 @@ class TestBudgets:
             (["padic", "integral", "--c=-20001/2", "--p", "5", "--terms", "1"], 6992),
             (["stringy", "point", "--a", "0", "--c=1/997", "--at-q", str(10**1000)], 997001),
         ):
+            # as would any evaluation, but that of padic integral's partial sum, a Laurent value, first
+            monkeypatch.setattr(qexpr.QFrac, "evaluate", laurent_only if argv[0] == "padic" else None)
             start = time.perf_counter()
             self.refused(argv, capsys,
                          f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
             assert time.perf_counter() - start < 1
 
-    def test_precision_digits_cap(self, capsys):
-        # A precision is counted as it is parsed, before any work: at 1e-100000 the evaluation ran
-        # 0.6 s and then failed to print at c = 1/2, and ran past 20 s at c = 1/997.
+    def test_rational_option_digits_cap(self, capsys):
+        # Every rational option is printed in the report, so it is counted as it is parsed: before,
+        # a 5,001-digit --a or --c ended in Python's own int-to-str message.
         cap = numutil.EXACT_DIGITS_BUDGET
-        message = f"precision budget exceeded: need 100001 digits in the precision, budget {cap}"
-        for c in ("1/2", "1/997"):
-            argv = ["stringy", "point", "--a", "0", f"--c={c}", "--at-q", "5", "--precision", "1e-100000"]
-            start = time.perf_counter()
-            done = subprocess.run([sys.executable, "-m", "wildmckay.cli", *argv], capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
-            assert time.perf_counter() - start < 1, argv
-            assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n"), argv
-        self.refused(["padic", "integral", "--c", "1/2", "--p", "5", "--precision", "1e-100000"], capsys, message)
-        code, out = run(["stringy", "point", "--a", "0", "--c=1/2", "--at-q", "5", "--precision", "1e-1000",
-                         "--format", "json"])
-        assert code == 0 and json.loads(out)["evaluated"]["precision"] == "1/1" + "0" * 1000
+        message = f"input budget exceeded: need 5001 digits in a rational option, budget {cap}"
+        for argv in (["stringy", "point", "--a", "1e5000"], ["padic", "integral", "--c", "1e5000", "--p", "5"],
+                     ["stringy", "point", "--c", "1/2,1e-5000"], ["stringy", "point", "--at-q", "1e5000"]):
+            self.refused(argv, capsys, message)
+        code, out = run(["stringy", "point", "--a", "1e4299", "--format", "json"])  # 4,300 digits
+        assert code == 0 and json.loads(out)["a"] == "1" + "0" * 4299
+        # counted from one power of 10, where a power per digit past a coarse estimate took 7 s
+        start = time.perf_counter()
+        self.refused(["stringy", "point", "--a", "1e1000000"], capsys,
+                     f"input budget exceeded: need 1000001 digits in a rational option, budget {cap}")
+        assert time.perf_counter() - start < 3
 
     def test_exact_value_digits_bound_skips_possible_roots(self):
         # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound
         # from the power q^10000 would refuse what prints today.
-        q0, precision = Fraction(5), numutil.DEFAULT_PRECISION
-        assert cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), q0, precision) == {"exact": "0", "q": "5"}
+        q0 = Fraction(5)
+        assert cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), q0) == {"exact": "0", "q": "5"}
         with pytest.raises(qexpr.PoleError):
-            cli._eval_payload(QFrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0, precision)
-        assert cli._exact_digits_floor(QFrac(QExpr({10001: 1, 10000: -6})), q0) == 6990  # 5^10000
+            cli._eval_payload(QFrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0)
+        with pytest.raises(numutil.BudgetExceededError, match="need 6990 digits"):  # 5^10000
+            QFrac(QExpr({10001: 1, 10000: -6})).check_exact(q0)
 
     def test_exact_value_of_many_terms_in_one_pass(self, capsys):
         # (q - 1) / (q^(1 - c) - 1) = 1 / (1 + q + ... + q^(-c)) has no power of q to count
@@ -410,7 +434,7 @@ class TestBudgets:
     @pytest.mark.parametrize("argv", [["stringy", "point", "--a", "0", "--c=-49997"],
                                       ["stringy", "eval", "--input", str(DATA / "sample_snc_pair.json")]])
     def test_evaluation_refused_before_the_value_renders(self, argv, monkeypatch, capsys):
-        def refuse(value, q0, precision):
+        def refuse(value, q0):
             raise numutil.BudgetExceededError(1, 0, "evaluation")
 
         monkeypatch.setattr(cli, "_eval_payload", refuse)
@@ -565,6 +589,25 @@ class TestReports:
         code, out = run(["padic", "integral", "--c", "1", "--p", "5", "--format", "json"])
         assert code == 0
         assert json.loads(out)["exact"] == "Infinite"
+
+    @pytest.mark.parametrize("c, p, terms, digits", [
+        ("2/3", 5, 60, "1.1267987369779"),
+        ("-7/3", 7, 20, "0.00130834459988058"),
+        ("1/2", 999983, 2235, "0.00100100851710867"),
+        ("1/997", 5, 60, "0.200404059299793"),
+        ("280/3", 5, 300, "2.3561888403983e+19361"),
+        ("3/2", 999983, 2235, "9.82162846749385e+6704"),
+    ])
+    def test_padic_integral_partial_prints_the_digits_of_the_sum(self, c, p, terms, digits):
+        # 15 significant digits of sum_{i <= terms} p^(i (c - 1)) (1 - 1/p), as mpmath gives them at
+        # 50 digits; one root per shell, each floored, printed ...778, ...985173, ...710836 and
+        # 0.20040405929974 for the first four.
+        code, out = run(["padic", "integral", f"--c={c}", "--p", str(p), "--terms", str(terms), "--format", "json"])
+        assert code == 0 and json.loads(out)["partial"] == digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            step = mpmath.mpf(p) ** (mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator - 1)
+            assert mpmath.nstr(mpmath.fsum(step**i for i in range(1, terms + 1)) * (1 - mpmath.mpf(1) / p), 15) == digits
 
     def test_padic_nullset(self):
         code, out = run(

@@ -10,6 +10,7 @@ name in the report and its bytes are compared as well.
 
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,8 +37,9 @@ def test_cli_output_matches_golden(case, monkeypatch, tmp_path):
 
 
 def test_approx_goldens_print_the_digits_of_the_value():
-    # An `approx` is printed with 15 significant digits of a value known within `precision`; the
-    # goldens' digits must be those of the exact value, computed here at 50 digits.
+    # An `approx` is printed with 15 significant digits of a value known within `precision`, and a
+    # `partial` with 15 of the integral's truncated sum; the goldens' digits must be those of the
+    # exact value and of the sum, computed here at 50 digits.
     mpmath = pytest.importorskip("mpmath")
     checked = set()
     with mpmath.workdps(50):
@@ -51,4 +53,10 @@ def test_approx_goldens_print_the_digits_of_the_value():
                                              for en, ed, cn, cd in terms)
             assert mpmath.nstr(part(value["num"]) / part(value["den"]), 15) == evaluated["approx"], case["id"]
             checked.add(evaluated["approx"])
-    assert checked == {"16.2", "10.4721359549996", "3.59987732505643", "1.12679873697791"}
+            if "partial" in report:  # sum_{i <= terms} q^(i (c - 1)) (1 - 1/q) at q = p
+                c = Fraction(report["c"])
+                step = q ** (mpmath.mpf(c.numerator) / c.denominator - 1)
+                shells = mpmath.fsum(step**i for i in range(1, report["terms"] + 1)) * (1 - 1 / q)
+                assert mpmath.nstr(shells, 15) == report["partial"], case["id"]
+                checked.add(report["partial"])
+    assert checked == {"16.2", "10.4721359549996", "3.59987732505643", "1.12679873697791", "1.1267987369779"}

@@ -17,7 +17,6 @@ from wildmckay.qexpr import (
     _int_nth_root,
     is_infinite,
     monomial,
-    nth_root_approx,
 )
 
 
@@ -152,14 +151,18 @@ class TestEvaluate:
 
 
 def per_term_value(expr: QExpr, q0, tol) -> Fraction:
-    """Test-only oracle: the value at q0 within tol, one nth_root_approx of q0^numerator per
-    fractional exponent, each within its share of tol."""
+    """Test-only oracle: the value at q0 within tol, one root of q0^numerator per fractional
+    exponent by newton_root_from_a_power_of_two, each within its share of tol."""
     q0, total = Fraction(q0), Fraction(0)
     for e, c in expr.terms:
         if type(e) is int:
             total += c * q0**e
         else:
-            total += c * nth_root_approx(q0**e.numerator, e.denominator, tol / len(expr.terms) / max(1, abs(c)))
+            # floor(2^bits x^(1/k)) / 2^bits is within 2^-bits of x^(1/k), for x = q0^numerator
+            x, k = q0**e.numerator, e.denominator
+            bits = math.ceil(len(expr.terms) * max(1, abs(c)) / tol).bit_length()
+            root = newton_root_from_a_power_of_two((x.numerator << (bits * k)) // x.denominator, k)
+            total += c * Fraction(root, 1 << bits)
     return total
 
 
@@ -229,20 +232,6 @@ class TestInfinite:
         assert repr(INFINITE) == "Infinite"
 
 
-class TestNthRoot:
-    def test_matches_isqrt_oracle(self):
-        tol = Fraction(1, 10**12)
-        for n in (2, 3, 5, 7, 10):
-            approx = nth_root_approx(n, 2, tol)
-            target = sqrt_oracle(n, 18)
-            assert abs(approx - target) <= tol + Fraction(1, 10**18)
-
-    def test_exact_cube(self):
-        tol = Fraction(1, 10**9)
-        approx = nth_root_approx(27, 3, tol)
-        assert abs(approx - 3) <= tol
-
-
 def newton_root_from_a_power_of_two(n, k):
     """Test-only oracle: floor(n^(1/k)) by integer Newton from a power of two above the root."""
     if k == 1 or n in (0, 1):
@@ -272,7 +261,7 @@ class TestIntegerRoot:
                     assert _int_nth_root(radicand, k) == newton_root_from_a_power_of_two(radicand, k), (radicand, k)
 
     def test_scaled_quotients_and_large_degrees(self):
-        # floor(2^shift (n / den)^(1/k)), as evaluate and nth_root_approx take it, against the
+        # floor(2^shift (n / den)^(1/k)), as evaluate takes it, against the
         # oracle on the radicand (n 2^(shift k)) // den, for degrees up to the residue counts of
         # stringy values; the Newton start sits just above the float estimate, so roots below 1
         # and perfect powers (where the rounded powers leave the comparison open) are included.
