@@ -18,7 +18,7 @@ import io
 import json
 import re
 import sys
-from decimal import MAX_EMAX, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from itertools import chain, repeat
@@ -77,19 +77,21 @@ def _eval_payload(value, q0: Fraction) -> object:
     }
 
 
-def _decimal_text(value: Fraction) -> str:
-    """f"{float(value):.15g}", also past the float range: there the 15 digits come from a
-    200-bit binary approximation of value times a power of two taken in Decimal."""
+def _decimal_text(value: Fraction, digits: int = 15) -> str:
+    """f"{float(value):.15g}" (digits significant digits) where the float is 0 or normal; past
+    that range, above or below, the digits come from a 200-bit binary approximation of value
+    times a power of two taken in Decimal."""
     try:
-        return f"{float(value):.15g}"
+        if abs(approx := float(value)) >= sys.float_info.min or not value:
+            return f"{approx:.{digits}g}"
     except OverflowError:
         pass
     shift = value.numerator.bit_length() - value.denominator.bit_length() - 200
-    mantissa = Decimal((value.numerator >> shift) // value.denominator)
-    with localcontext(Context(prec=60, Emax=MAX_EMAX)):
+    mantissa = Decimal((value.numerator << max(-shift, 0) >> max(shift, 0)) // value.denominator)
+    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         scaled = mantissa * Decimal(2) ** shift
-    with localcontext(Context(prec=15, Emax=MAX_EMAX)):
-        return f"{scaled.normalize():.15g}"
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        return f"{scaled.normalize():.{digits}g}"
 
 
 def _cell(value) -> str:
@@ -245,13 +247,11 @@ def _positive(value: str) -> int:
 
 
 def _rational(value: str) -> Fraction:
+    # Counted as it is parsed, before any work: every rational option is printed in the report.
     try:
-        rational = parse_rational(value)
+        return parse_rational(value, "a rational option")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    # Refused as it is parsed, before any work: every rational option is printed in the report.
-    check_exact_digits(rational, "input", "digits in a rational option")
-    return rational
 
 
 def _rational_list(value: str) -> list[Fraction]:
@@ -309,14 +309,8 @@ def _cmd_mass_invert(args):
 
 
 def _cmd_etale_enumerate(args):
-    from .localfields import (
-        count_tame_etale_algebras,
-        crossvalidate_fixtures,
-        enumerate_tame_field_classes,
-        load_fixtures,
-        skipped_wild_strata,
-        tame_enumeration_is_complete,
-    )
+    from .localfields import (count_tame_etale_algebras, enumerate_tame_field_classes, skipped_wild_strata,
+                              tame_enumeration_is_complete)
 
     algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
     classes = enumerate_tame_field_classes(args.p, args.n)
@@ -329,14 +323,7 @@ def _cmd_etale_enumerate(args):
         "wild_strata_skipped": [list(stratum) for stratum in skipped_wild_strata(args.p, args.n)],
         "complete": tame_enumeration_is_complete(args.p, args.n),
     }
-    code = EXIT_OK
-    if args.fixtures:
-        fixtures = [fx for fx in load_fixtures(args.fixtures) if fx.p == args.p and fx.n == args.n]
-        fixture_report = crossvalidate_fixtures(fixtures)
-        report["fixtures"] = fixture_report.to_json()
-        if not fixture_report.ok:
-            code = EXIT_VERIFICATION_FAILED
-    return code, report, (("f", "e", "orbit", "degree", "d", "aut"), rows)
+    return EXIT_OK, report, (("f", "e", "orbit", "degree", "d", "aut"), rows)
 
 
 def _cmd_etale_mass(args):
@@ -401,25 +388,21 @@ def _cmd_stringy_eval(args):
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
     # evaluated (or refused) before the value is rendered
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
-    report = {"input": args.input, "value": _expr_payload(value)}
-    if evaluated is not None:
-        report["evaluated"] = evaluated
-    return EXIT_OK, report, None
+    at_q = {} if args.at_q is None else {"evaluated": _eval_payload(value, args.at_q)}
+    return EXIT_OK, {"input": args.input, "value": _expr_payload(value), **at_q}, None
 
 
 def _cmd_stringy_point(args):
     from .stringy import stringy_point_contribution
 
     value = stringy_point_contribution(args.a, args.c)
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
+    at_q = {} if args.at_q is None else {"evaluated": _eval_payload(value, args.at_q)}
     report = {
         "a": format_rational(args.a),
         "c": [format_rational(c) for c in args.c],
         "value": _expr_payload(value),
+        **at_q,
     }
-    if evaluated is not None:
-        report["evaluated"] = evaluated
     return EXIT_OK, report, None
 
 
@@ -487,7 +470,7 @@ def _cmd_padic_nullset(args):
         "n": system.num_vars,
         "m": args.m,
         "fraction": format_rational(fraction),
-        "fraction_approx": f"{float(fraction):.6g}",
+        "fraction_approx": _decimal_text(fraction, 6),
     }
     return EXIT_OK, report, None
 
@@ -536,8 +519,7 @@ _COMMANDS = [
     ("mass", "bhargava", "etale algebra mass by partitions", _cmd_mass_bhargava, [_N]),
     ("mass", "expcheck", "exponential identity vs partition formula", _cmd_mass_expcheck, [_NMAX]),
     ("mass", "invert", "recover totally ramified masses from the series", _cmd_mass_invert, [_NMAX]),
-    ("etale", "enumerate", "field classes of degree n over Q_p", _cmd_etale_enumerate,
-     [_P, _N, ("--fixtures", {"default": None, "help": "JSON fixture file to cross-validate"})]),
+    ("etale", "enumerate", "field classes of degree n over Q_p", _cmd_etale_enumerate, [_P, _N]),
     ("etale", "mass", "enumerated mass vs partition formula at q=p", _cmd_etale_mass, [_P, _N]),
     ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
      [("--fixtures", {"required": True})]),

@@ -32,7 +32,7 @@ the enumerators skip and report them.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, gcd, prod
 from pathlib import Path
@@ -68,9 +68,9 @@ ALGEBRAS_BUDGET = 100_000
 # algebra count steps through every tame class of degree <= n for each of the n + 1 counts;
 # `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
 COUNT_DEGREE_BUDGET = 400
-# Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its recurrence adds n^2 / 2
-# Fraction products whose denominators carry #Aut factors, not powers of p; 0.23-0.28 s at n = 200
-# for p from 211 to 999983 (0.70-1.33 s on the unscaled masses; Python 3.11, 2-vCPU Intel Xeon).
+# Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its TruncatedSeries.exp adds
+# n^2 / 2 products of constants whose denominators carry #Aut factors, not powers of p; `etale mass`
+# takes 0.12-0.29 s at n = 200 for p from 211 to 999983 (in-process; Python 3.11, 2-vCPU Intel Xeon).
 MASS_DEGREE_BUDGET = 200
 
 
@@ -111,15 +111,22 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
         return f"f={self.f},e={self.e},c~{self.orbit}"
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if n > COUNT_DEGREE_BUDGET:
+        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
+
+
 def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
     """All tame isomorphism classes of degree-n extensions of Q_p.
 
     Wild strata (p | e) are skipped; see skipped_wild_strata for the report.
+    BudgetExceededError before any work past COUNT_DEGREE_BUDGET.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(n)
     classes: list[TameFieldClass] = []
     for f in divisors(n):
         e = n // f
@@ -185,10 +192,7 @@ def tame_enumeration_is_complete(p: int, n: int) -> bool:
 def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
     """Entry k holds the tame classes of degree k, for k = 0..n (none of degree 0).
     BudgetExceededError before any work past COUNT_DEGREE_BUDGET."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if n > COUNT_DEGREE_BUDGET:
-        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
+    _check_degree(n)
     return [[]] + [enumerate_tame_field_classes(p, k) for k in range(1, n + 1)]
 
 
@@ -279,22 +283,21 @@ def complete_algebra_invariants(p: int, n: int, label: Callable[[TameFieldClass,
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
-    listing: M_n of exp(sum_k W_k x^k).  The recurrence j M_j = sum_k k W_k M_(j-k) runs on
-    N_j = p^j M_j, as j N_j = sum_k k (p^k W_k) N_(j-k): p^k W_k = sum p^(k-d) / #Aut has only
-    #Aut in its denominators (d < k).  BudgetExceededError before any work past MASS_DEGREE_BUDGET,
-    or when the mass could not be printed (more than EXACT_DIGITS_BUDGET digits): first on p^(n-1),
-    the denominator of Bhargava's sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p
-    and larger), then on the mass."""
+    listing: M_n of exp(sum_k W_k x^k), taken by TruncatedSeries.exp on constant coefficients.
+    The series is exp(sum_k p^k W_k x^k), whose x^n coefficient is p^n M_n: p^k W_k =
+    sum p^(k-d) / #Aut has only #Aut in its denominators (d < k).  BudgetExceededError before
+    any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
+    EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
+    sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
+    from .series import TruncatedSeries
+
     _require_complete(p, n)
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
     weights = [sum(Fraction(p ** (k - cls.disc_exponent), cls.aut_order) for cls in classes)
                for k, classes in enumerate(_tame_classes_by_degree(p, n))]
-    mass = [Fraction(1)]
-    for j in range(1, n + 1):
-        mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
-    value = mass[n] / p**n
+    value = TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n
     check_exact_digits(value, "mass", "digits in the mass at p")
     return value
 
@@ -334,14 +337,6 @@ class FixtureReport(namedtuple("FixtureReport", "matched uncheckable mismatches"
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_json(self) -> dict:
-        return {
-            "matched": sorted(self.matched),
-            "uncheckable": sorted(self.uncheckable),
-            "mismatches": [{"label": label, "reason": reason} for label, reason in sorted(self.mismatches)],
-            "ok": self.ok,
-        }
-
 
 def load_fixtures(path: str | Path) -> list[FieldFixture]:
     with open(path, "r", encoding="utf-8") as fh:
@@ -367,13 +362,10 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> FixtureReport:
             continue
         grouped.setdefault((fix.p, fix.n), []).append(fix)
     for (p, n), group in sorted(grouped.items()):
-        slots: dict[tuple[int, int, int, int], int] = {}
-        for cls in enumerate_tame_field_classes(p, n):
-            key = (cls.e, cls.f, cls.disc_exponent, cls.aut_order)
-            slots[key] = slots.get(key, 0) + 1
+        slots = Counter((cls.e, cls.f, cls.disc_exponent, cls.aut_order) for cls in enumerate_tame_field_classes(p, n))
         for fix in sorted(group, key=lambda fx: fx.label):
             key = (fix.e, fix.f, fix.disc_exponent, fix.aut_order)
-            if slots.get(key, 0) > 0:
+            if slots[key] > 0:
                 slots[key] -= 1
                 report.matched.append(fix.label)
             else:

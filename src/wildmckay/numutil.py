@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -21,12 +22,12 @@ EXACT_DIGITS_BUDGET = 4300
 
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
-    "box" (the level-1 box) and "lifting" (a listed frontier), and digits of p^m and of a printed
-    normalized count or box fraction for "lifting", algebras listed for "algebras",
+    "box" (the level-1 box) and "lifting" (a listed frontier), and digits of p^(m deg) and of a
+    printed normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
     shell) for "integral", digits of an exact value for "mass" (at p) and "evaluation" (at q),
-    and digits of a rational option for "input"."""
+    and digits of a parsed rational (an option or a value in a JSON file) for "input"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):
@@ -147,23 +148,50 @@ def json_array(value, what: str) -> list:
     return value
 
 
-def parse_rational(value) -> Fraction:
-    """Accept an int, an "a/b" string, or a two-element [num, den] array.
+# The strings Fraction reads as digits, a fraction part and an exponent ("-1.5e-3", "2E+10"),
+# matched case-insensitively; re compiles it on first use, so that an import does not.
+_SCIENTIFIC = r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?E([-+]?\d+(?:_\d+)*)\s*\Z"
 
-    Every malformed value, a zero denominator included, is a ValueError.
+
+def _scientific(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> Fraction:
+    """sign whole.fraction * 10^exponent, as Fraction reads it, counted before its power of 10
+    is built: n / 10^k is (n / 10^l) / 10^(k-l) in lowest terms for l = min(k, bit length of n),
+    since n / 10^l keeps no factor 2 or 5 of n once 2^l > n."""
+    n = int(sign + whole + fraction)
+    if not n:
+        return Fraction(0)
+    shift = int(exponent) - len(fraction.replace("_", ""))
+    top = min(max(-shift, 0), n.bit_length())
+    small, shift = Fraction(n, 10**top), shift + top
+    digits = max(decimal_digits(small.numerator) + max(shift, 0), decimal_digits(small.denominator) - min(shift, 0))
+    if digits > EXACT_DIGITS_BUDGET:
+        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "input", unit=unit)
+    return small * Fraction(10) ** shift
+
+
+def parse_rational(value, what: str = "a rational") -> Fraction:
+    """Accept an int, an "a/b" or decimal string, or a two-element [num, den] array.
+
+    Every malformed value, a zero denominator included, is a ValueError, and a value with more
+    than EXACT_DIGITS_BUDGET digits in its numerator or denominator a BudgetExceededError of
+    engine "input", counted as "digits in {what}": a string with an exponent before its power
+    of 10 is built.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+    unit = f"digits in {what}"
     try:
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value.strip())
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(exact_int(value[0], "numerator"), exact_int(value[1], "denominator"))
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            rational = Fraction(value)
+        elif isinstance(value, str):
+            match = re.match(_SCIENTIFIC, value, re.IGNORECASE)
+            rational = _scientific(*match.groups(""), unit) if match else Fraction(value.strip())
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            rational = Fraction(exact_int(value[0], "numerator"), exact_int(value[1], "denominator"))
+        else:
+            raise ValueError(f"not a rational: {value!r}")
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"not a rational: {value!r}")
+    check_exact_digits(rational, "input", unit)
+    return rational
 
 
 def format_rational(value: Fraction) -> str:

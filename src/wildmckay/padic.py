@@ -41,7 +41,7 @@ from .numutil import (
     is_prime,
     json_object,
 )
-from .qexpr import INFINITE, InfiniteType, QExpr, QFrac
+from .qexpr import InfiniteType, QExpr, QFrac
 
 __all__ = [
     "PolySystem",
@@ -253,13 +253,16 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
     column dot products of it, and the children are p^(n - rank J) offset
     copies of the surviving columns.  The last level is counted, not listed.
     POINTS_BUDGET bounds the points evaluated: the box plus every listed
-    frontier, checked before each one is listed; p^m may have at most
-    EXACT_DIGITS_BUDGET digits.  If rank is given, every mod-p solution must
-    have it, checked in box order.
+    frontier, checked before each one is listed; p^(m deg), about the size of
+    the polynomials' values at points mod p^m (deg their largest total degree,
+    at least 1), may have at most EXACT_DIGITS_BUDGET digits.  If rank is
+    given, every mod-p solution must have it, checked in box order.
     """
     p, n = system.p, system.num_vars
-    if (digits := math.floor(m * math.log10(p)) + 1) > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "lifting", unit="digits in p^m")
+    degree = max([sum(exps) for poly in system.polys for exps, _ in poly] + [1])
+    if (digits := math.floor(m * degree * math.log10(p)) + 1) > EXACT_DIGITS_BUDGET:
+        power = "p^m" if degree == 1 else f"p^({degree}m)"
+        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "lifting", unit=f"digits in {power}")
     evaluated = p**n
     if evaluated > POINTS_BUDGET:
         raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
@@ -396,11 +399,13 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     """Truncation and closed form of the integral of |x|^(-c) over m_K.
 
     partial = sum_{i=1}^{terms} q^(i(c-1)) (1 - q^(-1)) at q = p, the measures of
-    the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1) when c < 1 and
-    the Infinite value otherwise.  The partial sum is exact for integer c;
-    for fractional c it is QFrac.evaluate's approximation, within
+    the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1), the stringy weight of one point
+    with a = -1 on a divisor of coefficient c, so Infinite when c >= 1.  The partial sum is
+    exact for integer c; for fractional c it is QFrac.evaluate's approximation, within
     DEFAULT_PRECISION and within 10^-20 of its size.
     """
+    from .stringy import stringy_point_contribution
+
     if terms < 1:
         raise ValueError("need at least one term")
     if not is_prime(p):
@@ -415,7 +420,4 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     # one q-expression, so that a fractional c takes one root of p for all its shells
     shells = QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - QExpr.q(-1))
     partial = QFrac(shells).evaluate(p, DEFAULT_PRECISION)
-    if c >= 1:
-        return partial, INFINITE
-    exact = QFrac(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)
-    return partial, exact
+    return partial, stringy_point_contribution(-1, [c])

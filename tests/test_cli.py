@@ -143,6 +143,32 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["evaluated"]["approx"] == "3.16227766016838e+500"
 
+    def test_decimals_below_the_float_range_are_reported(self, tmp_path):
+        # float() underflows without an error: these printed "0", or a subnormal float's wrong
+        # digits (9.63428009390431e-322), where mpmath at 50 digits gives the digits below.
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"p": 5, "n": 2, "d": 2, "polys": [[[[1, 0], 1], [[0, 0], -3]],
+                                                                      [[[0, 1], 1], [[0, 0], -3]]]}))
+        cases = [
+            (["stringy", "point", "--a=-1000", "--c=1/2", "--at-q", "5"], "3.46747469133088e-699",
+             lambda mp: (mp.sqrt(5) + 1) / mp.mpf(5) ** 1000),
+            (["stringy", "point", "--a=-460", "--c=1/2", "--at-q", "5"], "9.63419963596723e-322",
+             lambda mp: (mp.sqrt(5) + 1) / mp.mpf(5) ** 460),
+            (["padic", "integral", "--c=-500", "--p", "5", "--terms", "3"], "5.23742497263383e-351",
+             lambda mp: mp.fsum(mp.mpf(5) ** (-501 * i) for i in (1, 2, 3)) * mp.mpf(4) / 5),
+            (["padic", "nullset", "--input", str(point), "--m", "300"], "4.14952e-420", lambda mp: mp.mpf(5) ** -600),
+        ]
+        for argv, text, _ in cases:
+            code, out = run(argv + ["--format", "json"])
+            report = json.loads(out)
+            assert code == 0 and text in (report.get("evaluated", {}).get("approx"), report.get("partial"),
+                                          report.get("fraction_approx")), argv
+        assert cli._decimal_text(Fraction(0)) == "0"
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for _, text, value in cases:
+                assert mpmath.nstr(value(mpmath), len(text.split("e")[0]) - 1) == text
+
     def test_primes_past_the_exact_test_are_two(self, capsys):
         code, out = run(["etale", "mass", "--p", "2305843009213693951", "--n", "2", "--format", "json"])
         assert code == 0 and json.loads(out)["match"] is True
@@ -377,6 +403,38 @@ class TestBudgets:
                      f"input budget exceeded: need 1000001 digits in a rational option, budget {cap}")
         assert time.perf_counter() - start < 3
 
+    def test_exponent_notation_counted_before_it_is_built(self, tmp_path, capsys):
+        # 10^30000000 took past 60 s to build before it was counted, and a JSON rational was not
+        # counted at all: 10^-3000000 ended in Python's int-to-str message after 1.8 s.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        snc = tmp_path / "snc.json"
+        snc.write_text(json.dumps({"horizontal": ["1e-3000000"], "vertical": []}))
+        for argv, digits in ((["stringy", "point", "--a", "1e30000000"], "30000001 digits in a rational option"),
+                             (["stringy", "point", "--c", "2.5e-30000000"], "30000000 digits in a rational option"),
+                             (["stringy", "eval", "--input", str(snc)], "3000001 digits in a rational")):
+            start = time.perf_counter()
+            self.refused(argv, capsys, f"input budget exceeded: need {digits}, budget {cap}")
+            assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        code, out = run(["stringy", "point", "--a", "0e99999999", "--format", "json"])
+        assert code == 0 and json.loads(out)["a"] == "0" and time.perf_counter() - start < 1
+
+    def test_degree_of_an_input_file_capped_before_any_work(self, tmp_path, capsys):
+        # A fixture of degree 10^8 and the polynomial x^(10^8) - 1 each ran past 60 s.
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps([{"p": 5, "n": 10**8, "e": 1, "f": 10**8, "c": 0, "aut": 10**8, "label": "x"}]))
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"p": 5, "n": 1, "d": 0, "polys": [[[[10**8], 1], [[0], -1]]]}))
+        for argv, message in (
+            (["etale", "crossvalidate", "--fixtures", str(fixtures)],
+             f"count budget exceeded: need {10**8} degrees, budget {localfields.COUNT_DEGREE_BUDGET}"),
+            (["padic", "count", "--input", str(system), "--m", "1"],
+             f"lifting budget exceeded: need 69897001 digits in p^({10**8}m), budget {numutil.EXACT_DIGITS_BUDGET}"),
+        ):
+            start = time.perf_counter()
+            self.refused(argv, capsys, message)
+            assert time.perf_counter() - start < 1
+
     def test_exact_value_digits_bound_skips_possible_roots(self):
         # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound
         # from the power q^10000 would refuse what prints today.
@@ -401,18 +459,20 @@ class TestBudgets:
         ("x-3", "nullset", 10000, 6990),
         ("x-3", "count", 30000, 20970),
         ("x-3", "measure", 30000, 20970),
-        ("x2-2", "count", 20000, 13980),  # no root mod 5: the frontier is empty from level 1
+        ("x2-2", "count", 20000, 27959),  # no root mod 5: the frontier is empty from level 1
     ])
     def test_padic_depth_cap(self, poly, command, m, digits, monkeypatch, tmp_path, capsys):
-        # p^m may have at most EXACT_DIGITS_BUDGET digits, counted as m log10 p before any lifting.
+        # p^(m deg) may have at most EXACT_DIGITS_BUDGET digits, counted as m deg log10 p before
+        # any lifting: a degree-deg polynomial's values at points mod p^m are about that large.
         terms = {"x-3": [[[1], 1], [[0], -3]], "x2-2": [[[2], 1], [[0], -2]]}[poly]
+        power = {"x-3": "p^m", "x2-2": "p^(2m)"}[poly]
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"p": 5, "n": 1, "d": 0, "polys": [terms]}))
         monkeypatch.setattr(padic, "_compiled", None)  # any lifting work would fail
         flag = "--mmax" if command == "measure" else "--m"
         start = time.perf_counter()
         self.refused(["padic", command, "--input", str(path), flag, str(m)], capsys,
-                     f"lifting budget exceeded: need {digits} digits in p^m, budget {numutil.EXACT_DIGITS_BUDGET}")
+                     f"lifting budget exceeded: need {digits} digits in {power}, budget {numutil.EXACT_DIGITS_BUDGET}")
         assert time.perf_counter() - start < 1
 
     def test_padic_printed_fraction_digits(self, tmp_path, capsys):
@@ -483,25 +543,12 @@ class TestReports:
         assert [1, 5] in report["wild_strata_skipped"]
         assert report["complete"] is False
 
-    def test_etale_enumerate_with_fixtures(self):
-        code, out = run(
-            [
-                "etale",
-                "enumerate",
-                "--p",
-                "5",
-                "--n",
-                "2",
-                "--fixtures",
-                str(DATA / "sample_fixtures.json"),
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["fixtures"]["ok"] is True
-        assert len(report["fixtures"]["matched"]) == 3
+    def test_etale_enumerate_has_no_fixtures_option(self, capsys):
+        # fixtures are cross-validated by `etale crossvalidate` alone
+        code, out = run(["etale", "enumerate", "--p", "5", "--n", "2", "--fixtures", str(DATA / "sample_fixtures.json")])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and "unrecognized arguments: --fixtures" in err
 
     def test_etale_mass_exact_match(self):
         code, out = run(["etale", "mass", "--p", "7", "--n", "3", "--format", "json"])

@@ -41,7 +41,7 @@ MASS = {"massformulas", "partitions", "series"}
 
 @pytest.mark.parametrize("argv, modules", [
     (["padic", "count", "--input", "data/sample_circle.json", "--m", "2"], {"padic"}),
-    (["padic", "integral", "--c", "1/2", "--p", "5"], {"padic"}),
+    (["padic", "integral", "--c", "1/2", "--p", "5"], {"padic", "stringy"}),
     (["mass", "serre", "--n", "3"], MASS),
     (["mass", "invert", "--nmax", "4"], MASS),
     (["etale", "enumerate", "--p", "5", "--n", "3"], {"localfields"}),

@@ -73,6 +73,39 @@ def test_parse_rational_forms():
         parse_rational([1.5, 2])
 
 
+def test_parse_rational_exponent_notation():
+    # Every decimal form Fraction reads, built without Fraction's own 10**exponent, so that
+    # 0e99999999 is read at once.
+    for text in ("1.5e-3", "-2E+10", ".5e3", "5.e1", "1_0.0_5e2", "+12.5e-3", " 7e1 ", "-0.0e-5"):
+        assert parse_rational(text) == Fraction(text.strip()), text
+    assert parse_rational("0e99999999") == 0
+    for text in ("1/2e5", "e5", "1.5e", "1__0e5"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def test_parse_rational_counts_digits_in_lowest_terms(monkeypatch):
+    # With no digits allowed every value is refused, and the count it reports is the digits of
+    # its numerator or denominator in lowest terms, here checked against the built Fraction.
+    import random
+
+    from wildmckay import numutil
+
+    monkeypatch.setattr(numutil, "EXACT_DIGITS_BUDGET", 0)
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.choice([rng.randrange(1, 10 ** rng.randrange(1, 30)), 2 ** rng.randrange(60) * rng.choice([1, 3, 7]),
+                        5 ** rng.randrange(40) * rng.choice([1, 2, 3])])
+        digits, cut = str(n), rng.randrange(len(str(n)) + 1)
+        text = (digits[:cut] + "." + digits[cut:] if rng.random() < 0.5 else digits) + f"e{rng.randrange(-120, 120)}"
+        value = Fraction(text)
+        with pytest.raises(BudgetExceededError) as refused:
+            parse_rational(text)
+        assert refused.value.required == max(len(str(abs(value.numerator))), len(str(value.denominator))), text
+    with pytest.raises(BudgetExceededError, match="need 2 digits in a fixture, budget 0"):
+        parse_rational("1/10", "a fixture")
+
+
 def test_exact_int():
     assert exact_int(-3, "n") == -3
     for value in (True, 1.0, 1.5, "1", None):

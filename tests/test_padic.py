@@ -128,7 +128,8 @@ class TestCountPointsMod:
         evaluate = padic._column_values
         monkeypatch.setattr(padic, "_column_values", lambda *args: calls.append(args) or evaluate(*args))
         no_root = PolySystem(5, 1, [[((2,), 1), ((0,), -2)]], dim=0)
-        assert list(padic._level_counts(no_root, 6000)) == [0] * 6000
+        # 3075 is the deepest level it admits: 5^(2 * 3075) has 4,299 digits
+        assert list(padic._level_counts(no_root, 3075)) == [0] * 3075
         assert len(calls) == 2  # the polynomials and their Jacobian on the box
 
 
@@ -392,6 +393,23 @@ class TestMonomialIntegral:
         partial, exact = monomial_integral(-1, 5, terms=40)
         assert exact == QFrac(1, QExpr.q(2) + QExpr.q())
         assert abs(partial - exact.evaluate(5)) < Fraction(1, 10**9)
+
+    @pytest.mark.parametrize("c", ["2/3", "-1", "1/2", "-49994/3", "-20000", "1/997", "-7/3"])
+    def test_closed_form_is_the_built_quotient(self, c):
+        # The closed form is the stringy weight of one point with a = -1, reduced by cyclotomic
+        # trial division; the oracle builds q^-1 (q-1) / (q^(1-c) - 1) and reduces it by the gcd.
+        c = Fraction(c)
+        _, exact = monomial_integral(c, 5, terms=1)
+        oracle = QFrac(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)
+        assert (exact.num, exact.den) == (oracle.num, oracle.den)
+
+    def test_closed_form_refused_as_the_built_quotient(self):
+        c = Fraction(1, 49999)  # q^(49998/49999) - 1 spans more t-degrees than DENSE_DEGREE_BUDGET
+        with pytest.raises(BudgetExceededError) as oracle:
+            QFrac(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)
+        with pytest.raises(BudgetExceededError) as refused:
+            monomial_integral(c, 5, terms=1)
+        assert str(refused.value) == str(oracle.value) == "fraction budget exceeded: need 99997 t-degrees, budget 50000"
 
     def test_divergent_cases(self):
         for c in (1, Fraction(3, 2), 2):
