@@ -309,8 +309,12 @@ def _cmd_mass_invert(args):
 
 
 def _cmd_etale_enumerate(args):
-    from .localfields import (count_tame_etale_algebras, enumerate_tame_field_classes, skipped_wild_strata,
-                              tame_enumeration_is_complete)
+    from .localfields import (
+        count_tame_etale_algebras,
+        enumerate_tame_field_classes,
+        skipped_wild_strata,
+        tame_enumeration_is_complete,
+    )
 
     algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
     classes = enumerate_tame_field_classes(args.p, args.n)
@@ -388,21 +392,25 @@ def _cmd_stringy_eval(args):
     data = SncLogPairData.load(args.input)
     value = stringy_count_snc(data)
     # evaluated (or refused) before the value is rendered
-    at_q = {} if args.at_q is None else {"evaluated": _eval_payload(value, args.at_q)}
-    return EXIT_OK, {"input": args.input, "value": _expr_payload(value), **at_q}, None
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
+    report = {"input": args.input, "value": _expr_payload(value)}
+    if evaluated is not None:
+        report["evaluated"] = evaluated
+    return EXIT_OK, report, None
 
 
 def _cmd_stringy_point(args):
     from .stringy import stringy_point_contribution
 
     value = stringy_point_contribution(args.a, args.c)
-    at_q = {} if args.at_q is None else {"evaluated": _eval_payload(value, args.at_q)}
+    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {
         "a": format_rational(args.a),
         "c": [format_rational(c) for c in args.c],
         "value": _expr_payload(value),
-        **at_q,
     }
+    if evaluated is not None:
+        report["evaluated"] = evaluated
     return EXIT_OK, report, None
 
 

@@ -32,7 +32,7 @@ the enumerators skip and report them.
 from __future__ import annotations
 
 import json
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, prod
 from pathlib import Path
@@ -362,10 +362,13 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> FixtureReport:
             continue
         grouped.setdefault((fix.p, fix.n), []).append(fix)
     for (p, n), group in sorted(grouped.items()):
-        slots = Counter((cls.e, cls.f, cls.disc_exponent, cls.aut_order) for cls in enumerate_tame_field_classes(p, n))
+        slots: dict[tuple[int, int, int, int], int] = {}
+        for cls in enumerate_tame_field_classes(p, n):
+            key = (cls.e, cls.f, cls.disc_exponent, cls.aut_order)
+            slots[key] = slots.get(key, 0) + 1
         for fix in sorted(group, key=lambda fx: fx.label):
             key = (fix.e, fix.f, fix.disc_exponent, fix.aut_order)
-            if slots[key] > 0:
+            if slots.get(key, 0) > 0:
                 slots[key] -= 1
                 report.matched.append(fix.label)
             else:

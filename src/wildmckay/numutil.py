@@ -148,19 +148,22 @@ def json_array(value, what: str) -> list:
     return value
 
 
-# The strings Fraction reads as digits, a fraction part and an exponent ("-1.5e-3", "2E+10"),
-# matched case-insensitively; re compiles it on first use, so that an import does not.
-_SCIENTIFIC = r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?E([-+]?\d+(?:_\d+)*)\s*\Z"
+# The strings read as rationals: an integer over an optional positive integer, or a decimal with
+# an optional fraction part and exponent ("-1.5e-3", "2E+10"), with PEP 515 underscores between
+# digits, matched case-insensitively.  It is the grammar of Fraction's parser on Python 3.11,
+# kept here because that parser's grammar differs between versions (3.10 reads no underscores,
+# 3.12 also reads spaces around "/"); re compiles it on first use, so that an import does not.
+_RATIONAL = r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:E([-+]?\d+(?:_\d+)*))?)\s*\Z"
 
 
-def _scientific(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> Fraction:
-    """sign whole.fraction * 10^exponent, as Fraction reads it, counted before its power of 10
-    is built: n / 10^k is (n / 10^l) / 10^(k-l) in lowest terms for l = min(k, bit length of n),
-    since n / 10^l keeps no factor 2 or 5 of n once 2^l > n."""
+def _decimal(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> Fraction:
+    """sign whole.fraction * 10^exponent, counted before its power of 10 is built: n / 10^k is
+    (n / 10^l) / 10^(k-l) in lowest terms for l = min(k, bit length of n), since n / 10^l keeps
+    no factor 2 or 5 of n once 2^l > n."""
     n = int(sign + whole + fraction)
     if not n:
         return Fraction(0)
-    shift = int(exponent) - len(fraction.replace("_", ""))
+    shift = int(exponent or 0) - len(fraction.replace("_", ""))
     top = min(max(-shift, 0), n.bit_length())
     small, shift = Fraction(n, 10**top), shift + top
     digits = max(decimal_digits(small.numerator) + max(shift, 0), decimal_digits(small.denominator) - min(shift, 0))
@@ -170,20 +173,24 @@ def _scientific(sign: str, whole: str, fraction: str, exponent: str, unit: str) 
 
 
 def parse_rational(value, what: str = "a rational") -> Fraction:
-    """Accept an int, an "a/b" or decimal string, or a two-element [num, den] array.
+    """Accept an int, an "a/b" or decimal string (the grammar of _RATIONAL), or a two-element
+    [num, den] array.
 
     Every malformed value, a zero denominator included, is a ValueError, and a value with more
     than EXACT_DIGITS_BUDGET digits in its numerator or denominator a BudgetExceededError of
-    engine "input", counted as "digits in {what}": a string with an exponent before its power
-    of 10 is built.
+    engine "input", counted as "digits in {what}": a decimal string before its power of 10 is
+    built.
     """
     unit = f"digits in {what}"
     try:
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             rational = Fraction(value)
-        elif isinstance(value, str):
-            match = re.match(_SCIENTIFIC, value, re.IGNORECASE)
-            rational = _scientific(*match.groups(""), unit) if match else Fraction(value.strip())
+        elif isinstance(value, str) and (match := re.match(_RATIONAL, value, re.IGNORECASE)):
+            sign, whole, denominator, fraction, exponent = match.groups("")
+            if denominator:
+                rational = Fraction(int(sign + whole), int(denominator))
+            else:
+                rational = _decimal(sign, whole, fraction, exponent, unit)
         elif isinstance(value, (list, tuple)) and len(value) == 2:
             rational = Fraction(exact_int(value[0], "numerator"), exact_int(value[1], "denominator"))
         else:

@@ -67,7 +67,10 @@ def criterion_serre_recovery() -> tuple[bool, str]:
 
 @_criterion(3, "tame enumeration mass equals the partition formula at q=p")
 def criterion_enumeration_vs_bhargava() -> tuple[bool, str]:
-    bad = [(p, n) for p, n in MASS_PAIRS if algebra_mass_sum(p, n) != bhargava_mass(n).evaluate(p)]
+    bad = []
+    for p, n in MASS_PAIRS:
+        if algebra_mass_sum(p, n) != bhargava_mass(n).evaluate(p):
+            bad.append((p, n))
     if bad:
         return False, f"mismatch at (p,n) in {bad}"
     return True, f"exact rational equality at {len(MASS_PAIRS)} (p,n) pairs"
@@ -75,7 +78,11 @@ def criterion_enumeration_vs_bhargava() -> tuple[bool, str]:
 
 @_criterion(4, "wild McKay identity: mass side equals Hilbert-scheme count")
 def criterion_wild_mckay() -> tuple[bool, str]:
-    bad = [(p, n) for p, n in MASS_PAIRS if not verify_wild_mckay(p, n).passed]
+    bad = []
+    for p, n in MASS_PAIRS:
+        report = verify_wild_mckay(p, n)
+        if not report.passed:
+            bad.append((p, n))
     if bad:
         return False, f"identity fails at (p,n) in {bad}"
     return True, f"both sides agree exactly at {len(MASS_PAIRS)} (p,n) pairs"

@@ -74,13 +74,18 @@ def test_parse_rational_forms():
 
 
 def test_parse_rational_exponent_notation():
-    # Every decimal form Fraction reads, built without Fraction's own 10**exponent, so that
-    # 0e99999999 is read at once.
-    for text in ("1.5e-3", "-2E+10", ".5e3", "5.e1", "1_0.0_5e2", "+12.5e-3", " 7e1 ", "-0.0e-5"):
-        assert parse_rational(text) == Fraction(text.strip()), text
+    # Decimal forms, exponents and PEP 515 underscores read alike on every Python version (the
+    # values are written out, not read by Fraction, whose grammar differs between versions), and
+    # built without a 10**exponent, so that 0e99999999 is read at once.
+    expected = {"1.5e-3": Fraction(3, 2000), "-2E+10": Fraction(-2 * 10**10), ".5e3": Fraction(500),
+                "5.e1": Fraction(50), "1_0.0_5e2": Fraction(1005), "+12.5e-3": Fraction(1, 80),
+                " 7e1 ": Fraction(70), "-0.0e-5": Fraction(0), "1_0": Fraction(10), "1_0.5": Fraction(21, 2),
+                "1_0/3_0": Fraction(1, 3), "-4.25": Fraction(-17, 4), "1_0e5": Fraction(10**6)}
+    for text, value in expected.items():
+        assert parse_rational(text) == value, text
     assert parse_rational("0e99999999") == 0
-    for text in ("1/2e5", "e5", "1.5e", "1__0e5"):
-        with pytest.raises(ValueError):
+    for text in ("1/2e5", "e5", "1.5e", "1__0e5", "1_", "_1", "1 / 2", "1/-2", "1.5/2", "", "."):
+        with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
 
 
@@ -98,7 +103,7 @@ def test_parse_rational_counts_digits_in_lowest_terms(monkeypatch):
                         5 ** rng.randrange(40) * rng.choice([1, 2, 3])])
         digits, cut = str(n), rng.randrange(len(str(n)) + 1)
         text = (digits[:cut] + "." + digits[cut:] if rng.random() < 0.5 else digits) + f"e{rng.randrange(-120, 120)}"
-        value = Fraction(text)
+        value = Fraction(n, 10 ** (len(digits) - cut if "." in text else 0)) * Fraction(10) ** int(text.split("e")[1])
         with pytest.raises(BudgetExceededError) as refused:
             parse_rational(text)
         assert refused.value.required == max(len(str(abs(value.numerator))), len(str(value.denominator))), text
