@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "qexpr": ["INFINITE", "InfiniteType", "PoleError", "QExpr", "QFrac", "is_infinite", "monomial"],
+    "qexpr": ["INFINITE", "InfiniteType", "PoleError", "QExpr", "QFrac", "is_infinite"],
     "series": ["ConstantTermError", "TruncatedSeries"],
     "partitions": ["hilb_point_count", "partition_count", "partitions_into_parts"],
     "localfields": [

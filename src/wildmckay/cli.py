@@ -18,7 +18,6 @@ import io
 import json
 import re
 import sys
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from itertools import chain, repeat
@@ -29,6 +28,7 @@ from .numutil import (
     HenselMismatchError,
     SmoothnessError,
     check_exact_digits,
+    decimal_digits,
     format_rational,
     is_prime,
     parse_rational,
@@ -63,7 +63,7 @@ def _eval_payload(value, q0: Fraction) -> object:
     if is_infinite(value):
         return "Infinite"
     frac = QFrac(value)
-    if frac.num.has_integer_exponents() and frac.den.has_integer_exponents():
+    if frac.num.exponent_denominator() == 1 and frac.den.exponent_denominator() == 1:
         frac.check_exact(q0)
         exact = frac.evaluate(q0)
         check_exact_digits(exact, "evaluation", "digits in the exact value at q")
@@ -78,20 +78,23 @@ def _eval_payload(value, q0: Fraction) -> object:
 
 
 def _decimal_text(value: Fraction, digits: int = 15) -> str:
-    """f"{float(value):.15g}" (digits significant digits) where the float is 0 or normal; past
-    that range, above or below, the digits come from a 200-bit binary approximation of value
-    times a power of two taken in Decimal."""
-    try:
-        if abs(approx := float(value)) >= sys.float_info.min or not value:
-            return f"{approx:.{digits}g}"
-    except OverflowError:
-        pass
-    shift = value.numerator.bit_length() - value.denominator.bit_length() - 200
-    mantissa = Decimal((value.numerator << max(-shift, 0) >> max(shift, 0)) // value.denominator)
-    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        scaled = mantissa * Decimal(2) ** shift
-    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        return f"{scaled.normalize():.{digits}g}"
+    """value rounded half-even to digits significant digits in integer arithmetic, and written as
+    f"{x:.{digits}g}" writes a float x: positional from 10^-4 to 10^digits, trailing zeros dropped."""
+    if not value:
+        return "0"
+    size = abs(value)
+    exponent = decimal_digits(size.numerator) - decimal_digits(size.denominator)  # or one more
+    if size < Fraction(10) ** exponent:
+        exponent -= 1
+    mantissa = round(size / Fraction(10) ** (exponent - digits + 1))  # Fraction rounds ties to even
+    if mantissa == 10**digits:  # rounded up to the next power of 10
+        mantissa, exponent = mantissa // 10, exponent + 1
+    text, sign = str(mantissa), "-" if value < 0 else ""
+    if not -4 <= exponent < digits:
+        return sign + (text[0] + "." + text[1:]).rstrip("0").rstrip(".") + f"e{exponent:+03d}"
+    if exponent < 0:  # 0.00ddd: the point goes after the first of -exponent zeros
+        text, exponent = "0" * -exponent + text, 0
+    return sign + (text[:exponent + 1] + "." + text[exponent + 1:]).rstrip("0").rstrip(".")
 
 
 def _cell(value) -> str:
@@ -379,10 +382,6 @@ def _cmd_mckay_verify(args):
         "hilb_side": format_rational(result.hilb_side),
         "passed": result.passed,
     }
-    if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
-            _write_json(result.to_json(rows=False), (ROW_COLUMNS, result.rows), fh)
-        report["table"] = args.table
     return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (ROW_COLUMNS, result.rows)
 
 
@@ -531,8 +530,7 @@ _COMMANDS = [
     ("etale", "mass", "enumerated mass vs partition formula at q=p", _cmd_etale_mass, [_P, _N]),
     ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
      [("--fixtures", {"required": True})]),
-    ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify,
-     [_P, _N, ("--table", {"default": None, "help": "write the per-algebra breakdown JSON here"})]),
+    ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify, [_P, _N]),
     ("stringy", "eval", "evaluate the stratum formula from a JSON file", _cmd_stringy_eval,
      [_INPUT, _AT_Q]),
     ("stringy", "point", "single-point weight q^a prod (q-1)/(q^(1-c)-1)", _cmd_stringy_point,

@@ -236,11 +236,20 @@ def _tame_algebras(by_degree: list[list[TameFieldClass]], label: Callable[[TameF
 def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
     """All multisets of tame field classes with total degree n, in sorted order.
 
-    This is the full list of degree-n etale algebras when p > n; otherwise
-    it is only the tame sector (check tame_enumeration_is_complete).
+    This is the full list of degree-n etale algebras when p > n; otherwise it is only the tame
+    sector (check tame_enumeration_is_complete).  BudgetExceededError past ALGEBRAS_BUDGET.
     """
     return [EtaleAlgebra._make(listed + (n,))
-            for listed in _tame_algebras(_tame_classes_by_degree(p, n), lambda cls, m: (cls, m))]
+            for listed in _listed_tame_algebras(p, n, lambda cls, m: (cls, m))]
+
+
+def _listed_tame_algebras(p: int, n: int, label: Callable) -> list[tuple[tuple, int, int, int]]:
+    """_tame_algebras of the tame classes of degree <= n, built once for the count and the listing;
+    BudgetExceededError, before any listing, past ALGEBRAS_BUDGET algebras."""
+    by_degree = _tame_classes_by_degree(p, n)
+    if (count := _algebra_count(by_degree)) > ALGEBRAS_BUDGET:
+        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
+    return _tame_algebras(by_degree, label)
 
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
@@ -273,12 +282,9 @@ def complete_algebra_invariants(p: int, n: int, label: Callable[[TameFieldClass,
     geometric component count, #Aut) tuples, each factor label(class, multiplicity), one object
     per distinct pair.  PartialEnumerationError when wild algebras exist (p <= n), since the tame
     sector then misses them, and BudgetExceededError before any listing when there are more than
-    ALGEBRAS_BUDGET.  The tame classes are built once, for the count and the listing."""
+    ALGEBRAS_BUDGET."""
     _require_complete(p, n)
-    by_degree = _tame_classes_by_degree(p, n)
-    if (count := _algebra_count(by_degree)) > ALGEBRAS_BUDGET:
-        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
-    return _tame_algebras(by_degree, label)
+    return _listed_tame_algebras(p, n, label)
 
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:

@@ -22,12 +22,10 @@ independently enumerated algebra masses.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .numutil import BudgetExceededError, divisors
 from .partitions import partition_row
 from .qexpr import QExpr, _sum_over
-from .series import DEFAULT_TRUNCATION, TruncatedSeries, _coefficient
+from .series import TruncatedSeries
 
 __all__ = [
     "serre_mass",
@@ -72,32 +70,22 @@ def bhargava_mass(n: int) -> QExpr:
     return QExpr({-i: row[n - i] for i in range(n)})
 
 
-def _inner_exponent_series(n_max: int, N: Callable[[int, int], object]) -> TruncatedSeries:
-    """sum_{n>=1} x^n sum_{f|n} N(f, n/f) / f, truncated at n_max; each coefficient is built once,
-    over the lcm of its terms' denominators."""
+def _inner_exponent_series(n_max: int) -> TruncatedSeries:
+    """sum_{n>=1} x^n sum_{f|n} N(K_f, n/f) / f with Serre's masses N, truncated at n_max; each
+    coefficient is built once, over the lcm of its terms' denominators."""
     coeffs = [QExpr()]
     for n in range(1, n_max + 1):
-        coeffs.append(_sum_over([(_coefficient(N(f, n // f)), f) for f in divisors(n)]))
+        coeffs.append(_sum_over([(serre_mass(n // f, f), f) for f in divisors(n)]))
     return TruncatedSeries(coeffs)
 
 
-def mass_series_via_exp(n_max: int = DEFAULT_TRUNCATION, N: Callable[[int, int], object] | None = None) -> TruncatedSeries:
-    """Generating series sum_n M(K, n) x^n via the exponential identity.
-
-    N(f, m) defaults to Serre's totally ramified mass over K_f; passing a
-    different mapping rebuilds the series from recovered or external masses.
-    BudgetExceededError, before any work, past NMAX_BUDGET.
-    """
+def mass_series_via_exp(n_max: int) -> TruncatedSeries:
+    """Generating series sum_n M(K, n) x^n via the exponential identity, from Serre's totally
+    ramified masses over the K_f.  BudgetExceededError, before any work, past NMAX_BUDGET."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     _check_degree(n_max)
-    if N is None:
-        N = serre_mass_over_unramified
-    return _inner_exponent_series(n_max, N).exp()
-
-
-def serre_mass_over_unramified(f: int, m: int) -> QExpr:
-    return serre_mass(m, f)
+    return _inner_exponent_series(n_max).exp()
 
 
 def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:

@@ -50,19 +50,6 @@ class McKayReport(namedtuple("McKayReport", "p n mass_side hilb_side rows")):
     def passed(self) -> bool:
         return self.mass_side == self.hilb_side
 
-    def to_json(self, rows: bool = True) -> dict:
-        """The report with one dict per row; with rows=False, without the rows."""
-        report = {
-            "p": self.p,
-            "n": self.n,
-            "mass_side": [self.mass_side.numerator, self.mass_side.denominator],
-            "hilb_side": [self.hilb_side.numerator, self.hilb_side.denominator],
-            "passed": self.passed,
-        }
-        if rows:
-            report["rows"] = [dict(zip(ROW_COLUMNS, row)) for row in self.rows]
-        return report
-
 
 def verify_wild_mckay(p: int, n: int) -> McKayReport:
     """Check mass side == Hilbert-scheme point count at q = p, exactly.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -156,14 +157,23 @@ def json_array(value, what: str) -> list:
 _RATIONAL = r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:E([-+]?\d+(?:_\d+)*))?)\s*\Z"
 
 
+def _int(text: str, unit: str) -> int:
+    """int(text) for a signed digit string, its leading zeros dropped first; a string of more
+    digits than int() reads (Python's int-to-str limit) is refused by its count."""
+    digits, limit = text.lstrip("+-0_"), getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if (count := len(digits) - digits.count("_")) > limit > 0:
+        raise BudgetExceededError(count, EXACT_DIGITS_BUDGET, "input", unit=unit)
+    return -int(digits or "0") if text[:1] == "-" else int(digits or "0")
+
+
 def _decimal(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> Fraction:
     """sign whole.fraction * 10^exponent, counted before its power of 10 is built: n / 10^k is
     (n / 10^l) / 10^(k-l) in lowest terms for l = min(k, bit length of n), since n / 10^l keeps
     no factor 2 or 5 of n once 2^l > n."""
-    n = int(sign + whole + fraction)
+    n = _int(sign + whole + fraction, unit)
     if not n:
         return Fraction(0)
-    shift = int(exponent or 0) - len(fraction.replace("_", ""))
+    shift = _int(exponent, unit) - len(fraction.replace("_", ""))
     top = min(max(-shift, 0), n.bit_length())
     small, shift = Fraction(n, 10**top), shift + top
     digits = max(decimal_digits(small.numerator) + max(shift, 0), decimal_digits(small.denominator) - min(shift, 0))
@@ -178,8 +188,8 @@ def parse_rational(value, what: str = "a rational") -> Fraction:
 
     Every malformed value, a zero denominator included, is a ValueError, and a value with more
     than EXACT_DIGITS_BUDGET digits in its numerator or denominator a BudgetExceededError of
-    engine "input", counted as "digits in {what}": a decimal string before its power of 10 is
-    built.
+    engine "input", counted as "digits in {what}": a digit string too long for int() by its
+    length, and a decimal string before its power of 10 is built.
     """
     unit = f"digits in {what}"
     try:
@@ -188,7 +198,7 @@ def parse_rational(value, what: str = "a rational") -> Fraction:
         elif isinstance(value, str) and (match := re.match(_RATIONAL, value, re.IGNORECASE)):
             sign, whole, denominator, fraction, exponent = match.groups("")
             if denominator:
-                rational = Fraction(int(sign + whole), int(denominator))
+                rational = Fraction(_int(sign + whole, unit), _int(denominator, unit))
             else:
                 rational = _decimal(sign, whole, fraction, exponent, unit)
         elif isinstance(value, (list, tuple)) and len(value) == 2:

@@ -120,14 +120,6 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.num_vars,
-            "d": self.dim,
-            "polys": [[[list(exps), coeff] for exps, coeff in poly] for poly in self.polys],
-        }
-
     @staticmethod
     def from_json(data: Mapping) -> "PolySystem":
         json_object(data, "polynomial system")

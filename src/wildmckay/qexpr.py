@@ -42,7 +42,6 @@ __all__ = [
     "INFINITE",
     "PoleError",
     "is_infinite",
-    "monomial",
     "DENSE_DEGREE_BUDGET",
 ]
 
@@ -246,20 +245,12 @@ class QExpr:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "QExpr":
-        return QExpr()
-
-    @staticmethod
     def one() -> "QExpr":
         return QExpr({0: 1})
 
     @staticmethod
     def q(exponent: Rational = 1) -> "QExpr":
         return _make([(exponent, 1)]) if type(exponent) is int else QExpr({exponent: 1})
-
-    @staticmethod
-    def const(value: Rational) -> "QExpr":
-        return QExpr({0: value})
 
     # -- inspection --------------------------------------------------------
 
@@ -280,9 +271,6 @@ class QExpr:
     def exponent_denominator(self) -> int:
         """Least r such that every exponent is a multiple of 1/r."""
         return self._r
-
-    def has_integer_exponents(self) -> bool:
-        return self._r == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -412,10 +400,6 @@ class QExpr:
         r, den = self._r, self._den
         return [[e // (g := math.gcd(e, r)), r // g, n // (h := math.gcd(n, den)), den // h] for e, n in self._nums]
 
-    @staticmethod
-    def from_json(data: Iterable[Iterable[int]]) -> "QExpr":
-        return QExpr((Fraction(int(en), int(ed)), Fraction(int(cn), int(cd))) for en, ed, cn, cd in data)
-
     def __repr__(self) -> str:
         return f"QExpr({self})"
 
@@ -436,11 +420,6 @@ class QExpr:
         return "".join(parts)
 
 
-def monomial(coeff: Rational, exponent: Rational) -> QExpr:
-    """Single-term expression coeff * q^exponent (zero if coeff is 0)."""
-    return QExpr({exponent: coeff})
-
-
 # ---------------------------------------------------------------------------
 # QFrac
 # ---------------------------------------------------------------------------
@@ -449,7 +428,7 @@ def monomial(coeff: Rational, exponent: Rational) -> QExpr:
 class QFrac:
     """Value of a quotient of two QExpr, in canonical reduced form.
 
-    A value type: built, compared, hashed, evaluated, printed and serialised,
+    A value type: built, compared, hashed, evaluated and printed,
     never added or multiplied (sums and products are taken in QExpr first).
 
     Canonicalization: scale exponents to a common denominator r, so both
@@ -503,7 +482,7 @@ class QFrac:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QExpr.const(other)
+            other = QExpr._coerce(other)
         if isinstance(other, QExpr):
             # A non-Laurent value never equals a Laurent one.
             return self.as_laurent() == other
@@ -588,14 +567,7 @@ class QFrac:
             inner /= 16
         raise PoleError(f"denominator {self._den} vanishes (or nearly) at q={q0}")
 
-    # -- serialization / display ----------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"num": self._num.to_json(), "den": self._den.to_json()}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "QFrac":
-        return QFrac(QExpr.from_json(data["num"]), QExpr.from_json(data["den"]))
+    # -- display ----------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"QFrac({self})"

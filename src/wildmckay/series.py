@@ -1,20 +1,17 @@
-"""Truncated formal power series in x with Laurent coefficients in q.
+"""Truncated formal power series in x with Laurent coefficients in q, and their exp and log.
 
-Carrier of the exponential formula relating masses of field extensions to
-masses of etale algebras.  Every coefficient is a ``QExpr``; an int or
-Fraction becomes a constant one, anything else (a ``QFrac`` included) is a
-TypeError.  Products, exp and log run on dense integer rows over t = q^(g/r),
-r the lcm of the coefficients' exponent denominators and g the gcd of their
-integer exponents over q^(1/r), so t is the largest step dividing every
-exponent: each coefficient is the numerators of t^low, t^(low+1), ... over
-one denominator, packed into one integer of
-signed w-bit slots, so a product of two coefficients is one big-integer
-multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J.
-Symbolic Comput. 44 (2009)).  exp and log run the recurrences
-m e_m = sum_k k s_k e_(m-k) and m l_m = m s_m - sum_k k l_k s_(m-k); each
-step sums its products over one denominator in the packed domain and
-unpacks once, with w from the bits of that step's products, rounded up to
-32, and each row keeps its packing per width.
+Carrier of the exponential formula relating masses of field extensions to masses of etale
+algebras: exp of the per-degree weights, and log to invert it.  Every coefficient is a ``QExpr``;
+an int or Fraction becomes a constant one, anything else (a ``QFrac`` included) is a TypeError.
+exp and log run on dense integer rows over t = q^(g/r), r the lcm of the coefficients' exponent
+denominators and g the gcd of their integer exponents over q^(1/r), so t is the largest step
+dividing every exponent: each coefficient is the numerators of t^low, t^(low+1), ... over one
+denominator, packed into one integer of signed w-bit slots, so a product of two coefficients is
+one big-integer multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J.
+Symbolic Comput. 44 (2009)).  exp and log run the recurrences m e_m = sum_k k s_k e_(m-k) and
+m l_m = m s_m - sum_k k l_k s_(m-k); each step sums its products over one denominator in the
+packed domain and unpacks once, with w from the bits of that step's products, rounded up to 32,
+and each row keeps its packing per width.
 """
 
 from __future__ import annotations
@@ -25,9 +22,7 @@ from typing import Iterable
 from .numutil import BudgetExceededError, slot_bias, unpack_slots
 from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make, _pairs_over, _row
 
-__all__ = ["TruncatedSeries", "ConstantTermError", "DEFAULT_TRUNCATION"]
-
-DEFAULT_TRUNCATION = 12
+__all__ = ["TruncatedSeries", "ConstantTermError"]
 
 
 class ConstantTermError(ValueError):
@@ -95,20 +90,18 @@ def _scaled(row: _Row | None, a: int, b: int) -> _Row | None:
     return _Row(row.low, [n // h * (a // g) for n in row.nums], row.den // g * (b // h))
 
 
-def _rows(series: list[tuple[QExpr, ...]], degree: int) -> tuple[tuple[int, int], list[list[_Row | None]]]:
-    """((g, r), rows of each series over t = q^(g/r)), g / r the largest step of which every
+def _rows(coeffs: tuple[QExpr, ...], degree: int) -> tuple[tuple[int, int], list[_Row | None]]:
+    """((g, r), the rows of coeffs over t = q^(g/r)), g / r the largest step of which every
     exponent is a multiple, for coefficients whose products reach `degree` factors; a
     BudgetExceededError when such a product could span more than DENSE_DEGREE_BUDGET t-degrees."""
-    r = math.lcm(*[c._r for cs in series for c in cs])
-    g = math.gcd(*[e * (r // c._r) for cs in series for c in cs for e, _ in c._nums]) or 1
-    rows: list[list[_Row | None]] = []
-    for cs in series:
-        rows.append([])
-        for c in cs:
-            ts = [(e // g, n) for e, n in _pairs_over(c, r)]
-            if ts and (span := ts[-1][0] - ts[0][0]) * degree > DENSE_DEGREE_BUDGET:
-                raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
-            rows[-1].append(_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None)
+    r = math.lcm(*[c._r for c in coeffs])
+    g = math.gcd(*[e * (r // c._r) for c in coeffs for e, _ in c._nums]) or 1
+    rows: list[_Row | None] = []
+    for c in coeffs:
+        ts = [(e // g, n) for e, n in _pairs_over(c, r)]
+        if ts and (span := ts[-1][0] - ts[0][0]) * degree > DENSE_DEGREE_BUDGET:
+            raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
+        rows.append(_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None)
     return (g, r), rows
 
 
@@ -120,37 +113,18 @@ def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
 
 
 class TruncatedSeries:
-    """Power series known exactly through degree ``truncation``."""
+    """Power series known exactly through degree ``truncation``, its number of coefficients less one."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[object], truncation: int | None = None):
-        cs = [_coefficient(c) for c in coeffs]
-        if truncation is not None:
-            if truncation < 0:
-                raise ValueError("truncation degree must be non-negative")
-            cs = cs[: truncation + 1]
-            cs.extend(_ZERO for _ in range(truncation + 1 - len(cs)))
+    def __init__(self, coeffs: Iterable[object]):
+        cs = tuple(_coefficient(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the degree-0 coefficient")
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(truncation: int = DEFAULT_TRUNCATION) -> "TruncatedSeries":
-        return TruncatedSeries([], truncation)
-
-    @staticmethod
-    def one(truncation: int = DEFAULT_TRUNCATION) -> "TruncatedSeries":
-        return TruncatedSeries([1], truncation)
-
-    @staticmethod
-    def x(truncation: int = DEFAULT_TRUNCATION) -> "TruncatedSeries":
-        return TruncatedSeries([0, 1], truncation)
 
     # -- inspection ------------------------------------------------------------
 
@@ -167,23 +141,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self._coeffs[n]
 
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries([self._coeffs[i] + other._coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            n = min(self.truncation, other.truncation)
-            step, (a, b) = _rows([self._coeffs[: n + 1], other._coeffs[: n + 1]], 2)
-            return TruncatedSeries([_expr(_dot([(1, a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]]), step)
-                                    for m in range(n + 1)])
-        scalar = _coefficient(other)
-        return TruncatedSeries([c * scalar for c in self._coeffs])
-
-    __rmul__ = __mul__
-
     # -- exp / log ------------------------------------------------------------------
 
     def exp(self) -> "TruncatedSeries":
@@ -191,7 +148,7 @@ class TruncatedSeries:
         if not self._coeffs[0].is_zero:
             raise ConstantTermError("exp needs a series with zero constant term")
         n = self.truncation
-        step, (s,) = _rows([self._coeffs], n)
+        step, s = _rows(self._coeffs, n)
         ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
         e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
@@ -203,7 +160,7 @@ class TruncatedSeries:
         if self._coeffs[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
         n = self.truncation
-        step, (s,) = _rows([self._coeffs], n)
+        step, s = _rows(self._coeffs, n)
         kl: list[_Row | None] = [None] * (n + 1)  # k l_k
         for m in range(1, n + 1):
             terms = [(-1, kl[k], s[m - k]) for k in range(1, m) if kl[k] and s[m - k]]

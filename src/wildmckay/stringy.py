@@ -119,22 +119,6 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
         with open(path, "r", encoding="utf-8") as fh:
             return SncLogPairData.from_json(json.load(fh))
 
-    def to_json(self) -> dict:
-        return {
-            "horizontal": [[c.numerator, c.denominator] for c in self.horizontal],
-            "vertical": [
-                {
-                    "a": [component.a.numerator, component.a.denominator],
-                    "strata": [
-                        {"subset": sorted(subset), "count": count}
-                        for subset, count in component.strata
-                    ],
-                }
-                for component in self.vertical
-            ],
-            **({} if self.declared_total is None else {"total": self.declared_total}),
-        }
-
 
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:
     """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point,

@@ -71,6 +71,14 @@ class TestExitCodes:
             assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
                 "wildmckay: error: unrecognized arguments: --precision 1e-3"], argv
 
+    def test_table_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # Gone: it wrote the rows that --format json prints to a second file, in a second shape.
+        monkeypatch.chdir(tmp_path)
+        assert run(["mckay", "verify", "--p", "5", "--n", "2", "--table", "breakdown.json"]) == (2, "")
+        assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+            "wildmckay: error: unrecognized arguments: --table breakdown.json"]
+        assert not list(tmp_path.iterdir())
+
     def test_algebra_budget_is_checked_before_listing(self, capsys):
         start = time.perf_counter()
         code, out = run(["mckay", "verify", "--p", "101", "--n", "40"])
@@ -179,6 +187,62 @@ class TestExitCodes:
             "wildmckay etale mass: error: argument --p: cannot decide whether 3317044064679887385961981 is prime: "
             "the test is exact only below 3317044064679887385961981"
         ]
+
+
+def decimal_oracle(value: Fraction, digits: int) -> str:
+    """digits significant digits of value, rounded half-even by integer division, written with
+    Decimal in the style of f"{x:.{digits}g}" for a float x."""
+    from decimal import Decimal, localcontext
+
+    if not value:
+        return "0"
+    a, b = abs(value.numerator), value.denominator
+    exponent = len(str(a)) - len(str(b))
+    if a < b * 10**exponent if exponent >= 0 else a * 10**-exponent < b:
+        exponent -= 1
+    shift = digits - 1 - exponent  # mantissa = value * 10^shift, rounded
+    num, den = (a * 10**shift, b) if shift >= 0 else (a, b * 10**-shift)
+    mantissa, rest = divmod(num, den)
+    if 2 * rest > den or (2 * rest == den and mantissa % 2):
+        mantissa += 1
+    if mantissa == 10**digits:
+        mantissa, exponent, shift = mantissa // 10, exponent + 1, shift - 1
+    sign = "-" if value < 0 else ""
+    with localcontext() as context:
+        context.prec = digits + 10
+        if -4 <= exponent < digits:
+            text = format(Decimal(mantissa).scaleb(-shift), "f")
+            return sign + (text.rstrip("0").rstrip(".") if "." in text else text)
+        text = format(Decimal(mantissa).scaleb(1 - digits), "f").rstrip("0").rstrip(".")
+        return f"{sign}{text}e{'-' if exponent < 0 else '+'}{abs(exponent):02d}"
+
+
+class TestDecimalText:
+    def test_matches_the_integer_oracle(self):
+        # Rounded through a float, 1.6% of random rationals printed a wrong last digit.
+        import random
+
+        rng = random.Random(20)
+        values = [Fraction(242, 729), Fraction(-10**6 + 5, 10**13), Fraction(999999500001, 10**6), Fraction(1, 3 * 10**500),
+                  Fraction(7**2000, 3**1000), -Fraction(10**330 + 1, 3), Fraction(5, 10**5), Fraction(1, 10**5)]
+        for _ in range(10000):
+            size = rng.choice((3, 17, 40, 700))
+            values.append(Fraction(rng.randint(-10**size, 10**size), rng.randint(1, 10 ** rng.choice((1, 17, 40, 700)))))
+        for digits in (15, 6):
+            # exact ties: digits kept digits, then a 5 and nothing after it
+            values += [(rng.randint(10**(digits - 1), 10**digits - 1) * 10 + 5) * Fraction(10) ** rng.randint(-400, 30)
+                       for _ in range(500)]
+        for value in values:
+            for digits in (15, 6):
+                assert cli._decimal_text(value, digits) == decimal_oracle(value, digits), (value, digits)
+        # a float prints the exact value of its binary fraction in the same style
+        for x in (1e-5, 0.0001, 123456789012345.0, 1234567890123456.0, 2.5e-300, -1.7976931348623157e308):
+            assert cli._decimal_text(Fraction(x)) == decimal_oracle(Fraction(x), 15) == f"{x:.15g}"
+
+    def test_reported_repros(self):
+        assert cli._decimal_text(Fraction(242, 729)) == "0.33196159122085"
+        code, out = run(["padic", "integral", "--c=-5", "--p", "11", "--terms", "2", "--format", "json"])
+        assert code == 0 and json.loads(out)["partial"] == "5.13158407895086e-07"
 
 
 class TestCollectorPause:
@@ -403,6 +467,22 @@ class TestBudgets:
                      f"input budget exceeded: need 1000001 digits in a rational option, budget {cap}")
         assert time.perf_counter() - start < 3
 
+    def test_digit_strings_counted_before_int_reads_them(self, tmp_path, capsys):
+        # A digit string past Python's own int-to-str limit (4,300 digits) ended in its message,
+        # and 5,000 leading zeros before a 1 did too, although the value is 1.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        snc = tmp_path / "snc.json"
+        snc.write_text(json.dumps({"horizontal": ["1" + "0" * 4300], "vertical": []}))
+        for argv, digits in ((["stringy", "point", "--a", "1" + "0" * 4300], "4301 digits in a rational option"),
+                             (["stringy", "point", "--a", "1/" + "7" * 4301], "4301 digits in a rational option"),
+                             (["stringy", "point", "--c", "1" + "3" * 4400 + ".5"], "4402 digits in a rational option"),
+                             (["stringy", "eval", "--input", str(snc)], "4301 digits in a rational")):
+            self.refused(argv, capsys, f"input budget exceeded: need {digits}, budget {cap}")
+        for text, value in (("0" * 5000 + "1", "1"), ("-" + "0" * 5000 + "2/0" + "0" * 5000 + "4", "-1/2"),
+                            ("0" * 5000 + ".5e" + "0" * 5000 + "1", "5")):
+            code, out = run(["stringy", "point", f"--a={text}", "--format", "json"])
+            assert code == 0 and json.loads(out)["a"] == value
+
     def test_exponent_notation_counted_before_it_is_built(self, tmp_path, capsys):
         # 10^30000000 took past 60 s to build before it was counted, and a JSON rational was not
         # counted at all: 10^-3000000 ended in Python's int-to-str message after 1.8 s.
@@ -574,17 +654,6 @@ class TestReports:
         code, out = run(["etale", "crossvalidate", "--fixtures", str(bogus), "--format", "json"])
         assert code == 1
 
-    def test_mckay_verify_writes_table(self, tmp_path):
-        table = tmp_path / "table.json"
-        code, out = run(
-            ["mckay", "verify", "--p", "5", "--n", "2", "--table", str(table), "--format", "json"]
-        )
-        assert code == 0
-        dumped = json.loads(table.read_text())
-        assert dumped["passed"] is True
-        assert dumped["mass_side"] == [750, 1]
-        assert len(dumped["rows"]) == 4
-
     def test_stringy_eval_with_numeric(self):
         code, out = run(
             [
@@ -638,6 +707,7 @@ class TestReports:
         assert json.loads(out)["exact"] == "Infinite"
 
     @pytest.mark.parametrize("c, p, terms, digits", [
+        ("0", 3, 5, "0.33196159122085"),  # 242/729, printed 0.331961591220851 through a float
         ("2/3", 5, 60, "1.1267987369779"),
         ("-7/3", 7, 20, "0.00130834459988058"),
         ("1/2", 999983, 2235, "0.00100100851710867"),
@@ -715,14 +785,6 @@ class TestJsonWriter:
     def test_unsupported_values_raise_like_json(self):
         with pytest.raises(TypeError):
             _json_text({"x": object()})
-
-    def test_table_file_bytes(self, tmp_path):
-        from wildmckay.mckay import verify_wild_mckay
-
-        table = tmp_path / "table.json"
-        assert run(["mckay", "verify", "--p", "13", "--n", "7", "--table", str(table)])[0] == 0
-        expected = json.dumps(verify_wild_mckay(13, 7).to_json(), sort_keys=True, indent=2) + "\n"
-        assert table.read_bytes() == expected.encode("ascii")
 
     @pytest.mark.parametrize("rows", [ODD_TABLE[1], ODD_TABLE[1][:1], []], ids=["chunks", "one", "empty"])
     def test_tables_match_json_dumps_of_row_dicts(self, rows):

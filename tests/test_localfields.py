@@ -27,6 +27,7 @@ from wildmckay.localfields import (
     tame_enumeration_is_complete,
 )
 from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
+from wildmckay.numutil import BudgetExceededError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "sample_fixtures.json"
 
@@ -237,6 +238,18 @@ class TestCountingWithoutListing:
     def test_counts_far_beyond_listing(self):
         assert count_tame_etale_algebras(101, 40) == 634306319
         assert count_tame_etale_algebras(29, 22) == 296646
+
+    def test_listing_is_refused_past_the_algebras_budget(self, monkeypatch):
+        # The tame-sector listing takes the budget that `mckay verify` takes: (29, 22) listed its
+        # 296,646 algebras in 1.3 s, and (101, 40) would have tried 634,306,319.
+        def no_listing(by_degree, label):
+            raise AssertionError("listed although over budget")
+
+        monkeypatch.setattr(localfields, "_tame_algebras", no_listing)
+        for p, n, count in ((29, 22, 296646), (101, 40, 634306319)):
+            with pytest.raises(BudgetExceededError) as refused:
+                enumerate_tame_etale_algebras(p, n)
+            assert (refused.value.required, refused.value.budget) == (count, localfields.ALGEBRAS_BUDGET)
 
     @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (3, 6), (2, 5), (31, 10)])
     def test_listing_is_sorted_and_canonical(self, p, n):

@@ -16,7 +16,6 @@ from wildmckay.qexpr import (
     QFrac,
     _int_nth_root,
     is_infinite,
-    monomial,
 )
 
 
@@ -28,15 +27,15 @@ def sqrt_oracle(n: int, digits: int) -> Fraction:
 
 class TestMonomial:
     def test_identity_element(self):
-        assert monomial(1, 0) == QExpr.one()
+        assert QExpr({0: 1}) == QExpr.one()
 
     def test_single_monomial(self):
-        m = monomial(1, -1)
+        m = QExpr({-1: 1})
         assert m.terms == ((Fraction(-1), Fraction(1)),)
 
     def test_zero_annihilation(self):
-        assert monomial(0, 5) == QExpr.zero()
-        assert monomial(0, 5).terms == ()
+        assert QExpr({5: 0}) == QExpr()
+        assert QExpr({5: 0}).terms == ()
 
 
 class TestArithmetic:
@@ -60,14 +59,14 @@ class TestArithmetic:
 
     def test_additive_identity(self):
         x = QExpr({Fraction(3, 2): 2, -1: 5})
-        assert x + QExpr.zero() == x
+        assert x + QExpr() == x
         assert QFrac(x + 0, QExpr.q() + 1) == QFrac(x, QExpr.q() + 1)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QExpr.one() / QExpr.zero()
+            QExpr.one() / QExpr()
         with pytest.raises(ZeroDivisionError):
-            QFrac(QExpr.one(), QExpr.zero())
+            QFrac(QExpr.one(), QExpr())
 
     def test_fraction_cancellation_is_canonical(self):
         q = QExpr.q()
@@ -116,7 +115,7 @@ class TestEvaluate:
             q0 = Fraction(rng.randint(1, 12), rng.randint(1, 12))
             want = sum((c * q0**e for e, c in terms), Fraction(0))
             assert QExpr(terms).evaluate(q0) == want
-        assert QExpr().evaluate(Fraction(2, 3)) == 0 and QExpr.const(Fraction(5, 7)).evaluate(9) == Fraction(5, 7)
+        assert QExpr().evaluate(Fraction(2, 3)) == 0 and QExpr({0: Fraction(5, 7)}).evaluate(9) == Fraction(5, 7)
         # 1 + q + ... + q^2999 = (q^3000 - 1) / (q - 1), at q = 5 and at q = 2/3
         geometric = QExpr({e: 1 for e in range(3000)})
         assert geometric.evaluate(5) == (5**3000 - 1) // 4
@@ -213,16 +212,11 @@ class TestRingAxioms:
 
 class TestSerialization:
     def test_qexpr_roundtrip(self):
+        # The CLI prints a value's terms as these quadruples; they rebuild it through the constructor.
         expr = QExpr({Fraction(-1, 2): Fraction(3, 4), 2: -5})
         data = expr.to_json()
         assert data == [[-1, 2, 3, 4], [2, 1, -5, 1]]
-        assert QExpr.from_json(data) == expr
-
-    def test_qfrac_roundtrip(self):
-        frac = QFrac(QExpr.q() + 1, QExpr.q(2) + QExpr.q())
-        data = frac.to_json()
-        assert set(data) == {"num", "den"}
-        assert QFrac.from_json(data) == frac
+        assert QExpr((Fraction(en, ed), Fraction(cn, cd)) for en, ed, cn, cd in data) == expr
 
 
 class TestInfinite:
@@ -293,7 +287,7 @@ class TestCanonicalExponents:
         half = QExpr.q(Fraction(1, 2))
         # (q^(5/2) + q^(1/2)) / (q^(3/2) + q^(1/2)) = (q^2 + 1) / (q + 1), via t = q^(1/2)
         reduced = QFrac(QExpr.q(Fraction(5, 2)) + half, QExpr.q(Fraction(3, 2)) + half)
-        for expr in (QExpr.q(Fraction(4, 2)), half * half, QExpr.from_json([[6, 3, 1, 1]]),
+        for expr in (QExpr.q(Fraction(4, 2)), half * half, QExpr({Fraction(1, 3): 0, 2: 1}),
                      (QExpr.q(3) * half).scale_exponents(2), reduced.num, reduced.den):
             assert expr.terms and all(type(e) is int for e, _ in expr.terms), expr
         # q -> q^k only for an int k >= 1
@@ -309,11 +303,11 @@ class TestCanonicalExponents:
 class TestHashAgreesWithEquality:
     CASES = [
         (QExpr.q(-1), QFrac(QExpr.q(-1))),
-        (QExpr.const(3), 3),
+        (QExpr({0: 3}), 3),
         (QFrac(3), 3),
-        (QExpr.const(Fraction(-2, 3)), Fraction(-2, 3)),
-        (QExpr.zero(), 0),
-        (QFrac(0), QExpr.zero()),
+        (QExpr({0: Fraction(-2, 3)}), Fraction(-2, 3)),
+        (QExpr(), 0),
+        (QFrac(0), QExpr()),
         (QFrac(1, QExpr.q(2)), QExpr.q(-2)),
         (QFrac(QExpr.q(Fraction(1, 2)) + 1, QExpr.q(Fraction(3, 2))), QExpr({-1: 1, Fraction(-3, 2): 1})),
     ]
@@ -561,7 +555,7 @@ class TestIntegerKernelOracles:
             assert model_of(a + b) == model(list(ma.items()) + list(mb.items()))
             assert model_of(a - b) == model(list(ma.items()) + [(e, -c) for e, c in mb.items()])
             assert model_of(a * b) == model(product.items())
-            assert (a - a).is_zero and a + (-a) == QExpr.zero() == a * 0
+            assert (a - a).is_zero and a + (-a) == QExpr() == a * 0
             scalar = rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)))
             assert model_of(a * scalar) == model((e, c * scalar) for e, c in ma.items())
             assert model_of(scalar * a) == model_of(a * scalar)
@@ -574,8 +568,8 @@ class TestIntegerKernelOracles:
         rng = random.Random(7)
         for _ in range(200):
             x = rng.choice((rng.randint(-10**30, 10**30), Fraction(rng.randint(-99, 99), rng.randint(1, 99))))
-            assert QExpr.const(x) == x and hash(QExpr.const(x)) == hash(x)
-            assert hash(QExpr.const(x) + QExpr.q(Fraction(1, 3)) - QExpr.q(Fraction(1, 3))) == hash(x)
+            assert QExpr({0: x}) == x and hash(QExpr({0: x})) == hash(x)
+            assert hash(QExpr({0: x}) + QExpr.q(Fraction(1, 3)) - QExpr.q(Fraction(1, 3))) == hash(x)
         # A fractional exponent that cancels leaves r == 1 behind, as for the constants above.
         q = QExpr.q(Fraction(1, 2)) + QExpr.q() - QExpr.q(Fraction(1, 2))
         assert q == QExpr.q() and hash(q) == hash(QExpr.q()) and q.exponent_denominator() == 1

@@ -12,37 +12,18 @@ from wildmckay.series import ConstantTermError, TruncatedSeries
 
 
 def series(*coeffs, truncation=None):
-    return TruncatedSeries(coeffs, truncation)
-
-
-class TestMul:
-    def test_difference_of_squares(self):
-        a = series(1, 1, truncation=2)
-        b = series(1, -1, truncation=2)
-        assert a * b == series(1, 0, -1)
-
-    def test_multiplicative_identity(self):
-        a = series(3, Fraction(1, 2), QExpr.q(-1), truncation=4)
-        assert a * TruncatedSeries.one(4) == a
-
-    def test_geometric_series_inverse(self):
-        geometric = series(1, 1, 1, 1, 1)
-        assert geometric * series(1, -1, truncation=4) == series(1, 0, 0, 0, 0)
-
-    def test_truncation_is_min(self):
-        a = TruncatedSeries.one(3)
-        b = TruncatedSeries.one(7)
-        assert (a * b).truncation == 3
-        assert (a + b).truncation == 3
+    """The series of coeffs, padded with zeros through degree truncation."""
+    padding = 0 if truncation is None else truncation + 1 - len(coeffs)
+    return TruncatedSeries(list(coeffs) + [0] * padding)
 
 
 class TestExp:
     def test_exp_x(self):
-        e = TruncatedSeries.x(4).exp()
+        e = series(0, 1, truncation=4).exp()
         assert e == series(1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
 
     def test_exp_zero(self):
-        assert TruncatedSeries.zero(6).exp() == TruncatedSeries.one(6)
+        assert series(0, truncation=6).exp() == series(1, truncation=6)
 
     def test_exp_degree_two_mass_shape(self):
         # Hand expansion: exp(x + (q^-1 + 1/2) x^2) = 1 + x + (q^-1 + 1/2 + 1/2) x^2 + ...
@@ -52,7 +33,7 @@ class TestExp:
 
     def test_nonzero_constant_term_rejected(self):
         with pytest.raises(ConstantTermError):
-            TruncatedSeries.one(3).exp()
+            series(1, truncation=3).exp()
 
 
 class TestLog:
@@ -61,7 +42,7 @@ class TestLog:
         assert l == series(0, 1, Fraction(-1, 2), Fraction(1, 3))
 
     def test_log_exp_inverse_pair(self):
-        x = TruncatedSeries.x(6)
+        x = series(0, 1, truncation=6)
         assert x.exp().log() == x
 
     def test_constant_term_must_be_one(self):
@@ -93,29 +74,27 @@ class TestInverseProperties:
         for _ in range(8):
             a = random_zero_constant_series(rng, 8)
             b = random_zero_constant_series(rng, 8)
-            assert (a + b).exp() == a.exp() * b.exp()
+            total = TruncatedSeries([x + y for x, y in zip(a.coefficients, b.coefficients)])
+            assert total.exp() == oracle_mul(a.exp(), b.exp())
 
 
 class TestCoefficientRing:
     def test_laurent_values_become_qexpr(self):
         s = series(3, Fraction(1, 2), QExpr.q(-2), QExpr({Fraction(1, 2): 1, Fraction(-1, 2): 1}))
         assert all(type(c) is QExpr for c in s.coefficients)
-        assert s.coefficient(0) == QExpr.const(3) and s.coefficient(1) == QExpr.const(Fraction(1, 2))
-        assert all(type(c) is QExpr for c in (s * 2).coefficients + (s * Fraction(1, 3)).coefficients)
+        assert s.coefficient(0) == QExpr({0: 3}) and s.coefficient(1) == QExpr({0: Fraction(1, 2)})
+        tail = s.coefficients[1:]
+        assert all(type(c) is QExpr for c in series(0, *tail).exp().coefficients + series(1, *tail).log().coefficients)
 
     def test_qfrac_coefficient_is_a_type_error(self):
         q = QExpr.q()
         for value in (QFrac(q, q + 1), QFrac(1, QExpr.q(2)), 1.5, "q"):
             with pytest.raises(TypeError):
                 series(0, value, truncation=3)
-            with pytest.raises(TypeError):
-                series(1, 1, truncation=3) * value
-        with pytest.raises(TypeError):
-            QFrac(q, q + 1) * series(1, 1, truncation=3)
 
     def test_one_representation_per_value(self):
         from_rationals = series(1, Fraction(2, 4), 0, truncation=3)
-        from_laurent = series(QExpr.one(), QExpr.const(Fraction(1, 2)), QExpr.q(2) - QExpr.q(2), truncation=3)
+        from_laurent = series(QExpr.one(), QExpr({0: Fraction(1, 2)}), QExpr.q(2) - QExpr.q(2), truncation=3)
         assert from_rationals == from_laurent
         assert hash(from_rationals) == hash(from_laurent)
         assert len({from_rationals, from_laurent}) == 1
@@ -125,7 +104,7 @@ class TestCoefficientRing:
         for _ in range(4):
             s = random_zero_constant_series(rng, 5)
             half = QExpr({Fraction(rng.randint(-3, 3), 2): rng.randint(1, 3), Fraction(1, 3): -1})
-            mixed = s + series(0, 0, half, truncation=5)
+            mixed = TruncatedSeries([c + half if k == 2 else c for k, c in enumerate(s.coefficients)])
             assert mixed.exp().log() == mixed
             m = mixed.exp()
             assert m.log().exp() == m
@@ -186,7 +165,7 @@ def seeded_coefficient(rng: random.Random, bits: int) -> QExpr:
 
 
 def seeded_series(rng: random.Random, truncation: int, bits: int, constant: int) -> TruncatedSeries:
-    return TruncatedSeries([constant] + [seeded_coefficient(rng, bits) for _ in range(truncation)], truncation)
+    return TruncatedSeries([constant] + [seeded_coefficient(rng, bits) for _ in range(truncation)])
 
 
 class TestAgainstTheRecurrences:
@@ -201,7 +180,9 @@ class TestAgainstTheRecurrences:
             assert s.exp() == oracle_exp(s)
             one_plus = seeded_series(rng, truncation, bits, 1)
             assert one_plus.log() == oracle_log(one_plus)
-            assert s * one_plus == oracle_mul(s, one_plus)
+        # exp(s) exp(-s) = 1 for the last s, multiplied by the oracle's product
+        minus = TruncatedSeries([-c for c in s.coefficients])
+        assert oracle_mul(s.exp(), minus.exp()) == series(1, truncation=truncation)
 
     def test_integer_exponents_and_huge_coefficients(self):
         # Coefficients above 2^200 at every degree force slot widths of several hundred bits.
@@ -214,11 +195,12 @@ class TestAgainstTheRecurrences:
             assert (s.exp()).log() == oracle_log(s.exp())
 
     def test_cancellation_to_zero_rows(self):
-        # exp(x) * exp(-x) = 1: every coefficient past the constant cancels in the packed sum.
-        x = TruncatedSeries.x(8) * QExpr({Fraction(1, 3): 5, -2: Fraction(-7, 4)})
-        product = x.exp() * (x * -1).exp()
-        assert product == TruncatedSeries.one(8) == oracle_mul(x.exp(), (x * -1).exp())
-        assert TruncatedSeries.one(8).log() == TruncatedSeries.zero(8)
+        # log(exp(c x)) = c x: every packed sum of the log recurrence past degree 1 cancels to zero.
+        c = QExpr({Fraction(1, 3): 5, -2: Fraction(-7, 4)})
+        x, minus_x = series(0, c, truncation=8), series(0, -c, truncation=8)
+        assert x.exp().log() == x and minus_x.exp().log() == minus_x
+        assert oracle_mul(x.exp(), minus_x.exp()) == series(1, truncation=8)
+        assert series(1, truncation=8).log() == series(0, truncation=8)
 
     @pytest.mark.parametrize("nmax", [60, 100])
     def test_mass_series_and_recovery_match(self, nmax, monkeypatch):
@@ -234,8 +216,8 @@ class TestAgainstTheRecurrences:
         wide = QExpr({0: 1, 1: 1, 1001: 1})
         message = f"series budget exceeded: need 50050 t-degrees, budget {DENSE_DEGREE_BUDGET}"
         with pytest.raises(BudgetExceededError, match=message):
-            TruncatedSeries([0, wide], 50).exp()
-        assert TruncatedSeries([0, wide], 3).exp() == oracle_exp(TruncatedSeries([0, wide], 3))
+            series(0, wide, truncation=50).exp()
+        assert series(0, wide, truncation=3).exp() == oracle_exp(series(0, wide, truncation=3))
         # A common step of the exponents is no span: t = q^1000 makes 1 + q^1000 one t-degree wide.
-        sparse = TruncatedSeries([1, QExpr({0: 1, 1000: 1})], 60)
+        sparse = series(1, QExpr({0: 1, 1000: 1}), truncation=60)
         assert sparse.log() == oracle_log(sparse)

@@ -117,7 +117,15 @@ class TestValidationAndJson:
             ],
             declared_total=7,
         )
-        assert SncLogPairData.from_json(data.to_json()) == data
+        written = {
+            "horizontal": [[1, 2], [-2, 3]],
+            "vertical": [
+                {"a": [0, 1], "strata": [{"subset": [], "count": 4}, {"subset": [1, 2], "count": 1}]},
+                {"a": [5, 2], "strata": [{"subset": [2], "count": 2}]},
+            ],
+            "total": 7,
+        }
+        assert SncLogPairData.from_json(written) == data
 
     def test_parse_rational_forms(self):
         data = SncLogPairData.from_json(
