@@ -231,8 +231,13 @@ _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
 # ---------------------------------------------------------------------------
 
 
+def _integer(value: str) -> int:
+    # int() refuses "/", "." and exponents; on the rest parse_rational's grammar is int()'s, digits counted
+    return int(value if re.search("[/.eE]", value) else parse_rational(value, "an integer option"))
+
+
 def _prime(value: str) -> int:
-    p = int(value)
+    p = _integer(value)
     try:
         prime = is_prime(p)
     except ValueError as exc:
@@ -243,7 +248,7 @@ def _prime(value: str) -> int:
 
 
 def _positive(value: str) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n

@@ -167,9 +167,10 @@ def _int(text: str, unit: str) -> int:
 
 
 def _decimal(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> Fraction:
-    """sign whole.fraction * 10^exponent, counted before its power of 10 is built: n / 10^k is
-    (n / 10^l) / 10^(k-l) in lowest terms for l = min(k, bit length of n), since n / 10^l keeps
-    no factor 2 or 5 of n once 2^l > n."""
+    """sign whole.fraction * 10^exponent, the fraction's trailing zeros moved into the exponent, counted
+    before its power of 10 is built: n / 10^k is (n / 10^l) / 10^(k-l) in lowest terms for
+    l = min(k, bit length of n), since n / 10^l keeps no factor 2 or 5 of n once 2^l > n."""
+    fraction = fraction.rstrip("0_")
     n = _int(sign + whole + fraction, unit)
     if not n:
         return Fraction(0)

@@ -14,13 +14,12 @@ value, and integer numerators over one positive common denominator, as
 FLINT's fmpq_poly does, so a sum or product is integer multiply-adds and
 one gcd, and two values are rescaled to a common r only when theirs
 differ; ``terms`` builds ``fractions.Fraction`` exponents and coefficients
-on demand.  ``QFrac`` canonicalization works on dense integer rows over t,
-of at most DENSE_DEGREE_BUDGET terms: a general quotient takes its gcd over
-Z by primitive remainder sequences, and a quotient by a product of
-binomials t^k - 1 by trial division with the cyclotomic polynomials that
-divide them.  There is no floating point here; ``evaluate`` is exact for
-r == 1 and otherwise a rational within a stated precision, from one root
-of q0 and exact powers.
+on demand.  A ``QFrac`` denominator is a monomial, reduced by an exponent
+shift, or a product of binomials t^k - 1, reduced on dense integer rows
+over t of at most DENSE_DEGREE_BUDGET terms by trial division with the
+cyclotomic polynomials that divide it.  There is no floating point here;
+``evaluate`` is exact for r == 1 and otherwise a rational within a stated
+precision, from one root of q0 and exact powers.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ __all__ = [
 ]
 
 # Largest dense form a q-fraction is reduced on, in t-degrees (r times the exponent span, t =
-# q^(1/r)): at 50,000, `stringy point --c=-49997/3` takes 0.25 s in-process, most of it printing,
-# and the gcd of q^-1 (q - 1) / (q^(1 - c) - 1) at c = -49994/3 0.13 s (Python 3.11, 2-vCPU Xeon).
+# q^(1/r)): at 50,000, `stringy point --c=-49997/3` takes 0.15 s in-process, most of it printing, and
+# reducing q^-1 (q - 1) / (q^(1 - c) - 1) at c = -49994/3 0.02-0.03 s (Python 3.11, 2-vCPU Xeon).
 DENSE_DEGREE_BUDGET = 50_000
 
 
@@ -83,43 +82,6 @@ def is_infinite(value: object) -> bool:
 # ---------------------------------------------------------------------------
 # Dense polynomials over Z[t] (int lists, index = degree, nonzero leading entry)
 # ---------------------------------------------------------------------------
-
-
-def _primitive(a: list[int]) -> list[int]:
-    """a divided by its content, with a positive leading coefficient."""
-    c = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
-    return a if c == 1 else [x // c for x in a]
-
-
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(quo, rem) with c * a == quo * b + rem for an integer c > 0, by
-    fraction-free division of a by b (lead(b) > 0) that scales only by
-    lead(b) / gcd(lead(rem), lead(b)); c == 1 when b divides a in Z[t]."""
-    rem, lead, k = list(a), b[-1], len(b)
-    quo = [0] * max(0, len(a) - k + 1)
-    while len(rem) >= k:
-        g = math.gcd(rem[-1], lead)
-        scale, factor, shift = lead // g, rem[-1] // g, len(rem) - k
-        if scale != 1:
-            rem, quo = [x * scale for x in rem], [x * scale for x in quo]
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-        while rem and not rem[-1]:
-            rem.pop()
-    return quo, rem
-
-
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[t] of two nonzero polynomials by the primitive
-    polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _pseudo_divmod(a, b)[1]
-        if b:
-            b = _primitive(b)
-    return a
 
 
 def _times_binomial(a: list[int], e: int) -> list[int]:
@@ -316,15 +278,12 @@ class QExpr:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "QExpr | QFrac":
+    def __truediv__(self, other: object) -> "QExpr":
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of a q-expression by zero")
             return self * Fraction(other.denominator, other.numerator)
-        return QFrac(self, other)
-
-    def __rtruediv__(self, other: object) -> "QFrac":
-        return QFrac(other, self)
+        return NotImplemented
 
     def scale_exponents(self, k: int) -> "QExpr":
         """Substitute q -> q^k (k a positive int)."""
@@ -431,11 +390,11 @@ class QFrac:
     A value type: built, compared, hashed, evaluated and printed,
     never added or multiplied (sums and products are taken in QExpr first).
 
-    Canonicalization: scale exponents to a common denominator r, so both
-    parts become Laurent polynomials in t = q^(1/r); shift by the smaller
-    valuation so both are ordinary polynomials with min valuation 0; divide
-    out the polynomial gcd; finally rescale so the denominator is monic.
-    The result is unique, so equality is structural.
+    Canonical form: over t = q^(1/r), coprime polynomial parts with a monic
+    denominator, which is unique, so equality is structural.  The denominator
+    is a monomial (q^k with k >= 0 least, the numerator then a polynomial)
+    or comes from the cyclotomic builder ``_cyclotomic_qfrac``;
+    ``QFrac(num, den)`` with any other den is a TypeError.
     """
 
     __slots__ = ("_num", "_den")
@@ -450,6 +409,8 @@ class QFrac:
             raise TypeError(f"cannot build a q-expression from {type(num if num_e is None else den).__name__}")
         if den_e.is_zero:
             raise ZeroDivisionError("zero denominator in q-fraction")
+        if len(den_e._nums) != 1:
+            raise TypeError("a q-fraction is built over a monomial denominator or by the cyclotomic builder")
         n, d = (num_e, QExpr.one()) if num_e.is_zero else _canonical_pair(num_e, den_e)
         object.__setattr__(self, "_num", n)
         object.__setattr__(self, "_den", d)
@@ -593,22 +554,10 @@ def _over_monomial(num: QExpr, den: QExpr) -> QExpr:
 
 
 def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
-    if len(den._nums) == 1:
-        # Monomial denominator: no gcd needed, only an exponent shift.
-        shifted = _over_monomial(num, den)
-        r, low = shifted._r, min(shifted._nums[0][0], 0)
-        return _make([(e - low, n) for e, n in shifted._nums], shifted._den, r), _make([(-low, 1)], 1, r)
-    # Over t = q^(1/r), shifted by the smaller valuation, both parts are integer
-    # polynomials over their denominators: num / den = (a / num._den) / (b / den._den).
-    r = math.lcm(num._r, den._r)
-    xs, ys = _pairs_over(num, r), _pairs_over(den, r)
-    shift = min(xs[0][0], ys[0][0])
-    _check_span(max(xs[-1][0], ys[-1][0]) - shift)
-    a, b = _row(xs, shift), _row(ys, shift)
-    g = _primitive_gcd(a, b)
-    if len(g) > 1:
-        a, b = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
-    return _rows_pair(a, b, r, den._den, num._den)
+    """The canonical pair of num / den for a nonzero num and a monomial den: an exponent shift."""
+    shifted = _over_monomial(num, den)
+    r, low = shifted._r, min(shifted._nums[0][0], 0)
+    return _make([(e - low, n) for e, n in shifted._nums], shifted._den, r), _make([(-low, 1)], 1, r)
 
 
 def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:
@@ -645,13 +594,13 @@ def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:
     return value
 
 
-def _rows_pair(a: list[int], b: list[int], r: int, scale: int = 1, den: int = 1) -> tuple[QExpr, QExpr]:
-    """The canonical pair of (scale * a / den) / b for coprime integer rows over t = q^(1/r)
-    (index = degree, nonzero last entries): exponents i/r, denominator made monic."""
+def _rows_pair(a: list[int], b: list[int], r: int) -> tuple[QExpr, QExpr]:
+    """The canonical pair of a / b for coprime integer rows over t = q^(1/r) (index = degree,
+    nonzero last entries): exponents i/r, denominator made monic."""
     lead = b[-1]
     sign = 1 if lead > 0 else -1
-    to_expr = lambda cs, scale, den: _make([(i, c * scale) for i, c in enumerate(cs)], den, r)
-    return to_expr(a, scale * sign, den * lead * sign), to_expr(b, sign, lead * sign)
+    to_expr = lambda cs: _make([(i, c * sign) for i, c in enumerate(cs)], lead * sign, r)
+    return to_expr(a), to_expr(b)
 
 
 # ---------------------------------------------------------------------------

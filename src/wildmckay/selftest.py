@@ -156,7 +156,7 @@ def criterion_stringy() -> tuple[bool, str]:
     if stringy_count_snc(half) != QFrac(QExpr.q(Fraction(1, 2)) + 1):
         return False, "single divisor with c=1/2 is not (q-1)/(q^(1/2)-1)"
     third = stringy_point_contribution(1, [Fraction(-1)])
-    if third != QFrac(QExpr.q(), QExpr.q() + 1):
+    if is_infinite(third) or (third.num, third.den) != (QExpr.q(), QExpr.q() + 1):
         return False, "point weight q(q-1)/(q^2-1) did not reduce to q/(q+1)"
     divergent = SncLogPairData([Fraction(1)], [VerticalComponent(0, {frozenset({1}): 1})])
     if not is_infinite(stringy_count_snc(divergent)):

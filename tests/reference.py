@@ -1,0 +1,77 @@
+"""Test-only reference for the QFrac canonical form: Euclid over Fraction coefficients.
+
+The kernel builds a QFrac over a monomial denominator (an exponent shift) or over a product of
+binomials t^k - 1 (cyclotomic trial division, in ``qexpr._cyclotomic_qfrac``).  This reference
+reduces any quotient by its polynomial gcd over Q, so the tests compare both builders against it,
+and take from it the values with other denominators that they need.
+"""
+
+import math
+from fractions import Fraction
+
+from wildmckay.qexpr import QExpr, QFrac
+
+
+def _poly_strip(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _poly_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = factor
+        for i, bc in enumerate(b):
+            rem[shift + i] -= factor * bc
+        if not _poly_strip(rem):
+            break
+    return _poly_strip(quo), rem
+
+
+def _poly_gcd(a, b):
+    """Monic gcd in Q[t] by the Euclidean algorithm."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def reference_canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
+    """QFrac canonical form by Euclid over Fraction coefficients: over t = q^(1/r),
+    shifted to valuation 0, divided by the monic gcd, denominator made monic."""
+    if num.is_zero:
+        return num, QExpr.one()
+    if len(den.terms) == 1:
+        (e0, c0), = den.terms
+        shifted = QExpr({e - e0: c / c0 for e, c in num.terms})
+        low = min(shifted.terms[0][0], 0)
+        return QExpr({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
+    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
+    shift = min(num.terms[0][0], den.terms[0][0])
+
+    def dense(expr):
+        out = [Fraction(0)] * (int((expr.terms[-1][0] - shift) * r) + 1)
+        for e, c in expr.terms:
+            out[int((e - shift) * r)] = c
+        return out
+
+    a, b = dense(num), dense(den)
+    g = _poly_gcd(a, b)
+    if len(g) > 1:
+        (a, rem_a), (b, rem_b) = _poly_divmod(a, g), _poly_divmod(b, g)
+        assert not rem_a and not rem_b
+    return tuple(QExpr({Fraction(i, r): c / b[-1] for i, c in enumerate(cs)}) for cs in (a, b))
+
+
+def reference_qfrac(num: QExpr, den: QExpr) -> QFrac:
+    """A QFrac holding reference_canonical_pair(num, den), set as the cyclotomic builder sets its
+    own pair: a value for a denominator that no kernel builder takes, such as q - 5."""
+    value = object.__new__(QFrac)
+    value_num, value_den = reference_canonical_pair(num, den)
+    object.__setattr__(value, "_num", value_num)
+    object.__setattr__(value, "_den", value_den)
+    return value

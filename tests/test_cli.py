@@ -10,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference import reference_qfrac
 
-from wildmckay import cli, localfields, massformulas, numutil, padic, qexpr
+from wildmckay import cli, localfields, massformulas, numutil, padic, qexpr, stringy
 from wildmckay.cli import _json_text, main, run_to_string
 from wildmckay.qexpr import QExpr, QFrac
 
@@ -328,7 +329,7 @@ class TestBudgets:
         cap = qexpr.DENSE_DEGREE_BUDGET
         top = cap // 2 - 1
         assert run(["stringy", "point", "--a", str(top), "--c", "1/2"])[0] == 0
-        monkeypatch.setattr(qexpr, "_primitive_gcd", None)
+        monkeypatch.setattr(stringy, "_cyclotomic_qfrac", None)  # refused before any reduction
         for argv, size in (([f"--a={top + 1}", "--c=1/2"], cap + 2), (["--a=1000000000", "--c=1/2"], 2_000_000_002),
                            (["--c=-100000000/3"], 100_000_003), (["--a=1/50001", "--at-q=1"], 50_001)):
             start = time.perf_counter()
@@ -483,6 +484,34 @@ class TestBudgets:
             code, out = run(["stringy", "point", f"--a={text}", "--format", "json"])
             assert code == 0 and json.loads(out)["a"] == value
 
+    def test_integer_options_counted_before_int_reads_them(self, capsys):
+        # --p, --n, --nmax, --m, --mmax, --f and --terms were read by int() itself: a 5,001-digit
+        # --n ended in "argument --n: invalid _positive value:" and echoed every digit.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        big = "1" + "0" * 5000
+        for argv in (["etale", "mass", "--p", "5", "--n", big], ["etale", "mass", "--p", big, "--n", "2"],
+                     ["mass", "invert", "--nmax", big], ["padic", "integral", "--c", "1/2", "--p", "5", "--terms", big]):
+            self.refused(argv, capsys, f"input budget exceeded: need 5001 digits in an integer option, budget {cap}")
+        # Leading zeros are not counted, as in a rational option; int()'s grammar decides the rest.
+        for text, value in ((" 7 ", 7), ("+7", 7), ("0_7", 7), ("0" * 5000 + "7", 7), ("\u0663", 3), ("-0", 0)):
+            assert cli._integer(text) == value
+        for text in ("x", "1.5", "1.", ".5", "1e3", "2/1", "_1", "+-1", "1__0", "0x10", "", " "):
+            with pytest.raises(ValueError):
+                cli._integer(text)
+        assert run(["etale", "mass", "--p", "7", "--n", "1.0"]) == (2, "")
+        assert capsys.readouterr().err.endswith("error: argument --n: invalid _positive value: '1.0'\n")
+
+    def test_trailing_fraction_zeros_are_not_counted(self, capsys):
+        # 1.000...0 is 1, but the fraction's trailing zeros were counted: 5,000 of them were refused.
+        for text, value in (("1." + "0" * 5000, "1"), ("2.5" + "0" * 5000 + "e-1", "1/4"), ("-0.5_0" + "_0" * 3000, "-1/2"),
+                            ("1" + "0" * 4299 + "." + "0" * 5000, "1" + "0" * 4299)):
+            code, out = run(["stringy", "point", f"--a={text}", "--format", "json"])
+            assert code == 0 and json.loads(out)["a"] == value
+        # a/b is counted before it is reduced, so 10^4300 / 10^4300 stays refused although it is 1
+        big = "1" + "0" * 4300
+        self.refused(["stringy", "point", "--a", f"{big}/{big}"], capsys,
+                     f"input budget exceeded: need 4301 digits in a rational option, budget {numutil.EXACT_DIGITS_BUDGET}")
+
     def test_exponent_notation_counted_before_it_is_built(self, tmp_path, capsys):
         # 10^30000000 took past 60 s to build before it was counted, and a JSON rational was not
         # counted at all: 10^-3000000 ended in Python's int-to-str message after 1.8 s.
@@ -521,7 +550,7 @@ class TestBudgets:
         q0 = Fraction(5)
         assert cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), q0) == {"exact": "0", "q": "5"}
         with pytest.raises(qexpr.PoleError):
-            cli._eval_payload(QFrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0)
+            cli._eval_payload(reference_qfrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0)
         with pytest.raises(numutil.BudgetExceededError, match="need 6990 digits"):  # 5^10000
             QFrac(QExpr({10001: 1, 10000: -6})).check_exact(q0)
 

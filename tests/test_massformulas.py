@@ -151,5 +151,5 @@ class TestLaurentPipeline:
         for command in ("expcheck", "invert"):
             assert cli.main(["mass", command, "--nmax", "8"], stdout=io.StringIO()) == 0
         assert calls == []
-        QFrac(1, QExpr.q() + 1)
+        QFrac(1, QExpr.q(2))
         assert len(calls) == 1

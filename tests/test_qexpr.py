@@ -9,11 +9,13 @@ from math import isqrt
 
 import pytest
 
+from reference import reference_canonical_pair
 from wildmckay.qexpr import (
     INFINITE,
     PoleError,
     QExpr,
     QFrac,
+    _cyclotomic_qfrac,
     _int_nth_root,
     is_infinite,
 )
@@ -23,6 +25,11 @@ def sqrt_oracle(n: int, digits: int) -> Fraction:
     """Independent square-root approximation: integer isqrt at fixed scale."""
     scale = 10**digits
     return Fraction(isqrt(n * scale * scale), scale)
+
+
+def q_over_q_plus_one() -> QFrac:
+    """q / (q + 1), built as q (q - 1) / (q^2 - 1) by the cyclotomic builder."""
+    return _cyclotomic_qfrac([-1, 1], [2], 1, 1)
 
 
 class TestMonomial:
@@ -41,38 +48,37 @@ class TestMonomial:
 class TestArithmetic:
     def test_division_exact_quotient_half_exponent(self):
         # In t = q^(1/2): (t^2 - 1)/(t - 1) = t + 1, so the result is q^(1/2) + 1.
-        num = QExpr.q() - 1
-        den = QExpr.q(Fraction(1, 2)) - 1
-        result = num / den
+        result = _cyclotomic_qfrac([-1, 0, 1], [1], 0, 2)
         assert result.num == QExpr.q(Fraction(1, 2)) + 1
         assert result.den == QExpr.one()
+        assert (result.num, result.den) == reference_canonical_pair(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)
 
     def test_division_with_nontrivial_denominator(self):
         # In t = q^(1/3): (t^3 - 1)/(t^2 - 1); gcd is t - 1, leaving
         # (t^2 + t + 1)/(t + 1), which is not a polynomial.
-        num = QExpr.q() - 1
-        den = QExpr.q(Fraction(2, 3)) - 1
-        result = num / den
+        result = _cyclotomic_qfrac([-1, 0, 0, 1], [2], 0, 3)
         third = Fraction(1, 3)
         assert result.num == QExpr({2 * third: 1, third: 1, 0: 1})
         assert result.den == QExpr({third: 1, 0: 1})
+        assert (result.num, result.den) == reference_canonical_pair(QExpr.q() - 1, QExpr.q(2 * third) - 1)
 
     def test_additive_identity(self):
         x = QExpr({Fraction(3, 2): 2, -1: 5})
         assert x + QExpr() == x
-        assert QFrac(x + 0, QExpr.q() + 1) == QFrac(x, QExpr.q() + 1)
+        assert QFrac(x + 0, QExpr.q(2)) == QFrac(x, QExpr.q(2))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QExpr.one() / QExpr()
+            QFrac(QExpr.q(), 0)
         with pytest.raises(ZeroDivisionError):
             QFrac(QExpr.one(), QExpr())
 
     def test_fraction_cancellation_is_canonical(self):
         q = QExpr.q()
-        a = QFrac((q - 1) * (q + 1), (q - 1) * q)
-        b = QFrac(q + 1, q)
-        assert a == b
+        assert QFrac((q + 1) * q, q * q) == QFrac(q + 1, q)
+        # (t^2 - 1) / (t - 1)^2 and (t + 1) / (t - 1), over t = q, from the cyclotomic builder
+        a, b = _cyclotomic_qfrac([-1, 0, 1], [1, 1], 0, 1), _cyclotomic_qfrac([1, 1], [1], 0, 1)
+        assert a == b and (a.num, a.den) == reference_canonical_pair(q + 1, q - 1)
         assert hash(a) == hash(b)
 
     def test_negative_exponent_normalization(self):
@@ -101,7 +107,7 @@ class TestEvaluate:
             QExpr.q(Fraction(1, 2)).evaluate(5)
 
     def test_pole_error(self):
-        frac = QFrac(1, QExpr.q() - 1)
+        frac = _cyclotomic_qfrac([1], [1], 0, 1)  # 1 / (q - 1)
         with pytest.raises(PoleError):
             frac.evaluate(1)
 
@@ -136,13 +142,13 @@ class TestEvaluate:
 
     def test_fraction_evaluate_past_a_coarse_precision(self):
         # QFrac.evaluate also takes the value within 10^-20 of its size, for the 15 printed digits.
-        frac = QFrac(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)  # q^(1/2) + 1
+        frac = _cyclotomic_qfrac([-1, 0, 1], [1], 0, 2)  # (q - 1) / (q^(1/2) - 1) = q^(1/2) + 1
         value = frac.evaluate(5, precision=Fraction(1, 10**3))
         assert abs(value - sqrt_oracle(5, 40) - 1) <= value / 10**20 + Fraction(1, 10**40)
 
     def test_fraction_evaluate_fractional_exponents(self):
         # (q - 1)/(q^(1/2) - 1) = q^(1/2) + 1 at q = 5
-        frac = QFrac(QExpr.q() - 1, QExpr.q(Fraction(1, 2)) - 1)
+        frac = _cyclotomic_qfrac([-1, 0, 1], [1], 0, 2)
         tol = Fraction(1, 10**9)
         value = frac.evaluate(5, precision=tol)
         target = sqrt_oracle(5, 15) + 1
@@ -190,6 +196,7 @@ class TestRingAxioms:
             assert a * (b + c) == a * b + a * c
 
     def test_mul_div_roundtrip(self):
+        # (a b) / b reduces to a: by the kernel over a monomial b, by the reference over any other.
         rng = random.Random(55)
         checked = 0
         while checked < 200:
@@ -198,7 +205,9 @@ class TestRingAxioms:
             if b.is_zero:
                 continue
             checked += 1
-            assert QFrac(a * b, b) == QFrac(a) == a
+            m = QExpr({Fraction(rng.randint(-6, 6), rng.randint(1, 3)): Fraction(rng.randint(1, 9), rng.randint(1, 9))})
+            assert QFrac(a * m, m) == QFrac(a) == a
+            assert reference_canonical_pair(a * b, b) == (QFrac(a).num, QFrac(a).den)
 
     def test_eval_is_ring_homomorphism(self):
         rng = random.Random(99)
@@ -285,8 +294,8 @@ class TestIntegerRoot:
 class TestCanonicalExponents:
     def test_integral_exponents_are_ints(self):
         half = QExpr.q(Fraction(1, 2))
-        # (q^(5/2) + q^(1/2)) / (q^(3/2) + q^(1/2)) = (q^2 + 1) / (q + 1), via t = q^(1/2)
-        reduced = QFrac(QExpr.q(Fraction(5, 2)) + half, QExpr.q(Fraction(3, 2)) + half)
+        # (t^2 - 1)(t^4 + 1) / (t^4 - 1) = (q^2 + 1) / (q + 1), via t = q^(1/2)
+        reduced = _cyclotomic_qfrac([-1, 0, 1, 0, -1, 0, 1], [4], 0, 2)
         for expr in (QExpr.q(Fraction(4, 2)), half * half, QExpr({Fraction(1, 3): 0, 2: 1}),
                      (QExpr.q(3) * half).scale_exponents(2), reduced.num, reduced.den):
             assert expr.terms and all(type(e) is int for e, _ in expr.terms), expr
@@ -319,9 +328,9 @@ class TestHashAgreesWithEquality:
         assert len({a, b}) == 1
 
     def test_non_laurent_fraction_differs_from_its_numerator(self):
-        frac = QFrac(QExpr.q(), QExpr.q() + 1)
+        frac = q_over_q_plus_one()
         assert frac != QExpr.q()
-        assert len({frac, QFrac(QExpr.q(), QExpr.q() + 1), QExpr.q()}) == 2
+        assert len({frac, q_over_q_plus_one(), QExpr.q()}) == 2
 
 
 class TestScalarDivision:
@@ -338,16 +347,20 @@ class TestScalarDivision:
             with pytest.raises(ZeroDivisionError):
                 QExpr.q() / zero
 
-    def test_expression_quotient_stays_fraction(self):
+    def test_expression_quotient_is_a_type_error(self):
+        # Only a monomial denominator is taken; any other quotient comes from the cyclotomic
+        # builder, and QExpr / QExpr is not defined, not even for a monomial.
         q = QExpr.q()
-        assert type(q / (q + 1)) is QFrac
-        assert type(q / q) is QFrac
+        for build in (lambda: QFrac(q, q + 1), lambda: QFrac(0, q - 1), lambda: QFrac(1, QExpr.q(Fraction(1, 997)) - 1),
+                      lambda: q / (q + 1), lambda: q / q, lambda: 1 / q, lambda: Fraction(1, 2) / (q + 1)):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestValueType:
     def test_qfrac_does_no_arithmetic(self):
         q = QExpr.q()
-        frac = QFrac(q, q + 1)
+        frac = q_over_q_plus_one()
         for other in (frac, 2, Fraction(1, 2), q):
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
                 with pytest.raises(TypeError):
@@ -363,9 +376,9 @@ class TestValueType:
     def test_nested_fraction_is_not_built(self):
         q = QExpr.q()
         with pytest.raises(TypeError):
-            QFrac(QFrac(q, q + 1), q)
+            QFrac(q_over_q_plus_one(), q)
         with pytest.raises(TypeError):
-            QFrac(1, QFrac(q, q + 1))
+            QFrac(1, q_over_q_plus_one())
 
 
 class TestNoRepeatedCanonicalization:
@@ -385,7 +398,7 @@ class TestNoRepeatedCanonicalization:
 
     def test_comparison_with_laurent_values(self, monkeypatch):
         q = QExpr.q()
-        frac, laurent = QFrac(q, q + 1), QFrac(q + 1, QExpr.q(2))
+        frac, laurent = q_over_q_plus_one(), QFrac(q + 1, QExpr.q(2))
         one, three_halves = QFrac(QExpr.q(2), QExpr.q(2)), QFrac(6, 4)
         calls = self.count_calls(monkeypatch)
         for _ in range(10):
@@ -397,8 +410,7 @@ class TestNoRepeatedCanonicalization:
         assert calls == []
 
     def test_copy_of_a_fraction(self, monkeypatch):
-        q = QExpr.q()
-        frac = QFrac(q, q + 1)
+        frac = q_over_q_plus_one()
         calls = self.count_calls(monkeypatch)
         copy = QFrac(frac)
         assert calls == []
@@ -406,10 +418,11 @@ class TestNoRepeatedCanonicalization:
 
 
 class TestSympyOracle:
-    """Kernel results against sympy.cancel, with q = t^6 (every random
-    exponent is a multiple of 1/2 or 1/3).  A canonical QFrac is the
-    coprime pair of polynomials in t with a monic denominator, so it must
-    match sympy's reduced fraction exactly once that is made monic."""
+    """Kernel sums and products, and the quotients of the Fraction-Euclid
+    reference, against sympy.cancel, with q = t^6 (every random exponent is
+    a multiple of 1/2 or 1/3).  A canonical QFrac is the coprime pair of
+    polynomials in t with a monic denominator, so it must match sympy's
+    reduced fraction exactly once that is made monic."""
 
     R = 6
 
@@ -435,75 +448,23 @@ class TestSympyOracle:
             sa, sb, sc, sd = (laurent(v) for v in (a, b, c, d))
             # a/b + c/d, (a/b)(c/d) and (a/b)/(c/d), each one fraction cross-multiplied in QExpr.
             cases = [
-                (a + b, sa + sb), (a * b, sa * sb), (QFrac(a * d + c * b, b * d), sa / sb + sc / sd),
-                (QFrac(a * c, b * d), sa * sc / (sb * sd)), (QFrac(a * d, b * c), sa * sd / (sb * sc)),
-                (QFrac(a * c, b * c), sa / sb),
+                ((QFrac(a + b).num, QFrac(a + b).den), sa + sb), ((QFrac(a * b).num, QFrac(a * b).den), sa * sb),
+                (reference_canonical_pair(a * d + c * b, b * d), sa / sb + sc / sd),
+                (reference_canonical_pair(a * c, b * d), sa * sc / (sb * sd)),
+                (reference_canonical_pair(a * d, b * c), sa * sd / (sb * sc)),
+                (reference_canonical_pair(a * c, b * c), sa / sb),
             ]
-            for result, want in cases:
+            for (pair_num, pair_den), want in cases:
                 num, den = sympy.fraction(sympy.cancel(want))
                 lead = sympy.Poly(den, t).LC()
-                frac = QFrac(result)
-                assert sympy.expand(laurent(frac.num) - num / lead) == 0, (result, want)
-                assert sympy.expand(laurent(frac.den) - den / lead) == 0, (result, want)
+                assert sympy.expand(laurent(pair_num) - num / lead) == 0, (pair_num, pair_den, want)
+                assert sympy.expand(laurent(pair_den) - den / lead) == 0, (pair_num, pair_den, want)
 
 
 # ---------------------------------------------------------------------------
 # Test-only oracles for the integer-numerator kernel: the Fraction-Euclid
-# canonicalization it replaced, and a {exponent: Fraction} dict model.
+# canonical form of tests/reference.py, and a {exponent: Fraction} dict model.
 # ---------------------------------------------------------------------------
-
-
-def _poly_strip(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_divmod(a, b):
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        factor = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] -= factor * bc
-        if not _poly_strip(rem):
-            break
-    return _poly_strip(quo), rem
-
-
-def _poly_gcd(a, b):
-    """Monic gcd in Q[t] by the Euclidean algorithm."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
-
-
-def reference_canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
-    """QFrac canonical form by Euclid over Fraction coefficients: over t = q^(1/r),
-    shifted to valuation 0, divided by the monic gcd, denominator made monic."""
-    if len(den.terms) == 1:
-        (e0, c0), = den.terms
-        shifted = QExpr({e - e0: c / c0 for e, c in num.terms})
-        low = min(shifted.terms[0][0], 0)
-        return QExpr({e - low: c for e, c in shifted.terms}), QExpr.q(-low)
-    r = math.lcm(num.exponent_denominator(), den.exponent_denominator())
-    shift = min(num.terms[0][0], den.terms[0][0])
-
-    def dense(expr):
-        out = [Fraction(0)] * (int((expr.terms[-1][0] - shift) * r) + 1)
-        for e, c in expr.terms:
-            out[int((e - shift) * r)] = c
-        return out
-
-    a, b = dense(num), dense(den)
-    g = _poly_gcd(a, b)
-    if len(g) > 1:
-        (a, rem_a), (b, rem_b) = _poly_divmod(a, g), _poly_divmod(b, g)
-        assert not rem_a and not rem_b
-    return tuple(QExpr({Fraction(i, r): c / b[-1] for i, c in enumerate(cs)}) for cs in (a, b))
 
 
 def random_terms(rng: random.Random) -> list[tuple[Fraction, Fraction]]:
@@ -540,7 +501,7 @@ def model_of(expr: QExpr) -> dict:
 
 class TestIntegerKernelOracles:
     N_CASES = 400
-    N_FRACTIONS = 100  # the Fraction-Euclid oracle is about 30x slower than the kernel
+    N_FRACTIONS = 100
 
     def test_arithmetic_against_the_dict_model(self):
         rng = random.Random(20261019)
@@ -575,17 +536,34 @@ class TestIntegerKernelOracles:
         assert q == QExpr.q() and hash(q) == hash(QExpr.q()) and q.exponent_denominator() == 1
 
     def test_qfrac_build_against_the_fraction_euclid_oracle(self):
+        # Both builders: a random numerator over a monomial, and over the same monomial times a
+        # common one; and random integer rows t^shift a(t) over a product of binomials t^k - 1, a
+        # times some of those binomials half the time, as stringy sums reach the cyclotomic builder.
+        def monomial():
+            return QExpr({Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))): rng.choice((-1, 1)) * Fraction(
+                rng.randint(1, 12), rng.choice((1, 2, 3, 4, 9)))})
+
         rng = random.Random(1412)
         checked = gcds = 0
         while checked < self.N_FRACTIONS:
-            num, den, common = (QExpr(random_terms(rng)) for _ in range(3))
-            if num.is_zero or den.is_zero or common.is_zero:
+            num, den, common = QExpr(random_terms(rng)), monomial(), monomial()
+            if num.is_zero:
                 continue
             checked += 1
-            for top, bottom in ((num, den), (num * common, den * common)):
-                frac = QFrac(top, bottom)
+            r, ks, shift = rng.choice((1, 2, 3)), [rng.randint(1, 6) for _ in range(rng.randint(1, 3))], rng.randint(-4, 4)
+            a = [rng.choice((-1, 1)) * rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+            a[-1] = a[-1] or 1
+            for k in ks if rng.random() < 0.5 else ():
+                if rng.random() < 0.7:
+                    a = [x - y for x, y in zip([0] * k + a, a + [0] * k)]  # a (t^k - 1)
+            binomials = math.prod([QExpr.q(Fraction(k, r)) - 1 for k in ks], start=QExpr.one())
+            cyclotomic = _cyclotomic_qfrac(a, ks, shift, r)
+            builds = [(QFrac(num, den), num, den), (QFrac(num * common, den * common), num * common, den * common),
+                      (cyclotomic, QExpr({Fraction(shift + i, r): c for i, c in enumerate(a)}), binomials)]
+            for frac, top, bottom in builds:
                 want = reference_canonical_pair(top, bottom)
                 assert (frac.num, frac.den) == want, (top, bottom)
                 assert model_of(frac.num) == model(want[0].terms) and model_of(frac.den) == model(want[1].terms)
-                gcds += len(bottom.terms) > 1
-        assert gcds > self.N_FRACTIONS  # most builds take the polynomial gcd path
+            # a common factor cancelled: the denominator is below the binomials times t^max(-shift, 0)
+            gcds += cyclotomic.den.terms[-1][0] < binomials.terms[-1][0] + Fraction(max(-shift, 0), r)
+        assert gcds > self.N_FRACTIONS // 3, gcds

@@ -8,6 +8,7 @@ from itertools import combinations
 from math import lcm
 
 import pytest
+from reference import reference_canonical_pair, reference_qfrac
 
 from wildmckay import qexpr
 from wildmckay.qexpr import INFINITE, QExpr, QFrac, is_infinite
@@ -29,7 +30,7 @@ class TestPointContribution:
     def test_negative_coefficient(self):
         # q * (q-1)/(q^2-1) = q/(q+1)
         value = stringy_point_contribution(1, [-1])
-        assert value == QFrac(QExpr.q(), QExpr.q() + 1)
+        assert (value.num, value.den) == (QExpr.q(), QExpr.q() + 1)
 
     def test_two_half_coefficients(self):
         # ((q-1)/(q^(1/2)-1))^2 = (q^(1/2)+1)^2
@@ -86,7 +87,8 @@ class TestCountSnc:
         num, den = QExpr(), QExpr.one()
         for count, value in points:
             num, den = num * value.den + value.num * count * den, den * value.den
-        assert stringy_count_snc(data) == QFrac(num, den)
+        value = stringy_count_snc(data)
+        assert (value.num, value.den) == reference_canonical_pair(num, den)
 
     def test_zero_coefficients_give_plain_count(self):
         data = SncLogPairData(
@@ -168,7 +170,7 @@ def oracle_point(a, cs):
         if c >= 1:
             return INFINITE
         num, den = num * (QExpr.q() - 1), den * (QExpr.q(1 - c) - 1)
-    return QFrac(num, den)
+    return reference_qfrac(num, den)
 
 
 def oracle_count(data):
@@ -180,8 +182,8 @@ def oracle_count(data):
             contribution = oracle_point(component.a, [data.horizontal[j - 1] for j in sorted(subset)])
             if is_infinite(contribution):
                 return INFINITE
-            total = QFrac(total.num * contribution.den + contribution.num * count * total.den,
-                          total.den * contribution.den)
+            total = reference_qfrac(total.num * contribution.den + contribution.num * count * total.den,
+                                    total.den * contribution.den)
     return total
 
 
@@ -263,8 +265,8 @@ class TestCommonDenominator:
             assert at(value.num, t) / at(value.den, t) == direct
 
     def test_one_canonicalization_per_call(self, monkeypatch):
-        # Both ways to build a reduced value, the general gcd and the cyclotomic row path,
-        # end in the one rows-to-canonical-pair helper.
+        # The cyclotomic row path makes each reduced value by one call of the rows-to-canonical-pair
+        # helper.
         calls = []
         canonical = qexpr._rows_pair
 
@@ -288,8 +290,8 @@ class TestCommonDenominator:
 
 # ---------------------------------------------------------------------------
 # The evaluator folds on integer rows and reduces by cyclotomic trial division.
-# The oracle is the general QFrac build: the unreduced numerator and D summed
-# term by term in QExpr, reduced by one primitive-PRS gcd.
+# The oracle is the reference pair: the unreduced numerator and D summed term
+# by term in QExpr, reduced by Euclid's gcd over Fraction coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -311,16 +313,9 @@ def unreduced_pair(data):
     return num, math.prod(factors.values(), start=QExpr.one())
 
 
-def prs_oracle(data):
+def reference_oracle(data):
     pair = unreduced_pair(data)
-    return pair if is_infinite(pair) else QFrac(*pair)
-
-
-def row_path(monkeypatch, build, *args):
-    """build(*args) with the general gcd switched off, so the value comes from the row path."""
-    with monkeypatch.context() as patched:
-        patched.setattr(qexpr, "_primitive_gcd", None)
-        return build(*args)
+    return pair if is_infinite(pair) else reference_qfrac(*pair)
 
 
 def assert_same(value, want):
@@ -414,13 +409,13 @@ def totient(n):
 
 
 class TestCyclotomicReduction:
-    def test_seeded_inputs_against_the_prs_oracle(self, monkeypatch):
+    def test_seeded_inputs_against_the_reference_oracle(self):
         rng = random.Random(20261018)
         seen = dict.fromkeys(("zero", "no divisor", "bad on empty", "infinite", "five divisors",
                               "negative fractional a", "c denominator 5 or 6"), 0)
         for index in range(240):
             data = cyclotomic_case(rng, index)
-            value, want = row_path(monkeypatch, stringy_count_snc, data), prs_oracle(data)
+            value, want = stringy_count_snc(data), reference_oracle(data)
             assert_same(value, want)
             counts = [count for v in data.vertical for _, count in v.strata]
             bad = {j for j, c in enumerate(data.horizontal, 1) if c >= 1}
@@ -433,14 +428,14 @@ class TestCyclotomicReduction:
             seen["c denominator 5 or 6"] += any(c.denominator >= 5 for c in data.horizontal)
         assert all(n >= 5 for n in seen.values()), seen
 
-    def test_seeded_points_against_the_prs_oracle(self, monkeypatch):
+    def test_seeded_points_against_the_reference_oracle(self):
         rng = random.Random(61)
         for _ in range(100):
             cs = [Fraction(rng.randint(-12, 5), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
             a = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            assert_same(row_path(monkeypatch, stringy_point_contribution, a, cs), oracle_point(a, cs))
+            assert_same(stringy_point_contribution(a, cs), oracle_point(a, cs))
 
-    def test_six_divisors_of_the_benchmark_shape(self, monkeypatch):
+    def test_six_divisors_of_the_benchmark_shape(self):
         # The shape of the benchmark's eval inputs (every subset, counts 1-9) at 6 divisors:
         # summing per-stratum fractions took about 113 s on such an input.
         counts = random.Random("six-divisors")
@@ -449,20 +444,20 @@ class TestCyclotomicReduction:
             vertical = [VerticalComponent(Fraction(a), {s: counts.randint(1, 9) for s in all_subsets(6)})
                         for a in a_values]
             data = SncLogPairData([Fraction(c) for c in cs], vertical)
-            assert_same(row_path(monkeypatch, stringy_count_snc, data), prs_oracle(data))
+            assert_same(stringy_count_snc(data), reference_oracle(data))
 
-    def test_coprime_denominators(self, monkeypatch):
-        # Too slow for the PRS oracle (about 9 s and past 60 s there), so the canonical form is
-        # checked directly; each is timed on the row path alone.
+    def test_coprime_denominators(self):
+        # Too slow for a gcd oracle (a primitive remainder sequence took about 9 s and past 60 s),
+        # so the canonical form is checked directly, and each build is timed.
         cs = [Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)]
         data = SncLogPairData(cs, [VerticalComponent(0, {s: 1 for s in all_subsets(3)})])
         start = time.perf_counter()
-        value = row_path(monkeypatch, stringy_count_snc, data)
+        value = stringy_count_snc(data)
         assert time.perf_counter() - start < 0.5
         assert_canonical(value, *unreduced_pair(data))
         cs = [Fraction(1, p) for p in (2, 3, 5, 7, 11)]
         start = time.perf_counter()
-        value = row_path(monkeypatch, stringy_point_contribution, 0, cs)
+        value = stringy_point_contribution(0, cs)
         assert time.perf_counter() - start < 2
         # Over t = q^(1/2310) the point is (t^2310 - 1)^5 / prod_j (t^k_j - 1), so Phi_d divides
         # the gcd min(5 [d | 2310], #{j : d | k_j}) times.
@@ -475,7 +470,7 @@ class TestCyclotomicReduction:
     def test_canonical_check_rejects_a_reducible_pair(self):
         q = QExpr.q()
         num, den = q * (q - 1), (q + 1) * (q - 1)
-        value, unreduced = QFrac(q, q + 1), object.__new__(QFrac)
+        value, unreduced = reference_qfrac(num, den), object.__new__(QFrac)
         object.__setattr__(unreduced, "_num", num)
         object.__setattr__(unreduced, "_den", den)
         for common in (None, 1):
