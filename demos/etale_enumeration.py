@@ -18,6 +18,12 @@ from wildmckay import (
     load_fixtures,
 )
 
+
+def describe(factors):
+    """An algebra's (f, e, orbit, multiplicity) factors as (f=..,e=..,c~orbit)^m, joined by x."""
+    return " x ".join(f"(f={f},e={e},c~{orbit})" + (f"^{m}" if m > 1 else "") for f, e, orbit, m in factors)
+
+
 for p, n in [(5, 2), (5, 3), (7, 3)]:
     print(f"Tame field classes of degree {n} over Q_{p}:")
     for cls in enumerate_tame_field_classes(p, n):
@@ -29,10 +35,10 @@ for p, n in [(5, 2), (5, 3), (7, 3)]:
 p, n = 7, 3
 print(f"Etale algebras of degree {n} over Q_{p}, with mass terms:")
 total = Fraction(0)
-for algebra in enumerate_tame_etale_algebras(p, n):
-    term = Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
+for factors, d, _, aut in enumerate_tame_etale_algebras(p, n):
+    term = Fraction(1, p**d * aut)
     total += term
-    print(f"  {algebra.describe():46}  d={algebra.disc_exponent}  #Aut={algebra.aut_order:3}  term={term}")
+    print(f"  {describe(factors):46}  d={d}  #Aut={aut:3}  term={term}")
 print(f"  total mass = {total}")
 print(f"  partition formula at q={p}: {bhargava_mass(n).evaluate(p)}")
 assert algebra_mass_sum(p, n) == bhargava_mass(n).evaluate(p)

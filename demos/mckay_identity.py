@@ -10,13 +10,18 @@ exactly at every good prime.
 
 from fractions import Fraction
 
-from wildmckay import enumerate_tame_etale_algebras, hilb_point_count, verify_wild_mckay
+from wildmckay import hilb_point_count, verify_wild_mckay
+
+
+def describe(factors):
+    """An algebra's (f, e, orbit, multiplicity) factors as (f=..,e=..,c~orbit)^m, joined by x."""
+    return " x ".join(f"(f={f},e={e},c~{orbit})" + (f"^{m}" if m > 1 else "") for f, e, orbit, m in factors)
 
 p, n = 5, 3
 print(f"Weights for the degree-{n} algebras over Q_{p} (ambient dim {2 * n}):")
-# verify_wild_mckay lists one row per algebra, in the order of the algebra listing
-for algebra, (_, _, v, w, aut, num, den) in zip(enumerate_tame_etale_algebras(p, n), verify_wild_mckay(p, n).rows):
-    print(f"  {algebra.describe():40} v={v} w={w} #C(H)={aut:2}  term={Fraction(num, den)}")
+# verify_wild_mckay lists one row per algebra, each with the algebra's factors
+for factors, _, v, w, aut, num, den in verify_wild_mckay(p, n).rows:
+    print(f"  {describe(factors):40} v={v} w={w} #C(H)={aut:2}  term={Fraction(num, den)}")
 
 print(f"\nHilbert scheme count polynomial: {hilb_point_count(n)}")
 

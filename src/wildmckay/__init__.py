@@ -20,7 +20,6 @@ _EXPORTS = {
     "series": ["ConstantTermError", "TruncatedSeries"],
     "partitions": ["hilb_point_count", "partition_count", "partitions_into_parts"],
     "localfields": [
-        "EtaleAlgebra",
         "FieldFixture",
         "PartialEnumerationError",
         "TameFieldClass",

@@ -52,11 +52,7 @@ def _expr_payload(value) -> object:
         return "Infinite"
     if isinstance(value, QExpr):
         return {"pretty": str(value), "terms": value.to_json()}
-    if isinstance(value, QFrac):
-        return {"pretty": str(value), "num": value.num.to_json(), "den": value.den.to_json()}
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value
+    return {"pretty": str(value), "num": value.num.to_json(), "den": value.den.to_json()}
 
 
 def _eval_payload(value, q0: Fraction) -> object:

@@ -34,15 +34,14 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .numutil import BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object
 
 __all__ = [
     "TameFieldClass",
-    "EtaleAlgebra",
     "FieldFixture",
     "FixtureReport",
     "PartialEnumerationError",
@@ -50,7 +49,6 @@ __all__ = [
     "skipped_wild_strata",
     "enumerate_tame_etale_algebras",
     "count_tame_etale_algebras",
-    "complete_algebra_invariants",
     "tame_enumeration_is_complete",
     "algebra_mass_sum",
     "load_fixtures",
@@ -60,7 +58,7 @@ __all__ = [
     "MASS_DEGREE_BUDGET",
 ]
 
-# Most algebras complete_algebra_invariants lists: at p = 23, n = 21 (97,109 algebras, the highest
+# Most algebras enumerate_tame_etale_algebras lists: at p = 23, n = 21 (97,109 algebras, the highest
 # degree admitted) `mckay verify` peaks at 49 MiB in JSON, 46 MiB in CSV and 107 MiB in text, whose
 # column widths need every cell: under 1.2 KiB per algebra.
 ALGEBRAS_BUDGET = 100_000
@@ -107,9 +105,6 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
     def __getnewargs__(self):
         return self.p, self.f, self.e, self.orbit
 
-    def describe(self) -> str:
-        return f"f={self.f},e={self.e},c~{self.orbit}"
-
 
 def _check_degree(n: int) -> None:
     if n < 1:
@@ -152,38 +147,6 @@ def skipped_wild_strata(p: int, n: int) -> list[tuple[int, int]]:
     return [(f, n // f) for f in divisors(n) if (n // f) % p == 0]
 
 
-class EtaleAlgebra(namedtuple("EtaleAlgebra", "factors disc_exponent geometric_component_count aut_order degree")):
-    """Multiset of distinct tame field classes with multiplicities, i.e. a tame etale algebra
-    over Q_p, in (degree, class) order; the invariants after factors are functions of them.
-    After unramified base change a factor of residue degree f splits into f geometric
-    components."""
-
-    __slots__ = ()
-
-    def __new__(cls, factors: Iterable[tuple[TameFieldClass, int]]):
-        factors = tuple(sorted(factors, key=lambda item: (item[0].degree, item[0])))
-        if any(m < 1 for _, m in factors) or len(dict(factors)) < len(factors):
-            raise ValueError("factors must be distinct classes with multiplicities >= 1")
-        if len({c.p for c, _ in factors}) > 1:
-            raise ValueError("all factors must live over the same Q_p")
-        return super().__new__(cls, factors, sum(c.disc_exponent * m for c, m in factors),
-                               sum(c.f * m for c, m in factors),
-                               prod(factorial(m) * c.aut_order**m for c, m in factors),
-                               sum(c.degree * m for c, m in factors))
-
-    def __getnewargs__(self):
-        return (self.factors,)
-
-    @property
-    def p(self) -> int:
-        return self.factors[0][0].p
-
-    def describe(self) -> str:
-        return " x ".join(
-            f"({cls.describe()})^{m}" if m > 1 else f"({cls.describe()})" for cls, m in self.factors
-        )
-
-
 def tame_enumeration_is_complete(p: int, n: int) -> bool:
     """True iff no wild stratum exists in any degree <= n, i.e. p > n."""
     return p > n
@@ -196,12 +159,10 @@ def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
     return [[]] + [enumerate_tame_field_classes(p, k) for k in range(1, n + 1)]
 
 
-def _tame_algebras(by_degree: list[list[TameFieldClass]], label: Callable[[TameFieldClass, int], object]
-                   ) -> list[tuple[tuple, int, int, int]]:
+def _tame_algebras(by_degree: list[list[TameFieldClass]]) -> list[tuple[tuple, int, int, int]]:
     """Every multiset of the classes by_degree[1:] of total degree n = len(by_degree) - 1, in
     sorted order, as (factors, disc exponent, geometric component count, #Aut); factors are
-    label(class, multiplicity), one object per distinct pair, in (degree, class) order.  The one
-    algebra listing.
+    (f, e, orbit, multiplicity) tuples, one object per distinct pair, in (degree, class) order.
 
     Algebras compare by their (class, multiplicity) pairs, so a DFS that tries each factor's
     classes in class order lists them sorted.  It appends to a list: a recursive generator
@@ -212,7 +173,7 @@ def _tame_algebras(by_degree: list[list[TameFieldClass]], label: Callable[[TameF
     ranks = [rank[cls] for cls in pool]  # class order
     degrees = [cls.degree for cls in pool]
     fits = [sum(1 for d in degrees if d <= r) for r in range(n + 1)]  # pool[:fits[r]] has degree <= r
-    steps = [[(label(cls, m), cls.disc_exponent * m, cls.f * m, factorial(m) * cls.aut_order**m)
+    steps = [[((cls.f, cls.e, cls.orbit, m), cls.disc_exponent * m, cls.f * m, factorial(m) * cls.aut_order**m)
               for m in range(n // cls.degree + 1)] for cls in pool]
     choices: dict[tuple[int, int], list[int]] = {}
     found: list[tuple[tuple, int, int, int]] = []
@@ -233,29 +194,22 @@ def _tame_algebras(by_degree: list[list[TameFieldClass]], label: Callable[[TameF
     return found
 
 
-def enumerate_tame_etale_algebras(p: int, n: int) -> list[EtaleAlgebra]:
-    """All multisets of tame field classes with total degree n, in sorted order.
-
-    This is the full list of degree-n etale algebras when p > n; otherwise it is only the tame
-    sector (check tame_enumeration_is_complete).  BudgetExceededError past ALGEBRAS_BUDGET.
-    """
-    return [EtaleAlgebra._make(listed + (n,))
-            for listed in _listed_tame_algebras(p, n, lambda cls, m: (cls, m))]
-
-
-def _listed_tame_algebras(p: int, n: int, label: Callable) -> list[tuple[tuple, int, int, int]]:
-    """_tame_algebras of the tame classes of degree <= n, built once for the count and the listing;
-    BudgetExceededError, before any listing, past ALGEBRAS_BUDGET algebras."""
+def enumerate_tame_etale_algebras(p: int, n: int) -> list[tuple[tuple, int, int, int]]:
+    """All degree-n etale algebras over Q_p as _tame_algebras lists them.  PartialEnumerationError
+    when wild algebras exist (p <= n), since the tame sector then misses them, and
+    BudgetExceededError before any listing when there are more than ALGEBRAS_BUDGET."""
+    _require_complete(p, n)
     by_degree = _tame_classes_by_degree(p, n)
     if (count := _algebra_count(by_degree)) > ALGEBRAS_BUDGET:
         raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
-    return _tame_algebras(by_degree, label)
+    return _tame_algebras(by_degree)
 
 
 def count_tame_etale_algebras(p: int, n: int) -> int:
-    """len(enumerate_tame_etale_algebras(p, n)) without listing: the
-    coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c.  BudgetExceededError
-    before any work past COUNT_DEGREE_BUDGET."""
+    """The number of multisets of tame classes of total degree n, without listing: the
+    coefficient of x^n in prod_c 1/(1 - x^deg c) over tame classes c; for p > n it is
+    len(enumerate_tame_etale_algebras(p, n)).  BudgetExceededError before any work past
+    COUNT_DEGREE_BUDGET."""
     return _algebra_count(_tame_classes_by_degree(p, n))
 
 
@@ -274,17 +228,6 @@ def _require_complete(p: int, n: int) -> None:
         raise PartialEnumerationError(
             f"p={p} <= n={n}: wild algebras exist in degree <= {n}, tame sector is incomplete"
         )
-
-
-def complete_algebra_invariants(p: int, n: int, label: Callable[[TameFieldClass, int], object]
-                                ) -> list[tuple[tuple, int, int, int]]:
-    """All degree-n etale algebras over Q_p, in sorted order, as (factors, disc exponent,
-    geometric component count, #Aut) tuples, each factor label(class, multiplicity), one object
-    per distinct pair.  PartialEnumerationError when wild algebras exist (p <= n), since the tame
-    sector then misses them, and BudgetExceededError before any listing when there are more than
-    ALGEBRAS_BUDGET."""
-    _require_complete(p, n)
-    return _listed_tame_algebras(p, n, label)
 
 
 def algebra_mass_sum(p: int, n: int) -> Fraction:
@@ -321,7 +264,7 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
     @staticmethod
     def from_json(record: Mapping) -> "FieldFixture":
         json_object(record, "fixture record")
-        return FieldFixture(
+        fixture = FieldFixture(
             p=exact_int(record["p"], "p"),
             n=exact_int(record["n"], "n"),
             e=exact_int(record["e"], "e"),
@@ -330,6 +273,11 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
             aut_order=exact_int(record["aut"], "aut"),
             label=str(record["label"]),
         )
+        if not is_prime(fixture.p):
+            raise ValueError(f"fixture {fixture.label!r}: p={fixture.p} is not prime")
+        if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:
+            raise ValueError(f"fixture {fixture.label!r}: n, e, f and aut must be >= 1 and c >= 0")
+        return fixture
 
     @property
     def is_wild(self) -> bool:

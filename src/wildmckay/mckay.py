@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .localfields import complete_algebra_invariants
+from .localfields import enumerate_tame_etale_algebras
 from .partitions import hilb_point_count
 
 __all__ = ["verify_wild_mckay", "McKayReport", "ROW_COLUMNS"]
@@ -56,12 +56,12 @@ def verify_wild_mckay(p: int, n: int) -> McKayReport:
 
     The report carries one ROW_COLUMNS tuple per algebra, so a failure localizes to an
     algebra.  More than ALGEBRAS_BUDGET algebras raise BudgetExceededError before any listing.
-    Each row's factors are (f, e, orbit, multiplicity) tuples, one object per distinct factor,
-    shared by the rows; no EtaleAlgebra is built.  The weights and the term are computed once
+    Each row's factors are the listing's (f, e, orbit, multiplicity) tuples, one object per
+    distinct factor, shared by the rows.  The weights and the term are computed once
     per distinct (d, components, #Aut), and the mass side adds each distinct term once."""
     terms: dict[tuple[int, int, int], list] = {}  # (d, components, #Aut) -> [row tail, algebras]
     rows = []
-    for factors, d, components, aut in complete_algebra_invariants(p, n, lambda cls, m: (cls.f, cls.e, cls.orbit, m)):
+    for factors, d, components, aut in enumerate_tame_etale_algebras(p, n):
         if (term := terms.get((d, components, aut))) is None:
             v, w = _weights(n, d, components)
             power = p ** (2 * n - v)

@@ -341,10 +341,7 @@ def null_set_fraction(system: PolySystem, m: int) -> Fraction:
     Normalization is by the full ambient dimension n, not d; for a proper
     subvariety this must decay to zero as m grows.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    *_, count = _level_counts(system, m)
-    return Fraction(count, system.p ** (m * system.num_vars))
+    return Fraction(count_points_mod(system, m).count, system.p ** (m * system.num_vars))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,17 @@ class TestExitCodes:
             assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", [{"p": 0}, {"p": 1}, {"p": 4}, {"e": 0, "n": 0}, {"f": 0, "n": 0}, {"aut": 0},
+                                     {"c": -1}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_malformed_fixture_record_is_two(self, bad, tmp_path, capsys):
+        # p = 0 ended in a ZeroDivisionError; p = 1 or 4, e = n = 0 and aut = 0 were "uncheckable (wild)".
+        record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1", **bad}
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([record]))
+        assert run(["etale", "crossvalidate", "--fixtures", str(path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixture '5.2.1.1': ") and err.count("\n") == 1, err
+
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])
         assert code == 2

@@ -1,6 +1,7 @@
-"""Smoke tests: every demo script runs to completion, and every name the
-package exports resolves."""
+"""Every demo script runs to completion and prints, byte for byte, the stdout
+recorded in tests/golden/demos.json; every name the package exports resolves."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import wildmckay
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "demos.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
@@ -21,6 +23,7 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == GOLDEN[demo.stem]
 
 
 def test_exported_names_resolve():

@@ -6,14 +6,13 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
 
 from wildmckay import localfields
 from wildmckay.localfields import (
-    EtaleAlgebra,
     FieldFixture,
     PartialEnumerationError,
     TameFieldClass,
@@ -112,15 +111,30 @@ class TestFieldClasses:
             assert total == Fraction(1, p ** (n - 1))
 
 
+def algebra_invariants(p, factors):
+    """Test-only oracle: (d, geometric components, #Aut) of the algebra with those (f, e, orbit, m)
+    factors, each class's d and #Aut read from enumerate_tame_field_classes, not from the listing:
+    d = sum f(e-1) m, components = sum f m, #Aut = prod m! #Aut_c^m."""
+    d, components, aut = 0, 0, 1
+    for f, e, orbit, m in factors:
+        cls = next(c for c in enumerate_tame_field_classes(p, e * f) if (c.f, c.e, c.orbit) == (f, e, orbit))
+        d, components, aut = d + cls.disc_exponent * m, components + f * m, aut * factorial(m) * cls.aut_order**m
+    return d, components, aut
+
+
+def tame_sector(p, n):
+    """Every multiset of tame classes of total degree n, also for p <= n."""
+    return localfields._tame_algebras(localfields._tame_classes_by_degree(p, n))
+
+
 class TestEtaleAlgebras:
     def test_degree_one(self):
         algebras = enumerate_tame_etale_algebras(5, 1)
-        assert len(algebras) == 1
-        assert algebras[0].aut_order == 1
+        assert algebras == [(((1, 1, (0,), 1),), 0, 1, 1)]
 
     def test_degree_two_over_q5(self):
         algebras = enumerate_tame_etale_algebras(5, 2)
-        stats = sorted((a.disc_exponent, a.aut_order) for a in algebras)
+        stats = sorted((d, aut) for _, d, _, aut in algebras)
         assert stats == [(0, 2), (0, 2), (1, 2), (1, 2)]
 
     def test_degree_three_over_q5(self):
@@ -129,38 +143,25 @@ class TestEtaleAlgebras:
         # the count at 6 (1/6 + 1/2 + 2/10 + 1/3 + 1/25 = 31/25).
         algebras = enumerate_tame_etale_algebras(5, 3)
         assert len(algebras) == 6
-        shapes = sorted(tuple(sorted(cls.degree for cls, m in a.factors for _ in range(m))) for a in algebras)
+        shapes = sorted(tuple(sorted(e * f for f, e, _, m in factors for _ in range(m))) for factors, *_ in algebras)
         assert shapes == [(1, 1, 1), (1, 2), (1, 2), (1, 2), (3,), (3,)]
         assert algebra_mass_sum(5, 3) == Fraction(31, 25)
 
     def test_split_algebra_aut_is_factorial(self):
-        base = enumerate_tame_field_classes(7, 1)[0]
         for m in (2, 3, 4):
-            algebra = EtaleAlgebra([(base, m)])
-            expected = 1
-            for i in range(2, m + 1):
-                expected *= i
-            assert algebra.aut_order == expected
+            listed = {factors: aut for factors, _, _, aut in enumerate_tame_etale_algebras(7, m)}
+            assert listed[((1, 1, (0,), m),)] == algebra_invariants(7, ((1, 1, (0,), m),))[2] == factorial(m)
 
     def test_power_algebra_aut(self):
         # L^m has aut = m! * (aut L)^m
-        quad = [c for c in enumerate_tame_field_classes(5, 2) if c.f == 2][0]
-        algebra = EtaleAlgebra([(quad, 3)])
-        assert algebra.aut_order == 6 * 2**3
-        assert algebra.degree == 6
-        assert algebra.geometric_component_count == 6
-
-    def test_factors_are_distinct_classes(self):
-        base = enumerate_tame_field_classes(7, 1)[0]
-        for factors in ([(base, 1), (base, 2)], [(base, 0)]):
-            with pytest.raises(ValueError):
-                EtaleAlgebra(factors)
+        quad = [c for c in enumerate_tame_field_classes(7, 2) if c.f == 2][0]
+        factors = ((quad.f, quad.e, quad.orbit, 3),)
+        listed = {row[0]: row[1:] for row in enumerate_tame_etale_algebras(7, 6)}
+        assert listed[factors] == algebra_invariants(7, factors) == (0, 6, 6 * 2**3)
 
     def test_copies_and_pickles_rebuild_equal_values(self):
         cls = enumerate_tame_field_classes(7, 2)[1]
-        algebra = EtaleAlgebra([(cls, 2), (enumerate_tame_field_classes(7, 1)[0], 1)])
-        for value in (cls, algebra):
-            assert copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(cls) == pickle.loads(pickle.dumps(cls)) == cls
 
     def test_mass_sums(self):
         assert algebra_mass_sum(5, 1) == 1
@@ -171,15 +172,16 @@ class TestEtaleAlgebras:
 
     def test_partial_enumeration_guard(self):
         assert not tame_enumeration_is_complete(3, 4)
-        with pytest.raises(PartialEnumerationError):
-            algebra_mass_sum(3, 4)
+        for fn in (algebra_mass_sum, enumerate_tame_etale_algebras):
+            with pytest.raises(PartialEnumerationError):
+                fn(3, 4)
 
 
 def listed_mass(p, n):
     """Test-only oracle: the mass summed over the listing of every algebra."""
     total = Fraction(0)
-    for algebra in enumerate_tame_etale_algebras(p, n):
-        total += Fraction(1, p**algebra.disc_exponent * algebra.aut_order)
+    for _, d, _, aut in enumerate_tame_etale_algebras(p, n):
+        total += Fraction(1, p**d * aut)
     return total
 
 
@@ -195,8 +197,7 @@ def unscaled_masses(p, n):
 
 
 def seeded_pairs(count, complete):
-    """Seeded (p, n) with n <= 14 and p < 60 prime: p > n when complete,
-    else p <= n (only the tame sector is listed then)."""
+    """Seeded (p, n) with n <= 14 and p < 60 prime: p > n when complete, else p <= n."""
     rng = random.Random(1412)
     primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
     pairs = []
@@ -214,13 +215,15 @@ class TestCountingWithoutListing:
 
     @pytest.mark.parametrize("p, n", seeded_pairs(12, complete=True))
     def test_count_and_mass_match_the_listing(self, p, n):
-        assert count_tame_etale_algebras(p, n) == len(enumerate_tame_etale_algebras(p, n))
+        listed = enumerate_tame_etale_algebras(p, n)
+        assert count_tame_etale_algebras(p, n) == len(listed)
         assert algebra_mass_sum(p, n) == listed_mass(p, n)
+        assert [row[1:] for row in listed] == [algebra_invariants(p, row[0]) for row in listed]
 
     @pytest.mark.parametrize("p, n", seeded_pairs(6, complete=False))
     def test_tame_sector_count_when_wild_algebras_exist(self, p, n):
         assert p <= n
-        assert count_tame_etale_algebras(p, n) == len(enumerate_tame_etale_algebras(p, n))
+        assert count_tame_etale_algebras(p, n) == len(tame_sector(p, n))
 
     def test_known_counts(self):
         assert count_tame_etale_algebras(13, 12) == len(enumerate_tame_etale_algebras(13, 12)) == 3485
@@ -240,9 +243,8 @@ class TestCountingWithoutListing:
         assert count_tame_etale_algebras(29, 22) == 296646
 
     def test_listing_is_refused_past_the_algebras_budget(self, monkeypatch):
-        # The tame-sector listing takes the budget that `mckay verify` takes: (29, 22) listed its
-        # 296,646 algebras in 1.3 s, and (101, 40) would have tried 634,306,319.
-        def no_listing(by_degree, label):
+        # (29, 22) listed its 296,646 algebras in 1.3 s, and (101, 40) would have tried 634,306,319.
+        def no_listing(by_degree):
             raise AssertionError("listed although over budget")
 
         monkeypatch.setattr(localfields, "_tame_algebras", no_listing)
@@ -253,9 +255,15 @@ class TestCountingWithoutListing:
 
     @pytest.mark.parametrize("p, n", [(5, 4), (13, 8), (3, 6), (2, 5), (31, 10)])
     def test_listing_is_sorted_and_canonical(self, p, n):
-        listed = enumerate_tame_etale_algebras(p, n)
-        rebuilt = sorted(EtaleAlgebra(list(reversed(algebra.factors))) for algebra in listed)
-        assert [a.factors for a in listed] == [b.factors for b in rebuilt]
+        # Factors run in (degree, class) order, the class order being (-f, e, orbit); algebras
+        # compare by their factors, each by class and then multiplicity.
+        def by_degree(factor):
+            f, e, orbit, m = factor
+            return e * f, -f, e, orbit, m
+
+        listed = [factors for factors, *_ in tame_sector(p, n)]
+        canonical = [tuple(sorted(reversed(factors), key=by_degree)) for factors in listed]
+        assert listed == sorted(canonical, key=lambda factors: [by_degree(factor)[1:] for factor in factors])
         assert len(set(listed)) == len(listed)
 
     def test_class_invariants_are_computed_once(self):
@@ -384,7 +392,7 @@ class TestSymmetricGroupOracle:
     @pytest.mark.parametrize("p, n", [(p, n) for p in (7, 11, 13, 29, 31) for n in range(1, 6)] + [(7, 6)])
     def test_invariants_match_pairs_in_s_n(self, p, n):
         oracle = s_n_tame_classes(p, n)
-        listed = localfields._tame_algebras(localfields._tame_classes_by_degree(p, n), lambda cls, m: None)
+        listed = tame_sector(p, n)
         assert Counter((d, aut, components) for _, d, components, aut in listed) == Counter(
             {(d, aut, components): count for (d, aut, components, _), count in oracle.items()})
         rows = [dict(zip(ROW_COLUMNS, row)) for row in verify_wild_mckay(p, n).rows]

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from test_localfields import algebra_invariants
 
 from wildmckay import localfields
 from wildmckay.localfields import (
-    EtaleAlgebra,
     PartialEnumerationError,
     enumerate_tame_etale_algebras,
     enumerate_tame_field_classes,
@@ -22,23 +22,23 @@ def named_rows(report):
     return [dict(zip(ROW_COLUMNS, row)) for row in report.rows]
 
 
-def field_class(p, f, e, which=0):
+def field(p, f, e, which=0):
+    """The (f, e, orbit, 1) factor of one tame field of degree e f over Q_p."""
     matches = [c for c in enumerate_tame_field_classes(p, e * f) if c.f == f and c.e == e]
-    return matches[which]
+    return matches[which].f, matches[which].e, matches[which].orbit, 1
 
 
-def weights(p, algebra):
-    """(v, w, centralizer order) of algebra, from its `verify_wild_mckay` row."""
-    factors = tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
-    row = next(row for row in named_rows(verify_wild_mckay(p, algebra.degree)) if row["factors"] == factors)
+def weights(p, factors):
+    """(v, w, centralizer order) of the algebra with those factors, from its `verify_wild_mckay` row."""
+    n = sum(f * e * m for f, e, _, m in factors)
+    row = next(row for row in named_rows(verify_wild_mckay(p, n)) if row["factors"] == factors)
     return row["v"], row["w"], row["aut"]
 
 
 class TestWeights:
     def test_split_algebra(self):
-        base = field_class(5, 1, 1)
         for n in (2, 3, 4):
-            v, w, centralizer_order = weights(5, EtaleAlgebra([(base, n)]))
+            v, w, centralizer_order = weights(5, ((1, 1, (0,), n),))
             assert (v, w) == (0, 0)
             expected = 1
             for i in range(2, n + 1):
@@ -46,12 +46,10 @@ class TestWeights:
             assert centralizer_order == expected
 
     def test_ramified_quadratic(self):
-        algebra = EtaleAlgebra([(field_class(5, 1, 2), 1)])
-        assert weights(5, algebra) == (1, 1, 2)
+        assert weights(5, (field(5, 1, 2),)) == (1, 1, 2)
 
     def test_unramified_quadratic(self):
-        algebra = EtaleAlgebra([(field_class(5, 2, 1), 1)])
-        assert weights(5, algebra) == (0, 0, 2)
+        assert weights(5, (field(5, 2, 1),)) == (0, 0, 2)
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_w_equals_v_for_all_algebras_up_to_degree_6(self, p):
@@ -59,10 +57,10 @@ class TestWeights:
             rows = named_rows(verify_wild_mckay(p, n))
             algebras = enumerate_tame_etale_algebras(p, n)
             assert len(rows) == len(algebras)
-            for row, algebra in zip(rows, algebras):
-                assert row["factors"] == tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
-                assert row["w"] == row["v"], algebra.describe()
-                assert row["v"] == algebra.disc_exponent
+            for row, (factors, d, _, _) in zip(rows, algebras):
+                assert row["factors"] == factors
+                assert row["w"] == row["v"], factors
+                assert row["v"] == d
 
     def test_term_bounds(self):
         # each term is positive and at most q^(2n)
@@ -109,22 +107,22 @@ class TestVerify:
         report = verify_wild_mckay(p, n)
         algebras = enumerate_tame_etale_algebras(p, n)
         assert len(report.rows) == len(algebras)
-        for row, algebra in zip(named_rows(report), algebras):
+        for row, (factors, *_) in zip(named_rows(report), algebras):
             # v = d, and w = the fixed locus's codimension 2 (n - geometric components) minus v
-            v = algebra.disc_exponent
-            w = 2 * (n - algebra.geometric_component_count) - v
-            term = Fraction(p ** (2 * n - v), algebra.aut_order)
-            assert row["factors"] == tuple((cls.f, cls.e, cls.orbit, m) for cls, m in algebra.factors)
-            assert (row["d"], row["v"], row["w"], row["aut"]) == (algebra.disc_exponent, v, w, algebra.aut_order)
+            d, components, aut = algebra_invariants(p, factors)
+            v, w = d, 2 * (n - components) - d
+            term = Fraction(p ** (2 * n - v), aut)
+            assert row["factors"] == factors
+            assert (row["d"], row["v"], row["w"], row["aut"]) == (d, v, w, aut)
             assert (row["term_num"], row["term_den"]) == (term.numerator, term.denominator)
         assert report.mass_side == sum(Fraction(r["term_num"], r["term_den"]) for r in named_rows(report))
 
     def test_rows_share_one_entry_per_distinct_factor(self):
         rows = named_rows(verify_wild_mckay(13, 8))
         entries = {}
-        for row, algebra in zip(rows, enumerate_tame_etale_algebras(13, 8)):
-            for entry, factor in zip(row["factors"], algebra.factors):
-                assert entries.setdefault(factor, entry) is entry
+        for row in rows:
+            for entry in row["factors"]:
+                assert entries.setdefault(entry, entry) is entry
         assert len({id(entry) for row in rows for entry in row["factors"]}) == len(entries)
         assert len(entries) < sum(len(row["factors"]) for row in rows)
 
@@ -133,7 +131,7 @@ class TestVerify:
         assert verify_wild_mckay(13, 12).passed
         monkeypatch.setattr(localfields, "ALGEBRAS_BUDGET", 3484)
 
-        def no_listing(by_degree, label):
+        def no_listing(by_degree):
             raise AssertionError("listed although over budget")
 
         monkeypatch.setattr(localfields, "_tame_algebras", no_listing)
@@ -146,10 +144,10 @@ class TestVerify:
         # Over Q_23, degree 21 is the last within the cap and degree 22 the first above it.
         cap = localfields.ALGEBRAS_BUDGET
         assert localfields.count_tame_etale_algebras(23, 21) <= cap < localfields.count_tame_etale_algebras(23, 22)
-        monkeypatch.setattr(localfields, "_tame_algebras", lambda by_degree, label: ["listed"])
-        assert localfields.complete_algebra_invariants(23, 21, None) == ["listed"]
+        monkeypatch.setattr(localfields, "_tame_algebras", lambda by_degree: ["listed"])
+        assert enumerate_tame_etale_algebras(23, 21) == ["listed"]
         with pytest.raises(BudgetExceededError) as err:
-            localfields.complete_algebra_invariants(23, 22, None)
+            enumerate_tame_etale_algebras(23, 22)
         assert (err.value.required, err.value.budget) == (152131, cap)
 
     def test_tame_classes_built_once_per_degree(self, monkeypatch):
