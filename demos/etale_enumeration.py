@@ -44,8 +44,7 @@ print(f"  partition formula at q={p}: {bhargava_mass(n).evaluate(p)}")
 assert algebra_mass_sum(p, n) == bhargava_mass(n).evaluate(p)
 
 print("\nCross-validation against a database export:")
-fixtures = load_fixtures("data/sample_fixtures.json")
-report = crossvalidate_fixtures(fixtures)
-print(f"  matched:     {len(report.matched)}")
-print(f"  uncheckable: {len(report.uncheckable)} (wild, p | e)")
-print(f"  mismatches:  {len(report.mismatches)}")
+statuses = [status for _, status, _ in crossvalidate_fixtures(load_fixtures("data/sample_fixtures.json"))]
+print(f"  matched:     {statuses.count('matched')}")
+print(f"  uncheckable: {statuses.count('uncheckable (wild)')} (wild, p | e)")
+print(f"  mismatches:  {statuses.count('mismatch')}")

@@ -4,8 +4,8 @@ A finite extension of Q_p with residue degree f and tame ramification index
 e (p not dividing e) is generated over the unramified field K_f by an e-th
 root of p times a root of unity; with g = gcd(e, p^f - 1) the isomorphism
 classes over Q_p are the orbits of a residue c in Z/g under multiplication
-by p (the Frobenius action on the root-of-unity twist).  The class with
-orbit of c has
+by p (the Frobenius action on the root-of-unity twist).  The enumerator
+walks each orbit once and stores its class's invariants, c any orbit element:
 
     degree = e * f,
     discriminant exponent d = f * (e - 1),
@@ -25,14 +25,14 @@ This regroups a sum over multisets; it does not assume the Serre/Bhargava
 mass formula that `etale mass` checks, whose content is the per-class d and
 #Aut above.  Algebras are listed only where per-algebra rows are needed.
 
-Wild strata (p dividing e) are never computed, only imported as fixtures;
-the enumerators skip and report them.
+Wild strata (p dividing e) are never computed: the enumerators skip and report
+them, and a wild fixture is uncheckable.  Each fixture record gets one verdict.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
@@ -43,7 +43,6 @@ from .numutil import BudgetExceededError, check_exact_digits, divisors, exact_in
 __all__ = [
     "TameFieldClass",
     "FieldFixture",
-    "FixtureReport",
     "PartialEnumerationError",
     "enumerate_tame_field_classes",
     "skipped_wild_strata",
@@ -86,25 +85,6 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
 
     __slots__ = ()
 
-    def __new__(cls, p: int, f: int, e: int, orbit: Sequence[int]):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if f < 1 or e < 1:
-            raise ValueError("residue degree and ramification index must be >= 1")
-        if e % p == 0:
-            raise ValueError(f"wild class rejected: p={p} divides e={e}")
-        g = gcd(e, p**f - 1)
-        orbit = tuple(sorted(int(c) % g for c in orbit))
-        if not orbit:
-            raise ValueError("empty Frobenius orbit")
-        if set(orbit) != {c * p % g for c in orbit}:
-            raise ValueError(f"orbit {orbit} not closed under multiplication by {p} mod {g}")
-        fixed = sum(1 for i in range(f) if orbit[0] * (pow(p, i, g) - 1) % g == 0)
-        return super().__new__(cls, p, -f, e, orbit, f, g, e * f, f * (e - 1), g * fixed)
-
-    def __getnewargs__(self):
-        return self.p, self.f, self.e, self.orbit
-
 
 def _check_degree(n: int) -> None:
     if n < 1:
@@ -138,7 +118,8 @@ def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
                 seen[x] = True
                 orbit.append(x)
                 x = x * p % g
-            classes.append(TameFieldClass(p, f, e, orbit))
+            fixed = sum(1 for i in range(f) if c * (pow(p, i, g) - 1) % g == 0)  # c is the orbit's least
+            classes.append(TameFieldClass(p, -f, e, tuple(sorted(orbit)), f, g, n, f * (e - 1), g * fixed))
     return sorted(classes)
 
 
@@ -273,23 +254,14 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
             aut_order=exact_int(record["aut"], "aut"),
             label=str(record["label"]),
         )
-        if not is_prime(fixture.p):
-            raise ValueError(f"fixture {fixture.label!r}: p={fixture.p} is not prime")
-        if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:
-            raise ValueError(f"fixture {fixture.label!r}: n, e, f and aut must be >= 1 and c >= 0")
+        try:  # is_prime's own ValueError at or above PRIME_TEST_LIMIT also names the record
+            if not is_prime(fixture.p):
+                raise ValueError(f"p={fixture.p} is not prime")
+            if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:
+                raise ValueError("n, e, f and aut must be >= 1 and c >= 0")
+        except ValueError as exc:
+            raise ValueError(f"fixture {fixture.label!r}: {exc}") from None
         return fixture
-
-    @property
-    def is_wild(self) -> bool:
-        return self.e % self.p == 0
-
-
-class FixtureReport(namedtuple("FixtureReport", "matched uncheckable mismatches")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def load_fixtures(path: str | Path) -> list[FieldFixture]:
@@ -298,35 +270,26 @@ def load_fixtures(path: str | Path) -> list[FieldFixture]:
     return [FieldFixture.from_json(record) for record in data]
 
 
-def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> FixtureReport:
-    """Check tame fixtures against the enumerated classes, with multiplicity.
-
-    For each (p, n) group, every tame fixture must consume one enumerated
-    class with identical (e, f, d, #Aut); wild fixtures are listed as
-    uncheckable.  Consistency failures name the offending fixture label.
-    """
-    report = FixtureReport(matched=[], uncheckable=[], mismatches=[])
-    grouped: dict[tuple[int, int], list[FieldFixture]] = {}
-    for fix in fixtures:
+def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[FieldFixture, str, str]]:
+    """Check fixtures against the enumerated classes, with multiplicity: one (fixture, status,
+    reason) per record, in (p, n, label) order.  Each tame fixture, in that order, consumes one
+    enumerated class of its (p, n) with identical (e, f, d, #Aut) ("matched") or is a "mismatch";
+    wild fixtures (p | e) are "uncheckable (wild)", never computed.  Only a mismatch has a reason."""
+    slots: dict[tuple[int, int], Counter] = {}
+    verdicts = []
+    for fix in sorted(fixtures, key=lambda fx: (fx.p, fx.n, fx.label)):
+        key = (fix.e, fix.f, fix.disc_exponent, fix.aut_order)
         if fix.n != fix.e * fix.f:
-            report.mismatches.append((fix.label, f"n={fix.n} != e*f={fix.e * fix.f}"))
-            continue
-        if fix.is_wild:
-            report.uncheckable.append(fix.label)
-            continue
-        grouped.setdefault((fix.p, fix.n), []).append(fix)
-    for (p, n), group in sorted(grouped.items()):
-        slots: dict[tuple[int, int, int, int], int] = {}
-        for cls in enumerate_tame_field_classes(p, n):
-            key = (cls.e, cls.f, cls.disc_exponent, cls.aut_order)
-            slots[key] = slots.get(key, 0) + 1
-        for fix in sorted(group, key=lambda fx: fx.label):
-            key = (fix.e, fix.f, fix.disc_exponent, fix.aut_order)
-            if slots.get(key, 0) > 0:
-                slots[key] -= 1
-                report.matched.append(fix.label)
+            verdicts.append((fix, "mismatch", f"n={fix.n} != e*f={fix.e * fix.f}"))
+        elif fix.e % fix.p == 0:
+            verdicts.append((fix, "uncheckable (wild)", ""))
+        else:
+            if (left := slots.get((fix.p, fix.n))) is None:
+                classes = enumerate_tame_field_classes(fix.p, fix.n)
+                left = slots[fix.p, fix.n] = Counter((cls.e, cls.f, cls.disc_exponent, cls.aut_order) for cls in classes)
+            if left[key] > 0:
+                left[key] -= 1
+                verdicts.append((fix, "matched", ""))
             else:
-                report.mismatches.append(
-                    (fix.label, f"no remaining tame class over Q_{p} with (e,f,d,aut)={key}")
-                )
-    return report
+                verdicts.append((fix, "mismatch", f"no remaining tame class over Q_{fix.p} with (e,f,d,aut)={key}"))
+    return verdicts

@@ -134,9 +134,11 @@ class TestExitCodes:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [{"p": 0}, {"p": 1}, {"p": 4}, {"e": 0, "n": 0}, {"f": 0, "n": 0}, {"aut": 0},
-                                     {"c": -1}], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+                                     {"c": -1}, {"p": 10**31 + 1}],
+                             ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_malformed_fixture_record_is_two(self, bad, tmp_path, capsys):
-        # p = 0 ended in a ZeroDivisionError; p = 1 or 4, e = n = 0 and aut = 0 were "uncheckable (wild)".
+        # p = 0 ended in a ZeroDivisionError; p = 1 or 4, e = n = 0 and aut = 0 were "uncheckable (wild)";
+        # a p past the exact primality test was refused without the record's label.
         record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1", **bad}
         path = tmp_path / "fixtures.json"
         path.write_text(json.dumps([record]))
@@ -693,6 +695,19 @@ class TestReports:
         )
         code, out = run(["etale", "crossvalidate", "--fixtures", str(bogus), "--format", "json"])
         assert code == 1
+
+    def test_crossvalidate_gives_duplicate_labels_their_own_verdicts(self, tmp_path):
+        # two records labelled alike both read "matched", each with the mismatch's reason
+        record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "same"}
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps([record, {**record, "c": 7}]))
+        code, out = run(["etale", "crossvalidate", "--fixtures", str(fixtures), "--format", "json"])
+        report = json.loads(out)
+        assert code == 1
+        assert [(row["d"], row["status"], row["reason"]) for row in report["rows"]] == [
+            (1, "matched", ""), (7, "mismatch", "no remaining tame class over Q_5 with (e,f,d,aut)=(2, 1, 7, 2)")
+        ]
+        assert (report["matched"], report["mismatches"], report["ok"]) == (1, 1, False)
 
     def test_stringy_eval_with_numeric(self):
         code, out = run(

@@ -15,7 +15,6 @@ from wildmckay import localfields
 from wildmckay.localfields import (
     FieldFixture,
     PartialEnumerationError,
-    TameFieldClass,
     algebra_mass_sum,
     count_tame_etale_algebras,
     crossvalidate_fixtures,
@@ -83,10 +82,6 @@ class TestFieldClasses:
                 classes = [c for c in enumerate_tame_field_classes(p, e) if c.f == 1]
                 assert len(classes) == gcd(e, p - 1)
                 assert all(c.aut_order == gcd(e, p - 1) for c in classes)
-
-    def test_wild_class_rejected(self):
-        with pytest.raises(ValueError):
-            TameFieldClass(5, 1, 5, (0,))
 
     def test_stratum_mass_identity(self):
         # sum over classes of q^(-f(e-1)) / aut = q^(f(1-e)) / f for the
@@ -281,37 +276,50 @@ class TestCountingWithoutListing:
                 fn(5, 0)
 
 
+def statuses(verdicts):
+    """(label, status, reason) of each (fixture, status, reason) verdict, in the listed order."""
+    return [(fix.label, status, reason) for fix, status, reason in verdicts]
+
+
 class TestFixtures:
     def test_sample_file_crossvalidates(self):
         fixtures = load_fixtures(FIXTURES)
-        report = crossvalidate_fixtures(fixtures)
-        assert report.ok
-        assert set(report.uncheckable) == {"2.2.2.1", "2.2.2.2", "2.2.3.1"}
-        assert len(report.matched) == len(fixtures) - 3
+        verdicts = crossvalidate_fixtures(fixtures)
+        assert [fix for fix, _, _ in verdicts] == sorted(fixtures, key=lambda fx: (fx.p, fx.n, fx.label))
+        wild = [(label, reason) for label, status, reason in statuses(verdicts) if status == "uncheckable (wild)"]
+        assert wild == [("2.2.2.1", ""), ("2.2.2.2", ""), ("2.2.3.1", "")]
+        assert [status for _, status, _ in verdicts].count("matched") == len(fixtures) - 3
 
     def test_matched_ramified_quadratic(self):
         fix = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=2, label="5.2.1.1")
-        report = crossvalidate_fixtures([fix])
-        assert report.matched == ["5.2.1.1"]
+        assert crossvalidate_fixtures([fix]) == [(fix, "matched", "")]
 
     def test_wild_listed_uncheckable(self):
         fix = FieldFixture(p=2, n=2, e=2, f=1, disc_exponent=2, aut_order=2, label="2.2.2.1")
-        report = crossvalidate_fixtures([fix])
-        assert report.uncheckable == ["2.2.2.1"]
-        assert report.ok
+        assert crossvalidate_fixtures([fix]) == [(fix, "uncheckable (wild)", "")]
 
     def test_impossible_aut_mismatch(self):
         fix = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=3, label="bogus")
-        report = crossvalidate_fixtures([fix])
-        assert not report.ok
-        assert report.mismatches[0][0] == "bogus"
+        assert statuses(crossvalidate_fixtures([fix])) == [
+            ("bogus", "mismatch", "no remaining tame class over Q_5 with (e,f,d,aut)=(2, 1, 1, 3)")
+        ]
+
+    def test_degree_mismatch(self):
+        fix = FieldFixture(p=5, n=3, e=2, f=1, disc_exponent=1, aut_order=2, label="n")
+        assert statuses(crossvalidate_fixtures([fix])) == [("n", "mismatch", "n=3 != e*f=2")]
 
     def test_multiplicity_is_respected(self):
         fix = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=2, label="dup")
-        report = crossvalidate_fixtures([fix, fix, fix])
         # only two ramified quadratic classes exist
-        assert len(report.matched) == 2
-        assert len(report.mismatches) == 1
+        assert [status for _, status, _ in crossvalidate_fixtures([fix, fix, fix])] == ["matched"] * 2 + ["mismatch"]
+
+    def test_duplicate_labels_keep_their_own_verdicts(self):
+        good = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=2, label="same")
+        bad = good._replace(disc_exponent=7)
+        reason = "no remaining tame class over Q_5 with (e,f,d,aut)=(2, 1, 7, 2)"
+        assert crossvalidate_fixtures([good, bad]) == [(good, "matched", ""), (bad, "mismatch", reason)]
+        # within one label the input order decides which record takes the class slot
+        assert crossvalidate_fixtures([bad, good]) == [(bad, "mismatch", reason), (good, "matched", "")]
 
     def test_malformed_records_rejected(self):
         record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1"}
