@@ -243,31 +243,31 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
     __slots__ = ()
 
     @staticmethod
-    def from_json(record: Mapping) -> "FieldFixture":
-        json_object(record, "fixture record")
-        fixture = FieldFixture(
-            p=exact_int(record["p"], "p"),
-            n=exact_int(record["n"], "n"),
-            e=exact_int(record["e"], "e"),
-            f=exact_int(record["f"], "f"),
-            disc_exponent=exact_int(record["c"], "c"),
-            aut_order=exact_int(record["aut"], "aut"),
-            label=str(record["label"]),
-        )
+    def from_json(record: Mapping, position: int) -> "FieldFixture":
+        """The fixture of the record at 1-based position in its file; a ValueError that names the
+        record by its label, read first, or by its position when it has none."""
+        name = f"fixture #{position}"
         try:  # is_prime's own ValueError at or above PRIME_TEST_LIMIT also names the record
+            json_object(record, "fixture record")
+            if "label" in record:
+                name = f"fixture {str(record['label'])!r}"
+            if missing := [key for key in ("label", "p", "n", "e", "f", "c", "aut") if key not in record]:
+                raise ValueError(f"missing field {missing[0]!r}")
+            fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")],
+                                   label=str(record["label"]))
             if not is_prime(fixture.p):
                 raise ValueError(f"p={fixture.p} is not prime")
             if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:
                 raise ValueError("n, e, f and aut must be >= 1 and c >= 0")
         except ValueError as exc:
-            raise ValueError(f"fixture {fixture.label!r}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
         return fixture
 
 
 def load_fixtures(path: str | Path) -> list[FieldFixture]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json_array(json.load(fh), "fixture file")
-    return [FieldFixture.from_json(record) for record in data]
+    return [FieldFixture.from_json(record, position) for position, record in enumerate(data, 1)]
 
 
 def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[FieldFixture, str, str]]:

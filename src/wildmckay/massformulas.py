@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .numutil import BudgetExceededError, divisors
 from .partitions import partition_row
-from .qexpr import QExpr, _sum_over
+from .qexpr import QExpr, _make, _sum_over
 from .series import TruncatedSeries
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 # Largest truncation degree the mass series accepts, in series degrees: exp and log cost about
-# nmax^2 / 2 packed row products; at 100, `mass invert` takes 0.07-0.14 s and `mass expcheck`
-# 0.05-0.07 s in-process (Python 3.11, 2-vCPU Intel Xeon).
+# nmax^2 / 2 packed row products; at 100, `mass invert` (one exp, one log) takes 0.07-0.13 s and
+# `mass expcheck` 0.04-0.08 s in-process, in each format (Python 3.11, 2-vCPU Intel Xeon).
 NMAX_BUDGET = 100
 # Largest degree bhargava_mass accepts (`mass bhargava --n`), in degrees: its partition table
 # takes n^2 / 4 big-integer additions; `mass bhargava --n 4000` takes 0.49-0.67 s in-process
@@ -67,16 +67,15 @@ def bhargava_mass(n: int) -> QExpr:
     if n > BHARGAVA_DEGREE_BUDGET:
         raise BudgetExceededError(n, BHARGAVA_DEGREE_BUDGET, "partition", unit="degrees")
     row = partition_row(n)
-    return QExpr({-i: row[n - i] for i in range(n)})
+    return _make([(-i, row[n - i]) for i in range(n)])
 
 
 def _inner_exponent_series(n_max: int) -> TruncatedSeries:
-    """sum_{n>=1} x^n sum_{f|n} N(K_f, n/f) / f with Serre's masses N, truncated at n_max; each
-    coefficient is built once, over the lcm of its terms' denominators."""
-    coeffs = [QExpr()]
-    for n in range(1, n_max + 1):
-        coeffs.append(_sum_over([(serre_mass(n // f, f), f) for f in divisors(n)]))
-    return TruncatedSeries(coeffs)
+    """sum_{n>=1} x^n sum_{f|n} N(K_f, n/f) / f with Serre's masses N, truncated at n_max.  Serre's
+    q^(f(1-m)) at m = n/f is q^(f-n), so coefficient n is sum_{f|n} q^(f-n) (n/f) / n, built in
+    canonical form over the common denominator n."""
+    return TruncatedSeries([QExpr()] + [_make([(f - n, n // f) for f in divisors(n)], n)
+                                        for n in range(1, n_max + 1)])
 
 
 def mass_series_via_exp(n_max: int) -> TruncatedSeries:
@@ -91,22 +90,21 @@ def mass_series_via_exp(n_max: int) -> TruncatedSeries:
 def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
     """Solve the exponential identity for the totally ramified masses.
 
-    The mass series over K_f is the input series with q replaced by q^f.
-    Taking logarithms, S(f)_m = sum_{j|m} N(f*j, m/j) / j, which is
-    triangular in m: N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.
-    Returns N on all pairs with f * m <= truncation degree.
+    The mass series over K_f is the input series M with q replaced by q^f.  That substitution is
+    an injective ring map on the coefficients, so it commutes with the exp/log recurrences:
+    log M(q^f) = (log M)(q^f), and one log serves every f.  Its coefficients
+    S(f)_m = (log M)_m(q^f) = sum_{j|m} N(f*j, m/j) / j are triangular in m:
+    N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.  Returns N on all pairs with
+    f * m <= truncation degree.  ConstantTermError unless M has constant term 1, and
+    BudgetExceededError past NMAX_BUDGET or when log M would span more than the dense budget:
+    the cases of one log per f, whose f = 1 log was the largest (at truncation 0 it took none).
     """
     n_max = M_series.truncation
     _check_degree(n_max)
-    logs: dict[int, TruncatedSeries] = {}
-    for f in range(1, n_max + 1):
-        substituted = TruncatedSeries(
-            [c.scale_exponents(f) for c in M_series.coefficients[: n_max // f + 1]]
-        )
-        logs[f] = substituted.log()
+    log_M = M_series.log()
     N: dict[tuple[int, int], QExpr] = {}
     for m in range(1, n_max + 1):
         for f in range(1, n_max // m + 1):
             others = [(N[(f * j, m // j)], -j) for j in divisors(m)[1:]]
-            N[(f, m)] = _sum_over([(logs[f].coefficient(m), 1)] + others)
+            N[(f, m)] = _sum_over([(log_M.coefficient(m).scale_exponents(f), 1)] + others)
     return N

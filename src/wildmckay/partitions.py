@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .qexpr import QExpr
+from .qexpr import QExpr, _make
 
 __all__ = ["partition_count", "partition_row", "partitions_into_parts", "hilb_point_count"]
 
@@ -58,4 +58,4 @@ def hilb_point_count(n: int) -> QExpr:
     if n < 1:
         raise ValueError("need n >= 1")
     row = partition_row(n)
-    return QExpr({2 * n - i: row[n - i] for i in range(n)})
+    return _make([(2 * n - i, row[n - i]) for i in range(n)])

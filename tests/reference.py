@@ -1,15 +1,21 @@
-"""Test-only reference for the QFrac canonical form: Euclid over Fraction coefficients.
+"""Test-only references: the QFrac canonical form by Euclid over Fraction coefficients, and the
+totally ramified masses from one log per unramified degree.
 
 The kernel builds a QFrac over a monomial denominator (an exponent shift) or over a product of
 binomials t^k - 1 (cyclotomic trial division, in ``qexpr._cyclotomic_qfrac``).  This reference
 reduces any quotient by its polynomial gcd over Q, so the tests compare both builders against it,
 and take from it the values with other denominators that they need.
+
+``massformulas.recover_N_from_M`` takes one log and substitutes q -> q^f into its coefficients;
+``reference_recover_N_from_M`` substitutes into the series first and takes one log per f.
 """
 
 import math
 from fractions import Fraction
 
+from wildmckay.numutil import divisors
 from wildmckay.qexpr import QExpr, QFrac
+from wildmckay.series import TruncatedSeries
 
 
 def _poly_strip(cs):
@@ -75,3 +81,17 @@ def reference_qfrac(num: QExpr, den: QExpr) -> QFrac:
     object.__setattr__(value, "_num", value_num)
     object.__setattr__(value, "_den", value_den)
     return value
+
+
+def reference_recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
+    """N(f, m) for f * m <= the truncation degree, from S(f) = log M(q^f), one log per f, by
+    N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j."""
+    n_max = M_series.truncation
+    logs = {f: TruncatedSeries([c.scale_exponents(f) for c in M_series.coefficients[: n_max // f + 1]]).log()
+            for f in range(1, n_max + 1)}
+    N: dict[tuple[int, int], QExpr] = {}
+    for m in range(1, n_max + 1):
+        for f in range(1, n_max // m + 1):
+            N[(f, m)] = logs[f].coefficient(m) - sum(
+                [N[(f * j, m // j)] * Fraction(1, j) for j in divisors(m)[1:]], QExpr())
+    return N

@@ -146,6 +146,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: fixture '5.2.1.1': ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"label": None}, "fixture #2: missing field 'label'"),
+        ({"c": None}, "fixture 'x': missing field 'c'"),
+        ({"aut": 2.0}, "fixture 'x': aut must be an integer, got 2.0"),
+        (5, "fixture #2: fixture record must be a JSON object, got 5"),
+    ], ids=["no-label", "no-c", "float-aut", "not-an-object"])
+    def test_every_fixture_refusal_names_the_record(self, bad, message, tmp_path, capsys):
+        # these printed a bare "'label'" or "'c'" (the KeyError) or no record name at all;
+        # a record without a label is named by its 1-based position in the file
+        good = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1"}
+        if isinstance(bad, dict):  # a None value drops the field
+            bad = {key: value for key, value in {**good, "label": "x", **bad}.items() if value is not None}
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([good, bad]))
+        assert run(["etale", "crossvalidate", "--fixtures", str(path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])
         assert code == 2

@@ -323,10 +323,10 @@ class TestFixtures:
 
     def test_malformed_records_rejected(self):
         record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": "5.2.1.1"}
-        assert FieldFixture.from_json(record).disc_exponent == 1
+        assert FieldFixture.from_json(record, 1).disc_exponent == 1
         for bad in (5, [record], {**record, "aut": 2.0}, {**record, "p": "5"}):
             with pytest.raises(ValueError):
-                FieldFixture.from_json(bad)
+                FieldFixture.from_json(bad, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Tests for the symbolic mass formulas and the exponential identity."""
 
+import io
+import random
 from fractions import Fraction
 
 import pytest
+from reference import reference_recover_N_from_M
 
+from wildmckay import cli
 from wildmckay.localfields import algebra_mass_sum
 from wildmckay.massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from wildmckay.numutil import divisors
 from wildmckay.qexpr import QExpr, QFrac
-from wildmckay.series import TruncatedSeries
+from wildmckay.series import ConstantTermError, TruncatedSeries
 
 
 def inner_series(N, n_max: int) -> TruncatedSeries:
@@ -108,6 +112,63 @@ class TestRecovery:
         bad = TruncatedSeries([0, 1, 1])
         with pytest.raises(ValueError):
             recover_N_from_M(bad)
+        # the one log is taken at truncation 0 too, where one log per f took none
+        with pytest.raises(ConstantTermError):
+            recover_N_from_M(TruncatedSeries([2]))
+        assert recover_N_from_M(TruncatedSeries([1])) == {}
+
+
+def random_series(rng: random.Random, truncation: int) -> TruncatedSeries:
+    """Constant term 1, then up to three terms per coefficient: exponents in [-3, 3] over 1, 2 or 3,
+    rational coefficients."""
+    return TruncatedSeries([1] + [
+        QExpr({Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for _ in range(rng.randint(0, 3))})
+        for _ in range(truncation)])
+
+
+def substituted(series: TruncatedSeries, f: int) -> TruncatedSeries:
+    """The series with q replaced by q^f in every coefficient."""
+    return TruncatedSeries([c.scale_exponents(f) for c in series.coefficients])
+
+
+class TestOneLog:
+    """recover_N_from_M takes one log and reads log M(q^f) as (log M)(q^f)."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_log_commutes_with_q_substitution(self, seed):
+        rng = random.Random(seed)
+        series = random_series(rng, rng.randint(1, 8))
+        log = series.log()
+        for f in range(2, 6):
+            assert substituted(series, f).log() == substituted(log, f), f"f={f}"
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_recovery_equals_one_log_per_f_on_random_series(self, seed):
+        rng = random.Random(seed)
+        series = random_series(rng, rng.randint(1, 8))
+        assert recover_N_from_M(series) == reference_recover_N_from_M(series)
+
+    @pytest.mark.parametrize("n_max", range(1, 13))
+    def test_recovery_equals_one_log_per_f_on_mass_series(self, n_max):
+        series = mass_series_via_exp(n_max)
+        assert recover_N_from_M(series) == reference_recover_N_from_M(series)
+
+    def test_each_command_takes_one_exp_and_at_most_one_log(self, monkeypatch):
+        # A deterministic stand-in for the mass pipeline's speed: one log per `mass invert`
+        # (one log per f took 8 at --nmax 8), none for `mass expcheck`.
+        calls = []
+        for name in ("exp", "log"):
+            def counted(self, _name=name, _method=getattr(TruncatedSeries, name)):
+                calls.append(_name)
+                return _method(self)
+
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+        assert cli.main(["mass", "invert", "--nmax", "8"], stdout=io.StringIO()) == 0
+        assert sorted(calls) == ["exp", "log"]
+        calls.clear()
+        assert cli.main(["mass", "expcheck", "--nmax", "8"], stdout=io.StringIO()) == 0
+        assert calls == ["exp"]
 
 
 class TestNumericConsistency:
@@ -135,9 +196,7 @@ class TestLaurentPipeline:
     def test_mass_pipeline_never_canonicalizes_a_fraction(self, monkeypatch):
         # A deterministic stand-in for the mass pipeline's speed: Laurent
         # values must never reach the QFrac canonical form.
-        import io
-
-        from wildmckay import cli, qexpr
+        from wildmckay import qexpr
 
         calls = []
         canonical = qexpr._canonical_pair
