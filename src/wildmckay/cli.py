@@ -59,12 +59,11 @@ def _eval_payload(value, q0: Fraction) -> object:
     if is_infinite(value):
         return "Infinite"
     frac = QFrac(value)
+    frac.check_powers(q0)
     if frac.num.exponent_denominator() == 1 and frac.den.exponent_denominator() == 1:
-        frac.check_exact(q0)
         exact = frac.evaluate(q0)
         check_exact_digits(exact, "evaluation", "digits in the exact value at q")
         return {"q": format_rational(q0), "exact": format_rational(exact)}
-    frac.check_approximation(q0)
     approx = frac.evaluate(q0, DEFAULT_PRECISION)
     return {
         "q": format_rational(q0),

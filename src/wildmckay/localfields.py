@@ -245,16 +245,17 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
     @staticmethod
     def from_json(record: Mapping, position: int) -> "FieldFixture":
         """The fixture of the record at 1-based position in its file; a ValueError that names the
-        record by its label, read first, or by its position when it has none."""
+        record by its label, read first, or by its position when it has no string label."""
         name = f"fixture #{position}"
         try:  # is_prime's own ValueError at or above PRIME_TEST_LIMIT also names the record
             json_object(record, "fixture record")
-            if "label" in record:
-                name = f"fixture {str(record['label'])!r}"
+            if isinstance(label := record.get("label"), str):
+                name = f"fixture {label!r}"
             if missing := [key for key in ("label", "p", "n", "e", "f", "c", "aut") if key not in record]:
                 raise ValueError(f"missing field {missing[0]!r}")
-            fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")],
-                                   label=str(record["label"]))
+            if not isinstance(label, str):
+                raise ValueError(f"label must be a string, got {label!r}")
+            fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")], label)
             if not is_prime(fixture.p):
                 raise ValueError(f"p={fixture.p} is not prime")
             if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:

@@ -27,8 +27,9 @@ class BudgetExceededError(RuntimeError):
     printed normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
-    shell) for "integral", digits of an exact value for "mass" (at p) and "evaluation" (at q),
-    and digits of a parsed rational (an option or a value in a JSON file) for "input"."""
+    shell) for "integral", digits of the mass at p for "mass", digits of a power of q (counted
+    before any evaluation) and of the exact value at q for "evaluation", and digits of a parsed
+    rational (an option or a value in a JSON file) for "input"."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):

@@ -458,46 +458,13 @@ class QFrac:
 
     # -- evaluation -----------------------------------------------------------
 
-    def check_exact(self, q0: Rational) -> None:
-        """BudgetExceededError, before any power, when the exact value at q0 = a/b > 0 (in lowest
-        terms; both parts with integer exponents) has a numerator or a denominator of more than
-        EXACT_DIGITS_BUDGET digits by this lower bound.
-
-        A part X = sum x_i q^e_i / D_X (integers x_i) is a^low b^(-high) A_X / D_X at q0, where A_X
-        is an integer with |A_X| <= sum |x_i| * max(a, b)^(high - low).  So the value is
-        a^s b^t (A_num D_den) / (A_den D_num) with s = low_num - low_den and t = high_den - high_num;
-        a and b are coprime, so only A_den D_num can cancel a^max(s, 0) b^max(t, 0) from the
-        numerator, and only A_num D_den can cancel a^max(-s, 0) b^max(-t, 0) from the denominator.
-        This needs A_num and A_den nonzero; by the rational root test a part can vanish at q0 only
-        if a divides its lowest and b its highest numerator, and then nothing is refused."""
-        q0 = Fraction(q0)
-        if self.is_zero:
-            return
-        a, b = q0.numerator, q0.denominator
-        log_a, log_b, log_m = math.log10(a), math.log10(b), math.log10(max(a, b))
-        shape = []  # (low, high, log10 sum |x_i|, log10 D_X) per part
-        for part in (self._num, self._den):
-            # the stored numerators over the stored denominator: gcd(den, *nums) == 1, so den is D_X
-            nums = [n for _, n in part._nums]
-            if len(nums) > 1 and nums[0] % a == 0 and nums[-1] % b == 0:
-                return
-            shape.append((part._nums[0][0], part._nums[-1][0], math.log10(sum(map(abs, nums))), math.log10(part._den)))
-        (low_n, high_n, size_n, den_n), (low_d, high_d, size_d, den_d) = shape
-        s, t = low_n - low_d, high_d - high_n
-        # Clamped so that the floats stay finite; each clamp leaves the bound a lower bound.
-        kept = lambda k: min(max(k, 0), 10**12)
-        spread = lambda k: min(k, 10**15) * log_m
-        top = kept(s) * log_a + kept(t) * log_b - spread(high_d - low_d) - size_d - den_n
-        bottom = kept(-s) * log_a + kept(-t) * log_b - spread(high_n - low_n) - size_n - den_d
-        bound = max(top, bottom)
-        if (digits := math.floor(bound - 1e-9 * (1 + abs(bound))) + 1) > EXACT_DIGITS_BUDGET:
-            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in the exact value at q")
-
-    def check_approximation(self, q0: Rational) -> None:
-        """BudgetExceededError, before any power, when approximating at q0 = a/b takes a power of q0
+    def check_powers(self, q0: Rational) -> None:
+        """BudgetExceededError, before any power, when evaluating at q0 = a/b takes a power of q0
         of more than EXACT_DIGITS_BUDGET digits, counted as max(r, |i|) log10 max(a, b) (clamped at
         10^15, which keeps it a lower bound) over each part's exponents i r + j (0 <= j < r): the
-        powers q0^i, and q0^r for the r powers of the root q0^(1/r), each of at least log2 q0 bits."""
+        powers q0^i, and q0^r for the r powers of the root q0^(1/r), each of at least log2 q0 bits.
+        For r = 1 it bounds the exact Horner pass too: its integers have at most about twice those
+        digits plus the coefficients'."""
         q0 = Fraction(q0)
         top = min(10**15, max(max(part._r, max((abs(e // part._r) for e, _ in part._nums), default=0))
                               for part in (self._num, self._den)))

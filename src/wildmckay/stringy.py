@@ -103,7 +103,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
             strata: dict[frozenset[int], int] = {}
             for stratum in json_array(json_object(entry, "vertical component").get("strata", []), "strata"):
                 raw = json_object(stratum, "stratum")["subset"]
-                if not isinstance(raw, list) or any(not isinstance(j, int) for j in raw):
+                if not isinstance(raw, list) or any(not isinstance(j, int) or isinstance(j, bool) for j in raw):
                     raise MalformedSubsetError(f"subset {raw!r} must be an array of integers")
                 subset = frozenset(raw)
                 if len(subset) != len(raw):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from reference import reference_qfrac
 
 from wildmckay import cli, localfields, massformulas, numutil, padic, qexpr, stringy
 from wildmckay.cli import _json_text, main, run_to_string
@@ -162,6 +161,14 @@ class TestExitCodes:
         path.write_text(json.dumps([good, bad]))
         assert run(["etale", "crossvalidate", "--fixtures", str(path)]) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("label", [None, [1], 5])
+    def test_fixture_label_must_be_a_string(self, label, tmp_path, capsys):
+        # a null or [1] label was read through str() and matched under "None" or "[1]", exit 0
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps([{"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, "label": label}]))
+        assert run(["etale", "crossvalidate", "--fixtures", str(path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: fixture #1: label must be a string, got {label!r}\n"
 
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])
@@ -404,6 +411,7 @@ class TestBudgets:
 
     def test_integral_exact_digits_cap(self, capsys):
         # An integer c < 1 has the value 1 / (p + p^2 + ... + p^(1-c)) at q = p, printed in full.
+        # Past the cap the power p^(1-c) is counted before it is formed.
         cap = padic.EXACT_DIGITS_BUDGET
         for c, p in (("-6000", "5"), ("-4000", "11")):
             code, out = run(["padic", "integral", "--c", c, "--p", p, "--terms", "1", "--format", "json"])
@@ -411,14 +419,14 @@ class TestBudgets:
         for c, digits in (("-20000", 13981), ("-6200", 4335)):
             start = time.perf_counter()
             self.refused(["padic", "integral", "--c", c, "--p", "5", "--terms", "1"], capsys,
-                         f"evaluation budget exceeded: need {digits} digits in the exact value at q, budget {cap}")
+                         f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
             assert time.perf_counter() - start < 1
         # The lowest c whose value at p = 5 has at most cap digits, and the next one.
         top = min(c for c in range(-6200, -6000) if (5 ** (2 - c) - 5) // 4 < 10**cap)
         argv = ["padic", "integral", "--p", "5", "--terms", "1", "--c"]
         assert run(argv + [str(top)])[0] == 0
         self.refused(argv + [str(top - 1)], capsys,
-                     f"evaluation budget exceeded: need {cap + 1} digits in the exact value at q, budget {cap}")
+                     f"evaluation budget exceeded: need {cap + 1} digits in a power of q, budget {cap}")
 
     def test_exact_value_digits_cap(self, monkeypatch, capsys):
         # One cap for every printed exact value, checked before any power or mass work.
@@ -428,8 +436,8 @@ class TestBudgets:
         assert code == 0 and json.loads(out)["evaluated"] == {"exact": str(5**5000), "q": "5"}  # 3,495 digits
         # 5^6151 has 4,300 digits and prints; 5^6152 has 4,301.
         assert run(["stringy", "point", "--a", "6151", "--at-q", "1/5"])[0] == 0
-        # Past the cap the exact value is counted before it is computed: its digits are at least
-        # a * log10(q0) for q^a at q0 and n - 1 digits of p for the degree-n mass at p.
+        # Past the cap the largest power is counted before it is formed: a * log10(max(a, b)) digits
+        # for q^a at q0 = a/b, and n - 1 digits of p for the denominator of the degree-n mass at p.
         monkeypatch.setattr(qexpr.QFrac, "evaluate", None)
         monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
         for argv, message in (
@@ -438,9 +446,9 @@ class TestBudgets:
             (["stringy", "point", "--a", "6152", "--at-q", "1/5"], "evaluation budget exceeded: need 4301"),
             (["etale", "mass", "--p", "2999999999999999999999957", "--n", "200"], "mass budget exceeded: need 4871"),
         ):
-            unit = "mass at p" if argv[0] == "etale" else "exact value at q"
+            unit = "the mass at p" if argv[0] == "etale" else "a power of q"
             start = time.perf_counter()
-            self.refused(argv, capsys, f"{message} digits in the {unit}, budget {cap}")
+            self.refused(argv, capsys, f"{message} digits in {unit}, budget {cap}")
             assert time.perf_counter() - start < 1
 
     def test_approximate_power_digits_cap(self, monkeypatch, capsys):
@@ -574,24 +582,33 @@ class TestBudgets:
             self.refused(argv, capsys, message)
             assert time.perf_counter() - start < 1
 
-    def test_exact_value_digits_bound_skips_possible_roots(self):
-        # q^10000 (q - 5) is 0 at q = 5, and q^20000 / (q - 5) has a pole there: a lower bound
-        # from the power q^10000 would refuse what prints today.
-        q0 = Fraction(5)
-        assert cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), q0) == {"exact": "0", "q": "5"}
-        with pytest.raises(qexpr.PoleError):
-            cli._eval_payload(reference_qfrac(QExpr.q(20000), QExpr({1: 1, 0: -5})), q0)
-        with pytest.raises(numutil.BudgetExceededError, match="need 6990 digits"):  # 5^10000
-            QFrac(QExpr({10001: 1, 10000: -6})).check_exact(q0)
+    def test_exact_value_powers_counted_before_evaluation(self, tmp_path, monkeypatch, capsys):
+        # The largest power is counted even where a part might vanish at q0: q^10000 (q - 5) is 0
+        # at q = 5.  q^10000001 + 5 q^10000000 at q = 5, and 1 / (1 + q + ... + q^49998) at
+        # q = 10^100, ran 14 s each before they were refused by the digits of the value.
+        cap = numutil.EXACT_DIGITS_BUDGET
+        monkeypatch.setattr(qexpr.QFrac, "evaluate", None)  # any evaluation would fail
+        start = time.perf_counter()
+        with pytest.raises(numutil.BudgetExceededError, match="need 6991 digits in a power of q"):  # 5^10001
+            cli._eval_payload(QFrac(QExpr({10001: 1, 10000: -5})), Fraction(5))
+        assert time.perf_counter() - start < 1
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps({"vertical": [{"a": 10000001, "strata": [{"subset": [], "count": 1}]},
+                                                 {"a": 10000000, "strata": [{"subset": [], "count": 5}]}]}))
+        for argv, digits in ((["stringy", "point", "--a", "0", "--c=-49998", "--at-q", "1e100"], 4999801),
+                             (["stringy", "eval", "--input", str(path), "--at-q", "5"], 6989701)):
+            start = time.perf_counter()
+            self.refused(argv, capsys, f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
+            assert time.perf_counter() - start < 1
 
     def test_exact_value_of_many_terms_in_one_pass(self, capsys):
-        # (q - 1) / (q^(1 - c) - 1) = 1 / (1 + q + ... + q^(-c)) has no power of q to count
-        # first; its value at q = 5 is one integer Horner pass over the 1 - c terms.
+        # (q - 1) / (q^(1 - c) - 1) = 1 / (1 + q + ... + q^(-c)) is one integer Horner pass over
+        # the 1 - c terms at q = 5; its largest power 5^(-c) is counted before the pass.
         cap = numutil.EXACT_DIGITS_BUDGET
         for c, digits, seconds in (("-20000", 13980, 1), ("-49997", 34947, 2)):
             start = time.perf_counter()
             self.refused(["stringy", "point", "--a", "0", f"--c={c}", "--at-q", "5"], capsys,
-                         f"evaluation budget exceeded: need {digits} digits in the exact value at q, budget {cap}")
+                         f"evaluation budget exceeded: need {digits} digits in a power of q, budget {cap}")
             assert time.perf_counter() - start < seconds
 
     @pytest.mark.parametrize("poly, command, m, digits", [
@@ -640,12 +657,17 @@ class TestBudgets:
         monkeypatch.setattr(cli, "_expr_payload", None)  # rendering the value would fail
         self.refused(argv + ["--at-q", "5"], capsys, "evaluation budget exceeded: need 1 points evaluated, budget 0")
 
-    def test_exact_value_digits_counted_after_evaluation(self, capsys):
-        # (q - 1) / (q^7001 - 1) has no power of q to count first; at q = 5 its denominator
-        # (5^7001 - 1) / 4 has 4,893 digits, found once the value is computed.
+    def test_exact_value_digits_counted_after_evaluation(self, tmp_path, capsys):
+        # (q - 1) / (q^7001 - 1) = 1 / (1 + q + ... + q^7000) is refused by its power 5^7000,
+        # 4,893 digits, before it is evaluated.  10^4299 q^10 forms only 5^10, and its value 10^4299 5^10 at q = 5 has 4,306
+        # digits, found once it is computed.
         cap = numutil.EXACT_DIGITS_BUDGET
         self.refused(["stringy", "point", "--a", "0", "--c=-7000", "--at-q", "5"], capsys,
-                     f"evaluation budget exceeded: need 4893 digits in the exact value at q, budget {cap}")
+                     f"evaluation budget exceeded: need 4893 digits in a power of q, budget {cap}")
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({"vertical": [{"a": 10, "strata": [{"subset": [], "count": 10**4299}]}]}))
+        self.refused(["stringy", "eval", "--input", str(path), "--at-q", "5"], capsys,
+                     f"evaluation budget exceeded: need 4306 digits in the exact value at q, budget {cap}")
 
 
 class TestParser:

@@ -149,6 +149,13 @@ class TestValidationAndJson:
                 {"horizontal": [0], "vertical": [{"a": 0, "strata": [{"subset": [1, 1], "count": 1}]}]}
             )
 
+    def test_subset_boolean_index_rejected(self):
+        # true was read as divisor 1, as an int, where every other integer input refuses a boolean
+        with pytest.raises(MalformedSubsetError, match=r"subset \[True\] must be an array of integers"):
+            SncLogPairData.from_json(
+                {"horizontal": [0], "vertical": [{"a": 0, "strata": [{"subset": [True], "count": 1}]}]}
+            )
+
     def test_total_consistency(self):
         with pytest.raises(ValueError):
             SncLogPairData([], [VerticalComponent(0, {frozenset(): 3})], declared_total=4)
