@@ -26,7 +26,8 @@ mass formula that `etale mass` checks, whose content is the per-class d and
 #Aut above.  Algebras are listed only where per-algebra rows are needed.
 
 Wild strata (p dividing e) are never computed: the enumerators skip and report
-them, and a wild fixture is uncheckable.  Each fixture record gets one verdict.
+them, and a wild fixture is checked only against what every wild field satisfies
+(f | d, Ore's bounds on d, #Aut | n).  Each fixture record gets one verdict.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[Field
     """Check fixtures against the enumerated classes, with multiplicity: one (fixture, status,
     reason) per record, in (p, n, label) order.  Each tame fixture, in that order, consumes one
     enumerated class of its (p, n) with identical (e, f, d, #Aut) ("matched") or is a "mismatch";
-    wild fixtures (p | e) are "uncheckable (wild)", never computed.  Only a mismatch has a reason."""
+    a wild fixture (p | e) is a "mismatch" when no wild field has its (e, f, d, #Aut) by
+    ``_wild_reason``, and otherwise "uncheckable (wild)", never computed.  Only a mismatch has a
+    reason."""
     slots: dict[tuple[int, int], Counter] = {}
     verdicts = []
     for fix in sorted(fixtures, key=lambda fx: (fx.p, fx.n, fx.label)):
@@ -283,7 +286,8 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[Field
         if fix.n != fix.e * fix.f:
             verdicts.append((fix, "mismatch", f"n={fix.n} != e*f={fix.e * fix.f}"))
         elif fix.e % fix.p == 0:
-            verdicts.append((fix, "uncheckable (wild)", ""))
+            reason = _wild_reason(fix)
+            verdicts.append((fix, "mismatch" if reason else "uncheckable (wild)", reason))
         else:
             if (left := slots.get((fix.p, fix.n))) is None:
                 classes = enumerate_tame_field_classes(fix.p, fix.n)
@@ -294,3 +298,29 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[Field
             else:
                 verdicts.append((fix, "mismatch", f"no remaining tame class over Q_{fix.p} with (e,f,d,aut)={key}"))
     return verdicts
+
+
+def _valuation(m: int, p: int) -> int:
+    """v_p(m) for m >= 1."""
+    v = 0
+    while m % p == 0:
+        m, v = m // p, v + 1
+    return v
+
+
+def _wild_reason(fix: FieldFixture) -> str:
+    """Why no field with p | e has the fixture's invariants, or "" when it passes every check:
+    f | d; Ore's condition min(v_p(b) e, v_p(e) e) <= j <= v_p(e) e on the different exponent
+    d/f = e - 1 + j of the totally ramified part over the unramified field of degree f, with
+    j = a e + b, 0 <= b < e and v_p(0) infinite; and #Aut | n."""
+    e, f, d = fix.e, fix.f, fix.disc_exponent
+    if d % f:
+        return f"f={f} does not divide d={d}"
+    j = d // f - e + 1
+    top = _valuation(e, fix.p) * e
+    low = min(_valuation(j % e, fix.p) * e, top) if j % e else top
+    if not low <= j <= top:
+        return f"j=d/f-e+1={j} fails Ore's condition {low} <= j <= {top}"
+    if fix.n % fix.aut_order:
+        return f"aut={fix.aut_order} does not divide n={fix.n}"
+    return ""

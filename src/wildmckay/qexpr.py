@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, divisors
+from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, divisors, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -106,9 +106,9 @@ def _row(pairs: Sequence[tuple[int, int]], low: int) -> list[int]:
     return out
 
 
-def _check_span(size: int) -> None:
+def _check_span(size: int, engine: str = "fraction") -> None:
     if size > DENSE_DEGREE_BUDGET:
-        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, "fraction", unit="t-degrees")
+        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, engine, unit="t-degrees")
 
 
 # ---------------------------------------------------------------------------
@@ -547,27 +547,19 @@ def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:
         b = _times_binomial(b, k)
     for d in sorted({d for k in ks for d in divisors(k)}):
         # Phi_d = +-prod_{e | d} (1 - t^e)^mu(d/e), and mu(d/e) != 0 only for e = d / (distinct primes).
-        primes = [p for p in divisors(d)[1:] if all(p % f for f in range(2, math.isqrt(p) + 1))]
+        primes = [p for p in divisors(d)[1:] if is_prime(p)]
         phi = sorted([(d // math.prod(s), (-1) ** n) for n in range(len(primes) + 1) for s in combinations(primes, n)],
                      key=lambda em: em[1])
         for _ in range(sum(k % d == 0 for k in ks)):
             if (quo := over_phi(a)) is None:
                 break
             a, b = quo, over_phi(b)
-    num, den = _rows_pair(*(([0] * shift + a, b) if shift >= 0 else (a, [0] * -shift + b)), r)
-    value = object.__new__(QFrac)
-    object.__setattr__(value, "_num", num)
-    object.__setattr__(value, "_den", den)
-    return value
-
-
-def _rows_pair(a: list[int], b: list[int], r: int) -> tuple[QExpr, QExpr]:
-    """The canonical pair of a / b for coprime integer rows over t = q^(1/r) (index = degree,
-    nonzero last entries): exponents i/r, denominator made monic."""
     lead = b[-1]
     sign = 1 if lead > 0 else -1
-    to_expr = lambda cs: _make([(i, c * sign) for i, c in enumerate(cs)], lead * sign, r)
-    return to_expr(a), to_expr(b)
+    value = object.__new__(QFrac)
+    for name, row, low in (("_num", a, max(shift, 0)), ("_den", b, max(-shift, 0))):
+        object.__setattr__(value, name, _make([(i, c * sign) for i, c in enumerate(row, low)], lead * sign, r))
+    return value
 
 
 # ---------------------------------------------------------------------------

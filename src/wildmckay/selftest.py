@@ -35,6 +35,9 @@ class CriterionResult(namedtuple("CriterionResult", "number name passed detail")
         return f"{status}  criterion {self.number:2d}  {self.name}: {self.detail}"
 
 
+CRITERIA: list[Callable[[], CriterionResult]] = []  # in the order they are defined
+
+
 def _criterion(number: int, name: str):
     def wrap(fn: Callable[[], tuple[bool, str]]):
         def runner() -> CriterionResult:
@@ -42,6 +45,7 @@ def _criterion(number: int, name: str):
             return CriterionResult(number=number, name=name, passed=passed, detail=detail)
 
         runner.number = number
+        CRITERIA.append(runner)
         return runner
 
     return wrap
@@ -209,20 +213,6 @@ def criterion_properties() -> tuple[bool, str]:
         if first != second:
             return False, f"CLI output not deterministic for {' '.join(argv)}"
     return True, "1000 ring-axiom triples, exp/log pairs, partition recurrence to n=40, w=v to degree 6, CLI determinism"
-
-
-CRITERIA = [
-    criterion_bhargava_via_exp,
-    criterion_serre_recovery,
-    criterion_enumeration_vs_bhargava,
-    criterion_wild_mckay,
-    criterion_stratum_mass,
-    criterion_smooth_measure,
-    criterion_monomial_integral,
-    criterion_null_set,
-    criterion_stringy,
-    criterion_properties,
-]
 
 
 def run_all() -> list[CriterionResult]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .numutil import BudgetExceededError, slot_bias, unpack_slots
-from .qexpr import DENSE_DEGREE_BUDGET, QExpr, _make, _pairs_over, _row
+from .numutil import slot_bias, unpack_slots
+from .qexpr import QExpr, _check_span, _make, _pairs_over, _row
 
 __all__ = ["TruncatedSeries", "ConstantTermError"]
 
@@ -99,8 +99,8 @@ def _rows(coeffs: tuple[QExpr, ...], degree: int) -> tuple[tuple[int, int], list
     rows: list[_Row | None] = []
     for c in coeffs:
         ts = [(e // g, n) for e, n in _pairs_over(c, r)]
-        if ts and (span := ts[-1][0] - ts[0][0]) * degree > DENSE_DEGREE_BUDGET:
-            raise BudgetExceededError(span * degree, DENSE_DEGREE_BUDGET, "series", unit="t-degrees")
+        if ts:
+            _check_span((ts[-1][0] - ts[0][0]) * degree, "series")
         rows.append(_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None)
     return (g, r), rows
 

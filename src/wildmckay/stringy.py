@@ -150,7 +150,7 @@ def _stratum_sum(cs: Sequence[Fraction], strata: list[tuple[Fraction, frozenset[
     base, wide = min([a.numerator * (r // a.denominator) for a, _, _ in strata]), sum(ks.values())
     placed = [(a.numerator * (r // a.denominator) - base, subset, count) for a, subset, count in strata]
     size = max([i + sum([r - ks[j] for j in subset]) for i, subset, _ in placed]) + wide
-    _check_span(max(base + size, wide) - min(base, 0))
+    _check_span(max(size, wide))  # the rows and D; t^base is an exponent of the value, not a row
     # Rows are ints with a slot of width bytes per t-degree; a fold step at most doubles the sum of
     # the |coefficients|.  Strata that agree off the divisors folded so far share later products.
     width = ((sum([count for _, _, count in placed]) << len(ks)).bit_length() + 8) // 8

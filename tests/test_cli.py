@@ -360,19 +360,36 @@ class TestBudgets:
             assert time.perf_counter() - start < 1
 
     def test_fraction_dense_degree_cap(self, monkeypatch, capsys):
-        # r * (exponent span) t-degrees: 2 * (10^9 + 1) for q^a (q - 1) / (q^(1/2) - 1) at a = 10^9,
-        # and 3 * (10^8 + 3) / 3 for (q - 1) / (q^(1 - c) - 1) at c = -10^8 / 3; an evaluation at q0
-        # takes r residue classes, 50,001 for q^(1/50001) (at q0 = 1, where no power of q0 is counted).
+        # r * (exponent span) t-degrees of the rows a q-fraction is folded and reduced on: the factor
+        # q^a is an exponent, not a row, so q^a (q - 1) / (q^(1/2) - 1) is 2 t-degrees at any a, where
+        # (q - 1) / (q^(1 - c) - 1) is 3 * (10^8 + 3) / 3 at c = -10^8 / 3 and 2 * (1 + 49999/2) at
+        # c = -49999/2; an evaluation at q0 takes r residue classes, 50,001 for q^(1/50001) (at
+        # q0 = 1, where no power of q0 is counted).
         cap = qexpr.DENSE_DEGREE_BUDGET
         top = cap // 2 - 1
-        assert run(["stringy", "point", "--a", str(top), "--c", "1/2"])[0] == 0
+        for a in (top, top + 1, 10**9):  # the last two were refused at 50,002 and 2,000,000,002 t-degrees
+            start = time.perf_counter()
+            code, out = run(["stringy", "point", f"--a={a}", "--c=1/2", "--format", "json"])
+            assert code == 0 and json.loads(out)["value"]["pretty"] == f"q^({2 * a + 1}/2) + q^{a}"
+            assert time.perf_counter() - start < 1
         monkeypatch.setattr(stringy, "_cyclotomic_qfrac", None)  # refused before any reduction
-        for argv, size in (([f"--a={top + 1}", "--c=1/2"], cap + 2), (["--a=1000000000", "--c=1/2"], 2_000_000_002),
-                           (["--c=-100000000/3"], 100_000_003), (["--a=1/50001", "--at-q=1"], 50_001)):
+        for argv, size in ((["--c=-100000000/3"], 100_000_003), (["--c=-49999/2"], cap + 1),
+                           (["--a=1/50001", "--at-q=1"], 50_001)):
             start = time.perf_counter()
             self.refused(["stringy", "point", *argv], capsys,
                          f"fraction budget exceeded: need {size} t-degrees, budget {cap}")
             assert time.perf_counter() - start < 1
+
+    def test_vertical_shift_is_not_dense_work(self, tmp_path):
+        # One vertical component at a = 10^9 over one divisor c = 1/2: the shift t^(2 a) is an
+        # exponent of the built value, not a row of zeros in front of it.
+        path = tmp_path / "snc.json"
+        path.write_text(json.dumps({"horizontal": ["1/2"], "vertical": [
+            {"a": 10**9, "strata": [{"subset": [1], "count": 1}]}]}))
+        start = time.perf_counter()
+        code, out = run(["stringy", "eval", "--input", str(path), "--format", "json"])
+        assert code == 0 and json.loads(out)["value"]["pretty"] == "q^(2000000001/2) + q^1000000000"
+        assert time.perf_counter() - start < 1
 
     def test_integral_shell_bits_cap(self, monkeypatch, capsys):
         # c = 1/2 at p = 999983: shell i costs 20 i bits, so T terms cost 10 T (T + 1) shell bits.
@@ -734,6 +751,18 @@ class TestReports:
         )
         code, out = run(["etale", "crossvalidate", "--fixtures", str(bogus), "--format", "json"])
         assert code == 1
+
+    def test_crossvalidate_impossible_wild_records_exit_one(self, tmp_path):
+        # d = 5 past the largest d of a quadratic over Q_2, and #Aut not dividing the degree
+        records = [{"p": 2, "n": 2, "e": 2, "f": 1, "c": 5, "aut": 2, "label": "2.2.5.1"},
+                   {"p": 2, "n": 2, "e": 2, "f": 1, "c": 2, "aut": 7, "label": "2.2.2.1"},
+                   {"p": 3, "n": 3, "e": 3, "f": 1, "c": 3, "aut": 2, "label": "3.3.3.1"}]
+        for record in records:
+            fixtures = tmp_path / "fixtures.json"
+            fixtures.write_text(json.dumps([record]))
+            code, out = run(["etale", "crossvalidate", "--fixtures", str(fixtures), "--format", "json"])
+            report = json.loads(out)
+            assert code == 1 and (report["mismatches"], report["uncheckable"]) == (1, 0)
 
     def test_crossvalidate_gives_duplicate_labels_their_own_verdicts(self, tmp_path):
         # two records labelled alike both read "matched", each with the mismatch's reason

@@ -298,6 +298,30 @@ class TestFixtures:
         fix = FieldFixture(p=2, n=2, e=2, f=1, disc_exponent=2, aut_order=2, label="2.2.2.1")
         assert crossvalidate_fixtures([fix]) == [(fix, "uncheckable (wild)", "")]
 
+    def test_impossible_wild_records_mismatch(self):
+        # A ramified quadratic over Q_2 has d <= 3, and #Aut of a field divides its degree.
+        records = [FieldFixture(p=2, n=2, e=2, f=1, disc_exponent=5, aut_order=2, label="2.2.5.1"),
+                   FieldFixture(p=2, n=2, e=2, f=1, disc_exponent=2, aut_order=7, label="2.2.2.1"),
+                   FieldFixture(p=3, n=3, e=3, f=1, disc_exponent=3, aut_order=2, label="3.3.3.1"),
+                   FieldFixture(p=2, n=4, e=2, f=2, disc_exponent=5, aut_order=2, label="2.4.5.1"),
+                   FieldFixture(p=2, n=4, e=4, f=1, disc_exponent=5, aut_order=2, label="2.4.5.2")]
+        assert statuses(crossvalidate_fixtures(records)) == [
+            ("2.2.2.1", "mismatch", "aut=7 does not divide n=2"),
+            ("2.2.5.1", "mismatch", "j=d/f-e+1=4 fails Ore's condition 2 <= j <= 2"),
+            ("2.4.5.1", "mismatch", "f=2 does not divide d=5"),
+            ("2.4.5.2", "mismatch", "j=d/f-e+1=2 fails Ore's condition 4 <= j <= 8"),
+            ("3.3.3.1", "mismatch", "aut=2 does not divide n=3"),
+        ]
+
+    @pytest.mark.parametrize("p, e, allowed", [(2, 2, {2, 3}), (3, 3, {3, 4, 5})])
+    def test_wild_discriminant_within_ores_bounds(self, p, e, allowed):
+        passed = set()
+        for d in range(9):
+            fix = FieldFixture(p=p, n=e, e=e, f=1, disc_exponent=d, aut_order=1, label=str(d))
+            if crossvalidate_fixtures([fix])[0][1] == "uncheckable (wild)":
+                passed.add(d)
+        assert passed == allowed
+
     def test_impossible_aut_mismatch(self):
         fix = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=3, label="bogus")
         assert statuses(crossvalidate_fixtures([fix])) == [

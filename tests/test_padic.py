@@ -1,5 +1,6 @@
 """Tests for exact residue-ring counting and the monomial integral."""
 
+import io
 import itertools
 import json
 import operator
@@ -11,6 +12,7 @@ import pytest
 from reference import reference_canonical_pair
 
 from wildmckay import padic
+from wildmckay.cli import main
 from wildmckay.padic import (
     BudgetExceededError,
     HenselMismatchError,
@@ -24,7 +26,7 @@ from wildmckay.padic import (
     null_set_fraction,
     smooth_measure_check,
 )
-from wildmckay.qexpr import DENSE_DEGREE_BUDGET, QExpr, QFrac, is_infinite
+from wildmckay.qexpr import QExpr, QFrac, is_infinite
 
 
 def circle(p):
@@ -404,16 +406,15 @@ class TestMonomialIntegral:
         _, exact = monomial_integral(c, 5, terms=1)
         assert (exact.num, exact.den) == reference_canonical_pair(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)
 
-    def test_closed_form_refused_as_the_built_quotient(self):
-        # Over t = q^(1/49999) the built quotient runs from t^-49999 (q^-1) to t^49998 (q^(1 - c)),
-        # more t-degrees than DENSE_DEGREE_BUDGET, so it is refused before any row is built.
+    def test_closed_form_refused_as_the_built_quotient(self, capsys):
+        # Over t = q^(1/49999) the rows reduced are q - 1 and q^(1 - c) - 1, at most 49,999 t-degrees
+        # (under DENSE_DEGREE_BUDGET); the factor q^-1 is an exponent, not a row, so the closed form
+        # is built.  The CLI refuses it at q = 5, where the largest power of q is counted first.
         c = Fraction(1, 49999)
-        num, den = QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1
-        span = (den.terms[-1][0] - num.terms[0][0]) * den.exponent_denominator()
-        with pytest.raises(BudgetExceededError) as refused:
-            monomial_integral(c, 5, terms=1)
-        message = f"fraction budget exceeded: need {span} t-degrees, budget {DENSE_DEGREE_BUDGET}"
-        assert str(refused.value) == message == "fraction budget exceeded: need 99997 t-degrees, budget 50000"
+        _, exact = monomial_integral(c, 5, terms=1)
+        assert (exact.num, exact.den) == reference_canonical_pair(QExpr.q(-1) * (QExpr.q() - 1), QExpr.q(1 - c) - 1)
+        assert main(["padic", "integral", "--c", "1/49999", "--p", "5", "--terms", "1"], stdout=io.StringIO()) == 2
+        assert "digits in a power of q" in capsys.readouterr().err
 
     def test_divergent_cases(self):
         for c in (1, Fraction(3, 2), 2):

@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 from reference import reference_canonical_pair, reference_qfrac
 
-from wildmckay import qexpr
+from wildmckay import stringy
 from wildmckay.qexpr import INFINITE, QExpr, QFrac, is_infinite
 from wildmckay.stringy import (
     MalformedSubsetError,
@@ -44,6 +44,17 @@ class TestPointContribution:
 
     def test_fractional_vertical_weight(self):
         assert stringy_point_contribution(HALF, []) == QFrac(QExpr.q(HALF))
+
+    @pytest.mark.parametrize("a", [60000, -60000, 10**9])
+    def test_vertical_shift_far_from_zero(self, a):
+        # q^a is an exponent of the built value, so |a| far past DENSE_DEGREE_BUDGET costs nothing.
+        assert stringy_point_contribution(a, [HALF]) == QFrac(QExpr.q(a) * (QExpr.q(HALF) + 1))
+        at_zero = stringy_point_contribution(0, [HALF, Fraction(-1, 3), Fraction(2, 3), -1])
+        value = stringy_point_contribution(a, [HALF, Fraction(-1, 3), Fraction(2, 3), -1])
+        if a > 0:
+            assert (value.num, value.den) == (at_zero.num * QExpr.q(a), at_zero.den)
+        else:
+            assert (value.num, value.den) == (at_zero.num, at_zero.den * QExpr.q(-a))
 
 
 def smooth_pair(count):
@@ -272,16 +283,15 @@ class TestCommonDenominator:
             assert at(value.num, t) / at(value.den, t) == direct
 
     def test_one_canonicalization_per_call(self, monkeypatch):
-        # The cyclotomic row path makes each reduced value by one call of the rows-to-canonical-pair
-        # helper.
+        # The cyclotomic row path makes each reduced value by one call of the cyclotomic builder.
         calls = []
-        canonical = qexpr._rows_pair
+        canonical = stringy._cyclotomic_qfrac
 
         def counted(*args):
             calls.append(args)
             return canonical(*args)
 
-        monkeypatch.setattr(qexpr, "_rows_pair", counted)
+        monkeypatch.setattr(stringy, "_cyclotomic_qfrac", counted)
         rng = random.Random(3)
         for _ in range(30):
             data = random_pair(rng)
