@@ -252,8 +252,7 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
             json_object(record, "fixture record")
             if isinstance(label := record.get("label"), str):
                 name = f"fixture {label!r}"
-            if missing := [key for key in ("label", "p", "n", "e", "f", "c", "aut") if key not in record]:
-                raise ValueError(f"missing field {missing[0]!r}")
+            json_object(record, "fixture record", ("label", "p", "n", "e", "f", "c", "aut"))
             if not isinstance(label, str):
                 raise ValueError(f"label must be a string, got {label!r}")
             fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")], label)

@@ -23,8 +23,8 @@ EXACT_DIGITS_BUDGET = 4300
 
 class BudgetExceededError(RuntimeError):
     """A command would do more work than its budget allows: points evaluated for the padic engines
-    "box" (the level-1 box) and "lifting" (a listed frontier), and digits of p^(m deg) and of a
-    printed normalized count or box fraction for "lifting", algebras listed for "algebras",
+    "box" (the level-1 box) and "lifting" (a frontier, listed or counted), and digits of p^(m deg)
+    and of a printed normalized count or box fraction for "lifting", algebras listed for "algebras",
     degrees for "count", "mass", "partition" and "series", t-degrees of a dense q-fraction for
     "fraction" and of a packed series row for "series", shell bits (in all, and in the largest
     shell) for "integral", digits of the mass at p for "mass", digits of a power of q (counted
@@ -136,10 +136,14 @@ def exact_int(value, what: str) -> int:
     return value
 
 
-def json_object(value, what: str) -> Mapping:
-    """value itself if it is a JSON object; anything else is a ValueError."""
+def json_object(value, what: str, required: tuple = ()) -> Mapping:
+    """value itself if it is a JSON object with every required key; anything else is a ValueError
+    that names the first missing key."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing field {key!r}")
     return value
 
 

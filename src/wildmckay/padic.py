@@ -16,7 +16,10 @@ polynomials and k >= 1, whether or not x is a singular point.  That system
 depends on x only through J(x mod p) and f(x)/p^k mod p, so the frontier is
 held in groups of points with one Jacobian mod p, solved once in the box scan,
 each as coordinate columns: polynomials are evaluated exactly on whole columns
-by lazy map chains, and a group's lifts are offset copies of its columns.
+by lazy map chains, and a group's lifts are offset copies of its columns.  A
+group whose Jacobian has full row rank has no constraints, so each of its points
+has p^(n - rank) lifts at every level (Hensel's lemma): such a group is counted,
+never listed or evaluated past the box.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ __all__ = [
     "monomial_integral",
 ]
 
-# Most points _level_counts evaluates: the box plus every listed frontier.
+# Most points _level_counts evaluates: the box plus every frontier before the last, counted as if listed.
 POINTS_BUDGET = 5_000_000
 # Most work monomial_integral does, in shell bits: the bit sizes of the shells p^(i(c-1)) summed
 # over i = 1..terms, terms (terms + 1) / 2 * max(1, |numerator of c - 1|) * bit_length(p).  The
@@ -122,7 +125,7 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
 
     @staticmethod
     def from_json(data: Mapping) -> "PolySystem":
-        json_object(data, "polynomial system")
+        json_object(data, "polynomial system", ("p", "n", "polys", "d"))
         return PolySystem(
             p=exact_int(data["p"], "p"),
             num_vars=exact_int(data["n"], "n"),
@@ -243,12 +246,16 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
     Per group of one J mod p, f/p^k mod p is listed from one lazy evaluation
     of the whole frontier, the constraints and the particular solution are
     column dot products of it, and the children are p^(n - rank J) offset
-    copies of the surviving columns.  The last level is counted, not listed.
-    POINTS_BUDGET bounds the points evaluated: the box plus every listed
-    frontier, checked before each one is listed; p^(m deg), about the size of
-    the polynomials' values at points mod p^m (deg their largest total degree,
-    at least 1), may have at most EXACT_DIGITS_BUDGET digits.  If rank is
-    given, every mod-p solution must have it, checked in box order.
+    copies of the surviving columns.  The last level is counted, not listed,
+    and so is every constraint-free group (J mod p of full row rank): a lift
+    keeps its residue mod p, so each of its points has p^(n - rank J) lifts at
+    every level, and only its number of points per kernel dimension is kept.
+    POINTS_BUDGET bounds the points evaluated: the box plus every frontier
+    before the last, a counted one as if it were listed, checked before each
+    one is listed; p^(m deg), about the size of the polynomials' values at
+    points mod p^m (deg their largest total degree, at least 1), may have at
+    most EXACT_DIGITS_BUDGET digits.  If rank is given, every mod-p solution
+    must have it, checked in box order.
     """
     p, n = system.p, system.num_vars
     degree = max([sum(exps) for poly in system.polys for exps, _ in poly] + [1])
@@ -260,7 +267,9 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
         raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
     polys = _compiled(system.polys)
     derivatives = sum(_jacobian_polys(system), [])
-    found, groups = 0, {}  # J mod p, row by row -> (columns, constraints, negated pivot rows, kernel basis)
+    # J mod p, row by row -> (rank, []) if constraint-free, else (rank, (columns, constraints,
+    # negated pivot rows, kernel basis)); free[b]: points of constraint-free groups with kernel dimension b
+    found, groups, free = 0, {}, [0] * (n + 1)
     for columns, size in _box_slabs(p, n):
         residues = [map(mod, v, repeat(p)) for v in _column_values(polys, columns.__getitem__, size)]
         keep = list(map(not_, reduce(partial(map, or_), residues, repeat(0, size))))
@@ -273,32 +282,37 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
             point, jacobian = entry[:n], entry[n:]
             if jacobian not in groups:
                 pivots, constraints, basis = _linear_solver(list(zip(*[iter(jacobian)] * n)), p, n)
-                groups[jacobian] = ([[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis)
-            group = groups[jacobian]
-            if rank is not None and len(group[2]) != rank:
-                raise SmoothnessError(f"Jacobian rank {len(group[2])} != {rank} at mod-{p} point {point}")
+                groups[jacobian] = len(pivots), constraints and (
+                    [[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis)
+            found_rank, group = groups[jacobian]
+            if rank is not None and found_rank != rank:
+                raise SmoothnessError(f"Jacobian rank {found_rank} != {rank} at mod-{p} point {point}")
+            if not group:
+                free[n - found_rank] += 1
+                continue
             for column, x in zip(group[0], point):
                 column.append(x)
     yield found
-    groups, step = list(groups.values()), 1
+    groups, step = [group for _, group in groups.values() if group], 1
     for k in range(1, m):
-        if not groups:
+        if not groups and not any(free):
             yield from repeat(0, m - k)
             return
         step *= p
-        frontier = lambda i: chain.from_iterable([group[0][i] for group in groups])
-        values = _column_values(polys, frontier, sum(len(group[0][0]) for group in groups))
-        residues = [list(map(mod, map(floordiv, v, repeat(step)), repeat(p))) for v in values]
-        size, lifts, end = 0, [], 0
+        free = [c * p**b for b, c in enumerate(free)]  # each point of such a group has p^b lifts
+        size, lifts, end = sum(free), [], 0
+        if groups:
+            frontier = lambda i: chain.from_iterable([group[0][i] for group in groups])
+            values = _column_values(polys, frontier, sum(len(group[0][0]) for group in groups))
+            residues = [list(map(mod, map(floordiv, v, repeat(step)), repeat(p))) for v in values]
         for columns, constraints, pivots, basis in groups:
             start, end = end, end + len(columns[0])
-            rhs, survivors = [r[start:end] for r in residues], end - start
-            if constraints:
-                checks = [map(mod, _dot(t, rhs), repeat(p)) for t in constraints]
-                keep = list(map(not_, reduce(partial(map, or_), checks)))
-                survivors = sum(keep)
-                if k + 1 < m:
-                    columns, rhs = ([list(compress(x, keep)) for x in xs] for xs in (columns, rhs))
+            rhs = [r[start:end] for r in residues]
+            checks = [map(mod, _dot(t, rhs), repeat(p)) for t in constraints]
+            keep = list(map(not_, reduce(partial(map, or_), checks)))
+            survivors = sum(keep)
+            if k + 1 < m:
+                columns, rhs = ([list(compress(x, keep)) for x in xs] for xs in (columns, rhs))
             size += survivors * p ** len(basis)
             if survivors:
                 lifts.append((columns, rhs, constraints, pivots, basis))

@@ -102,7 +102,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
         for entry in json_array(data.get("vertical", []), "vertical"):
             strata: dict[frozenset[int], int] = {}
             for stratum in json_array(json_object(entry, "vertical component").get("strata", []), "strata"):
-                raw = json_object(stratum, "stratum")["subset"]
+                raw = json_object(stratum, "stratum", ("subset", "count"))["subset"]
                 if not isinstance(raw, list) or any(not isinstance(j, int) or isinstance(j, bool) for j in raw):
                     raise MalformedSubsetError(f"subset {raw!r} must be an array of integers")
                 subset = frozenset(raw)

@@ -170,6 +170,26 @@ class TestExitCodes:
         assert run(["etale", "crossvalidate", "--fixtures", str(path)]) == (2, "")
         assert capsys.readouterr().err == f"error: fixture #1: label must be a string, got {label!r}\n"
 
+    @pytest.mark.parametrize("missing", ["p", "n", "d", "polys"])
+    def test_polynomial_system_refusal_names_the_missing_field(self, missing, tmp_path, capsys):
+        # these printed a bare "'n'" (the KeyError)
+        system = {"p": 5, "n": 2, "d": 1, "polys": [[[[2, 0], 1], [[0, 2], 1], [[0, 0], -1]]]}
+        del system[missing]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        for argv in (["count", "--m", "1"], ["measure", "--mmax", "1"], ["nullset", "--m", "1"]):
+            assert run(["padic", argv[0], "--input", str(path), *argv[1:]]) == (2, "")
+            assert capsys.readouterr().err == f"error: missing field {missing!r}\n"
+
+    @pytest.mark.parametrize("stratum, missing", [({"subset": []}, "count"), ({"count": 1}, "subset"), ({}, "subset")])
+    def test_stratum_refusal_names_the_missing_field(self, stratum, missing, tmp_path, capsys):
+        # these printed a bare "'count'" or "'subset'" (the KeyError)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"vertical": [{"a": 0, "strata": [{"subset": [], "count": 1}]},
+                                                 {"a": 1, "strata": [stratum]}]}))
+        assert run(["stringy", "eval", "--input", str(path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: missing field {missing!r}\n"
+
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])
         assert code == 2

@@ -108,8 +108,8 @@ class TestCountPointsMod:
         assert rc.normalized == 1
 
     def test_budget_guard(self, monkeypatch):
-        # points evaluated: the 25-point box, then the listed frontiers of
-        # 20 and 100 points; level 4 (500 points) is counted, not listed
+        # points evaluated: the 25-point box, then the frontiers of 20 and 100
+        # points, each added as if it were listed; level 4 (500 points) is the last
         monkeypatch.setattr(padic, "POINTS_BUDGET", 100)
         with pytest.raises(BudgetExceededError) as err:
             count_points_mod(circle(5), 4)
@@ -377,6 +377,57 @@ class TestAgainstPerPointEngine:
     def test_deep_circle(self):
         counts = smooth_measure_check(circle(5), 9).counts
         assert counts == list(_level_counts(circle(5), 9, rank=1)) == [4 * 5**k for k in range(9)]
+
+
+def squares_table_sum_count(p, n, m):
+    """Independent oracle for x_1^2 + ... + x_n^2 = 0 mod p^m: the distribution of one square
+    mod p^m, convolved n times."""
+    modulus = p**m
+    squares = [0] * modulus
+    for x in range(modulus):
+        squares[x * x % modulus] += 1
+    sums = [1] + [0] * (modulus - 1)
+    for _ in range(n):
+        sums = [sum(sums[a] * squares[(c - a) % modulus] for a in range(modulus)) for c in range(modulus)]
+    return sums[0]
+
+
+class TestCountedGroups:
+    """A group whose Jacobian mod p has full row rank is counted, never evaluated past the box;
+    a group with constraint rows is still listed."""
+
+    @staticmethod
+    def evaluations_after_the_box(monkeypatch, system, m, rank=None):
+        calls = []
+        evaluate = padic._column_values
+        monkeypatch.setattr(padic, "_column_values", lambda *args: calls.append(args) or evaluate(*args))
+        levels = padic._level_counts(system, m, rank)
+        counts = [next(levels)]
+        box_calls = len(calls)
+        counts.extend(levels)
+        return counts, len(calls) - box_calls
+
+    def test_smooth_circle_is_counted(self, monkeypatch):
+        counts, later = self.evaluations_after_the_box(monkeypatch, circle(5), 9, rank=1)
+        assert later == 0
+        assert counts == list(_level_counts(circle(5), 9, rank=1)) == [4 * 5**k for k in range(9)]
+
+    def test_overdetermined_system_is_listed(self, monkeypatch):
+        # the circle's polynomial twice: rank 1 with 2 polynomials, so every group has a constraint row
+        twice = PolySystem(5, 2, circle(5).polys * 2, dim=1)
+        counts, later = self.evaluations_after_the_box(monkeypatch, twice, 5, rank=1)
+        assert later == 4  # one evaluation of the listed frontier per level after the box
+        assert counts == list(_level_counts(twice, 5, rank=1)) == [4 * 5**k for k in range(5)]
+        assert smooth_measure_check(twice, 5).measure == Fraction(4, 5)
+
+    def test_sum_of_eight_squares(self, monkeypatch):
+        # every mod-3 point but 0 is counted; 0 has rank 0 and is listed. The per-point engine
+        # would list about 4.9 million points at m = 3, so it checks m = 2.
+        system = PolySystem(3, 8, [[(tuple(2 * (i == j) for j in range(8)), 1) for i in range(8)]], dim=7)
+        counts, later = self.evaluations_after_the_box(monkeypatch, system, 3)
+        assert later == 2
+        assert counts == [squares_table_sum_count(3, 8, m) for m in (1, 2, 3)] == [2241, 4905441, 10728553761]
+        assert counts[:2] == list(_level_counts(system, 2))
 
 
 class TestMonomialIntegral:
