@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "qexpr": ["INFINITE", "InfiniteType", "PoleError", "QExpr", "QFrac", "is_infinite"],
+    "qexpr": ["INFINITE", "InfiniteType", "QExpr", "QFrac", "is_infinite"],
     "series": ["ConstantTermError", "TruncatedSeries"],
     "partitions": ["hilb_point_count", "partition_count", "partitions_into_parts"],
     "localfields": [
@@ -33,7 +33,7 @@ _EXPORTS = {
     ],
     "massformulas": ["bhargava_mass", "mass_series_via_exp", "recover_N_from_M", "serre_mass"],
     "mckay": ["verify_wild_mckay"],
-    "numutil": ["BudgetExceededError", "HenselMismatchError", "SmoothnessError"],
+    "numutil": ["BudgetExceededError", "HenselMismatchError", "PoleError", "SmoothnessError"],
     "padic": [
         "PolySystem",
         "ResidueCount",

@@ -1,12 +1,12 @@
 """Command-line front end: verification suites with deterministic reports.
 
 Exit codes: 0 when everything requested passed, 1 when a verification ran
-and failed, 2 on input or validation problems (unknown flags, malformed
-files, budget exceeded, tame-completeness guards).  JSON and CSV output is
-byte-identical across runs for a fixed command line; text output is for
-humans.  Exact values are printed as numerator/denominator or term lists;
-decimals appear only for requested real evaluations and carry the
-precision used.
+and failed, 2 on input or validation problems (unknown flags, missing,
+unreadable or malformed files, budget exceeded, tame-completeness guards).
+JSON and CSV output is byte-identical across runs for a fixed command line;
+text output is for humans.  Exact values are printed as numerator/denominator
+or term lists; decimals appear only for requested real evaluations and carry
+the precision used.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .numutil import (
     DEFAULT_PRECISION,
     BudgetExceededError,
     HenselMismatchError,
+    PoleError,
     SmoothnessError,
     check_exact_digits,
     decimal_digits,
@@ -33,7 +34,6 @@ from .numutil import (
     is_prime,
     parse_rational,
 )
-from .qexpr import PoleError, QExpr, QFrac, is_infinite
 
 __all__ = ["main", "run_to_string"]
 
@@ -43,11 +43,14 @@ EXIT_INPUT_ERROR = 2
 
 
 # ---------------------------------------------------------------------------
-# Value rendering
+# Value rendering: qexpr is imported where a q-expression is rendered, so that the commands
+# that never build one (padic count, measure and nullset, and etale) do not load it.
 # ---------------------------------------------------------------------------
 
 
 def _expr_payload(value) -> object:
+    from .qexpr import QExpr, is_infinite
+
     if is_infinite(value):
         return "Infinite"
     if isinstance(value, QExpr):
@@ -56,6 +59,8 @@ def _expr_payload(value) -> object:
 
 
 def _eval_payload(value, q0: Fraction) -> object:
+    from .qexpr import QFrac, is_infinite
+
     if is_infinite(value):
         return "Infinite"
     frac = QFrac(value)
@@ -447,6 +452,7 @@ def _cmd_padic_measure(args):
 
 def _cmd_padic_integral(args):
     from .padic import monomial_integral
+    from .qexpr import is_infinite
 
     partial, exact = monomial_integral(args.c, args.p, args.terms)
     # evaluated (or refused) before the closed form is rendered
@@ -507,16 +513,19 @@ _INPUT = ("--input", {"required": True})
 _AT_Q = ("--at-q", {"type": _rational, "default": None, "metavar": "Q",
                     "help": "also evaluate at q = Q (rational, > 0)"})
 
+# The top-level groups in the order they are listed, with their help.
 _GROUP_HELP = {
     "mass": "symbolic mass formulas",
     "etale": "tame local-field enumeration",
     "mckay": "wild McKay identity for S_n",
     "stringy": "stringy point counts of SNC data",
     "padic": "exact residue-ring measures",
+    "selftest": "run every acceptance criterion",
 }
 
-# One row per subcommand: (group, action or None, help, handler, flags).
-# Rows are registered in order; --format is added to every command.
+# One row per subcommand: (group, action or None, help, handler, flags); a group without
+# actions is its own command, with the group's help.  Rows are registered in order; --format
+# is added to every command.
 _COMMANDS = [
     ("mass", "serre", "totally ramified mass q^(f(1-n))", _cmd_mass_serre,
      [_N, ("--f", {"type": _positive, "default": 1})]),
@@ -541,25 +550,28 @@ _COMMANDS = [
     ("padic", "integral", "monomial integral: truncation vs closed form", _cmd_padic_integral,
      [("--c", {"type": _rational, "required": True}), _P, ("--terms", {"type": _positive, "default": 60})]),
     ("padic", "nullset", "box fraction of a null set", _cmd_padic_nullset, [_INPUT, _M]),
-    ("selftest", None, "run every acceptance criterion", _cmd_selftest, []),
+    ("selftest", None, None, _cmd_selftest, []),
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(groups=tuple(_GROUP_HELP)) -> argparse.ArgumentParser:
+    """The parser that lists every group, with the command parsers of the given groups only;
+    the default, every group, is the full tree."""
     parser = argparse.ArgumentParser(
         prog="wildmckay",
         description="exact mass formulas, stringy counts and p-adic measures",
     )
-    groups = parser.add_subparsers(dest="group", required=True)
+    subparsers = parser.add_subparsers(dest="group", required=True)
+    group_parsers = {group: subparsers.add_parser(group, help=help_text) for group, help_text in _GROUP_HELP.items()}
     actions = {}
     for group, action, help_text, handler, flags in _COMMANDS:
+        if group not in groups:
+            continue
         if action is None:
-            command = groups.add_parser(group, help=help_text)
+            command = group_parsers[group]
         else:
             if group not in actions:
-                actions[group] = groups.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
-                    dest="action", required=True
-                )
+                actions[group] = group_parsers[group].add_subparsers(dest="action", required=True)
             command = actions[group].add_parser(action, help=help_text)
         for flag, options in flags:
             command.add_argument(flag, **options)
@@ -568,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)  # one parser per process; parse_args keeps no state
+_parser = functools.cache(build_parser)  # one parser per set of groups; parse_args keeps no state
 
 
 def main(argv: list[str] | None = None, stdout=None) -> int:
@@ -585,8 +597,12 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
 
 
 def _run(argv: list[str] | None, stream) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)  # a BudgetExceededError on a rational past its cap
+        # Command parsers for the groups named in argv only: argparse reaches a group only through
+        # an argument equal to its name, so every screen and usage error is the full tree's.  A
+        # rational past its cap is a BudgetExceededError.
+        args = _parser(frozenset(_GROUP_HELP).intersection(argv)).parse_args(argv)
         code, report, table = args.handler(args)
     except SystemExit as exc:  # from argparse: --help, or a usage error
         code = exc.code
@@ -594,7 +610,7 @@ def _run(argv: list[str] | None, stream) -> int:
     except (SmoothnessError, HenselMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (BudgetExceededError, PoleError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (BudgetExceededError, PoleError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action

@@ -32,14 +32,14 @@ them, and a wild fixture is checked only against what every wild field satisfies
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .numutil import BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object
+from .numutil import (BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
+                      read_json)
 
 __all__ = [
     "TameFieldClass",
@@ -266,8 +266,7 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
 
 
 def load_fixtures(path: str | Path) -> list[FieldFixture]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json_array(json.load(fh), "fixture file")
+    data = json_array(read_json(path), "fixture file")
     return [FieldFixture.from_json(record, position) for position, record in enumerate(data, 1)]
 
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
+    "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
+    "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
     "exact_int", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
-    "json_object", "json_array", "parse_rational", "format_rational",
+    "read_json", "json_object", "json_array", "parse_rational", "format_rational",
 ]
 
 # Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
@@ -45,6 +48,10 @@ class SmoothnessError(ValueError):
 
 class HenselMismatchError(ArithmeticError):
     """Solution counts fail the smooth lifting relation count(m+1) = p^d count(m)."""
+
+
+class PoleError(ArithmeticError):
+    """Raised when a fraction is evaluated at a zero of its denominator."""
 
 
 # Miller-Rabin to the first 13 prime bases is exact below PRIME_TEST_LIMIT, the least strong
@@ -134,6 +141,16 @@ def exact_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def read_json(path: str | os.PathLike):
+    """The JSON value in the UTF-8 file at path; a value nested past the decoder's recursion
+    limit is a one-line ValueError, not a RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def json_object(value, what: str, required: tuple = ()) -> Mapping:

@@ -24,7 +24,6 @@ never listed or evaluated past the box.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -32,7 +31,7 @@ from functools import partial, reduce
 from itertools import chain, compress, product, repeat
 from operator import add, floordiv, mod, mul, not_, or_
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .numutil import (
     DEFAULT_PRECISION,
@@ -43,8 +42,11 @@ from .numutil import (
     exact_int,
     is_prime,
     json_object,
+    read_json,
 )
-from .qexpr import InfiniteType, QExpr, QFrac
+
+if TYPE_CHECKING:  # qexpr is imported by monomial_integral alone, so that counting never loads it
+    from .qexpr import InfiniteType, QFrac
 
 __all__ = [
     "PolySystem",
@@ -135,8 +137,7 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
 
     @staticmethod
     def load(path: str | Path) -> "PolySystem":
-        with open(path, "r", encoding="utf-8") as fh:
-            return PolySystem.from_json(json.load(fh))
+        return PolySystem.from_json(read_json(path))
 
 
 class ResidueCount(namedtuple("ResidueCount", "p dim modulus_exponent count")):
@@ -280,10 +281,13 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
         jacobians = [map(mod, v, repeat(p)) for v in _column_values(derivatives, columns.__getitem__, sum(keep))]
         for entry in zip(*columns, *jacobians):
             point, jacobian = entry[:n], entry[n:]
-            if jacobian not in groups:
-                pivots, constraints, basis = _linear_solver(list(zip(*[iter(jacobian)] * n)), p, n)
-                groups[jacobian] = len(pivots), constraints and (
-                    [[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis)
+            if jacobian not in groups:  # of full row rank, J has no constraints and only its rank is kept
+                matrix = list(zip(*[iter(jacobian)] * n))
+                found_rank, group = len(_row_reduce(matrix, p)[1]), []
+                if found_rank < len(matrix):
+                    pivots, constraints, basis = _linear_solver(matrix, p, n)
+                    group = [[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis
+                groups[jacobian] = found_rank, group
             found_rank, group = groups[jacobian]
             if rank is not None and found_rank != rank:
                 raise SmoothnessError(f"Jacobian rank {found_rank} != {rank} at mod-{p} point {point}")
@@ -407,6 +411,7 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     exact for integer c; for fractional c it is QFrac.evaluate's approximation, within
     DEFAULT_PRECISION and within 10^-20 of its size.
     """
+    from .qexpr import QExpr, QFrac
     from .stringy import stringy_point_contribution
 
     if terms < 1:

@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, divisors, is_prime
+from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, PoleError, divisors, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -48,10 +48,6 @@ __all__ = [
 # q^(1/r)): at 50,000, `stringy point --c=-49997/3` takes 0.15 s in-process, most of it printing, and
 # reducing q^-1 (q - 1) / (q^(1 - c) - 1) at c = -49994/3 0.02-0.03 s (Python 3.11, 2-vCPU Xeon).
 DENSE_DEGREE_BUDGET = 50_000
-
-
-class PoleError(ArithmeticError):
-    """Raised when a fraction is evaluated at a zero of its denominator."""
 
 
 class InfiniteType:

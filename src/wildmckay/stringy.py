@@ -27,14 +27,13 @@ side; nothing here can check it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import exact_int, json_array, json_object, parse_rational, unpack_slots
+from .numutil import exact_int, json_array, json_object, parse_rational, read_json, unpack_slots
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, _check_span, _cyclotomic_qfrac
 
 __all__ = [
@@ -116,8 +115,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
 
     @staticmethod
     def load(path: str | Path) -> "SncLogPairData":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SncLogPairData.from_json(json.load(fh))
+        return SncLogPairData.from_json(read_json(path))
 
 
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:

@@ -2,9 +2,11 @@
 determinism of machine-readable output."""
 
 import csv
+import errno
 import gc
 import io
 import json
+import os
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,11 @@ from wildmckay.qexpr import QExpr, QFrac
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+
+
+# Each command that reads a file, with the file's option last.
+FILE_OPTIONS = [["padic", "count", "--m", "2", "--input"], ["stringy", "eval", "--input"],
+                ["etale", "crossvalidate", "--fixtures"]]
 
 
 def run(argv):
@@ -193,6 +200,21 @@ class TestExitCodes:
     def test_missing_file_is_two(self):
         code, _ = run(["stringy", "eval", "--input", "no-such-file.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", FILE_OPTIONS, ids=lambda argv: "-".join(argv[:2]))
+    def test_directory_input_is_two(self, argv, tmp_path, capsys):
+        # an IsADirectoryError ended in a traceback and exit 1, the code of a failed verification
+        assert run(argv + [str(tmp_path)]) == (2, "")
+        message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", FILE_OPTIONS, ids=lambda argv: "-".join(argv[:2]))
+    def test_deeply_nested_input_is_two(self, argv, tmp_path, capsys):
+        # json.load raised a RecursionError: a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(argv + [str(path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
     def test_smoothness_violation_is_one(self, tmp_path):
         node = tmp_path / "node.json"
@@ -417,7 +439,7 @@ class TestBudgets:
         terms = max(t for t in range(1, 10**4) if 10 * t * (t + 1) <= cap)
         argv = ["padic", "integral", "--c", "1/2", "--p", "999983", "--terms"]
         assert run(argv + [str(terms)])[0] == 0
-        monkeypatch.setattr(padic, "QExpr", None)  # any work would fail
+        monkeypatch.setattr(qexpr, "QExpr", None)  # any work would fail
         self.refused(argv + [str(terms + 1)], capsys,
                      f"integral budget exceeded: need {10 * (terms + 1) * (terms + 2)} shell bits, budget {cap}")
 
@@ -707,7 +729,31 @@ class TestBudgets:
                      f"evaluation budget exceeded: need 4306 digits in the exact value at q, budget {cap}")
 
 
+# Every --help screen, and usage errors: no group, an unknown group or action, a group without its
+# action, an option before the group (which argparse reads as the group, or skips to parse the
+# group after it), a missing required flag and a bad --p.
+SCREENS = [["--help"], *([group, "--help"] for group in cli._GROUP_HELP),
+           *([group, action, "--help"] for group, action, *_ in cli._COMMANDS if action)]
+USAGE_ERRORS = [[], ["frobnicate"], ["mass", "frobnicate"], ["mass"], ["--format", "json", "mass", "serre", "--n", "2"],
+                ["--format=json", "mass", "serre", "--n", "2"], ["padic", "count", "--m", "2"],
+                ["etale", "enumerate", "--p", "4", "--n", "3"]]
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv", SCREENS + USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_lazy_parser_prints_what_the_full_tree_prints(self, argv, monkeypatch, capsys):
+        lazy = run(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_parser", lambda groups: cli.build_parser())
+        assert (run(argv), capsys.readouterr()) == lazy
+        assert lazy[0][0] in (0, 2) and (lazy[1].out or lazy[1].err)
+
+    def test_parser_builds_only_the_named_groups(self, capsys):
+        argv = ["mass", "serre", "--n", "2"]
+        assert cli._parser(frozenset({"mass"})).parse_args(argv).handler is cli._cmd_mass_serre
+        with pytest.raises(SystemExit):
+            cli._parser(frozenset({"padic"})).parse_args(argv)
+        assert "unrecognized arguments: serre --n 2" in capsys.readouterr().err
+
     def test_cached_parser_recovers_after_a_malformed_call(self, capsys):
         golden = {case["id"]: case for case in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())}
         case = golden["mass-invert-nmax20-csv"]
@@ -974,7 +1020,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
     def test_tables_match_csv_writer_and_json_dumps(self, argv):
-        args = cli._parser().parse_args(argv)
+        args = cli._parser(frozenset(argv[:1])).parse_args(argv)
         code, _, (columns, rows) = args.handler(args)
         assert run(argv + ["--format", "csv"]) == (code, csv_text(columns, rows, csv_cell))
 

@@ -36,20 +36,25 @@ assert wildmckay.__all__[-1] == "__version__" and "weights_for_algebra" not in d
     assert loaded_after(code) == LIBRARY
 
 
-MASS = {"massformulas", "partitions", "series"}
+MASS = {"massformulas", "partitions", "qexpr", "series"}
+CIRCLE = "data/sample_circle.json"
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["padic", "count", "--input", "data/sample_circle.json", "--m", "2"], {"padic"}),
-    (["padic", "integral", "--c", "1/2", "--p", "5"], {"padic", "stringy"}),
+    (["padic", "count", "--input", CIRCLE, "--m", "2"], {"padic"}),
+    (["padic", "integral", "--c", "1/2", "--p", "5"], {"padic", "qexpr", "stringy"}),
     (["mass", "serre", "--n", "3"], MASS),
     (["mass", "invert", "--nmax", "4"], MASS),
     (["etale", "enumerate", "--p", "5", "--n", "3"], {"localfields"}),
     (["etale", "mass", "--p", "5", "--n", "3"], {"localfields"} | MASS),
-    (["mckay", "verify", "--p", "5", "--n", "3", "--format", "csv"], {"localfields", "mckay", "partitions"}),
-    (["stringy", "point", "--a", "0", "--c", "1/2", "--at-q", "5"], {"stringy"}),
-    (["stringy", "eval", "--input", "data/sample_snc_pair.json"], {"stringy"}),
+    (["mckay", "verify", "--p", "5", "--n", "3", "--format", "csv"], {"localfields", "mckay", "partitions", "qexpr"}),
+    (["stringy", "point", "--a", "0", "--c", "1/2", "--at-q", "5"], {"qexpr", "stringy"}),
+    (["stringy", "eval", "--input", "data/sample_snc_pair.json"], {"qexpr", "stringy"}),
+    (["padic", "measure", "--input", CIRCLE, "--mmax", "2"], {"padic"}),
+    (["padic", "nullset", "--input", CIRCLE, "--m", "2"], {"padic"}),
+    (["etale", "crossvalidate", "--fixtures", "data/sample_fixtures.json"], {"localfields"}),
 ], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
 def test_command_loads_only_its_modules(argv, modules):
+    # The p-adic counts and the etale commands build no q-expression, so they do not load qexpr.
     code = f"import io\nfrom wildmckay import cli\nassert cli.main({argv!r}, stdout=io.StringIO()) == 0"
-    assert loaded_after(code) == {"cli", "numutil", "qexpr"} | modules
+    assert loaded_after(code) == {"cli", "numutil"} | modules

@@ -6,7 +6,7 @@ import pytest
 
 from wildmckay.numutil import (
     EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_exact_digits, decimal_digits, divisors,
-    exact_int, format_rational, is_prime, json_array, json_object, parse_rational,
+    exact_int, format_rational, is_prime, json_array, json_object, parse_rational, read_json,
 )
 
 
@@ -127,6 +127,15 @@ def test_json_shapes():
     for value in ({"p": 5}, (1,), 1, None):
         with pytest.raises(ValueError, match="polys must be a JSON array"):
             json_array(value, "polys")
+
+
+def test_read_json(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"label": "Q_5 \u00e9tale", "p": 5}', encoding="utf-8")
+    assert read_json(path) == read_json(str(path)) == {"label": "Q_5 \u00e9tale", "p": 5}
+    path.write_text("[" * 100_000 + "]" * 100_000)  # a RecursionError from json.load
+    with pytest.raises(ValueError, match=r"input\.json: JSON nested too deeply to read$"):
+        read_json(path)
 
 
 def test_format_rational():
