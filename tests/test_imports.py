@@ -55,6 +55,7 @@ CIRCLE = "data/sample_circle.json"
     (["etale", "crossvalidate", "--fixtures", "data/sample_fixtures.json"], {"localfields"}),
 ], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
 def test_command_loads_only_its_modules(argv, modules):
-    # The p-adic counts and the etale commands build no q-expression, so they do not load qexpr.
+    # padic count, measure and nullset and etale enumerate and crossvalidate build no q-expression,
+    # so they do not load qexpr.
     code = f"import io\nfrom wildmckay import cli\nassert cli.main({argv!r}, stdout=io.StringIO()) == 0"
     assert loaded_after(code) == {"cli", "numutil"} | modules
