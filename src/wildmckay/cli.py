@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib.util
 import io
 import json
 import re
@@ -43,27 +44,41 @@ EXIT_INPUT_ERROR = 2
 
 
 # ---------------------------------------------------------------------------
-# Value rendering: qexpr is imported where a q-expression is rendered, so that the commands
-# that never build one (padic count, measure and nullset, and etale) do not load it.
+# Value rendering: qexpr is bound at import but runs on its first use, so that the commands
+# that never build a q-expression (padic count, measure and nullset, and etale) never run it.
 # ---------------------------------------------------------------------------
 
 
-def _expr_payload(value) -> object:
-    from .qexpr import QExpr, is_infinite
+def _lazy_module(name: str):
+    """The module `name`, in sys.modules and on its package like any imported module, whose
+    code runs on its first attribute access (importlib.util.LazyLoader)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
 
-    if is_infinite(value):
+
+qexpr = _lazy_module(f"{__package__}.qexpr")
+
+
+def _expr_payload(value) -> object:
+    if qexpr.is_infinite(value):
         return "Infinite"
-    if isinstance(value, QExpr):
+    if isinstance(value, qexpr.QExpr):
         return {"pretty": str(value), "terms": value.to_json()}
     return {"pretty": str(value), "num": value.num.to_json(), "den": value.den.to_json()}
 
 
 def _eval_payload(value, q0: Fraction) -> object:
-    from .qexpr import QFrac, is_infinite
-
-    if is_infinite(value):
+    if qexpr.is_infinite(value):
         return "Infinite"
-    frac = QFrac(value)
+    frac = qexpr.QFrac(value)
     frac.check_powers(q0)
     if frac.num.exponent_denominator() == 1 and frac.den.exponent_denominator() == 1:
         exact = frac.evaluate(q0)
@@ -452,11 +467,10 @@ def _cmd_padic_measure(args):
 
 def _cmd_padic_integral(args):
     from .padic import monomial_integral
-    from .qexpr import is_infinite
 
     partial, exact = monomial_integral(args.c, args.p, args.terms)
     # evaluated (or refused) before the closed form is rendered
-    at_p = {} if is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p))}
+    at_p = {} if qexpr.is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p))}
     report = {
         "c": format_rational(args.c),
         "p": args.p,

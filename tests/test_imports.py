@@ -15,8 +15,15 @@ LIBRARY = {"numutil", "qexpr", "series", "partitions", "localfields", "massformu
 
 
 def loaded_after(code: str) -> set[str]:
-    """The wildmckay modules in sys.modules after a fresh interpreter runs code."""
-    script = code + "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('wildmckay.')]))"
+    """The wildmckay modules whose code has run after a fresh interpreter runs code.  A module
+    bound lazily (cli binds qexpr so) is in sys.modules before its code runs, as an instance of
+    a ModuleType subclass that becomes a plain ModuleType when it loads; type() reads it without
+    loading it.  No other module is bound so."""
+    script = code + """
+import json, sys, types
+bound = {m: type(v) is types.ModuleType for m, v in sys.modules.items() if m.startswith('wildmckay.')}
+assert {m for m, ran in bound.items() if not ran} <= {'wildmckay.qexpr'}, bound
+print(json.dumps([m for m, ran in bound.items() if ran]))"""
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -25,6 +32,16 @@ def loaded_after(code: str) -> set[str]:
 
 def test_import_loads_no_module():
     assert loaded_after("import wildmckay") == set()
+
+
+def test_lazily_bound_qexpr_runs_on_first_use():
+    code = """import sys, types
+from wildmckay import cli
+lazy = sys.modules['wildmckay.qexpr']
+assert type(lazy) is not types.ModuleType and cli.qexpr is lazy
+import wildmckay
+assert wildmckay.qexpr is lazy and wildmckay.QExpr is lazy.QExpr and type(lazy) is types.ModuleType"""
+    assert loaded_after(code) == {"cli", "numutil", "qexpr"}
 
 
 def test_public_names_resolve_to_their_home_module():
@@ -56,6 +73,6 @@ CIRCLE = "data/sample_circle.json"
 ], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
 def test_command_loads_only_its_modules(argv, modules):
     # padic count, measure and nullset and etale enumerate and crossvalidate build no q-expression,
-    # so they do not load qexpr.
+    # so the code of qexpr, bound by cli, never runs.
     code = f"import io\nfrom wildmckay import cli\nassert cli.main({argv!r}, stdout=io.StringIO()) == 0"
     assert loaded_after(code) == {"cli", "numutil"} | modules
