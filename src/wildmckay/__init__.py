@@ -6,10 +6,13 @@ local-field enumeration, and the Serre/Bhargava mass formulas tied together
 by the wild McKay correspondence for symmetric groups.
 
 Importing the package loads none of its modules: each public name is
-imported from its module when it is first used (PEP 562), so a command pays
-only for the modules it runs.
+imported from its module when it is first used (PEP 562), and a module that
+calls another only from its functions binds it with _lazy_module, so a
+command pays only for the modules it runs.
 """
 
+import importlib.util
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -61,6 +64,18 @@ def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def _lazy_module(name: str):
+    """The package's module `name`, in sys.modules and on the package like any imported module,
+    whose code runs on its first attribute access (importlib.util.LazyLoader)."""
+    full = f"{__name__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = globals()[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+    return sys.modules[full]
 
 
 def __dir__() -> list[str]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import importlib.util
 import io
 import json
 import re
@@ -23,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from itertools import chain, repeat
 
+from . import _lazy_module
 from .numutil import (
     DEFAULT_PRECISION,
     BudgetExceededError,
@@ -43,28 +43,15 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+# Bound here, each library module runs on its first use, so that a command runs only the modules
+# it calls: padic count, measure and nullset, and etale, never run qexpr.
+localfields, massformulas, mckay, padic, qexpr, selftest, stringy = map(
+    _lazy_module, ["localfields", "massformulas", "mckay", "padic", "qexpr", "selftest", "stringy"])
+
+
 # ---------------------------------------------------------------------------
-# Value rendering: qexpr is bound at import but runs on its first use, so that the commands
-# that never build a q-expression (padic count, measure and nullset, and etale) never run it.
+# Value rendering
 # ---------------------------------------------------------------------------
-
-
-def _lazy_module(name: str):
-    """The module `name`, in sys.modules and on its package like any imported module, whose
-    code runs on its first attribute access (importlib.util.LazyLoader)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    package, _, child = name.rpartition(".")
-    setattr(sys.modules[package], child, module)
-    return module
-
-
-qexpr = _lazy_module(f"{__package__}.qexpr")
 
 
 def _expr_payload(value) -> object:
@@ -286,32 +273,25 @@ def _rational_list(value: str) -> list[Fraction]:
 
 # ---------------------------------------------------------------------------
 # Handlers: each returns (exit_code, report, table), the table (column names, row tuples) or None.
-# Each imports the library functions it calls when it runs, so that a command loads only its own
-# modules, and reads them from their home module at call time.
+# Each reads the library functions it calls from their home module at call time.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_mass_serre(args):
-    from .massformulas import serre_mass
-
-    mass = serre_mass(args.n, args.f)
+    mass = massformulas.serre_mass(args.n, args.f)
     report = {"n": args.n, "f": args.f, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
 def _cmd_mass_bhargava(args):
-    from .massformulas import bhargava_mass
-
-    mass = bhargava_mass(args.n)
+    mass = massformulas.bhargava_mass(args.n)
     report = {"n": args.n, "mass": _expr_payload(mass)}
     return EXIT_OK, report, None
 
 
 def _cmd_mass_expcheck(args):
-    from .massformulas import bhargava_mass, mass_series_via_exp
-
-    series = mass_series_via_exp(args.nmax)
-    pairs = [(n, series.coefficient(n), bhargava_mass(n)) for n in range(1, args.nmax + 1)]
+    series = massformulas.mass_series_via_exp(args.nmax)
+    pairs = [(n, series.coefficient(n), massformulas.bhargava_mass(n)) for n in range(1, args.nmax + 1)]
     rows = [(n, str(lhs), str(rhs), lhs == rhs) for n, lhs, rhs in pairs]
     all_match = all(row[-1] for row in rows)
     report = {"nmax": args.nmax, "all_match": all_match}
@@ -320,10 +300,8 @@ def _cmd_mass_expcheck(args):
 
 
 def _cmd_mass_invert(args):
-    from .massformulas import mass_series_via_exp, recover_N_from_M, serre_mass
-
-    recovered = recover_N_from_M(mass_series_via_exp(args.nmax))
-    pairs = [(f, m, value, serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
+    recovered = massformulas.recover_N_from_M(massformulas.mass_series_via_exp(args.nmax))
+    pairs = [(f, m, value, massformulas.serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
     rows = [(f, m, str(value), str(expected), value == expected) for f, m, value, expected in pairs]
     all_match = all(row[-1] for row in rows)
     report = {"nmax": args.nmax, "all_match": all_match}
@@ -332,33 +310,23 @@ def _cmd_mass_invert(args):
 
 
 def _cmd_etale_enumerate(args):
-    from .localfields import (
-        count_tame_etale_algebras,
-        enumerate_tame_field_classes,
-        skipped_wild_strata,
-        tame_enumeration_is_complete,
-    )
-
-    algebras = count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
-    classes = enumerate_tame_field_classes(args.p, args.n)
+    algebras = localfields.count_tame_etale_algebras(args.p, args.n)  # first: it holds the degree budget
+    classes = localfields.enumerate_tame_field_classes(args.p, args.n)
     rows = [(cls.f, cls.e, cls.orbit, cls.degree, cls.disc_exponent, cls.aut_order) for cls in classes]
     report = {
         "p": args.p,
         "n": args.n,
         "field_classes": len(classes),
         "etale_algebras": algebras,
-        "wild_strata_skipped": [list(stratum) for stratum in skipped_wild_strata(args.p, args.n)],
-        "complete": tame_enumeration_is_complete(args.p, args.n),
+        "wild_strata_skipped": [list(stratum) for stratum in localfields.skipped_wild_strata(args.p, args.n)],
+        "complete": localfields.tame_enumeration_is_complete(args.p, args.n),
     }
     return EXIT_OK, report, (("f", "e", "orbit", "degree", "d", "aut"), rows)
 
 
 def _cmd_etale_mass(args):
-    from .localfields import algebra_mass_sum
-    from .massformulas import bhargava_mass
-
-    mass = algebra_mass_sum(args.p, args.n)
-    expected = bhargava_mass(args.n).evaluate(args.p)
+    mass = localfields.algebra_mass_sum(args.p, args.n)
+    expected = massformulas.bhargava_mass(args.n).evaluate(args.p)
     match = mass == expected
     report = {
         "p": args.p,
@@ -371,9 +339,7 @@ def _cmd_etale_mass(args):
 
 
 def _cmd_etale_crossvalidate(args):
-    from .localfields import crossvalidate_fixtures, load_fixtures
-
-    verdicts = crossvalidate_fixtures(load_fixtures(args.fixtures))
+    verdicts = localfields.crossvalidate_fixtures(localfields.load_fixtures(args.fixtures))
     rows = [(fx.label, fx.p, fx.n, fx.e, fx.f, fx.disc_exponent, fx.aut_order, status, reason)
             for fx, status, reason in verdicts]
     statuses = [status for _, status, _ in verdicts]
@@ -389,9 +355,7 @@ def _cmd_etale_crossvalidate(args):
 
 
 def _cmd_mckay_verify(args):
-    from .mckay import ROW_COLUMNS, verify_wild_mckay
-
-    result = verify_wild_mckay(args.p, args.n)
+    result = mckay.verify_wild_mckay(args.p, args.n)
     report = {
         "p": args.p,
         "n": args.n,
@@ -399,14 +363,12 @@ def _cmd_mckay_verify(args):
         "hilb_side": format_rational(result.hilb_side),
         "passed": result.passed,
     }
-    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (ROW_COLUMNS, result.rows)
+    return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (mckay.ROW_COLUMNS, result.rows)
 
 
 def _cmd_stringy_eval(args):
-    from .stringy import SncLogPairData, stringy_count_snc
-
-    data = SncLogPairData.load(args.input)
-    value = stringy_count_snc(data)
+    data = stringy.SncLogPairData.load(args.input)
+    value = stringy.stringy_count_snc(data)
     # evaluated (or refused) before the value is rendered
     evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {"input": args.input, "value": _expr_payload(value)}
@@ -416,9 +378,7 @@ def _cmd_stringy_eval(args):
 
 
 def _cmd_stringy_point(args):
-    from .stringy import stringy_point_contribution
-
-    value = stringy_point_contribution(args.a, args.c)
+    value = stringy.stringy_point_contribution(args.a, args.c)
     evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {
         "a": format_rational(args.a),
@@ -431,10 +391,8 @@ def _cmd_stringy_point(args):
 
 
 def _cmd_padic_count(args):
-    from .padic import PolySystem, count_points_mod
-
-    system = PolySystem.load(args.input)
-    result = count_points_mod(system, args.m)
+    system = padic.PolySystem.load(args.input)
+    result = padic.count_points_mod(system, args.m)
     check_exact_digits(result.normalized, "lifting", "digits in the normalized count")
     report = {
         "input": args.input,
@@ -449,10 +407,8 @@ def _cmd_padic_count(args):
 
 
 def _cmd_padic_measure(args):
-    from .padic import PolySystem, smooth_measure_check
-
-    system = PolySystem.load(args.input)
-    result = smooth_measure_check(system, args.mmax)
+    system = padic.PolySystem.load(args.input)
+    result = padic.smooth_measure_check(system, args.mmax)
     report = {
         "input": args.input,
         "p": system.p,
@@ -466,9 +422,7 @@ def _cmd_padic_measure(args):
 
 
 def _cmd_padic_integral(args):
-    from .padic import monomial_integral
-
-    partial, exact = monomial_integral(args.c, args.p, args.terms)
+    partial, exact = padic.monomial_integral(args.c, args.p, args.terms)
     # evaluated (or refused) before the closed form is rendered
     at_p = {} if qexpr.is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p))}
     report = {
@@ -483,10 +437,8 @@ def _cmd_padic_integral(args):
 
 
 def _cmd_padic_nullset(args):
-    from .padic import PolySystem, null_set_fraction
-
-    system = PolySystem.load(args.input)
-    fraction = null_set_fraction(system, args.m)
+    system = padic.PolySystem.load(args.input)
+    fraction = padic.null_set_fraction(system, args.m)
     check_exact_digits(fraction, "lifting", "digits in the box fraction")
     report = {
         "input": args.input,
@@ -500,8 +452,6 @@ def _cmd_padic_nullset(args):
 
 
 def _cmd_selftest(args):
-    from . import selftest
-
     results = selftest.run_all()
     rows = [(r.number, r.name, r.passed, r.detail) for r in results]
     all_passed = all(r.passed for r in results)

@@ -38,8 +38,11 @@ from math import factorial, gcd
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import _lazy_module
 from .numutil import (BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
                       read_json)
+
+series = _lazy_module("series")  # algebra_mass_sum alone runs it, so that the listings never do
 
 __all__ = [
     "TameFieldClass",
@@ -220,15 +223,13 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
     EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
     sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
-    from .series import TruncatedSeries
-
     _require_complete(p, n)
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
     weights = [sum(Fraction(p ** (k - cls.disc_exponent), cls.aut_order) for cls in classes)
                for k, classes in enumerate(_tame_classes_by_degree(p, n))]
-    value = TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n
+    value = series.TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n
     check_exact_digits(value, "mass", "digits in the mass at p")
     return value
 

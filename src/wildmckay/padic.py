@@ -31,8 +31,9 @@ from functools import partial, reduce
 from itertools import chain, compress, product, repeat
 from operator import add, floordiv, mod, mul, not_, or_
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from . import _lazy_module
 from .numutil import (
     DEFAULT_PRECISION,
     EXACT_DIGITS_BUDGET,
@@ -45,8 +46,8 @@ from .numutil import (
     read_json,
 )
 
-if TYPE_CHECKING:  # qexpr is imported by monomial_integral alone, so that counting never loads it
-    from .qexpr import InfiniteType, QFrac
+# monomial_integral alone runs these, so that counting never does
+qexpr, stringy = _lazy_module("qexpr"), _lazy_module("stringy")
 
 __all__ = [
     "PolySystem",
@@ -172,46 +173,45 @@ def _jacobian_polys(system: PolySystem) -> list:
     ]
 
 
-def _row_reduce(rows, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p of a copy of rows, and its pivot columns."""
-    rows = [[v % p for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+def _linear_solver(jacobian: tuple, p: int, n: int):
+    """J @ delta = b over F_p for every b, from one elimination of [J | I] on J's columns, J the
+    rows of n residues mod p in the flat tuple jacobian; it gives T with T @ J in reduced echelon
+    form.  Returns (rank, None) as soon as every row of J has a pivot, when every b is solvable.
+    Otherwise returns (rank, (constraints, pivots, basis)): constraints are the rows t of T with
+    t @ J = 0, and b is solvable iff t . b = 0 for each; pivots maps each pivot column col to its
+    row r of T negated, and delta[col] = r . b, zeros elsewhere, is then a solution; basis spans
+    the kernel."""
+    count = len(jacobian) // n
+    rows = [[*jacobian[i * n:i * n + n], *(int(i == j) for j in range(count))] for i in range(count)]
+    cols: list[int] = []
+    for col in range(n):
+        rank = len(cols)
+        for i in range(rank, count):
+            if rows[i][col]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
+        if rank + 1 == count:  # the last row's pivot: J has full row rank
+            return count, None
+        top, rows[i] = rows[i], rows[rank]
+        inv = pow(top[col], -1, p)
+        rows[rank] = top = [v * inv % p for v in top]
         for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [(v - row[col] * w) % p for v, w in zip(row, rows[r])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def _linear_solver(matrix, p: int, n: int):
-    """Everything needed to solve matrix @ delta = b over F_p for any b.
-
-    Row reducing [matrix | I] yields T with T @ matrix in reduced echelon
-    form.  Returns (pivots, constraints, basis): b is solvable iff t . b = 0
-    for every constraint row t of T; a solution then has delta[col] = t . b
-    for each pivot (col, t) and zeros elsewhere; basis spans the kernel.
-    """
-    identity = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
-    rows, cols = _row_reduce([list(row) + unit for row, unit in zip(matrix, identity)], p)
-    pivots = [(col, row[n:]) for row, col in zip(rows, cols) if col < n]
-    constraints = [row[n:] for row, col in zip(rows, cols) if col >= n]
+            if i != rank and (factor := row[col]):
+                rows[i] = [(v - factor * w) % p for v, w in zip(row, top)]
+        cols.append(col)
+    rank = len(cols)
+    if rank == count:  # J has no rows
+        return rank, None
     basis = []
-    for free in (c for c in range(n) if c not in cols):
+    for free in [c for c in range(n) if c not in cols]:
         vector = [0] * n
         vector[free] = 1
         for col, row in zip(cols, rows):
-            if col < n:
-                vector[col] = -row[free] % p
+            vector[col] = -row[free] % p
         basis.append(vector)
-    return pivots, constraints, basis
+    pivots = {col: [-v % p for v in row[n:]] for col, row in zip(cols, rows)}
+    return rank, ([row[n:] for row in rows[rank:]], pivots, basis)
 
 
 def _column_values(compiled, column, size: int) -> list:
@@ -268,7 +268,7 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
         raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
     polys = _compiled(system.polys)
     derivatives = sum(_jacobian_polys(system), [])
-    # J mod p, row by row -> (rank, []) if constraint-free, else (rank, (columns, constraints,
+    # J mod p, row by row -> (rank, None) if constraint-free, else (rank, (columns, constraints,
     # negated pivot rows, kernel basis)); free[b]: points of constraint-free groups with kernel dimension b
     found, groups, free = 0, {}, [0] * (n + 1)
     for columns, size in _box_slabs(p, n):
@@ -282,12 +282,8 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
         for entry in zip(*columns, *jacobians):
             point, jacobian = entry[:n], entry[n:]
             if jacobian not in groups:  # of full row rank, J has no constraints and only its rank is kept
-                matrix = list(zip(*[iter(jacobian)] * n))
-                found_rank, group = len(_row_reduce(matrix, p)[1]), []
-                if found_rank < len(matrix):
-                    pivots, constraints, basis = _linear_solver(matrix, p, n)
-                    group = [[] for _ in point], constraints, {c: [-v % p for v in t] for c, t in pivots}, basis
-                groups[jacobian] = found_rank, group
+                found_rank, solution = _linear_solver(jacobian, p, n)
+                groups[jacobian] = found_rank, solution and ([[] for _ in point], *solution)
             found_rank, group = groups[jacobian]
             if rank is not None and found_rank != rank:
                 raise SmoothnessError(f"Jacobian rank {found_rank} != {rank} at mod-{p} point {point}")
@@ -402,7 +398,7 @@ def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:
 # ---------------------------------------------------------------------------
 
 
-def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, QFrac | InfiniteType]:
+def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, qexpr.QFrac | qexpr.InfiniteType]:
     """Truncation and closed form of the integral of |x|^(-c) over m_K.
 
     partial = sum_{i=1}^{terms} q^(i(c-1)) (1 - q^(-1)) at q = p, the measures of
@@ -411,9 +407,6 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     exact for integer c; for fractional c it is QFrac.evaluate's approximation, within
     DEFAULT_PRECISION and within 10^-20 of its size.
     """
-    from .qexpr import QExpr, QFrac
-    from .stringy import stringy_point_contribution
-
     if terms < 1:
         raise ValueError("need at least one term")
     if not is_prime(p):
@@ -426,6 +419,6 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     if largest > LARGEST_SHELL_BUDGET:
         raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
     # one q-expression, so that a fractional c takes one root of p for all its shells
-    shells = QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - QExpr.q(-1))
-    partial = QFrac(shells).evaluate(p, DEFAULT_PRECISION)
-    return partial, stringy_point_contribution(-1, [c])
+    shells = qexpr.QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - qexpr.QExpr.q(-1))
+    partial = qexpr.QFrac(shells).evaluate(p, DEFAULT_PRECISION)
+    return partial, stringy.stringy_point_contribution(-1, [c])

@@ -13,6 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
+from . import _lazy_module
 from .localfields import algebra_mass_sum, enumerate_tame_field_classes
 from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
 from .mckay import verify_wild_mckay
@@ -23,6 +24,8 @@ from .series import TruncatedSeries
 from .stringy import SncLogPairData, VerticalComponent, stringy_count_snc, stringy_point_contribution
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
+
+cli = _lazy_module("cli")  # criterion_properties alone runs it
 
 MASS_PAIRS = [(p, n) for p in (5, 7, 11) for n in (2, 3, 4)]
 
@@ -201,8 +204,6 @@ def criterion_properties() -> tuple[bool, str]:
             for factors, _, v, w, *_ in verify_wild_mckay(p, n).rows:
                 if w != v:
                     return False, f"w != v for the algebra with factors {factors} over Q_{p}"
-    from . import cli
-
     for argv in (
         ["mass", "expcheck", "--nmax", "4", "--format", "json"],
         ["etale", "enumerate", "--p", "5", "--n", "3", "--format", "json"],

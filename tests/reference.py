@@ -1,5 +1,6 @@
-"""Test-only references: the QFrac canonical form by Euclid over Fraction coefficients, and the
-totally ramified masses from one log per unramified degree.
+"""Test-only references: the QFrac canonical form by Euclid over Fraction coefficients, the
+totally ramified masses from one log per unramified degree, and linear systems over F_p by
+Gauss-Jordan elimination.
 
 The kernel builds a QFrac over a monomial denominator (an exponent shift) or over a product of
 binomials t^k - 1 (cyclotomic trial division, in ``qexpr._cyclotomic_qfrac``).  This reference
@@ -8,6 +9,9 @@ and take from it the values with other denominators that they need.
 
 ``massformulas.recover_N_from_M`` takes one log and substitutes q -> q^f into its coefficients;
 ``reference_recover_N_from_M`` substitutes into the series first and takes one log per f.
+
+``padic._linear_solver`` eliminates on the Jacobian's columns only and stops once every row has a
+pivot; ``reference_linear_solver`` reduces every column of ``[J | I]``.
 """
 
 import math
@@ -95,3 +99,38 @@ def reference_recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int
             N[(f, m)] = logs[f].coefficient(m) - sum(
                 [N[(f * j, m // j)] * Fraction(1, j) for j in divisors(m)[1:]], QExpr())
     return N
+
+
+def reference_linear_solver(matrix, p: int, n: int):
+    """(pivots, constraints, basis) for matrix @ delta = b over F_p, matrix a list of rows of n
+    integers, by Gauss-Jordan elimination of [matrix | I] over all of its columns, giving T with
+    T @ matrix in reduced echelon form: b is solvable iff t . b = 0 for every constraint row t of
+    T; a solution then has delta[col] = t . b for each pivot (col, t) and zeros elsewhere; basis
+    spans the kernel."""
+    size = len(matrix)
+    rows = [[v % p for v in row] + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    cols = []
+    for col in range(n + size):
+        top = len(cols)
+        candidates = [i for i in range(top, size) if rows[i][col]]
+        if not candidates:
+            continue
+        rows[top], rows[candidates[0]] = rows[candidates[0]], rows[top]
+        inverse = pow(rows[top][col], p - 2, p)  # Fermat
+        rows[top] = [v * inverse % p for v in rows[top]]
+        for i in range(size):
+            if i != top:
+                factor = rows[i][col]
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[top])]
+        cols.append(col)
+    pivots = [(col, row[n:]) for col, row in zip(cols, rows) if col < n]
+    constraints = [row[n:] for col, row in zip(cols, rows) if col >= n]
+    basis = []
+    for free in range(n):
+        if free not in cols:
+            vector = [int(c == free) for c in range(n)]
+            for col, row in zip(cols, rows):
+                if col < n:
+                    vector[col] = -row[free] % p
+            basis.append(vector)
+    return pivots, constraints, basis

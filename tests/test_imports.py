@@ -1,7 +1,9 @@
 """Imports: `import wildmckay` loads none of its modules, each CLI command loads only the
-modules its code calls, and every public name resolves to its home module's object.  Each
-case runs in a fresh interpreter, since this one has imported every module already."""
+modules its code calls, every public name resolves to its home module's object, and a module
+loads another late only by binding it lazily.  Each case runs in a fresh interpreter, since
+this one has imported every module already."""
 
+import ast
 import json
 import os
 import subprocess
@@ -16,14 +18,12 @@ LIBRARY = {"numutil", "qexpr", "series", "partitions", "localfields", "massformu
 
 def loaded_after(code: str) -> set[str]:
     """The wildmckay modules whose code has run after a fresh interpreter runs code.  A module
-    bound lazily (cli binds qexpr so) is in sys.modules before its code runs, as an instance of
-    a ModuleType subclass that becomes a plain ModuleType when it loads; type() reads it without
-    loading it.  No other module is bound so."""
+    bound lazily (wildmckay._lazy_module) is in sys.modules before its code runs, as an instance
+    of a ModuleType subclass that becomes a plain ModuleType when it loads; type() reads it
+    without loading it."""
     script = code + """
 import json, sys, types
-bound = {m: type(v) is types.ModuleType for m, v in sys.modules.items() if m.startswith('wildmckay.')}
-assert {m for m, ran in bound.items() if not ran} <= {'wildmckay.qexpr'}, bound
-print(json.dumps([m for m, ran in bound.items() if ran]))"""
+print(json.dumps([m for m, v in sys.modules.items() if m.startswith('wildmckay.') and type(v) is types.ModuleType]))"""
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -42,6 +42,29 @@ assert type(lazy) is not types.ModuleType and cli.qexpr is lazy
 import wildmckay
 assert wildmckay.qexpr is lazy and wildmckay.QExpr is lazy.QExpr and type(lazy) is types.ModuleType"""
     assert loaded_after(code) == {"cli", "numutil", "qexpr"}
+
+
+@pytest.mark.parametrize("module", ["cli", "padic", "localfields"])
+def test_import_runs_only_the_module_and_numutil(module):
+    # cli binds every library module its handlers call; padic binds qexpr and stringy, and
+    # localfields binds series, for the one function that calls them
+    assert loaded_after(f"import wildmckay.{module}") == {module, "numutil"}
+
+
+def test_modules_import_late_only_by_lazy_binding():
+    """No import statement in a function and no TYPE_CHECKING block in src/wildmckay, and the
+    lazy-binding helper is defined once, in the package's __init__."""
+    helpers = []
+    for path in sorted((ROOT / "src" / "wildmckay").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                imports = [inner for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+                assert not imports, f"{path.name}:{imports[0].lineno}: an import inside a function"
+                helpers += [path.name] * (getattr(node, "name", None) == "_lazy_module")
+        named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None) for node in nodes}
+        assert "TYPE_CHECKING" not in named, f"{path.name} reads TYPE_CHECKING"
+    assert helpers == ["__init__.py"]
 
 
 def test_public_names_resolve_to_their_home_module():

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterator
 
 import pytest
-from reference import reference_canonical_pair
+from reference import reference_canonical_pair, reference_linear_solver
 
 from wildmckay import padic
 from wildmckay.cli import main
@@ -243,8 +243,40 @@ class TestEngineAgainstBox:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-point lifting engine the column engine replaced
+# Oracle: the per-point lifting engine the column engine replaced, on the reference solver
 # ---------------------------------------------------------------------------
+
+
+def _times(matrix, vector, p: int) -> list[int]:
+    return [sum(map(operator.mul, row, vector)) % p for row in matrix]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_linear_solver_against_reference(p):
+    # rank, solvability of a random b and of an image b, and kernel dimension; the engine's
+    # particular solution and kernel basis are checked against the matrix itself
+    rng = random.Random(78 + p)
+    full = 0
+    for _ in range(400):
+        n, size = rng.randint(1, 4), rng.randint(0, 4)
+        matrix = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(size)]
+        rank, solution = _linear_solver(tuple(itertools.chain.from_iterable(matrix)), p, n)
+        pivots, constraints, basis = reference_linear_solver(matrix, p, n)
+        assert rank == len(pivots)
+        if solution is None:
+            full += 1
+            assert rank == size and not constraints and len(basis) == n - rank
+            continue
+        found_constraints, negated, found_basis = solution
+        assert rank < size and len(found_basis) == len(basis) == n - rank
+        assert all(not any(_times(matrix, v, p)) for v in found_basis)
+        for b in ([rng.randrange(p) for _ in range(size)], _times(matrix, [rng.randrange(p) for _ in range(n)], p)):
+            solvable = not any(sum(map(operator.mul, t, b)) % p for t in constraints)
+            assert solvable == (not any(sum(map(operator.mul, t, b)) % p for t in found_constraints)), (matrix, b)
+            if solvable:
+                delta = [-sum(map(operator.mul, negated[col], b)) % p if col in negated else 0 for col in range(n)]
+                assert _times(matrix, delta, p) == b, (matrix, b)
+    assert 50 <= full <= 350  # both outcomes are drawn often
 
 
 def _values(compiled, point) -> list[int]:
@@ -289,7 +321,7 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
         residue = tuple(x % p for x in point)
         if residue not in solvers:
             jacobian = [[v % p for v in _values(row, residue)] for row in derivatives]
-            solvers[residue] = _linear_solver(jacobian, p, n)
+            solvers[residue] = reference_linear_solver(jacobian, p, n)
         return solvers[residue]
 
     box = itertools.product(range(p), repeat=n)
