@@ -34,7 +34,7 @@ data = SncLogPairData(
 )
 value = stringy_count_snc(data)
 print(f"  symbolic: {value}")
-print(f"  at q=9:   {value.evaluate(9, precision=Fraction(1, 10**12))} (approximately {float(value.evaluate(9, precision=Fraction(1, 10**12))):.6f})")
+print(f"  at q=9:   {value.evaluate(9)} (approximately {float(value.evaluate(9)):.6f})")
 
 print("\nPutting weight 1 on a populated divisor diverges:")
 divergent = SncLogPairData([Fraction(1)], [VerticalComponent(0, {frozenset({1}): 1})])

@@ -65,13 +65,12 @@ def _expr_payload(value) -> object:
 def _eval_payload(value, q0: Fraction) -> object:
     if qexpr.is_infinite(value):
         return "Infinite"
-    frac = qexpr.QFrac(value)
-    frac.check_powers(q0)
-    if frac.num.exponent_denominator() == 1 and frac.den.exponent_denominator() == 1:
-        exact = frac.evaluate(q0)
+    value.check_powers(q0)
+    if value.num.exponent_denominator() == 1 and value.den.exponent_denominator() == 1:
+        exact = value.evaluate(q0)
         check_exact_digits(exact, "evaluation", "digits in the exact value at q")
         return {"q": format_rational(q0), "exact": format_rational(exact)}
-    approx = frac.evaluate(q0, DEFAULT_PRECISION)
+    approx = value.evaluate(q0)
     return {
         "q": format_rational(q0),
         "approx": _decimal_text(approx),
@@ -574,7 +573,7 @@ def _run(argv: list[str] | None, stream) -> int:
     except (SmoothnessError, HenselMismatchError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    except (BudgetExceededError, PoleError, OSError, KeyError, ValueError) as exc:
+    except (BudgetExceededError, PoleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action

@@ -5,11 +5,11 @@ e (p not dividing e) is generated over the unramified field K_f by an e-th
 root of p times a root of unity; with g = gcd(e, p^f - 1) the isomorphism
 classes over Q_p are the orbits of a residue c in Z/g under multiplication
 by p (the Frobenius action on the root-of-unity twist).  The enumerator
-walks each orbit once and stores its class's invariants, c any orbit element:
+walks each orbit once and stores its class's invariants:
 
     degree = e * f,
     discriminant exponent d = f * (e - 1),
-    #Aut = g * #{i in Z/f : c * (p^i - 1) = 0 mod g}.
+    #Aut = g * f / #orbit = g * #{i in Z/f : c * (p^i - 1) = 0 mod g}  (p^f = 1 mod g).
 
 This parametrization is classical tame ramification theory; it is not
 trusted blindly here.  Two independent checks keep it honest: the stratum
@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from . import _lazy_module
 from .numutil import (BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
-                      read_json)
+                      read_json, short_repr)
 
 series = _lazy_module("series")  # algebra_mass_sum alone runs it, so that the listings never do
 
@@ -122,8 +122,7 @@ def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
                 seen[x] = True
                 orbit.append(x)
                 x = x * p % g
-            fixed = sum(1 for i in range(f) if c * (pow(p, i, g) - 1) % g == 0)  # c is the orbit's least
-            classes.append(TameFieldClass(p, -f, e, tuple(sorted(orbit)), f, g, n, f * (e - 1), g * fixed))
+            classes.append(TameFieldClass(p, -f, e, tuple(sorted(orbit)), f, g, n, f * (e - 1), g * f // len(orbit)))
     return sorted(classes)
 
 
@@ -252,10 +251,10 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
         try:  # is_prime's own ValueError at or above PRIME_TEST_LIMIT also names the record
             json_object(record, "fixture record")
             if isinstance(label := record.get("label"), str):
-                name = f"fixture {label!r}"
+                name = f"fixture {short_repr(label)}"
             json_object(record, "fixture record", ("label", "p", "n", "e", "f", "c", "aut"))
             if not isinstance(label, str):
-                raise ValueError(f"label must be a string, got {label!r}")
+                raise ValueError(f"label must be a string, got {short_repr(label)}")
             fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")], label)
             if not is_prime(fixture.p):
                 raise ValueError(f"p={fixture.p} is not prime")

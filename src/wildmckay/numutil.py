@@ -13,7 +13,7 @@ from fractions import Fraction
 __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
     "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
-    "exact_int", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
+    "exact_int", "short_repr", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
     "read_json", "json_object", "json_array", "parse_rational", "format_rational",
 ]
 
@@ -135,11 +135,17 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def short_repr(value, limit: int = 200) -> str:
+    """repr(value) cut to limit characters and "...": an input value as a refusal echoes it."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def exact_int(value, what: str) -> int:
     """value itself if it is an int; bool, float and anything else are a
     ValueError, so that no input is silently truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     return value
 
 
@@ -157,7 +163,7 @@ def json_object(value, what: str, required: tuple = ()) -> Mapping:
     """value itself if it is a JSON object with every required key; anything else is a ValueError
     that names the first missing key."""
     if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+        raise ValueError(f"{what} must be a JSON object, got {short_repr(value)}")
     for key in required:
         if key not in value:
             raise ValueError(f"missing field {key!r}")
@@ -167,7 +173,7 @@ def json_object(value, what: str, required: tuple = ()) -> Mapping:
 def json_array(value, what: str) -> list:
     """value itself if it is a JSON array; anything else is a ValueError."""
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+        raise ValueError(f"{what} must be a JSON array, got {short_repr(value)}")
     return value
 
 
@@ -227,9 +233,9 @@ def parse_rational(value, what: str = "a rational") -> Fraction:
         elif isinstance(value, (list, tuple)) and len(value) == 2:
             rational = Fraction(exact_int(value[0], "numerator"), exact_int(value[1], "denominator"))
         else:
-            raise ValueError(f"not a rational: {value!r}")
+            raise ValueError(f"not a rational: {short_repr(value)}")
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError(f"zero denominator in {short_repr(value)}") from None
     check_exact_digits(rational, "input", unit)
     return rational
 

@@ -35,7 +35,6 @@ from typing import Iterator, Mapping, Sequence
 
 from . import _lazy_module
 from .numutil import (
-    DEFAULT_PRECISION,
     EXACT_DIGITS_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
@@ -44,6 +43,7 @@ from .numutil import (
     is_prime,
     json_object,
     read_json,
+    short_repr,
 )
 
 # monomial_integral alone runs these, so that counting never does
@@ -101,20 +101,20 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
         if not 0 <= dim <= num_vars:
             raise ValueError(f"expected dimension {dim} outside [0, {num_vars}]")
         if not isinstance(polys, (list, tuple)):
-            raise ValueError(f"polys must be a list of polynomials, got {polys!r}")
+            raise ValueError(f"polys must be a list of polynomials, got {short_repr(polys)}")
         clean_polys = []
         for poly in polys:
             if not isinstance(poly, (list, tuple)):
-                raise ValueError(f"polynomial {poly!r} must be a list of terms")
+                raise ValueError(f"polynomial {short_repr(poly)} must be a list of terms")
             terms = []
             for term in poly:
                 is_pair = isinstance(term, (list, tuple)) and len(term) == 2
                 if not (is_pair and isinstance(term[0], (list, tuple))):
-                    raise ValueError(f"term {term!r} must be [exponents, coefficient]")
+                    raise ValueError(f"term {short_repr(term)} must be [exponents, coefficient]")
                 exps = tuple(exact_int(e, "exponent") for e in term[0])
                 coeff = exact_int(term[1], "coefficient")
                 if len(exps) != num_vars:
-                    raise ValueError(f"exponent vector {exps} has wrong length")
+                    raise ValueError(f"exponent vector {short_repr(exps)} has wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("exponents must be non-negative")
                 if coeff != 0:
@@ -404,8 +404,8 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     partial = sum_{i=1}^{terms} q^(i(c-1)) (1 - q^(-1)) at q = p, the measures of
     the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1), the stringy weight of one point
     with a = -1 on a divisor of coefficient c, so Infinite when c >= 1.  The partial sum is
-    exact for integer c; for fractional c it is QFrac.evaluate's approximation, within
-    DEFAULT_PRECISION and within 10^-20 of its size.
+    exact for integer c; for fractional c it is the approximation of evaluate, within
+    numutil.DEFAULT_PRECISION and within 10^-20 of its size.
     """
     if terms < 1:
         raise ValueError("need at least one term")
@@ -420,5 +420,5 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
         raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
     # one q-expression, so that a fractional c takes one root of p for all its shells
     shells = qexpr.QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - qexpr.QExpr.q(-1))
-    partial = qexpr.QFrac(shells).evaluate(p, DEFAULT_PRECISION)
+    partial = shells.evaluate(p)
     return partial, stringy.stringy_point_contribution(-1, [c])

@@ -18,8 +18,8 @@ on demand.  A ``QFrac`` denominator is a monomial, reduced by an exponent
 shift, or a product of binomials t^k - 1, reduced on dense integer rows
 over t of at most DENSE_DEGREE_BUDGET terms by trial division with the
 cyclotomic polynomials that divide it.  There is no floating point here;
-``evaluate`` is exact for r == 1 and otherwise a rational within a stated
-precision, from one root of q0 and exact powers.
+``evaluate`` is exact for r == 1 and otherwise a rational within
+DEFAULT_PRECISION and 10^-20 of its size, from one root of q0 and powers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import EXACT_DIGITS_BUDGET, BudgetExceededError, PoleError, divisors, is_prime
+from .numutil import DEFAULT_PRECISION, EXACT_DIGITS_BUDGET, BudgetExceededError, PoleError, divisors, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -173,6 +173,40 @@ def _horner(runs: list[tuple[int, int, int]], a: int, b: int) -> int:
     return runs[0][2]
 
 
+def _part_value(x: "QExpr", q0: Fraction, tol: Fraction) -> Fraction:
+    """x at q := q0 > 0: sum_j E_j t^j with t = q0^(1/r), where E_j = sum n q0^i / den over the
+    exponents i r + j of residue class j, each exact by one integer Horner pass.
+
+    Exact for r == 1.  Otherwise within tol: t is taken as T / 2^s with T = floor(t 2^s), its
+    powers as P_0 = 2^s and P_(j+1) = floor(P_j T / 2^s), so 0 <= t^j - P_j / 2^s <= 2 j M^(j-1)
+    2^-s with M = max(1, t) <= 2^(k/r), max(1, q0) <= 2^k, and the result is within
+    2 sum_j j |E_j| 2^(k (j-1) / r) 2^-s of the value, which s keeps within tol.
+    """
+    r, a, b = x._r, q0.numerator, q0.denominator
+    if r != 1:
+        _check_span(r)  # r residue classes, and a root of degree r
+    nums = x._nums or ((0, 0),)
+    low, high = nums[0][0] // r, nums[-1][0] // r
+    classes = [[(low, low, 0)] for _ in range(r)]
+    for e, n in nums:
+        i, j = divmod(e, r)
+        classes[j].append((i, i, n))
+    # value = top / bottom * sum_j sums[j] t^j
+    sums = [_horner(runs + [(high, high, 0)], a, b) for runs in classes]
+    top, bottom = a ** max(low, 0) * b ** max(-high, 0), x._den * a ** max(-low, 0) * b ** max(high, 0)
+    if r == 1:
+        return Fraction(sums[0] * top, bottom)
+    k = a.bit_length() - b.bit_length() + 1 if a > b else 0
+    weight = sum([j * abs(v) << -(-k * (j - 1) // r) for j, v in enumerate(sums) if j and v])
+    bound = Fraction(2 * weight * top, bottom * tol)  # times 2^-s
+    s = max(1, bound.numerator.bit_length() - bound.denominator.bit_length() + 1)
+    root, power, total = _int_nth_root(a, r, b, s), 1 << s, 0
+    for v in sums:
+        total += v * power
+        power = power * root >> s
+    return Fraction(total * top, bottom << s)
+
+
 class QExpr:
     """Exact Laurent expression in q with rational exponents.
 
@@ -306,47 +340,9 @@ class QExpr:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, q0: Rational, precision: Rational | float | None = None) -> Fraction:
-        """Substitute q := q0 > 0: sum_j E_j x^j with x = q0^(1/r), where E_j = sum n q0^i / den
-        over the exponents i r + j of residue class j, each exact by one integer Horner pass.
-
-        Exact for r == 1.  Otherwise a precision must be supplied: x is taken as T / 2^s with
-        T = floor(x 2^s), its powers as P_0 = 2^s and P_(j+1) = floor(P_j T / 2^s), so
-        0 <= x^j - P_j / 2^s <= 2 j M^(j-1) 2^-s with M = max(1, x) <= 2^(k/r), max(1, q0) <= 2^k,
-        and the result is within 2 sum_j j |E_j| 2^(k (j-1) / r) 2^-s of the value, which s keeps
-        within the precision.
-        """
-        q0 = Fraction(q0)
-        if q0 <= 0:
-            raise ValueError("evaluation point must be positive")
-        r, a, b = self._r, q0.numerator, q0.denominator
-        if r != 1:
-            if precision is None:
-                raise ValueError("fractional exponents require an explicit precision")
-            tol = Fraction(precision)
-            if tol <= 0:
-                raise ValueError("precision must be positive")
-            _check_span(r)  # r residue classes, and a root of degree r
-        nums = self._nums or ((0, 0),)
-        low, high = nums[0][0] // r, nums[-1][0] // r
-        classes = [[(low, low, 0)] for _ in range(r)]
-        for e, n in nums:
-            i, j = divmod(e, r)
-            classes[j].append((i, i, n))
-        # value = top / bottom * sum_j sums[j] x^j
-        sums = [_horner(runs + [(high, high, 0)], a, b) for runs in classes]
-        top, bottom = a ** max(low, 0) * b ** max(-high, 0), self._den * a ** max(-low, 0) * b ** max(high, 0)
-        if r == 1:
-            return Fraction(sums[0] * top, bottom)
-        k = a.bit_length() - b.bit_length() + 1 if a > b else 0
-        weight = sum([j * abs(v) << -(-k * (j - 1) // r) for j, v in enumerate(sums) if j and v])
-        bound = Fraction(2 * weight * top, bottom * tol)  # times 2^-s
-        s = max(1, bound.numerator.bit_length() - bound.denominator.bit_length() + 1)
-        root, power, total = _int_nth_root(a, r, b, s), 1 << s, 0
-        for v in sums:
-            total += v * power
-            power = power * root >> s
-        return Fraction(total * top, bottom << s)
+    def evaluate(self, q0: Rational) -> Fraction:
+        """Substitute q := q0 > 0, as the value QFrac(self): exact for integer exponents."""
+        return QFrac(self).evaluate(q0)
 
     # -- serialization / display ----------------------------------------------
 
@@ -396,10 +392,6 @@ class QFrac:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: object, den: object = 1):
-        if isinstance(num, QFrac) and type(den) is int and den == 1:
-            object.__setattr__(self, "_num", num._num)
-            object.__setattr__(self, "_den", num._den)
-            return
         num_e, den_e = QExpr._coerce(num), QExpr._coerce(den)
         if num_e is None or den_e is None:
             raise TypeError(f"cannot build a q-expression from {type(num if num_e is None else den).__name__}")
@@ -467,15 +459,17 @@ class QFrac:
         if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
             raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
 
-    def evaluate(self, q0: Rational, precision: Rational | float | None = None) -> Fraction:
+    def evaluate(self, q0: Rational) -> Fraction:
         """Substitute q := q0 (> 0); PoleError at a zero of the denominator.  Exact when both parts
         have integer exponents; otherwise each part is evaluated within an inner precision that
-        shrinks until the quotient is known within precision, and within 10^-20 of the first
-        estimate's size, so that 15 significant digits of it are the value's."""
-        q0, tol = Fraction(q0), None if precision is None else Fraction(precision)
-        inner, aim = None if tol is None else tol / 4, None
+        shrinks until the quotient is known within DEFAULT_PRECISION, and within 10^-20 of the
+        first estimate's size, so that 15 significant digits of it are the value's."""
+        q0 = Fraction(q0)
+        if q0 <= 0:
+            raise ValueError("evaluation point must be positive")
+        inner, aim = DEFAULT_PRECISION / 4, None
         for _ in range(64):
-            num_v, den_v = self._num.evaluate(q0, inner), self._den.evaluate(q0, inner)
+            num_v, den_v = _part_value(self._num, q0, inner), _part_value(self._den, q0, inner)
             num_err, den_err = [0 if part._r == 1 else inner for part in (self._num, self._den)]
             if not den_err and den_v == 0:
                 raise PoleError(f"denominator {self._den} vanishes at q={q0}")
@@ -483,7 +477,7 @@ class QFrac:
                 quotient = num_v / den_v
                 if not (num_err or den_err):
                     return quotient
-                aim = aim or min(tol, abs(quotient) / 10**20) or tol
+                aim = aim or min(DEFAULT_PRECISION, abs(quotient) / 10**20) or DEFAULT_PRECISION
                 if (num_err + abs(quotient) * den_err) / (abs(den_v) - den_err) <= aim:
                     return quotient
                 # that bound is near inner (1 + |quotient|) / |den_v|, so a large quotient needs more at once

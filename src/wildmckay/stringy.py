@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import exact_int, json_array, json_object, parse_rational, read_json, unpack_slots
+from .numutil import exact_int, json_array, json_object, parse_rational, read_json, short_repr, unpack_slots
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, _check_span, _cyclotomic_qfrac
 
 __all__ = [
@@ -84,8 +84,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
                 for j in subset:
                     if not (isinstance(j, int) and 1 <= j <= n_div):
                         raise MalformedSubsetError(
-                            f"subset {sorted(subset)} not within horizontal indices 1..{n_div}"
-                        )
+                            f"subset {short_repr(sorted(subset))} not within horizontal indices 1..{n_div}")
                 total += count
         if declared_total is not None and total != exact_int(declared_total, "total"):
             raise ValueError(f"stratum counts sum to {total}, declared total is {declared_total}")
@@ -103,12 +102,12 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
             for stratum in json_array(json_object(entry, "vertical component").get("strata", []), "strata"):
                 raw = json_object(stratum, "stratum", ("subset", "count"))["subset"]
                 if not isinstance(raw, list) or any(not isinstance(j, int) or isinstance(j, bool) for j in raw):
-                    raise MalformedSubsetError(f"subset {raw!r} must be an array of integers")
+                    raise MalformedSubsetError(f"subset {short_repr(raw)} must be an array of integers")
                 subset = frozenset(raw)
                 if len(subset) != len(raw):
-                    raise MalformedSubsetError(f"subset {raw!r} has repeated indices")
+                    raise MalformedSubsetError(f"subset {short_repr(raw)} has repeated indices")
                 if subset in strata:
-                    raise MalformedSubsetError(f"subset {sorted(subset)} listed twice")
+                    raise MalformedSubsetError(f"subset {short_repr(sorted(subset))} listed twice")
                 strata[subset] = stratum["count"]
             vertical.append(VerticalComponent(parse_rational(entry.get("a", 0)), strata))
         return SncLogPairData(horizontal, vertical, data.get("total"))

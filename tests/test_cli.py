@@ -269,6 +269,44 @@ class TestExitCodes:
         ]
 
 
+class TestRefusalMessages:
+    def test_large_values_are_echoed_short(self, tmp_path, capsys):
+        # These echoed the whole value: 1,677,827, 338,939 and 200,046 bytes of stderr.
+        inputs = {
+            "object.json": {f"k{i}": i for i in range(100_000)},
+            "numbers.json": list(range(50_000)),
+            "system.json": {"p": 5, "n": 1, "d": 0, "polys": [[[[1], "x" * 200_000]]]},
+        }
+        for name, value in inputs.items():
+            (tmp_path / name).write_text(json.dumps(value))
+        assert (tmp_path / "object.json").stat().st_size > 1_600_000
+        for argv, message in (
+            (["etale", "crossvalidate", "--fixtures", str(tmp_path / "object.json")],
+             "error: fixture file must be a JSON array, got {'k0': 0, 'k1': 1,"),
+            (["stringy", "eval", "--input", str(tmp_path / "numbers.json")],
+             "error: SNC pair data must be a JSON object, got [0, 1, 2,"),
+            (["padic", "count", "--input", str(tmp_path / "system.json"), "--m", "1"],
+             "error: coefficient must be an integer, got 'xxx"),
+        ):
+            assert run(argv) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.endswith("...\n") and len(err) < 300, err[:300]
+
+    def test_short_repr(self):
+        assert numutil.short_repr([1, 2]) == "[1, 2]"
+        assert numutil.short_repr("x" * 198) == repr("x" * 198)
+        assert numutil.short_repr("x" * 199) == "'" + "x" * 199 + "..."
+
+    def test_key_error_in_a_handler_propagates(self, monkeypatch):
+        # every missing field is a ValueError that names it, so a KeyError is a bug, not bad input
+        def lookup(value, q0):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_eval_payload", lookup)
+        with pytest.raises(KeyError):
+            main(["stringy", "point", "--a", "0", "--at-q", "5"], stdout=io.StringIO())
+
+
 def decimal_oracle(value: Fraction, digits: int) -> str:
     """digits significant digits of value, rounded half-even by integer division, written with
     Decimal in the style of f"{x:.{digits}g}" for a float x."""
@@ -529,9 +567,9 @@ class TestBudgets:
             assert code == 0 and approx in (None, json.loads(out)[key]["approx"]), argv
         evaluate = qexpr.QFrac.evaluate
 
-        def laurent_only(frac, q0, precision=None):
+        def laurent_only(frac, q0):
             assert frac.as_laurent() is not None, f"{frac} was evaluated"
-            return evaluate(frac, q0, precision)
+            return evaluate(frac, q0)
 
         monkeypatch.setattr(cli, "_expr_payload", None)  # rendering the value would fail
         for argv, digits in (
@@ -842,6 +880,19 @@ class TestReports:
             (1, "matched", ""), (7, "mismatch", "no remaining tame class over Q_5 with (e,f,d,aut)=(2, 1, 7, 2)")
         ]
         assert (report["matched"], report["mismatches"], report["ok"]) == (1, 1, False)
+
+    def test_crossvalidate_csv_quotes_carriage_returns(self, tmp_path):
+        # csv.writer quotes a lone \r on Python 3.13 but not on 3.11; the writer quotes it on both
+        record = {"p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2}
+        labels = ["a\rb", "x\r\ny"]
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps([{**record, "label": label} for label in labels]))
+        code, out = run(["etale", "crossvalidate", "--fixtures", str(fixtures), "--format", "csv"])
+        assert code == 0
+        assert out.split("\n")[1:] == ['"a\rb",5,2,2,1,1,2,matched,', '"x\r', 'y",5,2,2,1,1,2,matched,', ""]
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [row[0] for row in rows] == ["label", *labels]
+        assert rows[1][1:] == rows[2][1:] == ["5", "2", "2", "1", "1", "2", "matched", ""]
 
     def test_stringy_eval_with_numeric(self):
         code, out = run(
