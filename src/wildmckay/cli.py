@@ -34,6 +34,7 @@ from .numutil import (
     format_rational,
     is_prime,
     parse_rational,
+    short_repr,
 )
 
 __all__ = ["main", "run_to_string"]
@@ -237,8 +238,16 @@ def _integer(value: str) -> int:
     return int(value if re.search("[/.eE]", value) else parse_rational(value, "an integer option"))
 
 
+def _integer_option(value: str, kind: str) -> int:
+    # argparse's wording for a ValueError, with the value cut by short_repr: a refusal stays one short line
+    try:
+        return _integer(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {short_repr(value)}") from None
+
+
 def _prime(value: str) -> int:
-    p = _integer(value)
+    p = _integer_option(value, "_prime")
     try:
         prime = is_prime(p)
     except ValueError as exc:
@@ -249,7 +258,7 @@ def _prime(value: str) -> int:
 
 
 def _positive(value: str) -> int:
-    n = _integer(value)
+    n = _integer_option(value, "_positive")
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
-    "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "is_prime", "divisors",
+    "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors",
     "exact_int", "short_repr", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
     "read_json", "json_object", "json_array", "parse_rational", "format_rational",
 ]
@@ -22,6 +22,9 @@ DEFAULT_PRECISION = Fraction(1, 10**12)
 # Most decimal digits in the numerator or denominator of a printed exact value: Python's default
 # limit for int-to-str conversion, past which it could not be printed.
 EXACT_DIGITS_BUDGET = 4300
+# Most characters of an input value that a refusal echoes (short_repr): with argparse's usage line,
+# an option's refusal then stays under 300 bytes (at most 284, by `padic integral --terms`).
+SHORT_REPR_LIMIT = 80
 
 
 class BudgetExceededError(RuntimeError):
@@ -135,10 +138,10 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def short_repr(value, limit: int = 200) -> str:
-    """repr(value) cut to limit characters and "...": an input value as a refusal echoes it."""
+def short_repr(value) -> str:
+    """repr(value) cut to SHORT_REPR_LIMIT characters and "...": an input value as a refusal echoes it."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= SHORT_REPR_LIMIT else text[:SHORT_REPR_LIMIT] + "..."
 
 
 def exact_int(value, what: str) -> int:

@@ -6,8 +6,8 @@ symbolic point count, mass and series coefficient lives in.  q stands for
 the residue cardinality of the local field, so typical values look like
 q^(1-n) or q^(n-v).  A ``QFrac`` is the value of a quotient of two such
 expressions, built once from a numerator and a denominator computed in that
-ring; it does no arithmetic, and its canonical reduced form makes equality
-structural.
+ring; it does no arithmetic, equals only a ``QFrac``, and its canonical
+reduced form makes that equality structural.
 
 A ``QExpr`` stores integer exponents over t = q^(1/r), one least r per
 value, and integer numerators over one positive common denominator, as
@@ -381,6 +381,7 @@ class QFrac:
 
     A value type: built, compared, hashed, evaluated and printed,
     never added or multiplied (sums and products are taken in QExpr first).
+    It equals only a QFrac: QFrac(7) != 7 and QFrac(q) != q.
 
     Canonical form: over t = q^(1/r), coprime polynomial parts with a monic
     denominator, which is unique, so equality is structural.  The denominator
@@ -416,33 +417,15 @@ class QFrac:
     def den(self) -> QExpr:
         return self._den
 
-    @property
-    def is_zero(self) -> bool:
-        return self._num.is_zero
-
-    def as_laurent(self) -> "QExpr | None":
-        """The value as a Laurent expression when the denominator is a
-        monomial, else None."""
-        if len(self._den._nums) != 1:
-            return None
-        return _over_monomial(self._num, self._den)
-
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QExpr._coerce(other)
-        if isinstance(other, QExpr):
-            # A non-Laurent value never equals a Laurent one.
-            return self.as_laurent() == other
         if isinstance(other, QFrac):
             return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        # A Laurent value equals its QExpr, so it must hash like it.
-        laurent = self.as_laurent()
-        return hash(("QFrac", self._num, self._den) if laurent is None else laurent)
+        return hash((self._num, self._den))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -502,19 +485,14 @@ class QFrac:
         return f"{num} / {den}"
 
 
-def _over_monomial(num: QExpr, den: QExpr) -> QExpr:
-    """num / den for a monomial den."""
+def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
+    """The canonical pair of num / den for a nonzero num and a monomial den = c t^e0: an exponent
+    shift, num t^-(e0 + low) / c over t^-low, low the least exponent of num / den if negative, else 0."""
     r = math.lcm(num._r, den._r)
     (e0, n0), = _pairs_over(den, r)
-    sign = 1 if n0 > 0 else -1
-    return _make([(e - e0, n * den._den * sign) for e, n in _pairs_over(num, r)], num._den * n0 * sign, r)
-
-
-def _canonical_pair(num: QExpr, den: QExpr) -> tuple[QExpr, QExpr]:
-    """The canonical pair of num / den for a nonzero num and a monomial den: an exponent shift."""
-    shifted = _over_monomial(num, den)
-    r, low = shifted._r, min(shifted._nums[0][0], 0)
-    return _make([(e - low, n) for e, n in shifted._nums], shifted._den, r), _make([(-low, 1)], 1, r)
+    sign, pairs = 1 if n0 > 0 else -1, _pairs_over(num, r)
+    shift = e0 + (low := min(pairs[0][0] - e0, 0))
+    return _make([(e - shift, n * den._den * sign) for e, n in pairs], num._den * n0 * sign, r), _make([(-low, 1)], 1, r)
 
 
 def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:

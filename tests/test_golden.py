@@ -1,9 +1,12 @@
 """Byte-level goldens of the README command lines.
 
 tests/golden/cli.json records, for every command of the README's command
-line section under --format json and --format csv (and selftest as JSON),
-the exit code and the exact stdout.  Commands run from the repository root
-so that the `input` fields match the README paths.
+line section under --format json and --format csv (selftest as JSON only)
+and as written there, in the default text format, the exit code and the
+exact stdout, and the same for a few larger inputs of the benchmark's
+commands.  `stringy point --a 2 --c=-1 --at-q 5` is the one line whose
+value is evaluated exactly.  Commands run from the repository root so
+that the `input` fields match the README paths.
 """
 
 import io

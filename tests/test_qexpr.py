@@ -207,7 +207,7 @@ class TestRingAxioms:
                 continue
             checked += 1
             m = QExpr({Fraction(rng.randint(-6, 6), rng.randint(1, 3)): Fraction(rng.randint(1, 9), rng.randint(1, 9))})
-            assert QFrac(a * m, m) == QFrac(a) == a
+            assert QFrac(a * m, m) == QFrac(a)
             assert reference_canonical_pair(a * b, b) == (QFrac(a).num, QFrac(a).den)
 
     def test_eval_is_ring_homomorphism(self):
@@ -311,15 +311,16 @@ class TestCanonicalExponents:
 
 
 class TestHashAgreesWithEquality:
+    # A QExpr equals its constant's rational; a QFrac equals only a QFrac, whatever (num, den) built it.
     CASES = [
-        (QExpr.q(-1), QFrac(QExpr.q(-1))),
+        (QFrac(QExpr.q(-1)), QFrac(3, QExpr.q(1) * 3)),
         (QExpr({0: 3}), 3),
-        (QFrac(3), 3),
+        (QFrac(3), QFrac(QExpr.q(Fraction(1, 2)) * 6, QExpr.q(Fraction(1, 2)) * 2)),
         (QExpr({0: Fraction(-2, 3)}), Fraction(-2, 3)),
         (QExpr(), 0),
-        (QFrac(0), QExpr()),
-        (QFrac(1, QExpr.q(2)), QExpr.q(-2)),
-        (QFrac(QExpr.q(Fraction(1, 2)) + 1, QExpr.q(Fraction(3, 2))), QExpr({-1: 1, Fraction(-3, 2): 1})),
+        (QFrac(0), QFrac(QExpr(), QExpr.q(3))),
+        (QFrac(1, QExpr.q(2)), QFrac(QExpr.q(-2))),
+        (QFrac(QExpr.q(Fraction(1, 2)) + 1, QExpr.q(Fraction(3, 2))), QFrac(QExpr({-1: 1, Fraction(-3, 2): 1}))),
     ]
 
     @pytest.mark.parametrize("a, b", CASES)
@@ -327,6 +328,12 @@ class TestHashAgreesWithEquality:
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_a_fraction_equals_only_a_fraction(self):
+        q = QExpr.q()
+        for frac, value in ((QFrac(q), q), (QFrac(7), 7), (QFrac(Fraction(1, 2)), Fraction(1, 2))):
+            assert frac != value and value != frac and frac.__eq__(value) is NotImplemented
+            assert frac == QFrac(value) and len({frac, QFrac(value), value}) == 2
 
     def test_non_laurent_fraction_differs_from_its_numerator(self):
         frac = q_over_q_plus_one()
@@ -407,9 +414,10 @@ class TestNoRepeatedCanonicalization:
         for _ in range(10):
             assert not frac == 7
         assert frac != q and q != frac and frac != Fraction(1, 2)
-        assert laurent == QExpr({-1: 1, -2: 1}) and QExpr({-1: 1, -2: 1}) == laurent
+        # A QFrac with a monomial denominator is still not equal to its QExpr or rational.
+        assert laurent != QExpr({-1: 1, -2: 1}) and QExpr({-1: 1, -2: 1}) != laurent
         assert laurent != QExpr.q(-1) and laurent != 0
-        assert one == 1 and three_halves == Fraction(3, 2) and three_halves != 1
+        assert one != 1 and three_halves != Fraction(3, 2) and three_halves != 1
         assert calls == []
 
 

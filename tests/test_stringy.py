@@ -435,7 +435,7 @@ class TestCyclotomicReduction:
             assert_same(value, want)
             counts = [count for v in data.vertical for _, count in v.strata]
             bad = {j for j, c in enumerate(data.horizontal, 1) if c >= 1}
-            seen["zero"] += not is_infinite(want) and want.is_zero and bool(data.horizontal)
+            seen["zero"] += not is_infinite(want) and want.num.is_zero and bool(data.horizontal)
             seen["no divisor"] += not data.horizontal and any(counts)
             seen["bad on empty"] += bool(bad) and not is_infinite(want) and any(counts)
             seen["infinite"] += is_infinite(want)
