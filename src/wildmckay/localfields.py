@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -149,30 +149,40 @@ def _tame_algebras(by_degree: list[list[TameFieldClass]]) -> list[tuple[tuple, i
     (f, e, orbit, multiplicity) tuples, one object per distinct pair, in (degree, class) order.
 
     Algebras compare by their (class, multiplicity) pairs, so a DFS that tries each factor's
-    classes in class order lists them sorted.  It appends to a list: a recursive generator
-    would resume every level of the path once per algebra."""
+    classes in class order lists them sorted.  It visits only live nodes: a factor is tried only
+    when the degree it leaves is a sum of degrees of the classes after it in the pool, so every
+    call lists at least one algebra.  It appends to a list: a recursive generator would resume
+    every level of the path once per algebra."""
     n = len(by_degree) - 1
     pool = [cls for classes in by_degree for cls in classes]  # (degree, class) order
     rank = {cls: r for r, cls in enumerate(sorted(pool))}
     ranks = [rank[cls] for cls in pool]  # class order
     degrees = [cls.degree for cls in pool]
     fits = [sum(1 for d in degrees if d <= r) for r in range(n + 1)]  # pool[:fits[r]] has degree <= r
+    full = (1 << n + 1) - 1
+    reach = [1] * (len(pool) + 1)  # bit r of reach[i]: r is a sum of degrees of pool[i:]
+    for i in range(len(pool) - 1, -1, -1):
+        mask = reach[i + 1]
+        while (grown := (mask | mask << degrees[i]) & full) != mask:
+            mask = grown
+        reach[i] = mask
     steps = [[((cls.f, cls.e, cls.orbit, m), cls.disc_exponent * m, cls.f * m, factorial(m) * cls.aut_order**m)
               for m in range(n // cls.degree + 1)] for cls in pool]
-    choices: dict[tuple[int, int], list[int]] = {}
+    choices: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     found: list[tuple[tuple, int, int, int]] = []
 
     def extend(start: int, remaining: int, chosen: tuple, disc: int, components: int, aut: int) -> None:
-        if (order := choices.get((start, remaining))) is None:
-            order = choices[start, remaining] = sorted(range(start, fits[remaining]), key=ranks.__getitem__)
-        for idx in order:
-            degree, step = degrees[idx], steps[idx]
-            for mult in range(1, remaining // degree + 1):
-                factor, d, k, a = step[mult]
-                if rest := remaining - mult * degree:
-                    extend(idx + 1, rest, chosen + (factor,), disc + d, components + k, aut * a)
-                else:  # a leaf, appended here to save a call per algebra
-                    found.append((chosen + (factor,), disc + d, components + k, aut * a))
+        if (order := choices.get((start, remaining))) is None:  # the live (idx, mult, rest), in class order
+            order = choices[start, remaining] = [
+                (idx, mult, rest) for idx in sorted(range(start, fits[remaining]), key=ranks.__getitem__)
+                for mult in range(1, remaining // degrees[idx] + 1)
+                if not (rest := remaining - mult * degrees[idx]) or reach[idx + 1] >> rest & 1]
+        for idx, mult, rest in order:
+            factor, d, k, a = steps[idx][mult]
+            if rest:
+                extend(idx + 1, rest, chosen + (factor,), disc + d, components + k, aut * a)
+            else:  # a leaf, appended here to save a call per algebra
+                found.append((chosen + (factor,), disc + d, components + k, aut * a))
 
     extend(0, n, (), 0, 0, 1)
     return found
@@ -226,8 +236,10 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
-    weights = [sum(Fraction(p ** (k - cls.disc_exponent), cls.aut_order) for cls in classes)
-               for k, classes in enumerate(_tame_classes_by_degree(p, n))]
+    weights = []
+    for k, classes in enumerate(_tame_classes_by_degree(p, n)):  # one Fraction over the lcm of the #Aut
+        den = lcm(*(cls.aut_order for cls in classes))
+        weights.append(Fraction(sum(p ** (k - cls.disc_exponent) * (den // cls.aut_order) for cls in classes), den))
     value = series.TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n
     check_exact_digits(value, "mass", "digits in the mass at p")
     return value

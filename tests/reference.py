@@ -10,11 +10,17 @@ and take from it the values with other denominators that they need.
 ``massformulas.recover_N_from_M`` takes one log and substitutes q -> q^f into its coefficients;
 ``reference_recover_N_from_M`` substitutes into the series first and takes one log per f.
 
+``localfields._tame_algebras`` lists the multisets of tame classes by a pruned depth-first search;
+``reference_tame_algebras`` builds them from the partitions of n, one multiset of classes per part
+size, and sorts them afterwards.
+
 ``padic._linear_solver`` eliminates on the Jacobian's columns only and stops once every row has a
 pivot; ``reference_linear_solver`` reduces every column of ``[J | I]``.
 """
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from wildmckay.numutil import divisors
@@ -134,3 +140,33 @@ def reference_linear_solver(matrix, p: int, n: int):
                     vector[col] = -row[free] % p
             basis.append(vector)
     return pivots, constraints, basis
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts <= largest, each a list of parts, largest first."""
+    if n == 0:
+        yield []
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def reference_tame_algebras(by_degree) -> list[tuple[tuple, int, int, int]]:
+    """Every multiset of the classes by_degree[1:] of total degree n = len(by_degree) - 1, as
+    ``_tame_algebras`` lists it: (factors, d, components, #Aut) with (f, e, orbit, m) factors in
+    (degree, class) order, d = sum f(e-1) m, components = sum f m, #Aut = prod m! #Aut_c^m.  Each
+    partition of n takes, for every part size k that occurs c times, a multiset of c classes of
+    degree k; the algebras are sorted by their factors, each by class and then multiplicity."""
+    n = len(by_degree) - 1
+    algebras = []
+    for partition in _partitions(n, n):
+        for picks in itertools.product(*(itertools.combinations_with_replacement(by_degree[k], c)
+                                         for k, c in Counter(partition).items())):
+            mults = Counter(cls for pick in picks for cls in pick)
+            ordered = sorted(mults.items(), key=lambda item: (item[0].degree, item[0]))
+            factors = tuple((cls.f, cls.e, cls.orbit, m) for cls, m in ordered)
+            d = sum(cls.disc_exponent * m for cls, m in ordered)
+            components = sum(cls.f * m for cls, m in ordered)
+            aut = math.prod(math.factorial(m) * cls.aut_order**m for cls, m in ordered)
+            algebras.append((factors, d, components, aut))
+    return sorted(algebras, key=lambda algebra: [(-f, e, orbit, m) for f, e, orbit, m in algebra[0]])

@@ -4,12 +4,14 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
 
 import pytest
+from reference import reference_tame_algebras
 
 from wildmckay import localfields
 from wildmckay.localfields import (
@@ -223,6 +225,8 @@ class TestCountingWithoutListing:
     def test_known_counts(self):
         assert count_tame_etale_algebras(13, 12) == len(enumerate_tame_etale_algebras(13, 12)) == 3485
         assert count_tame_etale_algebras(17, 14) == len(enumerate_tame_etale_algebras(17, 14)) == 6013
+        for p, n, count in ((13, 12, 3485), (17, 14, 6013)):
+            assert len(reference_tame_algebras(localfields._tame_classes_by_degree(p, n))) == count
         assert algebra_mass_sum(17, 14) == listed_mass(17, 14)
 
     @pytest.mark.parametrize("p", [61, 211, 999983])
@@ -260,6 +264,34 @@ class TestCountingWithoutListing:
         canonical = [tuple(sorted(reversed(factors), key=by_degree)) for factors in listed]
         assert listed == sorted(canonical, key=lambda factors: [by_degree(factor)[1:] for factor in factors])
         assert len(set(listed)) == len(listed)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_listing_matches_the_reference(self, p):
+        # p <= n pools miss their wild classes; the trimmed pools miss whole degrees as well
+        for n in range(1, 11):
+            by_degree = localfields._tame_classes_by_degree(p, n)
+            trimmed = [classes if k % 3 else [] for k, classes in enumerate(by_degree)]
+            for pool in (by_degree, trimmed, by_degree[:1] + [[]] + by_degree[2:]):
+                assert localfields._tame_algebras(pool) == reference_tame_algebras(pool)
+
+    @pytest.mark.parametrize("p, n", [(13, 12), (3, 9), (2, 10)])
+    def test_search_makes_no_dead_end_call(self, p, n):
+        # one extend call at the root and one per distinct proper prefix of a listed algebra
+        extend = next(code for code in localfields._tame_algebras.__code__.co_consts
+                      if getattr(code, "co_name", None) == "extend")
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is extend
+
+        by_degree = localfields._tame_classes_by_degree(p, n)
+        sys.setprofile(count_calls)
+        try:
+            listed = [factors for factors, *_ in localfields._tame_algebras(by_degree)]
+        finally:
+            sys.setprofile(None)
+        assert calls == 1 + len({factors[:i] for factors in listed for i in range(1, len(factors))})
 
     def test_class_invariants_are_computed_once(self):
         for p, n in [(5, 4), (7, 6), (13, 12), (3, 8)]:
