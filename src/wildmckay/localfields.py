@@ -62,8 +62,9 @@ __all__ = [
 ]
 
 # Most algebras enumerate_tame_etale_algebras lists: at p = 23, n = 21 (97,109 algebras, the highest
-# degree admitted) `mckay verify` peaks at 49 MiB in JSON, 46 MiB in CSV and 107 MiB in text, whose
-# column widths need every cell: under 1.2 KiB per algebra.
+# degree admitted) `mckay verify` takes about 0.5 s in JSON and CSV and 0.8 s in text as a process, and
+# peaks at 48 MiB in JSON, 46 MiB in CSV and 106 MiB in text, whose column widths need every cell:
+# under 1.2 KiB per algebra.
 ALGEBRAS_BUDGET = 100_000
 # Largest degree of the tame classes listed by degree (`etale enumerate`, `mckay verify`): the
 # algebra count steps through every tame class of degree <= n for each of the n + 1 counts;
@@ -71,7 +72,7 @@ ALGEBRAS_BUDGET = 100_000
 COUNT_DEGREE_BUDGET = 400
 # Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its TruncatedSeries.exp adds
 # n^2 / 2 products of constants whose denominators carry #Aut factors, not powers of p; `etale mass`
-# takes 0.12-0.29 s at n = 200 for p from 211 to 999983 (in-process; Python 3.11, 2-vCPU Intel Xeon).
+# takes 0.09-0.26 s at n = 200 for p from 211 to 999983 (in-process; Python 3.11, 2-vCPU Intel Xeon).
 MASS_DEGREE_BUDGET = 200
 
 
