@@ -25,6 +25,7 @@ from itertools import chain, repeat
 from . import _lazy_module
 from .numutil import (
     DEFAULT_PRECISION,
+    EXACT_DIGITS_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
     PoleError,
@@ -238,8 +239,14 @@ _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
 
 
 def _integer(value: str) -> int:
-    # int() refuses "/", "." and exponents; on the rest parse_rational's grammar is int()'s, digits counted
-    return int(value if re.search("[/.eE]", value) else parse_rational(value, "an integer option"))
+    """int(value) for int()'s grammar (Unicode digits, PEP 515 underscores, spaces around), its digits counted
+    first, leading zeros dropped: the cap is EXACT_DIGITS_BUDGET whatever int()'s own digit limit is."""
+    if not (match := re.match(r"\s*([-+]?)(\d+(?:_\d+)*)\s*\Z", value)):
+        raise ValueError(f"not an integer: {short_repr(value)}")
+    digits = match[2].lstrip("0_")
+    if (count := len(digits) - digits.count("_")) > EXACT_DIGITS_BUDGET:
+        raise BudgetExceededError(count, EXACT_DIGITS_BUDGET, "input", unit="digits in an integer option")
+    return int(match[1] + (digits or "0"))
 
 
 def _integer_option(value: str, kind: str) -> int:
@@ -529,10 +536,21 @@ _COMMANDS = [
     ("selftest", None, None, _cmd_selftest, []),
 ]
 
+# Each _COMMANDS row by the argv words that name it: ("padic", "measure"), or ("selftest",).
+_ROWS = {tuple(filter(None, row[:2])): row for row in _COMMANDS}
 
-def build_parser(groups=tuple(_GROUP_HELP)) -> argparse.ArgumentParser:
-    """The parser that lists every group, with the command parsers of the given groups only;
-    the default, every group, is the full tree."""
+
+def _add_command(parser, group, action, _help, handler, flags) -> argparse.ArgumentParser:
+    """parser with the flags of one _COMMANDS row and --format; its namespace names the command."""
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.set_defaults(handler=handler, group=group, action=action)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: every group with its help, and every command parser under its group."""
     parser = argparse.ArgumentParser(
         prog="wildmckay",
         description="exact mass formulas, stringy counts and p-adic measures",
@@ -540,23 +558,32 @@ def build_parser(groups=tuple(_GROUP_HELP)) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="group", required=True)
     group_parsers = {group: subparsers.add_parser(group, help=help_text) for group, help_text in _GROUP_HELP.items()}
     actions = {}
-    for group, action, help_text, handler, flags in _COMMANDS:
-        if group not in groups:
-            continue
-        if action is None:
-            command = group_parsers[group]
-        else:
+    for row in _COMMANDS:
+        group, action, help_text = row[:3]
+        command = group_parsers[group]
+        if action is not None:
             if group not in actions:
-                actions[group] = group_parsers[group].add_subparsers(dest="action", required=True)
+                actions[group] = command.add_subparsers(dest="action", required=True)
             command = actions[group].add_parser(action, help=help_text)
-        for flag, options in flags:
-            command.add_argument(flag, **options)
-        command.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        command.set_defaults(handler=handler)
+        _add_command(command, *row)
     return parser
 
 
-_parser = functools.cache(build_parser)  # one parser per set of groups; parse_args keeps no state
+@functools.cache  # called with the keys of _ROWS only; parse_known_args keeps no state
+def _command_parser(name: tuple) -> argparse.ArgumentParser:
+    return _add_command(argparse.ArgumentParser(prog="wildmckay " + " ".join(name)), *_ROWS[name])
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the command its first words name, which the full tree hands every
+    later word: it prints each --help screen and usage error the tree would.  The full tree parses an
+    argv that names no command, or that has words left over, which it refuses under its own usage."""
+    name = tuple(argv[:2]) if tuple(argv[:2]) in _ROWS else tuple(argv[:1])
+    if name in _ROWS:
+        args, extras = _command_parser(name).parse_known_args(argv[len(name):])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, stdout=None) -> int:
@@ -575,10 +602,7 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
 def _run(argv: list[str] | None, stream) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # Command parsers for the groups named in argv only: argparse reaches a group only through
-        # an argument equal to its name, so every screen and usage error is the full tree's.  A
-        # rational past its cap is a BudgetExceededError.
-        args = _parser(frozenset(_GROUP_HELP).intersection(argv)).parse_args(argv)
+        args = _parse(argv)  # an option past its digits cap is a BudgetExceededError
         code, report, table = args.handler(args)
     except SystemExit as exc:  # from argparse: --help, or a usage error
         code = exc.code
@@ -589,7 +613,7 @@ def _run(argv: list[str] | None, stream) -> int:
     except (BudgetExceededError, PoleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    command = " ".join(filter(None, (args.group, getattr(args, "action", None))))  # selftest has no action
+    command = " ".join(filter(None, (args.group, args.action)))  # selftest has no action
     _WRITERS[args.format]({"command": command, **report}, table, stream)
     return code
 

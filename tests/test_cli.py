@@ -7,6 +7,8 @@ import gc
 import io
 import json
 import os
+import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -646,6 +648,48 @@ class TestBudgets:
         assert run(["etale", "mass", "--p", "7", "--n", "1.0"]) == (2, "")
         assert capsys.readouterr().err.endswith("error: argument --n: invalid _positive value: '1.0'\n")
 
+    @pytest.mark.parametrize("limit", [0, 4300, 100_000])
+    def test_integer_digits_cap_is_not_int_limit(self, limit):
+        # Under int()'s limit 0 (no limit) a reader that left the count to int() read all 5,001 digits.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(limit)
+            for text in ("1" + "0" * 5000, "-" + "0" * 100 + "9" * 4301, "1_" * 4300 + "1"):
+                with pytest.raises(numutil.BudgetExceededError, match="need (5001|4301) digits in an integer option"):
+                    cli._integer(text)
+            assert cli._integer("9" * 4300) == 10**4300 - 1
+            assert cli._integer("0" * 5000 + "7") == 7
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_integer_reads_what_int_reads(self):
+        # The reader that went through parse_rational (three Fractions per option) is the second oracle.
+        import random
+
+        def through_rational(text):
+            return int(text if re.search("[/.eE]", text) else numutil.parse_rational(text, "an integer option"))
+
+        rng = random.Random(34)
+        alphabet = ["0", "0", "1", "7", "_", "_", "+", "-", " ", "\t", "\n", "　", "\xa0", "٣", "٠",
+                    "５", "\U0001d7d8", "x", ".", "e", "/"]
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            expected = []
+            for oracle in (int, through_rational):
+                try:
+                    expected.append(oracle(text))
+                except ValueError:
+                    expected.append(None)
+            if None in expected:
+                with pytest.raises(ValueError):
+                    cli._integer(text)
+            else:
+                assert cli._integer(text) == expected[0] == expected[1], repr(text)
+        # "\x1c" to "\x1f" are whitespace to str.isspace() and to re, not to int(): read as before
+        assert cli._integer("\x1c7\x1f") == through_rational("\x1c7\x1f") == 7
+
     def test_json_integers_counted_before_int_reads_them(self, tmp_path, monkeypatch, capsys):
         # A 5,001-digit JSON integer ended in Python's own int-to-str message, worded by release.
         cap, big = numutil.EXACT_DIGITS_BUDGET, "9" * 5001
@@ -809,22 +853,63 @@ SCREENS = [["--help"], *([group, "--help"] for group in cli._GROUP_HELP),
 USAGE_ERRORS = [[], ["frobnicate"], ["mass", "frobnicate"], ["mass"], ["--format", "json", "mass", "serre", "--n", "2"],
                 ["--format=json", "mass", "serre", "--n", "2"], ["padic", "count", "--m", "2"],
                 ["etale", "enumerate", "--p", "4", "--n", "3"]]
+# One valid argv per command (files are not read while parsing).
+COMMAND_LINES = [["mass", "serre", "--n", "4", "--f", "2"], ["mass", "bhargava", "--n", "4", "--format", "csv"],
+                 ["mass", "expcheck", "--nmax", "6"], ["mass", "invert", "--nmax", "6", "--format", "json"],
+                 ["etale", "enumerate", "--p", "5", "--n", "2"], ["etale", "mass", "--format", "csv", "--p", "7", "--n", "3"],
+                 ["etale", "crossvalidate", "--fixtures", "fixtures.json"], ["mckay", "verify", "--n", "5", "--p", "7"],
+                 ["stringy", "eval", "--input", "snc.json", "--at-q", "9"], ["stringy", "point", "--c", "1/2,-1/3"],
+                 ["padic", "count", "--input", "system.json", "--m", "2"],
+                 ["padic", "measure", "--input", "system.json", "--mmax", "4", "--format", "json"],
+                 ["padic", "integral", "--c", "2/3", "--p", "5"], ["padic", "nullset", "--input", "system.json", "--m", "3"],
+                 ["selftest", "--format", "json"]]
+# The words argparse reads in more than one way: --opt=value, abbreviations, a repeated option, "--"
+# before and after the options, -h after options, an extra positional, an unknown option, an
+# argument to a command without options, and integers int() reads with spaces, a sign, an
+# underscore and a Unicode digit.
+ODD_WORDS = [["padic", "measure", "--input=system.json", "--mmax=4"], ["padic", "measure", "--inp", "system.json", "--mm", "2"],
+             ["mass", "serre", "--n", "2", "--fo", "json"], ["mass", "serre", "--n", "2", "--n", "3"],
+             ["mass", "serre", "--", "--n", "2"], ["mass", "serre", "--n", "2", "--"], ["mass", "serre", "--n", "2", "-h"],
+             ["mass", "serre", "--n", "2", "extra"], ["mckay", "verify", "--p", "7", "--n", "5", "--bogus"],
+             ["selftest", "x"], ["selftest", "--format", "json", "--", "x"],
+             *(["etale", "mass", "--p", "7", "--n", text] for text in (" 7 ", "+3", "0_3", "\u0663", "1.5", "0"))]
+
+
+def parsed(argv, capsys):
+    """cli._parse(argv): the namespace, or the exit code of argparse's exit, and what it printed."""
+    try:
+        result = vars(cli._parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
 
 
 class TestParser:
-    @pytest.mark.parametrize("argv", SCREENS + USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    @pytest.mark.parametrize("argv", SCREENS + USAGE_ERRORS + COMMAND_LINES + ODD_WORDS,
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_lazy_parser_prints_what_the_full_tree_prints(self, argv, monkeypatch, capsys):
-        lazy = run(argv), capsys.readouterr()
-        monkeypatch.setattr(cli, "_parser", lambda groups: cli.build_parser())
-        assert (run(argv), capsys.readouterr()) == lazy
-        assert lazy[0][0] in (0, 2) and (lazy[1].out or lazy[1].err)
+        lazy = parsed(argv, capsys)
+        monkeypatch.setattr(cli, "_ROWS", {})  # no command parser: the full tree's own parse_args
+        assert parsed(argv, capsys) == lazy
+        assert isinstance(lazy[0], dict) or (lazy[0] in (0, 2) and (lazy[1] or lazy[2]))
 
-    def test_parser_builds_only_the_named_groups(self, capsys):
-        argv = ["mass", "serre", "--n", "2"]
-        assert cli._parser(frozenset({"mass"})).parse_args(argv).handler is cli._cmd_mass_serre
-        with pytest.raises(SystemExit):
-            cli._parser(frozenset({"padic"})).parse_args(argv)
-        assert "unrecognized arguments: serre --n 2" in capsys.readouterr().err
+    def test_grids_name_every_command(self):
+        assert sorted(tuple(argv[:1 if argv[0] == "selftest" else 2]) for argv in COMMAND_LINES) == sorted(cli._ROWS)
+
+    def test_a_command_never_builds_the_full_tree(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the full tree was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        monkeypatch.chdir(ROOT)
+        cli._command_parser.cache_clear()
+        assert run(["mass", "serre", "--n", "2"])[0] == 0
+        assert cli._command_parser.cache_info().currsize == 1
+        assert cli._command_parser(("mass", "serre")) and cli._command_parser.cache_info().currsize == 1
+        for case in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text()):
+            assert run(case["argv"]) == (case["exit"], case["stdout"]), case["id"]
+        assert cli._command_parser.cache_info().currsize == len(cli._ROWS)
 
     def test_cached_parser_recovers_after_a_malformed_call(self, capsys):
         golden = {case["id"]: case for case in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())}
@@ -1105,7 +1190,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
     def test_tables_match_csv_writer_and_json_dumps(self, argv):
-        args = cli._parser(frozenset(argv[:1])).parse_args(argv)
+        args = cli._parse(argv)
         code, _, (columns, rows) = args.handler(args)
         assert run(argv + ["--format", "csv"]) == (code, csv_text(columns, rows, csv_cell))
 
