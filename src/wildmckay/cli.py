@@ -25,7 +25,6 @@ from itertools import chain, repeat
 from . import _lazy_module
 from .numutil import (
     DEFAULT_PRECISION,
-    EXACT_DIGITS_BUDGET,
     BudgetExceededError,
     HenselMismatchError,
     PoleError,
@@ -34,6 +33,7 @@ from .numutil import (
     decimal_digits,
     format_rational,
     is_prime,
+    parse_integer,
     parse_rational,
     short_repr,
 )
@@ -238,21 +238,10 @@ _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
 # ---------------------------------------------------------------------------
 
 
-def _integer(value: str) -> int:
-    """int(value) for int()'s grammar (Unicode digits, PEP 515 underscores, spaces around), its digits counted
-    first, leading zeros dropped: the cap is EXACT_DIGITS_BUDGET whatever int()'s own digit limit is."""
-    if not (match := re.match(r"\s*([-+]?)(\d+(?:_\d+)*)\s*\Z", value)):
-        raise ValueError(f"not an integer: {short_repr(value)}")
-    digits = match[2].lstrip("0_")
-    if (count := len(digits) - digits.count("_")) > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(count, EXACT_DIGITS_BUDGET, "input", unit="digits in an integer option")
-    return int(match[1] + (digits or "0"))
-
-
 def _integer_option(value: str, kind: str) -> int:
     # argparse's wording for a ValueError, with the value cut by short_repr: a refusal stays one short line
     try:
-        return _integer(value)
+        return parse_integer(value, "an integer option")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {kind} value: {short_repr(value)}") from None
 

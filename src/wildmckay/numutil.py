@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -14,13 +13,13 @@ __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
     "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors",
     "exact_int", "short_repr", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
-    "read_json", "json_object", "json_array", "parse_rational", "format_rational",
+    "read_json", "json_object", "json_array", "parse_integer", "parse_rational", "format_rational",
 ]
 
 # Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
 DEFAULT_PRECISION = Fraction(1, 10**12)
-# Most decimal digits in the numerator or denominator of a printed exact value: Python's default
-# limit for int-to-str conversion, past which it could not be printed.
+# Most decimal digits in the numerator or denominator of an exact value read or printed: Python's default
+# int-to-str limit, past which it could not be printed.  A lower limit still refuses earlier, through int() and str().
 EXACT_DIGITS_BUDGET = 4300
 # Most characters of an input value that a refusal echoes (short_repr): with argparse's usage line,
 # an option's refusal then stays under 300 bytes (at most 284, by `padic integral --terms`).
@@ -155,19 +154,17 @@ def exact_int(value, what: str) -> int:
 
 def read_json(path: str | os.PathLike):
     """The JSON value in the UTF-8 file at path; a value nested past the decoder's recursion
-    limit is a one-line ValueError, not a RecursionError, and an integer past int()'s digit limit
-    a BudgetExceededError of engine "input".  Only a text that int() refused is parsed again, with
-    every integer counted by _int, so that a file that parses pays for no hook."""
+    limit is a one-line ValueError, not a RecursionError, and an integer of more than EXACT_DIGITS_BUDGET
+    digits a BudgetExceededError of engine "input": only a text with a run of that many digits (matched
+    from a run's first digit, in linear time) has its integers counted by _int, so most files pay for no hook."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    long_run = re.search(r"(?<![0-9])[0-9]{%d}" % (EXACT_DIGITS_BUDGET + 1), text)
+    counted = (lambda digits: _int(digits, "digits in a JSON integer")) if long_run else None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=counted)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # from int(): a JSON integer past its digit limit
-        return json.loads(text, parse_int=lambda digits: _int(digits, "digits in a JSON integer"))
 
 
 def json_object(value, what: str, required: tuple = ()) -> Mapping:
@@ -198,9 +195,9 @@ _RATIONAL = r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|(?:\.(\d
 
 def _int(text: str, unit: str) -> int:
     """int(text) for a signed digit string, its leading zeros dropped first; a string of more
-    digits than int() reads (Python's int-to-str limit) is refused by its count."""
-    digits, limit = text.lstrip("+-0_"), getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if (count := len(digits) - digits.count("_")) > limit > 0:
+    than EXACT_DIGITS_BUDGET digits is refused by its count, before int() reads it."""
+    digits = text.lstrip("+-0_")
+    if (count := len(digits) - digits.count("_")) > EXACT_DIGITS_BUDGET:
         raise BudgetExceededError(count, EXACT_DIGITS_BUDGET, "input", unit=unit)
     return -int(digits or "0") if text[:1] == "-" else int(digits or "0")
 
@@ -222,14 +219,22 @@ def _decimal(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> 
     return small * Fraction(10) ** shift
 
 
+def parse_integer(value: str, what: str) -> int:
+    """An integer string of _RATIONAL's grammar with no "/", fraction or exponent, which is int()'s grammar,
+    read by _int as "digits in {what}"; anything else is a ValueError."""
+    if not (match := re.match(_RATIONAL, value)) or match.lastindex != 2:  # "/", "." or "e" matched a later group
+        raise ValueError(f"not an integer: {short_repr(value)}")
+    return _int(match[1] + match[2], f"digits in {what}")
+
+
 def parse_rational(value, what: str = "a rational") -> Fraction:
     """Accept an int, an "a/b" or decimal string (the grammar of _RATIONAL), or a two-element
     [num, den] array.
 
     Every malformed value, a zero denominator included, is a ValueError, and a value with more
     than EXACT_DIGITS_BUDGET digits in its numerator or denominator a BudgetExceededError of
-    engine "input", counted as "digits in {what}": a digit string too long for int() by its
-    length, and a decimal string before its power of 10 is built.
+    engine "input", counted as "digits in {what}": a digit string by its length before int()
+    reads it, and a decimal string before its power of 10 is built.
     """
     unit = f"digits in {what}"
     try:

@@ -42,6 +42,7 @@ from .numutil import (
     exact_int,
     is_prime,
     json_object,
+    parse_rational,
     read_json,
     short_repr,
 )
@@ -399,7 +400,7 @@ def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:
 
 
 def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, qexpr.QFrac | qexpr.InfiniteType]:
-    """Truncation and closed form of the integral of |x|^(-c) over m_K.
+    """Truncation and closed form of the integral of |x|^(-c) over m_K, c read by parse_rational.
 
     partial = sum_{i=1}^{terms} q^(i(c-1)) (1 - q^(-1)) at q = p, the measures of
     the valuation-i shells; exact = q^(-1)(q-1)/(q^(1-c)-1), the stringy weight of one point
@@ -411,7 +412,7 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
         raise ValueError("need at least one term")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    c = Fraction(c)
+    c = parse_rational(c)
     first_shell = max(1, abs((c - 1).numerator)) * p.bit_length()
     shell_bits, largest = terms * (terms + 1) // 2 * first_shell, terms * first_shell
     if shell_bits > INTEGRAL_BUDGET:

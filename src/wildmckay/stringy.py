@@ -50,7 +50,7 @@ class MalformedSubsetError(ValueError):
 
 
 class VerticalComponent(namedtuple("VerticalComponent", "a strata")):
-    """One vertical coefficient a (a Fraction) with its stratum point counts.
+    """One vertical coefficient a (a Fraction, read by parse_rational) with its stratum point counts.
 
     Keys of ``strata`` are frozensets of 1-based horizontal indices; the
     entry for frozenset() counts points on no horizontal divisor.  Use an
@@ -63,17 +63,17 @@ class VerticalComponent(namedtuple("VerticalComponent", "a strata")):
     def __new__(cls, a, strata: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]]):
         items = strata.items() if isinstance(strata, Mapping) else strata
         counts = ((frozenset(k), exact_int(v, "stratum count")) for k, v in items)
-        return super().__new__(cls, Fraction(a), tuple(sorted(counts, key=lambda kv: sorted(kv[0]))))
+        return super().__new__(cls, parse_rational(a), tuple(sorted(counts, key=lambda kv: sorted(kv[0]))))
 
 
 class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_total")):
-    """Horizontal coefficients (a tuple of Fractions), vertical components (a tuple), and the
+    """Horizontal coefficients (a tuple of Fractions, each read by parse_rational), vertical components, and the
     total point count the input declared, or None."""
 
     __slots__ = ()
 
     def __new__(cls, horizontal: Sequence, vertical: Sequence[VerticalComponent], declared_total: int | None = None):
-        horizontal = tuple(Fraction(c) for c in horizontal)
+        horizontal = tuple(parse_rational(c) for c in horizontal)
         vertical = tuple(vertical)
         n_div = len(horizontal)
         total = 0
@@ -82,7 +82,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
                 if count < 0:
                     raise ValueError(f"negative stratum count {count}")
                 for j in subset:
-                    if not (isinstance(j, int) and 1 <= j <= n_div):
+                    if not 1 <= exact_int(j, "subset index") <= n_div:
                         raise MalformedSubsetError(
                             f"subset {short_repr(sorted(subset))} not within horizontal indices 1..{n_div}")
                 total += count
@@ -95,7 +95,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
     @staticmethod
     def from_json(data: Mapping) -> "SncLogPairData":
         json_object(data, "SNC pair data")
-        horizontal = [parse_rational(c) for c in json_array(data.get("horizontal", []), "horizontal")]
+        horizontal = json_array(data.get("horizontal", []), "horizontal")
         vertical = []
         for entry in json_array(data.get("vertical", []), "vertical"):
             strata: dict[frozenset[int], int] = {}
@@ -109,7 +109,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
                 if subset in strata:
                     raise MalformedSubsetError(f"subset {short_repr(sorted(subset))} listed twice")
                 strata[subset] = stratum["count"]
-            vertical.append(VerticalComponent(parse_rational(entry.get("a", 0)), strata))
+            vertical.append(VerticalComponent(entry.get("a", 0), strata))
         return SncLogPairData(horizontal, vertical, data.get("total"))
 
     @staticmethod
@@ -118,10 +118,10 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
 
 
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:
-    """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point,
+    """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point (a and each c_j read by parse_rational),
     Infinite as soon as one c_j >= 1: the stratum sum of one point on every C_j."""
-    cs = [Fraction(c) for c in cs]
-    return _stratum_sum(cs, [(Fraction(a), frozenset(range(1, len(cs) + 1)), 1)])
+    cs = [parse_rational(c) for c in cs]
+    return _stratum_sum(cs, [(parse_rational(a), frozenset(range(1, len(cs) + 1)), 1)])
 
 
 def stringy_count_snc(data: SncLogPairData) -> QFrac | InfiniteType:

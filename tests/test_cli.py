@@ -641,26 +641,39 @@ class TestBudgets:
             self.refused(argv, capsys, f"input budget exceeded: need 5001 digits in an integer option, budget {cap}")
         # Leading zeros are not counted, as in a rational option; int()'s grammar decides the rest.
         for text, value in ((" 7 ", 7), ("+7", 7), ("0_7", 7), ("0" * 5000 + "7", 7), ("\u0663", 3), ("-0", 0)):
-            assert cli._integer(text) == value
+            assert numutil.parse_integer(text, "an integer option") == value
         for text in ("x", "1.5", "1.", ".5", "1e3", "2/1", "_1", "+-1", "1__0", "0x10", "", " "):
             with pytest.raises(ValueError):
-                cli._integer(text)
+                numutil.parse_integer(text, "an integer option")
         assert run(["etale", "mass", "--p", "7", "--n", "1.0"]) == (2, "")
         assert capsys.readouterr().err.endswith("error: argument --n: invalid _positive value: '1.0'\n")
 
     @pytest.mark.parametrize("limit", [0, 4300, 100_000])
-    def test_integer_digits_cap_is_not_int_limit(self, limit):
+    def test_integer_digits_cap_is_not_int_limit(self, limit, tmp_path, capsys):
         # Under int()'s limit 0 (no limit) a reader that left the count to int() read all 5,001 digits.
+        # Every digit string is counted against EXACT_DIGITS_BUDGET, whatever that limit: 5,000
+        # Arabic-Indic zeros (which are no ASCII "0" and so are counted) and a 7 as a rational option,
+        # a JSON integer, and a rational handed to the library were read under 0 and 100,000, and the
+        # last ended in int()'s own ValueError under 4,300.
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this Python has no int-to-str digit limit")
+        cap = numutil.EXACT_DIGITS_BUDGET
+        path = tmp_path / "integer.json"
+        path.write_text('{"a": 1%s}' % ("0" * 5000))
         previous = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(limit)
             for text in ("1" + "0" * 5000, "-" + "0" * 100 + "9" * 4301, "1_" * 4300 + "1"):
                 with pytest.raises(numutil.BudgetExceededError, match="need (5001|4301) digits in an integer option"):
-                    cli._integer(text)
-            assert cli._integer("9" * 4300) == 10**4300 - 1
-            assert cli._integer("0" * 5000 + "7") == 7
+                    numutil.parse_integer(text, "an integer option")
+            assert numutil.parse_integer("9" * 4300, "an integer option") == 10**4300 - 1
+            assert numutil.parse_integer("0" * 5000 + "7", "an integer option") == 7
+            self.refused(["stringy", "point", "--a", "\u0660" * 5000 + "7"], capsys,
+                         f"input budget exceeded: need 5001 digits in a rational option, budget {cap}")
+            with pytest.raises(numutil.BudgetExceededError, match=f"need 5001 digits in a JSON integer, budget {cap}$"):
+                numutil.read_json(path)
+            with pytest.raises(numutil.BudgetExceededError, match=f"need 5000 digits in a rational, budget {cap}$"):
+                stringy.stringy_point_contribution("1" * 5000, [])
         finally:
             sys.set_int_max_str_digits(previous)
 
@@ -684,11 +697,11 @@ class TestBudgets:
                     expected.append(None)
             if None in expected:
                 with pytest.raises(ValueError):
-                    cli._integer(text)
+                    numutil.parse_integer(text, "an integer option")
             else:
-                assert cli._integer(text) == expected[0] == expected[1], repr(text)
+                assert numutil.parse_integer(text, "an integer option") == expected[0] == expected[1], repr(text)
         # "\x1c" to "\x1f" are whitespace to str.isspace() and to re, not to int(): read as before
-        assert cli._integer("\x1c7\x1f") == through_rational("\x1c7\x1f") == 7
+        assert numutil.parse_integer("\x1c7\x1f", "an integer option") == through_rational("\x1c7\x1f") == 7
 
     def test_json_integers_counted_before_int_reads_them(self, tmp_path, monkeypatch, capsys):
         # A 5,001-digit JSON integer ended in Python's own int-to-str message, worded by release.

@@ -1,5 +1,6 @@
 """Tests for the shared integer/rational helpers."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,24 +91,35 @@ def test_parse_rational_exponent_notation():
 
 
 def test_parse_rational_counts_digits_in_lowest_terms(monkeypatch):
-    # With no digits allowed every value is refused, and the count it reports is the digits of
-    # its numerator or denominator in lowest terms, here checked against the built Fraction.
+    # With the budget at the digits that _int itself reads (the mantissa without leading zeros or
+    # its fraction's trailing zeros, and the exponent), every value whose numerator or denominator
+    # in lowest terms has more is refused, and the count it reports is those digits, here checked
+    # against the built Fraction; every other value is read.
     import random
 
     from wildmckay import numutil
 
-    monkeypatch.setattr(numutil, "EXACT_DIGITS_BUDGET", 0)
     rng = random.Random(7)
+    refused = 0
     for _ in range(2000):
         n = rng.choice([rng.randrange(1, 10 ** rng.randrange(1, 30)), 2 ** rng.randrange(60) * rng.choice([1, 3, 7]),
                         5 ** rng.randrange(40) * rng.choice([1, 2, 3])])
-        digits, cut = str(n), rng.randrange(len(str(n)) + 1)
-        text = (digits[:cut] + "." + digits[cut:] if rng.random() < 0.5 else digits) + f"e{rng.randrange(-120, 120)}"
-        value = Fraction(n, 10 ** (len(digits) - cut if "." in text else 0)) * Fraction(10) ** int(text.split("e")[1])
-        with pytest.raises(BudgetExceededError) as refused:
-            parse_rational(text)
-        assert refused.value.required == max(len(str(abs(value.numerator))), len(str(value.denominator))), text
-    with pytest.raises(BudgetExceededError, match="need 2 digits in a fixture, budget 0"):
+        digits, cut, exponent = str(n), rng.randrange(len(str(n)) + 1), rng.randrange(-120, 120)
+        text = (digits[:cut] + "." + digits[cut:] if rng.random() < 0.5 else digits) + f"e{exponent}"
+        mantissa = text.split("e")[0].rstrip("0") if "." in text else digits
+        value = Fraction(n, 10 ** (len(digits) - cut if "." in text else 0)) * Fraction(10) ** exponent
+        monkeypatch.setattr(numutil, "EXACT_DIGITS_BUDGET", max(len(mantissa.replace(".", "")), len(str(abs(exponent)))))
+        count = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+        if count > numutil.EXACT_DIGITS_BUDGET:
+            refused += 1
+            with pytest.raises(BudgetExceededError) as caught:
+                parse_rational(text)
+            assert caught.value.required == count, text
+        else:
+            assert parse_rational(text) == value, text
+    assert 1000 < refused < 2000  # both branches are taken
+    monkeypatch.setattr(numutil, "EXACT_DIGITS_BUDGET", 1)
+    with pytest.raises(BudgetExceededError, match="need 2 digits in a fixture, budget 1"):
         parse_rational("1/10", "a fixture")
 
 
@@ -136,6 +148,12 @@ def test_read_json(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)  # a RecursionError from json.load
     with pytest.raises(ValueError, match=r"input\.json: JSON nested too deeply to read$"):
         read_json(path)
+    # Runs of digits are matched from their first digit only: unanchored, the scan for a run past
+    # the budget tried every start in each 4,000-digit integer and took 1.5 s on this file.
+    path.write_text("[%s]" % ", ".join(["7" * 4000] * 50))
+    start = time.perf_counter()
+    assert read_json(path) == [int("7" * 4000)] * 50
+    assert time.perf_counter() - start < 0.5
 
 
 def test_format_rational():

@@ -165,6 +165,23 @@ class TestValidationAndJson:
             SncLogPairData.from_json(
                 {"horizontal": [0], "vertical": [{"a": 0, "strata": [{"subset": [True], "count": 1}]}]}
             )
+        # and so it was by the constructor, which counts and exponents never let through
+        with pytest.raises(ValueError, match=r"subset index must be an integer, got True$"):
+            SncLogPairData(["1/2"], [VerticalComponent(0, {frozenset({True}): 1})])
+
+    def test_library_rationals_read_by_parse_rational(self):
+        # Fraction() took a float's binary value (0.1 as 3602879701896397/36028797018963968, then a
+        # budget of 36,028,797,018,963,968 t-degrees), and reads "1 / 2" on 3.12 but not on 3.11.
+        from wildmckay.padic import monomial_integral
+
+        for value in (0.1, "1 / 2"):
+            for call in (lambda: VerticalComponent(value, {}), lambda: SncLogPairData([value], []),
+                         lambda: stringy_point_contribution(value, []), lambda: stringy_point_contribution(0, [value]),
+                         lambda: monomial_integral(value, 5, 3)):
+                with pytest.raises(ValueError, match=f"not a rational: {value!r}$"):
+                    call()
+        assert VerticalComponent("-3/4", {}).a == Fraction(-3, 4)
+        assert SncLogPairData(["1.5e-1", [1, 3]], []).horizontal == (Fraction(3, 20), Fraction(1, 3))
 
     def test_total_consistency(self):
         with pytest.raises(ValueError):
