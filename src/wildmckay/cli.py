@@ -505,7 +505,7 @@ _COMMANDS = [
     ("mass", "expcheck", "exponential identity vs partition formula", _cmd_mass_expcheck, [_NMAX]),
     ("mass", "invert", "recover totally ramified masses from the series", _cmd_mass_invert, [_NMAX]),
     ("etale", "enumerate", "field classes of degree n over Q_p", _cmd_etale_enumerate, [_P, _N]),
-    ("etale", "mass", "enumerated mass vs partition formula at q=p", _cmd_etale_mass, [_P, _N]),
+    ("etale", "mass", "stratum-weight mass vs partition formula at q=p", _cmd_etale_mass, [_P, _N]),
     ("etale", "crossvalidate", "check database fixtures against the enumeration", _cmd_etale_crossvalidate,
      [("--fixtures", {"required": True})]),
     ("mckay", "verify", "mass side vs Hilbert-scheme count at q=p", _cmd_mckay_verify, [_P, _N]),

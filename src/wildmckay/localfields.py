@@ -1,4 +1,4 @@
-"""Tame extensions of Q_p, their etale algebras, and exact invariants.
+"""Extensions of Q_p by stratum, the tame classes, their etale algebras, and exact invariants.
 
 A finite extension of Q_p with residue degree f and tame ramification index
 e (p not dividing e) is generated over the unramified field K_f by an e-th
@@ -11,30 +11,37 @@ walks each orbit once and stores its class's invariants:
     discriminant exponent d = f * (e - 1),
     #Aut = g * f / #orbit = g * #{i in Z/f : c * (p^i - 1) = 0 mod g}  (p^f = 1 mod g).
 
-This parametrization is classical tame ramification theory; it is not
+Every stratum (f, e, j), tame or wild, of the fields with discriminant exponent
+d = f (e - 1 + j) is weighed without listing it: A(f, e, j) = mu(j) q^j / f, q = p^f, is
+the sum of 1/#Aut over its fields, where mu(j) is the Haar measure of the Eisenstein
+polynomials of degree e over K_f with different exponent e - 1 + j (Serre's proof of his
+mass formula).  It is 0 exactly off Ore's condition, and 1/f on a tame stratum (j = 0).
+
+The tame parametrization is classical tame ramification theory; it is not
 trusted blindly here.  Two independent checks keep it honest: the stratum
-mass identity  sum_{classes with fixed (f,e)} q^(-f(e-1)) / #Aut =
-q^(f(1-e)) / f, and cross-validation against external database fixtures.
+mass identity  sum_{classes with fixed (f,e)} 1 / #Aut = A(f, e, 0), and
+cross-validation against external database fixtures.
 
-An etale algebra is a multiset of classes, with #Aut(prod L_i^m_i) =
-prod m_i! #Aut(L_i)^m_i, so counts and masses need no listing.  With
-w_c = p^(-d_c) / #Aut_c and W_k its sum over classes of degree k, the number
-of degree-n algebras and their mass sum p^(-d) / #Aut are the coefficients of
-x^n in prod_c 1/(1 - x^deg c) and prod_c exp(w_c x^deg c) = exp(sum_k W_k x^k).
-This regroups a sum over multisets; it does not assume the Serre/Bhargava
-mass formula that `etale mass` checks, whose content is the per-class d and
-#Aut above.  Algebras are listed only where per-algebra rows are needed.
+An etale algebra is a multiset of fields, with #Aut(prod L_i^m_i) =
+prod m_i! #Aut(L_i)^m_i, so counts and masses need no listing.  The number of
+degree-n algebras of tame classes is the coefficient of x^n in
+prod_c 1/(1 - x^deg c) over the classes c.  With W_k = sum of A(f, e, j) p^(-d) over
+the strata with ef = k, their mass sum p^(-d) / #Aut is the coefficient of x^n
+in exp(sum_k W_k x^k).  This regroups a sum over multisets; it does not assume
+the Serre/Bhargava mass formula that `etale mass` checks, whose content is the
+stratum weights.  Algebras are listed only where per-algebra rows are needed.
 
-Wild strata (p dividing e) are never computed: the enumerators skip and report
-them, and a wild fixture is checked only against what every wild field satisfies
-(f | d, Ore's bounds on d, #Aut | n).  Each fixture record gets one verdict.
+Wild fields (p dividing e) are never listed: the enumerators skip and report
+their strata, the mass and McKay paths refuse p <= n, and a wild fixture is
+checked only against what every wild field satisfies (f | d, a stratum weight
+that is not 0, #Aut | n).  Each fixture record gets one verdict.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,8 +78,9 @@ ALGEBRAS_BUDGET = 100_000
 # `etale enumerate` takes 0.40-0.53 s at n = 400 for p from 401 to 999983.
 COUNT_DEGREE_BUDGET = 400
 # Largest degree algebra_mass_sum accepts (`etale mass`), in degrees: its TruncatedSeries.exp adds
-# n^2 / 2 products of constants whose denominators carry #Aut factors, not powers of p; `etale mass`
-# takes 0.09-0.26 s at n = 200 for p from 211 to 999983 (in-process; Python 3.11, 2-vCPU Intel Xeon).
+# n^2 / 2 products of constants whose denominators are the residue degrees f, not powers of p;
+# `etale mass` takes 0.06-0.17 s at n = 200 for p from 211 to 999983 and 0.65 s for p near 10^21, the
+# largest the digits cap admits there (in-process; Python 3.11, 2-vCPU Intel Xeon).
 MASS_DEGREE_BUDGET = 200
 
 
@@ -225,11 +233,23 @@ def _require_complete(p: int, n: int) -> None:
         )
 
 
+def _stratum_weight(p: int, f: int, e: int, j: int) -> Fraction:
+    """The weight A(f, e, j) = mu(j) q^j / f (q = p^f) of the module docstring, where the Eisenstein
+    measure mu(j) is 0 off Ore's condition and otherwise q^-N, times 1 - 1/q when e does not divide j,
+    with N = #{0 <= t < j : e does not divide t, t // e >= v_p(t mod e)}."""
+    b, top = j % e, _valuation(e, p) * e
+    if (j > top or j // e < _valuation(b, p)) if b else j != top:  # so does j < 0: j // e < 0, j != top
+        return Fraction(0)
+    count = sum(1 for t in range(j) if t % e and t // e >= _valuation(t % e, p))
+    return Fraction((p**f - 1) * p ** (f * (j - count - 1)) if b else p ** (f * (j - count)), f)
+
+
 def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
     listing: M_n of exp(sum_k W_k x^k), taken by TruncatedSeries.exp on constant coefficients.
-    The series is exp(sum_k p^k W_k x^k), whose x^n coefficient is p^n M_n: p^k W_k =
-    sum p^(k-d) / #Aut has only #Aut in its denominators (d < k).  BudgetExceededError before
+    The series is exp(sum_k p^k W_k x^k), whose x^n coefficient is p^n M_n: p^k W_k is the sum
+    over the strata (f, e, j) with ef = k of _stratum_weight * p^(k-d), d = f (e - 1 + j), and has
+    only the f in its denominators (d < k).  BudgetExceededError before
     any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
     EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
     sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
@@ -237,10 +257,9 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     if n > MASS_DEGREE_BUDGET:
         raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
-    weights = []
-    for k, classes in enumerate(_tame_classes_by_degree(p, n)):  # one Fraction over the lcm of the #Aut
-        den = lcm(*(cls.aut_order for cls in classes))
-        weights.append(Fraction(sum(p ** (k - cls.disc_exponent) * (den // cls.aut_order) for cls in classes), den))
+    weights = [0] + [sum(_stratum_weight(p, f, k // f, j) * p ** (k - f * (k // f - 1 + j))
+                         for f in divisors(k) for j in range(_valuation(k // f, p) * (k // f) + 1))
+                     for k in range(1, n + 1)]
     value = series.TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n
     check_exact_digits(value, "mass", "digits in the mass at p")
     return value
@@ -297,6 +316,7 @@ def crossvalidate_fixtures(fixtures: Sequence[FieldFixture]) -> list[tuple[Field
         if fix.n != fix.e * fix.f:
             verdicts.append((fix, "mismatch", f"n={fix.n} != e*f={fix.e * fix.f}"))
         elif fix.e % fix.p == 0:
+            _check_degree(fix.n)  # as for a tame record: the stratum weight counts up to j <= e v_p(e)
             reason = _wild_reason(fix)
             verdicts.append((fix, "mismatch" if reason else "uncheckable (wild)", reason))
         else:
@@ -321,17 +341,15 @@ def _valuation(m: int, p: int) -> int:
 
 def _wild_reason(fix: FieldFixture) -> str:
     """Why no field with p | e has the fixture's invariants, or "" when it passes every check:
-    f | d; Ore's condition min(v_p(b) e, v_p(e) e) <= j <= v_p(e) e on the different exponent
-    d/f = e - 1 + j of the totally ramified part over the unramified field of degree f, with
-    j = a e + b, 0 <= b < e and v_p(0) infinite; and #Aut | n."""
+    f | d; Ore's condition on the different exponent d/f = e - 1 + j of the totally ramified
+    part over the unramified field of degree f, which fails where the stratum weight is 0; and
+    #Aut | n."""
     e, f, d = fix.e, fix.f, fix.disc_exponent
     if d % f:
         return f"f={f} does not divide d={d}"
     j = d // f - e + 1
-    top = _valuation(e, fix.p) * e
-    low = min(_valuation(j % e, fix.p) * e, top) if j % e else top
-    if not low <= j <= top:
-        return f"j=d/f-e+1={j} fails Ore's condition {low} <= j <= {top}"
+    if not _stratum_weight(fix.p, f, e, j):
+        return f"j=d/f-e+1={j} fails Ore's condition: no Eisenstein polynomial has different exponent d/f"
     if fix.n % fix.aut_order:
         return f"aut={fix.aut_order} does not divide n={fix.n}"
     return ""

@@ -35,12 +35,6 @@ __all__ = ["verify_wild_mckay", "McKayReport", "ROW_COLUMNS"]
 ROW_COLUMNS = ("factors", "d", "v", "w", "aut", "term_num", "term_den")
 
 
-def _weights(n: int, disc_exponent: int, components: int) -> tuple[int, int]:
-    """(v, w) of a degree-n algebra with that many geometric components: v = d, and w is
-    the codimension 2 (n - components) of the fixed locus minus v."""
-    return disc_exponent, 2 * (n - components) - disc_exponent
-
-
 class McKayReport(namedtuple("McKayReport", "p n mass_side hilb_side rows")):
     """Both sides as Fractions, and the rows as tuples in ROW_COLUMNS order."""
 
@@ -63,7 +57,8 @@ def verify_wild_mckay(p: int, n: int) -> McKayReport:
     rows = []
     for factors, d, components, aut in enumerate_tame_etale_algebras(p, n):
         if (term := terms.get((d, components, aut))) is None:
-            v, w = _weights(n, d, components)
+            # v = d, and w is the codimension 2 (n - components) of the fixed locus minus v
+            v, w = d, 2 * (n - components) - d
             power = p ** (2 * n - v)
             common = gcd(power, aut)
             term = terms[d, components, aut] = [(d, v, w, aut, power // common, aut // common), 0]

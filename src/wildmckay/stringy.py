@@ -73,7 +73,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
     __slots__ = ()
 
     def __new__(cls, horizontal: Sequence, vertical: Sequence[VerticalComponent], declared_total: int | None = None):
-        horizontal = tuple(parse_rational(c) for c in horizontal)
+        horizontal = _rationals(horizontal, "horizontal")
         vertical = tuple(vertical)
         n_div = len(horizontal)
         total = 0
@@ -117,10 +117,17 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
         return SncLogPairData.from_json(read_json(path))
 
 
+def _rationals(values: Iterable, name: str) -> tuple[Fraction, ...]:
+    """Each value read by parse_rational; a ValueError for a string, whose characters are not the values."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of rationals, got the string {short_repr(values)}")
+    return tuple(parse_rational(c) for c in values)
+
+
 def stringy_point_contribution(a, cs: Iterable) -> QFrac | InfiniteType:
     """Weight q^a prod_j (q-1)/(q^(1-c_j)-1) of a single residue point (a and each c_j read by parse_rational),
     Infinite as soon as one c_j >= 1: the stratum sum of one point on every C_j."""
-    cs = [parse_rational(c) for c in cs]
+    cs = _rationals(cs, "cs")
     return _stratum_sum(cs, [(parse_rational(a), frozenset(range(1, len(cs) + 1)), 1)])
 
 

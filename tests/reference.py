@@ -16,6 +16,10 @@ size, and sorts them afterwards.
 
 ``padic._linear_solver`` eliminates on the Jacobian's columns only and stops once every row has a
 pivot; ``reference_linear_solver`` reduces every column of ``[J | I]``.
+
+``localfields._stratum_weight`` weighs a stratum by the Haar measure of its Eisenstein polynomials;
+``reference_serre_mass`` takes the same measure from Krasner's count of the fields, and
+``ore_bounds_hold`` is Ore's condition written out as bounds on j.
 """
 
 import itertools
@@ -170,3 +174,30 @@ def reference_tame_algebras(by_degree) -> list[tuple[tuple, int, int, int]]:
             aut = math.prod(math.factorial(m) * cls.aut_order**m for cls, m in ordered)
             algebras.append((factors, d, components, aut))
     return sorted(algebras, key=lambda algebra: [(-f, e, orbit, m) for f, e, orbit, m in algebra[0]])
+
+
+def _v(m: int, p: int) -> int:
+    """v_p(m) for m >= 1."""
+    return 0 if m % p else 1 + _v(m // p, p)
+
+
+def ore_bounds_hold(p: int, e: int, j: int) -> bool:
+    """Ore's condition min(v_p(b) e, v_p(e) e) <= j <= v_p(e) e on the different exponent e - 1 + j
+    of a totally ramified degree-e extension, j = a e + b with 0 <= b < e and v_p(0) infinite."""
+    top = _v(e, p) * e
+    low = min(_v(j % e, p) * e, top) if j % e else top
+    return low <= j <= top
+
+
+def reference_serre_mass(p: int, f: int, e: int, j: int) -> Fraction:
+    """Serre's mass count q^-j / e of the totally ramified degree-e extensions of K_f (q = p^f) with
+    different exponent e - 1 + j, by Krasner's count of them inside an algebraic closure as S. Pauli
+    and X.-F. Roblot restate it ("On the computation of all extensions of a p-adic field of a given
+    degree", Math. Comp. 70 (2001)): 0 off Ore's condition, else, with j = a e + b, 0 <= b < e and
+    S = sum_{i=1..a} e / p^i, e q^S when b = 0 and e (q - 1) q^(S + floor((b - 1) / p^(a + 1))) when not."""
+    if not ore_bounds_hold(p, e, j):
+        return Fraction(0)
+    q, (a, b) = p**f, divmod(j, e)
+    S = sum(e // p**i for i in range(1, a + 1))
+    count = e * q**S if b == 0 else e * (q - 1) * q ** (S + (b - 1) // p ** (a + 1))
+    return Fraction(count, e * q**j)

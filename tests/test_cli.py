@@ -434,6 +434,7 @@ class TestBudgets:
         count_cap, mass_cap = localfields.COUNT_DEGREE_BUDGET, localfields.MASS_DEGREE_BUDGET
         assert run(["etale", "mass", "--p", "211", "--n", "20"])[0] == 0
         monkeypatch.setattr(localfields, "enumerate_tame_field_classes", None)
+        monkeypatch.setattr(localfields, "_stratum_weight", None)
         self.refused(["etale", "mass", "--p", "1009", "--n", str(mass_cap + 1)], capsys,
                      f"mass budget exceeded: need {mass_cap + 1} degrees, budget {mass_cap}")
         for argv in (["etale", "enumerate", "--p", "1009"], ["mckay", "verify", "--p", "1009"]):
@@ -549,6 +550,7 @@ class TestBudgets:
         # for q^a at q0 = a/b, and n - 1 digits of p for the denominator of the degree-n mass at p.
         monkeypatch.setattr(qexpr.QFrac, "evaluate", None)
         monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
+        monkeypatch.setattr(localfields, "_stratum_weight", None)
         for argv, message in (
             (["stringy", "point", "--a", "10000000", "--at-q", "5"], "evaluation budget exceeded: need 6989701"),
             (["stringy", "point", "--a", "40000", "--c", "0", "--at-q", "5"], "evaluation budget exceeded: need 27959"),

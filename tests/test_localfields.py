@@ -11,7 +11,7 @@ from math import factorial, gcd
 from pathlib import Path
 
 import pytest
-from reference import reference_tame_algebras
+from reference import ore_bounds_hold, reference_serre_mass, reference_tame_algebras
 
 from wildmckay import localfields
 from wildmckay.localfields import (
@@ -26,6 +26,7 @@ from wildmckay.localfields import (
     skipped_wild_strata,
     tame_enumeration_is_complete,
 )
+from wildmckay.massformulas import bhargava_mass
 from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
 from wildmckay.numutil import BudgetExceededError
 
@@ -182,13 +183,24 @@ def listed_mass(p, n):
     return total
 
 
-def unscaled_masses(p, n):
-    """Test-only oracle: M_0..M_n by j M_j = sum_k k W_k M_(j-k) on the masses themselves,
-    W_k = sum p^(-d) / #Aut over the tame classes of degree k."""
-    weights = [0] + [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order)
-                         for cls in enumerate_tame_field_classes(p, k)) for k in range(1, n + 1)]
+def class_weights(p, n):
+    """W_0..W_n, W_k = sum p^(-d) / #Aut over the tame classes of degree k."""
+    return [0] + [sum(Fraction(1, p**cls.disc_exponent * cls.aut_order)
+                      for cls in enumerate_tame_field_classes(p, k)) for k in range(1, n + 1)]
+
+
+def stratum_weights(p, n):
+    """W_0..W_n, W_k = sum A(f, e, j) p^(-f (e - 1 + j)) over the strata (f, e, j) with ef = k, the
+    wild ones too: j < e^2 takes in Ore's bound v_p(e) e."""
+    return [0] + [sum(localfields._stratum_weight(p, f, k // f, j) / Fraction(p) ** (f * (k // f - 1 + j))
+                      for f in range(1, k + 1) if k % f == 0 for j in range((k // f) ** 2)) for k in range(1, n + 1)]
+
+
+def unscaled_masses(weights):
+    """Test-only oracle: M_0..M_n of exp(sum_k W_k x^k) by j M_j = sum_k k W_k M_(j-k) on the masses
+    themselves, n = len(weights) - 1."""
     mass = [Fraction(1)]
-    for j in range(1, n + 1):
+    for j in range(1, len(weights)):
         mass.append(sum(k * weights[k] * mass[j - k] for k in range(1, j + 1)) / j)
     return mass
 
@@ -231,11 +243,11 @@ class TestCountingWithoutListing:
 
     @pytest.mark.parametrize("p", [61, 211, 999983])
     def test_mass_matches_the_unscaled_recurrence(self, p):
-        masses = unscaled_masses(p, 60)
+        masses = unscaled_masses(class_weights(p, 60))
         assert [algebra_mass_sum(p, n) for n in range(1, 61)] == masses[1:]
 
     def test_mass_at_the_degree_cap_matches_the_unscaled_recurrence(self):
-        assert algebra_mass_sum(211, 200) == unscaled_masses(211, 200)[200]
+        assert algebra_mass_sum(211, 200) == unscaled_masses(class_weights(211, 200))[200]
 
     def test_counts_far_beyond_listing(self):
         assert count_tame_etale_algebras(101, 40) == 634306319
@@ -308,6 +320,63 @@ class TestCountingWithoutListing:
                 fn(5, 0)
 
 
+STRATA = [(p, f, e) for p in (2, 3, 5, 7) for f in (1, 2, 3) for e in range(1, 17)]
+
+
+def eisenstein_measure(p, f, e, j):
+    """mu(j) = A(f, e, j) f / q^j, q = p^f."""
+    return localfields._stratum_weight(p, f, e, j) * f / Fraction(p**f) ** j
+
+
+def ore_top(p, e):
+    """v_p(e) e, the largest j Ore's condition allows (j < 4e + 3 for e <= 16)."""
+    return max(j for j in range(4 * e + 3) if ore_bounds_hold(p, e, j))
+
+
+class TestStratumWeights:
+    """A(f, e, j) = mu(j) q^j / f, mu the Haar measure of the Eisenstein polynomials with different
+    exponent e - 1 + j, against Krasner's count, Ore's bounds and Bhargava's formula."""
+
+    def test_measure_is_krasners_count(self):
+        cases = [(p, f, e, j) for p, f, e in STRATA for j in range(ore_top(p, e) + 1)]
+        assert len(cases) == 963
+        for case in cases:
+            assert eisenstein_measure(*case) == reference_serre_mass(*case), case
+
+    def test_measures_sum_to_one(self):
+        for p, f, e in STRATA:
+            assert sum(eisenstein_measure(p, f, e, j) for j in range(ore_top(p, e) + 1)) == 1, (p, f, e)
+
+    def test_weight_is_zero_exactly_off_ores_bounds(self):
+        for p, f, e in STRATA:
+            for j in range(-3, 4 * e + 3):
+                weight = localfields._stratum_weight(p, f, e, j)
+                assert type(weight) is Fraction and (weight != 0) == ore_bounds_hold(p, e, j), (p, f, e, j)
+
+    def test_quadratics_over_q2(self):
+        # d: sum 1/#Aut over the quadratic fields, one with d = 0, two with d = 2 and four with d = 3
+        weights = Counter()
+        for f, e in ((2, 1), (1, 2)):
+            for j in range(-3, 12):
+                weights[f * (e - 1 + j)] += localfields._stratum_weight(2, f, e, j)
+        assert +weights == {0: Fraction(1, 2), 2: 1, 3: 2}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_exp_of_the_weights_is_bhargavas_mass(self, p):
+        masses = unscaled_masses(stratum_weights(p, 12))
+        assert [masses[n] for n in range(p, 13)] == [bhargava_mass(n).evaluate(p) for n in range(p, 13)]
+
+    @pytest.mark.parametrize("p, n", [(13, 12), (17, 14), (61, 20)])
+    def test_tame_class_weights_are_the_stratum_weights(self, p, n):
+        assert class_weights(p, n) == stratum_weights(p, n)
+
+    def test_mass_lists_no_class(self, monkeypatch):
+        monkeypatch.setattr(localfields, "enumerate_tame_field_classes", None)
+        monkeypatch.setattr(localfields, "_tame_classes_by_degree", None)
+        for p, n in ((13, 12), (211, 60), (211, 200), (401, 200), (999983, 200)):
+            assert algebra_mass_sum(p, n) == bhargava_mass(n).evaluate(p)
+
+
 def statuses(verdicts):
     """(label, status, reason) of each (fixture, status, reason) verdict, in the listed order."""
     return [(fix.label, status, reason) for fix, status, reason in verdicts]
@@ -339,9 +408,9 @@ class TestFixtures:
                    FieldFixture(p=2, n=4, e=4, f=1, disc_exponent=5, aut_order=2, label="2.4.5.2")]
         assert statuses(crossvalidate_fixtures(records)) == [
             ("2.2.2.1", "mismatch", "aut=7 does not divide n=2"),
-            ("2.2.5.1", "mismatch", "j=d/f-e+1=4 fails Ore's condition 2 <= j <= 2"),
+            ("2.2.5.1", "mismatch", "j=d/f-e+1=4 fails Ore's condition: no Eisenstein polynomial has different exponent d/f"),
             ("2.4.5.1", "mismatch", "f=2 does not divide d=5"),
-            ("2.4.5.2", "mismatch", "j=d/f-e+1=2 fails Ore's condition 4 <= j <= 8"),
+            ("2.4.5.2", "mismatch", "j=d/f-e+1=2 fails Ore's condition: no Eisenstein polynomial has different exponent d/f"),
             ("3.3.3.1", "mismatch", "aut=2 does not divide n=3"),
         ]
 
@@ -353,6 +422,15 @@ class TestFixtures:
             if crossvalidate_fixtures([fix])[0][1] == "uncheckable (wild)":
                 passed.add(d)
         assert passed == allowed
+
+    def test_wild_record_degree_capped_before_any_work(self, monkeypatch):
+        # j = v_2(e) e = 27 * 2^27 meets Ore's condition; its stratum weight would count to j.
+        monkeypatch.setattr(localfields, "_stratum_weight", None)
+        e = 2**27
+        fix = FieldFixture(p=2, n=e, e=e, f=1, disc_exponent=e - 1 + 27 * e, aut_order=1, label="huge")
+        with pytest.raises(BudgetExceededError) as refused:
+            crossvalidate_fixtures([fix])
+        assert (refused.value.required, refused.value.budget) == (e, localfields.COUNT_DEGREE_BUDGET)
 
     def test_impossible_aut_mismatch(self):
         fix = FieldFixture(p=5, n=2, e=2, f=1, disc_exponent=1, aut_order=3, label="bogus")

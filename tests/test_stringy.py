@@ -183,6 +183,13 @@ class TestValidationAndJson:
         assert VerticalComponent("-3/4", {}).a == Fraction(-3, 4)
         assert SncLogPairData(["1.5e-1", [1, 3]], []).horizontal == (Fraction(3, 20), Fraction(1, 3))
 
+    def test_string_of_rationals_refused(self):
+        # The characters were read one by one: horizontal (1, 2), and "05" as c = 0 and c = 5, Infinite.
+        for call, name in ((lambda: SncLogPairData("12", []), "horizontal"),
+                           (lambda: stringy_point_contribution(0, "05"), "cs")):
+            with pytest.raises(ValueError, match=f"^{name} must be a sequence of rationals, got the string"):
+                call()
+
     def test_total_consistency(self):
         with pytest.raises(ValueError):
             SncLogPairData([], [VerticalComponent(0, {frozenset(): 3})], declared_total=4)
