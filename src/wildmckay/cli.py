@@ -31,7 +31,6 @@ from .numutil import (
     SmoothnessError,
     check_exact_digits,
     decimal_digits,
-    format_rational,
     is_prime,
     parse_integer,
     parse_rational,
@@ -75,18 +74,19 @@ def _eval_payload(value, q0: Fraction) -> object:
     if value.num.exponent_denominator() == 1 and value.den.exponent_denominator() == 1:
         exact = value.evaluate(q0)
         check_exact_digits(exact, "evaluation", "digits in the exact value at q")
-        return {"q": format_rational(q0), "exact": format_rational(exact)}
+        return {"q": str(q0), "exact": str(exact)}
     approx = value.evaluate(q0)
     return {
-        "q": format_rational(q0),
+        "q": str(q0),
         "approx": _decimal_text(approx),
-        "precision": format_rational(DEFAULT_PRECISION),
+        "precision": str(DEFAULT_PRECISION),
     }
 
 
 def _decimal_text(value: Fraction, digits: int = 15) -> str:
     """value rounded half-even to digits significant digits in integer arithmetic, and written as
-    f"{x:.{digits}g}" writes a float x: positional from 10^-4 to 10^digits, trailing zeros dropped."""
+    f"{x:.{digits}g}" writes a float x: positional from 10^-4 to 10^digits, trailing zeros dropped.
+    Kept because Fraction has no __format__ before Python 3.12, where format(value, ".15g") agrees."""
     if not value:
         return "0"
     size = abs(value)
@@ -339,8 +339,8 @@ def _cmd_etale_mass(args):
     report = {
         "p": args.p,
         "n": args.n,
-        "mass": format_rational(mass),
-        "partition_formula_at_p": format_rational(expected),
+        "mass": str(mass),
+        "partition_formula_at_p": str(expected),
         "match": match,
     }
     return (EXIT_OK if match else EXIT_VERIFICATION_FAILED), report, None
@@ -367,8 +367,8 @@ def _cmd_mckay_verify(args):
     report = {
         "p": args.p,
         "n": args.n,
-        "mass_side": format_rational(result.mass_side),
-        "hilb_side": format_rational(result.hilb_side),
+        "mass_side": str(result.mass_side),
+        "hilb_side": str(result.hilb_side),
         "passed": result.passed,
     }
     return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (mckay.ROW_COLUMNS, result.rows)
@@ -389,8 +389,8 @@ def _cmd_stringy_point(args):
     value = stringy.stringy_point_contribution(args.a, args.c)
     evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
     report = {
-        "a": format_rational(args.a),
-        "c": [format_rational(c) for c in args.c],
+        "a": str(args.a),
+        "c": [str(c) for c in args.c],
         "value": _expr_payload(value),
     }
     if evaluated is not None:
@@ -409,7 +409,7 @@ def _cmd_padic_count(args):
         "d": system.dim,
         "m": args.m,
         "count": result.count,
-        "normalized": format_rational(result.normalized),
+        "normalized": str(result.normalized),
     }
     return EXIT_OK, report, None
 
@@ -423,8 +423,8 @@ def _cmd_padic_measure(args):
         "d": system.dim,
         "m_max": args.mmax,
         "counts": result.counts,
-        "residue_points": result.residue_point_count,
-        "measure": format_rational(result.measure),
+        "residue_points": result.counts[0],
+        "measure": str(result.measure),
     }
     return EXIT_OK, report, None
 
@@ -434,7 +434,7 @@ def _cmd_padic_integral(args):
     # evaluated (or refused) before the closed form is rendered
     at_p = {} if qexpr.is_infinite(exact) else {"exact_at_p": _eval_payload(exact, Fraction(args.p))}
     report = {
-        "c": format_rational(args.c),
+        "c": str(args.c),
         "p": args.p,
         "terms": args.terms,
         "partial": _decimal_text(partial),
@@ -453,7 +453,7 @@ def _cmd_padic_nullset(args):
         "p": system.p,
         "n": system.num_vars,
         "m": args.m,
-        "fraction": format_rational(fraction),
+        "fraction": str(fraction),
         "fraction_approx": _decimal_text(fraction, 6),
     }
     return EXIT_OK, report, None

@@ -13,7 +13,7 @@ __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
     "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors",
     "exact_int", "short_repr", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
-    "read_json", "json_object", "json_array", "parse_integer", "parse_rational", "format_rational",
+    "read_json", "json_object", "json_array", "parse_integer", "parse_rational",
 ]
 
 # Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
@@ -254,10 +254,3 @@ def parse_rational(value, what: str = "a rational") -> Fraction:
         raise ValueError(f"zero denominator in {short_repr(value)}") from None
     check_exact_digits(rational, "input", unit)
     return rational
-
-
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

@@ -296,9 +296,6 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
     yield found
     groups, step = [group for _, group in groups.values() if group], 1
     for k in range(1, m):
-        if not groups and not any(free):
-            yield from repeat(0, m - k)
-            return
         step *= p
         free = [c * p**b for b, c in enumerate(free)]  # each point of such a group has p^b lifts
         size, lifts, end = sum(free), [], 0
@@ -366,10 +363,6 @@ def null_set_fraction(system: PolySystem, m: int) -> Fraction:
 
 class SmoothMeasureReport(namedtuple("SmoothMeasureReport", "p dim m_max counts measure")):
     __slots__ = ()
-
-    @property
-    def residue_point_count(self) -> int:
-        return self.counts[0]
 
 
 def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:

@@ -54,7 +54,8 @@ class InfiniteType:
     """Distinguished infinite value.
 
     Divergent p-adic integrals and stringy point counts are a legitimate
-    outcome, not an error, so they get a first-class singleton value.
+    outcome, not an error, so they get a first-class singleton value:
+    ``INFINITE`` is its one instance, and a copy or unpickled value is it.
     """
 
     _instance = None
@@ -105,6 +106,20 @@ def _row(pairs: Sequence[tuple[int, int]], low: int) -> list[int]:
 def _check_span(size: int, engine: str = "fraction") -> None:
     if size > DENSE_DEGREE_BUDGET:
         raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, engine, unit="t-degrees")
+
+
+class _Frozen:
+    """Base of the immutable value types, whose slots are set once, through object.__setattr__.
+    copy and pickle hand such an object its state as (None, {slot: value})."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +222,7 @@ def _part_value(x: "QExpr", q0: Fraction, tol: Fraction) -> Fraction:
     return Fraction(total * top, bottom << s)
 
 
-class QExpr:
+class QExpr(_Frozen):
     """Exact Laurent expression in q with rational exponents.
 
     Canonical form: r >= 1 and integer exponents over t = q^(1/r) with gcd(r, *exponents) == 1,
@@ -228,9 +243,6 @@ class QExpr:
             e = e.numerator * (r // e.denominator)
             acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
         return _make(acc.items(), den, r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QExpr is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -290,8 +302,6 @@ class QExpr:
         return NotImplemented if lhs is None else _sum_over([(lhs, 1), (self, -1)])
 
     def __mul__(self, other: object) -> "QExpr":
-        if isinstance(other, (int, Fraction)):
-            return _make([(e, n * other.numerator) for e, n in self._nums], self._den * other.denominator, self._r)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -374,7 +384,7 @@ class QExpr:
 # ---------------------------------------------------------------------------
 
 
-class QFrac:
+class QFrac(_Frozen):
     """Value of a quotient of two QExpr, in canonical reduced form.
 
     A value type: built, compared, hashed, evaluated and printed,
@@ -388,38 +398,25 @@ class QFrac:
     cyclotomic builder ``_cyclotomic_qfrac``.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("num", "den")
 
     def __init__(self, value: object):
         num = QExpr._coerce(value)
         if num is None:
             raise TypeError(f"cannot build a q-expression from {type(value).__name__}")
         n, d = _canonical_pair(num, QExpr.one())
-        object.__setattr__(self, "_num", n)
-        object.__setattr__(self, "_den", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QFrac is immutable")
-
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def num(self) -> QExpr:
-        return self._num
-
-    @property
-    def den(self) -> QExpr:
-        return self._den
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
 
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QFrac):
-            return self._num == other._num and self._den == other._den
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash((self.num, self.den))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -432,7 +429,7 @@ class QFrac:
         digits plus the coefficients'."""
         q0 = Fraction(q0)
         top = min(10**15, max(max(part._r, max((abs(e // part._r) for e, _ in part._nums), default=0))
-                              for part in (self._num, self._den)))
+                              for part in (self.num, self.den)))
         if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
             raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
 
@@ -446,10 +443,10 @@ class QFrac:
             raise ValueError("evaluation point must be positive")
         inner, aim = DEFAULT_PRECISION / 4, None
         for _ in range(64):
-            num_v, den_v = _part_value(self._num, q0, inner), _part_value(self._den, q0, inner)
-            num_err, den_err = [0 if part._r == 1 else inner for part in (self._num, self._den)]
+            num_v, den_v = _part_value(self.num, q0, inner), _part_value(self.den, q0, inner)
+            num_err, den_err = [0 if part._r == 1 else inner for part in (self.num, self.den)]
             if not den_err and den_v == 0:
-                raise PoleError(f"denominator {self._den} vanishes at q={q0}")
+                raise PoleError(f"denominator {self.den} vanishes at q={q0}")
             if abs(den_v) > 2 * den_err:
                 quotient = num_v / den_v
                 if not (num_err or den_err):
@@ -460,7 +457,7 @@ class QFrac:
                 # that bound is near inner (1 + |quotient|) / |den_v|, so a large quotient needs more at once
                 inner = min(inner, aim * (abs(den_v) - den_err) / (2 + 2 * abs(quotient)))
             inner /= 16
-        raise PoleError(f"denominator {self._den} vanishes (or nearly) at q={q0}")
+        raise PoleError(f"denominator {self.den} vanishes (or nearly) at q={q0}")
 
     # -- display ----------------------------------------------------------------
 
@@ -468,13 +465,13 @@ class QFrac:
         return f"QFrac({self})"
 
     def __str__(self) -> str:
-        if self._den == QExpr.one():
-            return str(self._num)
-        num = str(self._num)
-        den = str(self._den)
-        if len(self._num._nums) > 1:
+        if self.den == QExpr.one():
+            return str(self.num)
+        num = str(self.num)
+        den = str(self.den)
+        if len(self.num._nums) > 1:
             num = f"({num})"
-        if len(self._den._nums) > 1:
+        if len(self.den._nums) > 1:
             den = f"({den})"
         return f"{num} / {den}"
 
@@ -516,7 +513,7 @@ def _cyclotomic_qfrac(a: list[int], ks: list[int], shift: int, r: int) -> QFrac:
     lead = b[-1]
     sign = 1 if lead > 0 else -1
     value = object.__new__(QFrac)
-    for name, row, low in (("_num", a, max(shift, 0)), ("_den", b, max(-shift, 0))):
+    for name, row, low in (("num", a, max(shift, 0)), ("den", b, max(-shift, 0))):
         object.__setattr__(value, name, _make([(i, c * sign) for i, c in enumerate(row, low)], lead * sign, r))
     return value
 

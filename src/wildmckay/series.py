@@ -20,7 +20,7 @@ import math
 from typing import Iterable
 
 from .numutil import slot_bias, unpack_slots
-from .qexpr import QExpr, _check_span, _make, _pairs_over, _row
+from .qexpr import QExpr, _check_span, _Frozen, _make, _pairs_over, _row
 
 __all__ = ["TruncatedSeries", "ConstantTermError"]
 
@@ -112,43 +112,36 @@ def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
     return _make([(i * g, n) for i, n in enumerate(row.nums, row.low)], row.den, r)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Power series known exactly through degree ``truncation``, its number of coefficients less one."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coefficients",)
 
     def __init__(self, coeffs: Iterable[object]):
         cs = tuple(_coefficient(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the degree-0 coefficient")
-        object.__setattr__(self, "_coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        object.__setattr__(self, "coefficients", cs)
 
     # -- inspection ------------------------------------------------------------
 
     @property
     def truncation(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[QExpr, ...]:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> QExpr:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
-        return self._coeffs[n]
+        return self.coefficients[n]
 
     # -- exp / log ------------------------------------------------------------------
 
     def exp(self) -> "TruncatedSeries":
         """Formal exponential; requires constant coefficient 0."""
-        if not self._coeffs[0].is_zero:
+        if not self.coefficients[0].is_zero:
             raise ConstantTermError("exp needs a series with zero constant term")
         n = self.truncation
-        step, s = _rows(self._coeffs, n)
+        step, s = _rows(self.coefficients, n)
         ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
         e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
@@ -157,10 +150,10 @@ class TruncatedSeries:
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient 1."""
-        if self._coeffs[0] != 1:
+        if self.coefficients[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
         n = self.truncation
-        step, s = _rows(self._coeffs, n)
+        step, s = _rows(self.coefficients, n)
         kl: list[_Row | None] = [None] * (n + 1)  # k l_k
         for m in range(1, n + 1):
             terms = [(-1, kl[k], s[m - k]) for k in range(1, m) if kl[k] and s[m - k]]
@@ -174,13 +167,13 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.coefficients == other.coefficients
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coefficients)
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:5])
+        shown = ", ".join(str(c) for c in self.coefficients[:5])
         if self.truncation >= 5:
             shown += ", ..."
         return f"TruncatedSeries[N={self.truncation}]({shown})"

@@ -92,8 +92,8 @@ def reference_qfrac(num: QExpr, den: QExpr) -> QFrac:
     own pair: a value for a denominator that no kernel builder takes, such as q - 5."""
     value = object.__new__(QFrac)
     value_num, value_den = reference_canonical_pair(num, den)
-    object.__setattr__(value, "_num", value_num)
-    object.__setattr__(value, "_den", value_den)
+    object.__setattr__(value, "num", value_num)
+    object.__setattr__(value, "den", value_den)
     return value
 
 

@@ -365,6 +365,8 @@ class TestDecimalText:
         for value in values:
             for digits in (15, 6):
                 assert cli._decimal_text(value, digits) == decimal_oracle(value, digits), (value, digits)
+                if sys.version_info >= (3, 12):  # Fraction.__format__, the standard library's own rounding
+                    assert cli._decimal_text(value, digits) == format(value, f".{digits}g"), (value, digits)
         # a float prints the exact value of its binary fraction in the same style
         for x in (1e-5, 0.0001, 123456789012345.0, 1234567890123456.0, 2.5e-300, -1.7976931348623157e308):
             assert cli._decimal_text(Fraction(x)) == decimal_oracle(Fraction(x), 15) == f"{x:.15g}"
@@ -965,6 +967,12 @@ class TestReports:
         err = capsys.readouterr().err
         assert (code, out) == (2, "")
         assert err.startswith("usage: ") and "unrecognized arguments: --fixtures" in err
+
+    def test_rationals_print_as_str_prints_them(self):
+        # a negative value out of lowest terms, and an integral one, which prints without "/1"
+        code, out = run(["stringy", "point", "--a=-6/14", "--c=4/2", "--format", "json"])
+        report = json.loads(out)
+        assert (code, report["a"], report["c"]) == (0, "-3/7", ["2"])
 
     def test_etale_mass_exact_match(self):
         code, out = run(["etale", "mass", "--p", "7", "--n", "3", "--format", "json"])

@@ -7,7 +7,7 @@ import pytest
 
 from wildmckay.numutil import (
     EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_exact_digits, decimal_digits, divisors,
-    exact_int, format_rational, is_prime, json_array, json_object, parse_rational, read_json,
+    exact_int, is_prime, json_array, json_object, parse_rational, read_json,
 )
 
 
@@ -154,11 +154,6 @@ def test_read_json(tmp_path):
     start = time.perf_counter()
     assert read_json(path) == [int("7" * 4000)] * 50
     assert time.perf_counter() - start < 0.5
-
-
-def test_format_rational():
-    assert format_rational(Fraction(4, 2)) == "2"
-    assert format_rational(Fraction(-3, 7)) == "-3/7"
 
 
 def test_decimal_digits_match_the_printed_length():

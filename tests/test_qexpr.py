@@ -1,7 +1,9 @@
 """Tests for the exact q-arithmetic kernel."""
 
+import copy
 import math
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -20,6 +22,7 @@ from wildmckay.qexpr import (
     _int_nth_root,
     is_infinite,
 )
+from wildmckay.stringy import stringy_point_contribution
 
 
 def sqrt_oracle(n: int, digits: int) -> Fraction:
@@ -398,6 +401,41 @@ class TestValueType:
             assert (frac.num, frac.den) == reference_canonical_pair(num, QExpr.one())
         # Every QExpr, the constructor's included, is _make's canonical value.
         assert "__init__" not in vars(QExpr) and type(QExpr({Fraction(2, 4): 3})) is QExpr
+
+
+# The three ways a value is copied: copy and pickle both hand it its state through __setstate__.
+ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+
+
+def assert_round_trips(value):
+    for round_trip in ROUND_TRIPS:
+        other = round_trip(value)
+        assert type(other) is type(value)
+        assert (other, hash(other), str(other)) == (value, hash(value), str(value))
+
+
+class TestFrozen:
+    """The value types share one immutability guard, which copy and pickle get past."""
+
+    def test_values_copy_and_pickle(self):
+        q = QExpr.q()
+        values = [3 * QExpr.q(2) - q + Fraction(1, 2), QExpr({Fraction(-1, 3): 2, Fraction(5, 2): Fraction(-7, 4)}),
+                  QFrac(QExpr.q(-2) + Fraction(2, 3) * q), stringy_point_contribution(0, ["1/2", "-1/3"])]
+        assert isinstance(values[-1], QFrac) and values[-1].den != QExpr.one()
+        for value in values:
+            assert_round_trips(value)
+
+    def test_infinite_stays_the_one_instance(self):
+        for round_trip in ROUND_TRIPS:
+            assert round_trip(INFINITE) is INFINITE
+
+    def test_assignment_is_refused(self):
+        frac = q_over_q_plus_one()
+        for value, name in ((frac, "num"), (frac, "den"), (frac.num, "_nums")):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                setattr(value, name, QExpr.one())
+        assert frac == q_over_q_plus_one() and frac.num == QExpr.q()
+        assert "__setattr__" not in vars(QExpr) and "__setattr__" not in vars(QFrac)
 
 
 class TestNoRepeatedCanonicalization:

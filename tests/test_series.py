@@ -1,5 +1,7 @@
 """Tests for truncated power series, exp and log."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -166,6 +168,21 @@ def seeded_coefficient(rng: random.Random, bits: int) -> QExpr:
 
 def seeded_series(rng: random.Random, truncation: int, bits: int, constant: int) -> TruncatedSeries:
     return TruncatedSeries([constant] + [seeded_coefficient(rng, bits) for _ in range(truncation)])
+
+
+class TestFrozen:
+    def test_series_copies_and_pickles(self):
+        s = massformulas.mass_series_via_exp(5)
+        for round_trip in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+            other = round_trip(s)
+            assert type(other) is TruncatedSeries
+            assert (other, hash(other), str(other)) == (s, hash(s), str(s))
+
+    def test_assignment_is_refused(self):
+        s = series(0, 1, truncation=3)
+        with pytest.raises(AttributeError, match="^TruncatedSeries is immutable$"):
+            s.coefficients = (QExpr.one(),)
+        assert s == series(0, 1, truncation=3) and "__setattr__" not in vars(TruncatedSeries)
 
 
 class TestAgainstTheRecurrences:

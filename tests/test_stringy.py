@@ -511,8 +511,8 @@ class TestCyclotomicReduction:
         q = QExpr.q()
         num, den = q * (q - 1), (q + 1) * (q - 1)
         value, unreduced = reference_qfrac(num, den), object.__new__(QFrac)
-        object.__setattr__(unreduced, "_num", num)
-        object.__setattr__(unreduced, "_den", den)
+        object.__setattr__(unreduced, "num", num)
+        object.__setattr__(unreduced, "den", den)
         for common in (None, 1):
             assert_canonical(value, num, den, common)
             with pytest.raises(AssertionError):
