@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import _lazy_module
-from .numutil import (BudgetExceededError, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
+from .numutil import (check_budget, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
                       read_json, short_repr)
 
 series = _lazy_module("series")  # algebra_mass_sum alone runs it, so that the listings never do
@@ -102,8 +102,7 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
 def _check_degree(n: int) -> None:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n > COUNT_DEGREE_BUDGET:
-        raise BudgetExceededError(n, COUNT_DEGREE_BUDGET, "count", unit="degrees")
+    check_budget(n, COUNT_DEGREE_BUDGET, "count", "degrees")
 
 
 def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
@@ -203,8 +202,7 @@ def enumerate_tame_etale_algebras(p: int, n: int) -> list[tuple[tuple, int, int,
     BudgetExceededError before any listing when there are more than ALGEBRAS_BUDGET."""
     _require_complete(p, n)
     by_degree = _tame_classes_by_degree(p, n)
-    if (count := _algebra_count(by_degree)) > ALGEBRAS_BUDGET:
-        raise BudgetExceededError(count, ALGEBRAS_BUDGET, "algebras", unit="algebras listed")
+    check_budget(_algebra_count(by_degree), ALGEBRAS_BUDGET, "algebras", "algebras listed")
     return _tame_algebras(by_degree)
 
 
@@ -253,9 +251,10 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
     EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
     sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
     _require_complete(p, n)
-    if n > MASS_DEGREE_BUDGET:
-        raise BudgetExceededError(n, MASS_DEGREE_BUDGET, "mass", unit="degrees")
+    check_budget(n, MASS_DEGREE_BUDGET, "mass", "degrees")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
     weights = [0] + [sum(_stratum_weight(p, f, k // f, j) * p ** (k - f * (k // f - 1 + j))
                          for f in divisors(k) for j in range(_valuation(k // f, p) * (k // f) + 1))

@@ -22,7 +22,7 @@ independently enumerated algebra masses.
 
 from __future__ import annotations
 
-from .numutil import BudgetExceededError, divisors
+from .numutil import check_budget, divisors
 from .partitions import partition_row
 from .qexpr import QExpr, _make, _sum_over
 from .series import TruncatedSeries
@@ -46,11 +46,6 @@ NMAX_BUDGET = 100
 BHARGAVA_DEGREE_BUDGET = 4000
 
 
-def _check_degree(n_max: int) -> None:
-    if n_max > NMAX_BUDGET:
-        raise BudgetExceededError(n_max, NMAX_BUDGET, "series", unit="degrees")
-
-
 def serre_mass(n: int, f: int = 1) -> QExpr:
     """Totally ramified mass q_f^(1-n) over the unramified extension of
     degree f, i.e. q^(f(1-n))."""
@@ -64,8 +59,7 @@ def bhargava_mass(n: int) -> QExpr:
     work, past BHARGAVA_DEGREE_BUDGET."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > BHARGAVA_DEGREE_BUDGET:
-        raise BudgetExceededError(n, BHARGAVA_DEGREE_BUDGET, "partition", unit="degrees")
+    check_budget(n, BHARGAVA_DEGREE_BUDGET, "partition", "degrees")
     row = partition_row(n)
     return _make([(-i, row[n - i]) for i in range(n)])
 
@@ -83,7 +77,7 @@ def mass_series_via_exp(n_max: int) -> TruncatedSeries:
     ramified masses over the K_f.  BudgetExceededError, before any work, past NMAX_BUDGET."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    _check_degree(n_max)
+    check_budget(n_max, NMAX_BUDGET, "series", "degrees")
     return _inner_exponent_series(n_max).exp()
 
 
@@ -100,7 +94,7 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
     the cases of one log per f, whose f = 1 log was the largest (at truncation 0 it took none).
     """
     n_max = M_series.truncation
-    _check_degree(n_max)
+    check_budget(n_max, NMAX_BUDGET, "series", "degrees")
     log_M = M_series.log()
     N: dict[tuple[int, int], QExpr] = {}
     for m in range(1, n_max + 1):

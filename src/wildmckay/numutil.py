@@ -12,7 +12,7 @@ from fractions import Fraction
 __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
     "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors",
-    "exact_int", "short_repr", "decimal_digits", "check_exact_digits", "slot_bias", "unpack_slots",
+    "exact_int", "short_repr", "decimal_digits", "check_budget", "check_exact_digits", "slot_bias", "unpack_slots",
     "read_json", "json_object", "json_array", "parse_integer", "parse_rational",
 ]
 
@@ -35,7 +35,7 @@ class BudgetExceededError(RuntimeError):
     shell) for "integral", digits of the mass at p for "mass", digits of a power of q (counted
     before any evaluation) and of the exact value at q for "evaluation", digits of a parsed
     rational (an option or a value in a JSON file) or JSON integer for "input", and digits of a
-    printed exponent or coefficient of a q-expression for "output"."""
+    printed exponent or coefficient of a q-expression for "output".  Raised only by check_budget."""
 
     def __init__(self, required: int, budget: int, engine: str, level: int | None = None,
                  unit: str = "points evaluated"):
@@ -102,13 +102,18 @@ def decimal_digits(n: int) -> int:
     return digits
 
 
+def check_budget(required: int, budget: int, engine: str, unit: str, level: int | None = None) -> None:
+    """BudgetExceededError(required, budget, engine, level, unit) when required > budget."""
+    if required > budget:
+        raise BudgetExceededError(required, budget, engine, level, unit)
+
+
 def check_exact_digits(value: int | Fraction, engine: str, unit: str) -> None:
     """BudgetExceededError when the numerator or the denominator of value has more than
     EXACT_DIGITS_BUDGET decimal digits, so that it could not be printed."""
     value = Fraction(value)
     digits = max(decimal_digits(value.numerator), decimal_digits(value.denominator))
-    if digits > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, engine, unit=unit)
+    check_budget(digits, EXACT_DIGITS_BUDGET, engine, unit)
 
 
 def slot_bias(half: int, size: int, count: int) -> int:
@@ -197,8 +202,7 @@ def _int(text: str, unit: str) -> int:
     """int(text) for a signed digit string, its leading zeros dropped first; a string of more
     than EXACT_DIGITS_BUDGET digits is refused by its count, before int() reads it."""
     digits = text.lstrip("+-0_")
-    if (count := len(digits) - digits.count("_")) > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(count, EXACT_DIGITS_BUDGET, "input", unit=unit)
+    check_budget(len(digits) - digits.count("_"), EXACT_DIGITS_BUDGET, "input", unit)
     return -int(digits or "0") if text[:1] == "-" else int(digits or "0")
 
 
@@ -214,8 +218,7 @@ def _decimal(sign: str, whole: str, fraction: str, exponent: str, unit: str) -> 
     top = min(max(-shift, 0), n.bit_length())
     small, shift = Fraction(n, 10**top), shift + top
     digits = max(decimal_digits(small.numerator) + max(shift, 0), decimal_digits(small.denominator) - min(shift, 0))
-    if digits > EXACT_DIGITS_BUDGET:
-        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "input", unit=unit)
+    check_budget(digits, EXACT_DIGITS_BUDGET, "input", unit)
     return small * Fraction(10) ** shift
 
 

@@ -39,6 +39,7 @@ from .numutil import (
     BudgetExceededError,
     HenselMismatchError,
     SmoothnessError,
+    check_budget,
     exact_int,
     is_prime,
     json_object,
@@ -261,12 +262,10 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
     """
     p, n = system.p, system.num_vars
     degree = max([sum(exps) for poly in system.polys for exps, _ in poly] + [1])
-    if (digits := math.floor(m * degree * math.log10(p)) + 1) > EXACT_DIGITS_BUDGET:
-        power = "p^m" if degree == 1 else f"p^({degree}m)"
-        raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "lifting", unit=f"digits in {power}")
+    power = "p^m" if degree == 1 else f"p^({degree}m)"
+    check_budget(math.floor(m * degree * math.log10(p)) + 1, EXACT_DIGITS_BUDGET, "lifting", f"digits in {power}")
     evaluated = p**n
-    if evaluated > POINTS_BUDGET:
-        raise BudgetExceededError(evaluated, POINTS_BUDGET, "box", 1)
+    check_budget(evaluated, POINTS_BUDGET, "box", "points evaluated", 1)
     polys = _compiled(system.polys)
     derivatives = sum(_jacobian_polys(system), [])
     # J mod p, row by row -> (rank, None) if constraint-free, else (rank, (columns, constraints,
@@ -318,8 +317,7 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
             yield size
             return
         evaluated += size
-        if evaluated > POINTS_BUDGET:
-            raise BudgetExceededError(evaluated, POINTS_BUDGET, "lifting", k + 1)
+        check_budget(evaluated, POINTS_BUDGET, "lifting", "points evaluated", k + 1)
         groups = []
         while lifts:  # popped, so that each parent group is freed once its children are listed
             columns, rhs, constraints, pivots, basis = lifts.pop()
@@ -408,10 +406,8 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     c = parse_rational(c)
     first_shell = max(1, abs((c - 1).numerator)) * p.bit_length()
     shell_bits, largest = terms * (terms + 1) // 2 * first_shell, terms * first_shell
-    if shell_bits > INTEGRAL_BUDGET:
-        raise BudgetExceededError(shell_bits, INTEGRAL_BUDGET, "integral", unit="shell bits")
-    if largest > LARGEST_SHELL_BUDGET:
-        raise BudgetExceededError(largest, LARGEST_SHELL_BUDGET, "integral", unit="bits in the largest shell")
+    check_budget(shell_bits, INTEGRAL_BUDGET, "integral", "shell bits")
+    check_budget(largest, LARGEST_SHELL_BUDGET, "integral", "bits in the largest shell")
     # one q-expression, so that a fractional c takes one root of p for all its shells
     shells = qexpr.QExpr([(i * (c - 1), 1) for i in range(1, terms + 1)]) * (1 - qexpr.QExpr.q(-1))
     partial = shells.evaluate(p)

@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import DEFAULT_PRECISION, EXACT_DIGITS_BUDGET, BudgetExceededError, PoleError, divisors, is_prime
+from .numutil import DEFAULT_PRECISION, EXACT_DIGITS_BUDGET, PoleError, check_budget, divisors, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -104,8 +104,7 @@ def _row(pairs: Sequence[tuple[int, int]], low: int) -> list[int]:
 
 
 def _check_span(size: int, engine: str = "fraction") -> None:
-    if size > DENSE_DEGREE_BUDGET:
-        raise BudgetExceededError(size, DENSE_DEGREE_BUDGET, engine, unit="t-degrees")
+    check_budget(size, DENSE_DEGREE_BUDGET, engine, "t-degrees")
 
 
 class _Frozen:
@@ -114,8 +113,10 @@ class _Frozen:
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __setstate__(self, state):
         for name, value in state[1].items():
@@ -427,18 +428,18 @@ class QFrac(_Frozen):
         powers q0^i, and q0^r for the r powers of the root q0^(1/r), each of at least log2 q0 bits.
         For r = 1 it bounds the exact Horner pass too: its integers have at most about twice those
         digits plus the coefficients'."""
-        q0 = Fraction(q0)
+        q0 = _as_fraction(q0)
         top = min(10**15, max(max(part._r, max((abs(e // part._r) for e, _ in part._nums), default=0))
                               for part in (self.num, self.den)))
-        if (digits := math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1) > EXACT_DIGITS_BUDGET:
-            raise BudgetExceededError(digits, EXACT_DIGITS_BUDGET, "evaluation", unit="digits in a power of q")
+        digits = math.floor(top * math.log10(max(q0.numerator, q0.denominator))) + 1
+        check_budget(digits, EXACT_DIGITS_BUDGET, "evaluation", "digits in a power of q")
 
     def evaluate(self, q0: Rational) -> Fraction:
         """Substitute q := q0 (> 0); PoleError at a zero of the denominator.  Exact when both parts
         have integer exponents; otherwise each part is evaluated within an inner precision that
         shrinks until the quotient is known within DEFAULT_PRECISION, and within 10^-20 of the
         first estimate's size, so that 15 significant digits of it are the value's."""
-        q0 = Fraction(q0)
+        q0 = _as_fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
         inner, aim = DEFAULT_PRECISION / 4, None

@@ -28,7 +28,7 @@ from wildmckay.localfields import (
 )
 from wildmckay.massformulas import bhargava_mass
 from wildmckay.mckay import ROW_COLUMNS, verify_wild_mckay
-from wildmckay.numutil import BudgetExceededError
+from wildmckay.numutil import PRIME_TEST_LIMIT, BudgetExceededError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "sample_fixtures.json"
 
@@ -167,6 +167,14 @@ class TestEtaleAlgebras:
         assert algebra_mass_sum(7, 3) == Fraction(57, 49)
         # hand-audited: d=0 terms sum to 1, d=1 to 1/5, d=2 to 2/25, d=3 to 1/125
         assert algebra_mass_sum(5, 4) == Fraction(161, 125)
+
+    def test_mass_sum_refuses_a_p_that_is_not_prime(self):
+        # The mass stopped listing classes, which checked p: (4, 3) gave 21/16, (9, 2) 10/9, (6, 5) 1597/1296
+        for p, n in ((4, 3), (9, 2), (6, 5), (1, 1), (4, 5)):
+            with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
+                algebra_mass_sum(p, n)
+        with pytest.raises(ValueError, match="^cannot decide whether"):
+            algebra_mass_sum(PRIME_TEST_LIMIT, 2)
 
     def test_partial_enumeration_guard(self):
         assert not tame_enumeration_is_complete(3, 4)

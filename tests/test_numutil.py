@@ -1,12 +1,15 @@
 """Tests for the shared integer/rational helpers."""
 
+import ast
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wildmckay import numutil
 from wildmckay.numutil import (
-    EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_exact_digits, decimal_digits, divisors,
+    EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_budget, check_exact_digits, decimal_digits, divisors,
     exact_int, is_prime, json_array, json_object, parse_rational, read_json,
 )
 
@@ -169,3 +172,25 @@ def test_check_exact_digits_admits_what_prints():
     for value in (10**4300, Fraction(3, 10**4300), Fraction(-(10**4300), 7)):
         with pytest.raises(BudgetExceededError, match=f"need 4301 digits, budget {EXACT_DIGITS_BUDGET}"):
             check_exact_digits(value, "evaluation", "digits")
+
+
+def test_check_budget_refuses_only_past_the_budget():
+    check_budget(7, 7, "box", "points evaluated", 1)
+    with pytest.raises(BudgetExceededError, match="^lifting budget exceeded at level 3: need 8 points evaluated, budget 7$") as caught:
+        check_budget(8, 7, "lifting", "points evaluated", 3)
+    assert (caught.value.required, caught.value.budget) == (8, 7)
+    with pytest.raises(BudgetExceededError, match="^series budget exceeded: need 101 degrees, budget 100$"):
+        check_budget(101, 100, "series", "degrees")
+
+
+def budget_error_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceededError"]
+
+
+def test_only_check_budget_builds_the_budget_error():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(numutil.__file__).parent.glob("*.py")}
+    calls = {name: len(budget_error_calls(tree)) for name, tree in trees.items()}
+    check = next(node for node in trees["numutil.py"].body if getattr(node, "name", None) == "check_budget")
+    assert {name: count for name, count in calls.items() if count} == {"numutil.py": 1}
+    assert len(budget_error_calls(check)) == 1

@@ -6,6 +6,7 @@ import operator
 import pickle
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -104,6 +105,15 @@ class TestEvaluate:
         expr = QExpr.q(Fraction(1, 2)) + 1
         target = sqrt_oracle(5, 40) + 1
         assert within_the_precision(expr.evaluate(5), target, Fraction(1, 10**40))
+
+    def test_only_an_exact_point_is_read(self):
+        # Fraction(q0) read 0.1 as 3602879701896397/36028797018963968, and "5" and Decimal("0.1") silently
+        frac = _cyclotomic_qfrac([1], [1], 0, 1)
+        for q0 in (0.1, "5", Decimal("0.1")):
+            for evaluate in (QExpr.q().evaluate, frac.evaluate, frac.check_powers):
+                with pytest.raises(TypeError, match=f"^expected an exact rational, got {type(q0).__name__}$"):
+                    evaluate(q0)
+        assert QExpr.q().evaluate(Fraction(1, 10)) == Fraction(1, 10) and frac.evaluate(5) == Fraction(1, 4)
 
     def test_pole_error(self):
         frac = _cyclotomic_qfrac([1], [1], 0, 1)  # 1 / (q - 1)
@@ -436,6 +446,16 @@ class TestFrozen:
                 setattr(value, name, QExpr.one())
         assert frac == q_over_q_plus_one() and frac.num == QExpr.q()
         assert "__setattr__" not in vars(QExpr) and "__setattr__" not in vars(QFrac)
+
+    def test_deletion_is_refused(self):
+        # del went through object.__delattr__ and emptied the slot; str() and hash() then raised
+        frac, expr = q_over_q_plus_one(), QExpr.q() + 1
+        for value, name in ((frac, "num"), (frac, "den"), (expr, "_nums"), (frac.num, "_r")):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                delattr(value, name)
+        assert frac == q_over_q_plus_one() and expr == QExpr.q() + 1
+        assert_round_trips(frac)
+        assert_round_trips(expr)
 
 
 class TestNoRepeatedCanonicalization:

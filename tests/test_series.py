@@ -184,6 +184,13 @@ class TestFrozen:
             s.coefficients = (QExpr.one(),)
         assert s == series(0, 1, truncation=3) and "__setattr__" not in vars(TruncatedSeries)
 
+    def test_deletion_is_refused(self):
+        s = massformulas.mass_series_via_exp(3)
+        with pytest.raises(AttributeError, match="^TruncatedSeries is immutable$"):
+            del s.coefficients
+        assert s == massformulas.mass_series_via_exp(3) and str(s) == str(copy.deepcopy(s))
+        assert pickle.loads(pickle.dumps(s)) == s
+
 
 class TestAgainstTheRecurrences:
     """The packed-row kernel against the QExpr recurrences it replaced."""
