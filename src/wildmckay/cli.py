@@ -308,7 +308,7 @@ def _cmd_mass_expcheck(args):
 
 
 def _cmd_mass_invert(args):
-    recovered = massformulas.recover_N_from_M(massformulas.mass_series_via_exp(args.nmax))
+    recovered = massformulas.recover_N_from_M(massformulas.bhargava_series(args.nmax))
     pairs = [(f, m, value, massformulas.serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
     rows = [(f, m, str(value), str(expected), value == expected) for f, m, value, expected in pairs]
     all_match = all(row[-1] for row in rows)

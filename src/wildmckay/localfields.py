@@ -99,10 +99,10 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
     __slots__ = ()
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n: int, budget: int = COUNT_DEGREE_BUDGET, engine: str = "count") -> None:
     if n < 1:
         raise ValueError("degree must be >= 1")
-    check_budget(n, COUNT_DEGREE_BUDGET, "count", "degrees")
+    check_budget(n, budget, engine, "degrees")
 
 
 def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
@@ -254,7 +254,7 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     _require_complete(p, n)
-    check_budget(n, MASS_DEGREE_BUDGET, "mass", "degrees")
+    _check_degree(n, MASS_DEGREE_BUDGET, "mass")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
     weights = [0] + [sum(_stratum_weight(p, f, k // f, j) * p ** (k - f * (k // f - 1 + j))
                          for f in divisors(k) for j in range(_valuation(k // f, p) * (k // f) + 1))

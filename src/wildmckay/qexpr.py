@@ -131,7 +131,7 @@ class _Frozen:
 def _as_fraction(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import _lazy_module
 from .localfields import _stratum_weight, algebra_mass_sum, enumerate_tame_field_classes
-from .massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
+from .massformulas import bhargava_mass, bhargava_series, mass_series_via_exp, recover_N_from_M, serre_mass
 from .mckay import verify_wild_mckay
 from .padic import PolySystem, monomial_integral, null_set_fraction, smooth_measure_check
 from .partitions import partition_count, partitions_into_parts
@@ -65,7 +65,7 @@ def criterion_bhargava_via_exp() -> tuple[bool, str]:
 
 @_criterion(2, "totally ramified masses recovered from the algebra series, n <= 12")
 def criterion_serre_recovery() -> tuple[bool, str]:
-    N = recover_N_from_M(mass_series_via_exp(12))
+    N = recover_N_from_M(bhargava_series(12))
     bad = [n for n in range(1, 13) if N[(1, n)] != serre_mass(n)]
     if bad:
         return False, f"recovered mass differs from q^(1-n) at n={bad}"

@@ -58,25 +58,26 @@ class _Row:
         return packed
 
 
-def _dot(terms: list[tuple[int, _Row, _Row]]) -> _Row | None:
-    """sum of c * a * b over terms in lowest terms, None when zero."""
+def _dot(terms: list[tuple[int, _Row, _Row]], scale: int = 1) -> _Row | None:
+    """sum of c * a * b over terms, divided by scale > 0, in lowest terms, None when zero."""
     if not terms:
         return None
     den = math.lcm(*[a.den * b.den for _, a, b in terms])
-    terms = [(c * (den // (a.den * b.den)), a, b) for c, a, b in terms]
-    low = min([a.low + b.low for _, a, b in terms])
+    if den != 1:
+        terms = [(c * (den // (a.den * b.den)), a, b) for c, a, b in terms]
+    low = min(lows := [a.low + b.low for _, a, b in terms])
     count = max([a.high + b.high for _, a, b in terms]) + 1 - low
     # |slot of the sum| < sum over terms of |c| * min(len a, len b) * 2^(a.bits + b.bits), min <= count
     bits = max([c.bit_length() + a.bits + b.bits for c, a, b in terms]) + count.bit_length() + len(terms).bit_length()
     size = (bits + 32) // 32 * 4  # slot bytes: bits + 1 sign bit, rounded up to 32 bits
     total = 0
-    for c, a, b in terms:
+    for (c, a, b), shift in zip(terms, lows):
         total += c * (a.packed.get(size) or a.pack(size)) * (b.packed.get(size) or b.pack(size)) << (
-            8 * size * (a.low + b.low - low))
+            8 * size * (shift - low))
     nums = unpack_slots(total, size, count)
     if not (nonzero := [i for i, n in enumerate(nums) if n]):
         return None
-    nums = nums[nonzero[0]:nonzero[-1] + 1]
+    nums, den = nums[nonzero[0]:nonzero[-1] + 1], den * scale
     if (g := math.gcd(den, *nums)) != 1:
         nums, den = [n // g for n in nums], den // g
     return _Row(low + nonzero[0], nums, den)
@@ -145,7 +146,7 @@ class TruncatedSeries(_Frozen):
         ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
         e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
-            e[m] = _scaled(_dot([(1, ks[k], e[m - k]) for k in range(1, m + 1) if ks[k] and e[m - k]]), 1, m)
+            e[m] = _dot([(1, ks[k], e[m - k]) for k in range(1, m + 1) if ks[k] and e[m - k]], m)
         return TruncatedSeries([_expr(row, step) for row in e])
 
     def log(self) -> "TruncatedSeries":

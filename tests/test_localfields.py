@@ -176,6 +176,12 @@ class TestEtaleAlgebras:
         with pytest.raises(ValueError, match="^cannot decide whether"):
             algebra_mass_sum(PRIME_TEST_LIMIT, 2)
 
+    def test_mass_sum_refuses_a_degree_below_one(self):
+        # (5, 0) gave 1 and (5, -3) an IndexError
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="^degree must be >= 1$"):
+                algebra_mass_sum(5, n)
+
     def test_partial_enumeration_guard(self):
         assert not tame_enumeration_is_complete(3, 4)
         for fn in (algebra_mass_sum, enumerate_tame_etale_algebras):

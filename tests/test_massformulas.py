@@ -1,18 +1,26 @@
 """Tests for the symbolic mass formulas and the exponential identity."""
 
 import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from reference import reference_recover_N_from_M
 
 from wildmckay import cli
 from wildmckay.localfields import algebra_mass_sum
-from wildmckay.massformulas import bhargava_mass, mass_series_via_exp, recover_N_from_M, serre_mass
-from wildmckay.numutil import divisors
+from wildmckay import massformulas
+from wildmckay.massformulas import (bhargava_mass, bhargava_series, mass_series_via_exp, recover_N_from_M,
+                                    serre_mass)
+from wildmckay.numutil import BudgetExceededError, divisors
 from wildmckay.qexpr import QExpr, QFrac
 from wildmckay.series import ConstantTermError, TruncatedSeries
+
+ROOT = Path(__file__).resolve().parent.parent
+INVERT_GOLDENS = [case for case in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+                  if case["argv"][:2] == ["mass", "invert"]]  # --nmax 8 in each format, and 20
 
 
 def inner_series(N, n_max: int) -> TruncatedSeries:
@@ -65,6 +73,19 @@ class TestMassSeries:
         series = mass_series_via_exp(12)
         for n in range(1, 13):
             assert series.coefficient(n) == bhargava_mass(n), f"degree {n}"
+
+    @pytest.mark.parametrize("n_max", [1, 2, 12, 30, 100])
+    def test_bhargava_series_equals_the_exp_of_serres_masses(self, n_max):
+        assert bhargava_series(n_max) == mass_series_via_exp(n_max)
+
+    def test_bhargava_series_refuses_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(massformulas, "partition_row", None)
+        cap = massformulas.NMAX_BUDGET
+        for n_max, error, message in ((0, ValueError, "need n_max >= 1"), (-3, ValueError, "need n_max >= 1"),
+                                      (cap + 1, BudgetExceededError, f"series budget exceeded: need {cap + 1}")):
+            for build in (bhargava_series, mass_series_via_exp):
+                with pytest.raises(error, match=f"^{message}"):
+                    build(n_max)
 
     def test_wrong_variant_with_reciprocal_weight_fails_at_two(self):
         # The same exponential with an extra 1/n on x^n does not reproduce
@@ -155,8 +176,9 @@ class TestOneLog:
         assert recover_N_from_M(series) == reference_recover_N_from_M(series)
 
     def test_each_command_takes_one_exp_and_at_most_one_log(self, monkeypatch):
-        # A deterministic stand-in for the mass pipeline's speed: one log per `mass invert`
-        # (one log per f took 8 at --nmax 8), none for `mass expcheck`.
+        # A deterministic stand-in for the mass pipeline's speed: `mass invert` takes one log of
+        # Bhargava's series and no exp (one log per f took 8 at --nmax 8, and the exp of Serre's
+        # masses one more); `mass expcheck` takes one exp and no log.
         calls = []
         for name in ("exp", "log"):
             def counted(self, _name=name, _method=getattr(TruncatedSeries, name)):
@@ -165,10 +187,18 @@ class TestOneLog:
 
             monkeypatch.setattr(TruncatedSeries, name, counted)
         assert cli.main(["mass", "invert", "--nmax", "8"], stdout=io.StringIO()) == 0
-        assert sorted(calls) == ["exp", "log"]
+        assert calls == ["log"]
         calls.clear()
         assert cli.main(["mass", "expcheck", "--nmax", "8"], stdout=io.StringIO()) == 0
         assert calls == ["exp"]
+
+
+    @pytest.mark.parametrize("case", INVERT_GOLDENS, ids=[case["id"] for case in INVERT_GOLDENS])
+    def test_invert_matches_its_golden_without_exp(self, case, monkeypatch):
+        monkeypatch.setattr(TruncatedSeries, "exp", None)  # any exp would fail
+        buffer = io.StringIO()
+        assert cli.main(case["argv"], stdout=buffer) == case["exit"]
+        assert buffer.getvalue() == case["stdout"]
 
 
 class TestNumericConsistency:

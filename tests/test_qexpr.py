@@ -115,6 +115,13 @@ class TestEvaluate:
                     evaluate(q0)
         assert QExpr.q().evaluate(Fraction(1, 10)) == Fraction(1, 10) and frac.evaluate(5) == Fraction(1, 4)
 
+    def test_a_bool_is_not_read_as_a_rational(self):
+        # {True: 1} printed as q, and True was evaluated as q = 1
+        for build in (lambda: QExpr({True: 1}), lambda: QExpr({1: True}), lambda: QExpr.q(True),
+                      lambda: QExpr.q().evaluate(True), lambda: QExpr.q().coefficient(False)):
+            with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+                build()
+
     def test_pole_error(self):
         frac = _cyclotomic_qfrac([1], [1], 0, 1)  # 1 / (q - 1)
         with pytest.raises(PoleError):
