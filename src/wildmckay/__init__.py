@@ -34,7 +34,7 @@ _EXPORTS = {
         "skipped_wild_strata",
         "tame_enumeration_is_complete",
     ],
-    "massformulas": ["bhargava_mass", "mass_series_via_exp", "recover_N_from_M", "serre_mass"],
+    "massformulas": ["bhargava_mass", "bhargava_series", "mass_series_via_exp", "recover_N_from_M", "serre_mass"],
     "mckay": ["verify_wild_mckay"],
     "numutil": ["BudgetExceededError", "HenselMismatchError", "PoleError", "SmoothnessError"],
     "padic": [

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 from reference import reference_recover_N_from_M
 
-from wildmckay import cli
+from wildmckay import cli, massformulas
 from wildmckay.localfields import algebra_mass_sum
-from wildmckay import massformulas
 from wildmckay.massformulas import (bhargava_mass, bhargava_series, mass_series_via_exp, recover_N_from_M,
                                     serre_mass)
 from wildmckay.numutil import BudgetExceededError, divisors
@@ -191,7 +190,6 @@ class TestOneLog:
         calls.clear()
         assert cli.main(["mass", "expcheck", "--nmax", "8"], stdout=io.StringIO()) == 0
         assert calls == ["exp"]
-
 
     @pytest.mark.parametrize("case", INVERT_GOLDENS, ids=[case["id"] for case in INVERT_GOLDENS])
     def test_invert_matches_its_golden_without_exp(self, case, monkeypatch):
