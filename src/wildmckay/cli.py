@@ -374,28 +374,20 @@ def _cmd_mckay_verify(args):
     return (EXIT_OK if result.passed else EXIT_VERIFICATION_FAILED), report, (mckay.ROW_COLUMNS, result.rows)
 
 
+def _value_report(report: dict, value, at_q: Fraction | None) -> dict:
+    """report, the value's payload and, given --at-q, its evaluation, which is taken (or refused) first."""
+    evaluated = {} if at_q is None else {"evaluated": _eval_payload(value, at_q)}
+    return {**report, "value": _expr_payload(value), **evaluated}
+
+
 def _cmd_stringy_eval(args):
-    data = stringy.SncLogPairData.load(args.input)
-    value = stringy.stringy_count_snc(data)
-    # evaluated (or refused) before the value is rendered
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
-    report = {"input": args.input, "value": _expr_payload(value)}
-    if evaluated is not None:
-        report["evaluated"] = evaluated
-    return EXIT_OK, report, None
+    value = stringy.stringy_count_snc(stringy.SncLogPairData.load(args.input))
+    return EXIT_OK, _value_report({"input": args.input}, value, args.at_q), None
 
 
 def _cmd_stringy_point(args):
     value = stringy.stringy_point_contribution(args.a, args.c)
-    evaluated = None if args.at_q is None else _eval_payload(value, args.at_q)
-    report = {
-        "a": str(args.a),
-        "c": [str(c) for c in args.c],
-        "value": _expr_payload(value),
-    }
-    if evaluated is not None:
-        report["evaluated"] = evaluated
-    return EXIT_OK, report, None
+    return EXIT_OK, _value_report({"a": str(args.a), "c": [str(c) for c in args.c]}, value, args.at_q), None
 
 
 def _cmd_padic_count(args):

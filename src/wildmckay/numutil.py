@@ -10,10 +10,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 __all__ = [
-    "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError",
-    "DEFAULT_PRECISION", "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors",
-    "exact_int", "short_repr", "decimal_digits", "check_budget", "check_exact_digits", "slot_bias", "unpack_slots",
-    "read_json", "json_object", "json_array", "parse_integer", "parse_rational",
+    "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError", "DEFAULT_PRECISION",
+    "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors", "is_exact_int",
+    "is_exact_rational", "exact_int", "short_repr", "decimal_digits", "check_budget", "check_exact_digits",
+    "slot_bias", "unpack_slots", "read_json", "json_object", "json_array", "parse_integer", "parse_rational",
 ]
 
 # Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
@@ -149,10 +149,19 @@ def short_repr(value) -> str:
     return text if len(text) <= SHORT_REPR_LIMIT else text[:SHORT_REPR_LIMIT] + "..."
 
 
+def is_exact_int(value) -> bool:
+    """An int that is not a bool: the one test of an exact integer, so a bool is never read as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_exact_rational(value) -> bool:
+    """An exact integer (is_exact_int) or a Fraction: the one test of an exact rational."""
+    return isinstance(value, Fraction) or is_exact_int(value)
+
+
 def exact_int(value, what: str) -> int:
-    """value itself if it is an int; bool, float and anything else are a
-    ValueError, so that no input is silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """value itself if is_exact_int(value); a bool, a float or anything else is a ValueError, so none is truncated."""
+    if not is_exact_int(value):
         raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
     return value
 
@@ -241,7 +250,7 @@ def parse_rational(value, what: str = "a rational") -> Fraction:
     """
     unit = f"digits in {what}"
     try:
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        if is_exact_rational(value):
             rational = Fraction(value)
         elif isinstance(value, str) and (match := re.match(_RATIONAL, value, re.IGNORECASE)):
             sign, whole, denominator, fraction, exponent = match.groups("")

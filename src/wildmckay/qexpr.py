@@ -30,7 +30,8 @@ from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .numutil import DEFAULT_PRECISION, EXACT_DIGITS_BUDGET, PoleError, check_budget, divisors, is_prime
+from .numutil import (DEFAULT_PRECISION, EXACT_DIGITS_BUDGET, PoleError, check_budget, divisors, is_exact_int,
+                      is_exact_rational, is_prime)
 
 Rational = Union[int, Fraction]
 
@@ -54,16 +55,12 @@ class InfiniteType:
     """Distinguished infinite value.
 
     Divergent p-adic integrals and stringy point counts are a legitimate
-    outcome, not an error, so they get a first-class singleton value:
-    ``INFINITE`` is its one instance, and a copy or unpickled value is it.
+    outcome, not an error, so they get a first-class singleton value,
+    ``INFINITE``: by pickle's own protocol, a copy or unpickled value is that module-level object.
     """
 
-    _instance = None
-
-    def __new__(cls) -> "InfiniteType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "INFINITE"
 
     def __repr__(self) -> str:
         return "Infinite"
@@ -129,10 +126,8 @@ class _Frozen:
 
 
 def _as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+    if is_exact_rational(x):
+        return x if isinstance(x, Fraction) else Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -279,11 +274,10 @@ class QExpr(_Frozen):
 
     @staticmethod
     def _coerce(other: object) -> "QExpr | None":
+        """A QExpr as it is, an exact rational (numutil.is_exact_rational) as a constant, anything else None."""
         if isinstance(other, QExpr):
             return other
-        if isinstance(other, (int, Fraction)):
-            return _make([(0, other.numerator)], other.denominator)
-        return None
+        return _make([(0, other.numerator)], other.denominator) if is_exact_rational(other) else None
 
     def __add__(self, other: object) -> "QExpr":
         rhs = self._coerce(other)
@@ -318,7 +312,7 @@ class QExpr(_Frozen):
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QExpr":
-        if isinstance(other, (int, Fraction)):
+        if is_exact_rational(other):
             if not other:
                 raise ZeroDivisionError("division of a q-expression by zero")
             return self * Fraction(other.denominator, other.numerator)
@@ -326,7 +320,7 @@ class QExpr(_Frozen):
 
     def scale_exponents(self, k: int) -> "QExpr":
         """Substitute q -> q^k (k a positive int)."""
-        if type(k) is not int:
+        if not is_exact_int(k):
             raise TypeError(f"exponent scale must be an int, got {type(k).__name__}")
         if k < 1:
             raise ValueError("exponent scale must be a positive integer")
@@ -335,11 +329,9 @@ class QExpr(_Frozen):
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if isinstance(other, QExpr):
-            return self._nums == other._nums and self._den == other._den and self._r == other._r
-        return NotImplemented
+        if (other := self._coerce(other)) is None:
+            return NotImplemented
+        return self._nums == other._nums and self._den == other._den and self._r == other._r
 
     def __hash__(self) -> int:
         # A constant equals its rational, so it must hash like it.
@@ -442,10 +434,13 @@ class QFrac(_Frozen):
         q0 = _as_fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be positive")
+        num, den = self.num, self.den
+        if den._r != 1 and (low := den._nums[0][0]):  # an inexact den's t^low may be too small to tell from 0
+            num, den = [part * _make([(-low, 1)], 1, den._r) for part in (num, den)]
         inner, aim = DEFAULT_PRECISION / 4, None
         for _ in range(64):
-            num_v, den_v = _part_value(self.num, q0, inner), _part_value(self.den, q0, inner)
-            num_err, den_err = [0 if part._r == 1 else inner for part in (self.num, self.den)]
+            num_v, den_v = _part_value(num, q0, inner), _part_value(den, q0, inner)
+            num_err, den_err = [0 if part._r == 1 else inner for part in (num, den)]
             if not den_err and den_v == 0:
                 raise PoleError(f"denominator {self.den} vanishes at q={q0}")
             if abs(den_v) > 2 * den_err:

@@ -33,7 +33,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .numutil import exact_int, json_array, json_object, parse_rational, read_json, short_repr, unpack_slots
+from .numutil import (exact_int, is_exact_int, json_array, json_object, parse_rational, read_json, short_repr,
+                      unpack_slots)
 from .qexpr import INFINITE, InfiniteType, QExpr, QFrac, _check_span, _cyclotomic_qfrac
 
 __all__ = [
@@ -101,7 +102,7 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
             strata: dict[frozenset[int], int] = {}
             for stratum in json_array(json_object(entry, "vertical component").get("strata", []), "strata"):
                 raw = json_object(stratum, "stratum", ("subset", "count"))["subset"]
-                if not isinstance(raw, list) or any(not isinstance(j, int) or isinstance(j, bool) for j in raw):
+                if not isinstance(raw, list) or not all(map(is_exact_int, raw)):
                     raise MalformedSubsetError(f"subset {short_repr(raw)} must be an array of integers")
                 subset = frozenset(raw)
                 if len(subset) != len(raw):

@@ -133,6 +133,9 @@ class TestExitCodes:
             ["stringy", "eval", "--input", write("count.json", stratum(1.5))],
             ["stringy", "eval", "--input", write("total.json", {**stratum(1), "total": 1.0})],
             ["stringy", "eval", "--input", write("entry.json", {"vertical": [5]})],
+            # an evaluation point that is not positive
+            ["stringy", "point", "--a", "1/2", "--at-q", "0"],
+            ["stringy", "point", "--a", "1/2", "--at-q=-1/2"],
         ]
         for argv in cases:
             code, _ = run(argv)
@@ -974,6 +977,27 @@ class TestReports:
         code, out = run(["stringy", "point", "--a=-6/14", "--c=4/2", "--format", "json"])
         report = json.loads(out)
         assert (code, report["a"], report["c"]) == (0, "-3/7", ["2"])
+
+    def test_a_small_monomial_denominator_is_not_a_pole(self, capsys):
+        # q^(-k/2) (q^(1/2) + 1) at q = 1/5: its denominator q^(k/2) was refused from k = 251 on, as
+        # "denominator q^(2001/2) vanishes (or nearly) at q=1/5"; mpmath at 50 digits gives the same digits
+        for a, text in (("-2001/2", "3.02010451040385e+699"), ("-251/2", "7.60795925285582e+87"),
+                        ("-201/2", "2.55280751408721e+70")):
+            code, out = run(["stringy", "point", f"--a={a}", "--c=1/2", "--at-q", "1/5", "--format", "json"])
+            assert (code, capsys.readouterr().err) == (0, "")
+            assert json.loads(out)["evaluated"] == {"q": "1/5", "approx": text, "precision": "1/1000000000000"}
+
+    def test_divergent_value_is_evaluated_as_infinite(self, tmp_path):
+        path = tmp_path / "divergent.json"
+        path.write_text(json.dumps({"horizontal": [1], "vertical": [{"a": 0, "strata": [{"subset": [1], "count": 1}]}]}))
+        code, out = run(["stringy", "eval", "--input", str(path), "--at-q", "5", "--format", "json"])
+        report = json.loads(out)
+        assert (code, report["value"], report["evaluated"]) == (0, "Infinite", "Infinite")
+
+    def test_no_coefficients_is_the_empty_product(self):
+        code, out = run(["stringy", "point", "--a", "2", "--c=", "--at-q", "3", "--format", "json"])
+        report = json.loads(out)
+        assert (code, report["c"], report["value"]["pretty"], report["evaluated"]["exact"]) == (0, [], "q^2", "9")
 
     def test_etale_mass_exact_match(self):
         code, out = run(["etale", "mass", "--p", "7", "--n", "3", "--format", "json"])

@@ -34,6 +34,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "data" / "sample_fixtures.js
 
 
 class TestFieldClasses:
+    def test_listing_refuses_a_p_that_is_not_prime(self):
+        for p in (4, 1, 0):
+            with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
+                enumerate_tame_field_classes(p, 2)
+
     def test_base_field(self):
         classes = enumerate_tame_field_classes(5, 1)
         assert len(classes) == 1

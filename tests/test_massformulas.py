@@ -40,7 +40,18 @@ class TestSerreMass:
         assert serre_mass(3, 2) == QExpr.q(-4)
 
 
+    def test_degrees_below_one_are_refused(self):
+        for n, f in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(ValueError, match="^need n >= 1 and f >= 1$"):
+                serre_mass(n, f)
+
+
 class TestBhargavaMass:
+    def test_degree_below_one_is_refused(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^need n >= 1$"):
+                bhargava_mass(n)
+
     def test_degree_two(self):
         assert bhargava_mass(2) == QExpr({0: 1, -1: 1})
 

@@ -2,6 +2,7 @@
 
 import ast
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,6 +132,49 @@ def test_exact_int():
     for value in (True, 1.0, 1.5, "1", None):
         with pytest.raises(ValueError, match="n must be an integer"):
             exact_int(value, "n")
+
+
+def test_exact_number_tests():
+    for value in (0, -3, 10**50):
+        assert numutil.is_exact_int(value) and numutil.is_exact_rational(value)
+    assert numutil.is_exact_rational(Fraction(1, 2)) and numutil.is_exact_rational(Fraction(2))
+    assert not numutil.is_exact_int(Fraction(2))
+    for value in (True, False, 1.0, "1", None, Decimal(1), [1, 2]):
+        assert not numutil.is_exact_int(value) and not numutil.is_exact_rational(value)
+    for value in (True, False):  # neither reader takes a bool for 0 or 1
+        with pytest.raises(ValueError, match="^not a rational: "):
+            parse_rational(value)
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_rational([value, 1])
+
+
+def exact_number_tests(tree) -> set[str]:
+    """The functions (or "<module>") holding a test for bool, or for int and Fraction together: a
+    name bool in an isinstance call or a comparison, or int and Fraction in one isinstance call."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            names = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                if "bool" in names or {"int", "Fraction"} <= names:
+                    found.add(where)
+            elif isinstance(child, ast.Compare) and "bool" in names:
+                found.add(where)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_numutil_holds_the_only_exact_number_tests():
+    # the value layer kept its own copies, which read a bool as 1: QExpr.q() + True was q + 1
+    found = {path.name: exact_number_tests(ast.parse(path.read_text(encoding="utf-8")))
+             for path in Path(numutil.__file__).parent.glob("*.py")}
+    # cli._cell writes a bool as yes/no; it reads no number
+    assert {name: where for name, where in found.items() if where} == {"numutil.py": {"is_exact_int"},
+                                                                      "cli.py": {"_cell"}}
+    assert exact_number_tests(ast.parse("isinstance(x, (int, Fraction)) and not isinstance(x, bool)")) == {"<module>"}
 
 
 def test_json_shapes():

@@ -91,6 +91,12 @@ def random_system(rng):
 
 
 class TestCountPointsMod:
+    def test_level_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^need m >= 1$"):
+            count_points_mod(circle(5), 0)
+        with pytest.raises(ValueError, match="^need m_max >= 1$"):
+            smooth_measure_check(circle(5), 0)
+
     def test_circle_mod_5(self):
         oracle = brute_force_plane_count(5, lambda x, y: x * x + y * y - 1)
         rc = count_points_mod(circle(5), 1)
@@ -464,6 +470,12 @@ class TestCountedGroups:
 
 
 class TestMonomialIntegral:
+    def test_no_terms_and_a_p_that_is_not_prime_are_refused(self):
+        with pytest.raises(ValueError, match="^need at least one term$"):
+            monomial_integral(0, 5, 0)
+        with pytest.raises(ValueError, match="^p=4 is not prime$"):
+            monomial_integral(0, 4, 3)
+
     def test_c_zero_telescopes(self):
         partial, exact = monomial_integral(0, 5, terms=3)
         assert partial == Fraction(1, 5) - Fraction(1, 5**4)
@@ -537,6 +549,11 @@ class TestSerialization:
             PolySystem(5, 2, [[((1, 0), 0)]], dim=1)
         with pytest.raises(ValueError):
             PolySystem(5, 2, [], dim=3)
+        for args, message in (((5, 0, [], 0), "need at least one variable"),
+                              ((5, 2, [[((2,), 1)]], 1), r"exponent vector \(2,\) has wrong length"),
+                              ((5, 2, [[((2, -1), 1)]], 1), "exponents must be non-negative")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PolySystem(*args)
         # inexact coefficients and ill-shaped polynomials are rejected, not truncated
         for polys in ([[((2, 0), 1.5)]], 5, [5], [[5]], [[((2, 0),)]], [[((2.0, 0), 1)]]):
             with pytest.raises(ValueError):

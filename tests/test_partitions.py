@@ -74,9 +74,17 @@ class TestPartitionRow:
             partition_row(-1)
         with pytest.raises(ValueError):
             partition_count(-1, 0)
+        for n, k in ((-1, 2), (3, -1)):
+            with pytest.raises(ValueError, match="^partitions_into_parts needs non-negative arguments$"):
+                next(partitions_into_parts(n, k))
 
 
 class TestHilbPointCount:
+    def test_no_points_is_refused(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="^need n >= 1$"):
+                hilb_point_count(n)
+
     def test_single_point(self):
         assert hilb_point_count(1) == QExpr({2: 1})
 

@@ -16,6 +16,7 @@ from reference import reference_canonical_pair
 from wildmckay.numutil import DEFAULT_PRECISION
 from wildmckay.qexpr import (
     INFINITE,
+    InfiniteType,
     PoleError,
     QExpr,
     QFrac,
@@ -23,6 +24,7 @@ from wildmckay.qexpr import (
     _int_nth_root,
     is_infinite,
 )
+from wildmckay.series import TruncatedSeries
 from wildmckay.stringy import stringy_point_contribution
 
 
@@ -126,6 +128,18 @@ class TestEvaluate:
         frac = _cyclotomic_qfrac([1], [1], 0, 1)  # 1 / (q - 1)
         with pytest.raises(PoleError):
             frac.evaluate(1)
+
+    @pytest.mark.parametrize("k", [2001, 251, 201, 3])
+    def test_a_small_monomial_denominator_is_not_a_pole(self, k):
+        # q^(-k/2) at q = 1/5 is 5^(k/2); its denominator q^(k/2) fell below what 64 shrinking steps
+        # could certify from k = 251 on, and was refused as a pole
+        slack = Fraction(1, 10**20)
+        assert within_the_precision(QExpr.q(Fraction(-k, 2)).evaluate(Fraction(1, 5)), sqrt_oracle(5**k, 20), slack)
+        # with a binomial factor: t^-k / (t - 1) at t = 5^(-1/2) is -5^((k+1)/2) (5^(1/2) + 1) / 4
+        frac = _cyclotomic_qfrac([1], [1], -k, 2)
+        assert frac.den == QExpr.q(Fraction(k + 1, 2)) - QExpr.q(Fraction(k, 2))
+        target = -(5 ** ((k + 1) // 2)) * (sqrt_oracle(5, 800) + 1) / 4
+        assert within_the_precision(frac.evaluate(Fraction(1, 5)), target, slack)
 
     def test_exact_value_against_term_by_term_powers(self):
         # The exact branch merges a homogeneous sum on ints pairwise, with an odd run left over at
@@ -362,6 +376,27 @@ class TestHashAgreesWithEquality:
         assert len({frac, q_over_q_plus_one(), QExpr.q()}) == 2
 
 
+class TestExactNumbers:
+    """A bool is not an exact number: every reader refuses it, as numutil.is_exact_rational does."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: QExpr.q() + True, lambda: True * QExpr.q(), lambda: QExpr.q() - True, lambda: False - QExpr.q(),
+        lambda: QExpr.q() * False, lambda: QExpr.q() / True, lambda: QFrac(True),
+        lambda: TruncatedSeries([True, 1]), lambda: QExpr.q().scale_exponents(True),
+    ], ids=["add", "rmul", "sub", "rsub", "mul", "truediv", "qfrac", "series", "scale"])
+    def test_a_bool_is_refused(self, build):
+        # q + True was q + 1, QFrac(True) was 1 and TruncatedSeries([True, 1]).log() ran
+        with pytest.raises(TypeError):
+            build()
+
+    def test_a_bool_equals_no_constant(self):
+        # QExpr.one() == True was true
+        assert QExpr.one() != True and QExpr() != False and not QExpr.one() == True
+        for one in (1, Fraction(1)):
+            assert QExpr.one() == one and hash(QExpr.one()) == hash(one)
+        assert QExpr() == 0 and hash(QExpr()) == hash(0)
+
+
 class TestScalarDivision:
     def test_scalar_quotient_stays_laurent(self):
         x = QExpr({Fraction(3, 2): 2, -1: 5})
@@ -445,6 +480,13 @@ class TestFrozen:
     def test_infinite_stays_the_one_instance(self):
         for round_trip in ROUND_TRIPS:
             assert round_trip(INFINITE) is INFINITE
+
+    def test_infinite_is_kept_by_pickles_protocol(self):
+        # by __reduce__, naming the module-level object, not by a singleton __new__
+        assert "_instance" not in vars(InfiniteType) and "__new__" not in vars(InfiniteType)
+        assert INFINITE.__reduce__() == "INFINITE"
+        assert all(value is INFINITE for value in pickle.loads(pickle.dumps([INFINITE, INFINITE])))
+        assert is_infinite(INFINITE) and repr(INFINITE) == "Infinite"
 
     def test_assignment_is_refused(self):
         frac = q_over_q_plus_one()

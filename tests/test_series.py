@@ -94,6 +94,14 @@ class TestCoefficientRing:
             with pytest.raises(TypeError):
                 series(0, value, truncation=3)
 
+    def test_empty_series_and_coefficients_past_the_truncation_are_refused(self):
+        with pytest.raises(ValueError, match="^a series needs at least the degree-0 coefficient$"):
+            TruncatedSeries([])
+        s = TruncatedSeries([1, 2])
+        for n in (2, -1):
+            with pytest.raises(IndexError, match=f"^coefficient {n} beyond truncation 1$"):
+                s.coefficient(n)
+
     def test_one_representation_per_value(self):
         from_rationals = series(1, Fraction(2, 4), 0, truncation=3)
         from_laurent = series(QExpr.one(), QExpr({0: Fraction(1, 2)}), QExpr.q(2) - QExpr.q(2), truncation=3)

@@ -159,6 +159,12 @@ class TestValidationAndJson:
                 {"horizontal": [0], "vertical": [{"a": 0, "strata": [{"subset": [1, 1], "count": 1}]}]}
             )
 
+    def test_subset_listed_twice_rejected(self):
+        # [2, 1] is the subset [1, 2] again, so its count would be dropped
+        strata = [{"subset": [1, 2], "count": 1}, {"subset": [2, 1], "count": 3}]
+        with pytest.raises(MalformedSubsetError, match=r"^subset \[1, 2\] listed twice$"):
+            SncLogPairData.from_json({"horizontal": [0, 0], "vertical": [{"a": 0, "strata": strata}]})
+
     def test_subset_boolean_index_rejected(self):
         # true was read as divisor 1, as an int, where every other integer input refuses a boolean
         with pytest.raises(MalformedSubsetError, match=r"subset \[True\] must be an array of integers"):
