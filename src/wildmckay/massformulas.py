@@ -105,8 +105,7 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
     S(f)_m = (log M)_m(q^f) = sum_{j|m} N(f*j, m/j) / j are triangular in m:
     N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.  Returns N on all pairs with
     f * m <= truncation degree.  ConstantTermError unless M has constant term 1, and
-    BudgetExceededError past NMAX_BUDGET or when log M would span more than the dense budget:
-    the cases of one log per f, whose f = 1 log was the largest.
+    BudgetExceededError past NMAX_BUDGET or when log M would span more than the dense budget.
     """
     n_max = M_series.truncation
     check_budget(n_max, NMAX_BUDGET, "series", "degrees")

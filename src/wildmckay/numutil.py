@@ -65,9 +65,10 @@ PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; a ValueError at or above PRIME_TEST_LIMIT, where no fixed
-    set of bases is proven, so that no probable prime is ever accepted."""
-    if n >= PRIME_TEST_LIMIT:
+    """Deterministic Miller-Rabin on an exact integer (is_exact_int); a ValueError for anything else,
+    and at or above PRIME_TEST_LIMIT, where no fixed set of bases is proven, so that no probable
+    prime is ever accepted."""
+    if exact_int(n, "a number tested for primality") >= PRIME_TEST_LIMIT:
         raise ValueError(f"cannot decide whether {n} is prime: the test is exact only below {PRIME_TEST_LIMIT}")
     if n < 2:
         return False

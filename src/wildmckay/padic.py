@@ -96,6 +96,7 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
     __slots__ = ()
 
     def __new__(cls, p: int, num_vars: int, polys: Sequence[Sequence[Sequence]], dim: int):
+        p, num_vars, dim = exact_int(p, "p"), exact_int(num_vars, "n"), exact_int(dim, "d")
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if num_vars < 1:
@@ -131,12 +132,7 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
     @staticmethod
     def from_json(data: Mapping) -> "PolySystem":
         json_object(data, "polynomial system", ("p", "n", "polys", "d"))
-        return PolySystem(
-            p=exact_int(data["p"], "p"),
-            num_vars=exact_int(data["n"], "n"),
-            polys=data["polys"],
-            dim=exact_int(data["d"], "d"),
-        )
+        return PolySystem(data["p"], data["n"], data["polys"], data["d"])
 
     @staticmethod
     def load(path: str | Path) -> "PolySystem":

@@ -3,15 +3,16 @@
 Carrier of the exponential formula relating masses of field extensions to masses of etale
 algebras: exp of the per-degree weights, and log to invert it.  Every coefficient is a ``QExpr``;
 an int or Fraction becomes a constant one, anything else (a ``QFrac`` included) is a TypeError.
-exp and log run on dense integer rows over t = q^(g/r), r the lcm of the coefficients' exponent
-denominators and g the gcd of their integer exponents over q^(1/r), so t is the largest step
-dividing every exponent: each coefficient is the numerators of t^low, t^(low+1), ... over one
-denominator, packed into one integer of signed w-bit slots, so a product of two coefficients is
-one big-integer multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J.
-Symbolic Comput. 44 (2009)).  exp and log run the recurrences m e_m = sum_k k s_k e_(m-k) and
+exp and log run on dense integer rows over t = q^(1/r), r the lcm of the coefficients' exponent
+denominators: each coefficient is the numerators of t^low, t^(low+1), ... over one denominator,
+packed into one integer of signed w-bit slots, so a product of two coefficients is one big-integer
+multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J. Symbolic Comput. 44
+(2009)).  exp and log run the recurrences m e_m = sum_k k s_k e_(m-k) and
 m l_m = m s_m - sum_k k l_k s_(m-k); each step sums its products over one denominator in the
 packed domain and unpacks once, with w from the bits of that step's products, rounded up to 32,
-and each row keeps its packing per width.
+and each row keeps its packing per width.  Row m of either is graded: its exponents lie between
+m L and m H, L and H the least and largest exponent per degree of the coefficients, so one charge
+of the truncation times H - L against DENSE_DEGREE_BUDGET bounds every row a call builds.
 """
 
 from __future__ import annotations
@@ -91,26 +92,21 @@ def _scaled(row: _Row | None, a: int, b: int) -> _Row | None:
     return _Row(row.low, [n // h * (a // g) for n in row.nums], row.den // g * (b // h))
 
 
-def _rows(coeffs: tuple[QExpr, ...], degree: int) -> tuple[tuple[int, int], list[_Row | None]]:
-    """((g, r), the rows of coeffs over t = q^(g/r)), g / r the largest step of which every
-    exponent is a multiple, for coefficients whose products reach `degree` factors; a
-    BudgetExceededError when such a product could span more than DENSE_DEGREE_BUDGET t-degrees."""
+def _rows(coeffs: tuple[QExpr, ...]) -> tuple[int, list[_Row | None]]:
+    """(r, the rows of coeffs over t = q^(1/r)), r the lcm of their exponent denominators; a
+    BudgetExceededError, before any row is built, when a row of exp or log could span more than
+    DENSE_DEGREE_BUDGET t-degrees: row m spans at most m (H - L), L = min floor(low_k / k) and
+    H = max ceil(high_k / k) over the nonzero coefficients of degree k >= 1."""
     r = math.lcm(*[c._r for c in coeffs])
-    g = math.gcd(*[e * (r // c._r) for c in coeffs for e, _ in c._nums]) or 1
-    rows: list[_Row | None] = []
-    for c in coeffs:
-        ts = [(e // g, n) for e, n in _pairs_over(c, r)]
-        if ts:
-            _check_span((ts[-1][0] - ts[0][0]) * degree, "series")
-        rows.append(_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None)
-    return (g, r), rows
+    pairs = [_pairs_over(c, r) for c in coeffs]
+    lows = [ts[0][0] // k for k, ts in enumerate(pairs) if k and ts]
+    highs = [-(-ts[-1][0] // k) for k, ts in enumerate(pairs) if k and ts]
+    _check_span((len(coeffs) - 1) * (max(highs, default=0) - min(lows, default=0)), "series")
+    return r, [_Row(ts[0][0], _row(ts, ts[0][0]), c._den) if ts else None for c, ts in zip(coeffs, pairs)]
 
 
-def _expr(row: _Row | None, step: tuple[int, int]) -> QExpr:
-    if row is None:
-        return _ZERO
-    g, r = step
-    return _make([(i * g, n) for i, n in enumerate(row.nums, row.low)], row.den, r)
+def _expr(row: _Row | None, r: int) -> QExpr:
+    return _ZERO if row is None else _make(enumerate(row.nums, row.low), row.den, r)
 
 
 class TruncatedSeries(_Frozen):
@@ -142,26 +138,26 @@ class TruncatedSeries(_Frozen):
         if not self.coefficients[0].is_zero:
             raise ConstantTermError("exp needs a series with zero constant term")
         n = self.truncation
-        step, s = _rows(self.coefficients, n)
+        r, s = _rows(self.coefficients)
         ks = [_scaled(row, k, 1) for k, row in enumerate(s)]  # k s_k, integral for the mass series
         e: list[_Row | None] = [_Row(0, [1], 1)] + [None] * n
         for m in range(1, n + 1):
             e[m] = _dot([(1, ks[k], e[m - k]) for k in range(1, m + 1) if ks[k] and e[m - k]], m)
-        return TruncatedSeries([_expr(row, step) for row in e])
+        return TruncatedSeries([_expr(row, r) for row in e])
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient 1."""
         if self.coefficients[0] != 1:
             raise ConstantTermError("log needs a series with constant term 1")
         n = self.truncation
-        step, s = _rows(self.coefficients, n)
+        r, s = _rows(self.coefficients)
         kl: list[_Row | None] = [None] * (n + 1)  # k l_k
         for m in range(1, n + 1):
             terms = [(-1, kl[k], s[m - k]) for k in range(1, m) if kl[k] and s[m - k]]
             if s[m]:
                 terms.append((m, s[m], s[0]))
             kl[m] = _dot(terms)
-        return TruncatedSeries([_expr(_scaled(row, 1, k), step) for k, row in enumerate(kl)])
+        return TruncatedSeries([_expr(_scaled(row, 1, k), r) for k, row in enumerate(kl)])
 
     # -- comparison / display --------------------------------------------------------
 

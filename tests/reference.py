@@ -20,6 +20,9 @@ pivot; ``reference_linear_solver`` reduces every column of ``[J | I]``.
 ``localfields._stratum_weight`` weighs a stratum by the Haar measure of its Eisenstein polynomials;
 ``reference_serre_mass`` takes the same measure from Krasner's count of the fields, and
 ``ore_bounds_hold`` is Ore's condition written out as bounds on j.
+
+``partitions.hilb_point_count`` reads the partition table; ``reference_hilb_point_count`` counts
+the points of the Hilbert scheme itself, as commuting pairs of matrices with a cyclic vector.
 """
 
 import itertools
@@ -201,3 +204,41 @@ def reference_serre_mass(p: int, f: int, e: int, j: int) -> Fraction:
     S = sum(e // p**i for i in range(1, a + 1))
     count = e * q**S if b == 0 else e * (q - 1) * q ** (S + (b - 1) // p ** (a + 1))
     return Fraction(count, e * q**j)
+
+
+def _generates(X, Y, n: int, q: int) -> bool:
+    """Whether e_1 generates F_q^n (q prime) under the n x n matrices X and Y, lists of rows: the
+    span of e_1, closed under X and Y by Gaussian elimination, is the whole space."""
+    echelon = {}  # pivot column -> a spanning vector, 1 there and 0 at the earlier pivots
+    queue = [[int(i == 0) for i in range(n)]]
+    while queue:
+        v = queue.pop()
+        for col, row in echelon.items():
+            if v[col]:
+                v = [(a - v[col] * b) % q for a, b in zip(v, row)]
+        if any(v):
+            col = next(i for i, a in enumerate(v) if a)
+            inverse = pow(v[col], q - 2, q)  # Fermat
+            echelon[col] = v = [a * inverse % q for a in v]
+            queue += [[sum(m * a for m, a in zip(M[i], v)) % q for i in range(n)] for M in (X, Y)]
+    return len(echelon) == n
+
+
+def reference_hilb_point_count(n: int, q: int) -> Fraction:
+    """#Hilb^n(A^2)(F_q) for a prime q, without the partition table: an ideal of colength n in
+    F_q[x, y] is a commuting pair (X, Y) in M_n(F_q) with a cyclic vector v, up to the free action
+    of GL_n(F_q) (H. Nakajima, Lectures on Hilbert schemes of points on surfaces, ch. 1), so the
+    count is #{(X, Y, v)} / #GL_n(F_q).  GL_n(F_q) moves every nonzero v to e_1, so #{(X, Y, v)}
+    is q^n - 1 times the number of commuting pairs for which e_1 is cyclic; for each X, Y runs
+    over its centralizer, the kernel of the linear map Y -> XY - YX."""
+    cells = list(itertools.product(range(n), repeat=2))
+    cyclic = 0
+    for entries in itertools.product(range(q), repeat=n * n):
+        X = [entries[i * n:(i + 1) * n] for i in range(n)]
+        # (XY - YX)[i][k] = sum_j X[i][j] Y[j][k] - Y[i][j] X[j][k], a linear form in the Y[a][b]
+        commutator = [[X[i][a] * (b == k) - (a == i) * X[b][k] for a, b in cells] for i, k in cells]
+        basis = reference_linear_solver(commutator, q, n * n)[2]
+        for coords in itertools.product(range(q), repeat=len(basis)):
+            Y = [sum(c * v[i] for c, v in zip(coords, basis)) % q for i in range(n * n)]
+            cyclic += _generates(X, [Y[i * n:(i + 1) * n] for i in range(n)], n, q)
+    return Fraction((q**n - 1) * cyclic, math.prod(q**n - q**i for i in range(n)))

@@ -180,6 +180,10 @@ class TestEtaleAlgebras:
                 algebra_mass_sum(p, n)
         with pytest.raises(ValueError, match="^cannot decide whether"):
             algebra_mass_sum(PRIME_TEST_LIMIT, 2)
+        # Fraction(5) answered 6/5 as if it were the prime 5
+        for p in (Fraction(5), 5.0):
+            with pytest.raises(ValueError, match="^a number tested for primality must be an integer, got "):
+                algebra_mass_sum(p, 2)
 
     def test_mass_sum_refuses_a_degree_below_one(self):
         # (5, 0) gave 1 and (5, -3) an IndexError

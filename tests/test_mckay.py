@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import reference_hilb_point_count
 from test_localfields import algebra_invariants
 
 from wildmckay import localfields
@@ -93,6 +94,14 @@ class TestVerify:
         assert report.passed
         assert report.mass_side == hilb_point_count(n).evaluate(p)
         assert sum(Fraction(r["term_num"], r["term_den"]) for r in named_rows(report)) == report.mass_side
+
+    @pytest.mark.parametrize("n, q, points", [(1, 2, 4), (1, 3, 9), (2, 2, 24), (2, 3, 108), (3, 2, 112)])
+    def test_hilbert_side_against_commuting_pairs(self, n, q, points):
+        # The matrix count reads no partition table; (2, 2) and (3, 2) are wild (q = p <= n), where
+        # verify_wild_mckay refuses, so only the tame points reach its hilb_side.
+        assert reference_hilb_point_count(n, q) == hilb_point_count(n).evaluate(q) == points
+        if q > n:
+            assert verify_wild_mckay(q, n).hilb_side == points
 
     def test_p5_n4_value(self):
         report = verify_wild_mckay(5, 4)

@@ -54,6 +54,12 @@ def test_is_prime_on_large_primes_and_the_limit():
             is_prime(n)
 
 
+def test_is_prime_answers_only_for_an_exact_integer():
+    for value in (5.0, Fraction(5), True, Decimal(5), "5"):
+        with pytest.raises(ValueError, match="^a number tested for primality must be an integer, got "):
+            is_prime(value)
+
+
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -475,6 +475,8 @@ class TestMonomialIntegral:
             monomial_integral(0, 5, 0)
         with pytest.raises(ValueError, match="^p=4 is not prime$"):
             monomial_integral(0, 4, 3)
+        with pytest.raises(ValueError, match="^a number tested for primality must be an integer, got 5.0$"):
+            monomial_integral(0, 5.0, 3)
 
     def test_c_zero_telescopes(self):
         partial, exact = monomial_integral(0, 5, terms=3)
@@ -553,6 +555,11 @@ class TestSerialization:
                               ((5, 2, [[((2,), 1)]], 1), r"exponent vector \(2,\) has wrong length"),
                               ((5, 2, [[((2, -1), 1)]], 1), "exponents must be non-negative")):
             with pytest.raises(ValueError, match=f"^{message}$"):
+                PolySystem(*args)
+        # p, n and d are read as exact integers, as from JSON, so none is kept as a float
+        for args, name in (((5.0, 2, [], 1), "p"), ((5, 2.0, [], 1), "n"), ((5, 2, [], 1.0), "d"),
+                           ((5, True, [], 1), "n")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 PolySystem(*args)
         # inexact coefficients and ill-shaped polynomials are rejected, not truncated
         for polys in ([[((2, 0), 1.5)]], 5, [5], [[5]], [[((2, 0),)]], [[((2.0, 0), 1)]]):

@@ -3,12 +3,15 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from wildmckay import massformulas
-from wildmckay.numutil import BudgetExceededError
+from wildmckay import series as series_module
+from wildmckay.localfields import _stratum_weight, _valuation
+from wildmckay.numutil import BudgetExceededError, divisors
 from wildmckay.qexpr import DENSE_DEGREE_BUDGET, QExpr, QFrac, _cyclotomic_qfrac
 from wildmckay.series import ConstantTermError, TruncatedSeries
 
@@ -244,12 +247,64 @@ class TestAgainstTheRecurrences:
         assert recovered == massformulas.recover_N_from_M(series)
 
     def test_dense_span_cap(self):
-        # Rows are dense in t = q^(g/r): products of 50 factors of 1 + q + q^1001 span 50,050.
+        # Rows are dense in t = q^(1/r): products of 50 factors of 1 + q + q^1001 span 50,050.
         wide = QExpr({0: 1, 1: 1, 1001: 1})
         message = f"series budget exceeded: need 50050 t-degrees, budget {DENSE_DEGREE_BUDGET}"
         with pytest.raises(BudgetExceededError, match=message):
             series(0, wide, truncation=50).exp()
         assert series(0, wide, truncation=3).exp() == oracle_exp(series(0, wide, truncation=3))
-        # A common step of the exponents is no span: t = q^1000 makes 1 + q^1000 one t-degree wide.
-        sparse = series(1, QExpr({0: 1, 1000: 1}), truncation=60)
-        assert sparse.log() == oracle_log(sparse)
+        # Sparse rows are dense too: row 60 of the log of 1 + (1 + q^1000) x spans 60,000 t-degrees.
+        with pytest.raises(BudgetExceededError, match="series budget exceeded: need 60000 t-degrees"):
+            series(1, QExpr({0: 1, 1000: 1}), truncation=60).log()
+
+
+def wild_series(p: int, n: int) -> TruncatedSeries:
+    """sum_k x^k sum over the strata (f, e, j) of degree k = ef of A(f, e, j) q^(d + B f),
+    d = f (e - 1 + j): the degree-n etale algebras over Q_p by (d, components) in the x^n
+    coefficient of its exp, the components folded in by B = n + n floor(log_p n) > every d."""
+    b = n * (1 + max(v for v in range(n) if p**v <= n))
+    return TruncatedSeries([0] + [
+        sum((_stratum_weight(p, f, k // f, j) * QExpr.q(f * (k // f - 1 + j) + b * f)
+             for f in divisors(k) for j in range(_valuation(k // f, p) * (k // f) + 1)), QExpr())
+        for k in range(1, n + 1)])
+
+
+class TestGradedSpan:
+    """exp and log charge the truncation times H - L, H and L the largest and least exponent per
+    degree of the coefficients, once per call: that bounds the span of every row they build."""
+
+    @pytest.mark.parametrize("call, charge", [
+        (lambda: massformulas.mass_series_via_exp(100), 100),
+        (lambda: massformulas.bhargava_series(100).log(), 100),
+        (lambda: series(0, QExpr({0: 1, 1: 1, 1001: 1}), truncation=49).exp(), 49049),
+        (lambda: wild_series(2, 12).exp(), 516),
+        (lambda: wild_series(2, 20).exp(), 1880),
+    ], ids=["mass-exp-100", "bhargava-log-100", "dense-49", "wild-2-12", "wild-2-20"])
+    def test_charge_bounds_the_widest_row(self, call, charge, monkeypatch):
+        charged, spans = [], [0]
+        check_span, dot = series_module._check_span, series_module._dot
+
+        def counted_check(size, engine):
+            charged.append(size)
+            check_span(size, engine)
+
+        def measured_dot(terms, scale=1):  # the span of the packed sum, before its zeros are cut
+            if terms:
+                spans.append(max(a.high + b.high for _, a, b in terms) - min(a.low + b.low for _, a, b in terms))
+            return dot(terms, scale)
+
+        monkeypatch.setattr(series_module, "_check_span", counted_check)
+        monkeypatch.setattr(series_module, "_dot", measured_dot)
+        call()
+        assert charged == [charge] and max(spans) <= charge <= max(spans) + 1
+
+    def test_a_wide_coefficient_past_degree_one_is_charged(self, monkeypatch):
+        # q^100001 at degree 2 puts row m between 0 and 50,001 m: 500,010 t-degrees at truncation 10.
+        # Every coefficient is a monomial, zero t-degrees wide: only the grading sees the span.
+        built = []
+        monkeypatch.setattr(series_module, "_dot", lambda *args: built.append(args))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"^series budget exceeded: need 500010 t-degrees, "
+                                                      f"budget {DENSE_DEGREE_BUDGET}$"):
+            TruncatedSeries([0, 1, QExpr.q(100001), QExpr.q(1)] + [0] * 7).exp()
+        assert not built and time.perf_counter() - start < 0.1
