@@ -31,7 +31,7 @@ from .numutil import (
     SmoothnessError,
     check_exact_digits,
     decimal_digits,
-    is_prime,
+    exact_prime,
     parse_integer,
     parse_rational,
     short_repr,
@@ -247,14 +247,10 @@ def _integer_option(value: str, kind: str) -> int:
 
 
 def _prime(value: str) -> int:
-    p = _integer_option(value, "_prime")
     try:
-        prime = is_prime(p)
+        return exact_prime(_integer_option(value, "_prime"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not prime:
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
-    return p
 
 
 def _positive(value: str) -> int:

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import _lazy_module
-from .numutil import (check_budget, check_exact_digits, divisors, exact_int, is_prime, json_array, json_object,
+from .numutil import (check_budget, check_exact_digits, divisors, exact_int, exact_prime, json_array, json_object,
                       read_json, short_repr)
 
 series = _lazy_module("series")  # algebra_mass_sum alone runs it, so that the listings never do
@@ -100,9 +100,7 @@ class TameFieldClass(namedtuple("TameFieldClass", "p neg_f e orbit f g degree di
 
 
 def _check_degree(n: int, budget: int = COUNT_DEGREE_BUDGET, engine: str = "count") -> None:
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    check_budget(n, budget, engine, "degrees")
+    check_budget(exact_int(n, "degree", 1), budget, engine, "degrees")
 
 
 def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
@@ -111,8 +109,7 @@ def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
     Wild strata (p | e) are skipped; see skipped_wild_strata for the report.
     BudgetExceededError before any work past COUNT_DEGREE_BUDGET.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    exact_prime(p)
     _check_degree(n)
     classes: list[TameFieldClass] = []
     for f in divisors(n):
@@ -136,12 +133,13 @@ def enumerate_tame_field_classes(p: int, n: int) -> list[TameFieldClass]:
 
 def skipped_wild_strata(p: int, n: int) -> list[tuple[int, int]]:
     """(f, e) strata of degree n that are wild over Q_p, hence not enumerated."""
+    exact_prime(p)
     return [(f, n // f) for f in divisors(n) if (n // f) % p == 0]
 
 
 def tame_enumeration_is_complete(p: int, n: int) -> bool:
     """True iff no wild stratum exists in any degree <= n, i.e. p > n."""
-    return p > n
+    return exact_prime(p) > exact_int(n, "degree")
 
 
 def _tame_classes_by_degree(p: int, n: int) -> list[list[TameFieldClass]]:
@@ -251,8 +249,6 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
     EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
     sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
     _require_complete(p, n)
     _check_degree(n, MASS_DEGREE_BUDGET, "mass")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
@@ -279,18 +275,16 @@ class FieldFixture(namedtuple("FieldFixture", "p n e f disc_exponent aut_order l
         """The fixture of the record at 1-based position in its file; a ValueError that names the
         record by its label, read first, or by its position when it has no string label."""
         name = f"fixture #{position}"
-        try:  # is_prime's own ValueError at or above PRIME_TEST_LIMIT also names the record
+        try:  # exact_prime's ValueError at or above PRIME_TEST_LIMIT also names the record
             json_object(record, "fixture record")
             if isinstance(label := record.get("label"), str):
                 name = f"fixture {short_repr(label)}"
             json_object(record, "fixture record", ("label", "p", "n", "e", "f", "c", "aut"))
             if not isinstance(label, str):
                 raise ValueError(f"label must be a string, got {short_repr(label)}")
-            fixture = FieldFixture(*[exact_int(record[key], key) for key in ("p", "n", "e", "f", "c", "aut")], label)
-            if not is_prime(fixture.p):
-                raise ValueError(f"p={fixture.p} is not prime")
-            if min(fixture.n, fixture.e, fixture.f, fixture.aut_order) < 1 or fixture.disc_exponent < 0:
-                raise ValueError("n, e, f and aut must be >= 1 and c >= 0")
+            least = {"p": None, "n": 1, "e": 1, "f": 1, "c": 0, "aut": 1}
+            fixture = FieldFixture(*[exact_int(record[key], key, least[key]) for key in least], label)
+            exact_prime(fixture.p)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
         return fixture

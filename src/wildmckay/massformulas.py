@@ -25,7 +25,7 @@ recover_N_from_M recovers Serre's masses from one log of Bhargava's side, bharga
 
 from __future__ import annotations
 
-from .numutil import check_budget, divisors
+from .numutil import check_budget, divisors, exact_int
 from .partitions import partition_row
 from .qexpr import QExpr, _make, _sum_over
 from .series import TruncatedSeries
@@ -53,25 +53,20 @@ BHARGAVA_DEGREE_BUDGET = 4000
 def serre_mass(n: int, f: int = 1) -> QExpr:
     """Totally ramified mass q_f^(1-n) over the unramified extension of
     degree f, i.e. q^(f(1-n))."""
-    if n < 1 or f < 1:
-        raise ValueError("need n >= 1 and f >= 1")
+    n, f = exact_int(n, "n", 1), exact_int(f, "f", 1)
     return QExpr.q(f * (1 - n))
 
 
 def bhargava_mass(n: int) -> QExpr:
     """Etale-algebra mass sum_{i=0}^{n-1} P(n, n-i) q^(-i).  BudgetExceededError, before any
     work, past BHARGAVA_DEGREE_BUDGET."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_budget(n, BHARGAVA_DEGREE_BUDGET, "partition", "degrees")
+    check_budget(exact_int(n, "n", 1), BHARGAVA_DEGREE_BUDGET, "partition", "degrees")
     row = partition_row(n)
     return _make([(-i, row[n - i]) for i in range(n)])
 
 
 def _check_nmax(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    check_budget(n_max, NMAX_BUDGET, "series", "degrees")
+    check_budget(exact_int(n_max, "n_max", 1), NMAX_BUDGET, "series", "degrees")
 
 
 def bhargava_series(n_max: int) -> TruncatedSeries:

@@ -12,8 +12,9 @@ from fractions import Fraction
 __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError", "DEFAULT_PRECISION",
     "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors", "is_exact_int",
-    "is_exact_rational", "exact_int", "short_repr", "decimal_digits", "check_budget", "check_exact_digits",
-    "slot_bias", "unpack_slots", "read_json", "json_object", "json_array", "parse_integer", "parse_rational",
+    "is_exact_rational", "exact_int", "exact_prime", "short_repr", "decimal_digits", "check_budget",
+    "check_exact_digits", "slot_bias", "unpack_slots", "read_json", "json_object", "json_array", "parse_integer",
+    "parse_rational",
 ]
 
 # Absolute precision of every printed approximation (1e-12); QFrac.evaluate also aims within 10^-20 of its size.
@@ -131,8 +132,7 @@ def unpack_slots(packed: int, size: int, count: int) -> list[int]:
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError("divisors needs a positive integer")
+    exact_int(n, "n", 1)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -160,10 +160,20 @@ def is_exact_rational(value) -> bool:
     return isinstance(value, Fraction) or is_exact_int(value)
 
 
-def exact_int(value, what: str) -> int:
-    """value itself if is_exact_int(value); a bool, a float or anything else is a ValueError, so none is truncated."""
+def exact_int(value, what: str, least: int | None = None) -> int:
+    """value itself if is_exact_int(value); a bool, a float or anything else is a ValueError, so none is truncated,
+    and so is a value below least when it is given."""
     if not is_exact_int(value):
         raise ValueError(f"{what} must be an integer, got {short_repr(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"need {what} >= {least}")
+    return value
+
+
+def exact_prime(value) -> int:
+    """value itself if exact_int(value, "p") is prime; is_prime's ValueError at PRIME_TEST_LIMIT passes through."""
+    if not is_prime(exact_int(value, "p")):
+        raise ValueError(f"p={value} is not prime")
     return value
 
 

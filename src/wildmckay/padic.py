@@ -41,7 +41,7 @@ from .numutil import (
     SmoothnessError,
     check_budget,
     exact_int,
-    is_prime,
+    exact_prime,
     json_object,
     parse_rational,
     read_json,
@@ -96,11 +96,7 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
     __slots__ = ()
 
     def __new__(cls, p: int, num_vars: int, polys: Sequence[Sequence[Sequence]], dim: int):
-        p, num_vars, dim = exact_int(p, "p"), exact_int(num_vars, "n"), exact_int(dim, "d")
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if num_vars < 1:
-            raise ValueError("need at least one variable")
+        p, num_vars, dim = exact_prime(p), exact_int(num_vars, "n", 1), exact_int(dim, "d")
         if not 0 <= dim <= num_vars:
             raise ValueError(f"expected dimension {dim} outside [0, {num_vars}]")
         if not isinstance(polys, (list, tuple)):
@@ -114,12 +110,10 @@ class PolySystem(namedtuple("PolySystem", "p num_vars polys dim")):
                 is_pair = isinstance(term, (list, tuple)) and len(term) == 2
                 if not (is_pair and isinstance(term[0], (list, tuple))):
                     raise ValueError(f"term {short_repr(term)} must be [exponents, coefficient]")
-                exps = tuple(exact_int(e, "exponent") for e in term[0])
+                exps = tuple(exact_int(e, "exponent", 0) for e in term[0])
                 coeff = exact_int(term[1], "coefficient")
                 if len(exps) != num_vars:
                     raise ValueError(f"exponent vector {short_repr(exps)} has wrong length")
-                if any(e < 0 for e in exps):
-                    raise ValueError("exponents must be non-negative")
                 if coeff != 0:
                     terms.append((exps, coeff))
             if not terms:
@@ -335,9 +329,7 @@ def _level_counts(system: PolySystem, m: int, rank: int | None = None) -> Iterat
 
 def count_points_mod(system: PolySystem, m: int) -> ResidueCount:
     """Exact number of simultaneous roots in (Z/p^m)^n."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    *_, count = _level_counts(system, m)
+    *_, count = _level_counts(system, exact_int(m, "m", 1))
     return ResidueCount(p=system.p, dim=system.dim, modulus_exponent=m, count=count)
 
 
@@ -367,8 +359,7 @@ def smooth_measure_check(system: PolySystem, m_max: int) -> SmoothMeasureReport:
     assumed); the counts themselves are exact whether or not the lifting
     relation holds.
     """
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
+    exact_int(m_max, "m_max", 1)
     p, n, d = system.p, system.num_vars, system.dim
     counts: list[int] = []
     for count in _level_counts(system, m_max, rank=n - d):
@@ -395,10 +386,8 @@ def monomial_integral(c: Fraction | int, p: int, terms: int) -> tuple[Fraction, 
     exact for integer c; for fractional c it is the approximation of evaluate, within
     numutil.DEFAULT_PRECISION and within 10^-20 of its size.
     """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    exact_int(terms, "terms", 1)
+    exact_prime(p)
     c = parse_rational(c)
     first_shell = max(1, abs((c - 1).numerator)) * p.bit_length()
     shell_bits, largest = terms * (terms + 1) // 2 * first_shell, terms * first_shell

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .numutil import exact_int
 from .qexpr import QExpr, _make
 
 __all__ = ["partition_count", "partition_row", "partitions_into_parts", "hilb_point_count"]
@@ -19,8 +20,7 @@ def partition_row(n: int) -> list[int]:
     """[P(n, 0), ..., P(n, n)] from one table filled in a loop, with no state kept between calls.
     P(n, k) counts the partitions of n - k into parts of size at most k (take 1 from each part and
     conjugate): the entry at n - k once the part sizes 1..k are counted in."""
-    if n < 0:
-        raise ValueError("partition_row needs a non-negative argument")
+    exact_int(n, "n", 0)
     row = [int(n == 0)] + [0] * n
     counts = [1] + [0] * n  # partitions of m into the part sizes counted so far
     for k in range(1, n + 1):
@@ -32,16 +32,14 @@ def partition_row(n: int) -> list[int]:
 
 def partition_count(n: int, k: int) -> int:
     """Number of partitions of n into exactly k parts."""
-    if n < 0 or k < 0:
-        raise ValueError("partition_count needs non-negative arguments")
+    n, k = exact_int(n, "n", 0), exact_int(k, "k", 0)
     return partition_row(n)[k] if k <= n else 0
 
 
 def partitions_into_parts(n: int, k: int, _cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of n into exactly k parts, non-increasing, in
     lexicographically decreasing order.  Oracle companion to partition_count."""
-    if n < 0 or k < 0:
-        raise ValueError("partitions_into_parts needs non-negative arguments")
+    n, k = exact_int(n, "n", 0), exact_int(k, "k", 0)
     cap = n if _cap is None else _cap
     if k == 0:
         if n == 0:
@@ -55,7 +53,5 @@ def partitions_into_parts(n: int, k: int, _cap: int | None = None) -> Iterator[t
 
 def hilb_point_count(n: int) -> QExpr:
     """Point count of the Hilbert scheme of n points on the plane, in q."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    row = partition_row(n)
+    row = partition_row(exact_int(n, "n", 1))
     return _make([(2 * n - i, row[n - i]) for i in range(n)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .numutil import slot_bias, unpack_slots
+from .numutil import exact_int, slot_bias, unpack_slots
 from .qexpr import QExpr, _check_span, _Frozen, _make, _pairs_over, _row
 
 __all__ = ["TruncatedSeries", "ConstantTermError"]
@@ -127,7 +127,7 @@ class TruncatedSeries(_Frozen):
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> QExpr:
-        if not 0 <= n <= self.truncation:
+        if not 0 <= exact_int(n, "coefficient index") <= self.truncation:
             raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
         return self.coefficients[n]
 

@@ -63,7 +63,7 @@ class VerticalComponent(namedtuple("VerticalComponent", "a strata")):
 
     def __new__(cls, a, strata: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]]):
         items = strata.items() if isinstance(strata, Mapping) else strata
-        counts = ((frozenset(k), exact_int(v, "stratum count")) for k, v in items)
+        counts = ((frozenset(k), exact_int(v, "stratum count", 0)) for k, v in items)
         return super().__new__(cls, parse_rational(a), tuple(sorted(counts, key=lambda kv: sorted(kv[0]))))
 
 
@@ -80,8 +80,6 @@ class SncLogPairData(namedtuple("SncLogPairData", "horizontal vertical declared_
         total = 0
         for component in vertical:
             for subset, count in component.strata:
-                if count < 0:
-                    raise ValueError(f"negative stratum count {count}")
                 for j in subset:
                     if not 1 <= exact_int(j, "subset index") <= n_div:
                         raise MalformedSubsetError(

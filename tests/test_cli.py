@@ -51,9 +51,10 @@ class TestExitCodes:
         code, _ = run(["mckay", "verify", "--p", "3", "--n", "4"])
         assert code == 2
 
-    def test_non_prime_rejected(self):
+    def test_non_prime_rejected(self, capsys):
         code, _ = run(["etale", "mass", "--p", "6", "--n", "2"])
         assert code == 2
+        assert "wildmckay etale mass: error: argument --p: p=6 is not prime" in capsys.readouterr().err.splitlines()
 
     def test_budget_exceeded_is_two(self, monkeypatch):
         monkeypatch.setattr(padic, "POINTS_BUDGET", 100)

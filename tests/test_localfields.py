@@ -80,6 +80,14 @@ class TestFieldClasses:
         assert skipped_wild_strata(5, 5) == [(1, 5)]
         assert skipped_wild_strata(5, 10) == [(1, 10), (2, 5)]
         assert all(c.e % 5 != 0 for c in enumerate_tame_field_classes(5, 10))
+        # p = 4 reported (1, 4) as wild, p = True read every stratum as wild, and (4, 2) was complete
+        for call in (lambda: skipped_wild_strata(4, 4), lambda: tame_enumeration_is_complete(4, 2)):
+            with pytest.raises(ValueError, match="^p=4 is not prime$"):
+                call()
+        with pytest.raises(ValueError, match="^p must be an integer, got True$"):
+            skipped_wild_strata(True, 2)
+        with pytest.raises(ValueError, match="^degree must be an integer, got 2.0$"):  # it was True
+            tame_enumeration_is_complete(5, 2.0)
 
     def test_totally_ramified_class_count_matches_gcd(self):
         # number of (f=1, e) classes = gcd(e, p-1), each with that aut order
@@ -182,13 +190,13 @@ class TestEtaleAlgebras:
             algebra_mass_sum(PRIME_TEST_LIMIT, 2)
         # Fraction(5) answered 6/5 as if it were the prime 5
         for p in (Fraction(5), 5.0):
-            with pytest.raises(ValueError, match="^a number tested for primality must be an integer, got "):
+            with pytest.raises(ValueError, match="^p must be an integer, got "):
                 algebra_mass_sum(p, 2)
 
     def test_mass_sum_refuses_a_degree_below_one(self):
         # (5, 0) gave 1 and (5, -3) an IndexError
         for n in (0, -3):
-            with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            with pytest.raises(ValueError, match="^need degree >= 1$"):
                 algebra_mass_sum(5, n)
 
     def test_partial_enumeration_guard(self):

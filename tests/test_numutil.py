@@ -1,6 +1,7 @@
 """Tests for the shared integer/rational helpers."""
 
 import ast
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from wildmckay import numutil
+from wildmckay import localfields, massformulas, numutil, padic, partitions
+from wildmckay.mckay import verify_wild_mckay
 from wildmckay.numutil import (
     EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_budget, check_exact_digits, decimal_digits, divisors,
-    exact_int, is_prime, json_array, json_object, parse_rational, read_json,
+    exact_int, exact_prime, is_prime, json_array, json_object, parse_rational, read_json,
 )
+from wildmckay.stringy import VerticalComponent
 
 
 def test_is_prime_small_range():
@@ -135,9 +138,75 @@ def test_parse_rational_counts_digits_in_lowest_terms(monkeypatch):
 
 def test_exact_int():
     assert exact_int(-3, "n") == -3
+    assert exact_int(0, "n", 0) == 0 and exact_int(10**50, "n", 1) == 10**50
     for value in (True, 1.0, 1.5, "1", None):
         with pytest.raises(ValueError, match="n must be an integer"):
             exact_int(value, "n")
+        with pytest.raises(ValueError, match="^n must be an integer"):  # the type is read before the bound
+            exact_int(value, "n", 5)
+    with pytest.raises(ValueError, match="^need stratum count >= 0$"):
+        exact_int(-1, "stratum count", 0)
+
+
+def test_exact_prime():
+    assert exact_prime(2) == 2 and exact_prime(2**61 - 1) == 2**61 - 1
+    for value in (4, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"^p={value} is not prime$"):
+            exact_prime(value)
+    # a non-integer is refused by its name, and is_prime's refusal at PRIME_TEST_LIMIT passes through
+    for value, shown in ((True, "True"), (5.0, "5.0"), (Fraction(5), r"Fraction\(5, 1\)")):
+        with pytest.raises(ValueError, match=f"^p must be an integer, got {shown}$"):
+            exact_prime(value)
+    with pytest.raises(ValueError, match="^cannot decide whether"):
+        exact_prime(PRIME_TEST_LIMIT)
+
+
+def fixture_with(key):
+    return lambda value: localfields.FieldFixture.from_json(
+        {"label": "x", "p": 5, "n": 2, "e": 2, "f": 1, "c": 1, "aut": 2, key: value}, 1)
+
+
+LINE = padic.PolySystem(5, 1, [[((1,), 1)]], 0)
+# Every library argument read by exact_int with a lower bound: (call on the value, what, least).
+LOWER_BOUNDS = {
+    "serre_mass n": (massformulas.serre_mass, "n", 1),
+    "serre_mass f": (lambda v: massformulas.serre_mass(2, v), "f", 1),
+    "bhargava_mass": (massformulas.bhargava_mass, "n", 1),
+    "bhargava_series": (massformulas.bhargava_series, "n_max", 1),
+    "mass_series_via_exp": (massformulas.mass_series_via_exp, "n_max", 1),
+    "enumerate_tame_field_classes": (lambda v: localfields.enumerate_tame_field_classes(5, v), "degree", 1),
+    "count_tame_etale_algebras": (lambda v: localfields.count_tame_etale_algebras(5, v), "degree", 1),
+    "algebra_mass_sum": (lambda v: localfields.algebra_mass_sum(5, v), "degree", 1),
+    "verify_wild_mckay": (lambda v: verify_wild_mckay(5, v), "degree", 1),
+    **{f"FieldFixture {key}": (fixture_with(key), key, least)
+       for key, least in (("n", 1), ("e", 1), ("f", 1), ("c", 0), ("aut", 1))},
+    "partition_row": (partitions.partition_row, "n", 0),
+    "partition_count n": (lambda v: partitions.partition_count(v, 0), "n", 0),
+    "partition_count k": (lambda v: partitions.partition_count(3, v), "k", 0),
+    "partitions_into_parts n": (lambda v: list(partitions.partitions_into_parts(v, 1)), "n", 0),
+    "partitions_into_parts k": (lambda v: list(partitions.partitions_into_parts(3, v)), "k", 0),
+    "hilb_point_count": (partitions.hilb_point_count, "n", 1),
+    "PolySystem n": (lambda v: padic.PolySystem(5, v, [], 0), "n", 1),
+    "PolySystem exponent": (lambda v: padic.PolySystem(5, 1, [[([v], 1)]], 0), "exponent", 0),
+    "count_points_mod": (lambda v: padic.count_points_mod(LINE, v), "m", 1),
+    "smooth_measure_check": (lambda v: padic.smooth_measure_check(LINE, v), "m_max", 1),
+    "monomial_integral": (lambda v: padic.monomial_integral(0, 5, v), "terms", 1),
+    "VerticalComponent": (lambda v: VerticalComponent(0, {frozenset(): v}), "stratum count", 0),
+    "divisors": (divisors, "n", 1),
+}
+
+
+@pytest.mark.parametrize("name", LOWER_BOUNDS)
+def test_every_integer_argument_is_read_with_its_bound(name):
+    # bhargava_mass(True) was 1, verify_wild_mckay(5, True) passed, serre_mass(Fraction(3, 2)) was q^(-1/2),
+    # divisors(6.0) was [1, 2, 3.0, 6.0] and algebra_mass_sum(5, 2.0) ended in an internal TypeError
+    call, what, least = LOWER_BOUNDS[name]
+    for value in (True, 2.0, Fraction(3, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be an integer, got {value!r}") + "$"):
+            call(value)
+    with pytest.raises(ValueError, match=re.escape(f"need {what} >= {least}") + "$"):
+        call(least - 1)
+    call(least)  # the bound itself is read
 
 
 def test_exact_number_tests():
@@ -236,6 +305,28 @@ def test_check_budget_refuses_only_past_the_budget():
 def budget_error_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetExceededError"]
+
+
+def enclosing(tree):
+    """(name of the innermost function around node, or "<module>", node) for every node of tree."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            yield where, child
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+    return visit(tree, "<module>")
+
+
+def test_only_exact_prime_refuses_a_p_that_is_not_prime():
+    # six functions in four modules tested p with is_prime and raised their own "is not prime"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(numutil.__file__).parent.glob("*.py")}
+    nodes = [(name, where, node) for name, tree in trees.items() for where, node in enclosing(tree)]
+    prime_tests = {(name, where) for name, where, node in nodes if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "is_prime"}
+    # past exact_prime, only the Moebius step of the cyclotomic reduction asks, of the divisors of d
+    assert prime_tests == {("numutil.py", "exact_prime"), ("qexpr.py", "_cyclotomic_qfrac")}
+    refusals = {(name, where) for name, where, node in nodes if isinstance(node, ast.Raise)
+                and any(isinstance(c, ast.Constant) and "is not prime" in str(c.value) for c in ast.walk(node))}
+    assert refusals == {("numutil.py", "exact_prime")}
 
 
 def test_only_check_budget_builds_the_budget_error():

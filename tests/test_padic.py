@@ -471,11 +471,11 @@ class TestCountedGroups:
 
 class TestMonomialIntegral:
     def test_no_terms_and_a_p_that_is_not_prime_are_refused(self):
-        with pytest.raises(ValueError, match="^need at least one term$"):
+        with pytest.raises(ValueError, match="^need terms >= 1$"):
             monomial_integral(0, 5, 0)
         with pytest.raises(ValueError, match="^p=4 is not prime$"):
             monomial_integral(0, 4, 3)
-        with pytest.raises(ValueError, match="^a number tested for primality must be an integer, got 5.0$"):
+        with pytest.raises(ValueError, match="^p must be an integer, got 5.0$"):
             monomial_integral(0, 5.0, 3)
 
     def test_c_zero_telescopes(self):
@@ -551,9 +551,9 @@ class TestSerialization:
             PolySystem(5, 2, [[((1, 0), 0)]], dim=1)
         with pytest.raises(ValueError):
             PolySystem(5, 2, [], dim=3)
-        for args, message in (((5, 0, [], 0), "need at least one variable"),
+        for args, message in (((5, 0, [], 0), "need n >= 1"),
                               ((5, 2, [[((2,), 1)]], 1), r"exponent vector \(2,\) has wrong length"),
-                              ((5, 2, [[((2, -1), 1)]], 1), "exponents must be non-negative")):
+                              ((5, 2, [[((2, -1), 1)]], 1), "need exponent >= 0")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 PolySystem(*args)
         # p, n and d are read as exact integers, as from JSON, so none is kept as a float

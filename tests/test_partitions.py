@@ -74,8 +74,8 @@ class TestPartitionRow:
             partition_row(-1)
         with pytest.raises(ValueError):
             partition_count(-1, 0)
-        for n, k in ((-1, 2), (3, -1)):
-            with pytest.raises(ValueError, match="^partitions_into_parts needs non-negative arguments$"):
+        for n, k, message in ((-1, 2, "need n >= 0"), (3, -1, "need k >= 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 next(partitions_into_parts(n, k))
 
 

@@ -104,6 +104,10 @@ class TestCoefficientRing:
         for n in (2, -1):
             with pytest.raises(IndexError, match=f"^coefficient {n} beyond truncation 1$"):
                 s.coefficient(n)
+        # True read coefficient 1, and 1.0 ended in "tuple indices must be integers"
+        for n in (True, 1.0):
+            with pytest.raises(ValueError, match=f"^coefficient index must be an integer, got {n}$"):
+                s.coefficient(n)
 
     def test_one_representation_per_value(self):
         from_rationals = series(1, Fraction(2, 4), 0, truncation=3)
