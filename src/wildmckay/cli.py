@@ -16,6 +16,7 @@ import functools
 import gc
 import io
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -293,24 +294,25 @@ def _cmd_mass_bhargava(args):
     return EXIT_OK, report, None
 
 
-def _cmd_mass_expcheck(args):
-    series = massformulas.mass_series_via_exp(args.nmax)
-    pairs = [(n, series.coefficient(n), massformulas.bhargava_mass(n)) for n in range(1, args.nmax + 1)]
-    rows = [(n, str(lhs), str(rhs), lhs == rhs) for n, lhs, rhs in pairs]
+def _mass_match(nmax, columns, pairs):
+    """A mass check's result, one row (*key, computed, expected, match) per (key, computed, expected) pair: QExpr
+    is canonical, so an expected mass equal to the computed one is printed by the computed one's text."""
+    rows = [(*key, text, text if match else str(expected), match) for key, value, expected in pairs
+            for text, match in [(str(value), value == expected)]]
     all_match = all(row[-1] for row in rows)
-    report = {"nmax": args.nmax, "all_match": all_match}
-    table = ("n", "exponential", "partition_formula", "match"), rows
-    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, table
+    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), {"nmax": nmax, "all_match": all_match}, (columns, rows)
+
+
+def _cmd_mass_expcheck(args):
+    exp, partition = massformulas.mass_series_via_exp(args.nmax), massformulas.bhargava_series(args.nmax)
+    pairs = zip([(n,) for n in range(1, args.nmax + 1)], exp.coefficients[1:], partition.coefficients[1:])
+    return _mass_match(args.nmax, ("n", "exponential", "partition_formula", "match"), pairs)
 
 
 def _cmd_mass_invert(args):
     recovered = massformulas.recover_N_from_M(massformulas.bhargava_series(args.nmax))
-    pairs = [(f, m, value, massformulas.serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
-    rows = [(f, m, str(value), str(expected), value == expected) for f, m, value, expected in pairs]
-    all_match = all(row[-1] for row in rows)
-    report = {"nmax": args.nmax, "all_match": all_match}
-    table = ("f", "m", "recovered", "expected", "match"), rows
-    return (EXIT_OK if all_match else EXIT_VERIFICATION_FAILED), report, table
+    pairs = [((f, m), value, massformulas.serre_mass(m, f)) for (f, m), value in sorted(recovered.items())]
+    return _mass_match(args.nmax, ("f", "m", "recovered", "expected", "match"), pairs)
 
 
 def _cmd_etale_enumerate(args):
@@ -581,6 +583,9 @@ def _run(argv: list[str] | None, stream) -> int:
     try:
         args = _parse(argv)  # an option past its digits cap is a BudgetExceededError
         code, report, table = args.handler(args)
+        command = " ".join(filter(None, (args.group, args.action)))  # selftest has no action
+        _WRITERS[args.format]({"command": command, **report}, table, stream)
+        stream.flush()  # a closed pipe shows here, not in the interpreter's flush at exit
     except SystemExit as exc:  # from argparse: --help, or a usage error
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT_ERROR
@@ -588,10 +593,10 @@ def _run(argv: list[str] | None, stream) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     except (BudgetExceededError, PoleError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError) and stream is sys.stdout:  # as the signal module's docs advise,
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # the flush at exit writes nowhere
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    command = " ".join(filter(None, (args.group, args.action)))  # selftest has no action
-    _WRITERS[args.format]({"command": command, **report}, table, stream)
     return code
 
 

@@ -26,7 +26,7 @@ recover_N_from_M recovers Serre's masses from one log of Bhargava's side, bharga
 from __future__ import annotations
 
 from .numutil import check_budget, divisors, exact_int
-from .partitions import partition_row
+from .partitions import partition_row, partition_rows
 from .qexpr import QExpr, _make, _sum_over
 from .series import TruncatedSeries
 
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 # Largest truncation degree the mass series accepts, in series degrees: exp and log cost about
-# nmax^2 / 2 packed row products; at 100, `mass invert` (one log) takes 0.04-0.10 s and `mass
-# expcheck` (one exp) 0.04-0.08 s in-process, in each format (Python 3.11, 2-vCPU Intel Xeon).
+# nmax^2 / 2 packed row products; at 100, `mass invert` (one log) takes 0.05-0.06 s and `mass
+# expcheck` (one exp) 0.04-0.06 s in-process, in each format (Python 3.11, 2-vCPU Intel Xeon).
 NMAX_BUDGET = 100
 # Largest degree bhargava_mass accepts (`mass bhargava --n`), in degrees: its partition table
 # takes n^2 / 4 big-integer additions; `mass bhargava --n 4000` takes 0.49-0.67 s in-process
@@ -70,10 +70,10 @@ def _check_nmax(n_max: int) -> None:
 
 
 def bhargava_series(n_max: int) -> TruncatedSeries:
-    """Generating series sum_n M(K, n) x^n from Bhargava's partition formula, truncated at n_max.
-    BudgetExceededError, before any work, past NMAX_BUDGET."""
+    """Generating series sum_n M(K, n) x^n from Bhargava's partition formula, M(K, 0) = P(0, 0) = 1, truncated at
+    n_max, from one partition table.  BudgetExceededError, before any work, past NMAX_BUDGET."""
     _check_nmax(n_max)
-    return TruncatedSeries([QExpr.one()] + [bhargava_mass(n) for n in range(1, n_max + 1)])
+    return TruncatedSeries([_make([(-i, row[n - i]) for i in range(n + 1)]) for n, row in enumerate(partition_rows(n_max))])
 
 
 def _inner_exponent_series(n_max: int) -> TruncatedSeries:

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import sys
+from array import array
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ __all__ = [
     "BudgetExceededError", "SmoothnessError", "HenselMismatchError", "PoleError", "DEFAULT_PRECISION",
     "EXACT_DIGITS_BUDGET", "PRIME_TEST_LIMIT", "SHORT_REPR_LIMIT", "is_prime", "divisors", "is_exact_int",
     "is_exact_rational", "exact_int", "exact_prime", "short_repr", "decimal_digits", "check_budget",
-    "check_exact_digits", "slot_bias", "unpack_slots", "read_json", "json_object", "json_array", "parse_integer",
+    "check_exact_digits", "pack_slots", "unpack_slots", "read_json", "json_object", "json_array", "parse_integer",
     "parse_rational",
 ]
 
@@ -118,15 +120,29 @@ def check_exact_digits(value: int | Fraction, engine: str, unit: str) -> None:
     check_budget(digits, EXACT_DIGITS_BUDGET, engine, unit)
 
 
-def slot_bias(half: int, size: int, count: int) -> int:
+# Array type codes of the machine words (1, 2, 4, 8 bytes), the slot widths packed as one array on a little-endian machine.
+_WORDS = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_bias(half: int, size: int, count: int) -> int:
     """half in each of count slots of size bytes, least significant first."""
     return int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+def pack_slots(nums: list[int], size: int) -> int:
+    """sum nums[i] * 2^(8 size i), each |nums[i]| < 2^(8 size - 1); a slot past its width is an OverflowError."""
+    half, code = 1 << (8 * size - 1), _WORDS.get(size)
+    biased = [n + half for n in nums]
+    raw = array(code, biased).tobytes() if code else b"".join([n.to_bytes(size, "little") for n in biased])
+    return int.from_bytes(raw, "little") - _slot_bias(half, size, len(nums))
 
 
 def unpack_slots(packed: int, size: int, count: int) -> list[int]:
     """[n_0, ..., n_(count-1)] from packed = sum n_i 2^(8 size i), each |n_i| < 2^(8 size - 1)."""
     half = 1 << (8 * size - 1)
-    raw = memoryview((packed + slot_bias(half, size, count)).to_bytes(size * count, "little"))
+    raw = memoryview((packed + _slot_bias(half, size, count)).to_bytes(size * count, "little"))
+    if code := _WORDS.get(size):
+        return [n - half for n in raw.cast(code)]
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, size * count, size)]
 
 

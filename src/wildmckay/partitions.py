@@ -13,21 +13,31 @@ from typing import Iterator
 from .numutil import exact_int
 from .qexpr import QExpr, _make
 
-__all__ = ["partition_count", "partition_row", "partitions_into_parts", "hilb_point_count"]
+__all__ = ["partition_count", "partition_row", "partition_rows", "partitions_into_parts", "hilb_point_count"]
 
 
-def partition_row(n: int) -> list[int]:
-    """[P(n, 0), ..., P(n, n)] from one table filled in a loop, with no state kept between calls.
-    P(n, k) counts the partitions of n - k into parts of size at most k (take 1 from each part and
-    conjugate): the entry at n - k once the part sizes 1..k are counted in."""
-    exact_int(n, "n", 0)
-    row = [int(n == 0)] + [0] * n
+def _rows(n: int, low: int) -> list[list[int]]:
+    """[[P(m, 0), ..., P(m, m)] for m = low..n] from one table filled in a loop, with no state kept between
+    calls.  P(m, k) counts the partitions of m - k into parts of size at most k (take 1 from each part and
+    conjugate): the entry at m - k once the part sizes 1..k are counted in."""
+    rows = [[int(m == 0)] + [0] * m for m in range(low, n + 1)]
     counts = [1] + [0] * n  # partitions of m into the part sizes counted so far
     for k in range(1, n + 1):
         for m in range(k, n - k + 1):
             counts[m] += counts[m - k]
-        row[k] = counts[n - k]
-    return row
+        for m in range(max(k, low), n + 1):
+            rows[m - low][k] = counts[m - k]
+    return rows
+
+
+def partition_row(n: int) -> list[int]:
+    """[P(n, 0), ..., P(n, n)], in O(n) memory."""
+    return _rows(exact_int(n, "n", 0), n)[0]
+
+
+def partition_rows(n: int) -> list[list[int]]:
+    """[partition_row(0), ..., partition_row(n)] from one table, in O(n^2) memory."""
+    return _rows(exact_int(n, "n", 0), 0)
 
 
 def partition_count(n: int, k: int) -> int:

@@ -10,9 +10,11 @@ multiply (Kronecker substitution, as in FLINT's fmpz_poly; D. Harvey, J. Symboli
 (2009)).  exp and log run the recurrences m e_m = sum_k k s_k e_(m-k) and
 m l_m = m s_m - sum_k k l_k s_(m-k); each step sums its products over one denominator in the
 packed domain and unpacks once, with w from the bits of that step's products, rounded up to 32,
-and each row keeps its packing per width.  Row m of either is graded: its exponents lie between
-m L and m H, L and H the least and largest exponent per degree of the coefficients, so one charge
-of the truncation times H - L against DENSE_DEGREE_BUDGET bounds every row a call builds.
+and each row keeps its packing per width.  Slots of 4 and 8 bytes are packed and unpacked as one
+array of machine words on a little-endian machine, wider ones slot by slot (numutil.pack_slots
+and unpack_slots).  Row m of either is graded: its exponents lie between m L and m H, L and H the
+least and largest exponent per degree of the coefficients, so one charge of the truncation times
+H - L against DENSE_DEGREE_BUDGET bounds every row a call builds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .numutil import exact_int, slot_bias, unpack_slots
+from .numutil import exact_int, pack_slots, unpack_slots
 from .qexpr import QExpr, _check_span, _Frozen, _make, _pairs_over, _row
 
 __all__ = ["TruncatedSeries", "ConstantTermError"]
@@ -52,11 +54,8 @@ class _Row:
         self.packed: dict[int, int] = {}
 
     def pack(self, size: int) -> int:
-        """Keeps and returns sum of nums[i] * 2^(8 size i), read from the slots biased to unsigned."""
-        half = 1 << (8 * size - 1)
-        biased = b"".join([(n + half).to_bytes(size, "little") for n in self.nums])
-        packed = self.packed[size] = int.from_bytes(biased, "little") - slot_bias(half, size, len(self.nums))
-        return packed
+        """Keeps and returns sum of nums[i] * 2^(8 size i)."""
+        return self.packed.setdefault(size, pack_slots(self.nums, size))
 
 
 def _dot(terms: list[tuple[int, _Row, _Row]], scale: int = 1) -> _Row | None:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -222,6 +223,17 @@ class TestExitCodes:
         assert run(argv + [str(path)]) == (2, "")
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
+    def test_closed_stdout_is_two(self):
+        # the report was written outside _run's try: a BrokenPipeError traceback and exit 1, the code of a
+        # failed verification; the 1.7 MB report cannot fit in the pipe once its read end is closed
+        argv = [sys.executable, "-m", "wildmckay.cli", "mckay", "verify", "--p", "13", "--n", "12", "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            assert process.stdout.read(1) == b"{"
+            process.stdout.close()
+            _, err = process.communicate(timeout=120)
+        assert (process.returncode, err.decode()) == (2, f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
     def test_smoothness_violation_is_one(self, tmp_path):
         node = tmp_path / "node.json"
         node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))
@@ -433,6 +445,7 @@ class TestBudgets:
         assert run(["mass", "expcheck", "--nmax", str(cap)])[0] == 0
         monkeypatch.setattr(massformulas.TruncatedSeries, "exp", None)  # any work would fail
         monkeypatch.setattr(massformulas, "partition_row", None)
+        monkeypatch.setattr(massformulas, "partition_rows", None)
         for command in ("expcheck", "invert"):
             self.refused(["mass", command, "--nmax", str(cap + 1)], capsys,
                          f"series budget exceeded: need {cap + 1} degrees, budget {cap}")

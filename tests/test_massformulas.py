@@ -90,6 +90,7 @@ class TestMassSeries:
 
     def test_bhargava_series_refuses_before_any_work(self, monkeypatch):
         monkeypatch.setattr(massformulas, "partition_row", None)
+        monkeypatch.setattr(massformulas, "partition_rows", None)
         cap = massformulas.NMAX_BUDGET
         for n_max, error, message in ((0, ValueError, "need n_max >= 1"), (-3, ValueError, "need n_max >= 1"),
                                       (cap + 1, BudgetExceededError, f"series budget exceeded: need {cap + 1}")):

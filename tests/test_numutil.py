@@ -13,7 +13,7 @@ from wildmckay import localfields, massformulas, numutil, padic, partitions
 from wildmckay.mckay import verify_wild_mckay
 from wildmckay.numutil import (
     EXACT_DIGITS_BUDGET, PRIME_TEST_LIMIT, BudgetExceededError, check_budget, check_exact_digits, decimal_digits, divisors,
-    exact_int, exact_prime, is_prime, json_array, json_object, parse_rational, read_json,
+    exact_int, exact_prime, is_prime, json_array, json_object, pack_slots, parse_rational, read_json, unpack_slots,
 )
 from wildmckay.stringy import VerticalComponent
 
@@ -181,6 +181,7 @@ LOWER_BOUNDS = {
     **{f"FieldFixture {key}": (fixture_with(key), key, least)
        for key, least in (("n", 1), ("e", 1), ("f", 1), ("c", 0), ("aut", 1))},
     "partition_row": (partitions.partition_row, "n", 0),
+    "partition_rows": (partitions.partition_rows, "n", 0),
     "partition_count n": (lambda v: partitions.partition_count(v, 0), "n", 0),
     "partition_count k": (lambda v: partitions.partition_count(3, v), "k", 0),
     "partitions_into_parts n": (lambda v: list(partitions.partitions_into_parts(v, 1)), "n", 0),
@@ -335,3 +336,30 @@ def test_only_check_budget_builds_the_budget_error():
     check = next(node for node in trees["numutil.py"].body if getattr(node, "name", None) == "check_budget")
     assert {name: count for name, count in calls.items() if count} == {"numutil.py": 1}
     assert len(budget_error_calls(check)) == 1
+
+
+# Slots of every width from 1 to 17 bytes, the machine-word widths among them: rows of one slot and of
+# several, at 0, +-1 and the widest values a slot holds, +-(2^(8w-1) - 1).
+SLOT_ROWS = [(w, nums) for w in range(1, 18) for top in [(1 << (8 * w - 1)) - 1]
+             for nums in ([0], [1], [-1], [top], [-top], [0, 1, -1, top, -top, 0], [-top, top, -top], [top] * 5)]
+
+
+def check_slot_codec():
+    for w, nums in SLOT_ROWS:
+        packed = pack_slots(nums, w)
+        assert packed == sum(n << (8 * w * i) for i, n in enumerate(nums)), (w, nums)
+        assert unpack_slots(packed, w, len(nums)) == nums, (w, nums)
+    for w in range(1, 18):
+        for nums in ([1 << (8 * w - 1)], [0, -(1 << (8 * w - 1)) - 1]):  # a slot past its width never wraps around
+            with pytest.raises(OverflowError):
+                pack_slots(nums, w)
+
+
+def test_slot_codec_round_trip():
+    assert set(numutil._WORDS) <= {1, 2, 4, 8}
+    check_slot_codec()
+
+
+def test_slot_codec_byte_path(monkeypatch):
+    monkeypatch.setattr(numutil, "_WORDS", {})  # every width slot by slot, as on a big-endian machine
+    check_slot_codec()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from wildmckay.partitions import hilb_point_count, partition_count, partition_row, partitions_into_parts
+from wildmckay.partitions import (hilb_point_count, partition_count, partition_row, partition_rows,
+                                  partitions_into_parts)
 from wildmckay.qexpr import QExpr
 
 
@@ -68,6 +69,10 @@ class TestPartitionRow:
         # Filled iteratively: degree 2000 answers cold, at a depth where recursion would overflow.
         assert sum(partition_row(2000)) == euler_partition_numbers(2000)[2000]
         assert partition_count(2000, 1000) == euler_partition_numbers(1000)[1000]
+
+    def test_one_table_gives_every_row(self):
+        assert partition_rows(100) == [partition_row(m) for m in range(101)]
+        assert partition_rows(0) == [[1]] and partition_rows(1) == [[1], [0, 1]]
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
