@@ -173,7 +173,9 @@ def _json_text(value, indent: str = "\n") -> str:
                 repr(v) if type(v) is int else _json_text(v, inner)) for k, v in sorted(value.items())]) + indent + "}"
         return "[" + inner + ("," + inner).join([repr(v) if type(v) is int else _json_text(v, inner)
                                                  for v in value]) + indent + "]"
-    return json.dumps(value)  # int, bool, None and float; a TypeError for anything else
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value)  # int and float; a TypeError for anything else
 
 
 def _write_json(report: dict, table: tuple | None, stream) -> None:
@@ -581,6 +583,8 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
 def _run(argv: list[str] | None, stream) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
+        if stream is None:  # the process started with its standard output closed
+            raise OSError("standard output is closed")
         args = _parse(argv)  # an option past its digits cap is a BudgetExceededError
         code, report, table = args.handler(args)
         command = " ".join(filter(None, (args.group, args.action)))  # selftest has no action

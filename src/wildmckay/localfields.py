@@ -244,15 +244,16 @@ def algebra_mass_sum(p: int, n: int) -> Fraction:
     """sum over degree-n etale algebras of p^(-d) / #Aut, exactly, without
     listing: M_n of exp(sum_k W_k x^k), taken by TruncatedSeries.exp on constant coefficients.
     The series is exp(sum_k p^k W_k x^k), whose x^n coefficient is p^n M_n: p^k W_k is the sum
-    over the strata (f, e, j) with ef = k of _stratum_weight * p^(k-d), d = f (e - 1 + j), and has
-    only the f in its denominators (d < k).  BudgetExceededError before
+    over the strata (f, e, j) with ef = k of _stratum_weight * p^(k-d), d = f (e - 1 + j), so
+    p^(k-d) = p^(f(1-j)), an int for j <= 1 and an exact 1/p^(f(j-1)) past it; a tame stratum
+    (j = 0) brings only its f into the denominators.  BudgetExceededError before
     any work past MASS_DEGREE_BUDGET, or when the mass could not be printed (more than
     EXACT_DIGITS_BUDGET digits): first on p^(n-1), the denominator of Bhargava's
     sum_i P(n, n-i) p^(-i) in lowest terms (its numerator is 1 mod p and larger), then on the mass."""
     _require_complete(p, n)
     _check_degree(n, MASS_DEGREE_BUDGET, "mass")
     check_exact_digits(p ** (n - 1), "mass", "digits in the mass at p")
-    weights = [0] + [sum(_stratum_weight(p, f, k // f, j) * p ** (k - f * (k // f - 1 + j))
+    weights = [0] + [sum(_stratum_weight(p, f, k // f, j) * (p ** (f - f * j) if j < 2 else Fraction(1, p ** (f * j - f)))
                          for f in divisors(k) for j in range(_valuation(k // f, p) * (k // f) + 1))
                      for k in range(1, n + 1)]
     value = series.TruncatedSeries(weights).exp().coefficient(n).coefficient(0) / p**n

@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 # Largest truncation degree the mass series accepts, in series degrees: exp and log cost about
-# nmax^2 / 2 packed row products; at 100, `mass invert` (one log) takes 0.05-0.06 s and `mass
-# expcheck` (one exp) 0.04-0.06 s in-process, in each format (Python 3.11, 2-vCPU Intel Xeon).
+# nmax^2 / 2 packed row products; at 100, `mass invert` (one log, 100 solves) and `mass expcheck`
+# (one exp) take 0.03-0.05 s each in-process, in each format (Python 3.11, 2-vCPU Intel Xeon).
 NMAX_BUDGET = 100
 # Largest degree bhargava_mass accepts (`mass bhargava --n`), in degrees: its partition table
 # takes n^2 / 4 big-integer additions; `mass bhargava --n 4000` takes 0.49-0.67 s in-process
@@ -98,7 +98,9 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
     an injective ring map on the coefficients, so it commutes with the exp/log recurrences:
     log M(q^f) = (log M)(q^f), and one log serves every f.  Its coefficients
     S(f)_m = (log M)_m(q^f) = sum_{j|m} N(f*j, m/j) / j are triangular in m:
-    N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.  Returns N on all pairs with
+    N(f, m) = S(f)_m - sum_{j|m, j>1} N(f*j, m/j) / j.  The map commutes with this solve too: if
+    N(f*j, k) = N(1, k)(q^(f*j)) = N(j, k)(q^f) for every k < m, then N(f, m) = N(1, m)(q^f), so
+    each m takes one solve, at f = 1, and one substitution per f > 1.  Returns N on all pairs with
     f * m <= truncation degree.  ConstantTermError unless M has constant term 1, and
     BudgetExceededError past NMAX_BUDGET or when log M would span more than the dense budget.
     """
@@ -107,7 +109,7 @@ def recover_N_from_M(M_series: TruncatedSeries) -> dict[tuple[int, int], QExpr]:
     log_M = M_series.log()
     N: dict[tuple[int, int], QExpr] = {}
     for m in range(1, n_max + 1):
-        log_m, js = log_M.coefficient(m), divisors(m)[1:]
-        for f in range(1, n_max // m + 1):
-            N[(f, m)] = _sum_over([(log_m.scale_exponents(f), 1)] + [(N[(f * j, m // j)], -j) for j in js])
+        N[(1, m)] = one = _sum_over([(log_M.coefficient(m), 1)] + [(N[(j, m // j)], -j) for j in divisors(m)[1:]])
+        for f in range(2, n_max // m + 1):
+            N[(f, m)] = one.scale_exponents(f)
     return N

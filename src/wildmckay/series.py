@@ -44,14 +44,14 @@ def _coefficient(value: object) -> QExpr:
 
 class _Row:
     """A nonzero coefficient: numerators of t^low, ..., t^high over den > 0, the first and last
-    nonzero, with its packings by slot width in bytes."""
+    nonzero, with its packings by slot width in bytes (packed, when given, holds some of them)."""
 
     __slots__ = ("low", "high", "nums", "den", "bits", "packed")
 
-    def __init__(self, low: int, nums: list[int], den: int):
+    def __init__(self, low: int, nums: list[int], den: int, packed: dict[int, int] | None = None):
         self.low, self.high, self.nums, self.den = low, low + len(nums) - 1, nums, den
         self.bits = max(max(nums), -min(nums)).bit_length()
-        self.packed: dict[int, int] = {}
+        self.packed = packed or {}
 
     def pack(self, size: int) -> int:
         """Keeps and returns sum of nums[i] * 2^(8 size i)."""
@@ -59,7 +59,8 @@ class _Row:
 
 
 def _dot(terms: list[tuple[int, _Row, _Row]], scale: int = 1) -> _Row | None:
-    """sum of c * a * b over terms, divided by scale > 0, in lowest terms, None when zero."""
+    """sum of c * a * b over terms, divided by scale > 0, in lowest terms, None when zero; the row
+    keeps the packing its slots were summed in."""
     if not terms:
         return None
     den = math.lcm(*[a.den * b.den for _, a, b in terms])
@@ -77,10 +78,10 @@ def _dot(terms: list[tuple[int, _Row, _Row]], scale: int = 1) -> _Row | None:
     nums = unpack_slots(total, size, count)
     if not (nonzero := [i for i, n in enumerate(nums) if n]):
         return None
-    nums, den = nums[nonzero[0]:nonzero[-1] + 1], den * scale
+    nums, den, total = nums[nonzero[0]:nonzero[-1] + 1], den * scale, total >> 8 * size * nonzero[0]
     if (g := math.gcd(den, *nums)) != 1:
-        nums, den = [n // g for n in nums], den // g
-    return _Row(low + nonzero[0], nums, den)
+        nums, den, total = [n // g for n in nums], den // g, total // g
+    return _Row(low + nonzero[0], nums, den, {size: total})  # total is pack_slots(nums, size)
 
 
 def _scaled(row: _Row | None, a: int, b: int) -> _Row | None:

@@ -234,6 +234,13 @@ class TestExitCodes:
             _, err = process.communicate(timeout=120)
         assert (process.returncode, err.decode()) == (2, f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
+    def test_started_with_stdout_closed_is_two(self):
+        # sys.stdout is None then: the writer raised AttributeError, a traceback and exit 1
+        argv = [sys.executable, "-m", "wildmckay.cli", "mass", "serre", "--n", "2"]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(argv, env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
+        assert (done.returncode, done.stderr.decode()) == (2, "error: standard output is closed\n")
+
     def test_smoothness_violation_is_one(self, tmp_path):
         node = tmp_path / "node.json"
         node.write_text(json.dumps({"p": 5, "n": 2, "d": 1, "polys": [[[[1, 1], 1]]]}))

@@ -181,6 +181,13 @@ class TestEtaleAlgebras:
         # hand-audited: d=0 terms sum to 1, d=1 to 1/5, d=2 to 2/25, d=3 to 1/125
         assert algebra_mass_sum(5, 4) == Fraction(161, 125)
 
+    def test_mass_sum_stays_exact_on_wild_strata(self, monkeypatch):
+        # Bhargava's mass holds for p <= n too; with the completeness guard away, the strata with
+        # j >= 2 (d > k) scaled by a float p^(k-d): (2, 2) raised "cannot use float as a series coefficient"
+        monkeypatch.setattr(localfields, "_require_complete", lambda p, n: None)
+        for p, n in itertools.product((2, 3, 5, 7), range(1, 13)):
+            assert algebra_mass_sum(p, n) == bhargava_mass(n).evaluate(p), (p, n)
+
     def test_mass_sum_refuses_a_p_that_is_not_prime(self):
         # The mass stopped listing classes, which checked p: (4, 3) gave 21/16, (9, 2) 10/9, (6, 5) 1597/1296
         for p, n in ((4, 3), (9, 2), (6, 5), (1, 1), (4, 5)):

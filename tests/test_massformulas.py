@@ -203,6 +203,21 @@ class TestOneLog:
         assert cli.main(["mass", "expcheck", "--nmax", "8"], stdout=io.StringIO()) == 0
         assert calls == ["exp"]
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 20])
+    def test_one_solve_per_degree(self, n, monkeypatch):
+        # N(f, m) = N(1, m)(q^f): one triangular solve per m, at f = 1 (one per pair f * m <= n
+        # took 66 at n = 20), and each f > 1 a substitution
+        calls = []
+
+        def counted(parts, _sum_over=massformulas._sum_over):
+            calls.append(len(parts))
+            return _sum_over(parts)
+
+        monkeypatch.setattr(massformulas, "_sum_over", counted)
+        recovered = recover_N_from_M(bhargava_series(n))
+        assert len(calls) == n and len(recovered) == sum(n // m for m in range(1, n + 1))
+        assert all(recovered[(f, m)] == serre_mass(m, f) for f, m in recovered)
+
     @pytest.mark.parametrize("case", INVERT_GOLDENS, ids=[case["id"] for case in INVERT_GOLDENS])
     def test_invert_matches_its_golden_without_exp(self, case, monkeypatch):
         monkeypatch.setattr(TruncatedSeries, "exp", None)  # any exp would fail

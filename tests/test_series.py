@@ -11,7 +11,7 @@ import pytest
 from wildmckay import massformulas
 from wildmckay import series as series_module
 from wildmckay.localfields import _stratum_weight, _valuation
-from wildmckay.numutil import BudgetExceededError, divisors
+from wildmckay.numutil import BudgetExceededError, divisors, pack_slots
 from wildmckay.qexpr import DENSE_DEGREE_BUDGET, QExpr, QFrac, _cyclotomic_qfrac
 from wildmckay.series import ConstantTermError, TruncatedSeries
 
@@ -249,6 +249,31 @@ class TestAgainstTheRecurrences:
         monkeypatch.setattr(TruncatedSeries, "log", oracle_log)
         assert series == massformulas.mass_series_via_exp(nmax)
         assert recovered == massformulas.recover_N_from_M(series)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kept_packings_are_the_rows_packings(self, seed, monkeypatch):
+        # a step's row keeps the packing it was summed in, which later steps read at that width
+        rows = []
+
+        def kept(terms, scale=1, _dot=series_module._dot):
+            if (row := _dot(terms, scale)) is not None:
+                assert len(row.packed) == 1
+                rows.append(row)
+            return row
+
+        monkeypatch.setattr(series_module, "_dot", kept)
+        rng = random.Random(seed)
+        for bits in (4, 40, 240):
+            seeded_series(rng, 9, bits, 0).exp()
+            seeded_series(rng, 9, bits, 1).log()
+        massformulas.bhargava_series(20).log()
+        massformulas.mass_series_via_exp(20)
+        # row 2 of this log is 2 (q^-2 / 2 + 5) - (q^-1 + 1)^2 = -2 q^-1 + 9: its lowest slot cancels
+        series(1, QExpr({-1: 1, 0: 1}), QExpr({-2: Fraction(1, 2), 0: 5}), truncation=6).log()
+        assert len(rows) > 50 and any(min(row.nums) < 0 for row in rows)
+        assert any(row.den != 1 for row in rows)
+        for row in rows:
+            assert row.packed == {size: pack_slots(row.nums, size) for size in row.packed}
 
     def test_dense_span_cap(self):
         # Rows are dense in t = q^(1/r): products of 50 factors of 1 + q + q^1001 span 50,050.
